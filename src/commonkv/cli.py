@@ -45,7 +45,10 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> argparse.Namespace:
     """Layer precedence: built-in defaults < --config file < explicit flags."""
     cfg_file = {}
     if getattr(args, "config", None):
-        cfg_file = json.loads(Path(args.config).read_text())
+        try:
+            cfg_file = json.loads(Path(args.config).read_text())
+        except ValueError as exc:
+            raise ConfigurationError(f"--config {args.config} is not valid JSON: {exc}") from None
         if not isinstance(cfg_file, dict):
             raise ConfigurationError("--config must hold a JSON object")
     for key, builtin in defaults.items():

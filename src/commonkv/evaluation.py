@@ -28,13 +28,13 @@ import numpy as np
 from . import budget as budget_mod
 from .budget import BudgetPlan, FisherWeights, group_score, top_k_groups
 from .corpus import markov_byte_corpus
-from .errors import ConfigurationError, InputError, NumericError
+from .errors import CapacityError, ConfigurationError, InputError, NumericError
 from .factorization import (SharedFactorization, build_factorization,
                             factorize_group, GroupLayout)
 from .latent_cache import LatentSession, baseline_elements, compute_latent
 from .model import (BaselineSession, ModelConfig, ModelWeights, apply_rope,
-                    build_rope_table, causal_attention_weights, mlp_block,
-                    nll_from_logits, rms_norm, _check_tokens)
+                    attention_block, build_rope_table, mlp_block, nll_from_logits,
+                    rms_norm, _check_tokens)
 
 MODES = ("baseline", "commonkv", "lowrank_perlayer", "rawkv_meanmerge")
 CSV_COLUMNS = ("mode", "target_ratio", "achieved_ratio", "nll", "cache_elements",
@@ -75,14 +75,7 @@ def _collect_layer_states(weights: ModelWeights, ids: np.ndarray,
         values.append(v.reshape(ids.size, -1))
         if fact is not None:
             latents.append(compute_latent(xn, fact.shared_for_layer(li)))
-        scale = 1.0 / np.sqrt(cfg.d_head)
-        o_cat = np.empty((ids.size, cfg.n_q_heads, cfg.d_head), dtype=np.float32)
-        for qh in range(cfg.n_q_heads):
-            kv = cfg.kv_head_of(qh)
-            probs = causal_attention_weights((q[:, qh, :] @ k[:, kv, :].T) * scale,
-                                             positions, positions)
-            o_cat[:, qh, :] = probs @ v[:, kv, :]
-        x = x + o_cat.reshape(ids.size, cfg.d_hidden) @ lw.w_o
+        x = x + attention_block(q, k, v, positions, positions, lw.w_o, cfg)
         x = x + mlp_block(rms_norm(x, lw.mlp_gain), lw)
     return hiddens, keys, values, latents
 
@@ -227,12 +220,11 @@ class RawKVSession:
         ids = _check_tokens(cfg, [token_id])
         start = self.prefill_positions.size + self.decode_positions.size
         if start + 1 > cfg.max_seq:
-            raise ConfigurationError(f"sequence exceeds max_seq={cfg.max_seq}")
+            raise CapacityError(f"sequence of {start + 1} exceeds max_seq={cfg.max_seq}")
         positions = np.array([start], dtype=np.int64)
         self.decode_positions = np.concatenate([self.decode_positions, positions])
 
         x = self.weights.embed[ids]
-        scale = 1.0 / np.sqrt(cfg.d_head)
         for li, lw in enumerate(self.weights.layers):
             xn = rms_norm(x, lw.attn_gain)
             q = apply_rope((xn @ lw.w_q).reshape(-1, cfg.n_q_heads, cfg.d_head),
@@ -246,30 +238,17 @@ class RawKVSession:
             keys = np.concatenate([pk, self.suffix_keys[li]], axis=0)
             values = np.concatenate([pv, self.suffix_values[li]], axis=0)
             k_positions = np.concatenate([self.prefill_positions, self.decode_positions])
-            o_cat = np.empty((1, cfg.n_q_heads, cfg.d_head), dtype=np.float32)
-            for qh in range(cfg.n_q_heads):
-                kv = cfg.kv_head_of(qh)
-                probs = causal_attention_weights((q[:, qh, :] @ keys[:, kv, :].T) * scale,
-                                                 positions, k_positions)
-                o_cat[:, qh, :] = probs @ values[:, kv, :]
-            x = x + o_cat.reshape(1, cfg.d_hidden) @ lw.w_o
+            x = x + attention_block(q, keys, values, positions, k_positions, lw.w_o, cfg)
             x = x + mlp_block(rms_norm(x, lw.mlp_gain), lw)
         return (rms_norm(x, self.weights.final_gain) @ self.weights.lm_head)[0]
 
     def element_count(self) -> int:
-        total = 0
-        counted_groups = set()
-        for li in range(self.config.n_layers):
-            gi = self.layout.group_of(li)
-            if gi in self.group_prefix:
-                if gi not in counted_groups:
-                    mk, mv = self.group_prefix[gi]
-                    total += mk.size + mv.size
-                    counted_groups.add(gi)
-            else:
-                total += self.prefix_keys[li].size + self.prefix_values[li].size
-            total += self.suffix_keys[li].size + self.suffix_values[li].size
-        return total
+        merged = sum(mk.size + mv.size for mk, mv in self.group_prefix.values())
+        unmerged = sum(self.prefix_keys[l].size + self.prefix_values[l].size
+                       for l in range(self.config.n_layers)
+                       if self.layout.group_of(l) not in self.group_prefix)
+        suffix = sum(k.size + v.size for k, v in zip(self.suffix_keys, self.suffix_values))
+        return merged + unmerged + suffix
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +270,13 @@ class EvalResult:
 def _split_point(n_tokens: int, prefill_fraction: float) -> int:
     split = int(round(n_tokens * prefill_fraction))
     return min(max(split, 1), n_tokens - 1)
+
+
+def _teacher_forced_nll(session, prompt_logits: np.ndarray, ids: np.ndarray,
+                        split: int) -> float:
+    """NLL over the prompt's logits plus one decode step per later token."""
+    rows = [prompt_logits] + [session.decode(int(t))[None, :] for t in ids[split:-1]]
+    return nll_from_logits(np.concatenate(rows, axis=0)[: ids.size - 1], ids[1:])
 
 
 def perplexity(mode: str, weights: ModelWeights, text_ids,
@@ -326,15 +312,12 @@ def perplexity(mode: str, weights: ModelWeights, text_ids,
                           achieved_ratio=1.0 - elements / n_base,
                           cache_elements=elements, n_tokens=int(ids.size))
 
+    split = _split_point(ids.size, prefill_fraction)
     if mode == "rawkv_meanmerge":
         session = RawKVSession(weights, group_size)
-        split = _split_point(ids.size, prefill_fraction)
         logits = session.prefill(ids[:split])
         merge_info = session.merge(target_ratio)
-        rows = [logits]
-        for t in ids[split:-1]:
-            rows.append(session.decode(int(t))[None, :])
-        nll = nll_from_logits(np.concatenate(rows, axis=0)[: ids.size - 1], ids[1:])
+        nll = _teacher_forced_nll(session, logits, ids, split)
         elements = session.element_count()
         expected = ((merge_info["count"] * 1 +
                      (session.layout.n_groups - merge_info["count"]) * group_size)
@@ -352,29 +335,19 @@ def perplexity(mode: str, weights: ModelWeights, text_ids,
     if mode == "lowrank_perlayer":
         rank = max(1, int((1.0 - target_ratio) * 2 * weights.config.d_kv))
         fact = build_factorization(weights, group_size=1, rank=rank)
-        session = LatentSession(weights, fact)
-        split = _split_point(ids.size, prefill_fraction)
-        logits = session.prefill(ids[:split])
+    elif fact is None:
+        raise ConfigurationError("commonkv mode needs a factorized model")
+    session = LatentSession(weights, fact)
+    logits = session.prefill(ids[:split])
+    if mode == "lowrank_perlayer":
         # per-layer reference never merges; with m=1 the cost is rank-driven only
         plan = budget_mod.allocate_budget([1.0] * fact.layout.n_groups, 0.0, fact.layout,
                                           fact.rank, weights.config, strategy="mean")
         session.apply_plan(plan)
-        rows = [logits]
-        for t in ids[split:-1]:
-            rows.append(session.decode(int(t))[None, :])
-        nll = nll_from_logits(np.concatenate(rows, axis=0)[: ids.size - 1], ids[1:])
-    else:  # commonkv
-        if fact is None:
-            raise ConfigurationError("commonkv mode needs a factorized model")
-        session = LatentSession(weights, fact)
-        split = _split_point(ids.size, prefill_fraction)
-        logits = session.prefill(ids[:split])
+    else:
         plan = session.plan_and_merge(target_ratio, strategy=strategy, fisher=fisher,
                                       score_variant=score_variant)
-        rows = [logits]
-        for t in ids[split:-1]:
-            rows.append(session.decode(int(t))[None, :])
-        nll = nll_from_logits(np.concatenate(rows, axis=0)[: ids.size - 1], ids[1:])
+    nll = _teacher_forced_nll(session, logits, ids, split)
 
     audit = session.audit()
     expected_prefix = plan.cost_per_token * session.store.prefill_len

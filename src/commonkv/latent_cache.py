@@ -17,11 +17,10 @@ import numpy as np
 
 from . import budget as budget_mod
 from . import tensorfile
-from .errors import InputError, NumericError
+from .errors import CapacityError, InputError, NumericError
 from .factorization import SharedFactorization
-from .model import (ModelConfig, ModelWeights, RopeTable, apply_rope, build_rope_table,
-                    causal_attention_weights, mlp_block, rms_norm, _check_tokens)
-from .errors import CapacityError
+from .model import (ModelConfig, ModelWeights, RopeTable, apply_rope, attention_block,
+                    attention_probs, build_rope_table, mlp_block, rms_norm, _check_tokens)
 
 
 def compute_latent(x: np.ndarray, shared: np.ndarray) -> np.ndarray:
@@ -46,25 +45,17 @@ def attend_latent(q_rope: np.ndarray, latents: np.ndarray, k_factor: np.ndarray,
 
     Default is the fused value path ``sum_q (P_q @ H) @ M_q``.  Passing
     ``v_factor`` and ``w_o`` switches to the unfused verification path that
-    restores values explicitly and applies the output projection.
+    restores values explicitly and runs the baseline attention block.
     """
     keys = restore_keys(latents, k_factor, k_positions, rope, config.n_kv_heads)
-    scale = 1.0 / np.sqrt(config.d_head)
-    unfused = v_factor is not None
-    if unfused:
+    if v_factor is not None:
         values = (latents @ v_factor).reshape(latents.shape[0], config.n_kv_heads, -1)
-        o_cat = np.empty((q_rope.shape[0], config.n_q_heads, config.d_head), dtype=np.float32)
-    out = np.zeros((q_rope.shape[0], config.d_hidden), dtype=np.float32)
-    for q in range(config.n_q_heads):
-        kv = config.kv_head_of(q)
-        scores = (q_rope[:, q, :] @ keys[:, kv, :].T) * scale
-        probs = causal_attention_weights(scores, q_positions, k_positions)
-        if unfused:
-            o_cat[:, q, :] = probs @ values[:, kv, :]
-        else:
-            out += (probs @ latents) @ fused_out[q]
-    if unfused:
-        return o_cat.reshape(q_rope.shape[0], config.d_hidden) @ w_o
+        return attention_block(q_rope, keys, values, q_positions, k_positions, w_o, config)
+    out = np.empty((q_rope.shape[0], config.d_hidden), dtype=np.float32)
+    for start, stop, tk, probs in attention_probs(q_rope, keys, q_positions, k_positions, config):
+        mixed = probs.reshape(-1, tk) @ latents[:tk]  # (n_q * rows, r)
+        out[start:stop] = np.matmul(mixed.reshape(config.n_q_heads, stop - start, -1),
+                                    fused_out).sum(axis=0)
     return out
 
 

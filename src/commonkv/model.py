@@ -4,7 +4,8 @@ Conventions (shared with the factorized engine, keep in sync):
 
 * hidden states are row vectors, projections are ``x @ W``
 * query head ``q`` reads KV head ``q // (n_q_heads // n_kv_heads)``
-* RoPE rotates dimension pairs ``(2i, 2i+1)`` inside each head; the
+* RoPE rotates dimension pairs ``(2i, 2i+1)`` inside each head: a pair is
+  the complex number ``x_2i + i·x_2i+1`` multiplied by ``cos + i·sin``; the
   per-layer key cache stores keys *after* rotation
 * all tensors are float32; softmax, RMS statistics and loss reductions
   accumulate in float64 so results are reproducible across BLAS builds
@@ -213,30 +214,39 @@ def rms_norm(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RopeTable:
-    """Per-position cos/sin for each head-dimension pair, shared by all layers."""
+    """Per-position rotations for each head-dimension pair, shared by all layers."""
 
-    cos: np.ndarray  # (max_seq, d_head // 2)
-    sin: np.ndarray  # (max_seq, d_head // 2)
+    cis: np.ndarray  # (max_seq, d_head // 2) complex64, cos + i·sin
+
+    @property
+    def cos(self) -> np.ndarray:
+        return self.cis.real
+
+    @property
+    def sin(self) -> np.ndarray:
+        return self.cis.imag
 
     @property
     def max_position(self) -> int:
-        return self.cos.shape[0]
+        return self.cis.shape[0]
 
 
 def build_rope_table(config: ModelConfig) -> RopeTable:
     half = config.d_head // 2
     inv_freq = config.rope_theta ** (-np.arange(0, half, dtype=np.float64) * 2.0 / config.d_head)
     angles = np.arange(config.max_seq, dtype=np.float64)[:, None] * inv_freq[None, :]
-    return RopeTable(cos=np.cos(angles).astype(np.float32),
-                     sin=np.sin(angles).astype(np.float32))
+    cis = np.empty(angles.shape, dtype=np.complex64)
+    cis.real = np.cos(angles).astype(np.float32)
+    cis.imag = np.sin(angles).astype(np.float32)
+    return RopeTable(cis=cis)
 
 
 def apply_rope(vectors: np.ndarray, position_ids: np.ndarray, table: RopeTable,
                inverse: bool = False) -> np.ndarray:
     """Rotate (tokens, heads, d_head) pairwise by each token's position angle.
 
-    ``inverse=True`` rotates by the negative angle (used by the backward pass
-    and the inverse-rotation tests).
+    One complex multiply per pair; ``inverse=True`` multiplies by the
+    conjugate, rotating by the negative angle.
     """
     position_ids = np.asarray(position_ids)
     if position_ids.size and int(position_ids.max()) >= table.max_position:
@@ -244,28 +254,48 @@ def apply_rope(vectors: np.ndarray, position_ids: np.ndarray, table: RopeTable,
             f"position {int(position_ids.max())} outside RoPE table of {table.max_position}")
     if position_ids.size and int(position_ids.min()) < 0:
         raise CapacityError("negative position id")
-    cos = table.cos[position_ids][:, None, :]  # (tokens, 1, half)
-    sin = table.sin[position_ids][:, None, :]
+    cis = table.cis[position_ids][:, None, :]  # (tokens, 1, half)
     if inverse:
-        sin = -sin
-    even = vectors[..., 0::2]
-    odd = vectors[..., 1::2]
-    out = np.empty_like(vectors)
-    out[..., 0::2] = even * cos - odd * sin
-    out[..., 1::2] = even * sin + odd * cos
-    return out
+        cis = cis.conj()
+    pairs = np.ascontiguousarray(vectors, dtype=np.float32).view(np.complex64)
+    return (pairs * cis).view(np.float32)
 
 
 def causal_attention_weights(scores: np.ndarray, q_positions: np.ndarray,
                              k_positions: np.ndarray) -> np.ndarray:
     """Masked softmax over key axis; scores (..., Tq, Tk), exp/sum in float64."""
-    mask = k_positions[None, :] > q_positions[:, None]  # (Tq, Tk)
     s = scores.astype(np.float64)
-    s = np.where(mask, -np.inf, s)
+    np.copyto(s, -np.inf, where=k_positions[None, :] > q_positions[:, None])
     s -= s.max(axis=-1, keepdims=True)
-    p = np.exp(s)
-    p /= p.sum(axis=-1, keepdims=True)
-    return p.astype(np.float32)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
+    return s.astype(np.float32)
+
+
+def attention_probs(q_rope: np.ndarray, keys: np.ndarray, q_positions: np.ndarray,
+                    k_positions: np.ndarray, config: ModelConfig):
+    """Causal softmax weights of every query head, one row block at a time.
+
+    Yields ``(start, stop, tk, probs)`` with probs (n_q_heads, stop - start, tk)
+    over query rows ``start:stop`` and the first ``tk`` keys.  All query heads
+    of a KV head share one scores matmul.  Blocks hold ``max(1, Tq // n_q_heads)``
+    rows, so a block's scores never exceed one head's (Tq, Tk), and a decode row
+    is one block.  ``k_positions`` is ascending, so keys past ``tk`` (after the
+    block's last query position) are masked for every row and are skipped.
+    """
+    n_kv, hpk, d_head = config.n_kv_heads, config.heads_per_kv, config.d_head
+    tq, scale = q_rope.shape[0], np.float32(1.0 / np.sqrt(d_head))
+    # query head q sits at [q // heads_per_kv, q % heads_per_kv]
+    q_grouped = (q_rope * scale).transpose(1, 0, 2).reshape(n_kv, hpk, tq, d_head)
+    keys_t = keys.transpose(1, 2, 0)  # (n_kv, d_head, Tk)
+    block = max(1, tq // config.n_q_heads)
+    for start in range(0, tq, block):
+        stop = min(start + block, tq)
+        tk = int(np.searchsorted(k_positions, q_positions[stop - 1], side="right"))
+        scores = np.matmul(q_grouped[:, :, start:stop].reshape(n_kv, -1, d_head), keys_t[:, :, :tk])
+        probs = causal_attention_weights(scores.reshape(n_kv, hpk, stop - start, tk),
+                                         q_positions[start:stop], k_positions[:tk])
+        yield start, stop, tk, probs.reshape(config.n_q_heads, stop - start, tk)
 
 
 def silu(z: np.ndarray) -> np.ndarray:
@@ -318,15 +348,14 @@ def _check_tokens(config: ModelConfig, token_ids: np.ndarray) -> np.ndarray:
 def attention_block(q_rope: np.ndarray, keys: np.ndarray, values: np.ndarray,
                     q_positions: np.ndarray, k_positions: np.ndarray,
                     w_o: np.ndarray, config: ModelConfig) -> np.ndarray:
-    """Baseline causal GQA attention. q_rope (Tq, n_q, d_head) -> (Tq, d_hidden)."""
-    scale = 1.0 / np.sqrt(config.d_head)
-    o_cat = np.empty((q_rope.shape[0], config.n_q_heads, config.d_head), dtype=np.float32)
-    for q in range(config.n_q_heads):
-        kv = config.kv_head_of(q)
-        scores = (q_rope[:, q, :] @ keys[:, kv, :].T) * scale
-        probs = causal_attention_weights(scores, q_positions, k_positions)
-        o_cat[:, q, :] = probs @ values[:, kv, :]
-    return o_cat.reshape(q_rope.shape[0], config.d_hidden) @ w_o
+    """Causal GQA attention. q_rope (Tq, n_q, d_head) -> (Tq, d_hidden)."""
+    tq, n_kv = q_rope.shape[0], config.n_kv_heads
+    values_t = values.transpose(1, 0, 2)  # (n_kv, Tk, d_head)
+    o_cat = np.empty((tq, config.n_q_heads, config.d_head), dtype=np.float32)
+    for start, stop, tk, probs in attention_probs(q_rope, keys, q_positions, k_positions, config):
+        heads = np.matmul(probs.reshape(n_kv, -1, tk), values_t[:, :tk])
+        o_cat[start:stop] = heads.reshape(config.n_q_heads, stop - start, -1).transpose(1, 0, 2)
+    return o_cat.reshape(tq, config.d_hidden) @ w_o
 
 
 def forward_baseline(weights: ModelWeights, token_ids, cache: KVCache | None = None,
@@ -427,16 +456,9 @@ def _rms_norm64_backward(dy, x, gain, inv):
     return gdy * inv - x * (inner * inv**3 / d)
 
 
-def _rope64(vectors, positions, cos, sin, inverse=False):
-    c = cos[positions][:, None, :]
-    s = sin[positions][:, None, :]
-    if inverse:
-        s = -s
-    even, odd = vectors[..., 0::2], vectors[..., 1::2]
-    out = np.empty_like(vectors)
-    out[..., 0::2] = even * c - odd * s
-    out[..., 1::2] = even * s + odd * c
-    return out
+def _rope64(vectors, positions, cis, inverse=False):
+    c = cis[positions][:, None, :]
+    return (vectors.view(np.complex128) * (c.conj() if inverse else c)).view(np.float64)
 
 
 def _softmax64(scores, mask):
@@ -476,7 +498,7 @@ def loss_and_grads(weights: ModelWeights, token_ids) -> tuple[float, list[dict[s
 
     w64 = {name: arr.astype(np.float64) for name, arr in weights.named_tensors().items()}
     rope = build_rope_table(cfg)
-    cos64, sin64 = rope.cos.astype(np.float64), rope.sin.astype(np.float64)
+    cis64 = rope.cis.astype(np.complex128)
     scale = 1.0 / np.sqrt(cfg.d_head)
     n_seq = len(seqs)
     grads = [{"w_k": np.zeros_like(w64[f"layers.{l}.w_k"]),
@@ -498,8 +520,8 @@ def loss_and_grads(weights: ModelWeights, token_ids) -> tuple[float, list[dict[s
             q = (xn1 @ lw["w_q"]).reshape(T, cfg.n_q_heads, cfg.d_head)
             k = (xn1 @ lw["w_k"]).reshape(T, cfg.n_kv_heads, cfg.d_head)
             v = (xn1 @ lw["w_v"]).reshape(T, cfg.n_kv_heads, cfg.d_head)
-            qr = _rope64(q, positions, cos64, sin64)
-            kr = _rope64(k, positions, cos64, sin64)
+            qr = _rope64(q, positions, cis64)
+            kr = _rope64(k, positions, cis64)
             probs = np.empty((cfg.n_q_heads, T, T))
             o_cat = np.empty((T, cfg.n_q_heads, cfg.d_head))
             for qh in range(cfg.n_q_heads):
@@ -559,8 +581,8 @@ def loss_and_grads(weights: ModelWeights, token_ids) -> tuple[float, list[dict[s
                 dqr[:, qh, :] += ds @ t["kr"][:, kv, :] * scale
                 dkr[:, kv, :] += ds.T @ t["qr"][:, qh, :] * scale
             positions = np.arange(T)
-            dq = _rope64(dqr, positions, cos64, sin64, inverse=True)
-            dk = _rope64(dkr, positions, cos64, sin64, inverse=True)
+            dq = _rope64(dqr, positions, cis64, inverse=True)
+            dk = _rope64(dkr, positions, cis64, inverse=True)
             dq_flat = dq.reshape(T, cfg.d_hidden)
             dk_flat = dk.reshape(T, cfg.d_kv)
             dv_flat = dv.reshape(T, cfg.d_kv)

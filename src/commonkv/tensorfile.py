@@ -19,12 +19,13 @@ calls with equal contents produce byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import InputError, NumericError
 
 _MAGIC_DTYPE = "f32"
 
@@ -62,23 +63,33 @@ def serialize(tensors: dict[str, np.ndarray], meta: dict | None = None) -> bytes
 
 
 def deserialize(blob: bytes) -> tuple[dict[str, np.ndarray], dict]:
-    """Inverse of :func:`serialize`. Returns (tensors, meta)."""
+    """Inverse of :func:`serialize`: (tensors, meta); malformed input raises InputError."""
     if len(blob) < 8:
-        raise ValueError("container too short for header length field")
+        raise InputError("container too short for header length field")
     (header_len,) = struct.unpack("<Q", blob[:8])
-    header = json.loads(blob[8 : 8 + header_len].decode("utf-8"))
+    if 8 + header_len > len(blob):
+        raise InputError(f"header of {header_len} bytes runs past the end of the container")
+    try:
+        header = json.loads(blob[8 : 8 + header_len].decode("utf-8"))
+    except ValueError as exc:
+        raise InputError(f"container header is not valid JSON: {exc}") from None
+    if not (isinstance(header, dict) and isinstance(header.get("tensors"), dict)
+            and isinstance(header.get("meta", {}), dict)):
+        raise InputError("container header lacks a tensors table or meta object")
     payload = blob[8 + header_len :]
     tensors: dict[str, np.ndarray] = {}
     for name, desc in header["tensors"].items():
-        if desc["dtype"] != _MAGIC_DTYPE:
-            raise ValueError(f"unsupported dtype {desc['dtype']!r} for tensor {name!r}")
-        shape = tuple(desc["shape"])
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        start = desc["offset"]
-        raw = payload[start : start + count * 4]
-        if len(raw) != count * 4:
-            raise ValueError(f"payload truncated for tensor {name!r}")
-        tensors[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
+        if not isinstance(desc, dict) or desc.get("dtype") != _MAGIC_DTYPE:
+            raise InputError(f"unsupported dtype for tensor {name!r}")
+        shape, start = desc.get("shape"), desc.get("offset")
+        if not (isinstance(shape, list) and all(type(d) is int and d >= 0 for d in shape)
+                and type(start) is int and start >= 0):
+            raise InputError(f"tensor {name!r} has a malformed shape or offset")
+        count = math.prod(shape)
+        if start + count * 4 > len(payload):
+            raise InputError(f"payload truncated for tensor {name!r}")
+        tensors[name] = np.frombuffer(payload, dtype="<f4", count=count,
+                                      offset=start).reshape(shape).copy()
     return tensors, header.get("meta", {})
 
 

@@ -164,3 +164,28 @@ def test_check_passes_and_writes_report(workdir):
     text = out.read_text()
     assert "overall: PASS" in text
     assert "FAIL" not in text.replace("PASS/FAIL", "")
+
+
+def test_malformed_config_json_is_configuration_error(workdir):
+    cfg_path = workdir / "cfg.json"
+    cfg_path.write_text('{"tokens": 64,')
+    code = main(["run", "--model", str(workdir / "model.tnsr"), "--mode", "baseline",
+                 "--config", str(cfg_path)])
+    assert code == 2
+
+
+def test_cut_container_is_input_error(workdir):
+    cut = workdir / "cut.tnsr"
+    cut.write_bytes((workdir / "model.tnsr").read_bytes()[:30])
+    code = main(["transform", "--model", str(cut), "--out", str(workdir / "x.tnsr")])
+    assert code == 3
+
+
+def test_rawkv_past_max_seq_is_capacity_error(workdir):
+    # the toy model's max_seq is 256: decode runs past it, which is not an
+    # unreachable ratio and must not be recorded as one
+    code = main(["bench", "--model", str(workdir / "model.tnsr"),
+                 "--out", str(workdir / "bench.csv"), "--modes", "rawkv_meanmerge",
+                 "--ratios", "0.5", "--seeds", "0", "--tokens", "280",
+                 "--prefill-fraction", "0.5"])
+    assert code == 4

@@ -3,8 +3,8 @@ import pytest
 
 from commonkv.budget import estimate_fisher
 from commonkv.corpus import markov_byte_corpus
-from commonkv.errors import NumericError
-from commonkv.evaluation import (CSV_COLUMNS, MODES, bench_sweep, perplexity,
+from commonkv.errors import CapacityError, NumericError
+from commonkv.evaluation import (CSV_COLUMNS, MODES, RawKVSession, bench_sweep, perplexity,
                                  profile_similarity, records_to_csv,
                                  similarity_construction_trial, sweep_summary)
 from commonkv.factorization import transform_model, load_factorized
@@ -163,3 +163,12 @@ def test_construction_trial_prefers_latents():
     wins = sum(1 for seed in range(5)
                if (lambda p: p[0] > p[1])(similarity_construction_trial(seed)))
     assert wins >= 4
+
+
+def test_rawkv_decode_past_max_seq_raises_capacity_error(micro_weights):
+    session = RawKVSession(micro_weights, group_size=1)
+    max_seq = micro_weights.config.max_seq
+    session.prefill(markov_byte_corpus(3, 1, max_seq)[0])
+    with pytest.raises(CapacityError):
+        session.decode(65)
+    assert session.decode_positions.size == 0

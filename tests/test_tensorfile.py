@@ -3,9 +3,11 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from commonkv import tensorfile
-from commonkv.errors import NumericError
+from commonkv.errors import CommonKVError, InputError, NumericError
 
 
 def _sample():
@@ -62,3 +64,60 @@ def test_file_round_trip(tmp_path):
     loaded, meta = tensorfile.load(path)
     assert meta["kind"] == "test"
     np.testing.assert_array_equal(loaded["b.mat"], tensors["b.mat"])
+
+
+# -- corrupt containers ------------------------------------------------------------
+
+def _header_blob(header: dict, payload: bytes = b"") -> bytes:
+    raw = json.dumps(header).encode("utf-8")
+    return struct.pack("<Q", len(raw)) + raw + payload
+
+
+def test_cut_container_raises_input_error_only():
+    blob = tensorfile.serialize(_sample(), meta={"kind": "test"})
+    (header_len,) = struct.unpack("<Q", blob[:8])
+    cuts = sorted({0, 3, 8, 9, 30, 8 + header_len // 2, 8 + header_len - 1, 8 + header_len,
+                   8 + header_len + 5, len(blob) - 4, len(blob) - 1})
+    for cut in cuts:
+        with pytest.raises(InputError):
+            tensorfile.deserialize(blob[:cut])
+
+
+@pytest.mark.parametrize("header", [
+    [1, 2],
+    {"meta": {}},
+    {"meta": [], "tensors": {}},
+    {"tensors": {"x": {"dtype": "f64", "shape": [1], "offset": 0}}},
+    {"tensors": {"x": "f32"}},
+    {"tensors": {"x": {"dtype": "f32", "shape": [1], "offset": -4}}},
+    {"tensors": {"x": {"dtype": "f32", "shape": [1.5], "offset": 0}}},
+    {"tensors": {"x": {"dtype": "f32", "shape": [-1], "offset": 0}}},
+    {"tensors": {"x": {"dtype": "f32", "shape": 4, "offset": 0}}},
+    {"tensors": {"x": {"dtype": "f32", "shape": [1], "offset": "0"}}},
+    {"tensors": {"x": {"dtype": "f32", "shape": [True], "offset": 0}}},
+    {"tensors": {"x": {"dtype": "f32", "shape": [2], "offset": 4}}},
+])
+def test_malformed_header_raises_input_error(header):
+    with pytest.raises(InputError):
+        tensorfile.deserialize(_header_blob(header, payload=b"\0" * 8))
+
+
+def test_bad_json_and_oversized_header_length_raise_input_error():
+    with pytest.raises(InputError):
+        tensorfile.deserialize(struct.pack("<Q", 5) + b"{oops")
+    with pytest.raises(InputError):
+        tensorfile.deserialize(struct.pack("<Q", 6) + b"\xff\xfe{}{}")
+    with pytest.raises(InputError):
+        tensorfile.deserialize(struct.pack("<Q", 2**63) + b"{}")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_mutated_container_only_raises_commonkv_errors(data):
+    blob = bytearray(tensorfile.serialize(_sample(), meta={"kind": "test"}))
+    for _ in range(data.draw(st.integers(1, 4))):
+        blob[data.draw(st.integers(0, len(blob) - 1))] = data.draw(st.integers(0, 255))
+    try:
+        tensorfile.deserialize(bytes(blob))
+    except CommonKVError:
+        pass

@@ -1,0 +1,76 @@
+"""The call pattern the benchmark's outside-in tracer depends on.
+
+``perfbench`` wraps functions at their module bindings and checks per-step
+call counts, so a refactor that bypasses a binding, calls ``apply_rope`` a
+different number of times, or passes ``restore_keys`` its latents and key
+factor by keyword breaks the traced benchmark.  These tests fail first.
+"""
+
+import sys
+
+import numpy as np
+import pytest
+
+from commonkv import latent_cache, model
+from commonkv.latent_cache import LatentSession
+from commonkv.model import BaselineSession
+
+TRACED = {
+    "apply_rope": model, "causal_attention_weights": model, "attention_block": model,
+    "mlp_block": model, "compute_latent": latent_cache, "restore_keys": latent_cache,
+    "attend_latent": latent_cache,
+}
+
+
+@pytest.fixture()
+def calls(monkeypatch):
+    """Record the positional args of every call, at every commonkv binding."""
+    log = {name: [] for name in TRACED}
+    for name, home in TRACED.items():
+        original = getattr(home, name)
+
+        def wrapper(*args, _name=name, _original=original, **kwargs):
+            log[_name].append(args)
+            return _original(*args, **kwargs)
+
+        for modname, mod in list(sys.modules.items()):
+            if modname.startswith("commonkv") and vars(mod).get(name) is original:
+                monkeypatch.setattr(mod, name, wrapper)
+    return log
+
+
+def _are(expected: list, got: list) -> bool:
+    return len(got) == len(expected) and all(a is b for a, b in zip(got, expected))
+
+
+@pytest.mark.parametrize("mode", ["baseline", "commonkv"])
+def test_one_decode_step_call_pattern(fact07, probe_ids, calls, mode):
+    weights, fact, _ = fact07
+    n_layers = weights.config.n_layers
+    prompt = probe_ids[:24]
+    if mode == "baseline":
+        session = BaselineSession(weights)
+        session.prefill(prompt)
+    else:
+        session = LatentSession(weights, fact)
+        session.prefill(prompt)
+        assert _are(fact.k_factors, [args[1] for args in calls["restore_keys"]])
+        session.plan_and_merge(0.5, strategy="mean")
+    for log in calls.values():
+        log.clear()
+
+    session.decode(int(probe_ids[24]))
+
+    counts = {name: len(log) for name, log in calls.items()}
+    assert counts["apply_rope"] == 2 * n_layers
+    assert counts["mlp_block"] == n_layers
+    # one batched softmax per layer: every query head in one decode block
+    assert counts["causal_attention_weights"] == n_layers
+    if mode == "baseline":
+        assert counts["attention_block"] == n_layers
+        return
+    assert counts["attend_latent"] == counts["compute_latent"] == n_layers
+    restore = calls["restore_keys"]
+    assert _are(fact.k_factors, [args[1] for args in restore])  # positional, layer order
+    assert all(isinstance(args[0], np.ndarray) and args[0].shape[0] == len(prompt) + 1
+               for args in restore)
