@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -176,11 +177,23 @@ class FisherWeights:
         }, indent=2, sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str) -> "FisherWeights":
-        d = json.loads(text)
-        if d.get("kind") != "fisher_weights":
+    def from_json(cls, text: str | bytes) -> "FisherWeights":
+        """Parse a Fisher weights file; anything malformed is a ConfigurationError."""
+        try:
+            d = json.loads(text)
+        except ValueError as exc:  # bad JSON or bad UTF-8
+            raise ConfigurationError(f"Fisher weights file is not valid JSON: {exc}") from None
+        if not isinstance(d, dict) or d.get("kind") != "fisher_weights":
             raise ConfigurationError("not a Fisher weights file")
-        return cls(per_layer=d["per_layer"], corpus_digest=d["corpus_hash"],
+        per_layer = d.get("per_layer")
+        if not isinstance(per_layer, list) or not all(
+                isinstance(v, (int, float)) and not isinstance(v, bool)
+                and math.isfinite(v) and v >= 0 for v in per_layer):
+            raise ConfigurationError(
+                "Fisher weights file needs 'per_layer', a list of finite non-negative numbers")
+        if not isinstance(d.get("corpus_hash"), str):
+            raise ConfigurationError("Fisher weights file lacks its 'corpus_hash'")
+        return cls(per_layer=per_layer, corpus_digest=d["corpus_hash"],
                    seed=d.get("seed"), n_sequences=d.get("n_sequences", 0))
 
 

@@ -67,10 +67,15 @@ def _corpus_ids(args, seed_offset: int = 0) -> np.ndarray:
     return markov_byte_corpus(args.seed + seed_offset, 1, args.tokens)[0]
 
 
-def _load_fisher(path) -> FisherWeights | None:
+def _load_fisher(path, config: ModelConfig) -> FisherWeights | None:
+    """The Fisher weights file, checked against the model before any merge."""
     if not path:
         return None
-    return FisherWeights.from_json(Path(path).read_text())
+    fisher = FisherWeights.from_json(Path(path).read_bytes())
+    if len(fisher.per_layer) != config.n_layers:
+        raise ConfigurationError(f"{path} holds Fisher weights for {len(fisher.per_layer)} "
+                                 f"layers, the model has {config.n_layers}")
+    return fisher
 
 
 def _write_json(path, payload: dict) -> None:
@@ -156,7 +161,7 @@ def cmd_run(args) -> int:
         weights_for_latent = fact_weights
     elif args.mode == "commonkv":
         raise ConfigurationError("commonkv mode needs --factorized")
-    fisher = _load_fisher(args.fisher_file)
+    fisher = _load_fisher(args.fisher_file, weights.config)
     if args.mode == "commonkv" and args.merge == "fisher" and fisher is None:
         raise ConfigurationError("fisher merge needs --fisher-file (see `fisher` command)")
     ids = _corpus_ids(args)
@@ -210,7 +215,7 @@ def cmd_bench(args) -> int:
     modes = _parse_list(args.modes, str)
     if "commonkv" in modes and fact is None:
         raise ConfigurationError("commonkv mode needs --factorized")
-    fisher = _load_fisher(args.fisher_file)
+    fisher = _load_fisher(args.fisher_file, weights.config)
     if args.merge == "fisher" and fisher is None and "commonkv" in modes:
         raise ConfigurationError("fisher merge needs --fisher-file")
     records = evaluation.bench_sweep(

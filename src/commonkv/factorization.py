@@ -3,9 +3,10 @@
 For each group of ``m`` consecutive layers the K/V projection matrices are
 concatenated column-wise, factorized once by truncated SVD, and split into a
 shared left factor ``A`` (hidden -> latent) plus per-layer right factors
-``B_k`` / ``B_v`` (latent -> keys / values).  Each layer's value factor is
-additionally fused with its output projection so the runtime value path maps
-latents straight to attention output.
+``B_k`` / ``B_v`` (latent -> keys / values).  The runtime value path applies
+``B_v`` and then the layer's output projection ``W_o``.  Each layer's value
+factor is also fused with ``W_o`` per query head (``M_q``); those matrices
+serve the verification path that checks the factored one.
 
 SVD runs in float64 and factors are stored as float32 in the container.
 """
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, NumericError
-from .model import ModelConfig, ModelWeights, weights_from_tensors
+from .model import ModelConfig, ModelWeights, config_from_manifest, weights_from_tensors
 from . import tensorfile
 
 
@@ -205,8 +206,9 @@ def transform_model(weights: ModelWeights, group_size: int, rank_fraction: float
                     ) -> tuple[bytes, dict]:
     """Factorize and serialize to container bytes plus a sidecar report dict.
 
-    The container keeps every original weight (W_v and W_o included, so the
-    unfused verification path still runs) alongside the factor tensors.
+    The container keeps every original weight (``W_o`` is the runtime output
+    projection of the value path) alongside the factor tensors and the fused
+    per-head matrices of the verification path.
     """
     fact = build_factorization(weights, group_size, rank_fraction)
     tensors = dict(weights.named_tensors())
@@ -232,16 +234,21 @@ def load_factorized(blob_or_path) -> tuple[ModelWeights, SharedFactorization]:
         tensors, meta = tensorfile.load(blob_or_path)
     if meta.get("kind") != "factorized_model":
         raise ConfigurationError("container is not a factorized model")
-    cfg = ModelConfig.from_dict(meta["config"])
+    cfg = config_from_manifest(meta)
+    group_size, groups, rank, rank_fraction = tensorfile.take(
+        meta, ("group_size", "groups", "rank", "rank_fraction"), "factorized manifest")
     weights = weights_from_tensors(cfg, tensors, seed=meta.get("seed"))
-    layout = GroupLayout(group_size=meta["group_size"],
-                         groups=tuple(tuple(g) for g in meta["groups"]))
+    layout = GroupLayout(group_size=group_size, groups=tuple(tuple(g) for g in groups))
+
+    def take(pattern, count):
+        return tensorfile.take(tensors, [pattern.format(i) for i in range(count)],
+                               "factorized container")
+
     fact = SharedFactorization(
-        config=cfg, layout=layout, rank=meta["rank"],
-        rank_fraction=meta["rank_fraction"],
-        shared=[tensors[f"groups.{gi}.shared"] for gi in range(layout.n_groups)],
-        k_factors=[tensors[f"layers.{l}.k_factor"] for l in range(cfg.n_layers)],
-        v_factors=[tensors[f"layers.{l}.v_factor"] for l in range(cfg.n_layers)],
-        fused_out=[tensors[f"layers.{l}.fused_out"] for l in range(cfg.n_layers)],
+        config=cfg, layout=layout, rank=rank, rank_fraction=rank_fraction,
+        shared=take("groups.{}.shared", layout.n_groups),
+        k_factors=take("layers.{}.k_factor", cfg.n_layers),
+        v_factors=take("layers.{}.v_factor", cfg.n_layers),
+        fused_out=take("layers.{}.fused_out", cfg.n_layers),
         recon_errors=dict(meta.get("recon_errors", {})))
     return weights, fact

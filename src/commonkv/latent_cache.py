@@ -1,11 +1,14 @@
 """Runtime latent KV cache and the compressed-inference session.
 
 The cache stores position-free latent rows ``h = x_normed @ A`` per layer.
-Keys are restored on the fly each step (``rope(h @ B_k)``) and values never
-materialize: the value path goes through the pre-fused latent-to-output
-matrices.  After prefill, groups selected by the budget plan collapse their
-per-layer prefixes into one shared prefix; decode-time latents always stay
-per layer.
+Keys are restored on the fly each step (``rope(h @ B_k)``) and values are
+never cached: the value path applies ``B_v`` and then ``W_o`` in whichever
+exact order costs fewer multiply-adds for the call's shapes.  Prefill
+restores values ``h @ B_v`` transiently, the way keys are restored; a decode
+step mixes latents with the attention weights first.  The pre-fused
+per-head matrices ``M_q`` are the verification path.  After prefill, groups
+selected by the budget plan collapse their per-layer prefixes into one
+shared prefix; decode-time latents always stay per layer.
 """
 
 from __future__ import annotations
@@ -43,20 +46,47 @@ def attend_latent(q_rope: np.ndarray, latents: np.ndarray, k_factor: np.ndarray,
                   w_o: np.ndarray | None = None) -> np.ndarray:
     """Causal attention over latent rows for one layer; returns (Tq, d_hidden).
 
-    Default is the fused value path ``sum_q (P_q @ H) @ M_q``.  Passing
-    ``v_factor`` and ``w_o`` switches to the unfused verification path that
-    restores values explicitly and runs the baseline attention block.
+    Without ``v_factor``/``w_o`` this is the fused verification path
+    ``sum_q (P_q @ H) @ M_q`` over the pre-fused per-head matrices.  With
+    them, the output is ``o_cat @ W_o`` and ``o_cat`` comes from whichever
+    exact order needs fewer multiply-adds for these shapes (Tq query rows,
+    Tk latent rows of width r):
+
+    * restore values, ``Tk·r·d_kv + n_q·Tq·Tk·d_head``: ``V = H @ B_v`` for
+      this call only, then the baseline ``attention_block``;
+    * mix latents, ``n_q·Tq·Tk·r + n_q·Tq·r·d_head``: ``P_q @ H`` per query
+      head, then that head's ``B_v`` columns.
+
+    Prefill restores values and a decode step (Tq = 1) mixes latents; the
+    crossover sits near Tq ≈ r·d_kv / (n_q·(r − d_head)).
     """
     keys = restore_keys(latents, k_factor, k_positions, rope, config.n_kv_heads)
-    if v_factor is not None:
-        values = (latents @ v_factor).reshape(latents.shape[0], config.n_kv_heads, -1)
+    n_q, n_kv, d_head = config.n_q_heads, config.n_kv_heads, config.d_head
+    tq, (tk_all, rank) = q_rope.shape[0], latents.shape
+    if v_factor is None:
+        out = np.empty((tq, config.d_hidden), dtype=np.float32)
+        for start, stop, tk, probs in attention_probs(q_rope, keys, q_positions,
+                                                      k_positions, config):
+            mixed = probs.reshape(-1, tk) @ latents[:tk]  # (n_q * rows, r)
+            out[start:stop] = np.matmul(mixed.reshape(n_q, stop - start, -1),
+                                        fused_out).sum(axis=0)
+        return out
+    restore = tk_all * rank * config.d_kv + n_q * tq * tk_all * d_head
+    mix = n_q * tq * tk_all * rank + n_q * tq * rank * d_head
+    if restore <= mix:
+        values = (latents @ v_factor).reshape(tk_all, n_kv, d_head)
         return attention_block(q_rope, keys, values, q_positions, k_positions, w_o, config)
-    out = np.empty((q_rope.shape[0], config.d_hidden), dtype=np.float32)
-    for start, stop, tk, probs in attention_probs(q_rope, keys, q_positions, k_positions, config):
-        mixed = probs.reshape(-1, tk) @ latents[:tk]  # (n_q * rows, r)
-        out[start:stop] = np.matmul(mixed.reshape(config.n_q_heads, stop - start, -1),
-                                    fused_out).sum(axis=0)
-    return out
+    v_heads = v_factor.reshape(rank, n_kv, d_head).transpose(1, 0, 2)  # (n_kv, r, d_head)
+    o_cat = None if tq == 1 else np.empty((tq, n_q, d_head), dtype=np.float32)
+    for start, stop, tk, probs in attention_probs(q_rope, keys, q_positions, k_positions,
+                                                  config):
+        mixed = probs.reshape(-1, tk) @ latents[:tk]  # (n_q * rows, r), head-major
+        heads = np.matmul(mixed.reshape(n_kv, -1, rank), v_heads)  # (n_kv, hpk * rows, d_head)
+        if o_cat is None:
+            # one row: query head q = kv·hpk + j is already in order
+            return heads.reshape(1, config.d_hidden) @ w_o
+        o_cat[start:stop] = heads.reshape(n_q, stop - start, d_head).transpose(1, 0, 2)
+    return o_cat.reshape(tq, config.d_hidden) @ w_o
 
 
 @dataclass
@@ -189,17 +219,21 @@ class LatentCacheStore:
 
 
 class LatentSession:
-    """One compressed-inference session: prefill, plan/merge, decode."""
+    """One compressed-inference session: prefill, plan/merge, decode.
+
+    The value path is factored (``B_v`` then ``W_o``, see ``attend_latent``);
+    ``fused_values=True`` runs the fused ``M_q`` verification path instead.
+    """
 
     def __init__(self, weights: ModelWeights, fact: SharedFactorization,
-                 rope: RopeTable | None = None, unfused_values: bool = False):
+                 rope: RopeTable | None = None, fused_values: bool = False):
         if fact.config != weights.config:
             raise InputError("factorization does not match model config")
         self.weights = weights
         self.fact = fact
         self.rope = rope if rope is not None else build_rope_table(weights.config)
         self.store = LatentCacheStore(fact)
-        self.unfused_values = unfused_values
+        self.fused_values = fused_values
         self.plan: budget_mod.BudgetPlan | None = None
         self._prefill_frozen = False
 
@@ -291,7 +325,7 @@ class LatentSession:
                 store.append_decode(li, h_new)
             latents, k_positions = store.visible_latents(li)
             kwargs = {}
-            if self.unfused_values:
+            if not self.fused_values:
                 kwargs = {"v_factor": self.fact.v_factors[li], "w_o": lw.w_o}
             x = x + attend_latent(q, latents, self.fact.k_factors[li],
                                   self.fact.fused_out[li], positions, k_positions,

@@ -18,9 +18,11 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from . import tensorfile
 from .errors import CapacityError, ConfigurationError, InputError
 
 RMS_EPS = 1e-6
+LAYER_TENSORS = ("attn_gain", "w_q", "w_k", "w_v", "w_o", "mlp_gain", "w_in", "w_out")
 
 
 @dataclass(frozen=True)
@@ -100,7 +102,7 @@ class ModelWeights:
     def named_tensors(self) -> dict[str, np.ndarray]:
         out = {"embed": self.embed, "final_gain": self.final_gain, "lm_head": self.lm_head}
         for i, lw in enumerate(self.layers):
-            for name in ("attn_gain", "w_q", "w_k", "w_v", "w_o", "mlp_gain", "w_in", "w_out"):
+            for name in LAYER_TENSORS:
                 out[f"layers.{i}.{name}"] = getattr(lw, name)
         return out
 
@@ -173,32 +175,40 @@ def gen_toy_model(config: ModelConfig, seed: int) -> ModelWeights:
 
 def weights_from_tensors(config: ModelConfig, tensors: dict[str, np.ndarray],
                          seed: int | None = None) -> ModelWeights:
+    """Base weights from container tensors; a missing tensor raises InputError."""
+    def take(names):
+        return tensorfile.take(tensors, names, "model container")
+
     layers = []
     for i in range(config.n_layers):
-        layers.append(LayerWeights(**{
-            name: tensors[f"layers.{i}.{name}"]
-            for name in ("attn_gain", "w_q", "w_k", "w_v", "w_o", "mlp_gain", "w_in", "w_out")
-        }))
-    w = ModelWeights(config=config, embed=tensors["embed"], layers=layers,
-                     final_gain=tensors["final_gain"], lm_head=tensors["lm_head"], seed=seed)
+        arrays = take([f"layers.{i}.{name}" for name in LAYER_TENSORS])
+        layers.append(LayerWeights(**dict(zip(LAYER_TENSORS, arrays))))
+    embed, final_gain, lm_head = take(("embed", "final_gain", "lm_head"))
+    w = ModelWeights(config=config, embed=embed, layers=layers,
+                     final_gain=final_gain, lm_head=lm_head, seed=seed)
     w.validate()
     return w
 
 
+def config_from_manifest(meta: dict) -> ModelConfig:
+    """The model config a container manifest records; a missing one is an InputError."""
+    (config,) = tensorfile.take(meta, ("config",), "container manifest")
+    if not isinstance(config, dict):
+        raise InputError("container manifest 'config' is not an object")
+    return ModelConfig.from_dict(config)
+
+
 def save_model(weights: ModelWeights, path) -> None:
     """Write a base model to the tensor container format with its manifest."""
-    from . import tensorfile
     meta = {"kind": "base_model", "config": weights.config.to_dict(), "seed": weights.seed}
     tensorfile.save(path, weights.named_tensors(), meta)
 
 
 def load_model(path) -> ModelWeights:
-    from . import tensorfile
     tensors, meta = tensorfile.load(path)
     if meta.get("kind") != "base_model":
         raise ConfigurationError(f"{path} is not a base model container")
-    cfg = ModelConfig.from_dict(meta["config"])
-    return weights_from_tensors(cfg, tensors, seed=meta.get("seed"))
+    return weights_from_tensors(config_from_manifest(meta), tensors, seed=meta.get("seed"))
 
 
 # ---------------------------------------------------------------------------

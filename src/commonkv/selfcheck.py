@@ -58,9 +58,9 @@ def _check_fused_equality(seed: int) -> tuple[bool, str]:
         blob, _ = transform_model(weights, 4, 0.7)
         w2, fact = load_factorized(blob)
         ids = markov_byte_corpus(seed + 100 + offset, 1, 32)[0]
-        fused = LatentSession(w2, fact)
-        unfused = LatentSession(w2, fact, unfused_values=True)
-        worst = max(worst, float(np.abs(fused.prefill(ids) - unfused.prefill(ids)).max()))
+        fused = LatentSession(w2, fact, fused_values=True)
+        factored = LatentSession(w2, fact)
+        worst = max(worst, float(np.abs(fused.prefill(ids) - factored.prefill(ids)).max()))
     return worst < 1e-5, f"max_logit_diff={worst:.3e} tol=1e-5"
 
 

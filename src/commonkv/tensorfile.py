@@ -93,6 +93,14 @@ def deserialize(blob: bytes) -> tuple[dict[str, np.ndarray], dict]:
     return tensors, header.get("meta", {})
 
 
+def take(entries: dict, names, what: str) -> list:
+    """The values of ``names`` in ``entries``; a missing name raises InputError."""
+    for name in names:
+        if name not in entries:
+            raise InputError(f"{what} lacks {name!r}")
+    return [entries[name] for name in names]
+
+
 def payload_nbytes(blob: bytes) -> int:
     """Byte count of the raw tensor payload (header excluded)."""
     (header_len,) = struct.unpack("<Q", blob[:8])

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from commonkv import tensorfile
 from commonkv.cli import main
 from commonkv.evaluation import CSV_COLUMNS
 
@@ -189,3 +190,90 @@ def test_rawkv_past_max_seq_is_capacity_error(workdir):
                  "--ratios", "0.5", "--seeds", "0", "--tokens", "280",
                  "--prefill-fraction", "0.5"])
     assert code == 4
+
+
+# -- malformed manifests and Fisher files ---------------------------------------
+
+@pytest.fixture()
+def factorized(workdir):
+    fact = workdir / "fact.tnsr"
+    assert main(["transform", "--model", str(workdir / "model.tnsr"), "--out", str(fact)]) == 0
+    return fact
+
+
+def _run_commonkv(workdir, fact, *extra):
+    return main(["run", "--model", str(workdir / "model.tnsr"), "--factorized", str(fact),
+                 "--mode", "commonkv", "--merge", "mean", "--tokens", "32", *extra])
+
+
+def test_base_manifest_without_config_is_input_error(workdir):
+    bare = workdir / "bare.tnsr"
+    tensorfile.save(bare, {}, meta={"kind": "base_model"})
+    code = main(["transform", "--model", str(bare), "--out", str(workdir / "x.tnsr")])
+    assert code == 3
+
+
+def test_base_container_without_tensors_is_input_error(workdir):
+    _, meta = tensorfile.load(workdir / "model.tnsr")
+    empty = workdir / "empty.tnsr"
+    tensorfile.save(empty, {}, meta=meta)
+    code = main(["transform", "--model", str(empty), "--out", str(workdir / "x.tnsr")])
+    assert code == 3
+
+
+@pytest.mark.parametrize("field", ["config", "group_size", "groups", "rank", "rank_fraction"])
+def test_factorized_manifest_missing_field_is_input_error(workdir, factorized, field):
+    tensors, meta = tensorfile.load(factorized)
+    del meta[field]
+    tensorfile.save(factorized, tensors, meta=meta)
+    assert _run_commonkv(workdir, factorized) == 3
+
+
+@pytest.mark.parametrize("tensor", ["layers.0.attn_gain", "groups.1.shared",
+                                    "layers.5.v_factor", "layers.7.fused_out"])
+def test_factorized_container_missing_tensor_is_input_error(workdir, factorized, tensor):
+    tensors, meta = tensorfile.load(factorized)
+    del tensors[tensor]
+    tensorfile.save(factorized, tensors, meta=meta)
+    assert _run_commonkv(workdir, factorized) == 3
+
+
+def _fisher_file(workdir):
+    out = workdir / "fisher.json"
+    assert main(["fisher", "--model", str(workdir / "model.tnsr"), "--out", str(out),
+                 "--samples", "1", "--seq-len", "16"]) == 0
+    return out
+
+
+@pytest.mark.parametrize("case", ["three_layers", "no_per_layer", "not_json", "not_utf8",
+                                  "negative"])
+@pytest.mark.parametrize("command", ["run", "bench"])
+def test_malformed_fisher_file_is_configuration_error(workdir, factorized, case, command):
+    good = json.loads(_fisher_file(workdir).read_text())
+    bad = workdir / "bad_fisher.json"
+    if case == "three_layers":
+        bad.write_text(json.dumps(dict(good, per_layer=good["per_layer"][:3])))
+    elif case == "no_per_layer":
+        bad.write_text(json.dumps({"kind": "fisher_weights"}))
+    elif case == "not_json":
+        bad.write_text("per_layer: [1, 2]")
+    elif case == "not_utf8":
+        bad.write_bytes(b"\xff\xfe\x00{")
+    else:
+        bad.write_text(json.dumps(dict(good, per_layer=[-1.0] * len(good["per_layer"]))))
+    if command == "run":
+        code = _run_commonkv(workdir, factorized, "--merge", "fisher", "--fisher-file",
+                             str(bad))
+    else:
+        # a sweep records ConfigurationErrors as unreachable ratios, so the
+        # file must be rejected before it starts
+        code = main(["bench", "--model", str(workdir / "model.tnsr"),
+                     "--factorized", str(factorized), "--out", str(workdir / "b.csv"),
+                     "--modes", "commonkv", "--ratios", "0.5", "--seeds", "0",
+                     "--tokens", "32", "--merge", "fisher", "--fisher-file", str(bad)])
+    assert code == 2
+
+
+def test_fisher_file_for_the_model_runs(workdir, factorized):
+    assert _run_commonkv(workdir, factorized, "--merge", "fisher",
+                         "--fisher-file", str(_fisher_file(workdir))) == 0

@@ -8,6 +8,7 @@ in the batched kernel shows up as a mismatch.
 import numpy as np
 import pytest
 
+from commonkv import latent_cache
 from commonkv.latent_cache import attend_latent
 from commonkv.model import ModelConfig, apply_rope, attention_block, build_rope_table
 from oracles import _rotate
@@ -94,6 +95,42 @@ def test_attend_latent_matches_per_head_reference(heads_per_kv, tq, path):
         values = (h64 @ x["v_factor"]).reshape(HISTORY, cfg.n_kv_heads, cfg.d_head)
         expected = _reference_block(x["q"], keys, values, x["q_pos"], x["k_pos"],
                                     x["w_o"], cfg)
+    np.testing.assert_allclose(out, expected, atol=1e-5)
+
+
+# A latent width above d_head puts the order crossover of the factored value
+# path, near Tq = r·d_kv / (n_q·(r - d_head)), inside the tested query lengths.
+WIDE_RANK = 24
+
+
+@pytest.mark.parametrize("heads_per_kv, tq, order", [
+    (1, 1, "mix"), (1, 7, "mix"), (1, 33, "restore"),
+    (2, 1, "mix"), (2, 3, "mix"), (2, 7, "restore"),
+    (4, 1, "mix"), (4, 7, "restore"), (4, 33, "restore"),
+])
+def test_factored_value_path_orders_match_reference(monkeypatch, heads_per_kv, tq, order):
+    cfg = _config(heads_per_kv)
+    rng = np.random.default_rng(1000 * heads_per_kv + tq)
+    x = _random_inputs(cfg, tq, 1000 * heads_per_kv + tq)
+    latents = (rng.standard_normal((HISTORY, WIDE_RANK)) * 0.5).astype(np.float32)
+    k_factor, v_factor = ((rng.standard_normal((WIDE_RANK, cfg.d_kv)) * 0.2).astype(np.float32)
+                          for _ in range(2))
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return attention_block(*args, **kwargs)
+
+    monkeypatch.setattr(latent_cache, "attention_block", counted)
+    out = latent_cache.attend_latent(
+        x["q"], latents, k_factor, None, x["q_pos"], x["k_pos"], build_rope_table(cfg), cfg,
+        v_factor=v_factor, w_o=x["w_o"])
+    assert len(calls) == (1 if order == "restore" else 0)
+    h64 = latents.astype(np.float64)
+    keys = _rotate((h64 @ k_factor).reshape(HISTORY, cfg.n_kv_heads, cfg.d_head),
+                   x["k_pos"], cfg.rope_theta, cfg.d_head)
+    values = (h64 @ v_factor).reshape(HISTORY, cfg.n_kv_heads, cfg.d_head)
+    expected = _reference_block(x["q"], keys, values, x["q_pos"], x["k_pos"], x["w_o"], cfg)
     np.testing.assert_allclose(out, expected, atol=1e-5)
 
 

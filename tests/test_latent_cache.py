@@ -119,6 +119,21 @@ def test_singleton_softmax(fact07):
     np.testing.assert_allclose(out, expected, atol=1e-6)
 
 
+def test_factored_and_fused_sessions_agree_through_merge_and_decode(fact07, probe_ids):
+    # prefill takes the restore-values order, decode steps the mix-latents
+    # order; the fused per-head matrices check both
+    weights, fact, _ = fact07
+    factored = LatentSession(weights, fact)
+    fused = LatentSession(weights, fact, fused_values=True)
+    diff = np.abs(factored.prefill(probe_ids[:48]) - fused.prefill(probe_ids[:48])).max()
+    for s in (factored, fused):
+        s.plan_and_merge(0.5, "mean")
+    assert factored.plan.merged_groups == fused.plan.merged_groups
+    for t in probe_ids[48:64]:
+        diff = max(diff, np.abs(factored.decode(int(t)) - fused.decode(int(t))).max())
+    assert diff < 1e-5
+
+
 def _force_identical_prefixes(session):
     for gc in session.store.groups:
         gc.layer_prefixes = [gc.layer_prefixes[0].copy() for _ in gc.layer_prefixes]

@@ -74,3 +74,22 @@ def test_one_decode_step_call_pattern(fact07, probe_ids, calls, mode):
     assert _are(fact.k_factors, [args[1] for args in restore])  # positional, layer order
     assert all(isinstance(args[0], np.ndarray) and args[0].shape[0] == len(prompt) + 1
                for args in restore)
+
+
+def test_commonkv_restores_values_in_prefill_only(fact07, probe_ids, calls):
+    # prefill restores values and runs attention_block; a decode step mixes
+    # latents instead, with the same key restores and rotations
+    weights, fact, _ = fact07
+    n_layers = weights.config.n_layers
+    session = LatentSession(weights, fact)
+    session.prefill(probe_ids[:24])
+    assert len(calls["attention_block"]) == n_layers
+    session.plan_and_merge(0.5, strategy="mean")
+    for log in calls.values():
+        log.clear()
+
+    session.decode(int(probe_ids[24]))
+
+    assert len(calls["attention_block"]) == 0
+    assert len(calls["restore_keys"]) == n_layers
+    assert len(calls["apply_rope"]) == 2 * n_layers
