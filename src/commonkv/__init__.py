@@ -3,7 +3,7 @@
 from .budget import (BudgetPlan, FisherWeights, allocate_budget, estimate_fisher,
                      group_score, group_score_full, merge_group)
 from .errors import (CapacityError, CommonKVError, ConfigurationError, InputError,
-                     NumericError)
+                     NumericError, UnreachableRatioError)
 from .factorization import (GroupLayout, SharedFactorization, build_factorization,
                             concat_group_weights, factorize_group, fuse_value_output,
                             load_factorized, transform_model)

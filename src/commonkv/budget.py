@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, InputError
+from .errors import ConfigurationError, InputError, UnreachableRatioError
 from .model import ModelConfig, ModelWeights, loss_and_grads
 
 
@@ -113,7 +113,7 @@ def allocate_budget(scores: list[float], target_ratio: float, layout, rank: int,
                     config: ModelConfig, strategy: str = "fisher") -> BudgetPlan:
     """Smallest merged-group count whose prefill storage meets the target.
 
-    Raises ``ConfigurationError`` (carrying the maximum achievable ratio)
+    Raises ``UnreachableRatioError`` (carrying the maximum achievable ratio)
     when even merging every group cannot reach ``target_ratio``.
     """
     if not 0.0 <= target_ratio < 1.0:
@@ -133,7 +133,7 @@ def allocate_budget(scores: list[float], target_ratio: float, layout, rank: int,
             break
     if chosen is None:
         best = max_achievable_ratio(layout, rank, config)
-        raise ConfigurationError(
+        raise UnreachableRatioError(
             f"target ratio {target_ratio} unreachable at rank {rank}; "
             f"maximum achievable is {best:.6f}", max_achievable=best)
     k, cost, ratio = chosen

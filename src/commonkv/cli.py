@@ -111,6 +111,8 @@ def cmd_transform(args) -> int:
     worst = max(report["recon_errors"].values())
     print(f"wrote factorized model to {args.out} "
           f"(rank {report['rank']}, worst recon err {worst:.3e})")
+    for warning in report["warnings"]:
+        print(f"warning: {warning}", file=sys.stderr)
     return 0
 
 

@@ -13,13 +13,16 @@ class CommonKVError(Exception):
 
 
 class ConfigurationError(CommonKVError):
-    """Invalid or mutually inconsistent configuration values.
+    """Invalid or mutually inconsistent configuration values."""
 
-    May carry ``max_achievable`` when a requested compression ratio is
-    out of reach for the given rank and group layout.
+
+class UnreachableRatioError(ConfigurationError):
+    """A compression ratio out of reach for the given rank and group layout.
+
+    Carries ``max_achievable``, the best ratio the layout can reach.
     """
 
-    def __init__(self, message: str, max_achievable: float | None = None):
+    def __init__(self, message: str, max_achievable: float):
         super().__init__(message)
         self.max_achievable = max_achievable
 

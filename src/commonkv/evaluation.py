@@ -28,7 +28,8 @@ import numpy as np
 from . import budget as budget_mod
 from .budget import BudgetPlan, FisherWeights, group_score, top_k_groups
 from .corpus import markov_byte_corpus
-from .errors import CapacityError, ConfigurationError, InputError, NumericError
+from .errors import (CapacityError, ConfigurationError, InputError, NumericError,
+                     UnreachableRatioError)
 from .factorization import (SharedFactorization, build_factorization,
                             factorize_group, GroupLayout)
 from .latent_cache import LatentSession, baseline_elements, compute_latent
@@ -333,7 +334,9 @@ def perplexity(mode: str, weights: ModelWeights, text_ids,
 
     # latent modes need a factorization
     if mode == "lowrank_perlayer":
-        rank = max(1, int((1.0 - target_ratio) * 2 * weights.config.d_kv))
+        # at most d_hidden: when 2*d_kv exceeds it, full rank already meets low targets
+        rank = max(1, min(weights.config.d_hidden,
+                          int((1.0 - target_ratio) * 2 * weights.config.d_kv)))
         fact = build_factorization(weights, group_size=1, rank=rank)
     elif fact is None:
         raise ConfigurationError("commonkv mode needs a factorized model")
@@ -394,7 +397,8 @@ def bench_sweep(weights: ModelWeights, fact: SharedFactorization | None,
     """One record per (mode, ratio, seed); fresh session and probe per record.
 
     Baseline ignores the ratio axis and is run once per seed at ratio 0.
-    Unreachable (mode, ratio) pairs are recorded with empty measurements.
+    Unreachable (mode, ratio) pairs are recorded with empty measurements; any
+    other error ends the sweep.
     Entries are independent; ``workers > 1`` runs them on a thread pool with
     the output order preserved.
     """
@@ -416,7 +420,7 @@ def bench_sweep(weights: ModelWeights, fact: SharedFactorization | None,
                              score_variant=score_variant,
                              prefill_fraction=prefill_fraction,
                              group_size=group_size)
-        except ConfigurationError as exc:
+        except UnreachableRatioError as exc:
             return BenchRecord(mode=mode, target_ratio=ratio, achieved_ratio=None,
                                nll=None, cache_elements=None,
                                wall_ms=(time.perf_counter() - start) * 1e3, seed=seed,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericError
+from .errors import ConfigurationError, InputError, NumericError
 from .model import ModelConfig, ModelWeights, config_from_manifest, weights_from_tensors
 from . import tensorfile
 
@@ -143,6 +143,20 @@ def clamp_rank(rank_fraction: float, config: ModelConfig, group_size: int) -> in
     return max(1, min(r, config.d_hidden, 2 * group_size * config.d_kv))
 
 
+def rank_warnings(rank: int, config: ModelConfig) -> list[str]:
+    """A note when a latent row is wider than the raw K+V row it stands for.
+
+    Each unmerged layer stores ``r`` elements per token where full KV stores
+    ``2 * d_kv``, so above that width unmerged prefixes and every decode row
+    cost more than no compression at all.
+    """
+    full = 2 * config.d_kv
+    if rank <= full:
+        return []
+    return [f"rank {rank} exceeds 2*d_kv={full}: each unmerged latent row is "
+            f"{rank / full - 1:.0%} larger than its full-KV row"]
+
+
 def _rel_frobenius(approx: np.ndarray, exact: np.ndarray) -> float:
     denom = np.linalg.norm(exact.astype(np.float64))
     if denom == 0.0:
@@ -206,6 +220,9 @@ def transform_model(weights: ModelWeights, group_size: int, rank_fraction: float
                     ) -> tuple[bytes, dict]:
     """Factorize and serialize to container bytes plus a sidecar report dict.
 
+    The report is the container manifest plus ``warnings`` (see
+    ``rank_warnings``), which the manifest does not carry.
+
     The container keeps every original weight (``W_o`` is the runtime output
     projection of the value path) alongside the factor tensors and the fused
     per-head matrices of the verification path.
@@ -213,7 +230,7 @@ def transform_model(weights: ModelWeights, group_size: int, rank_fraction: float
     fact = build_factorization(weights, group_size, rank_fraction)
     tensors = dict(weights.named_tensors())
     tensors.update(factorization_tensors(fact))
-    report = {
+    manifest = {
         "kind": "factorized_model",
         "config": weights.config.to_dict(),
         "seed": weights.seed,
@@ -223,7 +240,8 @@ def transform_model(weights: ModelWeights, group_size: int, rank_fraction: float
         "groups": [list(g) for g in fact.layout.groups],
         "recon_errors": {k: fact.recon_errors[k] for k in sorted(fact.recon_errors)},
     }
-    return tensorfile.serialize(tensors, meta=report), report
+    blob = tensorfile.serialize(tensors, meta=manifest)
+    return blob, dict(manifest, warnings=rank_warnings(fact.rank, weights.config))
 
 
 def load_factorized(blob_or_path) -> tuple[ModelWeights, SharedFactorization]:
@@ -237,18 +255,26 @@ def load_factorized(blob_or_path) -> tuple[ModelWeights, SharedFactorization]:
     cfg = config_from_manifest(meta)
     group_size, groups, rank, rank_fraction = tensorfile.take(
         meta, ("group_size", "groups", "rank", "rank_fraction"), "factorized manifest")
+    if not isinstance(rank, int) or isinstance(rank, bool):
+        raise InputError(f"factorized manifest 'rank' is not an integer: {rank!r}")
     weights = weights_from_tensors(cfg, tensors, seed=meta.get("seed"))
     layout = GroupLayout(group_size=group_size, groups=tuple(tuple(g) for g in groups))
 
-    def take(pattern, count):
-        return tensorfile.take(tensors, [pattern.format(i) for i in range(count)],
-                               "factorized container")
+    def take(pattern, count, shape):
+        names = [pattern.format(i) for i in range(count)]
+        arrays = tensorfile.take(tensors, names, "factorized container")
+        for name, arr in zip(names, arrays):
+            if arr.shape != shape:
+                raise InputError(f"{name}: expected shape {shape} for rank {rank}, "
+                                 f"got {arr.shape}")
+        return arrays
 
     fact = SharedFactorization(
         config=cfg, layout=layout, rank=rank, rank_fraction=rank_fraction,
-        shared=take("groups.{}.shared", layout.n_groups),
-        k_factors=take("layers.{}.k_factor", cfg.n_layers),
-        v_factors=take("layers.{}.v_factor", cfg.n_layers),
-        fused_out=take("layers.{}.fused_out", cfg.n_layers),
+        shared=take("groups.{}.shared", layout.n_groups, (cfg.d_hidden, rank)),
+        k_factors=take("layers.{}.k_factor", cfg.n_layers, (rank, cfg.d_kv)),
+        v_factors=take("layers.{}.v_factor", cfg.n_layers, (rank, cfg.d_kv)),
+        fused_out=take("layers.{}.fused_out", cfg.n_layers,
+                       (cfg.n_q_heads, rank, cfg.d_hidden)),
         recon_errors=dict(meta.get("recon_errors", {})))
     return weights, fact

@@ -89,6 +89,11 @@ def attend_latent(q_rope: np.ndarray, latents: np.ndarray, k_factor: np.ndarray,
     return o_cat.reshape(tq, config.d_hidden) @ w_o
 
 
+def _checksum(array: np.ndarray) -> str:
+    """SHA-256 of a C-contiguous array's buffer, read in place without a copy."""
+    return hashlib.sha256(array).hexdigest()
+
+
 @dataclass
 class GroupCache:
     layer_prefixes: list[np.ndarray]     # per member layer, (T_pre, r); unused once merged
@@ -171,22 +176,23 @@ class LatentCacheStore:
             raise InputError(f"group {gi} already merged")
         if merged.shape != (self.prefill_len, self.fact.rank):
             raise InputError("merged prefix has wrong shape")
-        gc.shared_prefix = merged
+        gc.shared_prefix = np.ascontiguousarray(merged)
         gc.layer_prefixes = []
         gc.merged = True
-        gc.merge_checksum = hashlib.sha256(merged.tobytes()).hexdigest()
+        gc.merge_checksum = _checksum(gc.shared_prefix)
 
     def merged_prefix_checksums(self) -> dict[int, str]:
-        return {gi: hashlib.sha256(gc.shared_prefix.tobytes()).hexdigest()
+        return {gi: _checksum(gc.shared_prefix)
                 for gi, gc in enumerate(self.groups) if gc.merged}
 
     def verify_merged_prefixes(self) -> None:
         for gi, gc in enumerate(self.groups):
-            if gc.merged and hashlib.sha256(gc.shared_prefix.tobytes()).hexdigest() \
-                    != gc.merge_checksum:
+            if gc.merged and _checksum(gc.shared_prefix) != gc.merge_checksum:
                 raise NumericError(f"merged prefix of group {gi} was mutated after merge")
 
     def audit(self) -> CacheAudit:
+        """Element counts; first raises NumericError if a merged prefix changed."""
+        self.verify_merged_prefixes()
         per_group = []
         for gc in self.groups:
             if gc.merged:

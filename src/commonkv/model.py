@@ -7,8 +7,10 @@ Conventions (shared with the factorized engine, keep in sync):
 * RoPE rotates dimension pairs ``(2i, 2i+1)`` inside each head: a pair is
   the complex number ``x_2i + i·x_2i+1`` multiplied by ``cos + i·sin``; the
   per-layer key cache stores keys *after* rotation
-* all tensors are float32; softmax, RMS statistics and loss reductions
-  accumulate in float64 so results are reproducible across BLAS builds
+* all tensors are float32; RMS statistics, softmax row sums and loss
+  reductions accumulate in float64 so results are reproducible across BLAS
+  builds, while the softmax's elementwise max-subtract, exp and normalise run
+  in float32, in place on the scores block
 * gradients (used only for calibration) run a separate float64 pass
 """
 
@@ -273,13 +275,25 @@ def apply_rope(vectors: np.ndarray, position_ids: np.ndarray, table: RopeTable,
 
 def causal_attention_weights(scores: np.ndarray, q_positions: np.ndarray,
                              k_positions: np.ndarray) -> np.ndarray:
-    """Masked softmax over key axis; scores (..., Tq, Tk), exp/sum in float64."""
-    s = scores.astype(np.float64)
-    np.copyto(s, -np.inf, where=k_positions[None, :] > q_positions[:, None])
-    s -= s.max(axis=-1, keepdims=True)
-    np.exp(s, out=s)
-    s /= s.sum(axis=-1, keepdims=True)
-    return s.astype(np.float32)
+    """Causally masked softmax over the key axis, in place; returns ``scores``.
+
+    ``scores`` is a float32 (..., Tq, Tk) block the caller owns and gives up:
+    it is overwritten with the probabilities.  Max-subtract, exp and the
+    normalising multiply by each row's reciprocal sum run in float32; the
+    row sums accumulate in float64.  Masked entries are exactly 0.
+
+    Precondition: ``q_positions`` and ``k_positions`` are ascending.  Keys up
+    to the first query's position are then visible to every row, so only the
+    tile of later keys is masked, and a decode row does no mask work.
+    """
+    first = q_positions[0]
+    if k_positions[-1] > first:
+        seen = int(k_positions.searchsorted(first, side="right"))
+        np.copyto(scores[..., seen:], -np.inf, where=k_positions[seen:] > q_positions[:, None])
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores *= (1.0 / scores.sum(axis=-1, keepdims=True, dtype=np.float64)).astype(np.float32)
+    return scores
 
 
 def attention_probs(q_rope: np.ndarray, keys: np.ndarray, q_positions: np.ndarray,
@@ -290,8 +304,10 @@ def attention_probs(q_rope: np.ndarray, keys: np.ndarray, q_positions: np.ndarra
     over query rows ``start:stop`` and the first ``tk`` keys.  All query heads
     of a KV head share one scores matmul.  Blocks hold ``max(1, Tq // n_q_heads)``
     rows, so a block's scores never exceed one head's (Tq, Tk), and a decode row
-    is one block.  ``k_positions`` is ascending, so keys past ``tk`` (after the
-    block's last query position) are masked for every row and are skipped.
+    is one block.  ``q_positions`` and ``k_positions`` are ascending, so keys
+    past ``tk`` (after the block's last query position) are masked for every
+    row and are skipped.  Each block's scores are a fresh array that the
+    softmax overwrites in place.
     """
     n_kv, hpk, d_head = config.n_kv_heads, config.heads_per_kv, config.d_head
     tq, scale = q_rope.shape[0], np.float32(1.0 / np.sqrt(d_head))
@@ -301,7 +317,7 @@ def attention_probs(q_rope: np.ndarray, keys: np.ndarray, q_positions: np.ndarra
     block = max(1, tq // config.n_q_heads)
     for start in range(0, tq, block):
         stop = min(start + block, tq)
-        tk = int(np.searchsorted(k_positions, q_positions[stop - 1], side="right"))
+        tk = int(k_positions.searchsorted(q_positions[stop - 1], side="right"))
         scores = np.matmul(q_grouped[:, :, start:stop].reshape(n_kv, -1, d_head), keys_t[:, :, :tk])
         probs = causal_attention_weights(scores.reshape(n_kv, hpk, stop - start, tk),
                                          q_positions[start:stop], k_positions[:tk])

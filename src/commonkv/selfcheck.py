@@ -10,7 +10,7 @@ import numpy as np
 
 from .budget import allocate_budget, estimate_fisher, top_k_groups
 from .corpus import markov_byte_corpus
-from .errors import ConfigurationError
+from .errors import UnreachableRatioError
 from .factorization import (GroupLayout, factorize_group, transform_model,
                             load_factorized)
 from .latent_cache import LatentSession
@@ -98,7 +98,7 @@ def _check_budget_audit(seed: int) -> tuple[bool, str]:
         try:
             plan = allocate_budget(scores, ratio, fact.layout, fact.rank, cfg,
                                    strategy="mean")
-        except ConfigurationError:
+        except UnreachableRatioError:
             continue
         lat.apply_plan(plan)
         audit = lat.audit()
@@ -168,7 +168,7 @@ def _check_gqa_arithmetic(_: int) -> tuple[bool, str]:
     layout = GroupLayout.for_model(32, 4)
     try:
         allocate_budget([0.0] * 8, 0.66, layout, 2867, cfg)
-    except ConfigurationError as exc:
+    except UnreachableRatioError as exc:
         best = exc.max_achievable
         return abs(best - 0.650) < 1e-3, f"max_achievable={best:.6f} expect 0.650+-0.001"
     return False, "0.66 unexpectedly reachable"

@@ -61,6 +61,13 @@ def reference_loss(tensors: dict, cfg: dict, ids) -> float:
     return float(nll.mean())
 
 
+def reference_causal_softmax(scores, q_positions, k_positions):
+    """Float64 softmax over the last axis with keys after each query masked."""
+    s = np.where(k_positions[None, :] > q_positions[:, None], -np.inf,
+                 scores.astype(np.float64))
+    return np.exp(s - logsumexp(s, axis=-1, keepdims=True))
+
+
 def reference_fd_gradient(tensors: dict, cfg: dict, ids, name: str, index: tuple,
                           step: float = 1e-4) -> float:
     """Central finite difference of :func:`reference_loss` for one entry."""

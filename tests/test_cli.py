@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from commonkv import tensorfile
@@ -236,6 +237,53 @@ def test_factorized_container_missing_tensor_is_input_error(workdir, factorized,
     del tensors[tensor]
     tensorfile.save(factorized, tensors, meta=meta)
     assert _run_commonkv(workdir, factorized) == 3
+
+
+@pytest.mark.parametrize("tensor", ["groups.0.shared", "layers.2.k_factor",
+                                    "layers.5.v_factor", "layers.7.fused_out"])
+def test_factorized_tensor_of_wrong_shape_is_input_error(workdir, factorized, tensor, capsys):
+    tensors, meta = tensorfile.load(factorized)
+    tensors[tensor] = np.ones((3, 3), dtype=np.float32)
+    tensorfile.save(factorized, tensors, meta=meta)
+    assert _run_commonkv(workdir, factorized) == 3
+    assert f"{tensor}: expected shape" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rank", [45.0, "45"])
+def test_factorized_manifest_rank_not_an_integer_is_input_error(workdir, factorized, rank):
+    tensors, meta = tensorfile.load(factorized)
+    meta["rank"] = rank
+    tensorfile.save(factorized, tensors, meta=meta)
+    assert _run_commonkv(workdir, factorized) == 3
+
+
+def test_bench_configuration_error_is_not_an_unreachable_ratio(workdir):
+    # 8 layers do not split into groups of 3: the sweep must fail, not record
+    # every ratio as unreachable
+    code = main(["bench", "--model", str(workdir / "model.tnsr"),
+                 "--out", str(workdir / "bench.csv"), "--modes", "rawkv_meanmerge",
+                 "--ratios", "0.5", "--seeds", "0", "--tokens", "32", "--group-size", "3"])
+    assert code == 2
+    assert not (workdir / "bench.csv").exists()
+
+
+def test_transform_warns_about_rank_wider_than_raw_kv(workdir, capsys):
+    # the wide shape: rank round(0.7 * 256) = 179 > 2 * d_kv = 128
+    wide = workdir / "wide.tnsr"
+    assert main(["gen-toy", "--out", str(wide), "--d-hidden", "256", "--q-heads", "8",
+                 "--kv-heads", "2", "--d-head", "32", "--d-mlp", "512"]) == 0
+    assert main(["transform", "--model", str(wide), "--out", str(workdir / "wf.tnsr")]) == 0
+    report = json.loads((workdir / "wf.tnsr.report.json").read_text())
+    assert report["rank"] == 179
+    assert report["warnings"] == [
+        "rank 179 exceeds 2*d_kv=128: each unmerged latent row is 40% larger than its "
+        "full-KV row"]
+    assert "warning: rank 179 exceeds 2*d_kv=128" in capsys.readouterr().err
+    # the toy shape (rank 45 <= 64) stays silent
+    assert main(["transform", "--model", str(workdir / "model.tnsr"),
+                 "--out", str(workdir / "tf.tnsr")]) == 0
+    assert json.loads((workdir / "tf.tnsr.report.json").read_text())["warnings"] == []
+    assert "warning" not in capsys.readouterr().err
 
 
 def _fisher_file(workdir):

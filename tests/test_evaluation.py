@@ -49,6 +49,16 @@ def test_nll_finite_and_nonnegative(toy_weights, fact07, probe_ids):
         assert np.isfinite(res.nll) and res.nll >= 0.0
 
 
+def test_lowrank_target_below_full_rank_ratio_runs_at_full_rank(probe_ids):
+    # multi-head KV: 2*d_kv = 128 > d_hidden = 64, so target 0.1 would ask for
+    # rank 115; full rank 64 is lossless and already stores half of full KV
+    weights = gen_toy_model(ModelConfig(n_kv_heads=4), 5)
+    res = perplexity("lowrank_perlayer", weights, probe_ids[:48], target_ratio=0.1)
+    assert res.plan.rank == 64 and res.achieved_ratio >= 0.5
+    base = perplexity("baseline", weights, probe_ids[:48])
+    assert res.nll == pytest.approx(base.nll, abs=1e-4)
+
+
 def test_fisher_strategy_runs_end_to_end(toy_weights, fact07, probe_ids):
     weights, fact, _ = fact07
     fisher = estimate_fisher(weights, markov_byte_corpus(31, 2, 32), seed=31)

@@ -1,4 +1,4 @@
-"""Head-batched attention kernel and complex RoPE against float64 references.
+"""Head-batched attention, the in-place causal softmax and complex RoPE against float64 references.
 
 The references loop over query heads one at a time in float64, the way the
 kernel worked before it was batched, so a head-ordering or row-blocking slip
@@ -10,8 +10,9 @@ import pytest
 
 from commonkv import latent_cache
 from commonkv.latent_cache import attend_latent
-from commonkv.model import ModelConfig, apply_rope, attention_block, build_rope_table
-from oracles import _rotate
+from commonkv.model import (ModelConfig, apply_rope, attention_block, build_rope_table,
+                            causal_attention_weights)
+from oracles import _rotate, reference_causal_softmax
 
 HISTORY = 40  # keys visible to the last query row
 RANK = 6
@@ -132,6 +133,38 @@ def test_factored_value_path_orders_match_reference(monkeypatch, heads_per_kv, t
     values = (h64 @ v_factor).reshape(HISTORY, cfg.n_kv_heads, cfg.d_head)
     expected = _reference_block(x["q"], keys, values, x["q_pos"], x["k_pos"], x["w_o"], cfg)
     np.testing.assert_allclose(out, expected, atol=1e-5)
+
+
+# -- the in-place causal softmax ------------------------------------------------
+
+SOFTMAX_CASES = {  # name: (query positions, key positions, score spread)
+    "decode_row": (np.array([39]), np.arange(40), 4.0),
+    "decode_row_before_later_keys": (np.array([20]), np.arange(40), 4.0),
+    "prefill_block_from_0": (np.arange(0, 9), np.arange(9), 4.0),
+    "prefill_block_mid_sequence": (np.arange(20, 29), np.arange(29), 4.0),
+    "gapped_positions": (np.arange(30, 37), np.arange(0, 37, 3), 4.0),
+    "single_key": (np.array([0]), np.array([0]), 4.0),
+    "all_equal_scores": (np.arange(20, 29), np.arange(29), 0.0),
+    "spread_1e2": (np.arange(20, 29), np.arange(29), 1e2),
+    "spread_1e4": (np.arange(20, 29), np.arange(29), 1e4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SOFTMAX_CASES))
+def test_causal_softmax_matches_float64_reference(case):
+    q_pos, k_pos, spread = SOFTMAX_CASES[case]
+    rng = np.random.default_rng(sorted(SOFTMAX_CASES).index(case))
+    shape = (2, 3, q_pos.size, k_pos.size)
+    scores = (rng.uniform(-spread, spread, shape) if spread else np.full(shape, 0.7))
+    scores = scores.astype(np.float32)
+    expected = reference_causal_softmax(scores, q_pos, k_pos)
+    block = scores.copy()
+    probs = causal_attention_weights(block, q_pos, k_pos)
+    assert probs is block and probs.dtype == np.float32  # in place, no copy
+    np.testing.assert_allclose(probs, expected, rtol=0, atol=1e-6)
+    masked = np.broadcast_to(k_pos[None, :] > q_pos[:, None], shape)
+    assert not probs[masked].any()
+    np.testing.assert_allclose(probs.sum(axis=-1, dtype=np.float64), 1.0, rtol=0, atol=1e-6)
 
 
 # -- RoPE as one complex multiply ------------------------------------------------

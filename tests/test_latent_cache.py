@@ -277,6 +277,20 @@ def test_merged_prefix_immutable_through_decode(fact07, probe_ids):
         session.store.verify_merged_prefixes()
 
 
+def test_audit_raises_on_merged_prefix_mutated_in_place(fact07, probe_ids):
+    weights, fact, _ = fact07
+    session = LatentSession(weights, fact)
+    session.prefill(probe_ids[:32])
+    plan = session.plan_and_merge(0.5, strategy="mean")
+    session.decode(int(probe_ids[32]))
+    session.audit()
+    gi = plan.merged_groups[0]
+    session.store.groups[gi].shared_prefix[3, 1] += 1.0
+    for _ in range(2):  # every audit checks, not only the first
+        with pytest.raises(NumericError, match=f"group {gi}"):
+            session.audit()
+
+
 def test_rope_values_shared_across_layers(fact07):
     weights, fact, _ = fact07
     session = LatentSession(weights, fact)
