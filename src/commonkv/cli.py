@@ -28,9 +28,9 @@ from .budget import FisherWeights, estimate_fisher
 from .corpus import load_byte_file, markov_byte_corpus
 from .errors import (CapacityError, CommonKVError, ConfigurationError, InputError,
                      NumericError)
-from .factorization import load_factorized, transform_model
+from .factorization import SharedFactorization, load_factorized, transform_model
 from .latent_cache import LatentSession
-from .model import ModelConfig, gen_toy_model, load_model, save_model
+from .model import ModelConfig, ModelWeights, gen_toy_model, load_model, save_model
 
 EXIT_CODES = {
     ConfigurationError: 2,
@@ -76,6 +76,23 @@ def _load_fisher(path, config: ModelConfig) -> FisherWeights | None:
         raise ConfigurationError(f"{path} holds Fisher weights for {len(fisher.per_layer)} "
                                  f"layers, the model has {config.n_layers}")
     return fisher
+
+
+def _load_factorization(args, weights: ModelWeights) -> SharedFactorization | None:
+    """``--factorized``, checked to carry the same base weights as ``--model``."""
+    if not args.factorized:
+        return None
+    fact_weights, fact = load_factorized(args.factorized)
+    if fact_weights.config != weights.config:
+        mismatch = "config"
+    else:
+        base = weights.named_tensors()
+        mismatch = next((name for name, arr in fact_weights.named_tensors().items()
+                         if not np.array_equal(arr, base[name])), None)
+    if mismatch:
+        raise ConfigurationError(f"--factorized {args.factorized} was not built from --model "
+                                 f"{args.model} (first difference: {mismatch})")
+    return fact
 
 
 def _write_json(path, payload: dict) -> None:
@@ -137,9 +154,7 @@ def cmd_fisher(args) -> int:
 def cmd_profile(args) -> int:
     args = _resolve(args, {"seed": 42, "tokens": 96, "corpus": None, "factorized": None})
     weights = load_model(args.model)
-    fact = None
-    if args.factorized:
-        _, fact = load_factorized(args.factorized)
+    fact = _load_factorization(args, weights)
     ids = _corpus_ids(args)
     report = evaluation.profile_similarity(weights, ids, fact)
     payload = report.to_dict()
@@ -157,11 +172,8 @@ def cmd_run(args) -> int:
         "fisher_file": None, "generate": 0, "group_size": 4, "factorized": None,
     })
     weights = load_model(args.model)
-    fact = None
-    if args.factorized:
-        fact_weights, fact = load_factorized(args.factorized)
-        weights_for_latent = fact_weights
-    elif args.mode == "commonkv":
+    fact = _load_factorization(args, weights)
+    if args.mode == "commonkv" and fact is None:
         raise ConfigurationError("commonkv mode needs --factorized")
     fisher = _load_fisher(args.fisher_file, weights.config)
     if args.mode == "commonkv" and args.merge == "fisher" and fisher is None:
@@ -183,7 +195,7 @@ def cmd_run(args) -> int:
         "extras": result.extras,
     }
     if args.generate and args.mode == "commonkv":
-        session = LatentSession(weights_for_latent, fact)
+        session = LatentSession(weights, fact)
         session.prefill(ids[: max(1, int(round(len(ids) * args.prefill_fraction)))])
         session.plan_and_merge(args.ratio, strategy=args.merge, fisher=fisher,
                                score_variant=args.score)
@@ -211,9 +223,7 @@ def cmd_bench(args) -> int:
         "workers": 1, "group_size": 4, "factorized": None,
     })
     weights = load_model(args.model)
-    fact = None
-    if args.factorized:
-        _, fact = load_factorized(args.factorized)
+    fact = _load_factorization(args, weights)
     modes = _parse_list(args.modes, str)
     if "commonkv" in modes and fact is None:
         raise ConfigurationError("commonkv mode needs --factorized")

@@ -9,8 +9,10 @@ Conventions (shared with the factorized engine, keep in sync):
   per-layer key cache stores keys *after* rotation
 * all tensors are float32; RMS statistics, softmax row sums and loss
   reductions accumulate in float64 so results are reproducible across BLAS
-  builds, while the softmax's elementwise max-subtract, exp and normalise run
-  in float32, in place on the scores block
+  builds, while elementwise work runs in float32: the softmax's max-subtract,
+  exp and normalise (in place on the scores block) and SiLU
+* prefill attention works on row blocks whose scores fit in a fixed budget
+  (``SCORES_BLOCK_ELEMENTS``), so a long prompt's softmax stays cache-resident
 * gradients (used only for calibration) run a separate float64 pass
 """
 
@@ -24,6 +26,9 @@ from . import tensorfile
 from .errors import CapacityError, ConfigurationError, InputError
 
 RMS_EPS = 1e-6
+# Float32 scores per attention row block (1 MB): small enough to stay in a
+# per-core L2 cache while the softmax makes its passes over the block.
+SCORES_BLOCK_ELEMENTS = 2**18
 LAYER_TENSORS = ("attn_gain", "w_q", "w_k", "w_v", "w_o", "mlp_gain", "w_in", "w_out")
 
 
@@ -218,10 +223,17 @@ def load_model(path) -> ModelWeights:
 # ---------------------------------------------------------------------------
 
 def rms_norm(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
-    """RMS normalization with learnable gain; statistics in float64."""
+    """RMS normalization with learnable gain; statistics and scaling in float64.
+
+    One float64 copy of ``x`` is scaled in place.  The sum of squares is one
+    ``einsum``; the kernel tests check that it reproduces ``mean(x * x)`` bit
+    for bit.
+    """
     x64 = x.astype(np.float64)
-    inv = 1.0 / np.sqrt(np.mean(x64 * x64, axis=-1, keepdims=True) + RMS_EPS)
-    return (x64 * inv * gain.astype(np.float64)).astype(np.float32)
+    mean_sq = np.einsum("...i,...i->...", x64, x64)[..., None] / x.shape[-1]
+    x64 *= 1.0 / np.sqrt(mean_sq + RMS_EPS)
+    x64 *= gain
+    return x64.astype(np.float32)
 
 
 @dataclass(frozen=True)
@@ -302,31 +314,43 @@ def attention_probs(q_rope: np.ndarray, keys: np.ndarray, q_positions: np.ndarra
 
     Yields ``(start, stop, tk, probs)`` with probs (n_q_heads, stop - start, tk)
     over query rows ``start:stop`` and the first ``tk`` keys.  All query heads
-    of a KV head share one scores matmul.  Blocks hold ``max(1, Tq // n_q_heads)``
-    rows, so a block's scores never exceed one head's (Tq, Tk), and a decode row
-    is one block.  ``q_positions`` and ``k_positions`` are ascending, so keys
-    past ``tk`` (after the block's last query position) are masked for every
-    row and are skipped.  Each block's scores are a fresh array that the
-    softmax overwrites in place.
+    of a KV head share one scores matmul.  Blocks hold
+    ``max(1, min(Tq // n_q_heads, SCORES_BLOCK_ELEMENTS // (n_q_heads * Tk)))``
+    rows: a block's scores never exceed one head's (Tq, Tk), nor the budget
+    unless a single row is already larger, and a decode row is one block.
+    ``q_positions`` and ``k_positions`` are ascending, so keys past ``tk``
+    (after the block's last query position) are masked for every row and are
+    skipped.  Each block's scores are a fresh array that the softmax
+    overwrites in place.
     """
-    n_kv, hpk, d_head = config.n_kv_heads, config.heads_per_kv, config.d_head
-    tq, scale = q_rope.shape[0], np.float32(1.0 / np.sqrt(d_head))
+    n_q, n_kv, hpk = config.n_q_heads, config.n_kv_heads, config.heads_per_kv
+    d_head, tq = config.d_head, q_rope.shape[0]
+    scale = np.float32(1.0 / np.sqrt(d_head))
     # query head q sits at [q // heads_per_kv, q % heads_per_kv]
     q_grouped = (q_rope * scale).transpose(1, 0, 2).reshape(n_kv, hpk, tq, d_head)
     keys_t = keys.transpose(1, 2, 0)  # (n_kv, d_head, Tk)
-    block = max(1, tq // config.n_q_heads)
+    block = max(1, min(tq // n_q, SCORES_BLOCK_ELEMENTS // (n_q * keys.shape[0])))
     for start in range(0, tq, block):
         stop = min(start + block, tq)
         tk = int(k_positions.searchsorted(q_positions[stop - 1], side="right"))
         scores = np.matmul(q_grouped[:, :, start:stop].reshape(n_kv, -1, d_head), keys_t[:, :, :tk])
         probs = causal_attention_weights(scores.reshape(n_kv, hpk, stop - start, tk),
                                          q_positions[start:stop], k_positions[:tk])
-        yield start, stop, tk, probs.reshape(config.n_q_heads, stop - start, tk)
+        yield start, stop, tk, probs.reshape(n_q, stop - start, tk)
 
 
 def silu(z: np.ndarray) -> np.ndarray:
-    z64 = z.astype(np.float64)
-    return (z64 / (1.0 + np.exp(-z64))).astype(np.float32)
+    """``z * sigmoid(z)`` in float32 as ``z * (1 + tanh(z / 2)) / 2``.
+
+    ``tanh`` saturates where ``exp(-z)`` would overflow, so no finite input
+    raises a floating-point warning.
+    """
+    out = z * np.float32(0.5)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= z
+    out *= 0.5
+    return out
 
 
 def mlp_block(x_normed: np.ndarray, lw: LayerWeights) -> np.ndarray:

@@ -325,3 +325,25 @@ def test_malformed_fisher_file_is_configuration_error(workdir, factorized, case,
 def test_fisher_file_for_the_model_runs(workdir, factorized):
     assert _run_commonkv(workdir, factorized, "--merge", "fisher",
                          "--fisher-file", str(_fisher_file(workdir))) == 0
+
+
+@pytest.mark.parametrize("other", [["--seed", "43"], ["--layers", "4"]],
+                         ids=["other_seed", "other_config"])
+@pytest.mark.parametrize("command", ["run", "bench", "profile"])
+def test_factorization_of_another_model_is_configuration_error(workdir, factorized, other,
+                                                               command, capsys):
+    model_b = workdir / "model_b.tnsr"
+    assert main(["gen-toy", "--out", str(model_b), *other]) == 0
+    capsys.readouterr()
+    args = {
+        "run": ["--mode", "commonkv", "--merge", "mean", "--tokens", "32"],
+        "bench": ["--out", str(workdir / "b.csv"), "--modes", "commonkv", "--ratios", "0.5",
+                  "--seeds", "0", "--tokens", "32"],
+        "profile": ["--out", str(workdir / "sim.json"), "--tokens", "32"],
+    }[command]
+    code = main([command, "--model", str(model_b), "--factorized", str(factorized), *args])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "was not built from --model" in err
+    expected = "config" if other[0] == "--layers" else "embed"
+    assert f"(first difference: {expected})" in err

@@ -1,4 +1,4 @@
-"""Head-batched attention, the in-place causal softmax and complex RoPE against float64 references.
+"""Attention, softmax, RoPE, SiLU and RMSNorm kernels against float64 references.
 
 The references loop over query heads one at a time in float64, the way the
 kernel worked before it was batched, so a head-ordering or row-blocking slip
@@ -8,11 +8,11 @@ in the batched kernel shows up as a mismatch.
 import numpy as np
 import pytest
 
-from commonkv import latent_cache
+from commonkv import latent_cache, model
 from commonkv.latent_cache import attend_latent
-from commonkv.model import (ModelConfig, apply_rope, attention_block, build_rope_table,
-                            causal_attention_weights)
-from oracles import _rotate, reference_causal_softmax
+from commonkv.model import (ModelConfig, apply_rope, attention_block, attention_probs,
+                            build_rope_table, causal_attention_weights, rms_norm, silu)
+from oracles import _norm, _rotate, reference_causal_softmax
 
 HISTORY = 40  # keys visible to the last query row
 RANK = 6
@@ -133,6 +133,108 @@ def test_factored_value_path_orders_match_reference(monkeypatch, heads_per_kv, t
     values = (h64 @ v_factor).reshape(HISTORY, cfg.n_kv_heads, cfg.d_head)
     expected = _reference_block(x["q"], keys, values, x["q_pos"], x["k_pos"], x["w_o"], cfg)
     np.testing.assert_allclose(out, expected, atol=1e-5)
+
+
+# -- row blocks sized by the scores budget ---------------------------------------
+
+def _record_blocks(monkeypatch, budget: int) -> list[tuple[int, int]]:
+    """Set the scores budget and log each yielded block's (rows, scores size)."""
+    blocks = []
+    real = model.attention_probs
+
+    def recording(*args):
+        for start, stop, tk, probs in real(*args):
+            blocks.append((stop - start, probs.size))
+            yield start, stop, tk, probs
+
+    monkeypatch.setattr(model, "SCORES_BLOCK_ELEMENTS", budget)
+    monkeypatch.setattr(model, "attention_probs", recording)
+    monkeypatch.setattr(latent_cache, "attention_probs", recording)
+    return blocks
+
+
+# Every case caps the rows below Tq // n_q_heads (or at it, for the mix order),
+# and Tq = 7 and 31 leave a short last block for 2- and 3-row blocks.
+@pytest.mark.parametrize("rows", [1, 2, 3])
+@pytest.mark.parametrize("path, heads_per_kv, tq", [
+    ("block", 2, 31), ("restore", 1, 31), ("mix", 1, 7)])
+def test_budget_sized_blocks_match_reference(monkeypatch, rows, path, heads_per_kv, tq):
+    cfg = _config(heads_per_kv)
+    budget = rows * cfg.n_q_heads * HISTORY
+    blocks = _record_blocks(monkeypatch, budget)
+    x = _random_inputs(cfg, tq, 7 * rows + tq)
+    if path == "block":
+        keys, values = x["keys"], x["values"]
+        out = attention_block(x["q"], keys, values, x["q_pos"], x["k_pos"], x["w_o"], cfg)
+    else:
+        rng = np.random.default_rng(rows + tq)
+        latents = (rng.standard_normal((HISTORY, WIDE_RANK)) * 0.5).astype(np.float32)
+        k_factor, v_factor = ((rng.standard_normal((WIDE_RANK, cfg.d_kv)) * 0.2)
+                              .astype(np.float32) for _ in range(2))
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return attention_block(*args)
+
+        monkeypatch.setattr(latent_cache, "attention_block", counted)
+        out = attend_latent(x["q"], latents, k_factor, None, x["q_pos"], x["k_pos"],
+                            build_rope_table(cfg), cfg, v_factor=v_factor, w_o=x["w_o"])
+        assert len(calls) == (path == "restore")
+        h64 = latents.astype(np.float64)
+        keys = _rotate((h64 @ k_factor).reshape(HISTORY, cfg.n_kv_heads, cfg.d_head),
+                       x["k_pos"], cfg.rope_theta, cfg.d_head)
+        values = (h64 @ v_factor).reshape(HISTORY, cfg.n_kv_heads, cfg.d_head)
+    expected = _reference_block(x["q"], keys, values, x["q_pos"], x["k_pos"], x["w_o"], cfg)
+    np.testing.assert_allclose(out, expected, atol=1e-5)
+    assert [r for r, _ in blocks] == [rows] * (tq // rows) + [tq % rows] * (tq % rows > 0)
+    assert all(r == 1 or size <= budget for r, size in blocks)
+
+
+@pytest.mark.parametrize("tq, tk, n_q, rows", [
+    (960, 960, 8, 34),  # wide-prefill prompt: the budget binds
+    (256, 256, 8, 32),  # wide-decode prompt: Tq // n_q binds
+    (96, 96, 4, 24),    # toy prompt
+    (1, 960, 8, 1),     # decode row
+])
+def test_block_rows_at_workload_shapes(tq, tk, n_q, rows):
+    cfg = ModelConfig(n_layers=1, d_hidden=32 * n_q, n_q_heads=n_q, n_kv_heads=2,
+                      d_head=32, d_mlp=16, max_seq=1024)
+    q = np.zeros((tq, n_q, 32), dtype=np.float32)
+    keys = np.zeros((tk, 2, 32), dtype=np.float32)
+    start, stop, _, probs = next(attention_probs(q, keys, np.arange(tk - tq, tk),
+                                                 np.arange(tk), cfg))
+    assert (start, stop) == (0, rows)
+    assert rows == 1 or probs.size <= model.SCORES_BLOCK_ELEMENTS == 2**18
+
+
+# -- SiLU and RMSNorm ---------------------------------------------------------------
+
+def test_float32_silu_matches_float64_without_warnings():
+    tails = np.concatenate([np.arange(88, 105), [1e4]])
+    grid = np.concatenate([np.linspace(-30, 30, 6001), tails, -tails, [0.0]]).astype(np.float32)
+    z64 = grid.astype(np.float64)
+    expected = z64 * np.exp(-np.logaddexp(0.0, -z64))  # z * sigmoid(z) without overflow
+    with np.errstate(all="raise"):
+        out = silu(grid)
+    assert out.dtype == np.float32
+    np.testing.assert_allclose(out, expected, rtol=1e-6, atol=1e-6)
+
+
+@pytest.mark.parametrize("shape", [(64,), (1, 256), (96, 64), (3, 5, 8)])
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_rms_norm_matches_float64_reference(shape, scale):
+    rng = np.random.default_rng(shape[-1] + int(np.log10(scale)))
+    x = (rng.standard_normal(shape) * scale).astype(np.float32)
+    gain = rng.uniform(0.5, 1.5, shape[-1]).astype(np.float32)
+    out = rms_norm(x, gain)
+    assert out.dtype == np.float32 and out.shape == shape
+    np.testing.assert_allclose(out, _norm(x.astype(np.float64), gain.astype(np.float64)),
+                               rtol=1e-6, atol=1e-7)
+    # bit-identical to the mean-of-squares formula
+    x64 = x.astype(np.float64)
+    inv = 1.0 / np.sqrt(np.mean(x64 * x64, axis=-1, keepdims=True) + model.RMS_EPS)
+    assert out.tobytes() == (x64 * inv * gain.astype(np.float64)).astype(np.float32).tobytes()
 
 
 # -- the in-place causal softmax ------------------------------------------------
