@@ -204,13 +204,16 @@ def estimate_fisher(weights: ModelWeights, corpus: list[np.ndarray],
     For each sequence the gradient of its mean NLL is taken with respect to
     every W_k and W_v; squared element sums are averaged over sequences, and
     the per-layer weight is the key and value contributions added together.
+    The model is converted to float64 once for the whole corpus; the
+    conversion is exact, so the result equals converting per sequence.
     """
     if not corpus:
         raise InputError("calibration corpus is empty")
     n_layers = weights.config.n_layers
+    weights64 = weights.astype(np.float64)
     acc = np.zeros(n_layers, dtype=np.float64)
     for seq in corpus:
-        _, grads = loss_and_grads(weights, seq)
+        _, grads = loss_and_grads(weights64, seq)
         for l in range(n_layers):
             acc[l] += np.sum(grads[l]["w_k"] ** 2) + np.sum(grads[l]["w_v"] ** 2)
     acc /= len(corpus)

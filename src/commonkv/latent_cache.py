@@ -1,14 +1,19 @@
 """Runtime latent KV cache and the compressed-inference session.
 
 The cache stores position-free latent rows ``h = x_normed @ A`` per layer.
-Keys are restored on the fly each step (``rope(h @ B_k)``) and values are
-never cached: the value path applies ``B_v`` and then ``W_o`` in whichever
-exact order costs fewer multiply-adds for the call's shapes.  Prefill
-restores values ``h @ B_v`` transiently, the way keys are restored; a decode
-step mixes latents with the attention weights first.  The pre-fused
-per-head matrices ``M_q`` are the verification path.  After prefill, groups
-selected by the budget plan collapse their per-layer prefixes into one
-shared prefix; decode-time latents always stay per layer.
+Keys are restored on the fly each step as ``rope(h @ B_k)``: a session's key
+positions are always 0..T-1, so the rotations are a slice of the RoPE table,
+applied in place on the GEMM's output.  Values are never cached: the value
+path applies ``B_v`` and then ``W_o`` in whichever exact order costs fewer
+multiply-adds for the call's shapes.  Prefill restores values ``h @ B_v``
+transiently, the way keys are restored; a decode step mixes latents with the
+attention weights first.  The pre-fused per-head matrices ``M_q`` are the
+verification path.  After prefill, groups selected by the budget plan
+collapse their per-layer prefixes into one shared prefix; decode-time
+latents always stay per layer.  A layer's decode suffix is held as sealed
+fixed-size chunks plus a short open tail, so a decode append copies at most
+one chunk of rows, and the rows a layer attends to are joined by one
+concatenation per step.
 """
 
 from __future__ import annotations
@@ -31,17 +36,21 @@ def compute_latent(x: np.ndarray, shared: np.ndarray) -> np.ndarray:
     return x @ shared
 
 
-def restore_keys(latents: np.ndarray, k_factor: np.ndarray, position_ids: np.ndarray,
-                 rope: RopeTable, n_kv_heads: int) -> np.ndarray:
-    """Keys from latents: (tokens, n_kv_heads, d_head) with rotations applied."""
-    flat = latents @ k_factor
-    keys = flat.reshape(latents.shape[0], n_kv_heads, -1)
-    return apply_rope(keys, position_ids, rope)
+def restore_keys(latents: np.ndarray, k_factor: np.ndarray,
+                 position_ids: np.ndarray | range, rope: RopeTable,
+                 n_kv_heads: int) -> np.ndarray:
+    """Keys from latents: (tokens, n_kv_heads, d_head) with rotations applied.
+
+    The rotation runs in place on the GEMM's output, so with a ``range`` of
+    positions (what a session passes) the keys are the only array allocated.
+    """
+    keys = (latents @ k_factor).reshape(latents.shape[0], n_kv_heads, -1)
+    return apply_rope(keys, position_ids, rope, out=keys)
 
 
 def attend_latent(q_rope: np.ndarray, latents: np.ndarray, k_factor: np.ndarray,
-                  fused_out: np.ndarray, q_positions: np.ndarray, k_positions: np.ndarray,
-                  rope: RopeTable, config: ModelConfig, *,
+                  fused_out: np.ndarray, q_positions: np.ndarray,
+                  k_positions: np.ndarray | range, rope: RopeTable, config: ModelConfig, *,
                   v_factor: np.ndarray | None = None,
                   w_o: np.ndarray | None = None) -> np.ndarray:
     """Causal attention over latent rows for one layer; returns (Tq, d_hidden).
@@ -59,8 +68,13 @@ def attend_latent(q_rope: np.ndarray, latents: np.ndarray, k_factor: np.ndarray,
 
     Prefill restores values and a decode step (Tq = 1) mixes latents; the
     crossover sits near Tq ≈ r·d_kv / (n_q·(r − d_head)).
+
+    ``k_positions`` may be a ``range`` (a session's keys are always the
+    positions 0..Tk-1): the keys then rotate by a slice of the RoPE table.
     """
     keys = restore_keys(latents, k_factor, k_positions, rope, config.n_kv_heads)
+    if isinstance(k_positions, range):
+        k_positions = np.arange(k_positions.start, k_positions.stop, k_positions.step)
     n_q, n_kv, d_head = config.n_q_heads, config.n_kv_heads, config.d_head
     tq, (tk_all, rank) = q_rope.shape[0], latents.shape
     if v_factor is None:
@@ -120,8 +134,19 @@ def baseline_elements(config: ModelConfig, n_tokens: int) -> int:
     return config.n_layers * 2 * config.d_kv * n_tokens
 
 
+# Rows per sealed decode-suffix chunk: a decode append copies the open tail
+# (fewer rows than this), never the layer's whole suffix.
+SUFFIX_CHUNK_ROWS = 64
+
+
 class LatentCacheStore:
-    """Per-group prefill prefixes plus per-layer decode suffixes."""
+    """Per-group prefill prefixes plus per-layer decode suffixes.
+
+    A layer's suffix is a tuple of sealed ``SUFFIX_CHUNK_ROWS``-row arrays
+    plus an open tail of fewer rows; ``suffixes`` joins them on each read.
+    Tuples, not lists: an empty tuple allocates nothing, so a session that
+    never seals a chunk holds no more than one array per layer.
+    """
 
     def __init__(self, fact: SharedFactorization):
         self.fact = fact
@@ -132,8 +157,9 @@ class LatentCacheStore:
                                        for _ in fact.layout.layers_of(gi)])
             for gi in range(fact.layout.n_groups)
         ]
-        self.suffixes = [np.empty((0, rank), dtype=np.float32)
-                         for _ in range(self.config.n_layers)]
+        self._chunks: list[tuple[np.ndarray, ...]] = [()] * self.config.n_layers
+        self._tails = [np.empty((0, rank), dtype=np.float32)
+                       for _ in range(self.config.n_layers)]
         self.prefill_positions = np.empty(0, dtype=np.int64)
         self.decode_positions = np.empty(0, dtype=np.int64)
 
@@ -153,8 +179,25 @@ class LatentCacheStore:
         slot = layer - self.fact.layout.groups[gi][0]
         gc.layer_prefixes[slot] = np.concatenate([gc.layer_prefixes[slot], latents], axis=0)
 
+    @property
+    def suffixes(self) -> list[np.ndarray]:
+        """Each layer's decode rows as one array, assembled from its chunks."""
+        return [np.concatenate(self._suffix_parts(l), axis=0)
+                for l in range(self.config.n_layers)]
+
+    def _suffix_parts(self, layer: int) -> list[np.ndarray]:
+        return [*self._chunks[layer], self._tails[layer]]
+
     def append_decode(self, layer: int, latents: np.ndarray) -> None:
-        self.suffixes[layer] = np.concatenate([self.suffixes[layer], latents], axis=0)
+        rows = np.concatenate([self._tails[layer], latents], axis=0)
+        if len(rows) < SUFFIX_CHUNK_ROWS:
+            self._tails[layer] = rows
+            return
+        # seal whole chunks as arrays of their own, so no view pins a larger buffer
+        full = len(rows) - len(rows) % SUFFIX_CHUNK_ROWS
+        self._chunks[layer] += tuple(rows[s:s + SUFFIX_CHUNK_ROWS].copy()
+                                     for s in range(0, full, SUFFIX_CHUNK_ROWS))
+        self._tails[layer] = rows[full:].copy()
 
     def prefix_for_layer(self, layer: int) -> np.ndarray:
         gi = self.fact.layout.group_of(layer)
@@ -163,12 +206,13 @@ class LatentCacheStore:
             return gc.shared_prefix
         return gc.layer_prefixes[layer - self.fact.layout.groups[gi][0]]
 
-    def visible_latents(self, layer: int) -> tuple[np.ndarray, np.ndarray]:
-        """Concatenated (latents, positions) this layer may attend to."""
-        prefix = self.prefix_for_layer(layer)
-        suffix = self.suffixes[layer]
-        return (np.concatenate([prefix, suffix], axis=0),
-                np.concatenate([self.prefill_positions, self.decode_positions]))
+    def visible_latents(self, layer: int) -> np.ndarray:
+        """The latent rows this layer may attend to, at positions 0..T-1.
+
+        Prefix, sealed chunks and tail are joined by one concatenation.
+        """
+        return np.concatenate([self.prefix_for_layer(layer), *self._suffix_parts(layer)],
+                              axis=0)
 
     def merge_group(self, gi: int, merged: np.ndarray) -> None:
         gc = self.groups[gi]
@@ -199,7 +243,8 @@ class LatentCacheStore:
                 per_group.append(int(gc.shared_prefix.size))
             else:
                 per_group.append(int(sum(p.size for p in gc.layer_prefixes)))
-        suffix = int(sum(s.size for s in self.suffixes))
+        suffix = int(sum(part.size for l in range(self.config.n_layers)
+                         for part in self._suffix_parts(l)))
         return CacheAudit(prefix_elements=sum(per_group), suffix_elements=suffix,
                           per_group_prefix=per_group)
 
@@ -309,11 +354,13 @@ class LatentSession:
         cfg = self.weights.config
         store = self.store
         start = store.prefill_len + store.decode_len
-        if start + ids.size > cfg.max_seq:
-            raise CapacityError(f"sequence of {start + ids.size} exceeds max_seq={cfg.max_seq}")
-        positions = np.arange(start, start + ids.size, dtype=np.int64)
-        # record positions up front so visible_latents lines up with the rows
-        # each layer appends for the current chunk
+        end = start + ids.size
+        if end > cfg.max_seq:
+            raise CapacityError(f"sequence of {end} exceeds max_seq={cfg.max_seq}")
+        positions = np.arange(start, end, dtype=np.int64)
+        # the new rows and every layer's visible rows are contiguous position
+        # ranges, built once per forward, so RoPE slices its table
+        rows, k_positions = range(start, end), range(end)
         if phase == "prefill":
             store.prefill_positions = np.concatenate([store.prefill_positions, positions])
         else:
@@ -322,14 +369,14 @@ class LatentSession:
         x = self.weights.embed[ids]
         for li, lw in enumerate(self.weights.layers):
             xn = rms_norm(x, lw.attn_gain)
-            q = apply_rope((xn @ lw.w_q).reshape(-1, cfg.n_q_heads, cfg.d_head),
-                           positions, self.rope)
+            q = (xn @ lw.w_q).reshape(-1, cfg.n_q_heads, cfg.d_head)
+            apply_rope(q, rows, self.rope, out=q)
             h_new = compute_latent(xn, self.fact.shared_for_layer(li))
             if phase == "prefill":
                 store.append_prefill(li, h_new)
             else:
                 store.append_decode(li, h_new)
-            latents, k_positions = store.visible_latents(li)
+            latents = store.visible_latents(li)
             kwargs = {}
             if not self.fused_values:
                 kwargs = {"v_factor": self.fact.v_factors[li], "w_o": lw.w_o}

@@ -12,7 +12,11 @@ Conventions (shared with the factorized engine, keep in sync):
   builds, while elementwise work runs in float32: the softmax's max-subtract,
   exp and normalise (in place on the scores block) and SiLU
 * prefill attention works on row blocks whose scores fit in a fixed budget
-  (``SCORES_BLOCK_ELEMENTS``), so a long prompt's softmax stays cache-resident
+  (``SCORES_BLOCK_ELEMENTS``), so a long prompt's softmax stays cache-resident;
+  a one-row block (a decode step) computes its scores keys-left,
+  ``keys_h @ q_hᵀ``, a plain GEMM over the keys' own row layout
+* RoPE takes a ``range`` of consecutive positions as a slice of its table,
+  not a gather, and rotates in place into ``out``; sessions pass ranges
 * gradients (used only for calibration) run a separate float64 pass
 """
 
@@ -105,6 +109,17 @@ class ModelWeights:
     final_gain: np.ndarray  # (d_hidden,)
     lm_head: np.ndarray     # (d_hidden, vocab)
     seed: int | None = None
+
+    def astype(self, dtype) -> "ModelWeights":
+        """A copy with every tensor converted to ``dtype``."""
+        def conv(arr):
+            return arr.astype(dtype)
+
+        layers = [LayerWeights(**{name: conv(getattr(lw, name)) for name in LAYER_TENSORS})
+                  for lw in self.layers]
+        return ModelWeights(config=self.config, embed=conv(self.embed), layers=layers,
+                            final_gain=conv(self.final_gain), lm_head=conv(self.lm_head),
+                            seed=self.seed)
 
     def named_tensors(self) -> dict[str, np.ndarray]:
         out = {"embed": self.embed, "final_gain": self.final_gain, "lm_head": self.lm_head}
@@ -265,24 +280,44 @@ def build_rope_table(config: ModelConfig) -> RopeTable:
     return RopeTable(cis=cis)
 
 
-def apply_rope(vectors: np.ndarray, position_ids: np.ndarray, table: RopeTable,
-               inverse: bool = False) -> np.ndarray:
+def apply_rope(vectors: np.ndarray, position_ids: np.ndarray | range, table: RopeTable,
+               inverse: bool = False, out: np.ndarray | None = None) -> np.ndarray:
     """Rotate (tokens, heads, d_head) pairwise by each token's position angle.
 
     One complex multiply per pair; ``inverse=True`` multiplies by the
-    conjugate, rotating by the negative angle.
+    conjugate, rotating by the negative angle.  ``position_ids`` is an int
+    array, whose rotations are gathered from the table, or a ``range`` of
+    consecutive positions, whose rotations are a slice (a view) of it.  With
+    ``out`` (a C-contiguous float32 array of the same shape, which may be
+    ``vectors`` itself) the result is written there instead of into a new
+    array.
     """
-    position_ids = np.asarray(position_ids)
-    if position_ids.size and int(position_ids.max()) >= table.max_position:
-        raise CapacityError(
-            f"position {int(position_ids.max())} outside RoPE table of {table.max_position}")
-    if position_ids.size and int(position_ids.min()) < 0:
-        raise CapacityError("negative position id")
-    cis = table.cis[position_ids][:, None, :]  # (tokens, 1, half)
+    if isinstance(position_ids, range) and position_ids.step == 1:
+        first, stop = position_ids.start, position_ids.stop
+        if stop > first and stop > table.max_position:
+            raise CapacityError(
+                f"position {stop - 1} outside RoPE table of {table.max_position}")
+        if stop > first and first < 0:
+            raise CapacityError("negative position id")
+        cis = table.cis[first:stop]
+    else:
+        position_ids = np.asarray(position_ids)
+        if position_ids.size and int(position_ids.max()) >= table.max_position:
+            raise CapacityError(
+                f"position {int(position_ids.max())} outside RoPE table of {table.max_position}")
+        if position_ids.size and int(position_ids.min()) < 0:
+            raise CapacityError("negative position id")
+        cis = table.cis[position_ids]
+    cis = cis[:, None, :]  # (tokens, 1, half)
     if inverse:
         cis = cis.conj()
     pairs = np.ascontiguousarray(vectors, dtype=np.float32).view(np.complex64)
-    return (pairs * cis).view(np.float32)
+    if out is None:
+        return (pairs * cis).view(np.float32)
+    if out.dtype != np.float32 or not out.flags.c_contiguous:
+        raise InputError("apply_rope writes only into a C-contiguous float32 array")
+    np.multiply(pairs, cis, out=out.view(np.complex64))
+    return out
 
 
 def causal_attention_weights(scores: np.ndarray, q_positions: np.ndarray,
@@ -322,18 +357,29 @@ def attention_probs(q_rope: np.ndarray, keys: np.ndarray, q_positions: np.ndarra
     (after the block's last query position) are masked for every row and are
     skipped.  Each block's scores are a fresh array that the softmax
     overwrites in place.
+
+    A one-row block (every decode step) takes its scores as
+    ``keys_h @ q_hᵀ``, keys on the left: a plain GEMM over the keys' own
+    (Tk, n_kv, d_head) rows, where ``q_h @ keys_hᵀ`` would read the keys
+    transposed, a much slower BLAS path.  The small (Tk, heads_per_kv) result
+    is then transposed into the scores block.
     """
     n_q, n_kv, hpk = config.n_q_heads, config.n_kv_heads, config.heads_per_kv
     d_head, tq = config.d_head, q_rope.shape[0]
     scale = np.float32(1.0 / np.sqrt(d_head))
     # query head q sits at [q // heads_per_kv, q % heads_per_kv]
     q_grouped = (q_rope * scale).transpose(1, 0, 2).reshape(n_kv, hpk, tq, d_head)
-    keys_t = keys.transpose(1, 2, 0)  # (n_kv, d_head, Tk)
+    keys_h = keys.transpose(1, 0, 2)  # (n_kv, Tk, d_head)
     block = max(1, min(tq // n_q, SCORES_BLOCK_ELEMENTS // (n_q * keys.shape[0])))
     for start in range(0, tq, block):
         stop = min(start + block, tq)
         tk = int(k_positions.searchsorted(q_positions[stop - 1], side="right"))
-        scores = np.matmul(q_grouped[:, :, start:stop].reshape(n_kv, -1, d_head), keys_t[:, :, :tk])
+        if stop - start == 1:
+            scores_t = np.matmul(keys_h[:, :tk], q_grouped[:, :, start].transpose(0, 2, 1))
+            scores = np.ascontiguousarray(scores_t.transpose(0, 2, 1))  # (n_kv, hpk, tk)
+        else:
+            scores = np.matmul(q_grouped[:, :, start:stop].reshape(n_kv, -1, d_head),
+                               keys_h[:, :tk].transpose(0, 2, 1))
         probs = causal_attention_weights(scores.reshape(n_kv, hpk, stop - start, tk),
                                          q_positions[start:stop], k_positions[:tk])
         yield start, stop, tk, probs.reshape(n_q, stop - start, tk)
@@ -426,6 +472,7 @@ def forward_baseline(weights: ModelWeights, token_ids, cache: KVCache | None = N
     if start + ids.size > cfg.max_seq:
         raise CapacityError(f"sequence of {start + ids.size} exceeds max_seq={cfg.max_seq}")
     positions = np.arange(start, start + ids.size, dtype=np.int64)
+    rows = range(start, start + ids.size)
 
     x = weights.embed[ids]
     for li, lw in enumerate(weights.layers):
@@ -433,8 +480,8 @@ def forward_baseline(weights: ModelWeights, token_ids, cache: KVCache | None = N
         q = (xn @ lw.w_q).reshape(-1, cfg.n_q_heads, cfg.d_head)
         k = (xn @ lw.w_k).reshape(-1, cfg.n_kv_heads, cfg.d_head)
         v = (xn @ lw.w_v).reshape(-1, cfg.n_kv_heads, cfg.d_head)
-        q = apply_rope(q, positions, rope)
-        k = apply_rope(k, positions, rope)
+        apply_rope(q, rows, rope, out=q)
+        apply_rope(k, rows, rope, out=k)
         lk = cache.layers[li]
         lk.keys = np.concatenate([lk.keys, k], axis=0)
         lk.values = np.concatenate([lk.values, v], axis=0)
@@ -525,7 +572,9 @@ def loss_and_grads(weights: ModelWeights, token_ids) -> tuple[float, list[dict[s
     mean over sequences of each sequence's mean next-token NLL, so duplicating
     a sequence leaves both loss and gradients unchanged.  The whole pass runs
     in float64: this path only feeds calibration, and the extra precision is
-    what lets finite-difference checks resolve at 1e-3.
+    what lets finite-difference checks resolve at 1e-3.  Weights that are
+    already float64 (``weights.astype(np.float64)``) are used without a copy,
+    so a caller looping over sequences converts the model once.
 
     Returns (loss, grads) with grads[l] = {"w_k": ..., "w_v": ...}.
     """
@@ -546,7 +595,8 @@ def loss_and_grads(weights: ModelWeights, token_ids) -> tuple[float, list[dict[s
         if s.size > cfg.max_seq:
             raise CapacityError(f"sequence of {s.size} exceeds max_seq={cfg.max_seq}")
 
-    w64 = {name: arr.astype(np.float64) for name, arr in weights.named_tensors().items()}
+    w64 = {name: arr.astype(np.float64, copy=False)
+           for name, arr in weights.named_tensors().items()}
     rope = build_rope_table(cfg)
     cis64 = rope.cis.astype(np.complex128)
     scale = 1.0 / np.sqrt(cfg.d_head)

@@ -76,7 +76,9 @@ def deserialize(blob: bytes) -> tuple[dict[str, np.ndarray], dict]:
     if not (isinstance(header, dict) and isinstance(header.get("tensors"), dict)
             and isinstance(header.get("meta", {}), dict)):
         raise InputError("container header lacks a tensors table or meta object")
-    payload = blob[8 + header_len :]
+    # tensors are read straight out of ``blob``; the payload is never copied whole
+    payload_start = 8 + header_len
+    payload_len = len(blob) - payload_start
     tensors: dict[str, np.ndarray] = {}
     for name, desc in header["tensors"].items():
         if not isinstance(desc, dict) or desc.get("dtype") != _MAGIC_DTYPE:
@@ -86,10 +88,10 @@ def deserialize(blob: bytes) -> tuple[dict[str, np.ndarray], dict]:
                 and type(start) is int and start >= 0):
             raise InputError(f"tensor {name!r} has a malformed shape or offset")
         count = math.prod(shape)
-        if start + count * 4 > len(payload):
+        if start + count * 4 > payload_len:
             raise InputError(f"payload truncated for tensor {name!r}")
-        tensors[name] = np.frombuffer(payload, dtype="<f4", count=count,
-                                      offset=start).reshape(shape).copy()
+        tensors[name] = np.frombuffer(blob, dtype="<f4", count=count,
+                                      offset=payload_start + start).reshape(shape).copy()
     return tensors, header.get("meta", {})
 
 

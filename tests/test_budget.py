@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from commonkv import budget, model
 from commonkv.budget import (FisherWeights, allocate_budget, corpus_hash, estimate_fisher,
                              group_score, group_score_full, max_achievable_ratio,
                              merge_group, prefill_cost_per_token, top_k_groups)
@@ -194,6 +195,29 @@ def test_fisher_matches_finite_difference_estimate(micro_weights):
             fd_total += np.sum(grads ** 2)
     fd_estimate = fd_total / len(corpus)
     assert fisher.per_layer[0] == pytest.approx(fd_estimate, rel=1e-2)
+
+
+def test_fisher_converting_once_equals_the_per_sequence_loop(micro_weights, monkeypatch):
+    # the model is converted to float64 once per corpus; the values are those
+    # of calling loss_and_grads on the float32 model one sequence at a time
+    corpus = markov_byte_corpus(24, 3, 14)
+    acc = np.zeros(MICRO.n_layers)
+    for seq in corpus:
+        _, grads = model.loss_and_grads(micro_weights, seq)
+        for l in range(MICRO.n_layers):
+            acc[l] += np.sum(grads[l]["w_k"] ** 2) + np.sum(grads[l]["w_v"] ** 2)
+    acc /= len(corpus)
+    seen = []
+    traced = budget.loss_and_grads
+
+    def spy(weights, token_ids):
+        seen.append(weights.embed.dtype)
+        return traced(weights, token_ids)
+
+    monkeypatch.setattr(budget, "loss_and_grads", spy)
+    fisher = estimate_fisher(micro_weights, corpus)
+    assert fisher.per_layer == [float(v) for v in acc]
+    assert seen == [np.float64] * len(corpus)
 
 
 def test_fisher_empty_corpus_rejected(micro_weights):

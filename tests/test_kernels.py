@@ -5,10 +5,14 @@ kernel worked before it was batched, so a head-ordering or row-blocking slip
 in the batched kernel shows up as a mismatch.
 """
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from commonkv import latent_cache, model
+from commonkv.errors import CapacityError
 from commonkv.latent_cache import attend_latent
 from commonkv.model import (ModelConfig, apply_rope, attention_block, attention_probs,
                             build_rope_table, causal_attention_weights, rms_norm, silu)
@@ -311,3 +315,83 @@ def test_rope_table_is_one_complex_table_with_exact_cos_sin(toy_cfg):
     assert table.cis.dtype == np.complex64
     assert table.cis.nbytes == 2 * 4 * toy_cfg.max_seq * half
     assert np.shares_memory(table.cos, table.cis) and np.shares_memory(table.sin, table.cis)
+
+
+# -- RoPE over a contiguous range ------------------------------------------------
+
+@pytest.mark.parametrize("inverse", [False, True])
+@pytest.mark.parametrize("first, stop", [(0, 1), (0, 64), (17, 29), (200, 256), (5, 5)])
+def test_rope_over_a_range_is_bit_identical_to_the_gather(toy_cfg, inverse, first, stop):
+    table = build_rope_table(toy_cfg)
+    vectors = np.random.default_rng(first + stop).standard_normal(
+        (stop - first, toy_cfg.n_kv_heads, toy_cfg.d_head)).astype(np.float32)
+    gathered = apply_rope(vectors, np.arange(first, stop), table, inverse=inverse)
+    sliced = apply_rope(vectors, range(first, stop), table, inverse=inverse)
+    assert sliced.tobytes() == gathered.tobytes()
+    in_place = vectors.copy()
+    assert apply_rope(in_place, range(first, stop), table, inverse=inverse,
+                      out=in_place) is in_place
+    assert in_place.tobytes() == gathered.tobytes()
+
+
+@pytest.mark.parametrize("positions", [range(250, 257), range(-1, 3)])
+def test_rope_range_outside_the_table_raises(toy_cfg, positions):
+    table = build_rope_table(toy_cfg)
+    vectors = np.zeros((len(positions), 1, toy_cfg.d_head), dtype=np.float32)
+    with pytest.raises(CapacityError):
+        apply_rope(vectors, positions, table)
+    with pytest.raises(CapacityError):
+        apply_rope(vectors, np.array(positions), table)
+
+
+def test_restore_keys_allocates_only_its_keys():
+    # the GEMM output is rotated in place and the rotations are a table slice;
+    # beyond the keys, only numpy's fixed-size ufunc buffer for the broadcast
+    # multiply (np.getbufsize() complex64 elements, whatever Tk is) is allowed
+    cfg = ModelConfig(n_layers=1, d_hidden=256, n_q_heads=8, n_kv_heads=2, d_head=32,
+                      d_mlp=16, max_seq=1024)
+    rope = build_rope_table(cfg)
+    rng = np.random.default_rng(3)
+    latents = rng.standard_normal((512, 179)).astype(np.float32)
+    k_factor = rng.standard_normal((179, cfg.d_kv)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        keys = latent_cache.restore_keys(latents, k_factor, range(512), rope, cfg.n_kv_heads)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert keys.nbytes == 512 * cfg.d_kv * 4
+    assert peak <= keys.nbytes + 8 * np.getbufsize() + 4096
+
+
+# -- one decode row over histories of any length ----------------------------------
+
+@pytest.mark.parametrize("heads_per_kv", [1, 2, 4])
+@pytest.mark.parametrize("tk", [1, 40, 600])
+def test_decode_row_matches_per_head_reference(heads_per_kv, tk):
+    # one query row takes the keys-left scores GEMM
+    cfg = dataclasses.replace(_config(heads_per_kv), max_seq=640)
+    rng = np.random.default_rng(1000 * heads_per_kv + tk)
+
+    def rand(*shape):
+        return (rng.standard_normal(shape) * 0.5).astype(np.float32)
+
+    q, k_pos, q_pos = rand(1, cfg.n_q_heads, cfg.d_head), np.arange(tk), np.array([tk - 1])
+    keys, values = rand(tk, cfg.n_kv_heads, cfg.d_head), rand(tk, cfg.n_kv_heads, cfg.d_head)
+    w_o = rand(cfg.d_hidden, cfg.d_hidden)
+    out = attention_block(q, keys, values, q_pos, k_pos, w_o, cfg)
+    expected = _reference_block(q, keys, values, q_pos, k_pos, w_o, cfg)
+    np.testing.assert_allclose(out, expected, atol=1e-5)
+
+    latents, k_factor, v_factor = rand(tk, RANK), rand(RANK, cfg.d_kv), rand(RANK, cfg.d_kv)
+    h64 = latents.astype(np.float64)
+    restored = _rotate((h64 @ k_factor).reshape(tk, cfg.n_kv_heads, cfg.d_head), k_pos,
+                       cfg.rope_theta, cfg.d_head)
+    restored_values = (h64 @ v_factor).reshape(tk, cfg.n_kv_heads, cfg.d_head)
+    expected = _reference_block(q, restored, restored_values, q_pos, k_pos, w_o, cfg)
+    for positions in (k_pos, range(tk)):
+        out = attend_latent(q, latents, k_factor, None, q_pos, positions,
+                            build_rope_table(cfg), cfg, v_factor=v_factor, w_o=w_o)
+        np.testing.assert_allclose(out, expected, atol=1e-5)

@@ -1,11 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from commonkv import tensorfile
 from commonkv.budget import allocate_budget
+from commonkv.corpus import markov_byte_corpus
 from commonkv.errors import InputError, NumericError
-from commonkv.latent_cache import (LatentSession, attend_latent, baseline_elements,
-                                   compute_latent, restore_keys)
+from commonkv.latent_cache import (SUFFIX_CHUNK_ROWS, LatentCacheStore, LatentSession,
+                                   attend_latent, baseline_elements, compute_latent,
+                                   restore_keys)
 from commonkv.model import (BaselineSession, apply_rope, attention_block,
                             build_rope_table, rms_norm)
 
@@ -299,3 +303,91 @@ def test_rope_values_shared_across_layers(fact07):
     pos = 17
     rows = {(t.cos[pos].tobytes(), t.sin[pos].tobytes()) for t in tables}
     assert len(rows) == 1
+
+
+# -- chunked decode suffixes -------------------------------------------------------
+
+C = SUFFIX_CHUNK_ROWS
+
+
+def _recording_session(weights, fact):
+    """A session whose store also keeps every decode append, for a reference."""
+    session = LatentSession(weights, fact)
+    appended = [[] for _ in range(weights.config.n_layers)]
+    append = session.store.append_decode
+
+    def record(layer, latents):
+        appended[layer].append(latents.copy())
+        append(layer, latents)
+
+    session.store.append_decode = record
+    return session, appended
+
+
+def test_chunked_suffixes_equal_concatenated_reference_at_chunk_boundaries(fact07):
+    weights, fact, _ = fact07
+    n_layers, prompt = weights.config.n_layers, 16
+    ids = markov_byte_corpus(12, 1, prompt + 2 * C + 1)[0]
+    session, appended = _recording_session(weights, fact)
+    session.prefill(ids[:prompt])
+    session.plan_and_merge(0.5, strategy="mean")
+    store = session.store
+    for step, t in enumerate(ids[prompt:], start=1):
+        session.decode(int(t))
+        if step not in (C - 1, C, C + 1, 2 * C + 1):
+            continue
+        reference = [np.concatenate(rows, axis=0) for rows in appended]
+        assert [s.tobytes() for s in store.suffixes] == [r.tobytes() for r in reference]
+        assert all(s.shape == (step, fact.rank) for s in store.suffixes)
+        for layer in range(n_layers):
+            visible = np.concatenate([store.prefix_for_layer(layer), reference[layer]])
+            assert store.visible_latents(layer).tobytes() == visible.tobytes()
+        audit = store.audit()
+        assert audit.suffix_elements == sum(r.size for r in reference)
+        assert audit.prefix_elements == sum(audit.per_group_prefix)
+        tensors = {f"layers.{l}.suffix": r for l, r in enumerate(reference)}
+        for gi, gc in enumerate(store.groups):
+            if gc.merged:
+                tensors[f"groups.{gi}.shared_prefix"] = gc.shared_prefix
+            else:
+                tensors.update({f"groups.{gi}.prefix.{slot}": p
+                                for slot, p in enumerate(gc.layer_prefixes)})
+        meta = {"kind": "latent_cache_dump", "prefill_positions": list(range(prompt)),
+                "decode_positions": list(range(prompt, prompt + step))}
+        assert store.debug_dump() == tensorfile.serialize(tensors, meta=meta)
+
+
+@pytest.mark.parametrize("sizes", [[5, 70, 200], [C, C, 1], [2 * C + 3], [1] * (C + 2)])
+def test_multi_row_appends_seal_whole_chunks(fact07, sizes):
+    _, fact, _ = fact07
+    store = LatentCacheStore(fact)
+    rng = np.random.default_rng(sum(sizes))
+    rows = [rng.standard_normal((n, fact.rank)).astype(np.float32) for n in sizes]
+    for r in rows:
+        store.append_decode(3, r)
+    assert store.suffixes[3].tobytes() == np.concatenate(rows).tobytes()
+    assert store.suffixes[2].shape == (0, fact.rank)
+    assert store.audit().suffix_elements == sum(r.size for r in rows)
+
+
+def test_decode_append_copies_at_most_a_chunk(fact07):
+    # 300 suffix rows already stored; each further one-row append (sealing
+    # included) allocates O(chunk * r), not O(suffix * r)
+    _, fact, _ = fact07
+    store = LatentCacheStore(fact)
+    rng = np.random.default_rng(8)
+    store.append_decode(0, rng.standard_normal((300, fact.rank)).astype(np.float32))
+    row_bytes = 4 * fact.rank
+    worst = 0
+    tracemalloc.start()
+    try:
+        for _ in range(C + 1):
+            row = rng.standard_normal((1, fact.rank)).astype(np.float32)
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            store.append_decode(0, row)
+            worst = max(worst, tracemalloc.get_traced_memory()[1] - before)
+    finally:
+        tracemalloc.stop()
+    assert store.suffixes[0].shape == (300 + C + 1, fact.rank)
+    assert worst <= 2 * C * row_bytes + 4096
