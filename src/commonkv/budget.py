@@ -22,6 +22,10 @@ from .errors import ConfigurationError, InputError, UnreachableRatioError
 from .model import ModelConfig, ModelWeights, loss_and_grads
 
 
+MERGE_STRATEGIES = ("mean", "fisher", "shallow", "deep")
+SCORE_VARIANTS = ("shortcut", "full")  # ``group_score`` / ``group_score_full``
+
+
 # ---------------------------------------------------------------------------
 # Group scores
 # ---------------------------------------------------------------------------
@@ -118,7 +122,7 @@ def allocate_budget(scores: list[float], target_ratio: float, layout, rank: int,
     """
     if not 0.0 <= target_ratio < 1.0:
         raise ConfigurationError("target ratio must be in [0, 1)")
-    if strategy not in ("mean", "fisher", "shallow", "deep"):
+    if strategy not in MERGE_STRATEGIES:
         raise ConfigurationError(f"unknown merge strategy {strategy!r}")
     n_groups = layout.n_groups
     if len(scores) != n_groups:
@@ -225,8 +229,6 @@ def estimate_fisher(weights: ModelWeights, corpus: list[np.ndarray],
 # ---------------------------------------------------------------------------
 # Merging
 # ---------------------------------------------------------------------------
-
-MERGE_STRATEGIES = ("mean", "fisher", "shallow", "deep")
 
 
 def merge_group(prefixes: list[np.ndarray], strategy: str,

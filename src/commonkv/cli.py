@@ -11,7 +11,8 @@ Exit codes (documented for scripting):
     6  I/O error
 
 Flags can also be supplied through ``--config FILE`` (a flat JSON object of
-flag names with dashes replaced by underscores); explicit flags win.
+flag names with dashes replaced by underscores); explicit flags win.  A
+config-file value goes through its flag's own type, as if it were typed.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluation, selfcheck
-from .budget import FisherWeights, estimate_fisher
+from .budget import MERGE_STRATEGIES, SCORE_VARIANTS, FisherWeights, estimate_fisher
 from .corpus import load_byte_file, markov_byte_corpus
 from .errors import (CapacityError, CommonKVError, ConfigurationError, InputError,
                      NumericError)
@@ -52,13 +53,27 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> argparse.Namespace:
         if not isinstance(cfg_file, dict):
             raise ConfigurationError("--config must hold a JSON object")
     for key, builtin in defaults.items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, cfg_file.get(key, builtin))
+        if getattr(args, key, None) is not None:
+            continue
+        value = cfg_file.get(key, builtin)
+        cast = args.flag_types.get(key)
+        if key in cfg_file and cast is not None:
+            try:
+                value = cast(str(value))
+            except ValueError:
+                raise ConfigurationError(f"--config {args.config}: {key}={value!r} is not "
+                                         f"a valid {cast.__name__}") from None
+        setattr(args, key, value)
     return args
 
 
-def _parse_list(text: str, cast) -> list:
-    return [cast(part) for part in str(text).split(",") if part != ""]
+def _parse_list(text: str, cast, flag: str) -> list:
+    """A comma-separated flag value; an unparsable item is a ConfigurationError."""
+    try:
+        return [cast(part) for part in str(text).split(",") if part != ""]
+    except ValueError:
+        raise ConfigurationError(f"--{flag} {text!r} is not a comma-separated list "
+                                 f"of {cast.__name__} values") from None
 
 
 def _corpus_ids(args, seed_offset: int = 0) -> np.ndarray:
@@ -220,27 +235,27 @@ def cmd_bench(args) -> int:
         "modes": "baseline,commonkv,lowrank_perlayer,rawkv_meanmerge",
         "seeds": "0,1,2", "merge": "mean", "score": "shortcut", "tokens": 128,
         "prefill_fraction": 0.875, "fisher_file": None, "summary": None,
-        "workers": 1, "group_size": 4, "factorized": None,
+        "group_size": 4, "factorized": None,
     })
+    modes = _parse_list(args.modes, str, "modes")
+    ratios = _parse_list(args.ratios, float, "ratios")
+    seeds = _parse_list(args.seeds, int, "seeds")
     weights = load_model(args.model)
     fact = _load_factorization(args, weights)
-    modes = _parse_list(args.modes, str)
     if "commonkv" in modes and fact is None:
         raise ConfigurationError("commonkv mode needs --factorized")
     fisher = _load_fisher(args.fisher_file, weights.config)
     if args.merge == "fisher" and fisher is None and "commonkv" in modes:
         raise ConfigurationError("fisher merge needs --fisher-file")
     records = evaluation.bench_sweep(
-        weights, fact, _parse_list(args.ratios, float), modes,
-        _parse_list(args.seeds, int), strategy=args.merge, fisher=fisher,
+        weights, fact, ratios, modes, seeds, strategy=args.merge, fisher=fisher,
         score_variant=args.score, probe_tokens=args.tokens,
-        prefill_fraction=args.prefill_fraction, group_size=args.group_size,
-        workers=args.workers)
+        prefill_fraction=args.prefill_fraction, group_size=args.group_size)
     Path(args.out).write_text(evaluation.records_to_csv(records))
     if args.summary:
         _write_json(args.summary, evaluation.sweep_summary(
             records, weights.config,
-            extra={"seeds": _parse_list(args.seeds, int), "merge": args.merge,
+            extra={"seeds": seeds, "merge": args.merge,
                    "score": args.score, "tokens": args.tokens}))
     done = sum(1 for r in records if not r.unreachable)
     print(f"wrote {len(records)} records to {args.out} "
@@ -260,6 +275,12 @@ def cmd_check(args) -> int:
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
+
+def _command(p: argparse.ArgumentParser, func) -> None:
+    """Bind a subcommand to ``func`` and record its flags' types for ``--config``."""
+    p.set_defaults(func=func, flag_types={a.dest: a.type for a in p._actions
+                                          if a.type is not None})
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -282,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d-mlp", dest="d_mlp", type=int)
     p.add_argument("--max-seq", dest="max_seq", type=int)
     p.add_argument("--rope-theta", dest="rope_theta", type=float)
-    p.set_defaults(func=cmd_gen_toy)
+    _command(p, cmd_gen_toy)
 
     p = sub.add_parser("transform", help="factorize a base model")
     common(p)
@@ -291,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group-size", dest="group_size", type=int)
     p.add_argument("--rank-fraction", dest="rank_fraction", type=float)
     p.add_argument("--report", help="sidecar report path (default OUT.report.json)")
-    p.set_defaults(func=cmd_transform)
+    _command(p, cmd_transform)
 
     p = sub.add_parser("fisher", help="estimate per-layer Fisher weights")
     common(p)
@@ -300,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int)
     p.add_argument("--seq-len", dest="seq_len", type=int)
     p.add_argument("--corpus", help="byte file; default is the seeded generator")
-    p.set_defaults(func=cmd_fisher)
+    _command(p, cmd_fisher)
 
     p = sub.add_parser("profile", help="cross-layer similarity report")
     common(p)
@@ -309,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--tokens", type=int)
     p.add_argument("--corpus")
-    p.set_defaults(func=cmd_profile)
+    _command(p, cmd_profile)
 
     p = sub.add_parser("run", help="teacher-forced evaluation of one session")
     common(p)
@@ -317,8 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--factorized")
     p.add_argument("--mode", choices=evaluation.MODES)
     p.add_argument("--ratio", type=float)
-    p.add_argument("--merge", choices=("mean", "fisher", "shallow", "deep"))
-    p.add_argument("--score", choices=("shortcut", "full"))
+    p.add_argument("--merge", choices=MERGE_STRATEGIES)
+    p.add_argument("--score", choices=SCORE_VARIANTS)
     p.add_argument("--fisher-file", dest="fisher_file")
     p.add_argument("--tokens", type=int)
     p.add_argument("--prefill-fraction", dest="prefill_fraction", type=float)
@@ -326,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus")
     p.add_argument("--generate", type=int, help="greedy tokens to append to the report")
     p.add_argument("--out", help="JSON session report path")
-    p.set_defaults(func=cmd_run)
+    _command(p, cmd_run)
 
     p = sub.add_parser("bench", help="sweep modes x ratios x seeds into a CSV")
     common(p)
@@ -337,19 +358,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ratios")
     p.add_argument("--modes")
     p.add_argument("--seeds")
-    p.add_argument("--merge", choices=("mean", "fisher", "shallow", "deep"))
-    p.add_argument("--score", choices=("shortcut", "full"))
+    p.add_argument("--merge", choices=MERGE_STRATEGIES)
+    p.add_argument("--score", choices=SCORE_VARIANTS)
     p.add_argument("--fisher-file", dest="fisher_file")
     p.add_argument("--tokens", type=int)
     p.add_argument("--prefill-fraction", dest="prefill_fraction", type=float)
     p.add_argument("--group-size", dest="group_size", type=int)
-    p.add_argument("--workers", type=int)
-    p.set_defaults(func=cmd_bench)
+    _command(p, cmd_bench)
 
     p = sub.add_parser("check", help="run the invariant self-test suite")
     common(p)
     p.add_argument("--out", help="also write the report here")
-    p.set_defaults(func=cmd_check)
+    _command(p, cmd_check)
 
     return parser
 

@@ -28,14 +28,13 @@ import numpy as np
 from . import budget as budget_mod
 from .budget import BudgetPlan, FisherWeights, group_score, top_k_groups
 from .corpus import markov_byte_corpus
-from .errors import (CapacityError, ConfigurationError, InputError, NumericError,
-                     UnreachableRatioError)
+from .errors import ConfigurationError, InputError, NumericError, UnreachableRatioError
 from .factorization import (SharedFactorization, build_factorization,
                             factorize_group, GroupLayout)
 from .latent_cache import LatentSession, baseline_elements, compute_latent
-from .model import (BaselineSession, ModelConfig, ModelWeights, apply_rope,
-                    attention_block, build_rope_table, mlp_block, nll_from_logits,
-                    rms_norm, _check_tokens)
+from .model import (BaselineSession, LayerWeights, ModelConfig, ModelWeights, RopeTable,
+                    apply_rope, attention_block, build_rope_table, forward, mlp_block,
+                    nll_from_logits, project_kv, rms_norm, _check_tokens)
 
 MODES = ("baseline", "commonkv", "lowrank_perlayer", "rawkv_meanmerge")
 CSV_COLUMNS = ("mode", "target_ratio", "achieved_ratio", "nll", "cache_elements",
@@ -64,14 +63,14 @@ def _collect_layer_states(weights: ModelWeights, ids: np.ndarray,
     cfg = weights.config
     rope = build_rope_table(cfg)
     positions = np.arange(ids.size, dtype=np.int64)
+    rows = range(ids.size)
     hiddens, keys, values, latents = [], [], [], []
     x = weights.embed[ids]
     for li, lw in enumerate(weights.layers):
         hiddens.append(x.copy())
         xn = rms_norm(x, lw.attn_gain)
-        q = apply_rope((xn @ lw.w_q).reshape(-1, cfg.n_q_heads, cfg.d_head), positions, rope)
-        k = apply_rope((xn @ lw.w_k).reshape(-1, cfg.n_kv_heads, cfg.d_head), positions, rope)
-        v = (xn @ lw.w_v).reshape(-1, cfg.n_kv_heads, cfg.d_head)
+        q = apply_rope((xn @ lw.w_q).reshape(-1, cfg.n_q_heads, cfg.d_head), rows, rope)
+        k, v = project_kv(xn, lw, rows, rope, cfg)
         keys.append(k.reshape(ids.size, -1))
         values.append(v.reshape(ids.size, -1))
         if fact is not None:
@@ -157,6 +156,8 @@ class RawKVSession:
     ``round(ratio * n_groups)`` most similar groups (first/last raw-cache
     cosine, ties to the lower index) share the arithmetic mean of their
     members' key and value tensors.  Decode tokens keep per-layer caches.
+    The session is the KV store ``model.forward`` runs over, projecting and
+    attending as the full-KV ``KVCache`` does.
     """
 
     def __init__(self, weights: ModelWeights, group_size: int):
@@ -164,92 +165,79 @@ class RawKVSession:
         self.config = weights.config
         self.layout = GroupLayout.for_model(weights.config.n_layers, group_size)
         self.rope = build_rope_table(weights.config)
-        self.prefix_keys: list[np.ndarray] = []   # per layer until merged
-        self.prefix_values: list[np.ndarray] = []
+        empty = np.empty((0, self.config.n_kv_heads, self.config.d_head), dtype=np.float32)
+        # each layer's own rows: its prefill rows until its group merges, then decode rows
+        self.keys = [empty] * self.config.n_layers
+        self.values = [empty] * self.config.n_layers
         self.group_prefix: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self.suffix_keys = [np.empty((0, self.config.n_kv_heads, self.config.d_head),
-                                     dtype=np.float32) for _ in range(self.config.n_layers)]
-        self.suffix_values = [s.copy() for s in self.suffix_keys]
         self.prefill_positions = np.empty(0, dtype=np.int64)
         self.decode_positions = np.empty(0, dtype=np.int64)
         self.merged_groups: list[int] = []
+        self._decoding = False
 
     def prefill(self, token_ids) -> np.ndarray:
-        if self.prefix_keys:
+        if self.n_tokens:
             raise InputError("raw-KV session supports a single prefill call")
-        session = BaselineSession(self.weights, self.rope)
-        logits = session.prefill(token_ids)
-        self.prefix_keys = [lk.keys for lk in session.cache.layers]
-        self.prefix_values = [lk.values for lk in session.cache.layers]
-        self.prefill_positions = session.cache.positions
-        return logits
+        return forward(self.weights, token_ids, self, self.rope)
 
     def group_scores(self) -> list[float]:
+        t = self.prefill_positions.size
         scores = []
         for gi in range(self.layout.n_groups):
-            members = list(self.layout.layers_of(gi))
+            members = self.layout.layers_of(gi)
             first, last = members[0], members[-1]
-            t = self.prefill_positions.size
-            k_sim = group_score(self.prefix_keys[first].reshape(t, -1),
-                                self.prefix_keys[last].reshape(t, -1))
-            v_sim = group_score(self.prefix_values[first].reshape(t, -1),
-                                self.prefix_values[last].reshape(t, -1))
+            k_sim = group_score(self.keys[first][:t].reshape(t, -1),
+                                self.keys[last][:t].reshape(t, -1))
+            v_sim = group_score(self.values[first][:t].reshape(t, -1),
+                                self.values[last][:t].reshape(t, -1))
             scores.append(0.5 * (k_sim + v_sim))
         return scores
 
     def merge(self, target_ratio: float) -> dict:
         if not 0.0 <= target_ratio < 1.0:
             raise ConfigurationError("target ratio must be in [0, 1)")
+        if self.group_prefix:
+            raise InputError("raw-KV session merges once")
         k = round(target_ratio * self.layout.n_groups)
         scores = self.group_scores()
         self.merged_groups = top_k_groups(scores, k)
+        t = self.prefill_positions.size
         for gi in self.merged_groups:
-            members = list(self.layout.layers_of(gi))
-            mk = np.mean([self.prefix_keys[l].astype(np.float64) for l in members], axis=0)
-            mv = np.mean([self.prefix_values[l].astype(np.float64) for l in members], axis=0)
+            members = self.layout.layers_of(gi)
+            mk = np.mean([self.keys[l][:t].astype(np.float64) for l in members], axis=0)
+            mv = np.mean([self.values[l][:t].astype(np.float64) for l in members], axis=0)
             self.group_prefix[gi] = (mk.astype(np.float32), mv.astype(np.float32))
+            for l in members:
+                self.keys[l], self.values[l] = self.keys[l][t:].copy(), self.values[l][t:].copy()
         return {"scores": scores, "merged_groups": self.merged_groups, "count": k}
 
-    def _layer_prefix(self, layer: int) -> tuple[np.ndarray, np.ndarray]:
-        gi = self.layout.group_of(layer)
-        if gi in self.group_prefix:
-            return self.group_prefix[gi]
-        return self.prefix_keys[layer], self.prefix_values[layer]
-
     def decode(self, token_id: int) -> np.ndarray:
-        cfg = self.config
-        ids = _check_tokens(cfg, [token_id])
-        start = self.prefill_positions.size + self.decode_positions.size
-        if start + 1 > cfg.max_seq:
-            raise CapacityError(f"sequence of {start + 1} exceeds max_seq={cfg.max_seq}")
-        positions = np.array([start], dtype=np.int64)
-        self.decode_positions = np.concatenate([self.decode_positions, positions])
+        self._decoding = True
+        return forward(self.weights, [token_id], self, self.rope)[0]
 
-        x = self.weights.embed[ids]
-        for li, lw in enumerate(self.weights.layers):
-            xn = rms_norm(x, lw.attn_gain)
-            q = apply_rope((xn @ lw.w_q).reshape(-1, cfg.n_q_heads, cfg.d_head),
-                           positions, self.rope)
-            k = apply_rope((xn @ lw.w_k).reshape(-1, cfg.n_kv_heads, cfg.d_head),
-                           positions, self.rope)
-            v = (xn @ lw.w_v).reshape(-1, cfg.n_kv_heads, cfg.d_head)
-            self.suffix_keys[li] = np.concatenate([self.suffix_keys[li], k], axis=0)
-            self.suffix_values[li] = np.concatenate([self.suffix_values[li], v], axis=0)
-            pk, pv = self._layer_prefix(li)
-            keys = np.concatenate([pk, self.suffix_keys[li]], axis=0)
-            values = np.concatenate([pv, self.suffix_values[li]], axis=0)
-            k_positions = np.concatenate([self.prefill_positions, self.decode_positions])
-            x = x + attention_block(q, keys, values, positions, k_positions, lw.w_o, cfg)
-            x = x + mlp_block(rms_norm(x, lw.mlp_gain), lw)
-        return (rms_norm(x, self.weights.final_gain) @ self.weights.lm_head)[0]
+    @property
+    def n_tokens(self) -> int:
+        return self.prefill_positions.size + self.decode_positions.size
 
-    def element_count(self) -> int:
-        merged = sum(mk.size + mv.size for mk, mv in self.group_prefix.values())
-        unmerged = sum(self.prefix_keys[l].size + self.prefix_values[l].size
-                       for l in range(self.config.n_layers)
-                       if self.layout.group_of(l) not in self.group_prefix)
-        suffix = sum(k.size + v.size for k, v in zip(self.suffix_keys, self.suffix_values))
-        return merged + unmerged + suffix
+    def attend(self, layer: int, lw: LayerWeights, xn: np.ndarray, q: np.ndarray,
+               rows: range, rope: RopeTable) -> np.ndarray:
+        positions = np.arange(rows.start, rows.stop, dtype=np.int64)
+        if layer == 0 and self._decoding:
+            self.decode_positions = np.concatenate([self.decode_positions, positions])
+        elif layer == 0:
+            self.prefill_positions = positions
+        k, v = project_kv(xn, lw, rows, rope, self.config)
+        keys = self.keys[layer] = np.concatenate([self.keys[layer], k], axis=0)
+        values = self.values[layer] = np.concatenate([self.values[layer], v], axis=0)
+        if self.layout.group_of(layer) in self.group_prefix:
+            mk, mv = self.group_prefix[self.layout.group_of(layer)]
+            keys, values = np.concatenate([mk, keys]), np.concatenate([mv, values])
+        return attention_block(q, keys, values, positions, np.arange(rows.stop),
+                               lw.w_o, self.config)
+
+    def cache_element_count(self) -> int:
+        return sum(k.size + v.size
+                   for k, v in [*self.group_prefix.values(), *zip(self.keys, self.values)])
 
 
 # ---------------------------------------------------------------------------
@@ -273,13 +261,6 @@ def _split_point(n_tokens: int, prefill_fraction: float) -> int:
     return min(max(split, 1), n_tokens - 1)
 
 
-def _teacher_forced_nll(session, prompt_logits: np.ndarray, ids: np.ndarray,
-                        split: int) -> float:
-    """NLL over the prompt's logits plus one decode step per later token."""
-    rows = [prompt_logits] + [session.decode(int(t))[None, :] for t in ids[split:-1]]
-    return nll_from_logits(np.concatenate(rows, axis=0)[: ids.size - 1], ids[1:])
-
-
 def perplexity(mode: str, weights: ModelWeights, text_ids,
                fact: SharedFactorization | None = None,
                target_ratio: float = 0.0,
@@ -290,77 +271,64 @@ def perplexity(mode: str, weights: ModelWeights, text_ids,
                group_size: int = 4) -> EvalResult:
     """Teacher-forced mean NLL of ``text_ids`` under one cache mode.
 
+    Every mode runs one path: prefill, merge, teacher-forced decode, audit.
     The achieved ratio is always recomputed from the session's element
-    audit; for ``commonkv`` the prefill part is additionally cross-checked
-    against the budget plan's exact cost prediction.
+    audit, and the whole-session audit must equal the mode's exact closed
+    form: per-token prefix cost times the prefill length plus per-layer
+    decode rows times the decode steps.  ``baseline`` prefills the whole
+    text in one shot, bit-identical to the model module's own loss path.
     """
-    ids = _check_tokens(weights.config, text_ids)
+    cfg = weights.config
+    ids = _check_tokens(cfg, text_ids)
     if ids.size < 2:
         raise InputError("text must hold at least 2 tokens")
     if mode not in MODES:
         raise ConfigurationError(f"unknown mode {mode!r}")
-    n_base = baseline_elements(weights.config, ids.size)
-
+    split = ids.size if mode == "baseline" else _split_point(ids.size, prefill_fraction)
+    prefix_per_token = step_elements = cfg.n_layers * 2 * cfg.d_kv  # full KV per token
+    plan, extras = None, {}
     if mode == "baseline":
-        # One-shot prefill: bit-identical to the model module's own loss path.
-        session = BaselineSession(weights)
-        logits = session.prefill(ids)
-        nll = nll_from_logits(logits[:-1], ids[1:])
-        elements = session.cache_element_count()
-        if elements != n_base:
-            raise NumericError("baseline audit does not match closed form")
-        return EvalResult(mode=mode, nll=nll, target_ratio=0.0,
-                          achieved_ratio=1.0 - elements / n_base,
-                          cache_elements=elements, n_tokens=int(ids.size))
-
-    split = _split_point(ids.size, prefill_fraction)
-    if mode == "rawkv_meanmerge":
+        session, target_ratio = BaselineSession(weights), 0.0
+    elif mode == "rawkv_meanmerge":
         session = RawKVSession(weights, group_size)
-        logits = session.prefill(ids[:split])
-        merge_info = session.merge(target_ratio)
-        nll = _teacher_forced_nll(session, logits, ids, split)
-        elements = session.element_count()
-        expected = ((merge_info["count"] * 1 +
-                     (session.layout.n_groups - merge_info["count"]) * group_size)
-                    * 2 * weights.config.d_kv * split
-                    + weights.config.n_layers * 2 * weights.config.d_kv
-                    * (ids.size - 1 - split))
-        if elements != expected:
-            raise NumericError("raw-KV audit does not match merge accounting")
-        return EvalResult(mode=mode, nll=nll, target_ratio=target_ratio,
-                          achieved_ratio=1.0 - elements / n_base,
-                          cache_elements=elements, n_tokens=int(ids.size),
-                          extras=merge_info)
+    else:
+        if mode == "lowrank_perlayer":
+            # at most d_hidden: when 2*d_kv exceeds it, full rank already meets low targets
+            rank = max(1, min(cfg.d_hidden, int((1.0 - target_ratio) * 2 * cfg.d_kv)))
+            fact = build_factorization(weights, group_size=1, rank=rank)
+        elif fact is None:
+            raise ConfigurationError("commonkv mode needs a factorized model")
+        session = LatentSession(weights, fact)
+        step_elements = cfg.n_layers * fact.rank
 
-    # latent modes need a factorization
-    if mode == "lowrank_perlayer":
-        # at most d_hidden: when 2*d_kv exceeds it, full rank already meets low targets
-        rank = max(1, min(weights.config.d_hidden,
-                          int((1.0 - target_ratio) * 2 * weights.config.d_kv)))
-        fact = build_factorization(weights, group_size=1, rank=rank)
-    elif fact is None:
-        raise ConfigurationError("commonkv mode needs a factorized model")
-    session = LatentSession(weights, fact)
     logits = session.prefill(ids[:split])
-    if mode == "lowrank_perlayer":
+    if mode == "rawkv_meanmerge":
+        extras = session.merge(target_ratio)
+        count = extras["count"]
+        prefix_per_token = (count + (session.layout.n_groups - count) * group_size) \
+            * 2 * cfg.d_kv
+    elif mode == "lowrank_perlayer":
         # per-layer reference never merges; with m=1 the cost is rank-driven only
         plan = budget_mod.allocate_budget([1.0] * fact.layout.n_groups, 0.0, fact.layout,
-                                          fact.rank, weights.config, strategy="mean")
+                                          fact.rank, cfg, strategy="mean")
         session.apply_plan(plan)
-    else:
+    elif mode == "commonkv":
         plan = session.plan_and_merge(target_ratio, strategy=strategy, fisher=fisher,
                                       score_variant=score_variant)
-    nll = _teacher_forced_nll(session, logits, ids, split)
+    if plan is not None:
+        prefix_per_token = plan.cost_per_token
+    # NLL over the prompt's logits plus one decode step per later token
+    rows = [logits] + [session.decode(int(t))[None, :] for t in ids[split:-1]]
+    nll = nll_from_logits(np.concatenate(rows, axis=0)[: ids.size - 1], ids[1:])
 
-    audit = session.audit()
-    expected_prefix = plan.cost_per_token * session.store.prefill_len
-    if audit.prefix_elements != expected_prefix:
-        raise NumericError(
-            f"prefill audit {audit.prefix_elements} != plan prediction {expected_prefix}")
-    elements = audit.total_elements
+    elements = session.cache_element_count()
+    expected = prefix_per_token * split + step_elements * ids[split:-1].size
+    if elements != expected:
+        raise NumericError(f"{mode} cache audit {elements} elements != closed form {expected}")
     return EvalResult(mode=mode, nll=nll, target_ratio=target_ratio,
-                      achieved_ratio=1.0 - elements / n_base,
-                      cache_elements=elements, n_tokens=int(ids.size), plan=plan)
+                      achieved_ratio=1.0 - elements / baseline_elements(cfg, ids.size),
+                      cache_elements=elements, n_tokens=int(ids.size), plan=plan,
+                      extras=extras)
 
 
 # ---------------------------------------------------------------------------
@@ -393,14 +361,12 @@ def bench_sweep(weights: ModelWeights, fact: SharedFactorization | None,
                 strategy: str = "mean", fisher: FisherWeights | None = None,
                 score_variant: str = "shortcut", probe_tokens: int = 128,
                 prefill_fraction: float = 0.875,
-                group_size: int = 4, workers: int = 1) -> list[BenchRecord]:
+                group_size: int = 4) -> list[BenchRecord]:
     """One record per (mode, ratio, seed); fresh session and probe per record.
 
     Baseline ignores the ratio axis and is run once per seed at ratio 0.
     Unreachable (mode, ratio) pairs are recorded with empty measurements; any
     other error ends the sweep.
-    Entries are independent; ``workers > 1`` runs them on a thread pool with
-    the output order preserved.
     """
     for mode in modes:
         if mode not in MODES:
@@ -430,10 +396,6 @@ def bench_sweep(weights: ModelWeights, fact: SharedFactorization | None,
                            cache_elements=res.cache_elements,
                            wall_ms=(time.perf_counter() - start) * 1e3, seed=seed)
 
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run_one, tasks))
     return [run_one(t) for t in tasks]
 
 

@@ -1,6 +1,9 @@
 """Runtime latent KV cache and the compressed-inference session.
 
-The cache stores position-free latent rows ``h = x_normed @ A`` per layer.
+A ``LatentSession`` is the KV store that ``model.forward`` runs over: the
+decoder layer is the baseline's, and only what a layer caches and how it
+attends differ.  The cache stores position-free latent rows
+``h = x_normed @ A`` per layer.
 Keys are restored on the fly each step as ``rope(h @ B_k)``: a session's key
 positions are always 0..T-1, so the rotations are a slice of the RoPE table,
 applied in place on the GEMM's output.  Values are never cached: the value
@@ -25,10 +28,10 @@ import numpy as np
 
 from . import budget as budget_mod
 from . import tensorfile
-from .errors import CapacityError, InputError, NumericError
+from .errors import InputError, NumericError
 from .factorization import SharedFactorization
-from .model import (ModelConfig, ModelWeights, RopeTable, apply_rope, attention_block,
-                    attention_probs, build_rope_table, mlp_block, rms_norm, _check_tokens)
+from .model import (LayerWeights, ModelConfig, ModelWeights, RopeTable, apply_rope,
+                    attention_block, attention_probs, build_rope_table, forward)
 
 
 def compute_latent(x: np.ndarray, shared: np.ndarray) -> np.ndarray:
@@ -272,7 +275,10 @@ class LatentCacheStore:
 class LatentSession:
     """One compressed-inference session: prefill, plan/merge, decode.
 
-    The value path is factored (``B_v`` then ``W_o``, see ``attend_latent``);
+    The session is its own KV store for ``model.forward`` (``n_tokens`` and
+    ``attend``): a layer's new latents join its prefix until the prefill
+    phase closes (merge or decode), and its suffix after.  The value path
+    is factored (``B_v`` then ``W_o``, see ``attend_latent``);
     ``fused_values=True`` runs the fused ``M_q`` verification path instead.
     """
 
@@ -294,9 +300,7 @@ class LatentSession:
         """Process prompt tokens, caching per-layer latent prefixes."""
         if self._prefill_frozen:
             raise InputError("prefill phase already closed (merge or decode happened)")
-        ids = _check_tokens(self.weights.config, token_ids)
-        logits = self._forward(ids, phase="prefill")
-        return logits
+        return forward(self.weights, token_ids, self, self.rope)
 
     def plan_and_merge(self, target_ratio: float, strategy: str = "fisher",
                        fisher: budget_mod.FisherWeights | None = None,
@@ -310,19 +314,17 @@ class LatentSession:
         return plan
 
     def group_scores(self, variant: str = "shortcut") -> list[float]:
-        layout = self.fact.layout
+        if variant not in budget_mod.SCORE_VARIANTS:
+            raise InputError(f"unknown score variant {variant!r}")
         scores = []
-        for gi in range(layout.n_groups):
-            gc = self.store.groups[gi]
+        for gc in self.store.groups:
             if gc.merged:
                 raise InputError("scores must be computed before merging")
             if variant == "shortcut":
                 scores.append(budget_mod.group_score(gc.layer_prefixes[0],
                                                      gc.layer_prefixes[-1]))
-            elif variant == "full":
-                scores.append(budget_mod.group_score_full(gc.layer_prefixes))
             else:
-                raise InputError(f"unknown score variant {variant!r}")
+                scores.append(budget_mod.group_score_full(gc.layer_prefixes))
         return scores
 
     def apply_plan(self, plan: budget_mod.BudgetPlan,
@@ -345,56 +347,43 @@ class LatentSession:
     def decode(self, token_id: int) -> np.ndarray:
         """One generated token; its latent joins the layer-private suffix."""
         self._prefill_frozen = True
-        ids = _check_tokens(self.weights.config, [token_id])
-        return self._forward(ids, phase="decode")[0]
+        return forward(self.weights, [token_id], self, self.rope)[0]
 
-    # -- internals -----------------------------------------------------------
+    # -- the KV store ``model.forward`` runs over ------------------------------
 
-    def _forward(self, ids: np.ndarray, phase: str) -> np.ndarray:
-        cfg = self.weights.config
-        store = self.store
-        start = store.prefill_len + store.decode_len
-        end = start + ids.size
-        if end > cfg.max_seq:
-            raise CapacityError(f"sequence of {end} exceeds max_seq={cfg.max_seq}")
-        positions = np.arange(start, end, dtype=np.int64)
-        # the new rows and every layer's visible rows are contiguous position
-        # ranges, built once per forward, so RoPE slices its table
-        rows, k_positions = range(start, end), range(end)
-        if phase == "prefill":
-            store.prefill_positions = np.concatenate([store.prefill_positions, positions])
-        else:
+    @property
+    def n_tokens(self) -> int:
+        return self.store.prefill_len + self.store.decode_len
+
+    def attend(self, layer: int, lw: LayerWeights, xn: np.ndarray, q: np.ndarray,
+               rows: range, rope: RopeTable) -> np.ndarray:
+        """Cache the rows' latents (prefix or suffix by phase), attend over the layer's."""
+        store, decoding = self.store, self._prefill_frozen
+        positions = np.arange(rows.start, rows.stop, dtype=np.int64)
+        if layer == 0 and decoding:
             store.decode_positions = np.concatenate([store.decode_positions, positions])
-
-        x = self.weights.embed[ids]
-        for li, lw in enumerate(self.weights.layers):
-            xn = rms_norm(x, lw.attn_gain)
-            q = (xn @ lw.w_q).reshape(-1, cfg.n_q_heads, cfg.d_head)
-            apply_rope(q, rows, self.rope, out=q)
-            h_new = compute_latent(xn, self.fact.shared_for_layer(li))
-            if phase == "prefill":
-                store.append_prefill(li, h_new)
-            else:
-                store.append_decode(li, h_new)
-            latents = store.visible_latents(li)
-            kwargs = {}
-            if not self.fused_values:
-                kwargs = {"v_factor": self.fact.v_factors[li], "w_o": lw.w_o}
-            x = x + attend_latent(q, latents, self.fact.k_factors[li],
-                                  self.fact.fused_out[li], positions, k_positions,
-                                  self.rope, cfg, **kwargs)
-            x = x + mlp_block(rms_norm(x, lw.mlp_gain), lw)
-        return rms_norm(x, self.weights.final_gain) @ self.weights.lm_head
+        elif layer == 0:
+            store.prefill_positions = np.concatenate([store.prefill_positions, positions])
+        append = store.append_decode if decoding else store.append_prefill
+        append(layer, compute_latent(xn, self.fact.shared_for_layer(layer)))
+        kwargs = {} if self.fused_values else {"v_factor": self.fact.v_factors[layer],
+                                               "w_o": lw.w_o}
+        # a session's keys are always the positions 0..T-1, so RoPE slices its table
+        return attend_latent(q, store.visible_latents(layer), self.fact.k_factors[layer],
+                             self.fact.fused_out[layer], positions, range(rows.stop), rope,
+                             self.weights.config, **kwargs)
 
     # -- accounting ----------------------------------------------------------
 
     def audit(self) -> CacheAudit:
         return self.store.audit()
 
+    def cache_element_count(self) -> int:
+        return self.audit().total_elements
+
     def achieved_ratio(self) -> float:
         """Compression vs the full-KV baseline, prefill and decode pooled."""
-        n_tokens = self.store.prefill_len + self.store.decode_len
-        if n_tokens == 0:
+        if self.n_tokens == 0:
             return 0.0
-        return 1.0 - self.audit().total_elements / baseline_elements(self.weights.config,
-                                                                     n_tokens)
+        return 1.0 - self.cache_element_count() / baseline_elements(self.weights.config,
+                                                                    self.n_tokens)

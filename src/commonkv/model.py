@@ -1,6 +1,8 @@
 """Deterministic toy GQA decoder with byte vocabulary and full-KV baseline.
 
-Conventions (shared with the factorized engine, keep in sync):
+``forward`` is the one decoder layer loop: every session (full-KV, latent,
+raw-KV merge) runs it over its own KV store, so the conventions below hold
+for all of them:
 
 * hidden states are row vectors, projections are ``x @ W``
 * query head ``q`` reads KV head ``q // (n_q_heads // n_kv_heads)``
@@ -415,6 +417,8 @@ class LayerKV:
 
 @dataclass
 class KVCache:
+    """Full-KV store: every layer's rotated keys and values for every token."""
+
     config: ModelConfig
     layers: list[LayerKV] = field(default_factory=list)
     positions: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
@@ -433,12 +437,32 @@ class KVCache:
     def element_count(self) -> int:
         return sum(lk.keys.size + lk.values.size for lk in self.layers)
 
+    def attend(self, layer: int, lw: LayerWeights, xn: np.ndarray, q: np.ndarray,
+               rows: range, rope: RopeTable) -> np.ndarray:
+        if layer == 0:
+            self.positions = np.concatenate([self.positions, np.arange(rows.start, rows.stop)])
+        k, v = project_kv(xn, lw, rows, rope, self.config)
+        lk = self.layers[layer]
+        lk.keys = np.concatenate([lk.keys, k], axis=0)
+        lk.values = np.concatenate([lk.values, v], axis=0)
+        return attention_block(q, lk.keys, lk.values, self.positions[rows.start:],
+                               self.positions, lw.w_o, self.config)
+
 
 def _check_tokens(config: ModelConfig, token_ids: np.ndarray) -> np.ndarray:
     ids = np.asarray(token_ids, dtype=np.int64).reshape(-1)
     if ids.size and (ids.min() < 0 or ids.max() >= config.vocab_size):
         raise InputError("token id outside byte vocabulary")
     return ids
+
+
+def project_kv(xn: np.ndarray, lw: LayerWeights, rows: range, rope: RopeTable,
+               config: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Keys, rotated in place to positions ``rows``, and values of normed rows."""
+    k = (xn @ lw.w_k).reshape(-1, config.n_kv_heads, config.d_head)
+    v = (xn @ lw.w_v).reshape(-1, config.n_kv_heads, config.d_head)
+    apply_rope(k, rows, rope, out=k)
+    return k, v
 
 
 def attention_block(q_rope: np.ndarray, keys: np.ndarray, values: np.ndarray,
@@ -454,44 +478,41 @@ def attention_block(q_rope: np.ndarray, keys: np.ndarray, values: np.ndarray,
     return o_cat.reshape(tq, config.d_hidden) @ w_o
 
 
-def forward_baseline(weights: ModelWeights, token_ids, cache: KVCache | None = None,
-                     rope: RopeTable | None = None) -> tuple[np.ndarray, KVCache]:
-    """Run the decoder over new tokens, extending the full-KV cache.
+def forward(weights: ModelWeights, token_ids, store, rope: RopeTable) -> np.ndarray:
+    """Run the decoder layers over new tokens through a KV store; returns logits.
 
-    A fresh/empty cache makes this a prefill; calling again with more tokens
-    is decode (or chunked prefill — the math is identical).  Returns logits
-    of shape (new_tokens, vocab) and the updated cache.
+    The store decides what a layer caches and how it attends.  It provides
+    ``n_tokens``, the tokens already cached (the new ones take positions
+    ``rows = range(n_tokens, n_tokens + len(token_ids))``), and
+    ``attend(layer, lw, xn, q, rows, rope)``: cache what the layer keeps of
+    its normed rows ``xn``, then return the ``lw.w_o``-projected causal
+    attention (Tq, d_hidden) of the rotated queries ``q`` over every row the
+    layer sees.  Layers run in order; layer 0's call records ``rows`` in the
+    store's positions.  Tokens and ``max_seq`` are checked first, so a
+    rejected call leaves the store as it was.
     """
     cfg = weights.config
     ids = _check_tokens(cfg, token_ids)
-    if cache is None:
-        cache = KVCache(cfg)
-    if rope is None:
-        rope = build_rope_table(cfg)
-    start = cache.n_tokens
+    start = store.n_tokens
     if start + ids.size > cfg.max_seq:
         raise CapacityError(f"sequence of {start + ids.size} exceeds max_seq={cfg.max_seq}")
-    positions = np.arange(start, start + ids.size, dtype=np.int64)
     rows = range(start, start + ids.size)
 
     x = weights.embed[ids]
     for li, lw in enumerate(weights.layers):
         xn = rms_norm(x, lw.attn_gain)
         q = (xn @ lw.w_q).reshape(-1, cfg.n_q_heads, cfg.d_head)
-        k = (xn @ lw.w_k).reshape(-1, cfg.n_kv_heads, cfg.d_head)
-        v = (xn @ lw.w_v).reshape(-1, cfg.n_kv_heads, cfg.d_head)
         apply_rope(q, rows, rope, out=q)
-        apply_rope(k, rows, rope, out=k)
-        lk = cache.layers[li]
-        lk.keys = np.concatenate([lk.keys, k], axis=0)
-        lk.values = np.concatenate([lk.values, v], axis=0)
-        k_positions = np.concatenate([cache.positions, positions])
-        x = x + attention_block(q, lk.keys, lk.values, positions, k_positions, lw.w_o, cfg)
-        x = x + mlp_block(rms_norm(x, lw.mlp_gain), lw)
-    cache.positions = np.concatenate([cache.positions, positions])
+        x += store.attend(li, lw, xn, q, rows, rope)
+        x += mlp_block(rms_norm(x, lw.mlp_gain), lw)
+    return rms_norm(x, weights.final_gain) @ weights.lm_head
 
-    logits = rms_norm(x, weights.final_gain) @ weights.lm_head
-    return logits, cache
+
+def forward_baseline(weights: ModelWeights, token_ids, cache: KVCache | None = None,
+                     rope: RopeTable | None = None) -> tuple[np.ndarray, KVCache]:
+    """``forward`` over a full-KV cache (a new one by default); returns (logits, cache)."""
+    cache = cache if cache is not None else KVCache(weights.config)
+    return forward(weights, token_ids, cache, rope or build_rope_table(weights.config)), cache
 
 
 class BaselineSession:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .budget import allocate_budget, estimate_fisher, top_k_groups
+from .budget import MERGE_STRATEGIES, allocate_budget, estimate_fisher, top_k_groups
 from .corpus import markov_byte_corpus
 from .errors import UnreachableRatioError
 from .factorization import (GroupLayout, factorize_group, transform_model,
@@ -139,7 +139,7 @@ def _check_lossless_merge(seed: int) -> tuple[bool, str]:
     w2, fact = load_factorized(blob)
     ids = markov_byte_corpus(seed + 4, 1, 24)[0]
     worst = 0.0
-    for strategy in ("mean", "fisher", "shallow", "deep"):
+    for strategy in MERGE_STRATEGIES:
         ref = LatentSession(w2, fact)
         ref.prefill(ids[:16])
         for gc in ref.store.groups:       # force bit-identical member prefixes

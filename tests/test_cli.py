@@ -133,8 +133,7 @@ def test_bench_csv_and_summary(workdir):
     summary_path = workdir / "summary.json"
     assert main(["bench", "--model", str(model), "--factorized", str(fact),
                  "--out", str(csv_path), "--summary", str(summary_path),
-                 "--ratios", "0.3,0.5", "--seeds", "0", "--tokens", "64",
-                 "--workers", "2"]) == 0
+                 "--ratios", "0.3,0.5", "--seeds", "0", "--tokens", "64"]) == 0
     lines = csv_path.read_text().strip().split("\n")
     assert lines[0] == ",".join(CSV_COLUMNS)
     assert len(lines) == 1 + 1 + 3 * 2   # header + baseline + 3 modes x 2 ratios
@@ -174,6 +173,37 @@ def test_malformed_config_json_is_configuration_error(workdir):
     code = main(["run", "--model", str(workdir / "model.tnsr"), "--mode", "baseline",
                  "--config", str(cfg_path)])
     assert code == 2
+
+
+@pytest.mark.parametrize("flag, value", [("--ratios", "abc"), ("--seeds", "x")])
+def test_unparsable_bench_list_is_configuration_error(workdir, capsys, flag, value):
+    code = main(["bench", "--model", str(workdir / "model.tnsr"), "--modes", "baseline",
+                 "--out", str(workdir / "bench.csv"), flag, value])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and flag in err and repr(value) in err
+    assert not (workdir / "bench.csv").exists()
+
+
+def test_config_value_of_the_wrong_type_is_configuration_error(workdir, capsys):
+    cfg_path = workdir / "cfg.json"
+    cfg_path.write_text(json.dumps({"tokens": "abc"}))
+    code = main(["run", "--model", str(workdir / "model.tnsr"), "--mode", "baseline",
+                 "--config", str(cfg_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "tokens='abc'" in err
+
+
+def test_config_values_go_through_the_flag_type(workdir):
+    # a string holding a number is accepted, as on the command line
+    cfg_path = workdir / "cfg.json"
+    cfg_path.write_text(json.dumps({"tokens": "48", "ratio": 0.25}))
+    out = workdir / "run.json"
+    assert main(["run", "--model", str(workdir / "model.tnsr"), "--mode", "rawkv_meanmerge",
+                 "--config", str(cfg_path), "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["n_tokens"] == 48 and payload["target_ratio"] == 0.25
 
 
 def test_cut_container_is_input_error(workdir):

@@ -8,8 +8,8 @@ from commonkv.evaluation import (CSV_COLUMNS, MODES, RawKVSession, bench_sweep, 
                                  profile_similarity, records_to_csv,
                                  similarity_construction_trial, sweep_summary)
 from commonkv.factorization import transform_model, load_factorized
-from commonkv.latent_cache import LatentSession
-from commonkv.model import ModelConfig, gen_toy_model, sequence_nll
+from commonkv.latent_cache import LatentCacheStore, LatentSession
+from commonkv.model import BaselineSession, ModelConfig, gen_toy_model, sequence_nll
 
 
 def test_baseline_mode_equals_model_loss(toy_weights, probe_ids):
@@ -95,6 +95,41 @@ def test_audit_mismatch_is_fatal(toy_weights, fact07, probe_ids, monkeypatch):
                    strategy="mean")
 
 
+def test_extra_decode_row_fails_the_whole_session_audit(toy_weights, fact07, probe_ids,
+                                                        monkeypatch):
+    # the prefill part still matches the plan; only the whole-session closed form
+    # sees a decode row stored twice.  The row goes to layer 0 on the last decode
+    # step, after layer 0 has attended, so the logits are untouched.
+    weights, fact, _ = fact07
+    n_layers = weights.config.n_layers
+    split = round(probe_ids.size * 0.875)
+    calls = []
+    original = LatentCacheStore.append_decode
+
+    def one_row_too_many(self, layer, latents):
+        original(self, layer, latents)
+        calls.append(layer)
+        if len(calls) == n_layers * (probe_ids.size - 1 - split):
+            original(self, 0, latents)
+
+    monkeypatch.setattr(LatentCacheStore, "append_decode", one_row_too_many)
+    with pytest.raises(NumericError, match="closed form"):
+        perplexity("commonkv", weights, probe_ids, fact=fact, target_ratio=0.5,
+                   strategy="mean")
+    assert len(calls) == n_layers * (probe_ids.size - 1 - split)
+
+
+@pytest.mark.parametrize("group_size", [1, 2, 4])
+def test_rawkv_session_without_merges_equals_baseline_bitwise(toy_weights, group_size):
+    ids = markov_byte_corpus(5, 1, 60)[0]
+    raw, base = RawKVSession(toy_weights, group_size), BaselineSession(toy_weights)
+    assert raw.prefill(ids[:40]).tobytes() == base.prefill(ids[:40]).tobytes()
+    assert raw.merge(0.0)["merged_groups"] == []
+    for t in ids[40:]:
+        assert raw.decode(int(t)).tobytes() == base.decode(int(t)).tobytes()
+    assert raw.cache_element_count() == base.cache_element_count()
+
+
 # -- bench ---------------------------------------------------------------------
 
 def test_bench_records_and_csv_format(toy_weights, fact07):
@@ -134,17 +169,6 @@ def test_mode_isolation_under_permutation(toy_weights, fact07):
         return (rec.achieved_ratio, rec.nll, rec.cache_elements, rec.unreachable)
 
     assert {key(r): payload(r) for r in forward} == {key(r): payload(r) for r in backward}
-
-
-def test_bench_workers_preserve_results(toy_weights, fact07):
-    weights, fact, _ = fact07
-    serial = bench_sweep(weights, fact, [0.3], ["baseline", "commonkv"], [0, 1],
-                         strategy="mean", probe_tokens=64)
-    threaded = bench_sweep(weights, fact, [0.3], ["baseline", "commonkv"], [0, 1],
-                           strategy="mean", probe_tokens=64, workers=4)
-    for a, b in zip(serial, threaded):
-        assert (a.mode, a.seed, a.nll, a.cache_elements) \
-            == (b.mode, b.seed, b.nll, b.cache_elements)
 
 
 # -- similarity profile ------------------------------------------------------------
