@@ -12,7 +12,8 @@ Exit codes (documented for scripting):
 
 Flags can also be supplied through ``--config FILE`` (a flat JSON object of
 flag names with dashes replaced by underscores); explicit flags win.  A
-config-file value goes through its flag's own type, as if it were typed.
+config-file value goes through its flag's own type and choices, as if it
+were typed, and a key that names no flag the command reads is an error.
 """
 
 from __future__ import annotations
@@ -43,7 +44,12 @@ EXIT_CODES = {
 
 
 def _resolve(args: argparse.Namespace, defaults: dict) -> argparse.Namespace:
-    """Layer precedence: built-in defaults < --config file < explicit flags."""
+    """Layer precedence: built-in defaults < --config file < explicit flags.
+
+    The file may set only the flags in ``defaults``.  Every value it holds
+    goes through its flag's type and must be one of the flag's choices, as if
+    it were typed, whether or not an explicit flag overrides it.
+    """
     cfg_file = {}
     if getattr(args, "config", None):
         try:
@@ -52,18 +58,24 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> argparse.Namespace:
             raise ConfigurationError(f"--config {args.config} is not valid JSON: {exc}") from None
         if not isinstance(cfg_file, dict):
             raise ConfigurationError("--config must hold a JSON object")
-    for key, builtin in defaults.items():
-        if getattr(args, key, None) is not None:
-            continue
-        value = cfg_file.get(key, builtin)
-        cast = args.flag_types.get(key)
-        if key in cfg_file and cast is not None:
+    for key, value in cfg_file.items():
+        if key not in defaults:
+            raise ConfigurationError(f"--config {args.config}: unknown key {key!r}; "
+                                     f"{args.command} reads {', '.join(sorted(defaults))}")
+        cast, choices = args.flag_types.get(key), args.flag_choices.get(key)
+        if cast is not None:
             try:
                 value = cast(str(value))
             except ValueError:
                 raise ConfigurationError(f"--config {args.config}: {key}={value!r} is not "
                                          f"a valid {cast.__name__}") from None
-        setattr(args, key, value)
+        if choices is not None and value not in choices:
+            raise ConfigurationError(f"--config {args.config}: {key}={value!r} is not one "
+                                     f"of {', '.join(choices)}")
+        cfg_file[key] = value
+    for key, builtin in defaults.items():
+        if getattr(args, key, None) is None:
+            setattr(args, key, cfg_file.get(key, builtin))
     return args
 
 
@@ -277,9 +289,10 @@ def cmd_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _command(p: argparse.ArgumentParser, func) -> None:
-    """Bind a subcommand to ``func`` and record its flags' types for ``--config``."""
-    p.set_defaults(func=func, flag_types={a.dest: a.type for a in p._actions
-                                          if a.type is not None})
+    """Bind a subcommand to ``func`` and record its flags' types and choices for ``--config``."""
+    p.set_defaults(func=func,
+                   flag_types={a.dest: a.type for a in p._actions if a.type is not None},
+                   flag_choices={a.dest: a.choices for a in p._actions if a.choices is not None})
 
 
 def build_parser() -> argparse.ArgumentParser:

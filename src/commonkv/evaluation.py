@@ -33,7 +33,7 @@ from .factorization import (SharedFactorization, build_factorization,
                             factorize_group, GroupLayout)
 from .latent_cache import LatentSession, baseline_elements, compute_latent
 from .model import (BaselineSession, LayerWeights, ModelConfig, ModelWeights, RopeTable,
-                    apply_rope, attention_block, build_rope_table, forward, mlp_block,
+                    apply_rope, attention_block, forward, mlp_block,
                     nll_from_logits, project_kv, rms_norm, _check_tokens)
 
 MODES = ("baseline", "commonkv", "lowrank_perlayer", "rawkv_meanmerge")
@@ -61,7 +61,6 @@ def _collect_layer_states(weights: ModelWeights, ids: np.ndarray,
                           fact: SharedFactorization | None):
     """Prefill once, returning per-layer hidden/key/value (and latent) stacks."""
     cfg = weights.config
-    rope = build_rope_table(cfg)
     positions = np.arange(ids.size, dtype=np.int64)
     rows = range(ids.size)
     hiddens, keys, values, latents = [], [], [], []
@@ -69,8 +68,8 @@ def _collect_layer_states(weights: ModelWeights, ids: np.ndarray,
     for li, lw in enumerate(weights.layers):
         hiddens.append(x.copy())
         xn = rms_norm(x, lw.attn_gain)
-        q = apply_rope((xn @ lw.w_q).reshape(-1, cfg.n_q_heads, cfg.d_head), rows, rope)
-        k, v = project_kv(xn, lw, rows, rope, cfg)
+        q = apply_rope((xn @ lw.w_q).reshape(-1, cfg.n_q_heads, cfg.d_head), rows, weights.rope)
+        k, v = project_kv(xn, lw, rows, weights.rope, cfg)
         keys.append(k.reshape(ids.size, -1))
         values.append(v.reshape(ids.size, -1))
         if fact is not None:
@@ -164,7 +163,7 @@ class RawKVSession:
         self.weights = weights
         self.config = weights.config
         self.layout = GroupLayout.for_model(weights.config.n_layers, group_size)
-        self.rope = build_rope_table(weights.config)
+        self.rope = weights.rope
         empty = np.empty((0, self.config.n_kv_heads, self.config.d_head), dtype=np.float32)
         # each layer's own rows: its prefill rows until its group merges, then decode rows
         self.keys = [empty] * self.config.n_layers

@@ -31,7 +31,7 @@ from . import tensorfile
 from .errors import InputError, NumericError
 from .factorization import SharedFactorization
 from .model import (LayerWeights, ModelConfig, ModelWeights, RopeTable, apply_rope,
-                    attention_block, attention_probs, build_rope_table, forward)
+                    attention_block, attention_probs, forward)
 
 
 def compute_latent(x: np.ndarray, shared: np.ndarray) -> np.ndarray:
@@ -283,12 +283,12 @@ class LatentSession:
     """
 
     def __init__(self, weights: ModelWeights, fact: SharedFactorization,
-                 rope: RopeTable | None = None, fused_values: bool = False):
+                 fused_values: bool = False):
         if fact.config != weights.config:
             raise InputError("factorization does not match model config")
         self.weights = weights
         self.fact = fact
-        self.rope = rope if rope is not None else build_rope_table(weights.config)
+        self.rope = weights.rope
         self.store = LatentCacheStore(fact)
         self.fused_values = fused_values
         self.plan: budget_mod.BudgetPlan | None = None

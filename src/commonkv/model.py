@@ -17,14 +17,23 @@ for all of them:
   (``SCORES_BLOCK_ELEMENTS``), so a long prompt's softmax stays cache-resident;
   a one-row block (a decode step) computes its scores keys-left,
   ``keys_h @ q_hᵀ``, a plain GEMM over the keys' own row layout
+* the model owns its RoPE table: ``ModelWeights.rope`` is built once, eagerly,
+  when weights are generated or loaded, is read-only, and every session,
+  layer and gradient pass shares it.  It is tiled over the KV heads, so keys
+  rotate by one flat multiply; queries multiply one row broadcast over heads
 * RoPE takes a ``range`` of consecutive positions as a slice of its table,
   not a gather, and rotates in place into ``out``; sessions pass ranges
+* a single row (a decode step) takes one-row paths: ``rms_norm`` keeps its
+  statistics in Python floats, and ``attention_probs`` skips the row-block
+  machinery
 * gradients (used only for calibration) run a separate float64 pass
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -105,12 +114,20 @@ class LayerWeights:
 
 @dataclass
 class ModelWeights:
+    """A model's tensors plus the one RoPE table that every session and pass
+    over it reads; built here unless given (``astype`` copies share it)."""
+
     config: ModelConfig
     embed: np.ndarray       # (vocab, d_hidden)
     layers: list[LayerWeights]
     final_gain: np.ndarray  # (d_hidden,)
     lm_head: np.ndarray     # (d_hidden, vocab)
     seed: int | None = None
+    rope: RopeTable | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.rope is None:
+            self.rope = build_rope_table(self.config)
 
     def astype(self, dtype) -> "ModelWeights":
         """A copy with every tensor converted to ``dtype``."""
@@ -121,7 +138,7 @@ class ModelWeights:
                   for lw in self.layers]
         return ModelWeights(config=self.config, embed=conv(self.embed), layers=layers,
                             final_gain=conv(self.final_gain), lm_head=conv(self.lm_head),
-                            seed=self.seed)
+                            seed=self.seed, rope=self.rope)
 
     def named_tensors(self) -> dict[str, np.ndarray]:
         out = {"embed": self.embed, "final_gain": self.final_gain, "lm_head": self.lm_head}
@@ -243,21 +260,36 @@ def rms_norm(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
     """RMS normalization with learnable gain; statistics and scaling in float64.
 
     One float64 copy of ``x`` is scaled in place.  The sum of squares is one
-    ``einsum``; the kernel tests check that it reproduces ``mean(x * x)`` bit
-    for bit.
+    ``einsum``, or for a single row (a decode step) one dot product whose
+    scalar statistics then stay Python floats; the kernel tests check that
+    both reproduce ``mean(x * x)`` bit for bit.
     """
     x64 = x.astype(np.float64)
-    mean_sq = np.einsum("...i,...i->...", x64, x64)[..., None] / x.shape[-1]
-    x64 *= 1.0 / np.sqrt(mean_sq + RMS_EPS)
+    if x64.size == x64.shape[-1]:
+        row = x64.reshape(-1)
+        x64 *= 1.0 / math.sqrt(float(row @ row) / row.size + RMS_EPS)
+    else:
+        mean_sq = np.einsum("...i,...i->...", x64, x64)[..., None] / x.shape[-1]
+        x64 *= 1.0 / np.sqrt(mean_sq + RMS_EPS)
     x64 *= gain
     return x64.astype(np.float32)
 
 
 @dataclass(frozen=True)
 class RopeTable:
-    """Per-position rotations for each head-dimension pair, shared by all layers."""
+    """Per-position rotations for each head-dimension pair, shared by all layers.
 
-    cis: np.ndarray  # (max_seq, d_head // 2) complex64, cos + i·sin
+    ``tiled`` repeats each position's rotations once per KV head, so rotating
+    (tokens, n_kv_heads, d_head) keys is one elementwise multiply with no
+    broadcast; ``cis``, ``cos`` and ``sin`` are views of its first head.  The
+    table is read-only: every session of a model shares it.
+    """
+
+    tiled: np.ndarray  # (max_seq, n_kv_heads, d_head // 2) complex64, cos + i·sin
+
+    @cached_property
+    def cis(self) -> np.ndarray:
+        return self.tiled[:, 0]
 
     @property
     def cos(self) -> np.ndarray:
@@ -267,19 +299,16 @@ class RopeTable:
     def sin(self) -> np.ndarray:
         return self.cis.imag
 
-    @property
-    def max_position(self) -> int:
-        return self.cis.shape[0]
-
 
 def build_rope_table(config: ModelConfig) -> RopeTable:
     half = config.d_head // 2
     inv_freq = config.rope_theta ** (-np.arange(0, half, dtype=np.float64) * 2.0 / config.d_head)
     angles = np.arange(config.max_seq, dtype=np.float64)[:, None] * inv_freq[None, :]
-    cis = np.empty(angles.shape, dtype=np.complex64)
-    cis.real = np.cos(angles).astype(np.float32)
-    cis.imag = np.sin(angles).astype(np.float32)
-    return RopeTable(cis=cis)
+    tiled = np.empty((config.max_seq, config.n_kv_heads, half), dtype=np.complex64)
+    tiled.real = np.cos(angles).astype(np.float32)[:, None, :]
+    tiled.imag = np.sin(angles).astype(np.float32)[:, None, :]
+    tiled.flags.writeable = False
+    return RopeTable(tiled=tiled)
 
 
 def apply_rope(vectors: np.ndarray, position_ids: np.ndarray | range, table: RopeTable,
@@ -289,31 +318,33 @@ def apply_rope(vectors: np.ndarray, position_ids: np.ndarray | range, table: Rop
     One complex multiply per pair; ``inverse=True`` multiplies by the
     conjugate, rotating by the negative angle.  ``position_ids`` is an int
     array, whose rotations are gathered from the table, or a ``range`` of
-    consecutive positions, whose rotations are a slice (a view) of it.  With
-    ``out`` (a C-contiguous float32 array of the same shape, which may be
-    ``vectors`` itself) the result is written there instead of into a new
-    array.
+    consecutive positions, whose rotations are a slice (a view) of it.  Keys
+    (``n_kv_heads`` heads) multiply the head-tiled table elementwise, with no
+    broadcast; any other head count, such as queries, multiplies one rotation
+    row broadcast over its heads.  With ``out`` (a C-contiguous float32 array
+    of the same shape, which may be ``vectors`` itself) the result is written
+    there instead of into a new array.
     """
+    tiled = table.tiled
     if isinstance(position_ids, range) and position_ids.step == 1:
         first, stop = position_ids.start, position_ids.stop
-        if stop > first and stop > table.max_position:
-            raise CapacityError(
-                f"position {stop - 1} outside RoPE table of {table.max_position}")
+        if stop > first and stop > len(tiled):
+            raise CapacityError(f"position {stop - 1} outside RoPE table of {len(tiled)}")
         if stop > first and first < 0:
             raise CapacityError("negative position id")
-        cis = table.cis[first:stop]
+        rows = slice(first, stop)
     else:
-        position_ids = np.asarray(position_ids)
-        if position_ids.size and int(position_ids.max()) >= table.max_position:
+        rows = np.asarray(position_ids)
+        if rows.size and int(rows.max()) >= len(tiled):
             raise CapacityError(
-                f"position {int(position_ids.max())} outside RoPE table of {table.max_position}")
-        if position_ids.size and int(position_ids.min()) < 0:
+                f"position {int(rows.max())} outside RoPE table of {len(tiled)}")
+        if rows.size and int(rows.min()) < 0:
             raise CapacityError("negative position id")
-        cis = table.cis[position_ids]
-    cis = cis[:, None, :]  # (tokens, 1, half)
+    pairs = np.ascontiguousarray(vectors, dtype=np.float32).view(np.complex64)
+    # keys: one flat multiply by tiled rows; other head counts: one row over the heads
+    cis = tiled[rows] if pairs.shape[1] == tiled.shape[1] else table.cis[rows, None]
     if inverse:
         cis = cis.conj()
-    pairs = np.ascontiguousarray(vectors, dtype=np.float32).view(np.complex64)
     if out is None:
         return (pairs * cis).view(np.float32)
     if out.dtype != np.float32 or not out.flags.c_contiguous:
@@ -345,6 +376,18 @@ def causal_attention_weights(scores: np.ndarray, q_positions: np.ndarray,
     return scores
 
 
+def _row_scores(q_row: np.ndarray, keys_h: np.ndarray) -> np.ndarray:
+    """Scores (n_q_heads, 1, Tk) of one scaled query row (n_kv, hpk, d_head).
+
+    Keys on the left, ``keys_h @ q_hᵀ``: a plain GEMM over the keys' own
+    (Tk, n_kv, d_head) rows, where ``q_h @ keys_hᵀ`` would read the keys
+    transposed, a much slower BLAS path.  The small (n_kv, Tk, hpk) result
+    is transposed into a fresh scores block.
+    """
+    scores_t = np.matmul(keys_h, q_row.transpose(0, 2, 1))
+    return scores_t.transpose(0, 2, 1).reshape(-1, 1, keys_h.shape[1])
+
+
 def attention_probs(q_rope: np.ndarray, keys: np.ndarray, q_positions: np.ndarray,
                     k_positions: np.ndarray, config: ModelConfig):
     """Causal softmax weights of every query head, one row block at a time.
@@ -354,31 +397,35 @@ def attention_probs(q_rope: np.ndarray, keys: np.ndarray, q_positions: np.ndarra
     of a KV head share one scores matmul.  Blocks hold
     ``max(1, min(Tq // n_q_heads, SCORES_BLOCK_ELEMENTS // (n_q_heads * Tk)))``
     rows: a block's scores never exceed one head's (Tq, Tk), nor the budget
-    unless a single row is already larger, and a decode row is one block.
-    ``q_positions`` and ``k_positions`` are ascending, so keys past ``tk``
-    (after the block's last query position) are masked for every row and are
-    skipped.  Each block's scores are a fresh array that the softmax
-    overwrites in place.
+    unless a single row is already larger.  ``q_positions`` and
+    ``k_positions`` are ascending, so keys past ``tk`` (after the block's
+    last query position) are masked for every row and are skipped.  Each
+    block's scores are a fresh array that the softmax overwrites in place.
 
-    A one-row block (every decode step) takes its scores as
-    ``keys_h @ q_hᵀ``, keys on the left: a plain GEMM over the keys' own
-    (Tk, n_kv, d_head) rows, where ``q_h @ keys_hᵀ`` would read the keys
-    transposed, a much slower BLAS path.  The small (Tk, heads_per_kv) result
-    is then transposed into the scores block.
+    A one-row query (every decode step) is one block and skips the block
+    machinery: its scaled row is already grouped by KV head, so no query is
+    transposed or copied per block.  One-row blocks take their scores keys
+    on the left (``_row_scores``).
     """
     n_q, n_kv, hpk = config.n_q_heads, config.n_kv_heads, config.heads_per_kv
     d_head, tq = config.d_head, q_rope.shape[0]
     scale = np.float32(1.0 / np.sqrt(d_head))
+    keys_h = keys.transpose(1, 0, 2)  # (n_kv, Tk, d_head)
+    if tq == 1:
+        tk = keys.shape[0]
+        if k_positions[-1] > q_positions[0]:
+            tk = int(k_positions.searchsorted(q_positions[0], side="right"))
+        scores = _row_scores((q_rope[0] * scale).reshape(n_kv, hpk, d_head), keys_h[:, :tk])
+        yield 0, 1, tk, causal_attention_weights(scores, q_positions, k_positions[:tk])
+        return
     # query head q sits at [q // heads_per_kv, q % heads_per_kv]
     q_grouped = (q_rope * scale).transpose(1, 0, 2).reshape(n_kv, hpk, tq, d_head)
-    keys_h = keys.transpose(1, 0, 2)  # (n_kv, Tk, d_head)
     block = max(1, min(tq // n_q, SCORES_BLOCK_ELEMENTS // (n_q * keys.shape[0])))
     for start in range(0, tq, block):
         stop = min(start + block, tq)
         tk = int(k_positions.searchsorted(q_positions[stop - 1], side="right"))
         if stop - start == 1:
-            scores_t = np.matmul(keys_h[:, :tk], q_grouped[:, :, start].transpose(0, 2, 1))
-            scores = np.ascontiguousarray(scores_t.transpose(0, 2, 1))  # (n_kv, hpk, tk)
+            scores = _row_scores(q_grouped[:, :, start], keys_h[:, :tk])
         else:
             scores = np.matmul(q_grouped[:, :, start:stop].reshape(n_kv, -1, d_head),
                                keys_h[:, :tk].transpose(0, 2, 1))
@@ -508,27 +555,27 @@ def forward(weights: ModelWeights, token_ids, store, rope: RopeTable) -> np.ndar
     return rms_norm(x, weights.final_gain) @ weights.lm_head
 
 
-def forward_baseline(weights: ModelWeights, token_ids, cache: KVCache | None = None,
-                     rope: RopeTable | None = None) -> tuple[np.ndarray, KVCache]:
+def forward_baseline(weights: ModelWeights, token_ids,
+                     cache: KVCache | None = None) -> tuple[np.ndarray, KVCache]:
     """``forward`` over a full-KV cache (a new one by default); returns (logits, cache)."""
     cache = cache if cache is not None else KVCache(weights.config)
-    return forward(weights, token_ids, cache, rope or build_rope_table(weights.config)), cache
+    return forward(weights, token_ids, cache, weights.rope), cache
 
 
 class BaselineSession:
     """Stateful wrapper: one inference session over the full-KV engine."""
 
-    def __init__(self, weights: ModelWeights, rope: RopeTable | None = None):
+    def __init__(self, weights: ModelWeights):
         self.weights = weights
-        self.rope = rope if rope is not None else build_rope_table(weights.config)
+        self.rope = weights.rope
         self.cache = KVCache(weights.config)
 
     def prefill(self, token_ids) -> np.ndarray:
-        logits, self.cache = forward_baseline(self.weights, token_ids, self.cache, self.rope)
+        logits, self.cache = forward_baseline(self.weights, token_ids, self.cache)
         return logits
 
     def decode(self, token_id: int) -> np.ndarray:
-        logits, self.cache = forward_baseline(self.weights, [token_id], self.cache, self.rope)
+        logits, self.cache = forward_baseline(self.weights, [token_id], self.cache)
         return logits[0]
 
     def cache_element_count(self) -> int:
@@ -548,12 +595,12 @@ def nll_from_logits(logits: np.ndarray, targets: np.ndarray) -> float:
     return float(np.mean(lse - z[np.arange(len(targets)), targets]))
 
 
-def sequence_nll(weights: ModelWeights, token_ids, rope: RopeTable | None = None) -> float:
+def sequence_nll(weights: ModelWeights, token_ids) -> float:
     """Teacher-forced mean NLL through the baseline engine's own forward."""
     ids = _check_tokens(weights.config, token_ids)
     if ids.size < 2:
         raise InputError("need at least 2 tokens to score next-token loss")
-    logits, _ = forward_baseline(weights, ids, None, rope)
+    logits, _ = forward_baseline(weights, ids)
     return nll_from_logits(logits[:-1], ids[1:])
 
 
@@ -618,8 +665,7 @@ def loss_and_grads(weights: ModelWeights, token_ids) -> tuple[float, list[dict[s
 
     w64 = {name: arr.astype(np.float64, copy=False)
            for name, arr in weights.named_tensors().items()}
-    rope = build_rope_table(cfg)
-    cis64 = rope.cis.astype(np.complex128)
+    cis64 = weights.rope.cis.astype(np.complex128)
     scale = 1.0 / np.sqrt(cfg.d_head)
     n_seq = len(seqs)
     grads = [{"w_k": np.zeros_like(w64[f"layers.{l}.w_k"]),

@@ -206,6 +206,38 @@ def test_config_values_go_through_the_flag_type(workdir):
     assert payload["n_tokens"] == 48 and payload["target_ratio"] == 0.25
 
 
+@pytest.mark.parametrize("flags, config", [
+    # used to pass the flag checks and end in group_scores with exit 3
+    (["--mode", "commonkv", "--merge", "mean"], {"score": "bogus"}),
+    # baseline never reads --merge, so the value used to go unchecked
+    (["--mode", "baseline"], {"merge": "bogus"}),
+    ([], {"mode": 5}),
+])
+def test_config_value_outside_the_flag_choices_is_configuration_error(
+        workdir, factorized, capsys, flags, config):
+    cfg_path = workdir / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    code = main(["run", "--model", str(workdir / "model.tnsr"), "--factorized", str(factorized),
+                 "--tokens", "32", *flags, "--config", str(cfg_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    (key, value), = config.items()
+    assert err.count("\n") == 1 and f"{key}={value!r}" in err
+
+
+def test_unknown_config_key_is_configuration_error(workdir, capsys):
+    # a misspelled key used to be ignored: run exited 0 and scored 128 tokens
+    cfg_path = workdir / "cfg.json"
+    cfg_path.write_text(json.dumps({"tokenz": 32}))
+    out = workdir / "run.json"
+    code = main(["run", "--model", str(workdir / "model.tnsr"), "--mode", "baseline",
+                 "--config", str(cfg_path), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "'tokenz'" in err
+    assert not out.exists()
+
+
 def test_cut_container_is_input_error(workdir):
     cut = workdir / "cut.tnsr"
     cut.write_bytes((workdir / "model.tnsr").read_bytes()[:30])

@@ -334,6 +334,30 @@ def test_rope_over_a_range_is_bit_identical_to_the_gather(toy_cfg, inverse, firs
     assert in_place.tobytes() == gathered.tobytes()
 
 
+@pytest.mark.parametrize("inverse", [False, True])
+@pytest.mark.parametrize("tokens", [1, 64, 300])
+def test_tiled_key_rotation_is_bit_identical_to_the_gathered_rotation(inverse, tokens):
+    cfg = ModelConfig(n_layers=1, d_hidden=64, n_q_heads=4, n_kv_heads=2, d_head=16,
+                      d_mlp=16, max_seq=320)
+    table = build_rope_table(cfg)
+    assert table.tiled.shape == (cfg.max_seq, cfg.n_kv_heads, cfg.d_head // 2)
+    assert np.array_equal(table.tiled, np.broadcast_to(table.cis[:, None], table.tiled.shape))
+    first = cfg.max_seq - tokens - 3
+    positions = np.arange(first, first + tokens)
+    rotations = table.cis[positions][:, None, :]  # one gathered row per token, over the heads
+    if inverse:
+        rotations = rotations.conj()
+    rng = np.random.default_rng(tokens)
+    for heads in (cfg.n_kv_heads, cfg.n_q_heads):  # keys take the tiled table, queries not
+        vectors = rng.standard_normal((tokens, heads, cfg.d_head)).astype(np.float32)
+        expected = (vectors.view(np.complex64) * rotations).view(np.float32).tobytes()
+        for ids in (range(first, first + tokens), positions):
+            assert apply_rope(vectors, ids, table, inverse=inverse).tobytes() == expected
+            out = vectors.copy()
+            assert apply_rope(out, ids, table, inverse=inverse, out=out) is out
+            assert out.tobytes() == expected
+
+
 @pytest.mark.parametrize("positions", [range(250, 257), range(-1, 3)])
 def test_rope_range_outside_the_table_raises(toy_cfg, positions):
     table = build_rope_table(toy_cfg)
@@ -384,6 +408,18 @@ def test_decode_row_matches_per_head_reference(heads_per_kv, tk):
     out = attention_block(q, keys, values, q_pos, k_pos, w_o, cfg)
     expected = _reference_block(q, keys, values, q_pos, k_pos, w_o, cfg)
     np.testing.assert_allclose(out, expected, atol=1e-5)
+    # the same keys inside a wider buffer: a non-contiguous (Tk, n_kv, d_head) view
+    padded = np.zeros((tk, cfg.n_kv_heads, cfg.d_head + 3), dtype=np.float32)
+    padded[..., :cfg.d_head] = keys
+    keys_nc = padded[..., :cfg.d_head]
+    assert not keys_nc.flags.c_contiguous
+    out = attention_block(q, keys_nc, values, q_pos, k_pos, w_o, cfg)
+    np.testing.assert_allclose(out, expected, atol=1e-5)
+    # a row before the last keys attends to the keys up to its own position only
+    early = np.array([tk // 2])
+    out = attention_block(q, keys_nc, values, early, k_pos, w_o, cfg)
+    np.testing.assert_allclose(out, _reference_block(q, keys, values, early, k_pos, w_o, cfg),
+                               atol=1e-5)
 
     latents, k_factor, v_factor = rand(tk, RANK), rand(RANK, cfg.d_kv), rand(RANK, cfg.d_kv)
     h64 = latents.astype(np.float64)

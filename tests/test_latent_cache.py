@@ -7,6 +7,7 @@ from commonkv import tensorfile
 from commonkv.budget import allocate_budget
 from commonkv.corpus import markov_byte_corpus
 from commonkv.errors import InputError, NumericError
+from commonkv.evaluation import RawKVSession
 from commonkv.latent_cache import (SUFFIX_CHUNK_ROWS, LatentCacheStore, LatentSession,
                                    attend_latent, baseline_elements, compute_latent,
                                    restore_keys)
@@ -48,7 +49,7 @@ def test_restored_keys_match_baseline_cache(fact_full, probe_ids):
     weights, fact = fact_full
     cfg = weights.config
     rope = build_rope_table(cfg)
-    session = BaselineSession(weights, rope)
+    session = BaselineSession(weights)
     session.prefill(probe_ids[:32])
     positions = np.arange(32)
     x = weights.embed[probe_ids[:32]]
@@ -303,6 +304,34 @@ def test_rope_values_shared_across_layers(fact07):
     pos = 17
     rows = {(t.cos[pos].tobytes(), t.sin[pos].tobytes()) for t in tables}
     assert len(rows) == 1
+
+
+SESSIONS = {
+    "baseline": lambda weights, fact: BaselineSession(weights),
+    "latent": lambda weights, fact: LatentSession(weights, fact),
+    "rawkv": lambda weights, fact: RawKVSession(weights, group_size=4),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SESSIONS))
+def test_sessions_share_the_models_read_only_rope_table(fact07, kind):
+    weights, fact, _ = fact07
+    table_bytes = weights.rope.tiled.nbytes
+    assert table_bytes == weights.config.max_seq * weights.config.d_kv * 4
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        session = SESSIONS[kind](weights, fact)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert session.rope is weights.rope
+    # a session builds no table of its own: well under one table's bytes
+    assert peak < table_bytes // 2
+    for view in (session.rope.tiled, session.rope.cis, session.rope.cos):
+        with pytest.raises(ValueError):
+            view[3] *= 2
 
 
 # -- chunked decode suffixes -------------------------------------------------------
