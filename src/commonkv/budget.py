@@ -3,10 +3,9 @@
 The per-group score is the mean per-token cosine between the first and last
 member layer's latent prefixes (a cheaper stand-in for averaging every
 adjacent pair, which ``group_score_full`` provides).  Budgets map a target
-compression ratio to the number of groups to merge via exact storage
-arithmetic: a merged group stores one latent prefix of width ``r`` per token,
-an unmerged group stores ``m`` of them, and the full-KV baseline stores
-``2 * d_kv`` per layer per token.
+compression ratio to the number of groups to merge.  ``stored_elements`` is
+the one closed form for how many elements a session stores; the plan, the
+perplexity audit, the self-check and the full-KV baseline all read it.
 """
 
 from __future__ import annotations
@@ -95,16 +94,22 @@ class BudgetPlan:
         }
 
 
-def prefill_cost_per_token(merged_count: int, n_groups: int, group_size: int,
-                           rank: int) -> int:
-    return merged_count * rank + (n_groups - merged_count) * group_size * rank
+def stored_elements(config: ModelConfig, width: int, prefill_len: int, decode_len: int = 0,
+                    *, merged_count: int = 0, group_size: int = 1) -> int:
+    """Elements a session stores for ``prefill_len`` prompt and ``decode_len`` decode tokens.
+
+    Each layer stores one row of ``width`` elements per token: ``2 * d_kv``
+    for full K/V, the rank for latents.  The one exception: each of the
+    ``merged_count`` merged groups of ``group_size`` layers stores one prefill
+    row for all its members.
+    """
+    prefill_rows = config.n_layers - merged_count * (group_size - 1)
+    return width * (prefill_rows * prefill_len + config.n_layers * decode_len)
 
 
-def max_achievable_ratio(layout, rank: int, config: ModelConfig) -> float:
-    """Prefill compression with every group merged."""
-    baseline = config.n_layers * 2 * config.d_kv
-    return 1.0 - prefill_cost_per_token(layout.n_groups, layout.n_groups,
-                                        layout.group_size, rank) / baseline
+def baseline_elements(config: ModelConfig, n_tokens: int) -> int:
+    """Elements a full-KV cache stores for the same token count."""
+    return stored_elements(config, 2 * config.d_kv, n_tokens)
 
 
 def top_k_groups(scores: list[float], k: int) -> list[int]:
@@ -127,20 +132,15 @@ def allocate_budget(scores: list[float], target_ratio: float, layout, rank: int,
     n_groups = layout.n_groups
     if len(scores) != n_groups:
         raise InputError(f"expected {n_groups} scores, got {len(scores)}")
-    baseline = config.n_layers * 2 * config.d_kv
-    chosen = None
     for k in range(n_groups + 1):
-        cost = prefill_cost_per_token(k, n_groups, layout.group_size, rank)
-        ratio = 1.0 - cost / baseline
+        cost = stored_elements(config, rank, 1, merged_count=k, group_size=layout.group_size)
+        ratio = 1.0 - cost / baseline_elements(config, 1)
         if ratio >= target_ratio:
-            chosen = (k, cost, ratio)
             break
-    if chosen is None:
-        best = max_achievable_ratio(layout, rank, config)
+    else:  # not even merging every group reaches it; ``ratio`` is that maximum
         raise UnreachableRatioError(
             f"target ratio {target_ratio} unreachable at rank {rank}; "
-            f"maximum achievable is {best:.6f}", max_achievable=best)
-    k, cost, ratio = chosen
+            f"maximum achievable is {ratio:.6f}", max_achievable=ratio)
     return BudgetPlan(scores=list(scores), target_ratio=target_ratio,
                       merged_groups=top_k_groups(scores, k), strategy=strategy,
                       rank=rank, cost_per_token=cost, predicted_prefill_ratio=ratio)

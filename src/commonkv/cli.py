@@ -222,16 +222,15 @@ def cmd_run(args) -> int:
         "extras": result.extras,
     }
     if args.generate and args.mode == "commonkv":
+        # continue the prompt that ``perplexity`` scored, from its last logits
         session = LatentSession(weights, fact)
-        session.prefill(ids[: max(1, int(round(len(ids) * args.prefill_fraction)))])
+        split = evaluation._split_point(len(ids), args.prefill_fraction)
+        logits = session.prefill(ids[:split])
         session.plan_and_merge(args.ratio, strategy=args.merge, fisher=fisher,
                                score_variant=args.score)
-        token = int(ids[max(1, int(round(len(ids) * args.prefill_fraction))) - 1])
-        generated = []
-        for _ in range(args.generate):
-            logits = session.decode(token)
-            token = int(np.argmax(logits))
-            generated.append(token)
+        generated = [int(np.argmax(logits[-1]))]
+        while len(generated) < args.generate:
+            generated.append(int(np.argmax(session.decode(generated[-1]))))
         payload["generated_bytes"] = bytes(generated).hex()
     if args.out:
         _write_json(args.out, payload)

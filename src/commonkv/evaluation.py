@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import budget as budget_mod
-from .budget import BudgetPlan, FisherWeights, group_score, top_k_groups
+from .budget import BudgetPlan, FisherWeights, group_score, stored_elements, top_k_groups
 from .corpus import markov_byte_corpus
 from .errors import ConfigurationError, InputError, NumericError, UnreachableRatioError
 from .factorization import (SharedFactorization, build_factorization,
@@ -177,7 +177,7 @@ class RawKVSession:
     def prefill(self, token_ids) -> np.ndarray:
         if self.n_tokens:
             raise InputError("raw-KV session supports a single prefill call")
-        return forward(self.weights, token_ids, self, self.rope)
+        return forward(self.weights, token_ids, self)
 
     def group_scores(self) -> list[float]:
         t = self.prefill_positions.size
@@ -212,7 +212,7 @@ class RawKVSession:
 
     def decode(self, token_id: int) -> np.ndarray:
         self._decoding = True
-        return forward(self.weights, [token_id], self, self.rope)[0]
+        return forward(self.weights, [token_id], self)[0]
 
     @property
     def n_tokens(self) -> int:
@@ -272,10 +272,10 @@ def perplexity(mode: str, weights: ModelWeights, text_ids,
 
     Every mode runs one path: prefill, merge, teacher-forced decode, audit.
     The achieved ratio is always recomputed from the session's element
-    audit, and the whole-session audit must equal the mode's exact closed
-    form: per-token prefix cost times the prefill length plus per-layer
-    decode rows times the decode steps.  ``baseline`` prefills the whole
-    text in one shot, bit-identical to the model module's own loss path.
+    audit, and the whole-session audit, like the plan's per-token cost, must
+    equal ``budget.stored_elements`` for the mode's row width, merged groups
+    and group size.  ``prefill_fraction`` must lie in [0, 1].  ``baseline``
+    prefills the whole text in one shot, bit-identical to the model's loss.
     """
     cfg = weights.config
     ids = _check_tokens(cfg, text_ids)
@@ -283,8 +283,9 @@ def perplexity(mode: str, weights: ModelWeights, text_ids,
         raise InputError("text must hold at least 2 tokens")
     if mode not in MODES:
         raise ConfigurationError(f"unknown mode {mode!r}")
+    if not 0.0 <= prefill_fraction <= 1.0:  # also false for nan
+        raise ConfigurationError(f"prefill fraction {prefill_fraction} is not in [0, 1]")
     split = ids.size if mode == "baseline" else _split_point(ids.size, prefill_fraction)
-    prefix_per_token = step_elements = cfg.n_layers * 2 * cfg.d_kv  # full KV per token
     plan, extras = None, {}
     if mode == "baseline":
         session, target_ratio = BaselineSession(weights), 0.0
@@ -298,14 +299,12 @@ def perplexity(mode: str, weights: ModelWeights, text_ids,
         elif fact is None:
             raise ConfigurationError("commonkv mode needs a factorized model")
         session = LatentSession(weights, fact)
-        step_elements = cfg.n_layers * fact.rank
 
     logits = session.prefill(ids[:split])
+    width, merged, members = 2 * cfg.d_kv, 0, 1
     if mode == "rawkv_meanmerge":
         extras = session.merge(target_ratio)
-        count = extras["count"]
-        prefix_per_token = (count + (session.layout.n_groups - count) * group_size) \
-            * 2 * cfg.d_kv
+        merged, members = len(session.merged_groups), group_size
     elif mode == "lowrank_perlayer":
         # per-layer reference never merges; with m=1 the cost is rank-driven only
         plan = budget_mod.allocate_budget([1.0] * fact.layout.n_groups, 0.0, fact.layout,
@@ -315,13 +314,17 @@ def perplexity(mode: str, weights: ModelWeights, text_ids,
         plan = session.plan_and_merge(target_ratio, strategy=strategy, fisher=fisher,
                                       score_variant=score_variant)
     if plan is not None:
-        prefix_per_token = plan.cost_per_token
+        width, merged, members = fact.rank, plan.merged_count, fact.layout.group_size
     # NLL over the prompt's logits plus one decode step per later token
     rows = [logits] + [session.decode(int(t))[None, :] for t in ids[split:-1]]
     nll = nll_from_logits(np.concatenate(rows, axis=0)[: ids.size - 1], ids[1:])
 
+    sharing = {"merged_count": merged, "group_size": members}
+    if plan is not None and plan.cost_per_token != stored_elements(cfg, width, 1, **sharing):
+        raise NumericError(f"{mode} plan cost {plan.cost_per_token} elements per token "
+                           f"!= closed form {stored_elements(cfg, width, 1, **sharing)}")
     elements = session.cache_element_count()
-    expected = prefix_per_token * split + step_elements * ids[split:-1].size
+    expected = stored_elements(cfg, width, split, ids[split:-1].size, **sharing)
     if elements != expected:
         raise NumericError(f"{mode} cache audit {elements} elements != closed form {expected}")
     return EvalResult(mode=mode, nll=nll, target_ratio=target_ratio,

@@ -255,10 +255,17 @@ def load_factorized(blob_or_path) -> tuple[ModelWeights, SharedFactorization]:
     cfg = config_from_manifest(meta)
     group_size, groups, rank, rank_fraction = tensorfile.take(
         meta, ("group_size", "groups", "rank", "rank_fraction"), "factorized manifest")
-    if not isinstance(rank, int) or isinstance(rank, bool):
-        raise InputError(f"factorized manifest 'rank' is not an integer: {rank!r}")
+    for name, value in (("group_size", group_size), ("rank", rank)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise InputError(f"factorized manifest {name!r} is not an integer: {value!r}")
+    try:
+        layout = GroupLayout.for_model(cfg.n_layers, group_size)
+    except ConfigurationError as exc:
+        raise InputError(f"factorized manifest: {exc}") from None
+    if groups != [list(g) for g in layout.groups]:
+        raise InputError(f"factorized manifest 'groups' {groups!r} are not the "
+                         f"group_size={group_size} layout of {cfg.n_layers} layers")
     weights = weights_from_tensors(cfg, tensors, seed=meta.get("seed"))
-    layout = GroupLayout(group_size=group_size, groups=tuple(tuple(g) for g in groups))
 
     def take(pattern, count, shape):
         names = [pattern.format(i) for i in range(count)]

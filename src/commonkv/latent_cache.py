@@ -28,6 +28,7 @@ import numpy as np
 
 from . import budget as budget_mod
 from . import tensorfile
+from .budget import baseline_elements  # the storage closed form, also read from here
 from .errors import InputError, NumericError
 from .factorization import SharedFactorization
 from .model import (LayerWeights, ModelConfig, ModelWeights, RopeTable, apply_rope,
@@ -130,11 +131,6 @@ class CacheAudit:
     @property
     def total_elements(self) -> int:
         return self.prefix_elements + self.suffix_elements
-
-
-def baseline_elements(config: ModelConfig, n_tokens: int) -> int:
-    """Elements a full-KV cache stores for the same token count."""
-    return config.n_layers * 2 * config.d_kv * n_tokens
 
 
 # Rows per sealed decode-suffix chunk: a decode append copies the open tail
@@ -300,7 +296,7 @@ class LatentSession:
         """Process prompt tokens, caching per-layer latent prefixes."""
         if self._prefill_frozen:
             raise InputError("prefill phase already closed (merge or decode happened)")
-        return forward(self.weights, token_ids, self, self.rope)
+        return forward(self.weights, token_ids, self)
 
     def plan_and_merge(self, target_ratio: float, strategy: str = "fisher",
                        fisher: budget_mod.FisherWeights | None = None,
@@ -347,7 +343,7 @@ class LatentSession:
     def decode(self, token_id: int) -> np.ndarray:
         """One generated token; its latent joins the layer-private suffix."""
         self._prefill_frozen = True
-        return forward(self.weights, [token_id], self, self.rope)[0]
+        return forward(self.weights, [token_id], self)[0]
 
     # -- the KV store ``model.forward`` runs over ------------------------------
 

@@ -525,7 +525,7 @@ def attention_block(q_rope: np.ndarray, keys: np.ndarray, values: np.ndarray,
     return o_cat.reshape(tq, config.d_hidden) @ w_o
 
 
-def forward(weights: ModelWeights, token_ids, store, rope: RopeTable) -> np.ndarray:
+def forward(weights: ModelWeights, token_ids, store) -> np.ndarray:
     """Run the decoder layers over new tokens through a KV store; returns logits.
 
     The store decides what a layer caches and how it attends.  It provides
@@ -534,9 +534,10 @@ def forward(weights: ModelWeights, token_ids, store, rope: RopeTable) -> np.ndar
     ``attend(layer, lw, xn, q, rows, rope)``: cache what the layer keeps of
     its normed rows ``xn``, then return the ``lw.w_o``-projected causal
     attention (Tq, d_hidden) of the rotated queries ``q`` over every row the
-    layer sees.  Layers run in order; layer 0's call records ``rows`` in the
-    store's positions.  Tokens and ``max_seq`` are checked first, so a
-    rejected call leaves the store as it was.
+    layer sees; ``rope`` is the model's own table, ``weights.rope``.  Layers
+    run in order; layer 0's call records ``rows`` in the store's positions.
+    Tokens and ``max_seq`` are checked first, so a rejected call leaves the
+    store as it was.
     """
     cfg = weights.config
     ids = _check_tokens(cfg, token_ids)
@@ -545,6 +546,7 @@ def forward(weights: ModelWeights, token_ids, store, rope: RopeTable) -> np.ndar
         raise CapacityError(f"sequence of {start + ids.size} exceeds max_seq={cfg.max_seq}")
     rows = range(start, start + ids.size)
 
+    rope = weights.rope
     x = weights.embed[ids]
     for li, lw in enumerate(weights.layers):
         xn = rms_norm(x, lw.attn_gain)
@@ -559,7 +561,7 @@ def forward_baseline(weights: ModelWeights, token_ids,
                      cache: KVCache | None = None) -> tuple[np.ndarray, KVCache]:
     """``forward`` over a full-KV cache (a new one by default); returns (logits, cache)."""
     cache = cache if cache is not None else KVCache(weights.config)
-    return forward(weights, token_ids, cache, weights.rope), cache
+    return forward(weights, token_ids, cache), cache
 
 
 class BaselineSession:

@@ -13,7 +13,7 @@ from .corpus import markov_byte_corpus
 from .errors import UnreachableRatioError
 from .factorization import (GroupLayout, factorize_group, transform_model,
                             load_factorized)
-from .latent_cache import LatentSession
+from .latent_cache import LatentSession, baseline_elements
 from .model import BaselineSession, ModelConfig, gen_toy_model, loss_and_grads
 
 
@@ -104,7 +104,7 @@ def _check_budget_audit(seed: int) -> tuple[bool, str]:
         audit = lat.audit()
         if audit.prefix_elements != plan.cost_per_token * ids.size:
             return False, f"audit mismatch at ratio {ratio}"
-        achieved = 1.0 - audit.prefix_elements / (cfg.n_layers * 2 * cfg.d_kv * ids.size)
+        achieved = 1.0 - audit.prefix_elements / baseline_elements(cfg, ids.size)
         if achieved < ratio:
             return False, f"achieved {achieved:.4f} < target {ratio}"
         if plan.merged_groups != top_k_groups(scores, plan.merged_count):

@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 from commonkv import budget, model
 from commonkv.budget import (FisherWeights, allocate_budget, corpus_hash, estimate_fisher,
-                             group_score, group_score_full, max_achievable_ratio,
-                             merge_group, prefill_cost_per_token, top_k_groups)
+                             group_score, group_score_full, merge_group, top_k_groups)
 from commonkv.corpus import markov_byte_corpus
 from commonkv.errors import ConfigurationError, InputError
 from commonkv.factorization import GroupLayout
@@ -96,16 +95,17 @@ def test_smallest_sufficient_k_is_chosen(toy_cfg):
         plan = allocate_budget([0.1, 0.9], ratio, layout, 45, toy_cfg, strategy="mean")
         assert plan.merged_count == expected_k, ratio
         assert plan.predicted_prefill_ratio >= ratio
-        assert plan.cost_per_token == prefill_cost_per_token(expected_k, 2, 4, 45)
+        assert plan.cost_per_token == expected_k * 45 + (2 - expected_k) * 4 * 45
 
 
 def test_llama_shape_max_ratio():
     cfg = ModelConfig(n_layers=32, d_hidden=4096, n_q_heads=32, n_kv_heads=8,
                       d_head=128, d_mlp=8192, max_seq=8192)
     layout = GroupLayout.for_model(32, 4)
-    assert max_achievable_ratio(layout, 2867, cfg) == pytest.approx(0.650, abs=1e-3)
+    assert 1.0 - 8 * 2867 / (32 * 2 * 8 * 128) == pytest.approx(0.650, abs=1e-3)
     plan = allocate_budget([0.0] * 8, 0.65, layout, 2867, cfg, strategy="mean")
     assert plan.merged_count == 8
+    assert plan.predicted_prefill_ratio == 1.0 - 8 * 2867 / (32 * 2 * 8 * 128)
 
 
 def test_unreachable_ratio_reports_maximum(toy_cfg):
@@ -116,7 +116,7 @@ def test_unreachable_ratio_reports_maximum(toy_cfg):
     # honesty: no k in [0, G] reaches the target
     baseline = toy_cfg.n_layers * 2 * toy_cfg.d_kv
     for k in range(layout.n_groups + 1):
-        ratio = 1.0 - prefill_cost_per_token(k, 2, 4, 45) / baseline
+        ratio = 1.0 - (k * 45 + (2 - k) * 4 * 45) / baseline
         assert ratio < 0.9
         assert ratio <= best + 1e-12
 

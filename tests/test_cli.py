@@ -5,7 +5,9 @@ import pytest
 
 from commonkv import tensorfile
 from commonkv.cli import main
-from commonkv.evaluation import CSV_COLUMNS
+from commonkv.corpus import markov_byte_corpus
+from commonkv.evaluation import CSV_COLUMNS, _split_point
+from commonkv.model import BaselineSession, load_model
 
 
 @pytest.fixture()
@@ -97,6 +99,45 @@ def test_run_session_report(workdir):
     assert payload["plan"]["merged_groups"]
     assert payload["seed"] == 42
     assert len(bytes.fromhex(payload["generated_bytes"])) == 4
+
+
+def test_generate_continues_the_scored_prompt_from_its_last_logits(workdir):
+    # full rank, one layer per group and no merge: the latent session is the
+    # full-KV engine to float32 rounding, so greedy bytes must match its own
+    # loop.  The last prompt byte used to be fed a second time before generation.
+    model, fact, out = workdir / "model.tnsr", workdir / "full.tnsr", workdir / "run.json"
+    assert main(["transform", "--model", str(model), "--out", str(fact),
+                 "--group-size", "1", "--rank-fraction", "1.0"]) == 0
+    assert main(["run", "--model", str(model), "--factorized", str(fact), "--mode", "commonkv",
+                 "--ratio", "0", "--merge", "mean", "--tokens", "48", "--seed", "45",
+                 "--generate", "6", "--out", str(out)]) == 0
+    ids = markov_byte_corpus(45, 1, 48)[0]
+    session = BaselineSession(load_model(model))
+    logits = session.prefill(ids[:_split_point(48, 0.875)])[-1]
+    expected = []
+    for _ in range(6):
+        top2 = np.sort(logits)[-2:]
+        assert top2[1] - top2[0] > 1e-4  # no near-tie that rounding could flip
+        expected.append(int(np.argmax(logits)))
+        logits = session.decode(expected[-1])
+    assert bytes.fromhex(json.loads(out.read_text())["generated_bytes"]) == bytes(expected)
+
+
+@pytest.mark.parametrize("fraction", ["nan", "inf", "-1", "2"])
+@pytest.mark.parametrize("command", ["run", "bench"])
+def test_prefill_fraction_outside_zero_one_is_configuration_error(workdir, capsys, command,
+                                                                 fraction):
+    # nan and inf used to end in a traceback, -1 and 2 were silently clamped,
+    # and a baseline-only sweep accepted nan
+    out = workdir / "out"
+    args = {"run": ["--mode", "baseline", "--tokens", "32"],
+            "bench": ["--modes", "baseline", "--seeds", "0", "--tokens", "32"]}[command]
+    code = main([command, "--model", str(workdir / "model.tnsr"), "--out", str(out), *args,
+                 "--prefill-fraction", fraction])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "prefill fraction" in err
+    assert not out.exists()
 
 
 def test_run_requires_factorized_for_commonkv(workdir):
@@ -317,6 +358,26 @@ def test_factorized_manifest_rank_not_an_integer_is_input_error(workdir, factori
     meta["rank"] = rank
     tensorfile.save(factorized, tensors, meta=meta)
     assert _run_commonkv(workdir, factorized) == 3
+
+
+@pytest.mark.parametrize("change", [
+    {"group_size": 2},                     # groups left as 4-layer ranges
+    {"groups": [[0, 4], [4]]},
+    {"group_size": "4"},
+    {"group_size": 4.0},
+    {"groups": [[4, 8], [0, 4]]},          # swapped ranges
+    {"group_size": 3, "groups": [[0, 3], [3, 6], [6, 8]]},  # 3 does not divide 8 layers
+    {"group_size": 0, "groups": []},
+], ids=["group_size_2", "short_range", "group_size_str", "group_size_float", "swapped",
+        "group_size_3", "group_size_0"])
+def test_factorized_manifest_layout_is_checked_against_the_model(workdir, factorized, change,
+                                                                 capsys):
+    # each of these used to pass load_factorized and end in a traceback
+    tensors, meta = tensorfile.load(factorized)
+    tensorfile.save(factorized, tensors, meta=dict(meta, **change))
+    assert _run_commonkv(workdir, factorized) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "factorized manifest" in err
 
 
 def test_bench_configuration_error_is_not_an_unreachable_ratio(workdir):

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from commonkv.budget import estimate_fisher
+from commonkv.budget import estimate_fisher, stored_elements
 from commonkv.corpus import markov_byte_corpus
-from commonkv.errors import CapacityError, NumericError
+from commonkv.errors import CapacityError, ConfigurationError, NumericError
 from commonkv.evaluation import (CSV_COLUMNS, MODES, RawKVSession, bench_sweep, perplexity,
                                  profile_similarity, records_to_csv,
                                  similarity_construction_trial, sweep_summary)
-from commonkv.factorization import transform_model, load_factorized
-from commonkv.latent_cache import LatentCacheStore, LatentSession
+from commonkv.factorization import build_factorization, transform_model, load_factorized
+from commonkv.latent_cache import SUFFIX_CHUNK_ROWS, LatentCacheStore, LatentSession
 from commonkv.model import BaselineSession, ModelConfig, gen_toy_model, sequence_nll
 
 
@@ -117,6 +117,61 @@ def test_extra_decode_row_fails_the_whole_session_audit(toy_weights, fact07, pro
         perplexity("commonkv", weights, probe_ids, fact=fact, target_ratio=0.5,
                    strategy="mean")
     assert len(calls) == n_layers * (probe_ids.size - 1 - split)
+
+
+# The toy model has 8 layers and stores 2 * d_kv = 64 elements per layer per
+# token at full K/V; commonkv latents are 45 wide at rank fraction 0.7, and
+# lowrank_perlayer's rank is int((1 - target) * 64).  Per group size: the
+# target ratio, and each mode's (row width, merged groups, layers per group).
+STORAGE_CASES = {
+    1: (0.2, {"baseline": (64, 0, 1), "commonkv": (45, 0, 1),
+              "lowrank_perlayer": (51, 0, 1), "rawkv_meanmerge": (64, 2, 1)}),
+    2: (0.45, {"baseline": (64, 0, 1), "commonkv": (45, 2, 2),
+               "lowrank_perlayer": (35, 0, 1), "rawkv_meanmerge": (64, 2, 2)}),
+    4: (0.5, {"baseline": (64, 0, 1), "commonkv": (45, 1, 4),
+              "lowrank_perlayer": (32, 0, 1), "rawkv_meanmerge": (64, 1, 4)}),
+}
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("group_size", sorted(STORAGE_CASES))
+def test_every_stores_audit_equals_the_storage_model(toy_weights, mode, group_size):
+    # decode lengths around one sealed suffix chunk; baseline prefills everything
+    target, shapes = STORAGE_CASES[group_size]
+    width, merged, members = shapes[mode]
+    fact = build_factorization(toy_weights, group_size, 0.7) if mode == "commonkv" else None
+    for decode_len in (0, 1, SUFFIX_CHUNK_ROWS - 1, SUFFIX_CHUNK_ROWS, SUFFIX_CHUNK_ROWS + 1):
+        n = 16 + 1 + decode_len
+        res = perplexity(mode, toy_weights, markov_byte_corpus(decode_len, 1, n)[0], fact=fact,
+                         target_ratio=target, strategy="mean", prefill_fraction=16 / n,
+                         group_size=group_size)
+        prefill, decode = (n, 0) if mode == "baseline" else (16, decode_len)
+        expected = width * ((8 - merged * (members - 1)) * prefill + 8 * decode)
+        assert res.cache_elements == expected, (mode, decode_len)
+        assert stored_elements(toy_weights.config, width, prefill, decode,
+                               merged_count=merged, group_size=members) == expected
+        if res.plan is not None:
+            assert res.plan.merged_count == merged
+        if mode == "rawkv_meanmerge":
+            assert len(res.extras["merged_groups"]) == merged
+
+
+@pytest.mark.parametrize("fraction", [float("nan"), float("inf"), -0.5, 1.5])
+def test_prefill_fraction_outside_zero_one_is_rejected_before_any_mode_branch(
+        toy_weights, probe_ids, fraction):
+    # commonkv without a factorization would fail in its branch, so the
+    # fraction must be checked first
+    for mode in MODES:
+        with pytest.raises(ConfigurationError, match="prefill fraction"):
+            perplexity(mode, toy_weights, probe_ids, prefill_fraction=fraction)
+
+
+@pytest.mark.parametrize("fraction, same_split", [(0.0, 1 / 32), (1.0, 31 / 32)])
+def test_prefill_fraction_bounds_clamp_to_one_token(toy_weights, fraction, same_split):
+    ids = markov_byte_corpus(3, 1, 32)[0]
+    a, b = (perplexity("rawkv_meanmerge", toy_weights, ids, target_ratio=0.5,
+                       prefill_fraction=f) for f in (fraction, same_split))
+    assert (a.nll, a.cache_elements) == (b.nll, b.cache_elements)
 
 
 @pytest.mark.parametrize("group_size", [1, 2, 4])
