@@ -31,7 +31,6 @@ from .corpus import load_byte_file, markov_byte_corpus
 from .errors import (CapacityError, CommonKVError, ConfigurationError, InputError,
                      NumericError)
 from .factorization import SharedFactorization, load_factorized, transform_model
-from .latent_cache import LatentSession
 from .model import ModelConfig, ModelWeights, gen_toy_model, load_model, save_model
 
 EXIT_CODES = {
@@ -221,13 +220,14 @@ def cmd_run(args) -> int:
         "plan": result.plan.to_dict() if result.plan else None,
         "extras": result.extras,
     }
-    if args.generate and args.mode == "commonkv":
-        # continue the prompt that ``perplexity`` scored, from its last logits
-        session = LatentSession(weights, fact)
-        split = evaluation._split_point(len(ids), args.prefill_fraction)
-        logits = session.prefill(ids[:split])
-        session.plan_and_merge(args.ratio, strategy=args.merge, fisher=fisher,
-                               score_variant=args.score)
+    if args.generate:
+        # every mode continues the prompt that the decoding modes score, from its
+        # last logits, through the mode's own session
+        prompt = ids[:evaluation._split_point(len(ids), args.prefill_fraction)]
+        session, logits, _, _ = evaluation.prefill_session(
+            args.mode, weights, prompt, fact=fact, target_ratio=args.ratio,
+            strategy=args.merge, fisher=fisher, score_variant=args.score,
+            group_size=args.group_size)
         generated = [int(np.argmax(logits[-1]))]
         while len(generated) < args.generate:
             generated.append(int(np.argmax(session.decode(generated[-1]))))

@@ -220,19 +220,18 @@ class RawKVSession:
 
     def attend(self, layer: int, lw: LayerWeights, xn: np.ndarray, q: np.ndarray,
                rows: range, rope: RopeTable) -> np.ndarray:
-        positions = np.arange(rows.start, rows.stop, dtype=np.int64)
         if layer == 0 and self._decoding:
-            self.decode_positions = np.concatenate([self.decode_positions, positions])
+            self.decode_positions = np.arange(self.prefill_positions.size, rows.stop,
+                                              dtype=np.int64)
         elif layer == 0:
-            self.prefill_positions = positions
+            self.prefill_positions = np.arange(rows.start, rows.stop, dtype=np.int64)
         k, v = project_kv(xn, lw, rows, rope, self.config)
         keys = self.keys[layer] = np.concatenate([self.keys[layer], k], axis=0)
         values = self.values[layer] = np.concatenate([self.values[layer], v], axis=0)
         if self.layout.group_of(layer) in self.group_prefix:
             mk, mv = self.group_prefix[self.layout.group_of(layer)]
             keys, values = np.concatenate([mk, keys]), np.concatenate([mv, values])
-        return attention_block(q, keys, values, positions, np.arange(rows.stop),
-                               lw.w_o, self.config)
+        return attention_block(q, keys, values, rows, range(rows.stop), lw.w_o, self.config)
 
     def cache_element_count(self) -> int:
         return sum(k.size + v.size
@@ -260,35 +259,25 @@ def _split_point(n_tokens: int, prefill_fraction: float) -> int:
     return min(max(split, 1), n_tokens - 1)
 
 
-def perplexity(mode: str, weights: ModelWeights, text_ids,
-               fact: SharedFactorization | None = None,
-               target_ratio: float = 0.0,
-               strategy: str = "mean",
-               fisher: FisherWeights | None = None,
-               score_variant: str = "shortcut",
-               prefill_fraction: float = 0.875,
-               group_size: int = 4) -> EvalResult:
-    """Teacher-forced mean NLL of ``text_ids`` under one cache mode.
+def prefill_session(mode: str, weights: ModelWeights, prompt_ids,
+                    fact: SharedFactorization | None = None,
+                    target_ratio: float = 0.0,
+                    strategy: str = "mean",
+                    fisher: FisherWeights | None = None,
+                    score_variant: str = "shortcut",
+                    group_size: int = 4):
+    """A session of cache mode ``mode`` that has prefilled ``prompt_ids`` and merged.
 
-    Every mode runs one path: prefill, merge, teacher-forced decode, audit.
-    The achieved ratio is always recomputed from the session's element
-    audit, and the whole-session audit, like the plan's per-token cost, must
-    equal ``budget.stored_elements`` for the mode's row width, merged groups
-    and group size.  ``prefill_fraction`` must lie in [0, 1].  ``baseline``
-    prefills the whole text in one shot, bit-identical to the model's loss.
+    Returns ``(session, logits, plan, extras)``: the prompt's logits, the
+    budget plan of the latent modes (else ``None``) and the merge report of
+    ``rawkv_meanmerge`` (else empty).  The session is ready to decode.
     """
-    cfg = weights.config
-    ids = _check_tokens(cfg, text_ids)
-    if ids.size < 2:
-        raise InputError("text must hold at least 2 tokens")
     if mode not in MODES:
         raise ConfigurationError(f"unknown mode {mode!r}")
-    if not 0.0 <= prefill_fraction <= 1.0:  # also false for nan
-        raise ConfigurationError(f"prefill fraction {prefill_fraction} is not in [0, 1]")
-    split = ids.size if mode == "baseline" else _split_point(ids.size, prefill_fraction)
+    cfg = weights.config
     plan, extras = None, {}
     if mode == "baseline":
-        session, target_ratio = BaselineSession(weights), 0.0
+        session = BaselineSession(weights)
     elif mode == "rawkv_meanmerge":
         session = RawKVSession(weights, group_size)
     else:
@@ -300,11 +289,9 @@ def perplexity(mode: str, weights: ModelWeights, text_ids,
             raise ConfigurationError("commonkv mode needs a factorized model")
         session = LatentSession(weights, fact)
 
-    logits = session.prefill(ids[:split])
-    width, merged, members = 2 * cfg.d_kv, 0, 1
+    logits = session.prefill(prompt_ids)
     if mode == "rawkv_meanmerge":
         extras = session.merge(target_ratio)
-        merged, members = len(session.merged_groups), group_size
     elif mode == "lowrank_perlayer":
         # per-layer reference never merges; with m=1 the cost is rank-driven only
         plan = budget_mod.allocate_budget([1.0] * fact.layout.n_groups, 0.0, fact.layout,
@@ -313,7 +300,44 @@ def perplexity(mode: str, weights: ModelWeights, text_ids,
     elif mode == "commonkv":
         plan = session.plan_and_merge(target_ratio, strategy=strategy, fisher=fisher,
                                       score_variant=score_variant)
-    if plan is not None:
+    return session, logits, plan, extras
+
+
+def perplexity(mode: str, weights: ModelWeights, text_ids,
+               fact: SharedFactorization | None = None,
+               target_ratio: float = 0.0,
+               strategy: str = "mean",
+               fisher: FisherWeights | None = None,
+               score_variant: str = "shortcut",
+               prefill_fraction: float = 0.875,
+               group_size: int = 4) -> EvalResult:
+    """Teacher-forced mean NLL of ``text_ids`` under one cache mode.
+
+    Every mode runs one path: prefill and merge (``prefill_session``),
+    teacher-forced decode, audit.
+    The achieved ratio is always recomputed from the session's element
+    audit, and the whole-session audit, like the plan's per-token cost, must
+    equal ``budget.stored_elements`` for the mode's row width, merged groups
+    and group size.  ``prefill_fraction`` must lie in [0, 1].  ``baseline``
+    prefills the whole text in one shot, bit-identical to the model's loss.
+    """
+    cfg = weights.config
+    ids = _check_tokens(cfg, text_ids)
+    if ids.size < 2:
+        raise InputError("text must hold at least 2 tokens")
+    if not 0.0 <= prefill_fraction <= 1.0:  # also false for nan
+        raise ConfigurationError(f"prefill fraction {prefill_fraction} is not in [0, 1]")
+    split = ids.size if mode == "baseline" else _split_point(ids.size, prefill_fraction)
+    if mode == "baseline":
+        target_ratio = 0.0
+    session, logits, plan, extras = prefill_session(
+        mode, weights, ids[:split], fact=fact, target_ratio=target_ratio, strategy=strategy,
+        fisher=fisher, score_variant=score_variant, group_size=group_size)
+    width, merged, members = 2 * cfg.d_kv, 0, 1
+    if mode == "rawkv_meanmerge":
+        merged, members = len(session.merged_groups), group_size
+    elif plan is not None:
+        fact = session.fact
         width, merged, members = fact.rank, plan.merged_count, fact.layout.group_size
     # NLL over the prompt's logits plus one decode step per later token
     rows = [logits] + [session.decode(int(t))[None, :] for t in ids[split:-1]]

@@ -13,7 +13,7 @@ SVD runs in float64 and factors are stored as float32 in the container.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -130,6 +130,13 @@ class SharedFactorization:
     v_factors: list[np.ndarray]         # per layer: (r, d_kv)
     fused_out: list[np.ndarray]         # per layer: (n_q_heads, r, d_hidden)
     recon_errors: dict[str, float]      # "layers.{l}.k" / ".v" -> rel Frobenius
+    # per layer, B_v viewed per KV head, (n_kv_heads, r, d_head): views, made
+    # with the factors so that no session step or session rebuilds them
+    v_heads: list[np.ndarray] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.v_heads = [v.reshape(self.rank, self.config.n_kv_heads, -1).transpose(1, 0, 2)
+                        for v in self.v_factors]
 
     def shared_for_layer(self, layer: int) -> np.ndarray:
         return self.shared[self.layout.group_of(layer)]

@@ -53,10 +53,10 @@ def restore_keys(latents: np.ndarray, k_factor: np.ndarray,
 
 
 def attend_latent(q_rope: np.ndarray, latents: np.ndarray, k_factor: np.ndarray,
-                  fused_out: np.ndarray, q_positions: np.ndarray,
+                  fused_out: np.ndarray, q_positions: np.ndarray | range,
                   k_positions: np.ndarray | range, rope: RopeTable, config: ModelConfig, *,
-                  v_factor: np.ndarray | None = None,
-                  w_o: np.ndarray | None = None) -> np.ndarray:
+                  v_factor: np.ndarray | None = None, w_o: np.ndarray | None = None,
+                  v_heads: np.ndarray | None = None) -> np.ndarray:
     """Causal attention over latent rows for one layer; returns (Tq, d_hidden).
 
     Without ``v_factor``/``w_o`` this is the fused verification path
@@ -71,14 +71,15 @@ def attend_latent(q_rope: np.ndarray, latents: np.ndarray, k_factor: np.ndarray,
       head, then that head's ``B_v`` columns.
 
     Prefill restores values and a decode step (Tq = 1) mixes latents; the
-    crossover sits near Tq ≈ r·d_kv / (n_q·(r − d_head)).
+    crossover sits near Tq ≈ r·d_kv / (n_q·(r − d_head)).  ``v_heads``, the
+    per-KV-head view of ``v_factor`` that the mix order reads, is made here
+    unless given (``SharedFactorization.v_heads`` holds one per layer).
 
-    ``k_positions`` may be a ``range`` (a session's keys are always the
-    positions 0..Tk-1): the keys then rotate by a slice of the RoPE table.
+    Positions may be ``range``s (a session's keys are always the positions
+    0..Tk-1): the keys then rotate by a slice of the RoPE table, and
+    attention reads the ranges without building position arrays.
     """
     keys = restore_keys(latents, k_factor, k_positions, rope, config.n_kv_heads)
-    if isinstance(k_positions, range):
-        k_positions = np.arange(k_positions.start, k_positions.stop, k_positions.step)
     n_q, n_kv, d_head = config.n_q_heads, config.n_kv_heads, config.d_head
     tq, (tk_all, rank) = q_rope.shape[0], latents.shape
     if v_factor is None:
@@ -94,7 +95,8 @@ def attend_latent(q_rope: np.ndarray, latents: np.ndarray, k_factor: np.ndarray,
     if restore <= mix:
         values = (latents @ v_factor).reshape(tk_all, n_kv, d_head)
         return attention_block(q_rope, keys, values, q_positions, k_positions, w_o, config)
-    v_heads = v_factor.reshape(rank, n_kv, d_head).transpose(1, 0, 2)  # (n_kv, r, d_head)
+    if v_heads is None:
+        v_heads = v_factor.reshape(rank, n_kv, d_head).transpose(1, 0, 2)  # (n_kv, r, d_head)
     o_cat = None if tq == 1 else np.empty((tq, n_q, d_head), dtype=np.float32)
     for start, stop, tk, probs in attention_probs(q_rope, keys, q_positions, k_positions,
                                                   config):
@@ -353,20 +355,23 @@ class LatentSession:
 
     def attend(self, layer: int, lw: LayerWeights, xn: np.ndarray, q: np.ndarray,
                rows: range, rope: RopeTable) -> np.ndarray:
-        """Cache the rows' latents (prefix or suffix by phase), attend over the layer's."""
-        store, decoding = self.store, self._prefill_frozen
-        positions = np.arange(rows.start, rows.stop, dtype=np.int64)
+        """Cache the rows' latents (prefix or suffix by phase), attend over the layer's.
+
+        A session's positions are always 0..T-1: layer 0 stores them as one
+        new ``arange`` per call, and attention reads ``rows`` and
+        ``range(T)``, so RoPE slices its table.
+        """
+        store, fact, decoding = self.store, self.fact, self._prefill_frozen
         if layer == 0 and decoding:
-            store.decode_positions = np.concatenate([store.decode_positions, positions])
+            store.decode_positions = np.arange(store.prefill_len, rows.stop, dtype=np.int64)
         elif layer == 0:
-            store.prefill_positions = np.concatenate([store.prefill_positions, positions])
+            store.prefill_positions = np.arange(rows.stop, dtype=np.int64)
         append = store.append_decode if decoding else store.append_prefill
-        append(layer, compute_latent(xn, self.fact.shared_for_layer(layer)))
-        kwargs = {} if self.fused_values else {"v_factor": self.fact.v_factors[layer],
-                                               "w_o": lw.w_o}
-        # a session's keys are always the positions 0..T-1, so RoPE slices its table
-        return attend_latent(q, store.visible_latents(layer), self.fact.k_factors[layer],
-                             self.fact.fused_out[layer], positions, range(rows.stop), rope,
+        append(layer, compute_latent(xn, fact.shared_for_layer(layer)))
+        kwargs = {} if self.fused_values else {"v_factor": fact.v_factors[layer], "w_o": lw.w_o,
+                                               "v_heads": fact.v_heads[layer]}
+        return attend_latent(q, store.visible_latents(layer), fact.k_factors[layer],
+                             fact.fused_out[layer], rows, range(rows.stop), rope,
                              self.weights.config, **kwargs)
 
     # -- accounting ----------------------------------------------------------

@@ -24,8 +24,16 @@ for all of them:
 * RoPE takes a ``range`` of consecutive positions as a slice of its table,
   not a gather, and rotates in place into ``out``; sessions pass ranges
 * a single row (a decode step) takes one-row paths: ``rms_norm`` keeps its
-  statistics in Python floats, and ``attention_probs`` skips the row-block
-  machinery
+  statistics in Python floats; ``attention_probs`` skips the row-block
+  machinery and its generator (the one block comes from a 1-tuple); and the
+  attention output meets ``W_o`` with no ``(Tq, n_q, d_head)`` buffer
+* a decode step skips per-layer fixed costs: no store builds a position
+  array per layer (each stores its positions once per step, at layer 0, as
+  one new int64 ``arange``; RoPE and the latent store's attention read
+  ``range``s, the full-KV store's attention views of its stored array); the
+  softmax calls ``np.maximum.reduce`` and ``np.add.reduce`` directly; RoPE
+  rotates in place with no contiguity copy; and ``_check_tokens`` checks one
+  token as a Python int
 * gradients (used only for calibration) run a separate float64 pass
 """
 
@@ -266,8 +274,8 @@ def rms_norm(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
     """
     x64 = x.astype(np.float64)
     if x64.size == x64.shape[-1]:
-        row = x64.reshape(-1)
-        x64 *= 1.0 / math.sqrt(float(row @ row) / row.size + RMS_EPS)
+        row = x64.ravel()
+        x64 *= 1.0 / math.sqrt(float(row.dot(row)) / row.size + RMS_EPS)
     else:
         mean_sq = np.einsum("...i,...i->...", x64, x64)[..., None] / x.shape[-1]
         x64 *= 1.0 / np.sqrt(mean_sq + RMS_EPS)
@@ -323,10 +331,10 @@ def apply_rope(vectors: np.ndarray, position_ids: np.ndarray | range, table: Rop
     broadcast; any other head count, such as queries, multiplies one rotation
     row broadcast over its heads.  With ``out`` (a C-contiguous float32 array
     of the same shape, which may be ``vectors`` itself) the result is written
-    there instead of into a new array.
+    there instead of into a new array; rotating in place copies nothing.
     """
     tiled = table.tiled
-    if isinstance(position_ids, range) and position_ids.step == 1:
+    if type(position_ids) is range and position_ids.step == 1:
         first, stop = position_ids.start, position_ids.stop
         if stop > first and stop > len(tiled):
             raise CapacityError(f"position {stop - 1} outside RoPE table of {len(tiled)}")
@@ -340,21 +348,29 @@ def apply_rope(vectors: np.ndarray, position_ids: np.ndarray | range, table: Rop
                 f"position {int(rows.max())} outside RoPE table of {len(tiled)}")
         if rows.size and int(rows.min()) < 0:
             raise CapacityError("negative position id")
-    pairs = np.ascontiguousarray(vectors, dtype=np.float32).view(np.complex64)
+    if out is not None and (out.dtype != np.float32 or not out.flags.c_contiguous):
+        raise InputError("apply_rope writes only into a C-contiguous float32 array")
+    src = vectors if out is vectors else np.ascontiguousarray(vectors, dtype=np.float32)
+    pairs = src.view(np.complex64)
     # keys: one flat multiply by tiled rows; other head counts: one row over the heads
-    cis = tiled[rows] if pairs.shape[1] == tiled.shape[1] else table.cis[rows, None]
+    cis = tiled[rows] if pairs.shape[1] == tiled.shape[1] else tiled[rows, :1]
     if inverse:
         cis = cis.conj()
     if out is None:
         return (pairs * cis).view(np.float32)
-    if out.dtype != np.float32 or not out.flags.c_contiguous:
-        raise InputError("apply_rope writes only into a C-contiguous float32 array")
-    np.multiply(pairs, cis, out=out.view(np.complex64))
+    np.multiply(pairs, cis, out=pairs if out is vectors else out.view(np.complex64))
     return out
 
 
-def causal_attention_weights(scores: np.ndarray, q_positions: np.ndarray,
-                             k_positions: np.ndarray) -> np.ndarray:
+def _position_array(positions: np.ndarray | range) -> np.ndarray:
+    """Positions as an int array: a ``range`` becomes its ``arange``."""
+    if type(positions) is range:
+        return np.arange(positions.start, positions.stop, positions.step)
+    return positions
+
+
+def causal_attention_weights(scores: np.ndarray, q_positions: np.ndarray | range,
+                             k_positions: np.ndarray | range) -> np.ndarray:
     """Causally masked softmax over the key axis, in place; returns ``scores``.
 
     ``scores`` is a float32 (..., Tq, Tk) block the caller owns and gives up:
@@ -364,15 +380,19 @@ def causal_attention_weights(scores: np.ndarray, q_positions: np.ndarray,
 
     Precondition: ``q_positions`` and ``k_positions`` are ascending.  Keys up
     to the first query's position are then visible to every row, so only the
-    tile of later keys is masked, and a decode row does no mask work.
+    tile of later keys is masked, and a decode row does no mask work.  Either
+    may be a ``range``.
     """
     first = q_positions[0]
     if k_positions[-1] > first:
+        k_positions = _position_array(k_positions)
         seen = int(k_positions.searchsorted(first, side="right"))
-        np.copyto(scores[..., seen:], -np.inf, where=k_positions[seen:] > q_positions[:, None])
-    scores -= scores.max(axis=-1, keepdims=True)
+        np.copyto(scores[..., seen:], -np.inf,
+                  where=k_positions[seen:] > _position_array(q_positions)[:, None])
+    scores -= np.maximum.reduce(scores, axis=-1, keepdims=True)
     np.exp(scores, out=scores)
-    scores *= (1.0 / scores.sum(axis=-1, keepdims=True, dtype=np.float64)).astype(np.float32)
+    sums = np.add.reduce(scores, axis=-1, dtype=np.float64, keepdims=True)
+    scores *= np.divide(1.0, sums, out=sums).astype(np.float32)
     return scores
 
 
@@ -388,36 +408,46 @@ def _row_scores(q_row: np.ndarray, keys_h: np.ndarray) -> np.ndarray:
     return scores_t.transpose(0, 2, 1).reshape(-1, 1, keys_h.shape[1])
 
 
-def attention_probs(q_rope: np.ndarray, keys: np.ndarray, q_positions: np.ndarray,
-                    k_positions: np.ndarray, config: ModelConfig):
+def attention_probs(q_rope: np.ndarray, keys: np.ndarray, q_positions: np.ndarray | range,
+                    k_positions: np.ndarray | range, config: ModelConfig):
     """Causal softmax weights of every query head, one row block at a time.
 
-    Yields ``(start, stop, tk, probs)`` with probs (n_q_heads, stop - start, tk)
-    over query rows ``start:stop`` and the first ``tk`` keys.  All query heads
-    of a KV head share one scores matmul.  Blocks hold
+    Returns an iterator of ``(start, stop, tk, probs)`` with probs
+    (n_q_heads, stop - start, tk) over query rows ``start:stop`` and the
+    first ``tk`` keys.  All query heads of a KV head share one scores matmul.
+    Blocks hold
     ``max(1, min(Tq // n_q_heads, SCORES_BLOCK_ELEMENTS // (n_q_heads * Tk)))``
     rows: a block's scores never exceed one head's (Tq, Tk), nor the budget
     unless a single row is already larger.  ``q_positions`` and
-    ``k_positions`` are ascending, so keys past ``tk`` (after the block's
-    last query position) are masked for every row and are skipped.  Each
-    block's scores are a fresh array that the softmax overwrites in place.
+    ``k_positions`` are ascending int arrays or ranges, so keys past ``tk``
+    (after the block's last query position) are masked for every row and are
+    skipped.  Each block's scores are a fresh array that the softmax
+    overwrites in place.
 
-    A one-row query (every decode step) is one block and skips the block
-    machinery: its scaled row is already grouped by KV head, so no query is
-    transposed or copied per block.  One-row blocks take their scores keys
-    on the left (``_row_scores``).
+    A one-row query (every decode step) is one block, iterated from a 1-tuple
+    with no generator frame, and skips the block machinery: its scaled row is
+    already grouped by KV head, so no query is transposed or copied.
+    One-row blocks take their scores keys on the left (``_row_scores``).
     """
+    if q_rope.shape[0] != 1:
+        return _block_probs(q_rope, keys, _position_array(q_positions),
+                            _position_array(k_positions), config)
+    position, tk = q_positions[0], keys.shape[0]
+    if k_positions[-1] > position:
+        tk = int(_position_array(k_positions).searchsorted(position, side="right"))
+    scale = np.float32(1.0 / math.sqrt(config.d_head))
+    q_row = q_rope.reshape(config.n_kv_heads, config.heads_per_kv, config.d_head) * scale
+    scores = _row_scores(q_row, keys[:tk].transpose(1, 0, 2))
+    return iter(((0, 1, tk, causal_attention_weights(scores, q_positions, k_positions[:tk])),))
+
+
+def _block_probs(q_rope: np.ndarray, keys: np.ndarray, q_positions: np.ndarray,
+                 k_positions: np.ndarray, config: ModelConfig):
+    """``attention_probs`` over several query rows, a generator of row blocks."""
     n_q, n_kv, hpk = config.n_q_heads, config.n_kv_heads, config.heads_per_kv
     d_head, tq = config.d_head, q_rope.shape[0]
-    scale = np.float32(1.0 / np.sqrt(d_head))
+    scale = np.float32(1.0 / math.sqrt(d_head))
     keys_h = keys.transpose(1, 0, 2)  # (n_kv, Tk, d_head)
-    if tq == 1:
-        tk = keys.shape[0]
-        if k_positions[-1] > q_positions[0]:
-            tk = int(k_positions.searchsorted(q_positions[0], side="right"))
-        scores = _row_scores((q_rope[0] * scale).reshape(n_kv, hpk, d_head), keys_h[:, :tk])
-        yield 0, 1, tk, causal_attention_weights(scores, q_positions, k_positions[:tk])
-        return
     # query head q sits at [q // heads_per_kv, q % heads_per_kv]
     q_grouped = (q_rope * scale).transpose(1, 0, 2).reshape(n_kv, hpk, tq, d_head)
     block = max(1, min(tq // n_q, SCORES_BLOCK_ELEMENTS // (n_q * keys.shape[0])))
@@ -486,18 +516,32 @@ class KVCache:
 
     def attend(self, layer: int, lw: LayerWeights, xn: np.ndarray, q: np.ndarray,
                rows: range, rope: RopeTable) -> np.ndarray:
-        if layer == 0:
-            self.positions = np.concatenate([self.positions, np.arange(rows.start, rows.stop)])
+        if layer == 0:  # the cached positions are always 0..T-1
+            self.positions = np.arange(rows.stop, dtype=np.int64)
         k, v = project_kv(xn, lw, rows, rope, self.config)
         lk = self.layers[layer]
         lk.keys = np.concatenate([lk.keys, k], axis=0)
         lk.values = np.concatenate([lk.values, v], axis=0)
+        # views of the stored positions: attention builds no position array
         return attention_block(q, lk.keys, lk.values, self.positions[rows.start:],
                                self.positions, lw.w_o, self.config)
 
 
-def _check_tokens(config: ModelConfig, token_ids: np.ndarray) -> np.ndarray:
-    ids = np.asarray(token_ids, dtype=np.int64).reshape(-1)
+def _check_tokens(config: ModelConfig, token_ids) -> np.ndarray:
+    """Token ids as a flat int64 array.
+
+    An id that is not an integer, or lies outside the byte vocabulary, is an
+    ``InputError``.  A one-token list of a Python int (a decode step) is
+    checked with Python ints, with no array reductions.
+    """
+    if type(token_ids) is list and len(token_ids) == 1 and type(token_ids[0]) is int:
+        if not 0 <= token_ids[0] < config.vocab_size:
+            raise InputError("token id outside byte vocabulary")
+        return np.array(token_ids, dtype=np.int64)
+    ids = np.asarray(token_ids)
+    if ids.size and ids.dtype.kind not in "iu":
+        raise InputError(f"token ids must be integers, got {ids.dtype} values")
+    ids = ids.astype(np.int64, copy=False).reshape(-1)
     if ids.size and (ids.min() < 0 or ids.max() >= config.vocab_size):
         raise InputError("token id outside byte vocabulary")
     return ids
@@ -515,12 +559,19 @@ def project_kv(xn: np.ndarray, lw: LayerWeights, rows: range, rope: RopeTable,
 def attention_block(q_rope: np.ndarray, keys: np.ndarray, values: np.ndarray,
                     q_positions: np.ndarray, k_positions: np.ndarray,
                     w_o: np.ndarray, config: ModelConfig) -> np.ndarray:
-    """Causal GQA attention. q_rope (Tq, n_q, d_head) -> (Tq, d_hidden)."""
+    """Causal GQA attention. q_rope (Tq, n_q, d_head) -> (Tq, d_hidden).
+
+    Positions are ascending int arrays or ranges (see ``attention_probs``).
+    """
     tq, n_kv = q_rope.shape[0], config.n_kv_heads
     values_t = values.transpose(1, 0, 2)  # (n_kv, Tk, d_head)
-    o_cat = np.empty((tq, config.n_q_heads, config.d_head), dtype=np.float32)
+    o_cat = None if tq == 1 else np.empty((tq, config.n_q_heads, config.d_head),
+                                          dtype=np.float32)
     for start, stop, tk, probs in attention_probs(q_rope, keys, q_positions, k_positions, config):
         heads = np.matmul(probs.reshape(n_kv, -1, tk), values_t[:, :tk])
+        if o_cat is None:
+            # one row: query head q = kv·hpk + j is already in order
+            return heads.reshape(1, config.d_hidden) @ w_o
         o_cat[start:stop] = heads.reshape(config.n_q_heads, stop - start, -1).transpose(1, 0, 2)
     return o_cat.reshape(tq, config.d_hidden) @ w_o
 
@@ -536,21 +587,24 @@ def forward(weights: ModelWeights, token_ids, store) -> np.ndarray:
     attention (Tq, d_hidden) of the rotated queries ``q`` over every row the
     layer sees; ``rope`` is the model's own table, ``weights.rope``.  Layers
     run in order; layer 0's call records ``rows`` in the store's positions.
-    Tokens and ``max_seq`` are checked first, so a rejected call leaves the
-    store as it was.
+    Tokens (at least one) and ``max_seq`` are checked first, so a rejected
+    call leaves the store as it was.
     """
     cfg = weights.config
     ids = _check_tokens(cfg, token_ids)
+    if not ids.size:
+        raise InputError("no tokens to run")
     start = store.n_tokens
     if start + ids.size > cfg.max_seq:
         raise CapacityError(f"sequence of {start + ids.size} exceeds max_seq={cfg.max_seq}")
     rows = range(start, start + ids.size)
 
     rope = weights.rope
+    q_shape = (ids.size, cfg.n_q_heads, cfg.d_head)
     x = weights.embed[ids]
     for li, lw in enumerate(weights.layers):
         xn = rms_norm(x, lw.attn_gain)
-        q = (xn @ lw.w_q).reshape(-1, cfg.n_q_heads, cfg.d_head)
+        q = (xn @ lw.w_q).reshape(q_shape)
         apply_rope(q, rows, rope, out=q)
         x += store.attend(li, lw, xn, q, rows, rope)
         x += mlp_block(rms_norm(x, lw.mlp_gain), lw)

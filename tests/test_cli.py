@@ -123,6 +123,27 @@ def test_generate_continues_the_scored_prompt_from_its_last_logits(workdir):
     assert bytes.fromhex(json.loads(out.read_text())["generated_bytes"]) == bytes(expected)
 
 
+@pytest.mark.parametrize("mode", ["baseline", "lowrank_perlayer", "rawkv_meanmerge"])
+def test_generate_runs_through_every_modes_own_session(workdir, mode):
+    # outside commonkv, --generate used to be ignored: exit 0 and no generated_bytes
+    model, out = workdir / "model.tnsr", workdir / "run.json"
+    assert main(["run", "--model", str(model), "--mode", mode, "--tokens", "48",
+                 "--seed", "45", "--generate", "5", "--out", str(out)]) == 0
+    generated = bytes.fromhex(json.loads(out.read_text())["generated_bytes"])
+    assert len(generated) == 5
+    if mode != "baseline":
+        return
+    # the same prompt as the decoding modes, continued from its last logits
+    ids = markov_byte_corpus(45, 1, 48)[0]
+    session = BaselineSession(load_model(model))
+    logits = session.prefill(ids[:_split_point(48, 0.875)])[-1]
+    expected = []
+    for _ in range(5):
+        expected.append(int(np.argmax(logits)))
+        logits = session.decode(expected[-1])
+    assert generated == bytes(expected)
+
+
 @pytest.mark.parametrize("fraction", ["nan", "inf", "-1", "2"])
 @pytest.mark.parametrize("command", ["run", "bench"])
 def test_prefill_fraction_outside_zero_one_is_configuration_error(workdir, capsys, command,

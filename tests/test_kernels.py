@@ -332,6 +332,25 @@ def test_rope_over_a_range_is_bit_identical_to_the_gather(toy_cfg, inverse, firs
     assert apply_rope(in_place, range(first, stop), table, inverse=inverse,
                       out=in_place) is in_place
     assert in_place.tobytes() == gathered.tobytes()
+    # the in-place range path (out=vectors, what sessions call) for keys, which
+    # take the head-tiled table, and for queries, which broadcast one row
+    n = stop - first
+    for heads in (toy_cfg.n_kv_heads, toy_cfg.n_q_heads):
+        vectors = np.random.default_rng(heads).standard_normal(
+            (n, heads, toy_cfg.d_head)).astype(np.float32)
+        expected = apply_rope(vectors, np.arange(first, stop), table, inverse=inverse)
+        rotated = vectors.copy()
+        assert apply_rope(rotated, range(first, stop), table, inverse=inverse,
+                          out=rotated) is rotated
+        assert rotated.tobytes() == expected.tobytes()
+        if n == 0:
+            continue
+        # both capacity checks hold on this path too, before anything is written
+        untouched = vectors.copy()
+        for outside in (range(toy_cfg.max_seq - n + 1, toy_cfg.max_seq + 1), range(-1, n - 1)):
+            with pytest.raises(CapacityError):
+                apply_rope(untouched, outside, table, inverse=inverse, out=untouched)
+            assert untouched.tobytes() == vectors.tobytes()
 
 
 @pytest.mark.parametrize("inverse", [False, True])

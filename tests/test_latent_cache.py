@@ -12,7 +12,7 @@ from commonkv.latent_cache import (SUFFIX_CHUNK_ROWS, LatentCacheStore, LatentSe
                                    attend_latent, baseline_elements, compute_latent,
                                    restore_keys)
 from commonkv.model import (BaselineSession, apply_rope, attention_block,
-                            build_rope_table, rms_norm)
+                            build_rope_table, forward_baseline, rms_norm)
 
 
 # -- latent projection ---------------------------------------------------------
@@ -420,3 +420,75 @@ def test_decode_append_copies_at_most_a_chunk(fact07):
         tracemalloc.stop()
     assert store.suffixes[0].shape == (300 + C + 1, fact.rank)
     assert worst <= 2 * C * row_bytes + 4096
+
+
+# -- rejected token lists and the stored positions ----------------------------------
+
+def _session(fact07, kind):
+    weights, fact, _ = fact07
+    return BaselineSession(weights) if kind == "baseline" else LatentSession(weights, fact)
+
+
+@pytest.mark.parametrize("kind", ["baseline", "commonkv"])
+def test_empty_token_list_is_input_error_before_any_layer(fact07, probe_ids, kind):
+    # used to end in a ZeroDivisionError (baseline) or a reshape ValueError (commonkv)
+    session = _session(fact07, kind)
+    for empty in ([], np.array([], dtype=np.int64)):
+        with pytest.raises(InputError, match="no tokens"):
+            session.prefill(empty)
+    assert session.cache_element_count() == 0
+    session.prefill(probe_ids[:8])
+    assert session.cache_element_count() > 0
+
+
+def test_forward_baseline_rejects_an_empty_token_list(fact07):
+    with pytest.raises(InputError, match="no tokens"):
+        forward_baseline(fact07[0], [])
+
+
+@pytest.mark.parametrize("kind", ["baseline", "commonkv"])
+@pytest.mark.parametrize("bad", [3.7, 3.0, "a", None])
+def test_non_integer_token_id_is_input_error(fact07, probe_ids, kind, bad):
+    # 3.7 used to decode byte 3 and "a" ended in a ValueError traceback
+    session = _session(fact07, kind)
+    with pytest.raises(InputError):
+        session.prefill([65, bad])
+    session.prefill(probe_ids[:8])
+    before = session.cache_element_count()
+    with pytest.raises(InputError):
+        session.decode(bad)
+    assert session.cache_element_count() == before
+
+
+@pytest.mark.parametrize("kind", ["baseline", "commonkv"])
+def test_one_python_int_token_decodes_like_any_integer_id(fact07, probe_ids, kind):
+    # a Python int takes the single-token check; numpy integers take the array check
+    fast, general = _session(fact07, kind), _session(fact07, kind)
+    for session in (fast, general):
+        session.prefill(probe_ids[:8])
+    for t in probe_ids[8:11]:
+        assert fast.decode(int(t)).tobytes() == general.decode(np.uint8(t)).tobytes()
+    with pytest.raises(InputError, match="outside byte vocabulary"):
+        fast.decode(256)
+    with pytest.raises(InputError, match="outside byte vocabulary"):
+        fast.decode(-1)
+
+
+def test_stored_positions_stay_int64_aranges_through_prefill_and_decode(fact07, probe_ids):
+    # each store keeps its positions as one int64 arange, rebuilt once per step;
+    # the benchmark's traced bytes_copied reads these arrays' nbytes
+    base, latent = _session(fact07, "baseline"), _session(fact07, "commonkv")
+    for session in (base, latent):
+        session.prefill(probe_ids[:12])
+        session.prefill(probe_ids[12:20])
+    latent.plan_and_merge(0.5, strategy="mean")
+    for t in probe_ids[20:26]:
+        for session in (base, latent):
+            session.decode(int(t))
+
+    def is_arange(positions, start, stop):
+        return positions.dtype == np.int64 and np.array_equal(positions, np.arange(start, stop))
+
+    assert is_arange(base.cache.positions, 0, 26)
+    assert is_arange(latent.store.prefill_positions, 0, 20)
+    assert is_arange(latent.store.decode_positions, 20, 26)

@@ -1,0 +1,130 @@
+"""A/B one benchmark workload between two checkouts; write ``BENCH_<workload>.json``.
+
+Usage, from the repository root:
+
+    python3 tools/bench_ab.py --parent DIR --change DIR --workload toy-chat \\
+        --seeds 100-109 --seconds 20
+
+Each seed is one pair: both checkouts run ``perfbench/run.py`` on it with
+tracing off, and the side that runs first alternates from pair to pair.  For
+every end-to-end metric that ``BENCHMARK.json`` declares, the file records each
+side's median and quartiles over the pairs, every run's value, and how many
+pairs the change won in the metric's better direction (ties count for
+neither).  A checkout's commit is read with ``git rev-parse HEAD``; give it
+with ``--parent-commit``/``--change-commit`` for an exported tree.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def parse_seeds(text: str) -> list[int]:
+    """``"100-109"``, ``"7,9,11"`` or a mix of both."""
+    seeds = []
+    for part in text.split(","):
+        first, _, last = part.partition("-")
+        seeds.extend(range(int(first), int(last or first) + 1))
+    return seeds
+
+
+def git_head(checkout: Path) -> str | None:
+    """HEAD of a git checkout; ``None`` for a directory that is not one."""
+    if not (checkout / ".git").exists():
+        return None
+    done = subprocess.run(["git", "-C", str(checkout), "rev-parse", "HEAD"],
+                          capture_output=True, text=True)
+    return done.stdout.strip() if done.returncode == 0 else None
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One untraced benchmark run; its last stdout line is the result object."""
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True)
+    lines = done.stdout.strip().splitlines()
+    if not lines:
+        raise RuntimeError(f"{checkout}: seed {seed} printed no result: {done.stderr.strip()}")
+    return json.loads(lines[-1])
+
+
+def quartiles(values: list[float]) -> dict:
+    q1, median, q3 = np.percentile(np.asarray(values, dtype=np.float64), [25, 50, 75])
+    return {"median": float(median), "q1": float(q1), "q3": float(q3)}
+
+
+def summarize(declared: list[dict], runs: dict[str, list[dict]]) -> dict:
+    metrics = {}
+    for spec in declared:
+        name = spec["name"]
+        values = {side: [run["metrics"][name]["value"] for run in side_runs]
+                  for side, side_runs in runs.items()}
+        sign = 1.0 if spec["better"] == "lower" else -1.0
+        wins = sum(sign * (c - p) < 0 for p, c in zip(values["parent"], values["change"]))
+        metrics[name] = {"unit": spec["unit"], "better": spec["better"],
+                         "bound": spec.get("bound"),
+                         "parent": quartiles(values["parent"]),
+                         "change": quartiles(values["change"]),
+                         "change_wins": int(wins), "values": values}
+    return metrics
+
+
+def side_summary(commit: str | None, side_runs: list[dict]) -> dict:
+    """The side's commit and its operation counts: attempted, failed, runs not correct."""
+    return {"commit": commit,
+            "attempted": sum(run["attempted"] for run in side_runs),
+            "failed": sum(run["failed"] for run in side_runs),
+            "incorrect_runs": sum(not run["correct"] for run in side_runs)}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--change", type=Path, required=True)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seeds", type=parse_seeds, required=True)
+    parser.add_argument("--seconds", type=float, required=True)
+    parser.add_argument("--parent-commit")
+    parser.add_argument("--change-commit")
+    parser.add_argument("--out", type=Path)
+    args = parser.parse_args(argv)
+
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    sides = {"parent": args.parent, "change": args.change}
+    runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    for pair, seed in enumerate(args.seeds):
+        order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+        for side in order:
+            result = run_once(sides[side], args.workload, seed, args.seconds)
+            runs[side].append(result)
+            print(f"seed {seed} {side}: commonkv.decode_ms_p50 "
+                  f"{result['metrics']['commonkv.decode_ms_p50']['value']:.4f} ms",
+                  file=sys.stderr)
+    report = {
+        "workload": args.workload,
+        "seconds": args.seconds,
+        "seeds": args.seeds,
+        "pairs": len(args.seeds),
+        "nproc": len(os.sched_getaffinity(0)),
+        "parent": side_summary(args.parent_commit or git_head(args.parent), runs["parent"]),
+        "change": side_summary(args.change_commit or git_head(args.change), runs["change"]),
+        "metrics": summarize(declared, runs),
+    }
+    out = args.out or ROOT / f"BENCH_{args.workload}.json"
+    out.write_text(json.dumps(report, indent=1) + "\n")
+    print(f"wrote {out}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
