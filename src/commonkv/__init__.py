@@ -11,6 +11,6 @@ from .latent_cache import (CacheAudit, LatentCacheStore, LatentSession, attend_l
                            compute_latent, restore_keys)
 from .model import (BaselineSession, ModelConfig, ModelWeights, apply_rope,
                     build_rope_table, forward_baseline, gen_toy_model, load_model,
-                    loss_and_grads, save_model, sequence_nll)
+                    loss_and_grads, save_model)
 
 __version__ = "0.1.0"

@@ -197,6 +197,8 @@ def cmd_run(args) -> int:
         "seed": 42, "tokens": 128, "prefill_fraction": 0.875, "corpus": None,
         "fisher_file": None, "generate": 0, "group_size": 4, "factorized": None,
     })
+    if args.generate < 0:
+        raise ConfigurationError(f"--generate {args.generate} is negative")
     weights = load_model(args.model)
     fact = _load_factorization(args, weights)
     if args.mode == "commonkv" and fact is None:

@@ -32,7 +32,7 @@ def markov_byte_corpus(seed: int, n_sequences: int, seq_len: int) -> list[np.nda
         seq[0] = state
         draws = rng.random(seq_len - 1)
         for t in range(1, seq_len):
-            choice = int(np.searchsorted(cdf[state], draws[t - 1]))
+            choice = int(np.count_nonzero(cdf[state] < draws[t - 1]))  # first cdf >= draw
             state = int(successors[state, min(choice, N_SUCCESSORS - 1)])
             seq[t] = state
         sequences.append(seq)

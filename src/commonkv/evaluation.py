@@ -28,9 +28,9 @@ import numpy as np
 from . import budget as budget_mod
 from .budget import BudgetPlan, FisherWeights, group_score, stored_elements, top_k_groups
 from .corpus import markov_byte_corpus
-from .errors import ConfigurationError, InputError, NumericError, UnreachableRatioError
-from .factorization import (SharedFactorization, build_factorization,
-                            factorize_group, GroupLayout)
+from .errors import (CapacityError, ConfigurationError, InputError, NumericError,
+                     UnreachableRatioError)
+from .factorization import GroupLayout, SharedFactorization, build_factorization
 from .latent_cache import LatentSession, baseline_elements, compute_latent
 from .model import (BaselineSession, LayerWeights, ModelConfig, ModelWeights, RopeTable,
                     apply_rope, attention_block, forward, mlp_block,
@@ -61,20 +61,18 @@ def _collect_layer_states(weights: ModelWeights, ids: np.ndarray,
                           fact: SharedFactorization | None):
     """Prefill once, returning per-layer hidden/key/value (and latent) stacks."""
     cfg = weights.config
-    positions = np.arange(ids.size, dtype=np.int64)
-    rows = range(ids.size)
     hiddens, keys, values, latents = [], [], [], []
     x = weights.embed[ids]
     for li, lw in enumerate(weights.layers):
         hiddens.append(x.copy())
         xn = rms_norm(x, lw.attn_gain)
-        q = apply_rope((xn @ lw.w_q).reshape(-1, cfg.n_q_heads, cfg.d_head), rows, weights.rope)
-        k, v = project_kv(xn, lw, rows, weights.rope, cfg)
+        q = apply_rope((xn @ lw.w_q).reshape(-1, cfg.n_q_heads, cfg.d_head), 0, weights.rope)
+        k, v = project_kv(xn, lw, 0, weights.rope, cfg)
         keys.append(k.reshape(ids.size, -1))
         values.append(v.reshape(ids.size, -1))
         if fact is not None:
             latents.append(compute_latent(xn, fact.shared_for_layer(li)))
-        x = x + attention_block(q, k, v, positions, positions, lw.w_o, cfg)
+        x = x + attention_block(q, k, v, lw.w_o, cfg)
         x = x + mlp_block(rms_norm(x, lw.mlp_gain), lw)
     return hiddens, keys, values, latents
 
@@ -105,43 +103,6 @@ def profile_similarity(weights: ModelWeights, probe_ids,
     means = {c: float(np.mean([p[c] for p in pairs])) for c in categories}
     digest = hashlib.sha256(ids.astype("<i8").tobytes()).hexdigest()
     return SimilarityReport(pairs=pairs, means=means, corpus_digest=digest)
-
-
-def similarity_construction_trial(seed: int, n_layers: int = 4, d_hidden: int = 32,
-                                  d_kv: int = 16, tokens: int = 64,
-                                  neighbor_cos: float = 0.97) -> tuple[float, float]:
-    """Synthetic check that shared-factor latents out-cohere raw keys.
-
-    Hidden states for consecutive layers are built with an exact pairwise
-    cosine (orthogonalized noise at fixed relative scale), key projections
-    are independent per layer, and the shared factor comes from the group
-    SVD of the stacked projections.  Returns (latent_similarity,
-    key_similarity), each a mean adjacent-layer token cosine.
-    """
-    rng = np.random.default_rng(seed)
-    lam = np.sqrt(1.0 / neighbor_cos**2 - 1.0)  # cos(x, x + lam*|x|*n_perp) == neighbor_cos
-    xs = [rng.standard_normal((tokens, d_hidden))]
-    for _ in range(n_layers - 1):
-        x = xs[-1]
-        noise = rng.standard_normal((tokens, d_hidden))
-        proj = (np.sum(noise * x, axis=1, keepdims=True)
-                / np.sum(x * x, axis=1, keepdims=True)) * x
-        perp = noise - proj
-        perp *= (np.linalg.norm(x, axis=1, keepdims=True)
-                 / np.linalg.norm(perp, axis=1, keepdims=True)) * lam
-        xs.append(x + perp)
-    w_ks = [rng.standard_normal((d_hidden, d_kv)) / np.sqrt(d_hidden)
-            for _ in range(n_layers)]
-    w_vs = [rng.standard_normal((d_hidden, d_kv)) / np.sqrt(d_hidden)
-            for _ in range(n_layers)]
-    stacked = np.concatenate([m for pair in zip(w_ks, w_vs) for m in pair], axis=1)
-    shared, _ = factorize_group(stacked, rank=max(1, round(0.7 * d_hidden)))
-
-    key_sims, latent_sims = [], []
-    for l in range(n_layers - 1):
-        key_sims.append(group_score(xs[l] @ w_ks[l], xs[l + 1] @ w_ks[l + 1]))
-        latent_sims.append(group_score(xs[l] @ shared, xs[l + 1] @ shared))
-    return float(np.mean(latent_sims)), float(np.mean(key_sims))
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +172,13 @@ class RawKVSession:
         return {"scores": scores, "merged_groups": self.merged_groups, "count": k}
 
     def decode(self, token_id: int) -> np.ndarray:
-        self._decoding = True
-        return forward(self.weights, [token_id], self)[0]
+        """One generated token; starts the decode phase unless ``forward`` rejects it."""
+        was_decoding, self._decoding = self._decoding, True
+        try:
+            return forward(self.weights, [token_id], self)[0]
+        except (InputError, CapacityError):
+            self._decoding = was_decoding
+            raise
 
     @property
     def n_tokens(self) -> int:
@@ -225,13 +191,13 @@ class RawKVSession:
                                               dtype=np.int64)
         elif layer == 0:
             self.prefill_positions = np.arange(rows.start, rows.stop, dtype=np.int64)
-        k, v = project_kv(xn, lw, rows, rope, self.config)
+        k, v = project_kv(xn, lw, rows.start, rope, self.config)
         keys = self.keys[layer] = np.concatenate([self.keys[layer], k], axis=0)
         values = self.values[layer] = np.concatenate([self.values[layer], v], axis=0)
         if self.layout.group_of(layer) in self.group_prefix:
             mk, mv = self.group_prefix[self.layout.group_of(layer)]
             keys, values = np.concatenate([mk, keys]), np.concatenate([mv, values])
-        return attention_block(q, keys, values, rows, range(rows.stop), lw.w_o, self.config)
+        return attention_block(q, keys, values, lw.w_o, self.config)
 
     def cache_element_count(self) -> int:
         return sum(k.size + v.size

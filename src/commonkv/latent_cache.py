@@ -4,9 +4,10 @@ A ``LatentSession`` is the KV store that ``model.forward`` runs over: the
 decoder layer is the baseline's, and only what a layer caches and how it
 attends differ.  The cache stores position-free latent rows
 ``h = x_normed @ A`` per layer.
-Keys are restored on the fly each step as ``rope(h @ B_k)``: a session's key
-positions are always 0..T-1, so the rotations are a slice of the RoPE table,
-applied in place on the GEMM's output.  Values are never cached: the value
+Keys are restored on the fly each step as ``rope(h @ B_k)``: positions follow
+from shapes (a layer's T latent rows sit at 0..T-1 and a call's queries are
+the last of them), so the rotations are a slice of the RoPE table, applied in
+place on the GEMM's output.  Values are never cached: the value
 path applies ``B_v`` and then ``W_o`` in whichever exact order costs fewer
 multiply-adds for the call's shapes.  Prefill restores values ``h @ B_v``
 transiently, the way keys are restored; a decode step mixes latents with the
@@ -27,9 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import budget as budget_mod
-from . import tensorfile
 from .budget import baseline_elements  # the storage closed form, also read from here
-from .errors import InputError, NumericError
+from .errors import CapacityError, InputError, NumericError
 from .factorization import SharedFactorization
 from .model import (LayerWeights, ModelConfig, ModelWeights, RopeTable, apply_rope,
                     attention_block, attention_probs, forward)
@@ -40,21 +40,19 @@ def compute_latent(x: np.ndarray, shared: np.ndarray) -> np.ndarray:
     return x @ shared
 
 
-def restore_keys(latents: np.ndarray, k_factor: np.ndarray,
-                 position_ids: np.ndarray | range, rope: RopeTable,
+def restore_keys(latents: np.ndarray, k_factor: np.ndarray, rope: RopeTable,
                  n_kv_heads: int) -> np.ndarray:
-    """Keys from latents: (tokens, n_kv_heads, d_head) with rotations applied.
+    """Keys from latents at positions 0..T-1: (T, n_kv_heads, d_head), rotated.
 
-    The rotation runs in place on the GEMM's output, so with a ``range`` of
-    positions (what a session passes) the keys are the only array allocated.
+    The rotation runs in place on the GEMM's output, so the keys are the only
+    array allocated.
     """
     keys = (latents @ k_factor).reshape(latents.shape[0], n_kv_heads, -1)
-    return apply_rope(keys, position_ids, rope, out=keys)
+    return apply_rope(keys, 0, rope, out=keys)
 
 
 def attend_latent(q_rope: np.ndarray, latents: np.ndarray, k_factor: np.ndarray,
-                  fused_out: np.ndarray, q_positions: np.ndarray | range,
-                  k_positions: np.ndarray | range, rope: RopeTable, config: ModelConfig, *,
+                  fused_out: np.ndarray, rope: RopeTable, config: ModelConfig, *,
                   v_factor: np.ndarray | None = None, w_o: np.ndarray | None = None,
                   v_heads: np.ndarray | None = None) -> np.ndarray:
     """Causal attention over latent rows for one layer; returns (Tq, d_hidden).
@@ -74,18 +72,14 @@ def attend_latent(q_rope: np.ndarray, latents: np.ndarray, k_factor: np.ndarray,
     crossover sits near Tq ≈ r·d_kv / (n_q·(r − d_head)).  ``v_heads``, the
     per-KV-head view of ``v_factor`` that the mix order reads, is made here
     unless given (``SharedFactorization.v_heads`` holds one per layer).
-
-    Positions may be ``range``s (a session's keys are always the positions
-    0..Tk-1): the keys then rotate by a slice of the RoPE table, and
-    attention reads the ranges without building position arrays.
+    The latents sit at positions 0..Tk-1 and the queries are the last Tq.
     """
-    keys = restore_keys(latents, k_factor, k_positions, rope, config.n_kv_heads)
+    keys = restore_keys(latents, k_factor, rope, config.n_kv_heads)
     n_q, n_kv, d_head = config.n_q_heads, config.n_kv_heads, config.d_head
     tq, (tk_all, rank) = q_rope.shape[0], latents.shape
     if v_factor is None:
         out = np.empty((tq, config.d_hidden), dtype=np.float32)
-        for start, stop, tk, probs in attention_probs(q_rope, keys, q_positions,
-                                                      k_positions, config):
+        for start, stop, tk, probs in attention_probs(q_rope, keys, config):
             mixed = probs.reshape(-1, tk) @ latents[:tk]  # (n_q * rows, r)
             out[start:stop] = np.matmul(mixed.reshape(n_q, stop - start, -1),
                                         fused_out).sum(axis=0)
@@ -94,12 +88,11 @@ def attend_latent(q_rope: np.ndarray, latents: np.ndarray, k_factor: np.ndarray,
     mix = n_q * tq * tk_all * rank + n_q * tq * rank * d_head
     if restore <= mix:
         values = (latents @ v_factor).reshape(tk_all, n_kv, d_head)
-        return attention_block(q_rope, keys, values, q_positions, k_positions, w_o, config)
+        return attention_block(q_rope, keys, values, w_o, config)
     if v_heads is None:
         v_heads = v_factor.reshape(rank, n_kv, d_head).transpose(1, 0, 2)  # (n_kv, r, d_head)
     o_cat = None if tq == 1 else np.empty((tq, n_q, d_head), dtype=np.float32)
-    for start, stop, tk, probs in attention_probs(q_rope, keys, q_positions, k_positions,
-                                                  config):
+    for start, stop, tk, probs in attention_probs(q_rope, keys, config):
         mixed = probs.reshape(-1, tk) @ latents[:tk]  # (n_q * rows, r), head-major
         heads = np.matmul(mixed.reshape(n_kv, -1, rank), v_heads)  # (n_kv, hpk * rows, d_head)
         if o_cat is None:
@@ -226,10 +219,6 @@ class LatentCacheStore:
         gc.merged = True
         gc.merge_checksum = _checksum(gc.shared_prefix)
 
-    def merged_prefix_checksums(self) -> dict[int, str]:
-        return {gi: _checksum(gc.shared_prefix)
-                for gi, gc in enumerate(self.groups) if gc.merged}
-
     def verify_merged_prefixes(self) -> None:
         for gi, gc in enumerate(self.groups):
             if gc.merged and _checksum(gc.shared_prefix) != gc.merge_checksum:
@@ -248,26 +237,6 @@ class LatentCacheStore:
                          for part in self._suffix_parts(l)))
         return CacheAudit(prefix_elements=sum(per_group), suffix_elements=suffix,
                           per_group_prefix=per_group)
-
-    def debug_dump(self) -> bytes:
-        """Container snapshot of every stored latent array, for inspection.
-
-        Position ids travel in the metadata so the payload holds exactly the
-        audited cache elements (payload bytes / 4 == total element count).
-        """
-        tensors: dict[str, np.ndarray] = {}
-        for gi, gc in enumerate(self.groups):
-            if gc.merged:
-                tensors[f"groups.{gi}.shared_prefix"] = gc.shared_prefix
-            else:
-                for slot, p in enumerate(gc.layer_prefixes):
-                    tensors[f"groups.{gi}.prefix.{slot}"] = p
-        for l, s in enumerate(self.suffixes):
-            tensors[f"layers.{l}.suffix"] = s
-        meta = {"kind": "latent_cache_dump",
-                "prefill_positions": self.prefill_positions.tolist(),
-                "decode_positions": self.decode_positions.tolist()}
-        return tensorfile.serialize(tensors, meta=meta)
 
 
 class LatentSession:
@@ -343,9 +312,16 @@ class LatentSession:
             self.store.merge_group(gi, merged)
 
     def decode(self, token_id: int) -> np.ndarray:
-        """One generated token; its latent joins the layer-private suffix."""
-        self._prefill_frozen = True
-        return forward(self.weights, [token_id], self)[0]
+        """One generated token; its latent joins the layer-private suffix.
+
+        Closes the prefill phase, unless ``forward`` rejects the token.
+        """
+        was_frozen, self._prefill_frozen = self._prefill_frozen, True
+        try:
+            return forward(self.weights, [token_id], self)[0]
+        except (InputError, CapacityError):
+            self._prefill_frozen = was_frozen
+            raise
 
     # -- the KV store ``model.forward`` runs over ------------------------------
 
@@ -357,9 +333,8 @@ class LatentSession:
                rows: range, rope: RopeTable) -> np.ndarray:
         """Cache the rows' latents (prefix or suffix by phase), attend over the layer's.
 
-        A session's positions are always 0..T-1: layer 0 stores them as one
-        new ``arange`` per call, and attention reads ``rows`` and
-        ``range(T)``, so RoPE slices its table.
+        Layer 0 records the session's positions, always 0..T-1, as one new
+        ``arange`` per call; no kernel reads them.
         """
         store, fact, decoding = self.store, self.fact, self._prefill_frozen
         if layer == 0 and decoding:
@@ -371,8 +346,7 @@ class LatentSession:
         kwargs = {} if self.fused_values else {"v_factor": fact.v_factors[layer], "w_o": lw.w_o,
                                                "v_heads": fact.v_heads[layer]}
         return attend_latent(q, store.visible_latents(layer), fact.k_factors[layer],
-                             fact.fused_out[layer], rows, range(rows.stop), rope,
-                             self.weights.config, **kwargs)
+                             fact.fused_out[layer], rope, self.weights.config, **kwargs)
 
     # -- accounting ----------------------------------------------------------
 

@@ -21,19 +21,17 @@ for all of them:
   when weights are generated or loaded, is read-only, and every session,
   layer and gradient pass shares it.  It is tiled over the KV heads, so keys
   rotate by one flat multiply; queries multiply one row broadcast over heads
-* RoPE takes a ``range`` of consecutive positions as a slice of its table,
-  not a gather, and rotates in place into ``out``; sessions pass ranges
+* positions follow from shapes: a call's new rows sit at consecutive
+  positions, so RoPE takes the first row's position and rotates by a slice of
+  its table, in place into ``out``; attention's Tk keys sit at 0..Tk-1 and its
+  Tq queries are the last Tq of them.  No kernel takes a position array; a
+  store records its positions once per step, at layer 0, as one int64
+  ``arange``
 * a single row (a decode step) takes one-row paths: ``rms_norm`` keeps its
   statistics in Python floats; ``attention_probs`` skips the row-block
-  machinery and its generator (the one block comes from a 1-tuple); and the
-  attention output meets ``W_o`` with no ``(Tq, n_q, d_head)`` buffer
-* a decode step skips per-layer fixed costs: no store builds a position
-  array per layer (each stores its positions once per step, at layer 0, as
-  one new int64 ``arange``; RoPE and the latent store's attention read
-  ``range``s, the full-KV store's attention views of its stored array); the
-  softmax calls ``np.maximum.reduce`` and ``np.add.reduce`` directly; RoPE
-  rotates in place with no contiguity copy; and ``_check_tokens`` checks one
-  token as a Python int
+  machinery, its generator (the one block comes from a 1-tuple) and all mask
+  work; the attention output meets ``W_o`` with no ``(Tq, n_q, d_head)``
+  buffer; and ``_check_tokens`` checks one token as a Python int
 * gradients (used only for calibration) run a separate float64 pass
 """
 
@@ -319,41 +317,31 @@ def build_rope_table(config: ModelConfig) -> RopeTable:
     return RopeTable(tiled=tiled)
 
 
-def apply_rope(vectors: np.ndarray, position_ids: np.ndarray | range, table: RopeTable,
+def apply_rope(vectors: np.ndarray, start: int, table: RopeTable,
                inverse: bool = False, out: np.ndarray | None = None) -> np.ndarray:
-    """Rotate (tokens, heads, d_head) pairwise by each token's position angle.
+    """Rotate (tokens, heads, d_head) pairwise: token i to position ``start + i``.
 
-    One complex multiply per pair; ``inverse=True`` multiplies by the
-    conjugate, rotating by the negative angle.  ``position_ids`` is an int
-    array, whose rotations are gathered from the table, or a ``range`` of
-    consecutive positions, whose rotations are a slice (a view) of it.  Keys
+    One complex multiply per pair by a slice of the table; ``inverse=True``
+    multiplies by the conjugate, rotating by the negative angle.  Keys
     (``n_kv_heads`` heads) multiply the head-tiled table elementwise, with no
     broadcast; any other head count, such as queries, multiplies one rotation
     row broadcast over its heads.  With ``out`` (a C-contiguous float32 array
     of the same shape, which may be ``vectors`` itself) the result is written
     there instead of into a new array; rotating in place copies nothing.
+    Positions outside the table raise ``CapacityError`` before any write.
     """
     tiled = table.tiled
-    if type(position_ids) is range and position_ids.step == 1:
-        first, stop = position_ids.start, position_ids.stop
-        if stop > first and stop > len(tiled):
-            raise CapacityError(f"position {stop - 1} outside RoPE table of {len(tiled)}")
-        if stop > first and first < 0:
-            raise CapacityError("negative position id")
-        rows = slice(first, stop)
-    else:
-        rows = np.asarray(position_ids)
-        if rows.size and int(rows.max()) >= len(tiled):
-            raise CapacityError(
-                f"position {int(rows.max())} outside RoPE table of {len(tiled)}")
-        if rows.size and int(rows.min()) < 0:
-            raise CapacityError("negative position id")
+    stop = start + vectors.shape[0]
+    if stop > len(tiled):
+        raise CapacityError(f"position {stop - 1} outside RoPE table of {len(tiled)}")
+    if start < 0:
+        raise CapacityError("negative position id")
     if out is not None and (out.dtype != np.float32 or not out.flags.c_contiguous):
         raise InputError("apply_rope writes only into a C-contiguous float32 array")
     src = vectors if out is vectors else np.ascontiguousarray(vectors, dtype=np.float32)
     pairs = src.view(np.complex64)
     # keys: one flat multiply by tiled rows; other head counts: one row over the heads
-    cis = tiled[rows] if pairs.shape[1] == tiled.shape[1] else tiled[rows, :1]
+    cis = tiled[start:stop] if pairs.shape[1] == tiled.shape[1] else tiled[start:stop, :1]
     if inverse:
         cis = cis.conj()
     if out is None:
@@ -362,33 +350,21 @@ def apply_rope(vectors: np.ndarray, position_ids: np.ndarray | range, table: Rop
     return out
 
 
-def _position_array(positions: np.ndarray | range) -> np.ndarray:
-    """Positions as an int array: a ``range`` becomes its ``arange``."""
-    if type(positions) is range:
-        return np.arange(positions.start, positions.stop, positions.step)
-    return positions
-
-
-def causal_attention_weights(scores: np.ndarray, q_positions: np.ndarray | range,
-                             k_positions: np.ndarray | range) -> np.ndarray:
+def causal_attention_weights(scores: np.ndarray) -> np.ndarray:
     """Causally masked softmax over the key axis, in place; returns ``scores``.
 
     ``scores`` is a float32 (..., Tq, Tk) block the caller owns and gives up:
-    it is overwritten with the probabilities.  Max-subtract, exp and the
+    it is overwritten with the probabilities.  Key j sits at position j and
+    query row i at Tk - Tq + i, so keys up to the first query are visible to
+    every row and only the (Tq, Tq - 1) tile of later keys is masked; a
+    decode row (Tq = 1) does no mask work.  Max-subtract, exp and the
     normalising multiply by each row's reciprocal sum run in float32; the
     row sums accumulate in float64.  Masked entries are exactly 0.
-
-    Precondition: ``q_positions`` and ``k_positions`` are ascending.  Keys up
-    to the first query's position are then visible to every row, so only the
-    tile of later keys is masked, and a decode row does no mask work.  Either
-    may be a ``range``.
     """
-    first = q_positions[0]
-    if k_positions[-1] > first:
-        k_positions = _position_array(k_positions)
-        seen = int(k_positions.searchsorted(first, side="right"))
-        np.copyto(scores[..., seen:], -np.inf,
-                  where=k_positions[seen:] > _position_array(q_positions)[:, None])
+    tq = scores.shape[-2]
+    if tq > 1:
+        later = np.arange(tq - 1) >= np.arange(tq)[:, None]
+        np.copyto(scores[..., scores.shape[-1] - tq + 1:], -np.inf, where=later)
     scores -= np.maximum.reduce(scores, axis=-1, keepdims=True)
     np.exp(scores, out=scores)
     sums = np.add.reduce(scores, axis=-1, dtype=np.float64, keepdims=True)
@@ -408,41 +384,35 @@ def _row_scores(q_row: np.ndarray, keys_h: np.ndarray) -> np.ndarray:
     return scores_t.transpose(0, 2, 1).reshape(-1, 1, keys_h.shape[1])
 
 
-def attention_probs(q_rope: np.ndarray, keys: np.ndarray, q_positions: np.ndarray | range,
-                    k_positions: np.ndarray | range, config: ModelConfig):
+def attention_probs(q_rope: np.ndarray, keys: np.ndarray, config: ModelConfig):
     """Causal softmax weights of every query head, one row block at a time.
 
-    Returns an iterator of ``(start, stop, tk, probs)`` with probs
+    The Tq queries are the last Tq of the Tk keys' positions.  Returns an
+    iterator of ``(start, stop, tk, probs)`` with probs
     (n_q_heads, stop - start, tk) over query rows ``start:stop`` and the
-    first ``tk`` keys.  All query heads of a KV head share one scores matmul.
-    Blocks hold
+    first ``tk = Tk - Tq + stop`` keys: later keys are masked for every row
+    of the block and are skipped.  All query heads of a KV head share one
+    scores matmul.  Blocks hold
     ``max(1, min(Tq // n_q_heads, SCORES_BLOCK_ELEMENTS // (n_q_heads * Tk)))``
     rows: a block's scores never exceed one head's (Tq, Tk), nor the budget
-    unless a single row is already larger.  ``q_positions`` and
-    ``k_positions`` are ascending int arrays or ranges, so keys past ``tk``
-    (after the block's last query position) are masked for every row and are
-    skipped.  Each block's scores are a fresh array that the softmax
-    overwrites in place.
+    unless a single row is already larger.  Each block's scores are a fresh
+    array that the softmax overwrites in place.
 
-    A one-row query (every decode step) is one block, iterated from a 1-tuple
-    with no generator frame, and skips the block machinery: its scaled row is
-    already grouped by KV head, so no query is transposed or copied.
-    One-row blocks take their scores keys on the left (``_row_scores``).
+    A one-row query (every decode step) is one block over every key,
+    iterated from a 1-tuple with no generator frame, and skips the block
+    machinery: its scaled row is already grouped by KV head, so no query is
+    transposed or copied.  One-row blocks take their scores keys on the left
+    (``_row_scores``).
     """
     if q_rope.shape[0] != 1:
-        return _block_probs(q_rope, keys, _position_array(q_positions),
-                            _position_array(k_positions), config)
-    position, tk = q_positions[0], keys.shape[0]
-    if k_positions[-1] > position:
-        tk = int(_position_array(k_positions).searchsorted(position, side="right"))
+        return _block_probs(q_rope, keys, config)
     scale = np.float32(1.0 / math.sqrt(config.d_head))
     q_row = q_rope.reshape(config.n_kv_heads, config.heads_per_kv, config.d_head) * scale
-    scores = _row_scores(q_row, keys[:tk].transpose(1, 0, 2))
-    return iter(((0, 1, tk, causal_attention_weights(scores, q_positions, k_positions[:tk])),))
+    scores = _row_scores(q_row, keys.transpose(1, 0, 2))
+    return iter(((0, 1, keys.shape[0], causal_attention_weights(scores)),))
 
 
-def _block_probs(q_rope: np.ndarray, keys: np.ndarray, q_positions: np.ndarray,
-                 k_positions: np.ndarray, config: ModelConfig):
+def _block_probs(q_rope: np.ndarray, keys: np.ndarray, config: ModelConfig):
     """``attention_probs`` over several query rows, a generator of row blocks."""
     n_q, n_kv, hpk = config.n_q_heads, config.n_kv_heads, config.heads_per_kv
     d_head, tq = config.d_head, q_rope.shape[0]
@@ -453,14 +423,13 @@ def _block_probs(q_rope: np.ndarray, keys: np.ndarray, q_positions: np.ndarray,
     block = max(1, min(tq // n_q, SCORES_BLOCK_ELEMENTS // (n_q * keys.shape[0])))
     for start in range(0, tq, block):
         stop = min(start + block, tq)
-        tk = int(k_positions.searchsorted(q_positions[stop - 1], side="right"))
+        tk = keys.shape[0] - tq + stop
         if stop - start == 1:
             scores = _row_scores(q_grouped[:, :, start], keys_h[:, :tk])
         else:
             scores = np.matmul(q_grouped[:, :, start:stop].reshape(n_kv, -1, d_head),
                                keys_h[:, :tk].transpose(0, 2, 1))
-        probs = causal_attention_weights(scores.reshape(n_kv, hpk, stop - start, tk),
-                                         q_positions[start:stop], k_positions[:tk])
+        probs = causal_attention_weights(scores.reshape(n_kv, hpk, stop - start, tk))
         yield start, stop, tk, probs.reshape(n_q, stop - start, tk)
 
 
@@ -518,13 +487,11 @@ class KVCache:
                rows: range, rope: RopeTable) -> np.ndarray:
         if layer == 0:  # the cached positions are always 0..T-1
             self.positions = np.arange(rows.stop, dtype=np.int64)
-        k, v = project_kv(xn, lw, rows, rope, self.config)
+        k, v = project_kv(xn, lw, rows.start, rope, self.config)
         lk = self.layers[layer]
         lk.keys = np.concatenate([lk.keys, k], axis=0)
         lk.values = np.concatenate([lk.values, v], axis=0)
-        # views of the stored positions: attention builds no position array
-        return attention_block(q, lk.keys, lk.values, self.positions[rows.start:],
-                               self.positions, lw.w_o, self.config)
+        return attention_block(q, lk.keys, lk.values, lw.w_o, self.config)
 
 
 def _check_tokens(config: ModelConfig, token_ids) -> np.ndarray:
@@ -547,27 +514,26 @@ def _check_tokens(config: ModelConfig, token_ids) -> np.ndarray:
     return ids
 
 
-def project_kv(xn: np.ndarray, lw: LayerWeights, rows: range, rope: RopeTable,
+def project_kv(xn: np.ndarray, lw: LayerWeights, start: int, rope: RopeTable,
                config: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Keys, rotated in place to positions ``rows``, and values of normed rows."""
+    """Keys, rotated in place to positions from ``start`` on, and values of normed rows."""
     k = (xn @ lw.w_k).reshape(-1, config.n_kv_heads, config.d_head)
     v = (xn @ lw.w_v).reshape(-1, config.n_kv_heads, config.d_head)
-    apply_rope(k, rows, rope, out=k)
+    apply_rope(k, start, rope, out=k)
     return k, v
 
 
 def attention_block(q_rope: np.ndarray, keys: np.ndarray, values: np.ndarray,
-                    q_positions: np.ndarray, k_positions: np.ndarray,
                     w_o: np.ndarray, config: ModelConfig) -> np.ndarray:
     """Causal GQA attention. q_rope (Tq, n_q, d_head) -> (Tq, d_hidden).
 
-    Positions are ascending int arrays or ranges (see ``attention_probs``).
+    The queries are the last Tq of the keys' positions (see ``attention_probs``).
     """
     tq, n_kv = q_rope.shape[0], config.n_kv_heads
     values_t = values.transpose(1, 0, 2)  # (n_kv, Tk, d_head)
     o_cat = None if tq == 1 else np.empty((tq, config.n_q_heads, config.d_head),
                                           dtype=np.float32)
-    for start, stop, tk, probs in attention_probs(q_rope, keys, q_positions, k_positions, config):
+    for start, stop, tk, probs in attention_probs(q_rope, keys, config):
         heads = np.matmul(probs.reshape(n_kv, -1, tk), values_t[:, :tk])
         if o_cat is None:
             # one row: query head q = kv·hpk + j is already in order
@@ -585,7 +551,8 @@ def forward(weights: ModelWeights, token_ids, store) -> np.ndarray:
     ``attend(layer, lw, xn, q, rows, rope)``: cache what the layer keeps of
     its normed rows ``xn``, then return the ``lw.w_o``-projected causal
     attention (Tq, d_hidden) of the rotated queries ``q`` over every row the
-    layer sees; ``rope`` is the model's own table, ``weights.rope``.  Layers
+    layer sees, at positions ``0..rows.stop-1``; ``rope`` is the model's own
+    table, ``weights.rope``.  Layers
     run in order; layer 0's call records ``rows`` in the store's positions.
     Tokens (at least one) and ``max_seq`` are checked first, so a rejected
     call leaves the store as it was.
@@ -605,7 +572,7 @@ def forward(weights: ModelWeights, token_ids, store) -> np.ndarray:
     for li, lw in enumerate(weights.layers):
         xn = rms_norm(x, lw.attn_gain)
         q = (xn @ lw.w_q).reshape(q_shape)
-        apply_rope(q, rows, rope, out=q)
+        apply_rope(q, start, rope, out=q)
         x += store.attend(li, lw, xn, q, rows, rope)
         x += mlp_block(rms_norm(x, lw.mlp_gain), lw)
     return rms_norm(x, weights.final_gain) @ weights.lm_head
@@ -651,15 +618,6 @@ def nll_from_logits(logits: np.ndarray, targets: np.ndarray) -> float:
     return float(np.mean(lse - z[np.arange(len(targets)), targets]))
 
 
-def sequence_nll(weights: ModelWeights, token_ids) -> float:
-    """Teacher-forced mean NLL through the baseline engine's own forward."""
-    ids = _check_tokens(weights.config, token_ids)
-    if ids.size < 2:
-        raise InputError("need at least 2 tokens to score next-token loss")
-    logits, _ = forward_baseline(weights, ids)
-    return nll_from_logits(logits[:-1], ids[1:])
-
-
 # ---------------------------------------------------------------------------
 # Reverse-mode gradients for W_k / W_v (float64 throughout)
 # ---------------------------------------------------------------------------
@@ -677,8 +635,8 @@ def _rms_norm64_backward(dy, x, gain, inv):
     return gdy * inv - x * (inner * inv**3 / d)
 
 
-def _rope64(vectors, positions, cis, inverse=False):
-    c = cis[positions][:, None, :]
+def _rope64(vectors, cis, inverse=False):
+    c = cis[:vectors.shape[0], None, :]  # token i at position i
     return (vectors.view(np.complex128) * (c.conj() if inverse else c)).view(np.float64)
 
 
@@ -743,8 +701,8 @@ def loss_and_grads(weights: ModelWeights, token_ids) -> tuple[float, list[dict[s
             q = (xn1 @ lw["w_q"]).reshape(T, cfg.n_q_heads, cfg.d_head)
             k = (xn1 @ lw["w_k"]).reshape(T, cfg.n_kv_heads, cfg.d_head)
             v = (xn1 @ lw["w_v"]).reshape(T, cfg.n_kv_heads, cfg.d_head)
-            qr = _rope64(q, positions, cis64)
-            kr = _rope64(k, positions, cis64)
+            qr = _rope64(q, cis64)
+            kr = _rope64(k, cis64)
             probs = np.empty((cfg.n_q_heads, T, T))
             o_cat = np.empty((T, cfg.n_q_heads, cfg.d_head))
             for qh in range(cfg.n_q_heads):
@@ -803,9 +761,8 @@ def loss_and_grads(weights: ModelWeights, token_ids) -> tuple[float, list[dict[s
                 ds = p * (dp - np.sum(dp * p, axis=-1, keepdims=True))
                 dqr[:, qh, :] += ds @ t["kr"][:, kv, :] * scale
                 dkr[:, kv, :] += ds.T @ t["qr"][:, qh, :] * scale
-            positions = np.arange(T)
-            dq = _rope64(dqr, positions, cis64, inverse=True)
-            dk = _rope64(dkr, positions, cis64, inverse=True)
+            dq = _rope64(dqr, cis64, inverse=True)
+            dk = _rope64(dkr, cis64, inverse=True)
             dq_flat = dq.reshape(T, cfg.d_hidden)
             dk_flat = dk.reshape(T, cfg.d_kv)
             dv_flat = dv.reshape(T, cfg.d_kv)

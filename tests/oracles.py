@@ -4,7 +4,9 @@ Everything here is written against the documented conventions only (row-vector
 hidden states, interleaved rotation pairs, query head q reading KV head
 q // (n_q / n_kv)) and deliberately shares no code with the package, so a
 convention drift in the engine shows up as a test failure instead of being
-checked against itself.
+checked against itself.  The helpers that do drive the package
+(``engine_fd_gradient``, ``sequence_nll``, ``similarity_construction_trial``)
+import it where they are defined and say so.
 """
 
 import numpy as np
@@ -105,3 +107,56 @@ def singular_values_by_eig(matrix: np.ndarray) -> np.ndarray:
     """Descending singular values via the Gram-matrix eigendecomposition."""
     eigs = np.linalg.eigvalsh(matrix.T.astype(np.float64) @ matrix.astype(np.float64))
     return np.sqrt(np.clip(np.sort(eigs)[::-1], 0.0, None))
+
+
+def sequence_nll(weights, token_ids) -> float:
+    """Teacher-forced mean NLL through the engine's own full-KV forward."""
+    from commonkv.errors import InputError
+    from commonkv.model import _check_tokens, forward_baseline, nll_from_logits
+
+    ids = _check_tokens(weights.config, token_ids)
+    if ids.size < 2:
+        raise InputError("need at least 2 tokens to score next-token loss")
+    logits, _ = forward_baseline(weights, ids)
+    return nll_from_logits(logits[:-1], ids[1:])
+
+
+def similarity_construction_trial(seed: int, n_layers: int = 4, d_hidden: int = 32,
+                                  d_kv: int = 16, tokens: int = 64,
+                                  neighbor_cos: float = 0.97) -> tuple[float, float]:
+    """Synthetic check that shared-factor latents out-cohere raw keys.
+
+    Hidden states for consecutive layers are built with an exact pairwise
+    cosine (orthogonalized noise at fixed relative scale), key projections
+    are independent per layer, and the shared factor comes from the
+    package's group SVD of the stacked projections.  Returns
+    (latent_similarity, key_similarity), each the package's mean
+    adjacent-layer token cosine.
+    """
+    from commonkv.budget import group_score
+    from commonkv.factorization import factorize_group
+
+    rng = np.random.default_rng(seed)
+    lam = np.sqrt(1.0 / neighbor_cos**2 - 1.0)  # cos(x, x + lam*|x|*n_perp) == neighbor_cos
+    xs = [rng.standard_normal((tokens, d_hidden))]
+    for _ in range(n_layers - 1):
+        x = xs[-1]
+        noise = rng.standard_normal((tokens, d_hidden))
+        proj = (np.sum(noise * x, axis=1, keepdims=True)
+                / np.sum(x * x, axis=1, keepdims=True)) * x
+        perp = noise - proj
+        perp *= (np.linalg.norm(x, axis=1, keepdims=True)
+                 / np.linalg.norm(perp, axis=1, keepdims=True)) * lam
+        xs.append(x + perp)
+    w_ks = [rng.standard_normal((d_hidden, d_kv)) / np.sqrt(d_hidden)
+            for _ in range(n_layers)]
+    w_vs = [rng.standard_normal((d_hidden, d_kv)) / np.sqrt(d_hidden)
+            for _ in range(n_layers)]
+    stacked = np.concatenate([m for pair in zip(w_ks, w_vs) for m in pair], axis=1)
+    shared, _ = factorize_group(stacked, rank=max(1, round(0.7 * d_hidden)))
+
+    key_sims, latent_sims = [], []
+    for l in range(n_layers - 1):
+        key_sims.append(group_score(xs[l] @ w_ks[l], xs[l + 1] @ w_ks[l + 1]))
+        latent_sims.append(group_score(xs[l] @ shared, xs[l + 1] @ shared))
+    return float(np.mean(latent_sims)), float(np.mean(key_sims))

@@ -14,14 +14,13 @@ import pytest
 from commonkv.budget import allocate_budget, estimate_fisher, merge_group, top_k_groups
 from commonkv.corpus import markov_byte_corpus
 from commonkv.errors import ConfigurationError
-from commonkv.evaluation import similarity_construction_trial
 from commonkv.factorization import (GroupLayout, factorize_group, load_factorized,
                                     transform_model)
 from commonkv.latent_cache import LatentSession, attend_latent
 from commonkv.model import (BaselineSession, ModelConfig, apply_rope, build_rope_table,
                             gen_toy_model, loss_and_grads)
 from conftest import MICRO
-from oracles import engine_fd_gradient, singular_values_by_eig
+from oracles import engine_fd_gradient, similarity_construction_trial, singular_values_by_eig
 
 
 class Timer:
@@ -74,15 +73,12 @@ def test_criterion_2_fused_path_equality(fact07):
         for seed in range(10):
             rng = np.random.default_rng(200 + seed)
             xn = rng.standard_normal((12, cfg.d_hidden)).astype(np.float32) * 0.5
-            positions = np.arange(12)
             for layer, lw in enumerate(weights.layers):
-                q = apply_rope((xn @ lw.w_q).reshape(-1, cfg.n_q_heads, cfg.d_head),
-                               positions, rope)
+                q = apply_rope((xn @ lw.w_q).reshape(-1, cfg.n_q_heads, cfg.d_head), 0, rope)
                 h = xn @ fact.shared_for_layer(layer)
                 fused = attend_latent(q, h, fact.k_factors[layer], fact.fused_out[layer],
-                                      positions, positions, rope, cfg)
-                unfused = attend_latent(q, h, fact.k_factors[layer],
-                                        fact.fused_out[layer], positions, positions,
+                                      rope, cfg)
+                unfused = attend_latent(q, h, fact.k_factors[layer], fact.fused_out[layer],
                                         rope, cfg, v_factor=fact.v_factors[layer],
                                         w_o=lw.w_o)
                 worst = max(worst, float(np.abs(fused - unfused).max()))

@@ -144,6 +144,20 @@ def test_generate_runs_through_every_modes_own_session(workdir, mode):
     assert generated == bytes(expected)
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_negative_generate_is_configuration_error(workdir, capsys, source):
+    # used to exit 0 and write one generated byte
+    out, config = workdir / "g.json", workdir / "config.json"
+    config.write_text(json.dumps({"generate": -3}))
+    extra = ["--generate", "-3"] if source == "flag" else ["--config", str(config)]
+    code = main(["run", "--model", str(workdir / "model.tnsr"), "--mode", "baseline",
+                 "--tokens", "32", "--out", str(out), *extra])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--generate -3" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("fraction", ["nan", "inf", "-1", "2"])
 @pytest.mark.parametrize("command", ["run", "bench"])
 def test_prefill_fraction_outside_zero_one_is_configuration_error(workdir, capsys, command,

@@ -5,11 +5,11 @@ from commonkv.budget import estimate_fisher, stored_elements
 from commonkv.corpus import markov_byte_corpus
 from commonkv.errors import CapacityError, ConfigurationError, NumericError
 from commonkv.evaluation import (CSV_COLUMNS, MODES, RawKVSession, bench_sweep, perplexity,
-                                 profile_similarity, records_to_csv,
-                                 similarity_construction_trial, sweep_summary)
+                                 profile_similarity, records_to_csv, sweep_summary)
 from commonkv.factorization import build_factorization, transform_model, load_factorized
 from commonkv.latent_cache import SUFFIX_CHUNK_ROWS, LatentCacheStore, LatentSession
-from commonkv.model import BaselineSession, ModelConfig, gen_toy_model, sequence_nll
+from commonkv.model import BaselineSession, ModelConfig, gen_toy_model
+from oracles import sequence_nll, similarity_construction_trial
 
 
 def test_baseline_mode_equals_model_loss(toy_weights, probe_ids):

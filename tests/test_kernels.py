@@ -29,7 +29,7 @@ def _config(heads_per_kv: int) -> ModelConfig:
 
 
 def _reference_probs(q, keys, q_pos, k_pos, cfg):
-    """Per-head float64 causal softmax weights, (n_q, Tq, Tk)."""
+    """Per-head float64 causal softmax weights, (n_q, Tq, Tk), at explicit positions."""
     hpk = cfg.n_q_heads // cfg.n_kv_heads
     probs = []
     for h in range(cfg.n_q_heads):
@@ -73,7 +73,7 @@ def _random_inputs(cfg: ModelConfig, tq: int, seed: int) -> dict:
 def test_attention_block_matches_per_head_reference(heads_per_kv, tq):
     cfg = _config(heads_per_kv)
     x = _random_inputs(cfg, tq, 10 * heads_per_kv + tq)
-    out = attention_block(x["q"], x["keys"], x["values"], x["q_pos"], x["k_pos"], x["w_o"], cfg)
+    out = attention_block(x["q"], x["keys"], x["values"], x["w_o"], cfg)
     expected = _reference_block(x["q"], x["keys"], x["values"], x["q_pos"], x["k_pos"],
                                 x["w_o"], cfg)
     np.testing.assert_allclose(out, expected, atol=1e-5)
@@ -88,8 +88,7 @@ def test_attend_latent_matches_per_head_reference(heads_per_kv, tq, path):
     h64 = x["latents"].astype(np.float64)
     keys = _rotate((h64 @ x["k_factor"]).reshape(HISTORY, cfg.n_kv_heads, cfg.d_head),
                    x["k_pos"], cfg.rope_theta, cfg.d_head)
-    args = (x["q"], x["latents"], x["k_factor"], x["fused_out"], x["q_pos"], x["k_pos"],
-            build_rope_table(cfg), cfg)
+    args = (x["q"], x["latents"], x["k_factor"], x["fused_out"], build_rope_table(cfg), cfg)
     if path == "fused":
         out = attend_latent(*args)
         probs = _reference_probs(x["q"], keys, x["q_pos"], x["k_pos"], cfg)
@@ -128,7 +127,7 @@ def test_factored_value_path_orders_match_reference(monkeypatch, heads_per_kv, t
 
     monkeypatch.setattr(latent_cache, "attention_block", counted)
     out = latent_cache.attend_latent(
-        x["q"], latents, k_factor, None, x["q_pos"], x["k_pos"], build_rope_table(cfg), cfg,
+        x["q"], latents, k_factor, None, build_rope_table(cfg), cfg,
         v_factor=v_factor, w_o=x["w_o"])
     assert len(calls) == (1 if order == "restore" else 0)
     h64 = latents.astype(np.float64)
@@ -169,7 +168,7 @@ def test_budget_sized_blocks_match_reference(monkeypatch, rows, path, heads_per_
     x = _random_inputs(cfg, tq, 7 * rows + tq)
     if path == "block":
         keys, values = x["keys"], x["values"]
-        out = attention_block(x["q"], keys, values, x["q_pos"], x["k_pos"], x["w_o"], cfg)
+        out = attention_block(x["q"], keys, values, x["w_o"], cfg)
     else:
         rng = np.random.default_rng(rows + tq)
         latents = (rng.standard_normal((HISTORY, WIDE_RANK)) * 0.5).astype(np.float32)
@@ -182,8 +181,8 @@ def test_budget_sized_blocks_match_reference(monkeypatch, rows, path, heads_per_
             return attention_block(*args)
 
         monkeypatch.setattr(latent_cache, "attention_block", counted)
-        out = attend_latent(x["q"], latents, k_factor, None, x["q_pos"], x["k_pos"],
-                            build_rope_table(cfg), cfg, v_factor=v_factor, w_o=x["w_o"])
+        out = attend_latent(x["q"], latents, k_factor, None, build_rope_table(cfg), cfg,
+                            v_factor=v_factor, w_o=x["w_o"])
         assert len(calls) == (path == "restore")
         h64 = latents.astype(np.float64)
         keys = _rotate((h64 @ k_factor).reshape(HISTORY, cfg.n_kv_heads, cfg.d_head),
@@ -206,8 +205,7 @@ def test_block_rows_at_workload_shapes(tq, tk, n_q, rows):
                       d_head=32, d_mlp=16, max_seq=1024)
     q = np.zeros((tq, n_q, 32), dtype=np.float32)
     keys = np.zeros((tk, 2, 32), dtype=np.float32)
-    start, stop, _, probs = next(attention_probs(q, keys, np.arange(tk - tq, tk),
-                                                 np.arange(tk), cfg))
+    start, stop, _, probs = next(attention_probs(q, keys, cfg))
     assert (start, stop) == (0, rows)
     assert rows == 1 or probs.size <= model.SCORES_BLOCK_ELEMENTS == 2**18
 
@@ -243,29 +241,30 @@ def test_rms_norm_matches_float64_reference(shape, scale):
 
 # -- the in-place causal softmax ------------------------------------------------
 
-SOFTMAX_CASES = {  # name: (query positions, key positions, score spread)
-    "decode_row": (np.array([39]), np.arange(40), 4.0),
-    "decode_row_before_later_keys": (np.array([20]), np.arange(40), 4.0),
-    "prefill_block_from_0": (np.arange(0, 9), np.arange(9), 4.0),
-    "prefill_block_mid_sequence": (np.arange(20, 29), np.arange(29), 4.0),
-    "gapped_positions": (np.arange(30, 37), np.arange(0, 37, 3), 4.0),
-    "single_key": (np.array([0]), np.array([0]), 4.0),
-    "all_equal_scores": (np.arange(20, 29), np.arange(29), 0.0),
-    "spread_1e2": (np.arange(20, 29), np.arange(29), 1e2),
-    "spread_1e4": (np.arange(20, 29), np.arange(29), 1e4),
+# name: (query rows Tq, keys Tk, score spread, seed); the queries are the
+# last Tq of the keys' positions, a block's tail
+SOFTMAX_CASES = {
+    "decode_row": (1, 40, 4.0, 1),
+    "prefill_block_from_0": (9, 9, 4.0, 4),
+    "prefill_block_mid_sequence": (9, 29, 4.0, 5),
+    "single_key": (1, 1, 4.0, 6),
+    "all_equal_scores": (9, 29, 0.0, 0),
+    "spread_1e2": (9, 29, 1e2, 7),
+    "spread_1e4": (9, 29, 1e4, 8),
 }
 
 
 @pytest.mark.parametrize("case", sorted(SOFTMAX_CASES))
 def test_causal_softmax_matches_float64_reference(case):
-    q_pos, k_pos, spread = SOFTMAX_CASES[case]
-    rng = np.random.default_rng(sorted(SOFTMAX_CASES).index(case))
-    shape = (2, 3, q_pos.size, k_pos.size)
+    tq, tk, spread, seed = SOFTMAX_CASES[case]
+    q_pos, k_pos = np.arange(tk - tq, tk), np.arange(tk)
+    rng = np.random.default_rng(seed)
+    shape = (2, 3, tq, tk)
     scores = (rng.uniform(-spread, spread, shape) if spread else np.full(shape, 0.7))
     scores = scores.astype(np.float32)
     expected = reference_causal_softmax(scores, q_pos, k_pos)
     block = scores.copy()
-    probs = causal_attention_weights(block, q_pos, k_pos)
+    probs = causal_attention_weights(block)
     assert probs is block and probs.dtype == np.float32  # in place, no copy
     np.testing.assert_allclose(probs, expected, rtol=0, atol=1e-6)
     masked = np.broadcast_to(k_pos[None, :] > q_pos[:, None], shape)
@@ -295,11 +294,11 @@ def test_complex_rope_matches_pairwise_formula_on_non_contiguous_input(toy_cfg, 
     base = rng.standard_normal((toy_cfg.n_q_heads, 12, toy_cfg.d_head)).astype(np.float32)
     vectors = base.transpose(1, 0, 2)  # (tokens, heads, d_head), not C-contiguous
     assert not vectors.flags.c_contiguous
-    positions = np.arange(12) * 19
-    out = apply_rope(vectors, positions, table, inverse=inverse)
+    positions = np.arange(200, 212)
+    out = apply_rope(vectors, 200, table, inverse=inverse)
     np.testing.assert_allclose(out, _pairwise_rope(vectors, positions, table, inverse),
                                atol=1e-6)
-    back = apply_rope(out, positions, table, inverse=not inverse)
+    back = apply_rope(out, 200, table, inverse=not inverse)
     np.testing.assert_allclose(back, vectors, atol=1e-6)
 
 
@@ -317,7 +316,15 @@ def test_rope_table_is_one_complex_table_with_exact_cos_sin(toy_cfg):
     assert np.shares_memory(table.cos, table.cis) and np.shares_memory(table.sin, table.cis)
 
 
-# -- RoPE over a contiguous range ------------------------------------------------
+# -- RoPE over consecutive positions ----------------------------------------------
+
+def _gathered_rope(vectors, first, table, inverse):
+    """The reference: one rotation row gathered per token from the table by position."""
+    rotations = table.cis[np.arange(first, first + len(vectors))][:, None, :]
+    if inverse:
+        rotations = rotations.conj()
+    return (vectors.view(np.complex64) * rotations).view(np.float32)
+
 
 @pytest.mark.parametrize("inverse", [False, True])
 @pytest.mark.parametrize("first, stop", [(0, 1), (0, 64), (17, 29), (200, 256), (5, 5)])
@@ -325,29 +332,27 @@ def test_rope_over_a_range_is_bit_identical_to_the_gather(toy_cfg, inverse, firs
     table = build_rope_table(toy_cfg)
     vectors = np.random.default_rng(first + stop).standard_normal(
         (stop - first, toy_cfg.n_kv_heads, toy_cfg.d_head)).astype(np.float32)
-    gathered = apply_rope(vectors, np.arange(first, stop), table, inverse=inverse)
-    sliced = apply_rope(vectors, range(first, stop), table, inverse=inverse)
+    gathered = _gathered_rope(vectors, first, table, inverse)
+    sliced = apply_rope(vectors, first, table, inverse=inverse)
     assert sliced.tobytes() == gathered.tobytes()
     in_place = vectors.copy()
-    assert apply_rope(in_place, range(first, stop), table, inverse=inverse,
-                      out=in_place) is in_place
+    assert apply_rope(in_place, first, table, inverse=inverse, out=in_place) is in_place
     assert in_place.tobytes() == gathered.tobytes()
-    # the in-place range path (out=vectors, what sessions call) for keys, which
-    # take the head-tiled table, and for queries, which broadcast one row
+    # the in-place path (out=vectors, what sessions call) for keys, which take
+    # the head-tiled table, and for queries, which broadcast one row
     n = stop - first
     for heads in (toy_cfg.n_kv_heads, toy_cfg.n_q_heads):
         vectors = np.random.default_rng(heads).standard_normal(
             (n, heads, toy_cfg.d_head)).astype(np.float32)
-        expected = apply_rope(vectors, np.arange(first, stop), table, inverse=inverse)
+        expected = _gathered_rope(vectors, first, table, inverse)
         rotated = vectors.copy()
-        assert apply_rope(rotated, range(first, stop), table, inverse=inverse,
-                          out=rotated) is rotated
+        assert apply_rope(rotated, first, table, inverse=inverse, out=rotated) is rotated
         assert rotated.tobytes() == expected.tobytes()
         if n == 0:
             continue
         # both capacity checks hold on this path too, before anything is written
         untouched = vectors.copy()
-        for outside in (range(toy_cfg.max_seq - n + 1, toy_cfg.max_seq + 1), range(-1, n - 1)):
+        for outside in (toy_cfg.max_seq - n + 1, -1):
             with pytest.raises(CapacityError):
                 apply_rope(untouched, outside, table, inverse=inverse, out=untouched)
             assert untouched.tobytes() == vectors.tobytes()
@@ -370,21 +375,23 @@ def test_tiled_key_rotation_is_bit_identical_to_the_gathered_rotation(inverse, t
     for heads in (cfg.n_kv_heads, cfg.n_q_heads):  # keys take the tiled table, queries not
         vectors = rng.standard_normal((tokens, heads, cfg.d_head)).astype(np.float32)
         expected = (vectors.view(np.complex64) * rotations).view(np.float32).tobytes()
-        for ids in (range(first, first + tokens), positions):
-            assert apply_rope(vectors, ids, table, inverse=inverse).tobytes() == expected
-            out = vectors.copy()
-            assert apply_rope(out, ids, table, inverse=inverse, out=out) is out
-            assert out.tobytes() == expected
+        assert apply_rope(vectors, first, table, inverse=inverse).tobytes() == expected
+        out = vectors.copy()
+        assert apply_rope(out, first, table, inverse=inverse, out=out) is out
+        assert out.tobytes() == expected
 
 
 @pytest.mark.parametrize("positions", [range(250, 257), range(-1, 3)])
 def test_rope_range_outside_the_table_raises(toy_cfg, positions):
+    # start + T > max_seq, and start = -1: nothing is written into out first
     table = build_rope_table(toy_cfg)
     vectors = np.zeros((len(positions), 1, toy_cfg.d_head), dtype=np.float32)
     with pytest.raises(CapacityError):
-        apply_rope(vectors, positions, table)
+        apply_rope(vectors, positions.start, table)
+    out = np.full_like(vectors, 7.0)
     with pytest.raises(CapacityError):
-        apply_rope(vectors, np.array(positions), table)
+        apply_rope(vectors, positions.start, table, out=out)
+    assert (out == 7.0).all()
 
 
 def test_restore_keys_allocates_only_its_keys():
@@ -401,7 +408,7 @@ def test_restore_keys_allocates_only_its_keys():
     try:
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        keys = latent_cache.restore_keys(latents, k_factor, range(512), rope, cfg.n_kv_heads)
+        keys = latent_cache.restore_keys(latents, k_factor, rope, cfg.n_kv_heads)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -424,7 +431,7 @@ def test_decode_row_matches_per_head_reference(heads_per_kv, tk):
     q, k_pos, q_pos = rand(1, cfg.n_q_heads, cfg.d_head), np.arange(tk), np.array([tk - 1])
     keys, values = rand(tk, cfg.n_kv_heads, cfg.d_head), rand(tk, cfg.n_kv_heads, cfg.d_head)
     w_o = rand(cfg.d_hidden, cfg.d_hidden)
-    out = attention_block(q, keys, values, q_pos, k_pos, w_o, cfg)
+    out = attention_block(q, keys, values, w_o, cfg)
     expected = _reference_block(q, keys, values, q_pos, k_pos, w_o, cfg)
     np.testing.assert_allclose(out, expected, atol=1e-5)
     # the same keys inside a wider buffer: a non-contiguous (Tk, n_kv, d_head) view
@@ -432,13 +439,8 @@ def test_decode_row_matches_per_head_reference(heads_per_kv, tk):
     padded[..., :cfg.d_head] = keys
     keys_nc = padded[..., :cfg.d_head]
     assert not keys_nc.flags.c_contiguous
-    out = attention_block(q, keys_nc, values, q_pos, k_pos, w_o, cfg)
+    out = attention_block(q, keys_nc, values, w_o, cfg)
     np.testing.assert_allclose(out, expected, atol=1e-5)
-    # a row before the last keys attends to the keys up to its own position only
-    early = np.array([tk // 2])
-    out = attention_block(q, keys_nc, values, early, k_pos, w_o, cfg)
-    np.testing.assert_allclose(out, _reference_block(q, keys, values, early, k_pos, w_o, cfg),
-                               atol=1e-5)
 
     latents, k_factor, v_factor = rand(tk, RANK), rand(RANK, cfg.d_kv), rand(RANK, cfg.d_kv)
     h64 = latents.astype(np.float64)
@@ -446,7 +448,6 @@ def test_decode_row_matches_per_head_reference(heads_per_kv, tk):
                        cfg.rope_theta, cfg.d_head)
     restored_values = (h64 @ v_factor).reshape(tk, cfg.n_kv_heads, cfg.d_head)
     expected = _reference_block(q, restored, restored_values, q_pos, k_pos, w_o, cfg)
-    for positions in (k_pos, range(tk)):
-        out = attend_latent(q, latents, k_factor, None, q_pos, positions,
-                            build_rope_table(cfg), cfg, v_factor=v_factor, w_o=w_o)
-        np.testing.assert_allclose(out, expected, atol=1e-5)
+    out = attend_latent(q, latents, k_factor, None, build_rope_table(cfg), cfg,
+                        v_factor=v_factor, w_o=w_o)
+    np.testing.assert_allclose(out, expected, atol=1e-5)

@@ -3,7 +3,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from commonkv import tensorfile
 from commonkv.budget import allocate_budget
 from commonkv.corpus import markov_byte_corpus
 from commonkv.errors import InputError, NumericError
@@ -51,20 +50,17 @@ def test_restored_keys_match_baseline_cache(fact_full, probe_ids):
     rope = build_rope_table(cfg)
     session = BaselineSession(weights)
     session.prefill(probe_ids[:32])
-    positions = np.arange(32)
     x = weights.embed[probe_ids[:32]]
     worst = 0.0
     for layer, lw in enumerate(weights.layers):
         xn = rms_norm(x, lw.attn_gain)
         h = compute_latent(xn, fact.shared_for_layer(layer))
-        restored = restore_keys(h, fact.k_factors[layer], positions, rope, cfg.n_kv_heads)
+        restored = restore_keys(h, fact.k_factors[layer], rope, cfg.n_kv_heads)
         worst = max(worst, np.abs(restored - session.cache.layers[layer].keys).max())
         # advance x exactly as the baseline does
-        q = apply_rope((xn @ lw.w_q).reshape(-1, cfg.n_q_heads, cfg.d_head),
-                       positions, rope)
+        q = apply_rope((xn @ lw.w_q).reshape(-1, cfg.n_q_heads, cfg.d_head), 0, rope)
         x = x + attention_block(q, session.cache.layers[layer].keys,
-                                session.cache.layers[layer].values,
-                                positions, positions, lw.w_o, cfg)
+                                session.cache.layers[layer].values, lw.w_o, cfg)
         from commonkv.model import mlp_block
         x = x + mlp_block(rms_norm(x, lw.mlp_gain), lw)
     assert worst < 1e-5
@@ -74,17 +70,15 @@ def test_zero_factor_restores_zero_keys(toy_cfg):
     rope = build_rope_table(toy_cfg)
     h = np.random.default_rng(3).standard_normal((5, 45)).astype(np.float32)
     b_k = np.zeros((45, toy_cfg.d_kv), dtype=np.float32)
-    assert not restore_keys(h, b_k, np.arange(5), rope, toy_cfg.n_kv_heads).any()
+    assert not restore_keys(h, b_k, rope, toy_cfg.n_kv_heads).any()
 
 
 def test_restoration_is_stateless(fact07):
     weights, fact, _ = fact07
     rope = build_rope_table(weights.config)
     h = np.random.default_rng(4).standard_normal((7, fact.rank)).astype(np.float32)
-    one = restore_keys(h, fact.k_factors[2], np.arange(7), rope,
-                       weights.config.n_kv_heads)
-    two = restore_keys(h, fact.k_factors[2], np.arange(7), rope,
-                       weights.config.n_kv_heads)
+    one = restore_keys(h, fact.k_factors[2], rope, weights.config.n_kv_heads)
+    two = restore_keys(h, fact.k_factors[2], rope, weights.config.n_kv_heads)
     assert one.tobytes() == two.tobytes()
 
 
@@ -96,18 +90,14 @@ def test_latent_attention_matches_baseline_at_full_rank(fact_full):
     rope = build_rope_table(cfg)
     rng = np.random.default_rng(5)
     xn = rng.standard_normal((10, cfg.d_hidden)).astype(np.float32) * 0.3
-    positions = np.arange(10)
     for layer in (0, 3, 7):
         lw = weights.layers[layer]
-        q = apply_rope((xn @ lw.w_q).reshape(-1, cfg.n_q_heads, cfg.d_head),
-                       positions, rope)
-        keys = apply_rope((xn @ lw.w_k).reshape(-1, cfg.n_kv_heads, cfg.d_head),
-                          positions, rope)
+        q = apply_rope((xn @ lw.w_q).reshape(-1, cfg.n_q_heads, cfg.d_head), 0, rope)
+        keys = apply_rope((xn @ lw.w_k).reshape(-1, cfg.n_kv_heads, cfg.d_head), 0, rope)
         values = (xn @ lw.w_v).reshape(-1, cfg.n_kv_heads, cfg.d_head)
-        baseline = attention_block(q, keys, values, positions, positions, lw.w_o, cfg)
+        baseline = attention_block(q, keys, values, lw.w_o, cfg)
         h = compute_latent(xn, fact.shared_for_layer(layer))
-        latent = attend_latent(q, h, fact.k_factors[layer], fact.fused_out[layer],
-                               positions, positions, rope, cfg)
+        latent = attend_latent(q, h, fact.k_factors[layer], fact.fused_out[layer], rope, cfg)
         assert np.abs(latent - baseline).max() < 1e-5
 
 
@@ -118,8 +108,7 @@ def test_singleton_softmax(fact07):
     rng = np.random.default_rng(6)
     h = rng.standard_normal((1, fact.rank)).astype(np.float32)
     q = rng.standard_normal((1, cfg.n_q_heads, cfg.d_head)).astype(np.float32)
-    pos = np.arange(1)
-    out = attend_latent(q, h, fact.k_factors[0], fact.fused_out[0], pos, pos, rope, cfg)
+    out = attend_latent(q, h, fact.k_factors[0], fact.fused_out[0], rope, cfg)
     expected = sum(h @ fact.fused_out[0][qh] for qh in range(cfg.n_q_heads))
     np.testing.assert_allclose(out, expected, atol=1e-6)
 
@@ -248,15 +237,17 @@ def test_audit_unmerged_counts(fact07, probe_ids):
     assert audit.prefix_elements == 8 * fact.rank * 100 == 36000
 
 
-def test_audit_equals_dump_payload(fact07, probe_ids):
+def test_audit_equals_stored_array_sizes(fact07, probe_ids):
     weights, fact, _ = fact07
     session = LatentSession(weights, fact)
     session.prefill(probe_ids[:20])
     session.plan_and_merge(0.3, strategy="mean")
     for t in probe_ids[20:24]:
         session.decode(int(t))
-    blob = session.store.debug_dump()
-    assert tensorfile.payload_nbytes(blob) == 4 * session.audit().total_elements
+    store = session.store
+    stored = [gc.shared_prefix if gc.merged else np.concatenate(gc.layer_prefixes)
+              for gc in store.groups] + store.suffixes
+    assert sum(a.size for a in stored) == session.audit().total_elements
 
 
 def test_baseline_elements_formula(toy_cfg):
@@ -270,10 +261,11 @@ def test_merged_prefix_immutable_through_decode(fact07, probe_ids):
     session = LatentSession(weights, fact)
     session.prefill(probe_ids[:32])
     session.plan_and_merge(0.5, strategy="mean")
-    before = session.store.merged_prefix_checksums()
+    groups = session.store.groups
+    before = {gi: gc.shared_prefix.tobytes() for gi, gc in enumerate(groups) if gc.merged}
     for t in probe_ids[32:48]:
         session.decode(int(t))
-    assert session.store.merged_prefix_checksums() == before
+    assert {gi: groups[gi].shared_prefix.tobytes() for gi in before} == before
     session.store.verify_merged_prefixes()
     # sabotage is detected
     gi = next(iter(before))
@@ -374,16 +366,8 @@ def test_chunked_suffixes_equal_concatenated_reference_at_chunk_boundaries(fact0
         audit = store.audit()
         assert audit.suffix_elements == sum(r.size for r in reference)
         assert audit.prefix_elements == sum(audit.per_group_prefix)
-        tensors = {f"layers.{l}.suffix": r for l, r in enumerate(reference)}
-        for gi, gc in enumerate(store.groups):
-            if gc.merged:
-                tensors[f"groups.{gi}.shared_prefix"] = gc.shared_prefix
-            else:
-                tensors.update({f"groups.{gi}.prefix.{slot}": p
-                                for slot, p in enumerate(gc.layer_prefixes)})
-        meta = {"kind": "latent_cache_dump", "prefill_positions": list(range(prompt)),
-                "decode_positions": list(range(prompt, prompt + step))}
-        assert store.debug_dump() == tensorfile.serialize(tensors, meta=meta)
+        assert store.prefill_positions.tolist() == list(range(prompt))
+        assert store.decode_positions.tolist() == list(range(prompt, prompt + step))
 
 
 @pytest.mark.parametrize("sizes", [[5, 70, 200], [C, C, 1], [2 * C + 3], [1] * (C + 2)])
@@ -472,6 +456,34 @@ def test_one_python_int_token_decodes_like_any_integer_id(fact07, probe_ids, kin
         fast.decode(256)
     with pytest.raises(InputError, match="outside byte vocabulary"):
         fast.decode(-1)
+
+
+@pytest.mark.parametrize("bad", [3.7, 256])
+def test_rejected_latent_decode_leaves_the_prefill_phase_open(fact07, bad):
+    # a rejected decode used to close the prefill phase anyway
+    weights, fact, _ = fact07
+    rejected, clean = LatentSession(weights, fact), LatentSession(weights, fact)
+    for session in (rejected, clean):
+        session.prefill([1, 2, 3])
+    with pytest.raises(InputError):
+        rejected.decode(bad)
+    assert rejected.prefill([4, 5]).tobytes() == clean.prefill([4, 5]).tobytes()
+    assert rejected.decode(6).tobytes() == clean.decode(6).tobytes()
+
+
+def test_rejected_rawkv_decode_changes_nothing(fact07, probe_ids):
+    # a rejected decode used to leave the session in its decode phase, so the
+    # prefill that followed was stored as decode rows
+    weights = fact07[0]
+    rejected, clean = RawKVSession(weights, 4), RawKVSession(weights, 4)
+    with pytest.raises(InputError):
+        rejected.decode(300)
+    assert rejected.prefill(probe_ids[:16]).tobytes() == clean.prefill(probe_ids[:16]).tobytes()
+    assert rejected.merge(0.5) == clean.merge(0.5)
+    assert rejected.decode(65).tobytes() == clean.decode(65).tobytes()
+    for session in (rejected, clean):
+        assert session.prefill_positions.tolist() == list(range(16))
+        assert session.decode_positions.tolist() == [16]
 
 
 def test_stored_positions_stay_int64_aranges_through_prefill_and_decode(fact07, probe_ids):

@@ -7,9 +7,9 @@ from commonkv.corpus import markov_byte_corpus
 from commonkv.errors import CapacityError, ConfigurationError, InputError
 from commonkv.model import (BaselineSession, ModelConfig, apply_rope, build_rope_table,
                             forward_baseline, gen_toy_model, load_model, loss_and_grads,
-                            save_model, sequence_nll)
+                            save_model)
 from conftest import MICRO
-from oracles import engine_fd_gradient, reference_fd_gradient, reference_loss
+from oracles import engine_fd_gradient, reference_fd_gradient, reference_loss, sequence_nll
 
 
 def test_same_seed_bit_identical(toy_cfg):
@@ -50,14 +50,14 @@ def test_rope_identity_at_position_zero(toy_cfg):
     table = build_rope_table(toy_cfg)
     rng = np.random.default_rng(1)
     v = rng.standard_normal((1, toy_cfg.n_q_heads, toy_cfg.d_head)).astype(np.float32)
-    np.testing.assert_array_equal(apply_rope(v, np.array([0]), table), v)
+    np.testing.assert_array_equal(apply_rope(v, 0, table), v)
 
 
 def test_rope_isometry(toy_cfg):
     table = build_rope_table(toy_cfg)
     rng = np.random.default_rng(2)
     v = rng.standard_normal((10, toy_cfg.n_q_heads, toy_cfg.d_head)).astype(np.float32)
-    rotated = apply_rope(v, np.arange(10) + 5, table)
+    rotated = apply_rope(v, 5, table)
     before = np.linalg.norm(v, axis=-1)
     after = np.linalg.norm(rotated, axis=-1)
     np.testing.assert_allclose(after, before, rtol=1e-6, atol=1e-6)
@@ -67,8 +67,7 @@ def test_rope_inverse_round_trip(toy_cfg):
     table = build_rope_table(toy_cfg)
     rng = np.random.default_rng(3)
     v = rng.standard_normal((8, toy_cfg.n_kv_heads, toy_cfg.d_head)).astype(np.float32)
-    positions = np.arange(8) * 7
-    back = apply_rope(apply_rope(v, positions, table), positions, table, inverse=True)
+    back = apply_rope(apply_rope(v, 7, table), 7, table, inverse=True)
     np.testing.assert_allclose(back, v, atol=1e-6)
 
 
@@ -76,7 +75,7 @@ def test_rope_position_overflow(toy_cfg):
     table = build_rope_table(toy_cfg)
     v = np.zeros((1, 1, toy_cfg.d_head), dtype=np.float32)
     with pytest.raises(CapacityError):
-        apply_rope(v, np.array([toy_cfg.max_seq]), table)
+        apply_rope(v, toy_cfg.max_seq, table)
 
 
 @settings(max_examples=25, deadline=None)
@@ -86,7 +85,7 @@ def test_rope_isometry_property(position, seed):
     table = build_rope_table(cfg)
     v = np.random.default_rng(seed).standard_normal(
         (1, cfg.n_q_heads, cfg.d_head)).astype(np.float32)
-    rotated = apply_rope(v, np.array([position]), table)
+    rotated = apply_rope(v, position, table)
     np.testing.assert_allclose(np.linalg.norm(rotated, axis=-1),
                                np.linalg.norm(v, axis=-1), rtol=1e-6, atol=1e-6)
 

@@ -8,10 +8,12 @@ Usage, from the repository root:
 Each seed is one pair: both checkouts run ``perfbench/run.py`` on it with
 tracing off, and the side that runs first alternates from pair to pair.  For
 every end-to-end metric that ``BENCHMARK.json`` declares, the file records each
-side's median and quartiles over the pairs, every run's value, and how many
+side's median and quartiles over the pairs, every run's value, how many
 pairs the change won in the metric's better direction (ties count for
-neither).  A checkout's commit is read with ``git rev-parse HEAD``; give it
-with ``--parent-commit``/``--change-commit`` for an exported tree.
+neither) and a verdict against the metric's bound (see ``verdict``).  The
+script exits 1 when any metric is ``worse``.  A checkout's commit is read
+with ``git rev-parse HEAD``; give it with ``--parent-commit``/
+``--change-commit`` for an exported tree.
 """
 
 from __future__ import annotations
@@ -63,19 +65,49 @@ def quartiles(values: list[float]) -> dict:
     return {"median": float(median), "q1": float(q1), "q3": float(q3)}
 
 
+def verdict(spec: dict, parent: list[float], change: list[float]) -> tuple[str, int]:
+    """One metric's verdict over paired runs, and the pairs the change won.
+
+    Distances are relative to the parent's median, in the metric's better
+    direction; ``bound`` is the metric's bound in ``BENCHMARK.json``.
+
+    * ``gain``: the change wins at least nine tenths of the pairs (ties count
+      for neither), and its median is better by more than the parent's
+      interquartile range;
+    * ``worse``: the change's median is worse by more than ``bound``;
+    * ``unresolved``: otherwise, either side's interquartile range is wider
+      than ``bound``, and not every change run is better than every parent run;
+    * ``flat``: everything else.
+    """
+    sign = 1.0 if spec["better"] == "lower" else -1.0  # oriented: lower is better
+    p, c = sign * np.asarray(parent, dtype=np.float64), sign * np.asarray(change, dtype=np.float64)
+    (p1, pm, p3), (c1, cm, c3) = np.percentile(p, [25, 50, 75]), np.percentile(c, [25, 50, 75])
+    wins = int(np.sum(c < p))
+
+    def relative(delta: float) -> float:
+        return delta / abs(pm) if pm else (0.0 if delta == 0 else np.inf)
+
+    if 10 * wins >= 9 * len(p) and pm - cm > p3 - p1:
+        return "gain", wins
+    if relative(cm - pm) > spec["bound"]:
+        return "worse", wins
+    if relative(max(p3 - p1, c3 - c1)) > spec["bound"] and not c.max() < p.min():
+        return "unresolved", wins
+    return "flat", wins
+
+
 def summarize(declared: list[dict], runs: dict[str, list[dict]]) -> dict:
     metrics = {}
     for spec in declared:
         name = spec["name"]
         values = {side: [run["metrics"][name]["value"] for run in side_runs]
                   for side, side_runs in runs.items()}
-        sign = 1.0 if spec["better"] == "lower" else -1.0
-        wins = sum(sign * (c - p) < 0 for p, c in zip(values["parent"], values["change"]))
+        judged, wins = verdict(spec, values["parent"], values["change"])
         metrics[name] = {"unit": spec["unit"], "better": spec["better"],
                          "bound": spec.get("bound"),
                          "parent": quartiles(values["parent"]),
                          "change": quartiles(values["change"]),
-                         "change_wins": int(wins), "values": values}
+                         "change_wins": wins, "verdict": judged, "values": values}
     return metrics
 
 
@@ -123,7 +155,9 @@ def main(argv=None) -> int:
     out = args.out or ROOT / f"BENCH_{args.workload}.json"
     out.write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {out}", file=sys.stderr)
-    return 0
+    for name, m in report["metrics"].items():
+        print(f"{m['verdict']:>10}  {name}", file=sys.stderr)
+    return 1 if any(m["verdict"] == "worse" for m in report["metrics"].values()) else 0
 
 
 if __name__ == "__main__":
