@@ -31,7 +31,7 @@ from .corpus import markov_byte_corpus
 from .errors import (CapacityError, ConfigurationError, InputError, NumericError,
                      UnreachableRatioError)
 from .factorization import GroupLayout, SharedFactorization, build_factorization
-from .latent_cache import LatentSession, baseline_elements, compute_latent
+from .latent_cache import LatentCacheStore, LatentSession, baseline_elements, compute_latent
 from .model import (BaselineSession, LayerWeights, ModelConfig, ModelWeights, RopeTable,
                     apply_rope, attention_block, forward, mlp_block,
                     nll_from_logits, project_kv, rms_norm, _check_tokens)
@@ -117,7 +117,10 @@ class RawKVSession:
     cosine, ties to the lower index) share the arithmetic mean of their
     members' key and value tensors.  Decode tokens keep per-layer caches.
     The session is the KV store ``model.forward`` runs over, projecting and
-    attending as the full-KV ``KVCache`` does.
+    attending as the full-KV ``KVCache`` does, and it stores through a
+    ``LatentCacheStore`` whose rows (``2·d_kv`` wide) are each token's
+    rotated keys followed by its values, both flattened; every audit checks
+    a merged prefix against its checksum, as in the latent modes.
     """
 
     def __init__(self, weights: ModelWeights, group_size: int):
@@ -125,14 +128,7 @@ class RawKVSession:
         self.config = weights.config
         self.layout = GroupLayout.for_model(weights.config.n_layers, group_size)
         self.rope = weights.rope
-        empty = np.empty((0, self.config.n_kv_heads, self.config.d_head), dtype=np.float32)
-        # each layer's own rows: its prefill rows until its group merges, then decode rows
-        self.keys = [empty] * self.config.n_layers
-        self.values = [empty] * self.config.n_layers
-        self.group_prefix: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self.prefill_positions = np.empty(0, dtype=np.int64)
-        self.decode_positions = np.empty(0, dtype=np.int64)
-        self.merged_groups: list[int] = []
+        self.store = LatentCacheStore(self.config, self.layout, 2 * self.config.d_kv)
         self._decoding = False
 
     def prefill(self, token_ids) -> np.ndarray:
@@ -141,35 +137,28 @@ class RawKVSession:
         return forward(self.weights, token_ids, self)
 
     def group_scores(self) -> list[float]:
-        t = self.prefill_positions.size
+        d_kv = self.config.d_kv
         scores = []
-        for gi in range(self.layout.n_groups):
-            members = self.layout.layers_of(gi)
-            first, last = members[0], members[-1]
-            k_sim = group_score(self.keys[first][:t].reshape(t, -1),
-                                self.keys[last][:t].reshape(t, -1))
-            v_sim = group_score(self.values[first][:t].reshape(t, -1),
-                                self.values[last][:t].reshape(t, -1))
+        for gc in self.store.groups:
+            first, last = gc.layer_prefixes[0], gc.layer_prefixes[-1]
+            k_sim = group_score(first[:, :d_kv], last[:, :d_kv])
+            v_sim = group_score(first[:, d_kv:], last[:, d_kv:])
             scores.append(0.5 * (k_sim + v_sim))
         return scores
 
     def merge(self, target_ratio: float) -> dict:
         if not 0.0 <= target_ratio < 1.0:
             raise ConfigurationError("target ratio must be in [0, 1)")
-        if self.group_prefix:
+        if any(gc.merged for gc in self.store.groups):
             raise InputError("raw-KV session merges once")
         k = round(target_ratio * self.layout.n_groups)
         scores = self.group_scores()
-        self.merged_groups = top_k_groups(scores, k)
-        t = self.prefill_positions.size
-        for gi in self.merged_groups:
-            members = self.layout.layers_of(gi)
-            mk = np.mean([self.keys[l][:t].astype(np.float64) for l in members], axis=0)
-            mv = np.mean([self.values[l][:t].astype(np.float64) for l in members], axis=0)
-            self.group_prefix[gi] = (mk.astype(np.float32), mv.astype(np.float32))
-            for l in members:
-                self.keys[l], self.values[l] = self.keys[l][t:].copy(), self.values[l][t:].copy()
-        return {"scores": scores, "merged_groups": self.merged_groups, "count": k}
+        merged_groups = top_k_groups(scores, k)
+        for gi in merged_groups:
+            prefixes = self.store.groups[gi].layer_prefixes
+            mean = np.mean([p.astype(np.float64) for p in prefixes], axis=0)
+            self.store.merge_group(gi, mean.astype(np.float32))
+        return {"scores": scores, "merged_groups": merged_groups, "count": k}
 
     def decode(self, token_id: int) -> np.ndarray:
         """One generated token; starts the decode phase unless ``forward`` rejects it."""
@@ -182,26 +171,24 @@ class RawKVSession:
 
     @property
     def n_tokens(self) -> int:
-        return self.prefill_positions.size + self.decode_positions.size
+        return self.store.prefill_len + self.store.decode_len
 
     def attend(self, layer: int, lw: LayerWeights, xn: np.ndarray, q: np.ndarray,
                rows: range, rope: RopeTable) -> np.ndarray:
-        if layer == 0 and self._decoding:
-            self.decode_positions = np.arange(self.prefill_positions.size, rows.stop,
-                                              dtype=np.int64)
-        elif layer == 0:
-            self.prefill_positions = np.arange(rows.start, rows.stop, dtype=np.int64)
-        k, v = project_kv(xn, lw, rows.start, rope, self.config)
-        keys = self.keys[layer] = np.concatenate([self.keys[layer], k], axis=0)
-        values = self.values[layer] = np.concatenate([self.values[layer], v], axis=0)
-        if self.layout.group_of(layer) in self.group_prefix:
-            mk, mv = self.group_prefix[self.layout.group_of(layer)]
-            keys, values = np.concatenate([mk, keys]), np.concatenate([mv, values])
-        return attention_block(q, keys, values, lw.w_o, self.config)
+        store, cfg = self.store, self.config
+        if layer == 0:
+            store.record_positions(rows, self._decoding)
+        k, v = project_kv(xn, lw, rows.start, rope, cfg)
+        append = store.append_decode if self._decoding else store.append_prefill
+        append(layer, np.concatenate([k.reshape(len(rows), -1), v.reshape(len(rows), -1)],
+                                     axis=1))
+        visible = store.visible_latents(layer)
+        shape = (len(visible), cfg.n_kv_heads, cfg.d_head)
+        return attention_block(q, visible[:, :cfg.d_kv].reshape(shape),
+                               visible[:, cfg.d_kv:].reshape(shape), lw.w_o, cfg)
 
     def cache_element_count(self) -> int:
-        return sum(k.size + v.size
-                   for k, v in [*self.group_prefix.values(), *zip(self.keys, self.values)])
+        return self.store.audit().total_elements
 
 
 # ---------------------------------------------------------------------------
@@ -300,11 +287,10 @@ def perplexity(mode: str, weights: ModelWeights, text_ids,
         mode, weights, ids[:split], fact=fact, target_ratio=target_ratio, strategy=strategy,
         fisher=fisher, score_variant=score_variant, group_size=group_size)
     width, merged, members = 2 * cfg.d_kv, 0, 1
-    if mode == "rawkv_meanmerge":
-        merged, members = len(session.merged_groups), group_size
-    elif plan is not None:
-        fact = session.fact
-        width, merged, members = fact.rank, plan.merged_count, fact.layout.group_size
+    if mode != "baseline":
+        store = session.store
+        width, members = store.width, store.layout.group_size
+        merged = sum(gc.merged for gc in store.groups)
     # NLL over the prompt's logits plus one decode step per later token
     rows = [logits] + [session.decode(int(t))[None, :] for t in ids[split:-1]]
     nll = nll_from_logits(np.concatenate(rows, axis=0)[: ids.size - 1], ids[1:])

@@ -1,4 +1,9 @@
-"""Runtime latent KV cache and the compressed-inference session.
+"""The merged-prefix cache store and the compressed-inference session.
+
+``LatentCacheStore`` holds rows of one width per layer and merges a group's
+prefill prefixes into one checksummed shared prefix; both cross-layer modes
+store through it (latent rows here, raw K/V rows in
+``evaluation.RawKVSession``).
 
 A ``LatentSession`` is the KV store that ``model.forward`` runs over: the
 decoder layer is the baseline's, and only what a layer caches and how it
@@ -30,7 +35,7 @@ import numpy as np
 from . import budget as budget_mod
 from .budget import baseline_elements  # the storage closed form, also read from here
 from .errors import CapacityError, InputError, NumericError
-from .factorization import SharedFactorization
+from .factorization import GroupLayout, SharedFactorization
 from .model import (LayerWeights, ModelConfig, ModelWeights, RopeTable, apply_rope,
                     attention_block, attention_probs, forward)
 
@@ -134,26 +139,30 @@ SUFFIX_CHUNK_ROWS = 64
 
 
 class LatentCacheStore:
-    """Per-group prefill prefixes plus per-layer decode suffixes.
+    """Per-group prefill prefixes plus per-layer decode suffixes, in rows of ``width``.
 
-    A layer's suffix is a tuple of sealed ``SUFFIX_CHUNK_ROWS``-row arrays
-    plus an open tail of fewer rows; ``suffixes`` joins them on each read.
+    The store only holds rows: a latent session's rows are its rank-``r``
+    latents, the raw-KV reference's are each token's flattened keys and
+    values (``2·d_kv``).  A merged group keeps one shared prefix, checked
+    against its SHA-256 by every ``audit``.  A layer's suffix is a tuple of
+    sealed ``SUFFIX_CHUNK_ROWS``-row arrays plus an open tail of fewer rows;
+    ``suffixes`` joins them on each read.
     Tuples, not lists: an empty tuple allocates nothing, so a session that
     never seals a chunk holds no more than one array per layer.
     """
 
-    def __init__(self, fact: SharedFactorization):
-        self.fact = fact
-        self.config = fact.config
-        rank = fact.rank
+    def __init__(self, config: ModelConfig, layout: GroupLayout, width: int):
+        self.config = config
+        self.layout = layout
+        self.width = width
         self.groups = [
-            GroupCache(layer_prefixes=[np.empty((0, rank), dtype=np.float32)
-                                       for _ in fact.layout.layers_of(gi)])
-            for gi in range(fact.layout.n_groups)
+            GroupCache(layer_prefixes=[np.empty((0, width), dtype=np.float32)
+                                       for _ in layout.layers_of(gi)])
+            for gi in range(layout.n_groups)
         ]
-        self._chunks: list[tuple[np.ndarray, ...]] = [()] * self.config.n_layers
-        self._tails = [np.empty((0, rank), dtype=np.float32)
-                       for _ in range(self.config.n_layers)]
+        self._chunks: list[tuple[np.ndarray, ...]] = [()] * config.n_layers
+        self._tails = [np.empty((0, width), dtype=np.float32)
+                       for _ in range(config.n_layers)]
         self.prefill_positions = np.empty(0, dtype=np.int64)
         self.decode_positions = np.empty(0, dtype=np.int64)
 
@@ -165,12 +174,22 @@ class LatentCacheStore:
     def decode_len(self) -> int:
         return len(self.decode_positions)
 
+    def record_positions(self, rows: range, decoding: bool) -> None:
+        """Record a call's positions by phase, always 0..T-1, as one new int64 ``arange``.
+
+        A session calls this once per step, at layer 0; no kernel reads them.
+        """
+        if decoding:
+            self.decode_positions = np.arange(self.prefill_len, rows.stop, dtype=np.int64)
+        else:
+            self.prefill_positions = np.arange(rows.stop, dtype=np.int64)
+
     def append_prefill(self, layer: int, latents: np.ndarray) -> None:
-        gi = self.fact.layout.group_of(layer)
+        gi = self.layout.group_of(layer)
         gc = self.groups[gi]
         if gc.merged:
             raise InputError("cannot extend the prefix of a merged group")
-        slot = layer - self.fact.layout.groups[gi][0]
+        slot = layer - self.layout.groups[gi][0]
         gc.layer_prefixes[slot] = np.concatenate([gc.layer_prefixes[slot], latents], axis=0)
 
     @property
@@ -194,14 +213,14 @@ class LatentCacheStore:
         self._tails[layer] = rows[full:].copy()
 
     def prefix_for_layer(self, layer: int) -> np.ndarray:
-        gi = self.fact.layout.group_of(layer)
+        gi = self.layout.group_of(layer)
         gc = self.groups[gi]
         if gc.merged:
             return gc.shared_prefix
-        return gc.layer_prefixes[layer - self.fact.layout.groups[gi][0]]
+        return gc.layer_prefixes[layer - self.layout.groups[gi][0]]
 
     def visible_latents(self, layer: int) -> np.ndarray:
-        """The latent rows this layer may attend to, at positions 0..T-1.
+        """The rows this layer may attend to, at positions 0..T-1.
 
         Prefix, sealed chunks and tail are joined by one concatenation.
         """
@@ -212,7 +231,7 @@ class LatentCacheStore:
         gc = self.groups[gi]
         if gc.merged:
             raise InputError(f"group {gi} already merged")
-        if merged.shape != (self.prefill_len, self.fact.rank):
+        if merged.shape != (self.prefill_len, self.width):
             raise InputError("merged prefix has wrong shape")
         gc.shared_prefix = np.ascontiguousarray(merged)
         gc.layer_prefixes = []
@@ -256,7 +275,7 @@ class LatentSession:
         self.weights = weights
         self.fact = fact
         self.rope = weights.rope
-        self.store = LatentCacheStore(fact)
+        self.store = LatentCacheStore(fact.config, fact.layout, fact.rank)
         self.fused_values = fused_values
         self.plan: budget_mod.BudgetPlan | None = None
         self._prefill_frozen = False
@@ -331,16 +350,10 @@ class LatentSession:
 
     def attend(self, layer: int, lw: LayerWeights, xn: np.ndarray, q: np.ndarray,
                rows: range, rope: RopeTable) -> np.ndarray:
-        """Cache the rows' latents (prefix or suffix by phase), attend over the layer's.
-
-        Layer 0 records the session's positions, always 0..T-1, as one new
-        ``arange`` per call; no kernel reads them.
-        """
+        """Cache the rows' latents (prefix or suffix by phase), attend over the layer's."""
         store, fact, decoding = self.store, self.fact, self._prefill_frozen
-        if layer == 0 and decoding:
-            store.decode_positions = np.arange(store.prefill_len, rows.stop, dtype=np.int64)
-        elif layer == 0:
-            store.prefill_positions = np.arange(rows.stop, dtype=np.int64)
+        if layer == 0:
+            store.record_positions(rows, decoding)
         append = store.append_decode if decoding else store.append_prefill
         append(layer, compute_latent(xn, fact.shared_for_layer(layer)))
         kwargs = {} if self.fused_values else {"v_factor": fact.v_factors[layer], "w_o": lw.w_o,
@@ -355,10 +368,3 @@ class LatentSession:
 
     def cache_element_count(self) -> int:
         return self.audit().total_elements
-
-    def achieved_ratio(self) -> float:
-        """Compression vs the full-KV baseline, prefill and decode pooled."""
-        if self.n_tokens == 0:
-            return 0.0
-        return 1.0 - self.cache_element_count() / baseline_elements(self.weights.config,
-                                                                    self.n_tokens)

@@ -287,8 +287,8 @@ class RopeTable:
 
     ``tiled`` repeats each position's rotations once per KV head, so rotating
     (tokens, n_kv_heads, d_head) keys is one elementwise multiply with no
-    broadcast; ``cis``, ``cos`` and ``sin`` are views of its first head.  The
-    table is read-only: every session of a model shares it.
+    broadcast; ``cis`` is a view of its first head.  The table is read-only:
+    every session of a model shares it.
     """
 
     tiled: np.ndarray  # (max_seq, n_kv_heads, d_head // 2) complex64, cos + i·sin
@@ -296,14 +296,6 @@ class RopeTable:
     @cached_property
     def cis(self) -> np.ndarray:
         return self.tiled[:, 0]
-
-    @property
-    def cos(self) -> np.ndarray:
-        return self.cis.real
-
-    @property
-    def sin(self) -> np.ndarray:
-        return self.cis.imag
 
 
 def build_rope_table(config: ModelConfig) -> RopeTable:

@@ -103,12 +103,6 @@ def take(entries: dict, names, what: str) -> list:
     return [entries[name] for name in names]
 
 
-def payload_nbytes(blob: bytes) -> int:
-    """Byte count of the raw tensor payload (header excluded)."""
-    (header_len,) = struct.unpack("<Q", blob[:8])
-    return len(blob) - 8 - header_len
-
-
 def save(path: str | Path, tensors: dict[str, np.ndarray], meta: dict | None = None) -> None:
     Path(path).write_bytes(serialize(tensors, meta))
 

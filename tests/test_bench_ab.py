@@ -74,3 +74,27 @@ def test_main_exits_1_when_a_metric_is_worse(monkeypatch, tmp_path, factor, code
     assert metrics["commonkv.decode_ms_p50"]["verdict"] == ("worse" if code else "flat")
     assert {m["verdict"] for name, m in metrics.items()
             if name != "commonkv.decode_ms_p50"} == {"flat"}
+
+
+def test_main_stops_at_the_first_failed_run(monkeypatch, tmp_path, capsys):
+    declared = json.loads((TOOL.parent.parent / "BENCHMARK.json").read_text())["end_to_end"]
+    calls = []
+
+    def run_once(checkout, workload, seed, seconds):
+        # a failed run reports no metrics, as perfbench prints it
+        calls.append((checkout.name, seed))
+        if checkout.name == "change" and seed == 2:
+            return {"attempted": 4, "failed": 1, "correct": False, "metrics": {}}
+        return {"attempted": 4, "failed": 0, "correct": True,
+                "metrics": {m["name"]: {"value": 1.0} for m in declared}}
+
+    monkeypatch.setattr(bench_ab, "run_once", run_once)
+    out = tmp_path / "ab.json"
+    assert bench_ab.main(["--parent", str(tmp_path / "parent"), "--change",
+                          str(tmp_path / "change"), "--workload", "toy-chat", "--seeds", "1-5",
+                          "--seconds", "1", "--out", str(out)]) == 1
+    assert not out.exists()
+    # pair 2 runs the change first; nothing runs after the failure
+    assert calls == [("parent", 1), ("change", 1), ("change", 2)]
+    last = capsys.readouterr().err.strip().splitlines()[-1]
+    assert last == "change failed on seed 2: 1 of 4 sessions failed; no file written"

@@ -176,13 +176,25 @@ def test_prefill_fraction_bounds_clamp_to_one_token(toy_weights, fraction, same_
 
 @pytest.mark.parametrize("group_size", [1, 2, 4])
 def test_rawkv_session_without_merges_equals_baseline_bitwise(toy_weights, group_size):
-    ids = markov_byte_corpus(5, 1, 60)[0]
+    # 70 decode steps: each layer's suffix seals one 64-row chunk and keeps a tail
+    ids = markov_byte_corpus(5, 1, 110)[0]
     raw, base = RawKVSession(toy_weights, group_size), BaselineSession(toy_weights)
     assert raw.prefill(ids[:40]).tobytes() == base.prefill(ids[:40]).tobytes()
     assert raw.merge(0.0)["merged_groups"] == []
     for t in ids[40:]:
         assert raw.decode(int(t)).tobytes() == base.decode(int(t)).tobytes()
     assert raw.cache_element_count() == base.cache_element_count()
+
+
+def test_rawkv_merged_prefix_mutated_in_place_fails_the_audit(toy_weights, probe_ids):
+    raw = RawKVSession(toy_weights, group_size=4)
+    raw.prefill(probe_ids[:32])
+    (gi,) = raw.merge(0.5)["merged_groups"]
+    raw.decode(int(probe_ids[32]))
+    raw.cache_element_count()
+    raw.store.groups[gi].shared_prefix[3, 1] += 1.0
+    with pytest.raises(NumericError, match=f"group {gi}"):
+        raw.cache_element_count()
 
 
 # -- bench ---------------------------------------------------------------------
@@ -260,4 +272,4 @@ def test_rawkv_decode_past_max_seq_raises_capacity_error(micro_weights):
     session.prefill(markov_byte_corpus(3, 1, max_seq)[0])
     with pytest.raises(CapacityError):
         session.decode(65)
-    assert session.decode_positions.size == 0
+    assert session.store.decode_positions.size == 0

@@ -276,8 +276,8 @@ def test_causal_softmax_matches_float64_reference(case):
 
 def _pairwise_rope(vectors, positions, table, inverse=False):
     """The textbook pairwise rotation in float64 from the table's cos/sin."""
-    cos = table.cos[positions][:, None, :].astype(np.float64)
-    sin = table.sin[positions][:, None, :].astype(np.float64)
+    cos = table.cis.real[positions][:, None, :].astype(np.float64)
+    sin = table.cis.imag[positions][:, None, :].astype(np.float64)
     if inverse:
         sin = -sin
     even, odd = vectors[..., 0::2].astype(np.float64), vectors[..., 1::2].astype(np.float64)
@@ -308,12 +308,13 @@ def test_rope_table_is_one_complex_table_with_exact_cos_sin(toy_cfg):
     inv_freq = toy_cfg.rope_theta ** (-np.arange(0, half, dtype=np.float64) * 2.0
                                       / toy_cfg.d_head)
     angles = np.arange(toy_cfg.max_seq, dtype=np.float64)[:, None] * inv_freq[None, :]
-    assert table.cos.tobytes() == np.cos(angles).astype(np.float32).tobytes()
-    assert table.sin.tobytes() == np.sin(angles).astype(np.float32).tobytes()
-    # cos and sin are views into the single complex64 table: no second copy
+    assert table.cis.real.tobytes() == np.cos(angles).astype(np.float32).tobytes()
+    assert table.cis.imag.tobytes() == np.sin(angles).astype(np.float32).tobytes()
+    # its cos (real) and sin (imaginary) parts are views into the one complex64 table
     assert table.cis.dtype == np.complex64
     assert table.cis.nbytes == 2 * 4 * toy_cfg.max_seq * half
-    assert np.shares_memory(table.cos, table.cis) and np.shares_memory(table.sin, table.cis)
+    assert (np.shares_memory(table.cis.real, table.cis)
+            and np.shares_memory(table.cis.imag, table.cis))
 
 
 # -- RoPE over consecutive positions ----------------------------------------------

@@ -294,7 +294,7 @@ def test_rope_values_shared_across_layers(fact07):
     # every layer reads the same table values for a given decode position
     tables = [session.rope for _ in range(weights.config.n_layers)]
     pos = 17
-    rows = {(t.cos[pos].tobytes(), t.sin[pos].tobytes()) for t in tables}
+    rows = {(t.cis.real[pos].tobytes(), t.cis.imag[pos].tobytes()) for t in tables}
     assert len(rows) == 1
 
 
@@ -321,7 +321,7 @@ def test_sessions_share_the_models_read_only_rope_table(fact07, kind):
     assert session.rope is weights.rope
     # a session builds no table of its own: well under one table's bytes
     assert peak < table_bytes // 2
-    for view in (session.rope.tiled, session.rope.cis, session.rope.cos):
+    for view in (session.rope.tiled, session.rope.cis, session.rope.cis.real):
         with pytest.raises(ValueError):
             view[3] *= 2
 
@@ -373,7 +373,7 @@ def test_chunked_suffixes_equal_concatenated_reference_at_chunk_boundaries(fact0
 @pytest.mark.parametrize("sizes", [[5, 70, 200], [C, C, 1], [2 * C + 3], [1] * (C + 2)])
 def test_multi_row_appends_seal_whole_chunks(fact07, sizes):
     _, fact, _ = fact07
-    store = LatentCacheStore(fact)
+    store = LatentCacheStore(fact.config, fact.layout, fact.rank)
     rng = np.random.default_rng(sum(sizes))
     rows = [rng.standard_normal((n, fact.rank)).astype(np.float32) for n in sizes]
     for r in rows:
@@ -387,7 +387,7 @@ def test_decode_append_copies_at_most_a_chunk(fact07):
     # 300 suffix rows already stored; each further one-row append (sealing
     # included) allocates O(chunk * r), not O(suffix * r)
     _, fact, _ = fact07
-    store = LatentCacheStore(fact)
+    store = LatentCacheStore(fact.config, fact.layout, fact.rank)
     rng = np.random.default_rng(8)
     store.append_decode(0, rng.standard_normal((300, fact.rank)).astype(np.float32))
     row_bytes = 4 * fact.rank
@@ -482,8 +482,8 @@ def test_rejected_rawkv_decode_changes_nothing(fact07, probe_ids):
     assert rejected.merge(0.5) == clean.merge(0.5)
     assert rejected.decode(65).tobytes() == clean.decode(65).tobytes()
     for session in (rejected, clean):
-        assert session.prefill_positions.tolist() == list(range(16))
-        assert session.decode_positions.tolist() == [16]
+        assert session.store.prefill_positions.tolist() == list(range(16))
+        assert session.store.decode_positions.tolist() == [16]
 
 
 def test_stored_positions_stay_int64_aranges_through_prefill_and_decode(fact07, probe_ids):

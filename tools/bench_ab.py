@@ -11,9 +11,10 @@ every end-to-end metric that ``BENCHMARK.json`` declares, the file records each
 side's median and quartiles over the pairs, every run's value, how many
 pairs the change won in the metric's better direction (ties count for
 neither) and a verdict against the metric's bound (see ``verdict``).  The
-script exits 1 when any metric is ``worse``.  A checkout's commit is read
-with ``git rev-parse HEAD``; give it with ``--parent-commit``/
-``--change-commit`` for an exported tree.
+script exits 1 when any metric is ``worse``, and at the first run that is
+not correct (a benchmark session failed), without writing the file.  A
+checkout's commit is read with ``git rev-parse HEAD``; give it with
+``--parent-commit``/``--change-commit`` for an exported tree.
 """
 
 from __future__ import annotations
@@ -112,11 +113,10 @@ def summarize(declared: list[dict], runs: dict[str, list[dict]]) -> dict:
 
 
 def side_summary(commit: str | None, side_runs: list[dict]) -> dict:
-    """The side's commit and its operation counts: attempted, failed, runs not correct."""
+    """The side's commit and its operation counts: attempted and failed."""
     return {"commit": commit,
             "attempted": sum(run["attempted"] for run in side_runs),
-            "failed": sum(run["failed"] for run in side_runs),
-            "incorrect_runs": sum(not run["correct"] for run in side_runs)}
+            "failed": sum(run["failed"] for run in side_runs)}
 
 
 def main(argv=None) -> int:
@@ -138,6 +138,11 @@ def main(argv=None) -> int:
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
         for side in order:
             result = run_once(sides[side], args.workload, seed, args.seconds)
+            if not result["correct"]:  # a failed run reports no metrics
+                print(f"{side} failed on seed {seed}: {result['failed']} of "
+                      f"{result['attempted']} sessions failed; no file written",
+                      file=sys.stderr)
+                return 1
             runs[side].append(result)
             print(f"seed {seed} {side}: commonkv.decode_ms_p50 "
                   f"{result['metrics']['commonkv.decode_ms_p50']['value']:.4f} ms",
