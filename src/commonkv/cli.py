@@ -7,7 +7,8 @@ Exit codes (documented for scripting):
     2  configuration error (bad dimensions, unreachable ratio, bad flags)
     3  input error (empty corpus, short sequence)
     4  capacity error (sequence beyond max_seq)
-    5  numeric error (SVD non-convergence, audit mismatch)
+    5  numeric error (non-finite weights, factorization non-convergence,
+       audit mismatch)
     6  I/O error
 
 Flags can also be supplied through ``--config FILE`` (a flat JSON object of
@@ -75,16 +76,31 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> argparse.Namespace:
     for key, builtin in defaults.items():
         if getattr(args, key, None) is None:
             setattr(args, key, cfg_file.get(key, builtin))
+    if "seed" in defaults:
+        _check_seeds([args.seed], "seed")
     return args
 
 
+def _check_seeds(seeds: list[int], flag: str) -> None:
+    """Seeds feed numpy generators, which take non-negative integers only."""
+    for seed in seeds:
+        if seed < 0:
+            raise ConfigurationError(f"--{flag} {seed} is negative; "
+                                     f"seeds are non-negative integers")
+
+
 def _parse_list(text: str, cast, flag: str) -> list:
-    """A comma-separated flag value; an unparsable item is a ConfigurationError."""
+    """A comma-separated flag value; an unparsable item or no item at all is
+    a ConfigurationError."""
     try:
-        return [cast(part) for part in str(text).split(",") if part != ""]
+        items = [cast(part) for part in str(text).split(",") if part != ""]
     except ValueError:
         raise ConfigurationError(f"--{flag} {text!r} is not a comma-separated list "
                                  f"of {cast.__name__} values") from None
+    if not items:
+        raise ConfigurationError(f"--{flag} {text!r} names no value; a sweep axis "
+                                 f"needs at least one")
+    return items
 
 
 def _corpus_ids(args, seed_offset: int = 0) -> np.ndarray:
@@ -253,6 +269,7 @@ def cmd_bench(args) -> int:
     modes = _parse_list(args.modes, str, "modes")
     ratios = _parse_list(args.ratios, float, "ratios")
     seeds = _parse_list(args.seeds, int, "seeds")
+    _check_seeds(seeds, "seeds")
     weights = load_model(args.model)
     fact = _load_factorization(args, weights)
     if "commonkv" in modes and fact is None:

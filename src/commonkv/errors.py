@@ -36,4 +36,4 @@ class CapacityError(CommonKVError):
 
 
 class NumericError(CommonKVError):
-    """Numerical failure: SVD non-convergence, audit mismatch, non-finite values."""
+    """Numerical failure: factorization non-convergence, audit mismatch, non-finite values."""

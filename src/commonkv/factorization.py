@@ -1,4 +1,4 @@
-"""Offline transform: concatenated-group SVD of K/V projections.
+"""Offline transform: concatenated-group truncated SVD of K/V projections.
 
 For each group of ``m`` consecutive layers the K/V projection matrices are
 concatenated column-wise, factorized once by truncated SVD, and split into a
@@ -8,7 +8,26 @@ shared left factor ``A`` (hidden -> latent) plus per-layer right factors
 factor is also fused with ``W_o`` per query head (``M_q``); those matrices
 serve the verification path that checks the factored one.
 
-SVD runs in float64 and factors are stored as float32 in the container.
+The truncated SVD is read off the eigendecomposition of the smaller Gram
+matrix, in float64: ``W W^T = U S^2 U^T`` when ``W`` has no more rows than
+columns, else ``W^T W = V S^2 V^T``.  With the top ``r`` eigenpairs,
+``A = U_r S_r^1/2`` and ``R = S_r^-1/2 U_r^T W`` (or ``A = W V_r S_r^-1/2``
+and ``R = S_r^1/2 V_r^T``), so ``A R = U_r U_r^T W`` (or ``W V_r V_r^T``):
+the square roots cancel and the product is the orthogonal projection of
+``W`` onto the computed top-``r`` subspace.  Squaring the singular values
+costs precision at the bottom of the spectrum: an eigenvalue carries an
+absolute error near ``eps * s_max^2``, so singular values below about
+``sqrt(eps) * s_max`` are resolved less exactly than an SVD resolves them.
+That does not change ``A R``: the projection depends on the subspace alone,
+never on how its singular values are scaled, and the subspace is as exact
+as the gap below the kept values allows.  A direction whose eigenvalue is
+at rounding level (below ``max(shape) * eps * s_max^2``) gets a zero column
+in ``A`` and a zero row in ``R`` rather than a division by about zero; what
+it would have added to ``A R`` is below ``sqrt(max(shape) * eps) * s_max``,
+about the float32 precision of the stored factors, and zero to rounding
+for an exactly rank-deficient ``W``.
+
+Factors are stored as float32 in the container.
 """
 
 from __future__ import annotations
@@ -62,31 +81,46 @@ def concat_group_weights(weights: ModelWeights, group: range | list[int]) -> np.
 
 
 def _fix_svd_signs(u: np.ndarray, vt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Largest-magnitude entry of each left singular vector made positive,
-    # first occurrence on ties; the matching row of V^T flips with it.
+    # Largest-magnitude entry of each left column (a singular vector, or one
+    # scaled by a positive factor) made positive, first occurrence on ties;
+    # the matching right row flips with it.  A zero column keeps its sign.
     flip = np.sign(u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])])
     flip = np.where(flip == 0.0, 1.0, flip)
     return u * flip[None, :], vt * flip[:, None]
 
 
 def factorize_group(w_g: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rank-``rank`` SVD split of the concatenated matrix.
+    """Rank-``rank`` truncated-SVD split of the concatenated matrix.
 
     Returns (A, R) with ``A = U_r sqrt(S_r)`` and ``R = sqrt(S_r) V_r^T``;
-    slice R column-block-wise to recover the per-layer factors.
+    slice R column-block-wise to recover the per-layer factors.  The top
+    singular pairs come from the eigendecomposition of the smaller Gram
+    matrix (see the module docstring); a direction whose eigenvalue is at
+    rounding level gets a zero column in A and a zero row in R.
     """
     if not 1 <= rank <= min(w_g.shape):
         raise ConfigurationError(
             f"rank {rank} outside [1, {min(w_g.shape)}] for shape {w_g.shape}")
+    if not np.all(np.isfinite(w_g)):
+        raise NumericError("group weights contain non-finite values")
+    w = w_g.astype(np.float64)
+    wide = w.shape[0] <= w.shape[1]
     try:
-        u, s, vt = np.linalg.svd(w_g.astype(np.float64), full_matrices=False)
+        evals, evecs = np.linalg.eigh(w @ w.T if wide else w.T @ w)
     except np.linalg.LinAlgError as exc:
-        raise NumericError(f"SVD failed to converge: {exc}") from exc
-    u, vt = _fix_svd_signs(u, vt)
-    root = np.sqrt(s[:rank])
-    a = u[:, :rank] * root[None, :]
-    r = root[:, None] * vt[:rank, :]
-    return a, r
+        raise NumericError(f"Gram eigendecomposition failed to converge: {exc}") from exc
+    # eigh sorts ascending: the top ``rank`` pairs, largest first; each
+    # eigenvalue is a squared singular value
+    lam = evals[::-1][:rank]
+    vecs = evecs[:, ::-1][:, :rank]
+    keep = lam > max(w.shape) * np.finfo(np.float64).eps * max(evals[-1], 0.0)
+    root = np.sqrt(np.sqrt(np.where(keep, lam, 0.0)))    # sqrt(s), s = singular values
+    inv_root = np.divide(1.0, root, out=np.zeros_like(root), where=keep)
+    if wide:   # vecs = U_r: A = U_r sqrt(s), R = s^-1/2 U_r^T W
+        a, r = vecs * root[None, :], inv_root[:, None] * (vecs.T @ w)
+    else:      # vecs = V_r: A = W V_r s^-1/2, R = sqrt(s) V_r^T
+        a, r = (w @ vecs) * inv_root[None, :], root[:, None] * vecs.T
+    return _fix_svd_signs(a, r)
 
 
 def split_right_factor(r: np.ndarray, group: range | list[int],

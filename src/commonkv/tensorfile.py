@@ -43,7 +43,7 @@ def serialize(tensors: dict[str, np.ndarray], meta: dict | None = None) -> bytes
     """Serialize named tensors plus a metadata dict into container bytes."""
     arrays = {}
     for name, arr in tensors.items():
-        a = np.ascontiguousarray(arr, dtype=np.float32)
+        a = np.ascontiguousarray(arr, dtype="<f4")
         if not np.all(np.isfinite(a)):
             raise NumericError(f"tensor {name!r} contains non-finite values")
         arrays[name] = a
@@ -56,9 +56,9 @@ def serialize(tensors: dict[str, np.ndarray], meta: dict | None = None) -> bytes
         },
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    # memoryviews of the contiguous arrays: join copies each payload once
     parts = [struct.pack("<Q", len(header_bytes)), header_bytes]
-    for name in sorted(arrays):
-        parts.append(arrays[name].astype("<f4", copy=False).tobytes(order="C"))
+    parts.extend(memoryview(arrays[name]) for name in sorted(arrays))
     return b"".join(parts)
 
 

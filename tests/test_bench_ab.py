@@ -1,4 +1,5 @@
-"""The A/B script's per-metric verdict against the benchmark's bounds."""
+"""The A/B script's per-metric verdict against the benchmark's bounds, and the
+trajectory file it appends to."""
 
 import importlib.util
 import json
@@ -54,30 +55,37 @@ def test_zero_parent_median():
     assert bench_ab.verdict(LOWER, [0.0] * 5, [0.01] * 5)[0] == "worse"
 
 
-@pytest.mark.parametrize("factor, code", [(1.0, 0), (1.5, 1)])
-def test_main_exits_1_when_a_metric_is_worse(monkeypatch, tmp_path, factor, code):
-    declared = json.loads((TOOL.parent.parent / "BENCHMARK.json").read_text())["end_to_end"]
+DECLARED = json.loads((TOOL.parent.parent / "BENCHMARK.json").read_text())["end_to_end"]
 
+
+def _scaled_runs(factor):
     def run_once(checkout, workload, seed, seconds):
         # every metric 1.0 on the parent; on the change, decode p50 is scaled
         scale = factor if checkout.name == "change" else 1.0
         return {"attempted": 4, "failed": 0, "correct": True,
                 "metrics": {m["name"]: {"value": scale if m["name"] == "commonkv.decode_ms_p50"
-                                        else 1.0} for m in declared}}
+                                        else 1.0} for m in DECLARED}}
+    return run_once
 
-    monkeypatch.setattr(bench_ab, "run_once", run_once)
+
+def _main(tmp_path, out, workload="toy-chat", seeds="1-5"):
+    return bench_ab.main(["--parent", str(tmp_path / "parent"), "--change",
+                          str(tmp_path / "change"), "--workload", workload, "--seeds", seeds,
+                          "--seconds", "1", "--out", str(out)])
+
+
+@pytest.mark.parametrize("factor, code", [(1.0, 0), (1.5, 1)])
+def test_main_exits_1_when_a_metric_is_worse(monkeypatch, tmp_path, factor, code):
+    monkeypatch.setattr(bench_ab, "run_once", _scaled_runs(factor))
     out = tmp_path / "ab.json"
-    assert bench_ab.main(["--parent", str(tmp_path / "parent"), "--change",
-                          str(tmp_path / "change"), "--workload", "toy-chat", "--seeds", "1-5",
-                          "--seconds", "1", "--out", str(out)]) == code
-    metrics = json.loads(out.read_text())["metrics"]
+    assert _main(tmp_path, out) == code
+    metrics = json.loads(out.read_text())["entries"][-1]["metrics"]
     assert metrics["commonkv.decode_ms_p50"]["verdict"] == ("worse" if code else "flat")
     assert {m["verdict"] for name, m in metrics.items()
             if name != "commonkv.decode_ms_p50"} == {"flat"}
 
 
 def test_main_stops_at_the_first_failed_run(monkeypatch, tmp_path, capsys):
-    declared = json.loads((TOOL.parent.parent / "BENCHMARK.json").read_text())["end_to_end"]
     calls = []
 
     def run_once(checkout, workload, seed, seconds):
@@ -86,15 +94,49 @@ def test_main_stops_at_the_first_failed_run(monkeypatch, tmp_path, capsys):
         if checkout.name == "change" and seed == 2:
             return {"attempted": 4, "failed": 1, "correct": False, "metrics": {}}
         return {"attempted": 4, "failed": 0, "correct": True,
-                "metrics": {m["name"]: {"value": 1.0} for m in declared}}
+                "metrics": {m["name"]: {"value": 1.0} for m in DECLARED}}
 
     monkeypatch.setattr(bench_ab, "run_once", run_once)
     out = tmp_path / "ab.json"
-    assert bench_ab.main(["--parent", str(tmp_path / "parent"), "--change",
-                          str(tmp_path / "change"), "--workload", "toy-chat", "--seeds", "1-5",
-                          "--seconds", "1", "--out", str(out)]) == 1
+    assert _main(tmp_path, out) == 1
     assert not out.exists()
     # pair 2 runs the change first; nothing runs after the failure
     assert calls == [("parent", 1), ("change", 1), ("change", 2)]
     last = capsys.readouterr().err.strip().splitlines()[-1]
     assert last == "change failed on seed 2: 1 of 4 sessions failed; no file written"
+
+
+def test_main_appends_one_entry_per_ab(monkeypatch, tmp_path):
+    out = tmp_path / "ab.json"
+    monkeypatch.setattr(bench_ab, "run_once", _scaled_runs(1.0))
+    assert _main(tmp_path, out, seeds="1-3") == 0
+    first = json.loads(out.read_text())
+    monkeypatch.setattr(bench_ab, "run_once", _scaled_runs(0.5))
+    assert _main(tmp_path, out, seeds="4-8") == 0
+    trajectory = json.loads(out.read_text())
+    assert trajectory["workload"] == "toy-chat"
+    # the first entry is kept as written; the second follows it
+    assert trajectory["entries"][0] == first["entries"][0]
+    assert [e["seeds"] for e in trajectory["entries"]] == [[1, 2, 3], [4, 5, 6, 7, 8]]
+    assert trajectory["entries"][1]["metrics"]["commonkv.decode_ms_p50"]["verdict"] == "gain"
+
+
+def test_main_refuses_another_workloads_trajectory(monkeypatch, tmp_path, capsys):
+    out = tmp_path / "ab.json"
+    out.write_text(json.dumps({"workload": "wide-decode", "entries": []}))
+    calls = []
+    monkeypatch.setattr(bench_ab, "run_once", lambda *args: calls.append(args))
+    assert _main(tmp_path, out) == 1
+    assert calls == [] and json.loads(out.read_text())["entries"] == []
+    assert "nothing run" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path", sorted(TOOL.parent.parent.glob("BENCH_*.json")),
+                         ids=lambda p: p.name)
+def test_committed_bench_files_are_trajectories(path):
+    trajectory = json.loads(path.read_text())
+    workload = path.stem.removeprefix("BENCH_")
+    assert trajectory["workload"] == workload and trajectory["entries"]
+    for entry in trajectory["entries"]:
+        assert entry["workload"] == workload and entry["pairs"] == len(entry["seeds"])
+        assert {"setup_s", "commonkv.decode_ms_p50"} <= set(entry["metrics"])

@@ -261,6 +261,51 @@ def test_unparsable_bench_list_is_configuration_error(workdir, capsys, flag, val
     assert not (workdir / "bench.csv").exists()
 
 
+NEGATIVE_SEED_ARGS = {
+    "gen-toy": ["--out", "x.tnsr"],
+    "check": ["--out", "check.txt"],
+    "run": ["--model", "model.tnsr", "--mode", "baseline", "--tokens", "32",
+            "--out", "run.json"],
+    "fisher": ["--model", "model.tnsr", "--out", "fisher.json"],
+    "profile": ["--model", "model.tnsr", "--out", "profile.json"],
+}
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command", sorted(NEGATIVE_SEED_ARGS))
+def test_negative_seed_is_configuration_error(workdir, capsys, command, source):
+    # used to end in numpy's "expected non-negative integer" traceback, exit 1
+    args = [str(workdir / a) if a.endswith((".tnsr", ".json", ".txt")) else a
+            for a in NEGATIVE_SEED_ARGS[command]]
+    config = workdir / "config.json"
+    config.write_text(json.dumps({"seed": -1}))
+    extra = ["--seed", "-1"] if source == "flag" else ["--config", str(config)]
+    assert main([command, *args, *extra]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--seed -1 is negative" in err
+    assert not any((workdir / name).exists() for name in
+                   ("x.tnsr", "check.txt", "run.json", "fisher.json", "profile.json"))
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--seeds", "-1", "--seeds -1 is negative"),
+    ("--seeds", "0,-2", "--seeds -2 is negative"),
+    # an empty sweep axis used to write a header-only CSV and exit 0
+    ("--seeds", "", "--seeds '' names no value"),
+    ("--modes", "", "--modes '' names no value"),
+    ("--ratios", ",", "--ratios ',' names no value"),
+])
+def test_bad_bench_sweep_axis_is_configuration_error(workdir, capsys, flag, value, message):
+    axes = {"--modes": "baseline", "--seeds": "0", "--ratios": "0.5", flag: value}
+    out = workdir / "bench.csv"
+    code = main(["bench", "--model", str(workdir / "model.tnsr"), "--out", str(out),
+                 "--tokens", "32", *[item for pair in axes.items() for item in pair]])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err
+    assert not out.exists()
+
+
 def test_config_value_of_the_wrong_type_is_configuration_error(workdir, capsys):
     cfg_path = workdir / "cfg.json"
     cfg_path.write_text(json.dumps({"tokens": "abc"}))

@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from commonkv.errors import ConfigurationError
+from commonkv.errors import ConfigurationError, NumericError
 from commonkv.factorization import (GroupLayout, build_factorization, clamp_rank,
                                     concat_group_weights, factorize_group,
                                     fuse_value_output, split_right_factor,
@@ -121,6 +123,65 @@ def test_eckart_young_beats_random_factorizations():
             ar = rng.standard_normal((8, rank))
             br = np.linalg.lstsq(ar, w, rcond=None)[0]
             assert np.linalg.norm(ar @ br - w) >= svd_err - 1e-9
+
+
+def _weights(shape, seed):
+    return (0.05 * np.random.default_rng(seed).standard_normal(shape)).astype(np.float32)
+
+
+def _duplicated_columns(rows, cols, seed):
+    # ``cols // 2`` distinct columns, each twice: rank cols // 2 < min(shape)
+    half = np.random.default_rng(seed).standard_normal((rows, cols // 2))
+    return np.concatenate([half, half], axis=1)
+
+
+GRAM_CASES = {
+    # (matrix, rank): the wide and toy group shapes at rank fraction 0.7, and
+    # the tall group of one wide-shape layer at its clamped rank
+    "wide_256x512": (lambda: _weights((256, 512), 21), 179),
+    "toy_64x256": (lambda: _weights((64, 256), 22), 45),
+    "tall_256x128": (lambda: _weights((256, 128), 23), 128),
+    "duplicated_columns_tall": (lambda: _duplicated_columns(96, 64, 24), 64),
+    "duplicated_columns_wide": (lambda: _duplicated_columns(48, 96, 25), 48),
+    "identity": (lambda: np.eye(64), 64),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GRAM_CASES))
+def test_gram_factors_equal_the_svd_truncation(case):
+    make, rank = GRAM_CASES[case]
+    w = make()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        a, r = factorize_group(w, rank)
+    assert a.shape == (w.shape[0], rank) and r.shape == (rank, w.shape[1])
+    assert np.all(np.isfinite(a)) and np.all(np.isfinite(r))
+    u, s, vt = np.linalg.svd(w.astype(np.float64), full_matrices=False)
+    truncated = (u[:, :rank] * s[:rank]) @ vt[:rank]
+    err = np.linalg.norm(a @ r - truncated) / np.linalg.norm(truncated)
+    assert err <= 1e-12
+    # sign convention: each nonzero column's largest-|entry| is positive; a
+    # direction at rounding level is a zero column of A and a zero row of R
+    top = a[np.argmax(np.abs(a), axis=0), np.arange(rank)]
+    zero = ~a.any(axis=0)
+    assert np.all((top > 0) | zero)
+    np.testing.assert_array_equal(zero, ~r.any(axis=1))
+
+
+def test_duplicated_columns_zero_exactly_the_null_directions():
+    # rank 32 of 64: the 32 kept directions come first, the null ones are zero
+    a, r = factorize_group(_duplicated_columns(96, 64, 24), 64)
+    assert a[:, :32].any(axis=0).all() and r[:32].any(axis=1).all()
+    assert not a[:, 32:].any() and not r[32:].any()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_group_weights_raise_numeric_error(bad):
+    for shape, rank in (((8, 16), 4), ((16, 8), 4)):
+        w = _weights(shape, 26)
+        w[3, 5] = bad
+        with pytest.raises(NumericError, match="non-finite"):
+            factorize_group(w, rank)
 
 
 # -- fusion ----------------------------------------------------------------------

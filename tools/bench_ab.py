@@ -1,4 +1,4 @@
-"""A/B one benchmark workload between two checkouts; write ``BENCH_<workload>.json``.
+"""A/B one benchmark workload between two checkouts; append it to ``BENCH_<workload>.json``.
 
 Usage, from the repository root:
 
@@ -10,11 +10,16 @@ tracing off, and the side that runs first alternates from pair to pair.  For
 every end-to-end metric that ``BENCHMARK.json`` declares, the file records each
 side's median and quartiles over the pairs, every run's value, how many
 pairs the change won in the metric's better direction (ties count for
-neither) and a verdict against the metric's bound (see ``verdict``).  The
-script exits 1 when any metric is ``worse``, and at the first run that is
-not correct (a benchmark session failed), without writing the file.  A
-checkout's commit is read with ``git rev-parse HEAD``; give it with
-``--parent-commit``/``--change-commit`` for an exported tree.
+neither) and a verdict against the metric's bound (see ``verdict``).
+
+The file is the workload's trajectory, ``{"workload": ..., "entries": [...]}``:
+each A/B appends one entry, oldest first, so the file reads as the history of
+the benchmark across commits.  The script exits 1 when any metric is
+``worse``; it also exits 1, writing nothing, at the first run that is not
+correct (a benchmark session failed) and, before any run, when the file
+holds another workload's trajectory.  A checkout's commit is read with
+``git rev-parse HEAD``; give it with ``--parent-commit``/``--change-commit``
+for an exported tree.
 """
 
 from __future__ import annotations
@@ -119,6 +124,17 @@ def side_summary(commit: str | None, side_runs: list[dict]) -> dict:
             "failed": sum(run["failed"] for run in side_runs)}
 
 
+def read_trajectory(path: Path, workload: str) -> dict:
+    """The workload's trajectory in ``path``; a new, empty one if there is no file."""
+    if not path.exists():
+        return {"workload": workload, "entries": []}
+    trajectory = json.loads(path.read_text())
+    if trajectory.get("workload") != workload:
+        raise ValueError(f"{path} holds the trajectory of workload "
+                         f"{trajectory.get('workload')!r}, not {workload!r}")
+    return trajectory
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True)
@@ -131,6 +147,12 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
 
+    out = args.out or ROOT / f"BENCH_{args.workload}.json"
+    try:
+        trajectory = read_trajectory(out, args.workload)
+    except ValueError as exc:
+        print(f"{exc}; nothing run", file=sys.stderr)
+        return 1
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     sides = {"parent": args.parent, "change": args.change}
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
@@ -157,9 +179,9 @@ def main(argv=None) -> int:
         "change": side_summary(args.change_commit or git_head(args.change), runs["change"]),
         "metrics": summarize(declared, runs),
     }
-    out = args.out or ROOT / f"BENCH_{args.workload}.json"
-    out.write_text(json.dumps(report, indent=1) + "\n")
-    print(f"wrote {out}", file=sys.stderr)
+    trajectory["entries"].append(report)
+    out.write_text(json.dumps(trajectory, indent=1) + "\n")
+    print(f"appended entry {len(trajectory['entries'])} to {out}", file=sys.stderr)
     for name, m in report["metrics"].items():
         print(f"{m['verdict']:>10}  {name}", file=sys.stderr)
     return 1 if any(m["verdict"] == "worse" for m in report["metrics"].values()) else 0
