@@ -8,15 +8,15 @@ shared left factor ``A`` (hidden -> latent) plus per-layer right factors
 factor is also fused with ``W_o`` per query head (``M_q``); those matrices
 serve the verification path that checks the factored one.
 
-The truncated SVD is read off the eigendecomposition of the smaller Gram
-matrix, in float64: ``W W^T = U S^2 U^T`` when ``W`` has no more rows than
-columns, else ``W^T W = V S^2 V^T``.  With the top ``r`` eigenpairs,
-``A = U_r S_r^1/2`` and ``R = S_r^-1/2 U_r^T W`` (or ``A = W V_r S_r^-1/2``
-and ``R = S_r^1/2 V_r^T``), so ``A R = U_r U_r^T W`` (or ``W V_r V_r^T``):
-the square roots cancel and the product is the orthogonal projection of
-``W`` onto the computed top-``r`` subspace.  Squaring the singular values
-costs precision at the bottom of the spectrum: an eigenvalue carries an
-absolute error near ``eps * s_max^2``, so singular values below about
+The truncated SVD is read off the eigendecomposition of the Gram matrix
+``W W^T = U S^2 U^T`` (``d_hidden x d_hidden``), in float64.  With the top
+``r`` eigenpairs, ``A = U_r S_r^1/2`` and ``R = S_r^-1/2 U_r^T W``, so
+``A R = U_r U_r^T W``: the square roots cancel and the product is the
+orthogonal projection of ``W`` onto the computed top-``r`` subspace.  A tall
+``W`` needs no other route: its Gram matrix has at most ``cols`` nonzero
+eigenvalues, and ``r <= cols``.  Squaring the singular values costs
+precision at the bottom of the spectrum: an eigenvalue carries an absolute
+error near ``eps * s_max^2``, so singular values below about
 ``sqrt(eps) * s_max`` are resolved less exactly than an SVD resolves them.
 That does not change ``A R``: the projection depends on the subspace alone,
 never on how its singular values are scaled, and the subspace is as exact
@@ -94,9 +94,9 @@ def factorize_group(w_g: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray]
 
     Returns (A, R) with ``A = U_r sqrt(S_r)`` and ``R = sqrt(S_r) V_r^T``;
     slice R column-block-wise to recover the per-layer factors.  The top
-    singular pairs come from the eigendecomposition of the smaller Gram
-    matrix (see the module docstring); a direction whose eigenvalue is at
-    rounding level gets a zero column in A and a zero row in R.
+    singular pairs come from the eigendecomposition of ``W W^T`` (see the
+    module docstring); a direction whose eigenvalue is at rounding level
+    gets a zero column in A and a zero row in R.
     """
     if not 1 <= rank <= min(w_g.shape):
         raise ConfigurationError(
@@ -104,23 +104,18 @@ def factorize_group(w_g: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray]
     if not np.all(np.isfinite(w_g)):
         raise NumericError("group weights contain non-finite values")
     w = w_g.astype(np.float64)
-    wide = w.shape[0] <= w.shape[1]
     try:
-        evals, evecs = np.linalg.eigh(w @ w.T if wide else w.T @ w)
+        evals, evecs = np.linalg.eigh(w @ w.T)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"Gram eigendecomposition failed to converge: {exc}") from exc
     # eigh sorts ascending: the top ``rank`` pairs, largest first; each
-    # eigenvalue is a squared singular value
+    # eigenvalue is a squared singular value, each eigenvector a column of U
     lam = evals[::-1][:rank]
-    vecs = evecs[:, ::-1][:, :rank]
+    u = evecs[:, ::-1][:, :rank]
     keep = lam > max(w.shape) * np.finfo(np.float64).eps * max(evals[-1], 0.0)
     root = np.sqrt(np.sqrt(np.where(keep, lam, 0.0)))    # sqrt(s), s = singular values
     inv_root = np.divide(1.0, root, out=np.zeros_like(root), where=keep)
-    if wide:   # vecs = U_r: A = U_r sqrt(s), R = s^-1/2 U_r^T W
-        a, r = vecs * root[None, :], inv_root[:, None] * (vecs.T @ w)
-    else:      # vecs = V_r: A = W V_r s^-1/2, R = sqrt(s) V_r^T
-        a, r = (w @ vecs) * inv_root[None, :], root[:, None] * vecs.T
-    return _fix_svd_signs(a, r)
+    return _fix_svd_signs(u * root[None, :], inv_root[:, None] * (u.T @ w))
 
 
 def split_right_factor(r: np.ndarray, group: range | list[int],

@@ -121,13 +121,17 @@ def test_main_appends_one_entry_per_ab(monkeypatch, tmp_path):
     assert trajectory["entries"][1]["metrics"]["commonkv.decode_ms_p50"]["verdict"] == "gain"
 
 
-def test_main_refuses_another_workloads_trajectory(monkeypatch, tmp_path, capsys):
+@pytest.mark.parametrize("held", [
+    {"workload": "wide-decode", "entries": []},      # another workload's trajectory
+    {"workload": "toy-chat", "pairs": 5, "metrics": {}},   # a single-A/B report
+], ids=["other_workload", "single_report"])
+def test_main_refuses_a_file_it_cannot_append_to(monkeypatch, tmp_path, capsys, held):
     out = tmp_path / "ab.json"
-    out.write_text(json.dumps({"workload": "wide-decode", "entries": []}))
+    out.write_text(json.dumps(held))
     calls = []
     monkeypatch.setattr(bench_ab, "run_once", lambda *args: calls.append(args))
     assert _main(tmp_path, out) == 1
-    assert calls == [] and json.loads(out.read_text())["entries"] == []
+    assert calls == [] and json.loads(out.read_text()) == held
     assert "nothing run" in capsys.readouterr().err
 
 

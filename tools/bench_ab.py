@@ -132,6 +132,8 @@ def read_trajectory(path: Path, workload: str) -> dict:
     if trajectory.get("workload") != workload:
         raise ValueError(f"{path} holds the trajectory of workload "
                          f"{trajectory.get('workload')!r}, not {workload!r}")
+    if not isinstance(trajectory.get("entries"), list):
+        raise ValueError(f"{path} is not a trajectory: it has no 'entries' list")
     return trajectory
 
 
