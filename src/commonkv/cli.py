@@ -319,9 +319,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Cross-layer shared-factor latent KV-cache engine (desk scale)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, seeded=True):
         p.add_argument("--config", help="JSON file of default flag values")
-        p.add_argument("--seed", type=int, help="root seed (default 42)")
+        if seeded:  # only where the command reads it
+            p.add_argument("--seed", type=int, help="root seed (default 42)")
 
     p = sub.add_parser("gen-toy", help="generate a seeded toy model container")
     common(p)
@@ -337,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     _command(p, cmd_gen_toy)
 
     p = sub.add_parser("transform", help="factorize a base model")
-    common(p)
+    common(p, seeded=False)
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--group-size", dest="group_size", type=int)
@@ -381,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     _command(p, cmd_run)
 
     p = sub.add_parser("bench", help="sweep modes x ratios x seeds into a CSV")
-    common(p)
+    common(p, seeded=False)
     p.add_argument("--model", required=True)
     p.add_argument("--factorized")
     p.add_argument("--out", required=True)

@@ -310,11 +310,10 @@ def build_rope_table(config: ModelConfig) -> RopeTable:
 
 
 def apply_rope(vectors: np.ndarray, start: int, table: RopeTable,
-               inverse: bool = False, out: np.ndarray | None = None) -> np.ndarray:
+               out: np.ndarray | None = None) -> np.ndarray:
     """Rotate (tokens, heads, d_head) pairwise: token i to position ``start + i``.
 
-    One complex multiply per pair by a slice of the table; ``inverse=True``
-    multiplies by the conjugate, rotating by the negative angle.  Keys
+    One complex multiply per pair by a slice of the table.  Keys
     (``n_kv_heads`` heads) multiply the head-tiled table elementwise, with no
     broadcast; any other head count, such as queries, multiplies one rotation
     row broadcast over its heads.  With ``out`` (a C-contiguous float32 array
@@ -334,8 +333,6 @@ def apply_rope(vectors: np.ndarray, start: int, table: RopeTable,
     pairs = src.view(np.complex64)
     # keys: one flat multiply by tiled rows; other head counts: one row over the heads
     cis = tiled[start:stop] if pairs.shape[1] == tiled.shape[1] else tiled[start:stop, :1]
-    if inverse:
-        cis = cis.conj()
     if out is None:
         return (pairs * cis).view(np.float32)
     np.multiply(pairs, cis, out=pairs if out is vectors else out.view(np.complex64))
@@ -487,9 +484,10 @@ class KVCache:
 
 
 def _check_tokens(config: ModelConfig, token_ids) -> np.ndarray:
-    """Token ids as a flat int64 array.
+    """Token ids of one sequence as a 1-D int64 array.
 
-    An id that is not an integer, or lies outside the byte vocabulary, is an
+    Any other shape (a scalar, a batch of sequences, a ragged list), an id
+    that is not an integer, or one outside the byte vocabulary is an
     ``InputError``.  A one-token list of a Python int (a decode step) is
     checked with Python ints, with no array reductions.
     """
@@ -497,10 +495,15 @@ def _check_tokens(config: ModelConfig, token_ids) -> np.ndarray:
         if not 0 <= token_ids[0] < config.vocab_size:
             raise InputError("token id outside byte vocabulary")
         return np.array(token_ids, dtype=np.int64)
-    ids = np.asarray(token_ids)
+    try:
+        ids = np.asarray(token_ids)
+    except ValueError:  # ragged nesting
+        raise InputError("token ids must be one flat sequence") from None
+    if ids.ndim != 1:
+        raise InputError(f"token ids must be one flat sequence, got shape {ids.shape}")
     if ids.size and ids.dtype.kind not in "iu":
         raise InputError(f"token ids must be integers, got {ids.dtype} values")
-    ids = ids.astype(np.int64, copy=False).reshape(-1)
+    ids = ids.astype(np.int64, copy=False)
     if ids.size and (ids.min() < 0 or ids.max() >= config.vocab_size):
         raise InputError("token id outside byte vocabulary")
     return ids
@@ -627,9 +630,10 @@ def _rms_norm64_backward(dy, x, gain, inv):
     return gdy * inv - x * (inner * inv**3 / d)
 
 
-def _rope64(vectors, cis, inverse=False):
-    c = cis[:vectors.shape[0], None, :]  # token i at position i
-    return (vectors.view(np.complex128) * (c.conj() if inverse else c)).view(np.float64)
+def _rope64(rows, cis, inverse=False):
+    c = cis[:len(rows), None, :]  # rows (T, heads · d_head): token i at position i
+    pairs = rows.reshape(len(rows), -1, 2 * cis.shape[-1]).view(np.complex128)
+    return (pairs * (c.conj() if inverse else c)).view(np.float64).reshape(len(rows), -1)
 
 
 def _softmax64(scores, mask):
@@ -640,128 +644,83 @@ def _softmax64(scores, mask):
 
 
 def loss_and_grads(weights: ModelWeights, token_ids) -> tuple[float, list[dict[str, np.ndarray]]]:
-    """Mean NLL plus exact dLoss/dW_k and dLoss/dW_v for every layer.
+    """Mean next-token NLL of one sequence plus exact dLoss/dW_k and dLoss/dW_v per layer.
 
-    ``token_ids`` may be one sequence or a list of sequences; the loss is the
-    mean over sequences of each sequence's mean next-token NLL, so duplicating
-    a sequence leaves both loss and gradients unchanged.  The whole pass runs
-    in float64: this path only feeds calibration, and the extra precision is
-    what lets finite-difference checks resolve at 1e-3.  Weights that are
-    already float64 (``weights.astype(np.float64)``) are used without a copy,
-    so a caller looping over sequences converts the model once.
+    ``token_ids`` is one sequence, a 1-D run of at least two ids.  Query heads
+    are batched by KV head, (n_kv, hpk, T, d_head) with head ``q = kv·hpk + j``
+    as in ``attention_probs``: per layer, one scores matmul, one softmax and
+    one value matmul forward, one matmul each for dp, dq, dk and dv backward.
+    The whole pass runs in float64: it only feeds calibration, and the extra
+    precision lets finite-difference checks resolve at 1e-3.  Float64 weights
+    (``weights.astype(np.float64)``) are used without a copy, so a caller
+    looping over sequences converts the model once.
 
     Returns (loss, grads) with grads[l] = {"w_k": ..., "w_v": ...}.
     """
     cfg = weights.config
-    if isinstance(token_ids, np.ndarray):
-        sequences = [token_ids[i] for i in range(len(token_ids))] if token_ids.ndim == 2 \
-            else [token_ids]
-    elif len(token_ids) and isinstance(token_ids[0], (list, tuple, np.ndarray)):
-        sequences = list(token_ids)
-    else:
-        sequences = [token_ids]
-    seqs = [_check_tokens(cfg, s) for s in sequences]
-    if not seqs:
-        raise InputError("empty batch")
-    for s in seqs:
-        if s.size < 2:
-            raise InputError("need at least 2 tokens to score next-token loss")
-        if s.size > cfg.max_seq:
-            raise CapacityError(f"sequence of {s.size} exceeds max_seq={cfg.max_seq}")
+    ids = _check_tokens(cfg, token_ids)
+    if ids.size < 2:
+        raise InputError("need at least 2 tokens to score next-token loss")
+    if ids.size > cfg.max_seq:
+        raise CapacityError(f"sequence of {ids.size} exceeds max_seq={cfg.max_seq}")
 
     w64 = {name: arr.astype(np.float64, copy=False)
            for name, arr in weights.named_tensors().items()}
     cis64 = weights.rope.cis.astype(np.complex128)
     scale = 1.0 / np.sqrt(cfg.d_head)
-    n_seq = len(seqs)
-    grads = [{"w_k": np.zeros_like(w64[f"layers.{l}.w_k"]),
-              "w_v": np.zeros_like(w64[f"layers.{l}.w_v"])} for l in range(cfg.n_layers)]
-    total_loss = 0.0
+    T, n_kv, d_head = ids.size, cfg.n_kv_heads, cfg.d_head
+    mask = np.triu(np.ones((T, T), dtype=bool), 1)  # later keys
 
-    for ids in seqs:
-        T = ids.size
-        positions = np.arange(T)
-        mask = positions[None, :] > positions[:, None]
-        tape = []
+    def by_head(a):  # (T, heads · d_head) -> (n_kv, heads / n_kv, T, d_head)
+        return a.reshape(T, n_kv, -1, d_head).transpose(1, 2, 0, 3)
 
-        x = w64["embed"][ids]
-        for li in range(cfg.n_layers):
-            lw = {k: w64[f"layers.{li}.{k}"] for k in
-                  ("attn_gain", "w_q", "w_k", "w_v", "w_o", "mlp_gain", "w_in", "w_out")}
-            x_in = x
-            xn1, inv1 = _rms_norm64(x_in, lw["attn_gain"])
-            q = (xn1 @ lw["w_q"]).reshape(T, cfg.n_q_heads, cfg.d_head)
-            k = (xn1 @ lw["w_k"]).reshape(T, cfg.n_kv_heads, cfg.d_head)
-            v = (xn1 @ lw["w_v"]).reshape(T, cfg.n_kv_heads, cfg.d_head)
-            qr = _rope64(q, cis64)
-            kr = _rope64(k, cis64)
-            probs = np.empty((cfg.n_q_heads, T, T))
-            o_cat = np.empty((T, cfg.n_q_heads, cfg.d_head))
-            for qh in range(cfg.n_q_heads):
-                kv = cfg.kv_head_of(qh)
-                p = _softmax64(qr[:, qh, :] @ kr[:, kv, :].T * scale, mask)
-                probs[qh] = p
-                o_cat[:, qh, :] = p @ v[:, kv, :]
-            x_mid = x_in + o_cat.reshape(T, cfg.d_hidden) @ lw["w_o"]
-            xn2, inv2 = _rms_norm64(x_mid, lw["mlp_gain"])
-            z = xn2 @ lw["w_in"]
-            sig = 1.0 / (1.0 + np.exp(-z))
-            a = z * sig
-            x = x_mid + a @ lw["w_out"]
-            tape.append(dict(x_in=x_in, xn1=xn1, inv1=inv1, qr=qr, kr=kr, v=v,
-                             probs=probs, x_mid=x_mid, xn2=xn2, inv2=inv2,
-                             z=z, sig=sig, a=a, lw=lw))
+    def by_token(a):  # the inverse of by_head
+        return a.transpose(2, 0, 1, 3).reshape(T, -1)
 
-        xf, invf = _rms_norm64(x, w64["final_gain"])
-        logits = xf @ w64["lm_head"]
-        zmax = logits[:-1].max(axis=-1, keepdims=True)
-        expz = np.exp(logits[:-1] - zmax)
-        p_tok = expz / expz.sum(axis=-1, keepdims=True)
-        targets = ids[1:]
-        n_pred = T - 1
-        lse = np.log(expz.sum(axis=-1)) + zmax[:, 0]
-        total_loss += float(np.mean(lse - logits[np.arange(n_pred), targets]))
+    tape = []
+    x = w64["embed"][ids]
+    for li in range(cfg.n_layers):
+        lw = {name: w64[f"layers.{li}.{name}"] for name in LAYER_TENSORS}
+        xn1, inv1 = _rms_norm64(x, lw["attn_gain"])
+        q = by_head(_rope64(xn1 @ lw["w_q"], cis64))
+        k = by_head(_rope64(xn1 @ lw["w_k"], cis64))
+        v = by_head(xn1 @ lw["w_v"])
+        p = _softmax64(q @ k.swapaxes(-1, -2) * scale, mask)
+        x_mid = x + by_token(p @ v) @ lw["w_o"]
+        xn2, inv2 = _rms_norm64(x_mid, lw["mlp_gain"])
+        z = xn2 @ lw["w_in"]
+        sig = 1.0 / (1.0 + np.exp(-z))
+        tape.append((lw, x, xn1, inv1, q, k, v, p, x_mid, inv2, z, sig))
+        x = x_mid + (z * sig) @ lw["w_out"]
 
-        dlogits = np.zeros_like(logits)
-        dlogits[:-1] = p_tok
-        dlogits[np.arange(n_pred), targets] -= 1.0
-        dlogits /= n_pred * n_seq
+    xf, invf = _rms_norm64(x, w64["final_gain"])
+    logits = xf @ w64["lm_head"]
+    zmax = logits[:-1].max(axis=-1, keepdims=True)
+    expz = np.exp(logits[:-1] - zmax)
+    lse = np.log(expz.sum(axis=-1)) + zmax[:, 0]
+    rows, targets = np.arange(T - 1), ids[1:]
+    loss = float(np.mean(lse - logits[rows, targets]))
 
-        dxf = dlogits @ w64["lm_head"].T
-        dx = _rms_norm64_backward(dxf, x, w64["final_gain"], invf)
+    dlogits = np.zeros_like(logits)
+    dlogits[:-1] = expz / expz.sum(axis=-1, keepdims=True)
+    dlogits[rows, targets] -= 1.0
+    dx = _rms_norm64_backward(dlogits / (T - 1) @ w64["lm_head"].T, x, w64["final_gain"], invf)
 
-        for li in range(cfg.n_layers - 1, -1, -1):
-            t = tape[li]
-            lw = t["lw"]
-            # MLP block
-            dx_mid = dx.copy()
-            da = (dx @ lw["w_out"].T)
-            dz = da * (t["sig"] * (1.0 + t["z"] * (1.0 - t["sig"])))
-            dxn2 = dz @ lw["w_in"].T
-            dx_mid += _rms_norm64_backward(dxn2, t["x_mid"], lw["mlp_gain"], t["inv2"])
-            # attention block
-            dx_in = dx_mid.copy()
-            do_cat = (dx_mid @ lw["w_o"].T).reshape(T, cfg.n_q_heads, cfg.d_head)
-            dqr = np.zeros_like(t["qr"])
-            dkr = np.zeros_like(t["kr"])
-            dv = np.zeros_like(t["v"])
-            for qh in range(cfg.n_q_heads):
-                kv = cfg.kv_head_of(qh)
-                p = t["probs"][qh]
-                dp = do_cat[:, qh, :] @ t["v"][:, kv, :].T
-                dv[:, kv, :] += p.T @ do_cat[:, qh, :]
-                ds = p * (dp - np.sum(dp * p, axis=-1, keepdims=True))
-                dqr[:, qh, :] += ds @ t["kr"][:, kv, :] * scale
-                dkr[:, kv, :] += ds.T @ t["qr"][:, qh, :] * scale
-            dq = _rope64(dqr, cis64, inverse=True)
-            dk = _rope64(dkr, cis64, inverse=True)
-            dq_flat = dq.reshape(T, cfg.d_hidden)
-            dk_flat = dk.reshape(T, cfg.d_kv)
-            dv_flat = dv.reshape(T, cfg.d_kv)
-            grads[li]["w_k"] += t["xn1"].T @ dk_flat
-            grads[li]["w_v"] += t["xn1"].T @ dv_flat
-            dxn1 = dq_flat @ lw["w_q"].T + dk_flat @ lw["w_k"].T + dv_flat @ lw["w_v"].T
-            dx_in += _rms_norm64_backward(dxn1, t["x_in"], lw["attn_gain"], t["inv1"])
-            dx = dx_in
+    grads = []
+    for lw, x_in, xn1, inv1, q, k, v, p, x_mid, inv2, z, sig in reversed(tape):
+        # MLP block
+        dz = (dx @ lw["w_out"].T) * (sig * (1.0 + z * (1.0 - sig)))
+        dx_mid = dx + _rms_norm64_backward(dz @ lw["w_in"].T, x_mid, lw["mlp_gain"], inv2)
+        # attention block; dk and dv sum over the query heads of each KV head
+        do = by_head(dx_mid @ lw["w_o"].T)
+        dp = do @ v.swapaxes(-1, -2)
+        ds = p * (dp - np.sum(dp * p, axis=-1, keepdims=True))
+        dq = _rope64(by_token(ds @ k * scale), cis64, inverse=True)
+        dk = _rope64(by_token((ds.swapaxes(-1, -2) @ q * scale).sum(axis=1, keepdims=True)),
+                     cis64, inverse=True)
+        dv = by_token((p.swapaxes(-1, -2) @ do).sum(axis=1, keepdims=True))
+        grads.append({"w_k": xn1.T @ dk, "w_v": xn1.T @ dv})
+        dxn1 = dq @ lw["w_q"].T + dk @ lw["w_k"].T + dv @ lw["w_v"].T
+        dx = dx_mid + _rms_norm64_backward(dxn1, x_in, lw["attn_gain"], inv1)
 
-    return total_loss / n_seq, grads
+    return loss, grads[::-1]

@@ -43,7 +43,7 @@ def serialize(tensors: dict[str, np.ndarray], meta: dict | None = None) -> bytes
     """Serialize named tensors plus a metadata dict into container bytes."""
     arrays = {}
     for name, arr in tensors.items():
-        a = np.ascontiguousarray(arr, dtype="<f4")
+        a = np.asarray(arr, dtype="<f4", order="C")  # keeps a 0-d tensor 0-d
         if not np.all(np.isfinite(a)):
             raise NumericError(f"tensor {name!r} contains non-finite values")
         arrays[name] = a

@@ -287,6 +287,17 @@ def test_negative_seed_is_configuration_error(workdir, capsys, command, source):
                    ("x.tnsr", "check.txt", "run.json", "fisher.json", "profile.json"))
 
 
+def test_transform_seed_is_a_usage_error(workdir, capsys):
+    # transform never reads a seed, yet used to accept one: --seed -1 exited 0
+    out = workdir / "out"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["transform", "--model", str(workdir / "model.tnsr"), "--out", str(out),
+              "--seed", "5"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag, value, message", [
     ("--seeds", "-1", "--seeds -1 is negative"),
     ("--seeds", "0,-2", "--seeds -2 is negative"),

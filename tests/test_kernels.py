@@ -274,12 +274,10 @@ def test_causal_softmax_matches_float64_reference(case):
 
 # -- RoPE as one complex multiply ------------------------------------------------
 
-def _pairwise_rope(vectors, positions, table, inverse=False):
+def _pairwise_rope(vectors, positions, table):
     """The textbook pairwise rotation in float64 from the table's cos/sin."""
     cos = table.cis.real[positions][:, None, :].astype(np.float64)
     sin = table.cis.imag[positions][:, None, :].astype(np.float64)
-    if inverse:
-        sin = -sin
     even, odd = vectors[..., 0::2].astype(np.float64), vectors[..., 1::2].astype(np.float64)
     out = np.empty(vectors.shape)
     out[..., 0::2] = even * cos - odd * sin
@@ -287,19 +285,15 @@ def _pairwise_rope(vectors, positions, table, inverse=False):
     return out
 
 
-@pytest.mark.parametrize("inverse", [False, True])
-def test_complex_rope_matches_pairwise_formula_on_non_contiguous_input(toy_cfg, inverse):
+def test_complex_rope_matches_pairwise_formula_on_non_contiguous_input(toy_cfg):
     table = build_rope_table(toy_cfg)
     rng = np.random.default_rng(21)
     base = rng.standard_normal((toy_cfg.n_q_heads, 12, toy_cfg.d_head)).astype(np.float32)
     vectors = base.transpose(1, 0, 2)  # (tokens, heads, d_head), not C-contiguous
     assert not vectors.flags.c_contiguous
     positions = np.arange(200, 212)
-    out = apply_rope(vectors, 200, table, inverse=inverse)
-    np.testing.assert_allclose(out, _pairwise_rope(vectors, positions, table, inverse),
-                               atol=1e-6)
-    back = apply_rope(out, 200, table, inverse=not inverse)
-    np.testing.assert_allclose(back, vectors, atol=1e-6)
+    out = apply_rope(vectors, 200, table)
+    np.testing.assert_allclose(out, _pairwise_rope(vectors, positions, table), atol=1e-6)
 
 
 def test_rope_table_is_one_complex_table_with_exact_cos_sin(toy_cfg):
@@ -319,25 +313,22 @@ def test_rope_table_is_one_complex_table_with_exact_cos_sin(toy_cfg):
 
 # -- RoPE over consecutive positions ----------------------------------------------
 
-def _gathered_rope(vectors, first, table, inverse):
+def _gathered_rope(vectors, first, table):
     """The reference: one rotation row gathered per token from the table by position."""
     rotations = table.cis[np.arange(first, first + len(vectors))][:, None, :]
-    if inverse:
-        rotations = rotations.conj()
     return (vectors.view(np.complex64) * rotations).view(np.float32)
 
 
-@pytest.mark.parametrize("inverse", [False, True])
 @pytest.mark.parametrize("first, stop", [(0, 1), (0, 64), (17, 29), (200, 256), (5, 5)])
-def test_rope_over_a_range_is_bit_identical_to_the_gather(toy_cfg, inverse, first, stop):
+def test_rope_over_a_range_is_bit_identical_to_the_gather(toy_cfg, first, stop):
     table = build_rope_table(toy_cfg)
     vectors = np.random.default_rng(first + stop).standard_normal(
         (stop - first, toy_cfg.n_kv_heads, toy_cfg.d_head)).astype(np.float32)
-    gathered = _gathered_rope(vectors, first, table, inverse)
-    sliced = apply_rope(vectors, first, table, inverse=inverse)
+    gathered = _gathered_rope(vectors, first, table)
+    sliced = apply_rope(vectors, first, table)
     assert sliced.tobytes() == gathered.tobytes()
     in_place = vectors.copy()
-    assert apply_rope(in_place, first, table, inverse=inverse, out=in_place) is in_place
+    assert apply_rope(in_place, first, table, out=in_place) is in_place
     assert in_place.tobytes() == gathered.tobytes()
     # the in-place path (out=vectors, what sessions call) for keys, which take
     # the head-tiled table, and for queries, which broadcast one row
@@ -345,9 +336,9 @@ def test_rope_over_a_range_is_bit_identical_to_the_gather(toy_cfg, inverse, firs
     for heads in (toy_cfg.n_kv_heads, toy_cfg.n_q_heads):
         vectors = np.random.default_rng(heads).standard_normal(
             (n, heads, toy_cfg.d_head)).astype(np.float32)
-        expected = _gathered_rope(vectors, first, table, inverse)
+        expected = _gathered_rope(vectors, first, table)
         rotated = vectors.copy()
-        assert apply_rope(rotated, first, table, inverse=inverse, out=rotated) is rotated
+        assert apply_rope(rotated, first, table, out=rotated) is rotated
         assert rotated.tobytes() == expected.tobytes()
         if n == 0:
             continue
@@ -355,13 +346,12 @@ def test_rope_over_a_range_is_bit_identical_to_the_gather(toy_cfg, inverse, firs
         untouched = vectors.copy()
         for outside in (toy_cfg.max_seq - n + 1, -1):
             with pytest.raises(CapacityError):
-                apply_rope(untouched, outside, table, inverse=inverse, out=untouched)
+                apply_rope(untouched, outside, table, out=untouched)
             assert untouched.tobytes() == vectors.tobytes()
 
 
-@pytest.mark.parametrize("inverse", [False, True])
 @pytest.mark.parametrize("tokens", [1, 64, 300])
-def test_tiled_key_rotation_is_bit_identical_to_the_gathered_rotation(inverse, tokens):
+def test_tiled_key_rotation_is_bit_identical_to_the_gathered_rotation(tokens):
     cfg = ModelConfig(n_layers=1, d_hidden=64, n_q_heads=4, n_kv_heads=2, d_head=16,
                       d_mlp=16, max_seq=320)
     table = build_rope_table(cfg)
@@ -370,15 +360,13 @@ def test_tiled_key_rotation_is_bit_identical_to_the_gathered_rotation(inverse, t
     first = cfg.max_seq - tokens - 3
     positions = np.arange(first, first + tokens)
     rotations = table.cis[positions][:, None, :]  # one gathered row per token, over the heads
-    if inverse:
-        rotations = rotations.conj()
     rng = np.random.default_rng(tokens)
     for heads in (cfg.n_kv_heads, cfg.n_q_heads):  # keys take the tiled table, queries not
         vectors = rng.standard_normal((tokens, heads, cfg.d_head)).astype(np.float32)
         expected = (vectors.view(np.complex64) * rotations).view(np.float32).tobytes()
-        assert apply_rope(vectors, first, table, inverse=inverse).tobytes() == expected
+        assert apply_rope(vectors, first, table).tobytes() == expected
         out = vectors.copy()
-        assert apply_rope(out, first, table, inverse=inverse, out=out) is out
+        assert apply_rope(out, first, table, out=out) is out
         assert out.tobytes() == expected
 
 

@@ -63,14 +63,6 @@ def test_rope_isometry(toy_cfg):
     np.testing.assert_allclose(after, before, rtol=1e-6, atol=1e-6)
 
 
-def test_rope_inverse_round_trip(toy_cfg):
-    table = build_rope_table(toy_cfg)
-    rng = np.random.default_rng(3)
-    v = rng.standard_normal((8, toy_cfg.n_kv_heads, toy_cfg.d_head)).astype(np.float32)
-    back = apply_rope(apply_rope(v, 7, table), 7, table, inverse=True)
-    np.testing.assert_allclose(back, v, atol=1e-6)
-
-
 def test_rope_position_overflow(toy_cfg):
     table = build_rope_table(toy_cfg)
     v = np.zeros((1, 1, toy_cfg.d_head), dtype=np.float32)
@@ -185,12 +177,49 @@ def test_gradients_match_cross_implementation_fd(micro_weights):
             (layer, name, idx)
 
 
-def test_duplicated_batch_keeps_mean_loss(micro_weights):
+# two KV heads of two query heads each, so head order across KV heads shows
+GQA_MICRO = ModelConfig(n_layers=2, d_hidden=16, n_q_heads=4, n_kv_heads=2,
+                        d_head=4, d_mlp=16, max_seq=32)
+
+
+def test_gradients_with_several_kv_heads_match_the_reference():
+    weights = gen_toy_model(GQA_MICRO, 13)
+    tensors, cfg = weights.named_tensors(), GQA_MICRO.to_dict()
+    ids = markov_byte_corpus(5, 1, 12)[0]
+    loss, grads = loss_and_grads(weights, ids)
+    assert loss == pytest.approx(reference_loss(tensors, cfg, ids), abs=1e-8)
+    rng = np.random.default_rng(4)
+    for layer in range(GQA_MICRO.n_layers):
+        for name in ("w_k", "w_v"):
+            for kv in range(GQA_MICRO.n_kv_heads):  # a column of each KV head
+                idx = (int(rng.integers(GQA_MICRO.d_hidden)),
+                       kv * GQA_MICRO.d_head + int(rng.integers(GQA_MICRO.d_head)))
+                fd = reference_fd_gradient(tensors, cfg, ids, f"layers.{layer}.{name}", idx)
+                analytic = grads[layer][name][idx]
+                assert abs(fd - analytic) < 1e-3 * max(abs(fd), abs(analytic)) + 2e-5, \
+                    (layer, name, idx)
+
+
+@pytest.mark.parametrize("batch", ["equal", "ragged", "2-D array"])
+def test_loss_rejects_a_batch_of_sequences(micro_weights, batch):
+    # used to score a batch; one sequence per call now, and a batch must not
+    # be read as one concatenated sequence
     ids = markov_byte_corpus(6, 1, 14)[0]
-    single, g_single = loss_and_grads(micro_weights, ids)
-    double, g_double = loss_and_grads(micro_weights, [ids, ids])
-    assert double == pytest.approx(single, abs=1e-6)
-    np.testing.assert_allclose(g_double[0]["w_k"], g_single[0]["w_k"], atol=1e-12)
+    tokens = {"equal": [ids, ids], "ragged": [ids, ids[:5]],
+              "2-D array": np.stack([ids, ids])}[batch]
+    with pytest.raises(InputError, match="one flat sequence"):
+        loss_and_grads(micro_weights, tokens)
+
+
+@pytest.mark.parametrize("prompt", [np.array([[1, 2], [3, 4]]), np.int64(5), [[1, 2], [3]]],
+                         ids=["2-D", "scalar", "ragged"])
+def test_prompt_that_is_not_one_sequence_leaves_the_cache_empty(micro_weights, prompt):
+    # a 2-D or scalar prompt used to be flattened and cached (4 tokens, 1 token);
+    # a ragged one raised numpy's ValueError
+    session = BaselineSession(micro_weights)
+    with pytest.raises(InputError, match="one flat sequence"):
+        session.prefill(prompt)
+    assert session.cache.n_tokens == 0
 
 
 def test_loss_rejects_short_sequence(micro_weights):

@@ -58,6 +58,20 @@ def test_non_finite_rejected():
         tensorfile.serialize({"bad": np.array([1.0, np.nan], dtype=np.float32)})
 
 
+def test_zero_dimensional_tensor_round_trips_as_shape_empty():
+    # used to be written as shape [1]
+    blob = tensorfile.serialize({"s": np.float32(2.5), "v": np.ones(2, dtype=np.float32)})
+    (header_len,) = struct.unpack("<Q", blob[:8])
+    header = json.loads(blob[8:8 + header_len])
+    assert header["tensors"]["s"] == {"dtype": "f32", "shape": [], "offset": 0}
+    assert header["tensors"]["v"]["offset"] == 4
+    loaded, _ = tensorfile.deserialize(blob)
+    assert loaded["s"].shape == () and loaded["s"] == np.float32(2.5)
+    assert loaded["v"].tolist() == [1.0, 1.0]
+    with pytest.raises(NumericError):
+        tensorfile.serialize({"s": np.float32(np.inf)})
+
+
 def test_file_round_trip(tmp_path):
     path = tmp_path / "weights.tnsr"
     tensors = _sample()
