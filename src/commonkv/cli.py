@@ -34,6 +34,10 @@ from .errors import (CapacityError, CommonKVError, ConfigurationError, InputErro
 from .factorization import SharedFactorization, load_factorized, transform_model
 from .model import ModelConfig, ModelWeights, gen_toy_model, load_model, save_model
 
+# the least value of each integer flag, checked before any file is read (numpy
+# generators take non-negative seeds only)
+FLOORS = {"seed": 0, "tokens": 0, "samples": 1, "seq_len": 2}
+
 EXIT_CODES = {
     ConfigurationError: 2,
     InputError: 3,
@@ -76,17 +80,16 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> argparse.Namespace:
     for key, builtin in defaults.items():
         if getattr(args, key, None) is None:
             setattr(args, key, cfg_file.get(key, builtin))
-    if "seed" in defaults:
-        _check_seeds([args.seed], "seed")
+    for key, floor in FLOORS.items():
+        if key in defaults:
+            _check_floor(key.replace("_", "-"), getattr(args, key), floor)
     return args
 
 
-def _check_seeds(seeds: list[int], flag: str) -> None:
-    """Seeds feed numpy generators, which take non-negative integers only."""
-    for seed in seeds:
-        if seed < 0:
-            raise ConfigurationError(f"--{flag} {seed} is negative; "
-                                     f"seeds are non-negative integers")
+def _check_floor(flag: str, value: int, floor: int) -> None:
+    if value < floor:
+        raise ConfigurationError(f"--{flag} {value} is "
+                                 + ("negative" if floor == 0 else f"below {floor}"))
 
 
 def _parse_list(text: str, cast, flag: str) -> list:
@@ -269,7 +272,8 @@ def cmd_bench(args) -> int:
     modes = _parse_list(args.modes, str, "modes")
     ratios = _parse_list(args.ratios, float, "ratios")
     seeds = _parse_list(args.seeds, int, "seeds")
-    _check_seeds(seeds, "seeds")
+    for seed in seeds:
+        _check_floor("seeds", seed, FLOORS["seed"])
     weights = load_model(args.model)
     fact = _load_factorization(args, weights)
     if "commonkv" in modes and fact is None:
@@ -314,8 +318,9 @@ def _command(p: argparse.ArgumentParser, func) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # no flag abbreviations on any parser: `bench --seed 5` must not mean `--seeds 5`
     parser = argparse.ArgumentParser(
-        prog="commonkv",
+        prog="commonkv", allow_abbrev=False,
         description="Cross-layer shared-factor latent KV-cache engine (desk scale)")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -324,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
         if seeded:  # only where the command reads it
             p.add_argument("--seed", type=int, help="root seed (default 42)")
 
-    p = sub.add_parser("gen-toy", help="generate a seeded toy model container")
+    p = sub.add_parser("gen-toy", allow_abbrev=False, help="generate a seeded toy model container")
     common(p)
     p.add_argument("--out", required=True)
     p.add_argument("--layers", type=int)
@@ -337,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rope-theta", dest="rope_theta", type=float)
     _command(p, cmd_gen_toy)
 
-    p = sub.add_parser("transform", help="factorize a base model")
+    p = sub.add_parser("transform", allow_abbrev=False, help="factorize a base model")
     common(p, seeded=False)
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True)
@@ -346,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", help="sidecar report path (default OUT.report.json)")
     _command(p, cmd_transform)
 
-    p = sub.add_parser("fisher", help="estimate per-layer Fisher weights")
+    p = sub.add_parser("fisher", allow_abbrev=False, help="estimate per-layer Fisher weights")
     common(p)
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True)
@@ -355,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", help="byte file; default is the seeded generator")
     _command(p, cmd_fisher)
 
-    p = sub.add_parser("profile", help="cross-layer similarity report")
+    p = sub.add_parser("profile", allow_abbrev=False, help="cross-layer similarity report")
     common(p)
     p.add_argument("--model", required=True)
     p.add_argument("--factorized")
@@ -364,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus")
     _command(p, cmd_profile)
 
-    p = sub.add_parser("run", help="teacher-forced evaluation of one session")
+    p = sub.add_parser("run", allow_abbrev=False, help="teacher-forced evaluation of one session")
     common(p)
     p.add_argument("--model", required=True)
     p.add_argument("--factorized")
@@ -381,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="JSON session report path")
     _command(p, cmd_run)
 
-    p = sub.add_parser("bench", help="sweep modes x ratios x seeds into a CSV")
+    p = sub.add_parser("bench", allow_abbrev=False, help="sweep modes x ratios x seeds into a CSV")
     common(p, seeded=False)
     p.add_argument("--model", required=True)
     p.add_argument("--factorized")
@@ -398,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group-size", dest="group_size", type=int)
     _command(p, cmd_bench)
 
-    p = sub.add_parser("check", help="run the invariant self-test suite")
+    p = sub.add_parser("check", allow_abbrev=False, help="run the invariant self-test suite")
     common(p)
     p.add_argument("--out", help="also write the report here")
     _command(p, cmd_check)

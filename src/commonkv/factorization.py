@@ -5,8 +5,8 @@ concatenated column-wise, factorized once by truncated SVD, and split into a
 shared left factor ``A`` (hidden -> latent) plus per-layer right factors
 ``B_k`` / ``B_v`` (latent -> keys / values).  The runtime value path applies
 ``B_v`` and then the layer's output projection ``W_o``.  Each layer's value
-factor is also fused with ``W_o`` per query head (``M_q``); those matrices
-serve the verification path that checks the factored one.
+factor is also fused with ``W_o`` per query head (``M_q``) and stored in the
+container; no session reads those matrices.
 
 The truncated SVD is read off the eigendecomposition of the Gram matrix
 ``W W^T = U S^2 U^T`` (``d_hidden x d_hidden``), in float64.  With the top
@@ -261,7 +261,7 @@ def transform_model(weights: ModelWeights, group_size: int, rank_fraction: float
 
     The container keeps every original weight (``W_o`` is the runtime output
     projection of the value path) alongside the factor tensors and the fused
-    per-head matrices of the verification path.
+    per-head matrices ``M_q``, which no session reads.
     """
     fact = build_factorization(weights, group_size, rank_fraction)
     tensors = dict(weights.named_tensors())

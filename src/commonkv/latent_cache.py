@@ -16,13 +16,14 @@ place on the GEMM's output.  Values are never cached: the value
 path applies ``B_v`` and then ``W_o`` in whichever exact order costs fewer
 multiply-adds for the call's shapes.  Prefill restores values ``h @ B_v``
 transiently, the way keys are restored; a decode step mixes latents with the
-attention weights first.  The pre-fused per-head matrices ``M_q`` are the
-verification path.  After prefill, groups selected by the budget plan
-collapse their per-layer prefixes into one shared prefix; decode-time
-latents always stay per layer.  A layer's decode suffix is held as sealed
-fixed-size chunks plus a short open tail, so a decode append copies at most
-one chunk of rows, and the rows a layer attends to are joined by one
-concatenation per step.
+attention weights first.  A session that merges nothing computes what the
+full-KV engine computes over the reconstructed projections ``A @ B_k`` and
+``A @ B_v``, which is how ``commonkv check`` verifies the value path.
+After prefill, groups selected by the budget plan collapse their per-layer
+prefixes into one shared prefix; decode-time latents always stay per layer.
+A layer's decode suffix is held as sealed fixed-size chunks plus a short
+open tail, so a decode append copies at most one chunk of rows, and the
+rows a layer attends to are joined by one concatenation per step.
 """
 
 from __future__ import annotations
@@ -57,16 +58,13 @@ def restore_keys(latents: np.ndarray, k_factor: np.ndarray, rope: RopeTable,
 
 
 def attend_latent(q_rope: np.ndarray, latents: np.ndarray, k_factor: np.ndarray,
-                  fused_out: np.ndarray, rope: RopeTable, config: ModelConfig, *,
-                  v_factor: np.ndarray | None = None, w_o: np.ndarray | None = None,
-                  v_heads: np.ndarray | None = None) -> np.ndarray:
+                  v_factor: np.ndarray, w_o: np.ndarray, rope: RopeTable,
+                  config: ModelConfig, v_heads: np.ndarray | None = None) -> np.ndarray:
     """Causal attention over latent rows for one layer; returns (Tq, d_hidden).
 
-    Without ``v_factor``/``w_o`` this is the fused verification path
-    ``sum_q (P_q @ H) @ M_q`` over the pre-fused per-head matrices.  With
-    them, the output is ``o_cat @ W_o`` and ``o_cat`` comes from whichever
-    exact order needs fewer multiply-adds for these shapes (Tq query rows,
-    Tk latent rows of width r):
+    The output is ``o_cat @ W_o``, and ``o_cat`` comes from whichever exact
+    order needs fewer multiply-adds for these shapes (Tq query rows, Tk
+    latent rows of width r):
 
     * restore values, ``Tk·r·d_kv + n_q·Tq·Tk·d_head``: ``V = H @ B_v`` for
       this call only, then the baseline ``attention_block``;
@@ -82,13 +80,6 @@ def attend_latent(q_rope: np.ndarray, latents: np.ndarray, k_factor: np.ndarray,
     keys = restore_keys(latents, k_factor, rope, config.n_kv_heads)
     n_q, n_kv, d_head = config.n_q_heads, config.n_kv_heads, config.d_head
     tq, (tk_all, rank) = q_rope.shape[0], latents.shape
-    if v_factor is None:
-        out = np.empty((tq, config.d_hidden), dtype=np.float32)
-        for start, stop, tk, probs in attention_probs(q_rope, keys, config):
-            mixed = probs.reshape(-1, tk) @ latents[:tk]  # (n_q * rows, r)
-            out[start:stop] = np.matmul(mixed.reshape(n_q, stop - start, -1),
-                                        fused_out).sum(axis=0)
-        return out
     restore = tk_all * rank * config.d_kv + n_q * tq * tk_all * d_head
     mix = n_q * tq * tk_all * rank + n_q * tq * rank * d_head
     if restore <= mix:
@@ -264,19 +255,16 @@ class LatentSession:
     The session is its own KV store for ``model.forward`` (``n_tokens`` and
     ``attend``): a layer's new latents join its prefix until the prefill
     phase closes (merge or decode), and its suffix after.  The value path
-    is factored (``B_v`` then ``W_o``, see ``attend_latent``);
-    ``fused_values=True`` runs the fused ``M_q`` verification path instead.
+    is factored: ``B_v`` then ``W_o``, see ``attend_latent``.
     """
 
-    def __init__(self, weights: ModelWeights, fact: SharedFactorization,
-                 fused_values: bool = False):
+    def __init__(self, weights: ModelWeights, fact: SharedFactorization):
         if fact.config != weights.config:
             raise InputError("factorization does not match model config")
         self.weights = weights
         self.fact = fact
         self.rope = weights.rope
         self.store = LatentCacheStore(fact.config, fact.layout, fact.rank)
-        self.fused_values = fused_values
         self.plan: budget_mod.BudgetPlan | None = None
         self._prefill_frozen = False
 
@@ -356,10 +344,9 @@ class LatentSession:
             store.record_positions(rows, decoding)
         append = store.append_decode if decoding else store.append_prefill
         append(layer, compute_latent(xn, fact.shared_for_layer(layer)))
-        kwargs = {} if self.fused_values else {"v_factor": fact.v_factors[layer], "w_o": lw.w_o,
-                                               "v_heads": fact.v_heads[layer]}
         return attend_latent(q, store.visible_latents(layer), fact.k_factors[layer],
-                             fact.fused_out[layer], rope, self.weights.config, **kwargs)
+                             fact.v_factors[layer], lw.w_o, rope, self.weights.config,
+                             v_heads=fact.v_heads[layer])
 
     # -- accounting ----------------------------------------------------------
 

@@ -6,6 +6,8 @@ computed values, so two runs with the same seed emit byte-identical text.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .budget import MERGE_STRATEGIES, allocate_budget, estimate_fisher, top_k_groups
@@ -31,36 +33,43 @@ def _fd_gradient(weights, seq, layer, name, i, j, step=1e-4):
     return (lp - lm) / (hp - hm)
 
 
+def _max_logit_diff(model_seed: int, group_size: int, rank_fraction: float, ids,
+                    n_prefill: int, reconstructed: bool) -> float:
+    """Largest logit gap, over ``n_prefill`` prefill tokens and a decode of the
+    rest, between a latent session that merges nothing and a full-KV session
+    over the toy model or, if ``reconstructed``, over K/V projections
+    ``A @ B_k`` and ``A @ B_v``: the model the latent session equals at any rank.
+    """
+    weights = gen_toy_model(ModelConfig(), model_seed)
+    w2, fact = load_factorized(transform_model(weights, group_size, rank_fraction)[0])
+    if reconstructed:
+        weights = replace(w2, layers=[
+            replace(lw, w_k=fact.shared_for_layer(l) @ fact.k_factors[l],
+                    w_v=fact.shared_for_layer(l) @ fact.v_factors[l])
+            for l, lw in enumerate(w2.layers)])
+    base = BaselineSession(weights)
+    lat = LatentSession(w2, fact)
+    diff = float(np.abs(base.prefill(ids[:n_prefill]) - lat.prefill(ids[:n_prefill])).max())
+    lat.plan_and_merge(0.0, strategy="mean")
+    for t in ids[n_prefill:]:
+        diff = max(diff, float(np.abs(base.decode(int(t)) - lat.decode(int(t))).max()))
+    return diff
+
+
 def _check_full_rank_identity(seed: int) -> tuple[bool, str]:
-    cfg = ModelConfig()
-    worst = 0.0
-    for group_size in (1, 2, 4):
-        for offset in range(2):
-            weights = gen_toy_model(cfg, seed + offset)
-            blob, _ = transform_model(weights, group_size, 1.0)
-            w2, fact = load_factorized(blob)
-            ids = markov_byte_corpus(seed + 10 * group_size + offset, 1, 48)[0]
-            base = BaselineSession(weights)
-            lat = LatentSession(w2, fact)
-            diff = float(np.abs(base.prefill(ids[:40]) - lat.prefill(ids[:40])).max())
-            lat.plan_and_merge(0.0, strategy="mean")
-            for t in ids[40:]:
-                diff = max(diff, float(np.abs(base.decode(int(t)) - lat.decode(int(t))).max()))
-            worst = max(worst, diff)
+    worst = max(_max_logit_diff(seed + offset, group_size, 1.0,
+                                markov_byte_corpus(seed + 10 * group_size + offset, 1, 48)[0],
+                                40, reconstructed=False)
+                for group_size in (1, 2, 4) for offset in range(2))
     return worst < 1e-4, f"max_logit_diff={worst:.3e} tol=1e-4"
 
 
-def _check_fused_equality(seed: int) -> tuple[bool, str]:
-    cfg = ModelConfig()
-    worst = 0.0
-    for offset in range(3):
-        weights = gen_toy_model(cfg, seed + offset)
-        blob, _ = transform_model(weights, 4, 0.7)
-        w2, fact = load_factorized(blob)
-        ids = markov_byte_corpus(seed + 100 + offset, 1, 32)[0]
-        fused = LatentSession(w2, fact, fused_values=True)
-        factored = LatentSession(w2, fact)
-        worst = max(worst, float(np.abs(fused.prefill(ids) - factored.prefill(ids)).max()))
+def _check_factored_path(seed: int) -> tuple[bool, str]:
+    # rank fraction 0.7: prefill restores values, each decode step mixes latents
+    worst = max(_max_logit_diff(seed + offset, 4, 0.7,
+                                markov_byte_corpus(seed + 100 + offset, 1, 40)[0],
+                                32, reconstructed=True)
+                for offset in range(3))
     return worst < 1e-5, f"max_logit_diff={worst:.3e} tol=1e-5"
 
 
@@ -114,21 +123,22 @@ def _check_budget_audit(seed: int) -> tuple[bool, str]:
 
 
 def _check_fd_gradients(seed: int) -> tuple[bool, str]:
-    cfg = ModelConfig(n_layers=2, d_hidden=8, n_q_heads=2, n_kv_heads=1,
-                      d_head=4, d_mlp=16, max_seq=32)
+    # two KV heads, so a gradient routed to the wrong head's columns shows
+    cfg = ModelConfig(n_layers=2, d_hidden=8, n_q_heads=4, n_kv_heads=2,
+                      d_head=2, d_mlp=16, max_seq=32)
     weights = gen_toy_model(cfg, seed + 1)
     seq = markov_byte_corpus(seed + 2, 1, 12)[0]
     _, grads = loss_and_grads(weights, seq)
     rng = np.random.default_rng(seed + 5)
     worst = 0.0
-    for _ in range(6):
-        layer = int(rng.integers(cfg.n_layers))
-        name = "w_k" if rng.integers(2) else "w_v"
-        i = int(rng.integers(cfg.d_hidden))
-        j = int(rng.integers(cfg.d_kv))
-        fd = _fd_gradient(weights, seq, layer, name, i, j)
-        g = grads[layer][name][i, j]
-        worst = max(worst, abs(fd - g) / max(abs(fd), 1e-12))
+    for layer in range(cfg.n_layers):
+        for name in ("w_k", "w_v"):
+            for kv in range(cfg.n_kv_heads):  # one entry in each KV head's columns
+                i = int(rng.integers(cfg.d_hidden))
+                j = kv * cfg.d_head + int(rng.integers(cfg.d_head))
+                fd = _fd_gradient(weights, seq, layer, name, i, j)
+                g = grads[layer][name][i, j]
+                worst = max(worst, abs(fd - g) / max(abs(fd), 1e-12))
     return worst < 1e-3, f"max_rel_err={worst:.3e} tol=1e-3"
 
 
@@ -140,16 +150,11 @@ def _check_lossless_merge(seed: int) -> tuple[bool, str]:
     ids = markov_byte_corpus(seed + 4, 1, 24)[0]
     worst = 0.0
     for strategy in MERGE_STRATEGIES:
-        ref = LatentSession(w2, fact)
-        ref.prefill(ids[:16])
-        for gc in ref.store.groups:       # force bit-identical member prefixes
-            gc.layer_prefixes = [gc.layer_prefixes[0].copy()
-                                 for _ in gc.layer_prefixes]
-        merged = LatentSession(w2, fact)
-        merged.prefill(ids[:16])
-        for gc in merged.store.groups:
-            gc.layer_prefixes = [gc.layer_prefixes[0].copy()
-                                 for _ in gc.layer_prefixes]
+        ref, merged = LatentSession(w2, fact), LatentSession(w2, fact)
+        for session in (ref, merged):
+            session.prefill(ids[:16])
+            for gc in session.store.groups:  # force bit-identical member prefixes
+                gc.layer_prefixes = [gc.layer_prefixes[0].copy() for _ in gc.layer_prefixes]
         plan = allocate_budget(merged.group_scores(), 0.5, fact.layout, fact.rank,
                                cfg, strategy=strategy)
         fisher = None
@@ -176,7 +181,7 @@ def _check_gqa_arithmetic(_: int) -> tuple[bool, str]:
 
 CHECKS = (
     ("full_rank_identity", _check_full_rank_identity),
-    ("fused_path_equality", _check_fused_equality),
+    ("factored_path_equality", _check_factored_path),
     ("eckart_young_optimality", _check_eckart_young),
     ("budget_audit", _check_budget_audit),
     ("fd_gradients", _check_fd_gradients),

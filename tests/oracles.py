@@ -70,6 +70,35 @@ def reference_causal_softmax(scores, q_positions, k_positions):
     return np.exp(s - logsumexp(s, axis=-1, keepdims=True))
 
 
+def reference_attention(q, keys, values, w_o):
+    """Float64 causal GQA attention, one query head at a time, then ``W_o``.
+
+    ``keys``/``values`` (Tk, n_kv, d_head) sit at positions 0..Tk-1 and the
+    queries ``q`` (Tq, n_q, d_head) at the last Tq of them.
+    """
+    tq, n_q, d_head = q.shape
+    tk, n_kv, _ = keys.shape
+    positions = np.arange(tk)
+    heads = []
+    for qh in range(n_q):
+        kv = qh // (n_q // n_kv)
+        s = q[:, qh].astype(np.float64) @ keys[:, kv].astype(np.float64).T / np.sqrt(d_head)
+        p = reference_causal_softmax(s, positions[tk - tq:], positions)
+        heads.append(p @ values[:, kv].astype(np.float64))
+    return np.concatenate(heads, axis=-1) @ w_o.astype(np.float64)
+
+
+def reference_latent_attention(q, latents, k_factor, v_factor, w_o, theta):
+    """:func:`reference_attention` over keys ``rope(H @ B_k)`` and values
+    ``H @ B_v`` restored in float64 from latent rows ``H`` at positions 0..Tk-1."""
+    tk, d_head = latents.shape[0], q.shape[2]
+    h64 = latents.astype(np.float64)
+    keys = _rotate((h64 @ k_factor.astype(np.float64)).reshape(tk, -1, d_head),
+                   np.arange(tk), theta, d_head)
+    values = (h64 @ v_factor.astype(np.float64)).reshape(tk, -1, d_head)
+    return reference_attention(q, keys, values, w_o)
+
+
 def reference_fd_gradient(tensors: dict, cfg: dict, ids, name: str, index: tuple,
                           step: float = 1e-4) -> float:
     """Central finite difference of :func:`reference_loss` for one entry."""

@@ -298,6 +298,53 @@ def test_transform_seed_is_a_usage_error(workdir, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, args, prefix", [
+    # argparse used to read a unique prefix as the full flag: --seed as --seeds
+    ("bench", ["--modes", "baseline", "--ratios", "0.5", "--seed", "5"], "--seed 5"),
+    ("run", ["--mode", "baseline", "--tok", "40"], "--tok 40"),
+])
+def test_flag_prefix_is_a_usage_error(workdir, capsys, command, args, prefix):
+    out = workdir / "out"
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--model", str(workdir / "model.tnsr"), "--out", str(out), *args])
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {prefix}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+COUNT_FLAG_ARGS = {
+    "fisher": ["--corpus", "corpus.bin"],
+    "run": ["--mode", "baseline", "--corpus", "corpus.bin"],
+    "profile": ["--corpus", "corpus.bin"],
+    "bench": ["--modes", "baseline", "--ratios", "0.5", "--seeds", "0"],
+}
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command, flag, value, message", [
+    # these used to end in a traceback (range() step 0), silently drop the last
+    # sequence or the corpus file's last bytes, or (bench) exit 3
+    ("fisher", "--seq-len", 0, "below 2"), ("fisher", "--seq-len", 1, "below 2"),
+    ("fisher", "--samples", -1, "below 1"), ("fisher", "--samples", 0, "below 1"),
+    ("run", "--tokens", -5, "negative"), ("profile", "--tokens", -5, "negative"),
+    ("bench", "--tokens", -1, "negative"),
+])
+def test_count_flag_out_of_range_is_configuration_error(workdir, capsys, source, command,
+                                                         flag, value, message):
+    (workdir / "corpus.bin").write_bytes(
+        markov_byte_corpus(3, 1, 200)[0].astype(np.uint8).tobytes())
+    out, config = workdir / "out", workdir / "config.json"
+    config.write_text(json.dumps({flag[2:].replace("-", "_"): value}))
+    extra = [flag, str(value)] if source == "flag" else ["--config", str(config)]
+    args = [str(workdir / a) if a.endswith(".bin") else a for a in COUNT_FLAG_ARGS[command]]
+    code = main([command, "--model", str(workdir / "model.tnsr"), "--out", str(out),
+                 *args, *extra])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"{flag} {value} is {message}" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag, value, message", [
     ("--seeds", "-1", "--seeds -1 is negative"),
     ("--seeds", "0,-2", "--seeds -2 is negative"),

@@ -16,7 +16,8 @@ from commonkv.errors import CapacityError
 from commonkv.latent_cache import attend_latent
 from commonkv.model import (ModelConfig, apply_rope, attention_block, attention_probs,
                             build_rope_table, causal_attention_weights, rms_norm, silu)
-from oracles import _norm, _rotate, reference_causal_softmax
+from oracles import (_norm, reference_attention, reference_causal_softmax,
+                     reference_latent_attention)
 
 HISTORY = 40  # keys visible to the last query row
 RANK = 6
@@ -28,41 +29,18 @@ def _config(heads_per_kv: int) -> ModelConfig:
                        d_head=8, d_mlp=16, max_seq=64)
 
 
-def _reference_probs(q, keys, q_pos, k_pos, cfg):
-    """Per-head float64 causal softmax weights, (n_q, Tq, Tk), at explicit positions."""
-    hpk = cfg.n_q_heads // cfg.n_kv_heads
-    probs = []
-    for h in range(cfg.n_q_heads):
-        s = q[:, h].astype(np.float64) @ keys[:, h // hpk].astype(np.float64).T
-        s /= np.sqrt(cfg.d_head)
-        s[k_pos[None, :] > q_pos[:, None]] = -np.inf
-        p = np.exp(s - s.max(axis=-1, keepdims=True))
-        probs.append(p / p.sum(axis=-1, keepdims=True))
-    return np.stack(probs)
-
-
-def _reference_block(q, keys, values, q_pos, k_pos, w_o, cfg):
-    """Per-head float64 attention followed by the output projection."""
-    hpk = cfg.n_q_heads // cfg.n_kv_heads
-    probs = _reference_probs(q, keys, q_pos, k_pos, cfg)
-    heads = [probs[h] @ values[:, h // hpk].astype(np.float64) for h in range(cfg.n_q_heads)]
-    return np.concatenate(heads, axis=-1) @ w_o.astype(np.float64)
-
-
 def _random_inputs(cfg: ModelConfig, tq: int, seed: int) -> dict:
     rng = np.random.default_rng(seed)
 
     def rand(*shape):
         return (rng.standard_normal(shape) * 0.5).astype(np.float32)
 
-    k_pos = np.arange(HISTORY)
     return {
-        "q": rand(tq, cfg.n_q_heads, cfg.d_head), "q_pos": k_pos[HISTORY - tq:],
-        "k_pos": k_pos, "keys": rand(HISTORY, cfg.n_kv_heads, cfg.d_head),
+        "q": rand(tq, cfg.n_q_heads, cfg.d_head),
+        "keys": rand(HISTORY, cfg.n_kv_heads, cfg.d_head),
         "values": rand(HISTORY, cfg.n_kv_heads, cfg.d_head),
         "w_o": rand(cfg.d_hidden, cfg.d_hidden), "latents": rand(HISTORY, RANK),
         "k_factor": rand(RANK, cfg.d_kv), "v_factor": rand(RANK, cfg.d_kv),
-        "fused_out": rand(cfg.n_q_heads, RANK, cfg.d_hidden),
     }
 
 
@@ -74,31 +52,18 @@ def test_attention_block_matches_per_head_reference(heads_per_kv, tq):
     cfg = _config(heads_per_kv)
     x = _random_inputs(cfg, tq, 10 * heads_per_kv + tq)
     out = attention_block(x["q"], x["keys"], x["values"], x["w_o"], cfg)
-    expected = _reference_block(x["q"], x["keys"], x["values"], x["q_pos"], x["k_pos"],
-                                x["w_o"], cfg)
+    expected = reference_attention(x["q"], x["keys"], x["values"], x["w_o"])
     np.testing.assert_allclose(out, expected, atol=1e-5)
 
 
 @pytest.mark.parametrize("heads_per_kv", [1, 2, 4])
 @pytest.mark.parametrize("tq", [1, 7, 33])
-@pytest.mark.parametrize("path", ["fused", "unfused"])
-def test_attend_latent_matches_per_head_reference(heads_per_kv, tq, path):
+def test_attend_latent_matches_per_head_reference(heads_per_kv, tq):
     cfg = _config(heads_per_kv)
     x = _random_inputs(cfg, tq, 100 * heads_per_kv + tq)
-    h64 = x["latents"].astype(np.float64)
-    keys = _rotate((h64 @ x["k_factor"]).reshape(HISTORY, cfg.n_kv_heads, cfg.d_head),
-                   x["k_pos"], cfg.rope_theta, cfg.d_head)
-    args = (x["q"], x["latents"], x["k_factor"], x["fused_out"], build_rope_table(cfg), cfg)
-    if path == "fused":
-        out = attend_latent(*args)
-        probs = _reference_probs(x["q"], keys, x["q_pos"], x["k_pos"], cfg)
-        expected = sum((probs[h] @ h64) @ x["fused_out"][h].astype(np.float64)
-                       for h in range(cfg.n_q_heads))
-    else:
-        out = attend_latent(*args, v_factor=x["v_factor"], w_o=x["w_o"])
-        values = (h64 @ x["v_factor"]).reshape(HISTORY, cfg.n_kv_heads, cfg.d_head)
-        expected = _reference_block(x["q"], keys, values, x["q_pos"], x["k_pos"],
-                                    x["w_o"], cfg)
+    factors = (x["latents"], x["k_factor"], x["v_factor"], x["w_o"])
+    out = attend_latent(x["q"], *factors, build_rope_table(cfg), cfg)
+    expected = reference_latent_attention(x["q"], *factors, cfg.rope_theta)
     np.testing.assert_allclose(out, expected, atol=1e-5)
 
 
@@ -126,15 +91,11 @@ def test_factored_value_path_orders_match_reference(monkeypatch, heads_per_kv, t
         return attention_block(*args, **kwargs)
 
     monkeypatch.setattr(latent_cache, "attention_block", counted)
-    out = latent_cache.attend_latent(
-        x["q"], latents, k_factor, None, build_rope_table(cfg), cfg,
-        v_factor=v_factor, w_o=x["w_o"])
+    out = latent_cache.attend_latent(x["q"], latents, k_factor, v_factor, x["w_o"],
+                                     build_rope_table(cfg), cfg)
     assert len(calls) == (1 if order == "restore" else 0)
-    h64 = latents.astype(np.float64)
-    keys = _rotate((h64 @ k_factor).reshape(HISTORY, cfg.n_kv_heads, cfg.d_head),
-                   x["k_pos"], cfg.rope_theta, cfg.d_head)
-    values = (h64 @ v_factor).reshape(HISTORY, cfg.n_kv_heads, cfg.d_head)
-    expected = _reference_block(x["q"], keys, values, x["q_pos"], x["k_pos"], x["w_o"], cfg)
+    expected = reference_latent_attention(x["q"], latents, k_factor, v_factor, x["w_o"],
+                                          cfg.rope_theta)
     np.testing.assert_allclose(out, expected, atol=1e-5)
 
 
@@ -167,8 +128,8 @@ def test_budget_sized_blocks_match_reference(monkeypatch, rows, path, heads_per_
     blocks = _record_blocks(monkeypatch, budget)
     x = _random_inputs(cfg, tq, 7 * rows + tq)
     if path == "block":
-        keys, values = x["keys"], x["values"]
-        out = attention_block(x["q"], keys, values, x["w_o"], cfg)
+        out = attention_block(x["q"], x["keys"], x["values"], x["w_o"], cfg)
+        expected = reference_attention(x["q"], x["keys"], x["values"], x["w_o"])
     else:
         rng = np.random.default_rng(rows + tq)
         latents = (rng.standard_normal((HISTORY, WIDE_RANK)) * 0.5).astype(np.float32)
@@ -181,14 +142,11 @@ def test_budget_sized_blocks_match_reference(monkeypatch, rows, path, heads_per_
             return attention_block(*args)
 
         monkeypatch.setattr(latent_cache, "attention_block", counted)
-        out = attend_latent(x["q"], latents, k_factor, None, build_rope_table(cfg), cfg,
-                            v_factor=v_factor, w_o=x["w_o"])
+        out = attend_latent(x["q"], latents, k_factor, v_factor, x["w_o"],
+                            build_rope_table(cfg), cfg)
         assert len(calls) == (path == "restore")
-        h64 = latents.astype(np.float64)
-        keys = _rotate((h64 @ k_factor).reshape(HISTORY, cfg.n_kv_heads, cfg.d_head),
-                       x["k_pos"], cfg.rope_theta, cfg.d_head)
-        values = (h64 @ v_factor).reshape(HISTORY, cfg.n_kv_heads, cfg.d_head)
-    expected = _reference_block(x["q"], keys, values, x["q_pos"], x["k_pos"], x["w_o"], cfg)
+        expected = reference_latent_attention(x["q"], latents, k_factor, v_factor, x["w_o"],
+                                              cfg.rope_theta)
     np.testing.assert_allclose(out, expected, atol=1e-5)
     assert [r for r, _ in blocks] == [rows] * (tq // rows) + [tq % rows] * (tq % rows > 0)
     assert all(r == 1 or size <= budget for r, size in blocks)
@@ -417,11 +375,11 @@ def test_decode_row_matches_per_head_reference(heads_per_kv, tk):
     def rand(*shape):
         return (rng.standard_normal(shape) * 0.5).astype(np.float32)
 
-    q, k_pos, q_pos = rand(1, cfg.n_q_heads, cfg.d_head), np.arange(tk), np.array([tk - 1])
+    q = rand(1, cfg.n_q_heads, cfg.d_head)
     keys, values = rand(tk, cfg.n_kv_heads, cfg.d_head), rand(tk, cfg.n_kv_heads, cfg.d_head)
     w_o = rand(cfg.d_hidden, cfg.d_hidden)
     out = attention_block(q, keys, values, w_o, cfg)
-    expected = _reference_block(q, keys, values, q_pos, k_pos, w_o, cfg)
+    expected = reference_attention(q, keys, values, w_o)
     np.testing.assert_allclose(out, expected, atol=1e-5)
     # the same keys inside a wider buffer: a non-contiguous (Tk, n_kv, d_head) view
     padded = np.zeros((tk, cfg.n_kv_heads, cfg.d_head + 3), dtype=np.float32)
@@ -432,11 +390,6 @@ def test_decode_row_matches_per_head_reference(heads_per_kv, tk):
     np.testing.assert_allclose(out, expected, atol=1e-5)
 
     latents, k_factor, v_factor = rand(tk, RANK), rand(RANK, cfg.d_kv), rand(RANK, cfg.d_kv)
-    h64 = latents.astype(np.float64)
-    restored = _rotate((h64 @ k_factor).reshape(tk, cfg.n_kv_heads, cfg.d_head), k_pos,
-                       cfg.rope_theta, cfg.d_head)
-    restored_values = (h64 @ v_factor).reshape(tk, cfg.n_kv_heads, cfg.d_head)
-    expected = _reference_block(q, restored, restored_values, q_pos, k_pos, w_o, cfg)
-    out = attend_latent(q, latents, k_factor, None, build_rope_table(cfg), cfg,
-                        v_factor=v_factor, w_o=w_o)
+    expected = reference_latent_attention(q, latents, k_factor, v_factor, w_o, cfg.rope_theta)
+    out = attend_latent(q, latents, k_factor, v_factor, w_o, build_rope_table(cfg), cfg)
     np.testing.assert_allclose(out, expected, atol=1e-5)

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from commonkv import latent_cache
 from commonkv.budget import allocate_budget
 from commonkv.corpus import markov_byte_corpus
 from commonkv.errors import InputError, NumericError
@@ -12,6 +13,7 @@ from commonkv.latent_cache import (SUFFIX_CHUNK_ROWS, LatentCacheStore, LatentSe
                                    restore_keys)
 from commonkv.model import (BaselineSession, apply_rope, attention_block,
                             build_rope_table, forward_baseline, rms_norm)
+from oracles import reference_latent_attention
 
 
 # -- latent projection ---------------------------------------------------------
@@ -93,11 +95,11 @@ def test_latent_attention_matches_baseline_at_full_rank(fact_full):
     for layer in (0, 3, 7):
         lw = weights.layers[layer]
         q = apply_rope((xn @ lw.w_q).reshape(-1, cfg.n_q_heads, cfg.d_head), 0, rope)
-        keys = apply_rope((xn @ lw.w_k).reshape(-1, cfg.n_kv_heads, cfg.d_head), 0, rope)
-        values = (xn @ lw.w_v).reshape(-1, cfg.n_kv_heads, cfg.d_head)
-        baseline = attention_block(q, keys, values, lw.w_o, cfg)
+        # full-KV attention in float64: the normed rows under the layer's own W_k, W_v
+        baseline = reference_latent_attention(q, xn, lw.w_k, lw.w_v, lw.w_o, cfg.rope_theta)
         h = compute_latent(xn, fact.shared_for_layer(layer))
-        latent = attend_latent(q, h, fact.k_factors[layer], fact.fused_out[layer], rope, cfg)
+        latent = attend_latent(q, h, fact.k_factors[layer], fact.v_factors[layer], lw.w_o,
+                               rope, cfg)
         assert np.abs(latent - baseline).max() < 1e-5
 
 
@@ -108,24 +110,41 @@ def test_singleton_softmax(fact07):
     rng = np.random.default_rng(6)
     h = rng.standard_normal((1, fact.rank)).astype(np.float32)
     q = rng.standard_normal((1, cfg.n_q_heads, cfg.d_head)).astype(np.float32)
-    out = attend_latent(q, h, fact.k_factors[0], fact.fused_out[0], rope, cfg)
-    expected = sum(h @ fact.fused_out[0][qh] for qh in range(cfg.n_q_heads))
+    w_o = weights.layers[0].w_o
+    out = attend_latent(q, h, fact.k_factors[0], fact.v_factors[0], w_o, rope, cfg)
+    # one key takes all the weight: each query head reads its KV head's value row
+    values = (h.astype(np.float64) @ fact.v_factors[0]).reshape(cfg.n_kv_heads, cfg.d_head)
+    expected = np.repeat(values, cfg.heads_per_kv, axis=0).reshape(1, -1) @ w_o
     np.testing.assert_allclose(out, expected, atol=1e-6)
 
 
-def test_factored_and_fused_sessions_agree_through_merge_and_decode(fact07, probe_ids):
+def test_factored_session_matches_float64_reference_through_merge_and_decode(
+        fact07, probe_ids, monkeypatch):
     # prefill takes the restore-values order, decode steps the mix-latents
-    # order; the fused per-head matrices check both
+    # order; each layer's output in both, over merged prefixes too, is checked
+    # against the float64 reference built from that layer's own factors
     weights, fact, _ = fact07
-    factored = LatentSession(weights, fact)
-    fused = LatentSession(weights, fact, fused_values=True)
-    diff = np.abs(factored.prefill(probe_ids[:48]) - fused.prefill(probe_ids[:48])).max()
-    for s in (factored, fused):
-        s.plan_and_merge(0.5, "mean")
-    assert factored.plan.merged_groups == fused.plan.merged_groups
+    n_layers = weights.config.n_layers
+    diffs = []
+
+    def checked(q, latents, *args, **kwargs):
+        out = attend_latent(q, latents, *args, **kwargs)
+        layer = len(diffs) % n_layers
+        expected = reference_latent_attention(
+            q, latents, fact.k_factors[layer], fact.v_factors[layer],
+            weights.layers[layer].w_o, weights.config.rope_theta)
+        diffs.append(float(np.abs(out - expected).max()))
+        return out
+
+    monkeypatch.setattr(latent_cache, "attend_latent", checked)
+    session = LatentSession(weights, fact)
+    session.prefill(probe_ids[:48])
+    session.plan_and_merge(0.5, "mean")
+    assert session.plan.merged_groups
     for t in probe_ids[48:64]:
-        diff = max(diff, np.abs(factored.decode(int(t)) - fused.decode(int(t))).max())
-    assert diff < 1e-5
+        session.decode(int(t))
+    assert len(diffs) == 17 * n_layers
+    assert max(diffs) < 1e-5
 
 
 def _force_identical_prefixes(session):
