@@ -70,7 +70,7 @@ class BudgetPlan:
     target_ratio: float
     merged_groups: list[int]
     strategy: str
-    rank: int
+    rank: int                         # row width: latent rank, or 2·d_kv for raw K/V
     cost_per_token: int               # prefill latent elements per token
     predicted_prefill_ratio: float
     merge_weights: dict[int, list[float]] = field(default_factory=dict)

@@ -140,6 +140,32 @@ def _load_factorization(args, weights: ModelWeights) -> SharedFactorization | No
     return fact
 
 
+def _session_inputs(args, modes: list[str]):
+    """``(weights, factorization, options)``: ``--model``, ``--factorized`` and
+    the keyword arguments that every mode's session reads.
+
+    ``rawkv_meanmerge`` groups layers as ``--factorized`` does, and an explicit
+    ``--group-size`` (flag or ``--config``) must agree; without a container
+    it is ``--group-size``, by default 4.
+    """
+    weights = load_model(args.model)
+    fact = _load_factorization(args, weights)
+    group_size = 4 if args.group_size is None else args.group_size
+    if fact is not None:
+        if args.group_size not in (None, fact.layout.group_size):
+            raise ConfigurationError(f"--group-size {args.group_size} disagrees with "
+                                     f"--factorized {args.factorized}, built with group "
+                                     f"size {fact.layout.group_size}")
+        group_size = fact.layout.group_size
+    if "commonkv" in modes and fact is None:
+        raise ConfigurationError("commonkv mode needs --factorized")
+    fisher = _load_fisher(args.fisher_file, weights.config)
+    if "commonkv" in modes and args.merge == "fisher" and fisher is None:
+        raise ConfigurationError("fisher merge needs --fisher-file (see `fisher` command)")
+    return weights, fact, dict(strategy=args.merge, fisher=fisher, score_variant=args.score,
+                               group_size=group_size)
+
+
 def _write_json(path, payload: dict) -> None:
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
@@ -214,22 +240,14 @@ def cmd_run(args) -> int:
     args = _resolve(args, {
         "mode": "commonkv", "ratio": 0.5, "merge": "fisher", "score": "shortcut",
         "seed": 42, "tokens": 128, "prefill_fraction": 0.875, "corpus": None,
-        "fisher_file": None, "generate": 0, "group_size": 4, "factorized": None,
+        "fisher_file": None, "generate": 0, "group_size": None, "factorized": None,
     })
     if args.generate < 0:
         raise ConfigurationError(f"--generate {args.generate} is negative")
-    weights = load_model(args.model)
-    fact = _load_factorization(args, weights)
-    if args.mode == "commonkv" and fact is None:
-        raise ConfigurationError("commonkv mode needs --factorized")
-    fisher = _load_fisher(args.fisher_file, weights.config)
-    if args.mode == "commonkv" and args.merge == "fisher" and fisher is None:
-        raise ConfigurationError("fisher merge needs --fisher-file (see `fisher` command)")
+    weights, fact, options = _session_inputs(args, [args.mode])
     ids = _corpus_ids(args)
-    result = evaluation.perplexity(
-        args.mode, weights, ids, fact=fact, target_ratio=args.ratio,
-        strategy=args.merge, fisher=fisher, score_variant=args.score,
-        prefill_fraction=args.prefill_fraction, group_size=args.group_size)
+    result = evaluation.perplexity(args.mode, weights, ids, fact=fact, target_ratio=args.ratio,
+                                   prefill_fraction=args.prefill_fraction, **options)
     payload = {
         "mode": result.mode,
         "seed": args.seed,
@@ -239,16 +257,13 @@ def cmd_run(args) -> int:
         "achieved_ratio": result.achieved_ratio,
         "cache_elements": result.cache_elements,
         "plan": result.plan.to_dict() if result.plan else None,
-        "extras": result.extras,
     }
     if args.generate:
         # every mode continues the prompt that the decoding modes score, from its
         # last logits, through the mode's own session
         prompt = ids[:evaluation._split_point(len(ids), args.prefill_fraction)]
-        session, logits, _, _ = evaluation.prefill_session(
-            args.mode, weights, prompt, fact=fact, target_ratio=args.ratio,
-            strategy=args.merge, fisher=fisher, score_variant=args.score,
-            group_size=args.group_size)
+        session, logits, _ = evaluation.prefill_session(
+            args.mode, weights, prompt, fact=fact, target_ratio=args.ratio, **options)
         generated = [int(np.argmax(logits[-1]))]
         while len(generated) < args.generate:
             generated.append(int(np.argmax(session.decode(generated[-1]))))
@@ -267,24 +282,17 @@ def cmd_bench(args) -> int:
         "modes": "baseline,commonkv,lowrank_perlayer,rawkv_meanmerge",
         "seeds": "0,1,2", "merge": "mean", "score": "shortcut", "tokens": 128,
         "prefill_fraction": 0.875, "fisher_file": None, "summary": None,
-        "group_size": 4, "factorized": None,
+        "group_size": None, "factorized": None,
     })
     modes = _parse_list(args.modes, str, "modes")
     ratios = _parse_list(args.ratios, float, "ratios")
     seeds = _parse_list(args.seeds, int, "seeds")
     for seed in seeds:
         _check_floor("seeds", seed, FLOORS["seed"])
-    weights = load_model(args.model)
-    fact = _load_factorization(args, weights)
-    if "commonkv" in modes and fact is None:
-        raise ConfigurationError("commonkv mode needs --factorized")
-    fisher = _load_fisher(args.fisher_file, weights.config)
-    if args.merge == "fisher" and fisher is None and "commonkv" in modes:
-        raise ConfigurationError("fisher merge needs --fisher-file")
-    records = evaluation.bench_sweep(
-        weights, fact, ratios, modes, seeds, strategy=args.merge, fisher=fisher,
-        score_variant=args.score, probe_tokens=args.tokens,
-        prefill_fraction=args.prefill_fraction, group_size=args.group_size)
+    weights, fact, options = _session_inputs(args, modes)
+    records = evaluation.bench_sweep(weights, fact, ratios, modes, seeds,
+                                     probe_tokens=args.tokens,
+                                     prefill_fraction=args.prefill_fraction, **options)
     Path(args.out).write_text(evaluation.records_to_csv(records))
     if args.summary:
         _write_json(args.summary, evaluation.sweep_summary(

@@ -7,6 +7,9 @@ Cache modes:
 * ``lowrank_perlayer``  — per-layer factorization (group size 1), no merging
 * ``rawkv_meanmerge``   — full K/V tensors mean-merged across layer groups
 
+Every compressed mode takes its merged groups from one rule,
+``budget.allocate_budget``, and merges them through
+``LatentCacheStore.apply_plan``; only the scores and the row width differ.
 Every reported compression ratio is recomputed from the element-level cache
 audit; a mismatch against the budget plan's prediction is a hard failure,
 never a warning.
@@ -21,12 +24,12 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import budget as budget_mod
-from .budget import BudgetPlan, FisherWeights, group_score, stored_elements, top_k_groups
+from .budget import BudgetPlan, FisherWeights, group_score, stored_elements
 from .corpus import markov_byte_corpus
 from .errors import (CapacityError, ConfigurationError, InputError, NumericError,
                      UnreachableRatioError)
@@ -112,15 +115,15 @@ def profile_similarity(weights: ModelWeights, probe_ids,
 class RawKVSession:
     """Full-KV session whose prefill caches are mean-merged across groups.
 
-    Stands in for direct cross-layer sharing baselines: after prefill the
-    ``round(ratio * n_groups)`` most similar groups (first/last raw-cache
-    cosine, ties to the lower index) share the arithmetic mean of their
-    members' key and value tensors.  Decode tokens keep per-layer caches.
-    The session is the KV store ``model.forward`` runs over, projecting and
-    attending as the full-KV ``KVCache`` does, and it stores through a
-    ``LatentCacheStore`` whose rows (``2·d_kv`` wide) are each token's
-    rotated keys followed by its values, both flattened; every audit checks
-    a merged prefix against its checksum, as in the latent modes.
+    Stands in for direct cross-layer sharing baselines: after prefill,
+    ``plan_and_merge`` scores each group by its first and last layers' key
+    and value cosines and plans through ``budget.allocate_budget`` as the
+    latent modes do, for rows ``2·d_kv`` wide: each token's rotated keys and
+    values, flattened.  The chosen groups share the mean of their members'
+    rows; decode tokens keep per-layer caches.  The session is the KV store
+    ``model.forward`` runs over, projecting and attending as the full-KV
+    ``KVCache`` does, and it stores and merges through a ``LatentCacheStore``,
+    whose every audit checks a merged prefix against its checksum.
     """
 
     def __init__(self, weights: ModelWeights, group_size: int):
@@ -140,25 +143,20 @@ class RawKVSession:
         d_kv = self.config.d_kv
         scores = []
         for gc in self.store.groups:
+            if gc.merged:
+                raise InputError("scores must be computed before merging")
             first, last = gc.layer_prefixes[0], gc.layer_prefixes[-1]
             k_sim = group_score(first[:, :d_kv], last[:, :d_kv])
             v_sim = group_score(first[:, d_kv:], last[:, d_kv:])
             scores.append(0.5 * (k_sim + v_sim))
         return scores
 
-    def merge(self, target_ratio: float) -> dict:
-        if not 0.0 <= target_ratio < 1.0:
-            raise ConfigurationError("target ratio must be in [0, 1)")
-        if any(gc.merged for gc in self.store.groups):
-            raise InputError("raw-KV session merges once")
-        k = round(target_ratio * self.layout.n_groups)
-        scores = self.group_scores()
-        merged_groups = top_k_groups(scores, k)
-        for gi in merged_groups:
-            prefixes = self.store.groups[gi].layer_prefixes
-            mean = np.mean([p.astype(np.float64) for p in prefixes], axis=0)
-            self.store.merge_group(gi, mean.astype(np.float32))
-        return {"scores": scores, "merged_groups": merged_groups, "count": k}
+    def plan_and_merge(self, target_ratio: float) -> BudgetPlan:
+        """Score groups, allocate the budget, mean-merge the selected prefixes."""
+        plan = budget_mod.allocate_budget(self.group_scores(), target_ratio, self.layout,
+                                          self.store.width, self.config, strategy="mean")
+        self.store.apply_plan(plan)
+        return plan
 
     def decode(self, token_id: int) -> np.ndarray:
         """One generated token; starts the decode phase unless ``forward`` rejects it."""
@@ -204,7 +202,6 @@ class EvalResult:
     cache_elements: int
     n_tokens: int
     plan: BudgetPlan | None = None
-    extras: dict = field(default_factory=dict)
 
 
 def _split_point(n_tokens: int, prefill_fraction: float) -> int:
@@ -221,39 +218,36 @@ def prefill_session(mode: str, weights: ModelWeights, prompt_ids,
                     group_size: int = 4):
     """A session of cache mode ``mode`` that has prefilled ``prompt_ids`` and merged.
 
-    Returns ``(session, logits, plan, extras)``: the prompt's logits, the
-    budget plan of the latent modes (else ``None``) and the merge report of
-    ``rawkv_meanmerge`` (else empty).  The session is ready to decode.
+    Returns ``(session, logits, plan)``: the prompt's logits and the budget
+    plan that chose the merged groups (``None`` for ``baseline``, which
+    ignores the target).  Every other mode checks the target ratio before it
+    builds anything, and fails with ``UnreachableRatioError`` where the plan
+    cannot meet it.  The session is ready to decode.
     """
     if mode not in MODES:
         raise ConfigurationError(f"unknown mode {mode!r}")
-    cfg = weights.config
-    plan, extras = None, {}
     if mode == "baseline":
         session = BaselineSession(weights)
-    elif mode == "rawkv_meanmerge":
-        session = RawKVSession(weights, group_size)
-    else:
-        if mode == "lowrank_perlayer":
-            # at most d_hidden: when 2*d_kv exceeds it, full rank already meets low targets
-            rank = max(1, min(cfg.d_hidden, int((1.0 - target_ratio) * 2 * cfg.d_kv)))
-            fact = build_factorization(weights, group_size=1, rank=rank)
-        elif fact is None:
-            raise ConfigurationError("commonkv mode needs a factorized model")
-        session = LatentSession(weights, fact)
-
-    logits = session.prefill(prompt_ids)
+        return session, session.prefill(prompt_ids), None
+    if not 0.0 <= target_ratio < 1.0:  # also false for nan
+        raise ConfigurationError("target ratio must be in [0, 1)")
     if mode == "rawkv_meanmerge":
-        extras = session.merge(target_ratio)
-    elif mode == "lowrank_perlayer":
-        # per-layer reference never merges; with m=1 the cost is rank-driven only
-        plan = budget_mod.allocate_budget([1.0] * fact.layout.n_groups, 0.0, fact.layout,
-                                          fact.rank, cfg, strategy="mean")
-        session.apply_plan(plan)
-    elif mode == "commonkv":
-        plan = session.plan_and_merge(target_ratio, strategy=strategy, fisher=fisher,
-                                      score_variant=score_variant)
-    return session, logits, plan, extras
+        session = RawKVSession(weights, group_size)
+        logits = session.prefill(prompt_ids)
+        return session, logits, session.plan_and_merge(target_ratio)
+    if mode == "lowrank_perlayer":
+        # at most d_hidden: when 2*d_kv exceeds it, full rank already meets low
+        # targets; with one-layer groups the plan merges nothing, so the rank
+        # alone decides whether the target is met
+        cfg = weights.config
+        rank = max(1, min(cfg.d_hidden, int((1.0 - target_ratio) * 2 * cfg.d_kv)))
+        fact = build_factorization(weights, group_size=1, rank=rank)
+    elif fact is None:
+        raise ConfigurationError("commonkv mode needs a factorized model")
+    session = LatentSession(weights, fact)
+    logits = session.prefill(prompt_ids)
+    return session, logits, session.plan_and_merge(target_ratio, strategy=strategy,
+                                                   fisher=fisher, score_variant=score_variant)
 
 
 def perplexity(mode: str, weights: ModelWeights, text_ids,
@@ -283,7 +277,7 @@ def perplexity(mode: str, weights: ModelWeights, text_ids,
     split = ids.size if mode == "baseline" else _split_point(ids.size, prefill_fraction)
     if mode == "baseline":
         target_ratio = 0.0
-    session, logits, plan, extras = prefill_session(
+    session, logits, plan = prefill_session(
         mode, weights, ids[:split], fact=fact, target_ratio=target_ratio, strategy=strategy,
         fisher=fisher, score_variant=score_variant, group_size=group_size)
     width, merged, members = 2 * cfg.d_kv, 0, 1
@@ -305,8 +299,7 @@ def perplexity(mode: str, weights: ModelWeights, text_ids,
         raise NumericError(f"{mode} cache audit {elements} elements != closed form {expected}")
     return EvalResult(mode=mode, nll=nll, target_ratio=target_ratio,
                       achieved_ratio=1.0 - elements / baseline_elements(cfg, ids.size),
-                      cache_elements=elements, n_tokens=int(ids.size), plan=plan,
-                      extras=extras)
+                      cache_elements=elements, n_tokens=int(ids.size), plan=plan)
 
 
 # ---------------------------------------------------------------------------
@@ -317,71 +310,57 @@ def perplexity(mode: str, weights: ModelWeights, text_ids,
 class BenchRecord:
     mode: str
     target_ratio: float
-    achieved_ratio: float | None
-    nll: float | None
-    cache_elements: int | None
     wall_ms: float
     seed: int
+    achieved_ratio: float | None = None  # the measurements stay None when unreachable
+    nll: float | None = None
+    cache_elements: int | None = None
     unreachable: bool = False
     note: str = ""
 
     def csv_row(self) -> list[str]:
-        if self.unreachable:
-            return [self.mode, f"{self.target_ratio:g}", "", "", "",
-                    f"{self.wall_ms:.3f}", str(self.seed)]
-        return [self.mode, f"{self.target_ratio:g}", f"{self.achieved_ratio:.9f}",
-                f"{self.nll:.9f}", str(self.cache_elements),
-                f"{self.wall_ms:.3f}", str(self.seed)]
+        measured = (["", "", ""] if self.unreachable else
+                    [f"{self.achieved_ratio:.9f}", f"{self.nll:.9f}", str(self.cache_elements)])
+        return [self.mode, f"{self.target_ratio:g}", *measured, f"{self.wall_ms:.3f}",
+                str(self.seed)]
 
 
 def bench_sweep(weights: ModelWeights, fact: SharedFactorization | None,
                 ratios: list[float], modes: list[str], seeds: list[int],
-                strategy: str = "mean", fisher: FisherWeights | None = None,
-                score_variant: str = "shortcut", probe_tokens: int = 128,
-                prefill_fraction: float = 0.875,
-                group_size: int = 4) -> list[BenchRecord]:
+                probe_tokens: int = 128, **options) -> list[BenchRecord]:
     """One record per (mode, ratio, seed); fresh session and probe per record.
 
-    Baseline ignores the ratio axis and is run once per seed at ratio 0.
-    Unreachable (mode, ratio) pairs are recorded with empty measurements; any
-    other error ends the sweep.
+    ``options`` are ``perplexity``'s keyword arguments (strategy, Fisher
+    weights, score variant, prefill fraction, group size).  Baseline ignores
+    the ratio axis and is run once per seed at ratio 0.  Unreachable (mode,
+    ratio) pairs are recorded with empty measurements; any other error ends
+    the sweep.
     """
     for mode in modes:
         if mode not in MODES:
             raise ConfigurationError(f"unknown mode {mode!r}")
-    tasks = [(mode, ratio, seed)
-             for mode in modes
-             for ratio in ([0.0] if mode == "baseline" else ratios)
-             for seed in seeds]
 
-    def run_one(task) -> BenchRecord:
-        mode, ratio, seed = task
+    def run_one(mode: str, ratio: float, seed: int) -> BenchRecord:
         ids = markov_byte_corpus(seed, 1, probe_tokens)[0]
         start = time.perf_counter()
         try:
-            res = perplexity(mode, weights, ids, fact=fact, target_ratio=ratio,
-                             strategy=strategy, fisher=fisher,
-                             score_variant=score_variant,
-                             prefill_fraction=prefill_fraction,
-                             group_size=group_size)
+            res = perplexity(mode, weights, ids, fact=fact, target_ratio=ratio, **options)
+            measured = dict(achieved_ratio=res.achieved_ratio, nll=res.nll,
+                            cache_elements=res.cache_elements)
         except UnreachableRatioError as exc:
-            return BenchRecord(mode=mode, target_ratio=ratio, achieved_ratio=None,
-                               nll=None, cache_elements=None,
-                               wall_ms=(time.perf_counter() - start) * 1e3, seed=seed,
-                               unreachable=True, note=str(exc))
-        return BenchRecord(mode=mode, target_ratio=ratio,
-                           achieved_ratio=res.achieved_ratio, nll=res.nll,
-                           cache_elements=res.cache_elements,
-                           wall_ms=(time.perf_counter() - start) * 1e3, seed=seed)
+            measured = dict(unreachable=True, note=str(exc))
+        return BenchRecord(mode=mode, target_ratio=ratio, seed=seed,
+                           wall_ms=(time.perf_counter() - start) * 1e3, **measured)
 
-    return [run_one(t) for t in tasks]
+    return [run_one(mode, ratio, seed)
+            for mode in modes
+            for ratio in ([0.0] if mode == "baseline" else ratios)
+            for seed in seeds]
 
 
 def records_to_csv(records: list[BenchRecord]) -> str:
-    lines = [",".join(CSV_COLUMNS)]
-    for rec in records:
-        lines.append(",".join(rec.csv_row()))
-    return "\n".join(lines) + "\n"
+    rows = [CSV_COLUMNS, *(rec.csv_row() for rec in records)]
+    return "".join(",".join(row) + "\n" for row in rows)
 
 
 def sweep_summary(records: list[BenchRecord], config: ModelConfig,

@@ -1,9 +1,9 @@
 """The merged-prefix cache store and the compressed-inference session.
 
-``LatentCacheStore`` holds rows of one width per layer and merges a group's
-prefill prefixes into one checksummed shared prefix; both cross-layer modes
-store through it (latent rows here, raw K/V rows in
-``evaluation.RawKVSession``).
+``LatentCacheStore`` holds rows of one width per layer and merges the groups
+a budget plan names (``apply_plan``), each into one checksummed shared
+prefix; every compressed mode stores and merges through it (latent rows
+here, raw K/V rows in ``evaluation.RawKVSession``).
 
 A ``LatentSession`` is the KV store that ``model.forward`` runs over: the
 decoder layer is the baseline's, and only what a layer caches and how it
@@ -229,6 +229,20 @@ class LatentCacheStore:
         gc.merged = True
         gc.merge_checksum = _checksum(gc.shared_prefix)
 
+    def apply_plan(self, plan: budget_mod.BudgetPlan,
+                   fisher: budget_mod.FisherWeights | None = None) -> None:
+        """Merge each of the plan's groups by its strategy, recording the weights
+        and any Fisher fallback in the plan."""
+        for gi in sorted(plan.merged_groups):
+            merged, weights_used, fell_back = budget_mod.merge_group(
+                self.groups[gi].layer_prefixes, plan.strategy,
+                fisher.for_layers(self.layout.layers_of(gi)) if fisher is not None else None)
+            plan.merge_weights[gi] = weights_used
+            if fell_back:
+                plan.warnings.append(
+                    f"group {gi}: zero Fisher mass, fell back to mean merge")
+            self.merge_group(gi, merged)
+
     def verify_merged_prefixes(self) -> None:
         for gi, gc in enumerate(self.groups):
             if gc.merged and _checksum(gc.shared_prefix) != gc.merge_checksum:
@@ -305,18 +319,7 @@ class LatentSession:
                    fisher: budget_mod.FisherWeights | None = None) -> None:
         self._prefill_frozen = True
         self.plan = plan
-        layout = self.fact.layout
-        for gi in sorted(plan.merged_groups):
-            members = list(layout.layers_of(gi))
-            gc = self.store.groups[gi]
-            merged, weights_used, fell_back = budget_mod.merge_group(
-                gc.layer_prefixes, plan.strategy,
-                fisher.for_layers(members) if fisher is not None else None)
-            plan.merge_weights[gi] = weights_used
-            if fell_back:
-                plan.warnings.append(
-                    f"group {gi}: zero Fisher mass, fell back to mean merge")
-            self.store.merge_group(gi, merged)
+        self.store.apply_plan(plan, fisher)
 
     def decode(self, token_id: int) -> np.ndarray:
         """One generated token; its latent joins the layer-private suffix.

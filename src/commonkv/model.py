@@ -68,6 +68,11 @@ class ModelConfig:
     max_seq: int = 256
 
     def __post_init__(self):
+        for f in fields(self):  # rope_theta is a real number, every other field an int
+            value, real = getattr(self, f.name), f.type == "float"
+            if isinstance(value, bool) or not isinstance(value, (int, float) if real else int):
+                raise ConfigurationError(f"{f.name}={value!r} is not "
+                                         f"{'a number' if real else 'an integer'}")
         if min(self.n_layers, self.d_hidden, self.n_q_heads, self.n_kv_heads,
                self.d_head, self.d_mlp, self.max_seq) < 1:
             raise ConfigurationError("all dimensions must be positive")
@@ -84,8 +89,8 @@ class ModelConfig:
             raise ConfigurationError("d_kv must not exceed d_hidden")
         if self.d_head % 2 != 0:
             raise ConfigurationError("d_head must be even for pairwise rotations")
-        if self.rope_theta <= 0:
-            raise ConfigurationError("rope_theta must be positive")
+        if not 0 < self.rope_theta < math.inf:  # also false for nan
+            raise ConfigurationError(f"rope_theta {self.rope_theta} is not positive and finite")
 
     @property
     def d_kv(self) -> int:
@@ -238,11 +243,15 @@ def weights_from_tensors(config: ModelConfig, tensors: dict[str, np.ndarray],
 
 
 def config_from_manifest(meta: dict) -> ModelConfig:
-    """The model config a container manifest records; a missing one is an InputError."""
+    """The model config a container manifest records; a missing one, or one
+    that ``ModelConfig`` rejects, is an InputError."""
     (config,) = tensorfile.take(meta, ("config",), "container manifest")
     if not isinstance(config, dict):
         raise InputError("container manifest 'config' is not an object")
-    return ModelConfig.from_dict(config)
+    try:
+        return ModelConfig.from_dict(config)
+    except ConfigurationError as exc:
+        raise InputError(f"container manifest config: {exc}") from None
 
 
 def save_model(weights: ModelWeights, path) -> None:

@@ -175,6 +175,47 @@ def test_prefill_fraction_outside_zero_one_is_configuration_error(workdir, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("ratio", ["nan", "1.5", "-0.2"])
+def test_lowrank_target_outside_zero_one_is_configuration_error(workdir, capsys, ratio):
+    # nan used to end in a traceback, and 1.5 and -0.2 ran at rank 1 and full rank
+    out = workdir / "run.json"
+    code = main(["run", "--model", str(workdir / "model.tnsr"), "--mode", "lowrank_perlayer",
+                 "--ratio", ratio, "--tokens", "32", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "target ratio must be in [0, 1)" in err
+    assert not out.exists()
+
+
+def test_lowrank_target_beyond_rank_one_is_unreachable(workdir, capsys):
+    # used to exit 0 at rank 1, ratio 0.985, below the target
+    code = main(["run", "--model", str(workdir / "model.tnsr"), "--mode", "lowrank_perlayer",
+                 "--ratio", "0.99", "--tokens", "32"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "maximum achievable is 0.984375" in err
+
+
+def test_bench_compressed_modes_meet_each_target_or_record_it_unreachable(workdir):
+    # raw-KV used to merge round(ratio * 2) groups: 0.344 at target 0.5, and
+    # both groups, silently, at 0.9
+    model, fact, csv_path = workdir / "model.tnsr", workdir / "fact.tnsr", workdir / "b.csv"
+    assert main(["transform", "--model", str(model), "--out", str(fact)]) == 0
+    assert main(["bench", "--model", str(model), "--factorized", str(fact),
+                 "--out", str(csv_path), "--modes", "lowrank_perlayer,rawkv_meanmerge",
+                 "--ratios", "0.1,0.2,0.3,0.4,0.5,0.6,0.9,0.99", "--seeds", "0",
+                 "--tokens", "64", "--merge", "mean"]) == 0
+    rows = [line.split(",") for line in csv_path.read_text().strip().split("\n")[1:]]
+    unreachable = {(mode, float(target)) for mode, target, achieved, *_ in rows if not achieved}
+    assert unreachable == {("lowrank_perlayer", 0.99), ("rawkv_meanmerge", 0.9),
+                           ("rawkv_meanmerge", 0.99)}
+    # the plans meet their prefill targets; the CSV's whole-session ratio
+    # (decode rows stay per layer) still meets each of these
+    for mode, target, achieved, *_ in rows:
+        if achieved:
+            assert float(achieved) >= float(target), (mode, target, achieved)
+
+
 def test_run_requires_factorized_for_commonkv(workdir):
     code = main(["run", "--model", str(workdir / "model.tnsr"),
                  "--mode", "commonkv"])
@@ -516,6 +557,69 @@ def test_factorized_manifest_layout_is_checked_against_the_model(workdir, factor
     assert _run_commonkv(workdir, factorized) == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "factorized manifest" in err
+
+
+@pytest.mark.parametrize("container", ["model", "factorized"])
+@pytest.mark.parametrize("field, value", [
+    ("n_layers", "8"), ("n_layers", 8.0), ("n_layers", True), ("rope_theta", "x"),
+    ("rope_theta", float("nan")), ("max_seq", None),
+], ids=["str", "float", "bool", "theta_str", "theta_nan", "null"])
+def test_malformed_manifest_config_is_input_error(workdir, factorized, capsys, container,
+                                                  field, value):
+    # used to end in a TypeError traceback, or to run (true as 1 layer, nan theta)
+    path = factorized if container == "factorized" else workdir / "model.tnsr"
+    tensors, meta = tensorfile.load(path)
+    tensorfile.save(path, tensors, meta=dict(meta, config=dict(meta["config"], **{field: value})))
+    if container == "factorized":
+        code = _run_commonkv(workdir, factorized)
+    else:
+        code = main(["run", "--model", str(path), "--mode", "baseline", "--tokens", "16"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "container manifest config" in err and field in err
+
+
+@pytest.mark.parametrize("theta", ["nan", "inf", "0"])
+def test_gen_toy_rope_theta_must_be_positive_and_finite(tmp_path, capsys, theta):
+    # nan used to write a model whose every NLL was nan
+    out = tmp_path / "m.tnsr"
+    assert main(["gen-toy", "--out", str(out), "--rope-theta", theta]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "is not positive and finite" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command", ["run", "bench"])
+def test_group_size_against_the_container_is_configuration_error(workdir, factorized, capsys,
+                                                                 command, source):
+    # run ignored the flag; bench compared raw-KV at m = 2 with commonkv at m = 4
+    out, config = workdir / "out", workdir / "config.json"
+    config.write_text(json.dumps({"group_size": 2}))
+    extra = ["--group-size", "2"] if source == "flag" else ["--config", str(config)]
+    args = {"run": ["--mode", "commonkv", "--merge", "mean", "--tokens", "32"],
+            "bench": ["--modes", "rawkv_meanmerge,commonkv", "--ratios", "0.3",
+                      "--seeds", "0", "--tokens", "32", "--merge", "mean"]}[command]
+    code = main([command, "--model", str(workdir / "model.tnsr"), "--factorized",
+                 str(factorized), "--out", str(out), *args, *extra])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--group-size 2 disagrees with --factorized" in err
+    assert not out.exists()
+
+
+def test_rawkv_group_size_is_the_containers(workdir):
+    model, fact2, out = workdir / "model.tnsr", workdir / "fact2.tnsr", workdir / "run.json"
+    assert main(["transform", "--model", str(model), "--out", str(fact2),
+                 "--group-size", "2"]) == 0
+    run = ["run", "--model", str(model), "--mode", "rawkv_meanmerge", "--ratio", "0.3",
+           "--tokens", "32", "--out", str(out)]
+    # one score per group: four groups of 2 from the container, two of 4 by default
+    for extra, n_groups in ((["--factorized", str(fact2)], 4),
+                            (["--factorized", str(fact2), "--group-size", "2"], 4),
+                            ([], 2), (["--group-size", "2"], 4)):
+        assert main(run + extra) == 0
+        assert len(json.loads(out.read_text())["plan"]["scores"]) == n_groups, extra
 
 
 def test_bench_configuration_error_is_not_an_unreachable_ratio(workdir):

@@ -3,7 +3,8 @@ import pytest
 
 from commonkv.budget import estimate_fisher, stored_elements
 from commonkv.corpus import markov_byte_corpus
-from commonkv.errors import CapacityError, ConfigurationError, NumericError
+from commonkv.errors import (CapacityError, ConfigurationError, InputError, NumericError,
+                             UnreachableRatioError)
 from commonkv.evaluation import (CSV_COLUMNS, MODES, RawKVSession, bench_sweep, perplexity,
                                  profile_similarity, records_to_csv, sweep_summary)
 from commonkv.factorization import build_factorization, transform_model, load_factorized
@@ -70,14 +71,46 @@ def test_fisher_strategy_runs_end_to_end(toy_weights, fact07, probe_ids):
         assert sum(res.plan.merge_weights[g]) == pytest.approx(1.0)
 
 
-def test_rawkv_merges_rounded_group_count(toy_weights, probe_ids):
-    res = perplexity("rawkv_meanmerge", toy_weights, probe_ids, target_ratio=0.5,
-                     group_size=4)
-    assert res.extras["count"] == round(0.5 * 2) == 1
-    assert len(res.extras["merged_groups"]) == 1
-    # audited elements already cross-checked inside; ratio recomputed from them
-    assert res.achieved_ratio == pytest.approx(
-        1.0 - res.cache_elements / (8 * 2 * 32 * res.n_tokens))
+def test_rawkv_merges_the_budgets_group_count(toy_weights, probe_ids):
+    # two groups of four 64-wide layers: each merged group stores 3/8 fewer
+    # prefill rows, so 0.3 merges one group and 0.5 both (round(0.5 * 2) was 1)
+    for target, count in ((0.3, 1), (0.5, 2)):
+        res = perplexity("rawkv_meanmerge", toy_weights, probe_ids, target_ratio=target,
+                         group_size=4)
+        assert (res.plan.merged_count, res.plan.rank, res.plan.strategy) == (count, 64, "mean")
+        assert res.plan.predicted_prefill_ratio == 3 * count / 8 >= target
+        assert res.plan.merge_weights == {g: [0.25] * 4 for g in res.plan.merged_groups}
+        # audited elements already cross-checked inside; ratio recomputed from them
+        assert res.achieved_ratio == pytest.approx(
+            1.0 - res.cache_elements / (8 * 2 * 32 * res.n_tokens))
+
+
+@pytest.mark.parametrize("group_size, target, maximum", [(4, 0.9, 0.75), (2, 0.6, 0.5),
+                                                         (1, 0.1, 0.0)])
+def test_rawkv_target_beyond_merging_every_group_is_unreachable(toy_weights, probe_ids,
+                                                                 group_size, target, maximum):
+    # one-layer groups store as many rows merged as unmerged: only 0 is reachable
+    with pytest.raises(UnreachableRatioError, match="maximum achievable") as exc:
+        perplexity("rawkv_meanmerge", toy_weights, probe_ids, target_ratio=target,
+                   group_size=group_size)
+    assert exc.value.max_achievable == maximum
+
+
+@pytest.mark.parametrize("mode", ["commonkv", "lowrank_perlayer", "rawkv_meanmerge"])
+@pytest.mark.parametrize("target", [float("nan"), float("inf"), -0.2, 1.0, 1.5])
+def test_target_ratio_outside_zero_one_is_rejected_before_any_mode_branch(
+        toy_weights, probe_ids, mode, target):
+    # commonkv without a factorization would fail in its branch, and
+    # lowrank_perlayer would pick its rank from the target
+    with pytest.raises(ConfigurationError, match="target ratio"):
+        perplexity(mode, toy_weights, probe_ids, target_ratio=target)
+
+
+def test_lowrank_target_beyond_rank_one_is_unreachable(toy_weights, probe_ids):
+    # rank 1 of 64 is the most it can save: 1 - 1/64 = 0.984375
+    with pytest.raises(UnreachableRatioError) as exc:
+        perplexity("lowrank_perlayer", toy_weights, probe_ids, target_ratio=0.99)
+    assert exc.value.max_achievable == 1 - 1 / 64
 
 
 def test_audit_mismatch_is_fatal(toy_weights, fact07, probe_ids, monkeypatch):
@@ -123,13 +156,15 @@ def test_extra_decode_row_fails_the_whole_session_audit(toy_weights, fact07, pro
 # token at full K/V; commonkv latents are 45 wide at rank fraction 0.7, and
 # lowrank_perlayer's rank is int((1 - target) * 64).  Per group size: the
 # target ratio, and each mode's (row width, merged groups, layers per group).
+# Merging one-layer raw-KV groups saves nothing, so at group size 1 raw-KV
+# runs at target 0 (any higher target is unreachable).
 STORAGE_CASES = {
     1: (0.2, {"baseline": (64, 0, 1), "commonkv": (45, 0, 1),
-              "lowrank_perlayer": (51, 0, 1), "rawkv_meanmerge": (64, 2, 1)}),
+              "lowrank_perlayer": (51, 0, 1), "rawkv_meanmerge": (64, 0, 1)}),
     2: (0.45, {"baseline": (64, 0, 1), "commonkv": (45, 2, 2),
-               "lowrank_perlayer": (35, 0, 1), "rawkv_meanmerge": (64, 2, 2)}),
+               "lowrank_perlayer": (35, 0, 1), "rawkv_meanmerge": (64, 4, 2)}),
     4: (0.5, {"baseline": (64, 0, 1), "commonkv": (45, 1, 4),
-              "lowrank_perlayer": (32, 0, 1), "rawkv_meanmerge": (64, 1, 4)}),
+              "lowrank_perlayer": (32, 0, 1), "rawkv_meanmerge": (64, 2, 4)}),
 }
 
 
@@ -139,6 +174,8 @@ def test_every_stores_audit_equals_the_storage_model(toy_weights, mode, group_si
     # decode lengths around one sealed suffix chunk; baseline prefills everything
     target, shapes = STORAGE_CASES[group_size]
     width, merged, members = shapes[mode]
+    if mode == "rawkv_meanmerge" and group_size == 1:
+        target = 0.0
     fact = build_factorization(toy_weights, group_size, 0.7) if mode == "commonkv" else None
     for decode_len in (0, 1, SUFFIX_CHUNK_ROWS - 1, SUFFIX_CHUNK_ROWS, SUFFIX_CHUNK_ROWS + 1):
         n = 16 + 1 + decode_len
@@ -150,10 +187,9 @@ def test_every_stores_audit_equals_the_storage_model(toy_weights, mode, group_si
         assert res.cache_elements == expected, (mode, decode_len)
         assert stored_elements(toy_weights.config, width, prefill, decode,
                                merged_count=merged, group_size=members) == expected
+        assert (res.plan is None) == (mode == "baseline")
         if res.plan is not None:
             assert res.plan.merged_count == merged
-        if mode == "rawkv_meanmerge":
-            assert len(res.extras["merged_groups"]) == merged
 
 
 @pytest.mark.parametrize("fraction", [float("nan"), float("inf"), -0.5, 1.5])
@@ -180,16 +216,24 @@ def test_rawkv_session_without_merges_equals_baseline_bitwise(toy_weights, group
     ids = markov_byte_corpus(5, 1, 110)[0]
     raw, base = RawKVSession(toy_weights, group_size), BaselineSession(toy_weights)
     assert raw.prefill(ids[:40]).tobytes() == base.prefill(ids[:40]).tobytes()
-    assert raw.merge(0.0)["merged_groups"] == []
+    assert raw.plan_and_merge(0.0).merged_groups == []
     for t in ids[40:]:
         assert raw.decode(int(t)).tobytes() == base.decode(int(t)).tobytes()
     assert raw.cache_element_count() == base.cache_element_count()
 
 
+def test_rawkv_session_merges_once(toy_weights, probe_ids):
+    raw = RawKVSession(toy_weights, group_size=4)
+    raw.prefill(probe_ids[:32])
+    raw.plan_and_merge(0.3)
+    with pytest.raises(InputError, match="before merging"):
+        raw.plan_and_merge(0.3)
+
+
 def test_rawkv_merged_prefix_mutated_in_place_fails_the_audit(toy_weights, probe_ids):
     raw = RawKVSession(toy_weights, group_size=4)
     raw.prefill(probe_ids[:32])
-    (gi,) = raw.merge(0.5)["merged_groups"]
+    (gi,) = raw.plan_and_merge(0.3).merged_groups
     raw.decode(int(probe_ids[32]))
     raw.cache_element_count()
     raw.store.groups[gi].shared_prefix[3, 1] += 1.0

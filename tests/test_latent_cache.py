@@ -498,7 +498,7 @@ def test_rejected_rawkv_decode_changes_nothing(fact07, probe_ids):
     with pytest.raises(InputError):
         rejected.decode(300)
     assert rejected.prefill(probe_ids[:16]).tobytes() == clean.prefill(probe_ids[:16]).tobytes()
-    assert rejected.merge(0.5) == clean.merge(0.5)
+    assert rejected.plan_and_merge(0.5) == clean.plan_and_merge(0.5)
     assert rejected.decode(65).tobytes() == clean.decode(65).tobytes()
     for session in (rejected, clean):
         assert session.store.prefill_positions.tolist() == list(range(16))
