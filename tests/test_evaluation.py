@@ -106,13 +106,6 @@ def test_target_ratio_outside_zero_one_is_rejected_before_any_mode_branch(
         perplexity(mode, toy_weights, probe_ids, target_ratio=target)
 
 
-def test_lowrank_target_beyond_rank_one_is_unreachable(toy_weights, probe_ids):
-    # rank 1 of 64 is the most it can save: 1 - 1/64 = 0.984375
-    with pytest.raises(UnreachableRatioError) as exc:
-        perplexity("lowrank_perlayer", toy_weights, probe_ids, target_ratio=0.99)
-    assert exc.value.max_achievable == 1 - 1 / 64
-
-
 def test_audit_mismatch_is_fatal(toy_weights, fact07, probe_ids, monkeypatch):
     weights, fact, _ = fact07
     original = LatentSession.plan_and_merge
