@@ -70,8 +70,8 @@ class BudgetPlan:
     target_ratio: float
     merged_groups: list[int]
     strategy: str
-    rank: int                         # row width: latent rank, or 2·d_kv for raw K/V
-    cost_per_token: int               # prefill latent elements per token
+    width: int                        # row width: latent rank, or 2·d_kv for raw K/V
+    cost_per_token: int               # prefill elements per token
     predicted_prefill_ratio: float
     merge_weights: dict[int, list[float]] = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
@@ -86,7 +86,7 @@ class BudgetPlan:
             "target_ratio": self.target_ratio,
             "merged_groups": self.merged_groups,
             "strategy": self.strategy,
-            "rank": self.rank,
+            "width": self.width,
             "cost_per_token": self.cost_per_token,
             "predicted_prefill_ratio": self.predicted_prefill_ratio,
             "merge_weights": {str(g): w for g, w in self.merge_weights.items()},
@@ -118,32 +118,40 @@ def top_k_groups(scores: list[float], k: int) -> list[int]:
     return sorted(order[:k])
 
 
-def allocate_budget(scores: list[float], target_ratio: float, layout, rank: int,
-                    config: ModelConfig, strategy: str = "fisher") -> BudgetPlan:
+def merge_count(target_ratio: float, layout, width: int,
+                config: ModelConfig) -> tuple[int, int, float]:
     """Smallest merged-group count whose prefill storage meets the target.
 
-    Raises ``UnreachableRatioError`` (carrying the maximum achievable ratio)
-    when even merging every group cannot reach ``target_ratio``.
+    Returns ``(count, cost_per_token, prefill_ratio)``.  The count depends
+    only on the row width, the layout and the config, so a target can be
+    checked before any session is built.  Raises ``UnreachableRatioError``
+    (carrying the maximum achievable ratio) when even merging every group
+    cannot reach ``target_ratio``.
     """
-    if not 0.0 <= target_ratio < 1.0:
+    if not 0.0 <= target_ratio < 1.0:  # also false for nan
         raise ConfigurationError("target ratio must be in [0, 1)")
-    if strategy not in MERGE_STRATEGIES:
-        raise ConfigurationError(f"unknown merge strategy {strategy!r}")
-    n_groups = layout.n_groups
-    if len(scores) != n_groups:
-        raise InputError(f"expected {n_groups} scores, got {len(scores)}")
-    for k in range(n_groups + 1):
-        cost = stored_elements(config, rank, 1, merged_count=k, group_size=layout.group_size)
+    for k in range(layout.n_groups + 1):
+        cost = stored_elements(config, width, 1, merged_count=k, group_size=layout.group_size)
         ratio = 1.0 - cost / baseline_elements(config, 1)
         if ratio >= target_ratio:
-            break
-    else:  # not even merging every group reaches it; ``ratio`` is that maximum
-        raise UnreachableRatioError(
-            f"target ratio {target_ratio} unreachable at rank {rank}; "
-            f"maximum achievable is {ratio:.6f}", max_achievable=ratio)
+            return k, cost, ratio
+    # not even merging every group reaches it; ``ratio`` is that maximum
+    raise UnreachableRatioError(
+        f"target ratio {target_ratio} unreachable at width {width}; "
+        f"maximum achievable is {ratio:.6f}", max_achievable=ratio)
+
+
+def allocate_budget(scores: list[float], target_ratio: float, layout, width: int,
+                    config: ModelConfig, strategy: str = "fisher") -> BudgetPlan:
+    """Merge the ``merge_count`` best-scoring groups: the plan for rows ``width`` wide."""
+    if strategy not in MERGE_STRATEGIES:
+        raise ConfigurationError(f"unknown merge strategy {strategy!r}")
+    if len(scores) != layout.n_groups:
+        raise InputError(f"expected {layout.n_groups} scores, got {len(scores)}")
+    k, cost, ratio = merge_count(target_ratio, layout, width, config)
     return BudgetPlan(scores=list(scores), target_ratio=target_ratio,
                       merged_groups=top_k_groups(scores, k), strategy=strategy,
-                      rank=rank, cost_per_token=cost, predicted_prefill_ratio=ratio)
+                      width=width, cost_per_token=cost, predicted_prefill_ratio=ratio)
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,14 @@ Cache modes:
 * ``lowrank_perlayer``  — per-layer factorization (group size 1), no merging
 * ``rawkv_meanmerge``   — full K/V tensors mean-merged across layer groups
 
-Every compressed mode takes its merged groups from one rule,
-``budget.allocate_budget``, and merges them through
-``LatentCacheStore.apply_plan``; only the scores and the row width differ.
-Every reported compression ratio is recomputed from the element-level cache
-audit; a mismatch against the budget plan's prediction is a hard failure,
+Every compressed mode runs one session class, ``LatentSession``
+(``rawkv_meanmerge`` through its subclass ``RawKVSession``, which stores K/V
+rows), takes its merged groups from one rule, ``budget.allocate_budget``,
+and merges them through ``LatentSession.apply_plan``; only the scores and
+the row width differ.  A target that no merge count meets is refused before
+any session is built.  Every reported compression ratio is recomputed from
+the element-level cache audit, against full KV for the tokens the session
+holds; a mismatch against the budget plan's prediction is a hard failure,
 never a warning.
 
 The perplexity protocol splits the probe text into a prefill segment and a
@@ -31,13 +34,12 @@ import numpy as np
 from . import budget as budget_mod
 from .budget import BudgetPlan, FisherWeights, group_score, stored_elements
 from .corpus import markov_byte_corpus
-from .errors import (CapacityError, ConfigurationError, InputError, NumericError,
-                     UnreachableRatioError)
+from .errors import ConfigurationError, InputError, NumericError, UnreachableRatioError
 from .factorization import GroupLayout, SharedFactorization, build_factorization
 from .latent_cache import LatentCacheStore, LatentSession, baseline_elements, compute_latent
 from .model import (BaselineSession, LayerWeights, ModelConfig, ModelWeights, RopeTable,
-                    apply_rope, attention_block, forward, mlp_block,
-                    nll_from_logits, project_kv, rms_norm, _check_tokens)
+                    apply_rope, attention_block, mlp_block, nll_from_logits, project_kv,
+                    rms_norm, _check_tokens)
 
 MODES = ("baseline", "commonkv", "lowrank_perlayer", "rawkv_meanmerge")
 CSV_COLUMNS = ("mode", "target_ratio", "achieved_ratio", "nll", "cache_elements",
@@ -112,35 +114,26 @@ def profile_similarity(weights: ModelWeights, probe_ids,
 # Raw-KV mean-merge reference mode
 # ---------------------------------------------------------------------------
 
-class RawKVSession:
-    """Full-KV session whose prefill caches are mean-merged across groups.
+class RawKVSession(LatentSession):
+    """A ``LatentSession`` whose rows are full K/V, mean-merged across groups.
 
-    Stands in for direct cross-layer sharing baselines: after prefill,
-    ``plan_and_merge`` scores each group by its first and last layers' key
-    and value cosines and plans through ``budget.allocate_budget`` as the
-    latent modes do, for rows ``2·d_kv`` wide: each token's rotated keys and
-    values, flattened.  The chosen groups share the mean of their members'
-    rows; decode tokens keep per-layer caches.  The session is the KV store
-    ``model.forward`` runs over, projecting and attending as the full-KV
-    ``KVCache`` does, and it stores and merges through a ``LatentCacheStore``,
-    whose every audit checks a merged prefix against its checksum.
+    Stands in for direct cross-layer sharing baselines.  Each row is ``2·d_kv``
+    wide: a token's rotated keys and values, flattened.  Only three things
+    differ from the latent session: the constructor, the group scores (the
+    mean of the first and last layers' key and value cosines, whatever the
+    variant) and ``attend``, which projects K/V as the full-KV ``KVCache``
+    does, stores them and attends over the layer's rows.  The phases, the
+    plan through ``budget.allocate_budget`` and the merge loop are
+    ``LatentSession``'s; ``prefill_session`` always merges raw K/V by mean.
     """
 
     def __init__(self, weights: ModelWeights, group_size: int):
-        self.weights = weights
-        self.config = weights.config
-        self.layout = GroupLayout.for_model(weights.config.n_layers, group_size)
-        self.rope = weights.rope
-        self.store = LatentCacheStore(self.config, self.layout, 2 * self.config.d_kv)
-        self._decoding = False
+        cfg = weights.config
+        self._open(weights, LatentCacheStore(
+            cfg, GroupLayout.for_model(cfg.n_layers, group_size), 2 * cfg.d_kv))
 
-    def prefill(self, token_ids) -> np.ndarray:
-        if self.n_tokens:
-            raise InputError("raw-KV session supports a single prefill call")
-        return forward(self.weights, token_ids, self)
-
-    def group_scores(self) -> list[float]:
-        d_kv = self.config.d_kv
+    def group_scores(self, variant: str = "shortcut") -> list[float]:
+        d_kv = self.weights.config.d_kv
         scores = []
         for gc in self.store.groups:
             if gc.merged:
@@ -151,42 +144,15 @@ class RawKVSession:
             scores.append(0.5 * (k_sim + v_sim))
         return scores
 
-    def plan_and_merge(self, target_ratio: float) -> BudgetPlan:
-        """Score groups, allocate the budget, mean-merge the selected prefixes."""
-        plan = budget_mod.allocate_budget(self.group_scores(), target_ratio, self.layout,
-                                          self.store.width, self.config, strategy="mean")
-        self.store.apply_plan(plan)
-        return plan
-
-    def decode(self, token_id: int) -> np.ndarray:
-        """One generated token; starts the decode phase unless ``forward`` rejects it."""
-        was_decoding, self._decoding = self._decoding, True
-        try:
-            return forward(self.weights, [token_id], self)[0]
-        except (InputError, CapacityError):
-            self._decoding = was_decoding
-            raise
-
-    @property
-    def n_tokens(self) -> int:
-        return self.store.prefill_len + self.store.decode_len
-
     def attend(self, layer: int, lw: LayerWeights, xn: np.ndarray, q: np.ndarray,
                rows: range, rope: RopeTable) -> np.ndarray:
-        store, cfg = self.store, self.config
-        if layer == 0:
-            store.record_positions(rows, self._decoding)
+        cfg = self.weights.config
         k, v = project_kv(xn, lw, rows.start, rope, cfg)
-        append = store.append_decode if self._decoding else store.append_prefill
-        append(layer, np.concatenate([k.reshape(len(rows), -1), v.reshape(len(rows), -1)],
-                                     axis=1))
-        visible = store.visible_latents(layer)
+        visible = self._cache(layer, rows, np.concatenate(
+            [k.reshape(len(rows), -1), v.reshape(len(rows), -1)], axis=1))
         shape = (len(visible), cfg.n_kv_heads, cfg.d_head)
         return attention_block(q, visible[:, :cfg.d_kv].reshape(shape),
                                visible[:, cfg.d_kv:].reshape(shape), lw.w_o, cfg)
-
-    def cache_element_count(self) -> int:
-        return self.store.audit().total_elements
 
 
 # ---------------------------------------------------------------------------
@@ -220,9 +186,10 @@ def prefill_session(mode: str, weights: ModelWeights, prompt_ids,
 
     Returns ``(session, logits, plan)``: the prompt's logits and the budget
     plan that chose the merged groups (``None`` for ``baseline``, which
-    ignores the target).  Every other mode checks the target ratio before it
-    builds anything, and fails with ``UnreachableRatioError`` where the plan
-    cannot meet it.  The session is ready to decode.
+    ignores the target).  Every other mode checks the target ratio against
+    its row width and layout before it builds anything, and fails with
+    ``UnreachableRatioError`` where no merge count can meet it.  The session
+    is ready to decode.
     """
     if mode not in MODES:
         raise ConfigurationError(f"unknown mode {mode!r}")
@@ -231,20 +198,27 @@ def prefill_session(mode: str, weights: ModelWeights, prompt_ids,
         return session, session.prefill(prompt_ids), None
     if not 0.0 <= target_ratio < 1.0:  # also false for nan
         raise ConfigurationError("target ratio must be in [0, 1)")
-    if mode == "rawkv_meanmerge":
-        session = RawKVSession(weights, group_size)
-        logits = session.prefill(prompt_ids)
-        return session, logits, session.plan_and_merge(target_ratio)
-    if mode == "lowrank_perlayer":
+    cfg = weights.config
+    if mode == "commonkv":
+        if fact is None:
+            raise ConfigurationError("commonkv mode needs a factorized model")
+        layout, width = fact.layout, fact.rank
+    elif mode == "lowrank_perlayer":
         # at most d_hidden: when 2*d_kv exceeds it, full rank already meets low
         # targets; with one-layer groups the plan merges nothing, so the rank
         # alone decides whether the target is met
-        cfg = weights.config
-        rank = max(1, min(cfg.d_hidden, int((1.0 - target_ratio) * 2 * cfg.d_kv)))
-        fact = build_factorization(weights, group_size=1, rank=rank)
-    elif fact is None:
-        raise ConfigurationError("commonkv mode needs a factorized model")
-    session = LatentSession(weights, fact)
+        layout = GroupLayout.for_model(cfg.n_layers, 1)
+        width = max(1, min(cfg.d_hidden, int((1.0 - target_ratio) * 2 * cfg.d_kv)))
+    else:
+        layout, width = GroupLayout.for_model(cfg.n_layers, group_size), 2 * cfg.d_kv
+        strategy, fisher = "mean", None
+    budget_mod.merge_count(target_ratio, layout, width, cfg)
+    if mode == "rawkv_meanmerge":
+        session = RawKVSession(weights, group_size)
+    else:
+        if mode == "lowrank_perlayer":
+            fact = build_factorization(weights, group_size=1, rank=width)
+        session = LatentSession(weights, fact)
     logits = session.prefill(prompt_ids)
     return session, logits, session.plan_and_merge(target_ratio, strategy=strategy,
                                                    fisher=fisher, score_variant=score_variant)
@@ -263,9 +237,11 @@ def perplexity(mode: str, weights: ModelWeights, text_ids,
     Every mode runs one path: prefill and merge (``prefill_session``),
     teacher-forced decode, audit.
     The achieved ratio is always recomputed from the session's element
-    audit, and the whole-session audit, like the plan's per-token cost, must
-    equal ``budget.stored_elements`` for the mode's row width, merged groups
-    and group size.  ``prefill_fraction`` must lie in [0, 1].  ``baseline``
+    audit, against full KV for the tokens the session holds (the last token
+    is never fed, so a decoding mode holds one fewer than the text), and the
+    whole-session audit, like the plan's per-token cost, must equal
+    ``budget.stored_elements`` for the mode's row width, merged groups and
+    group size.  ``prefill_fraction`` must lie in [0, 1].  ``baseline``
     prefills the whole text in one shot, bit-identical to the model's loss.
     """
     cfg = weights.config
@@ -286,7 +262,8 @@ def perplexity(mode: str, weights: ModelWeights, text_ids,
         width, members = store.width, store.layout.group_size
         merged = sum(gc.merged for gc in store.groups)
     # NLL over the prompt's logits plus one decode step per later token
-    rows = [logits] + [session.decode(int(t))[None, :] for t in ids[split:-1]]
+    decoded = ids[split:-1]
+    rows = [logits] + [session.decode(int(t))[None, :] for t in decoded]
     nll = nll_from_logits(np.concatenate(rows, axis=0)[: ids.size - 1], ids[1:])
 
     sharing = {"merged_count": merged, "group_size": members}
@@ -294,11 +271,11 @@ def perplexity(mode: str, weights: ModelWeights, text_ids,
         raise NumericError(f"{mode} plan cost {plan.cost_per_token} elements per token "
                            f"!= closed form {stored_elements(cfg, width, 1, **sharing)}")
     elements = session.cache_element_count()
-    expected = stored_elements(cfg, width, split, ids[split:-1].size, **sharing)
+    expected = stored_elements(cfg, width, split, decoded.size, **sharing)
     if elements != expected:
         raise NumericError(f"{mode} cache audit {elements} elements != closed form {expected}")
     return EvalResult(mode=mode, nll=nll, target_ratio=target_ratio,
-                      achieved_ratio=1.0 - elements / baseline_elements(cfg, ids.size),
+                      achieved_ratio=1.0 - elements / baseline_elements(cfg, split + decoded.size),
                       cache_elements=elements, n_tokens=int(ids.size), plan=plan)
 
 

@@ -1,9 +1,10 @@
 """The merged-prefix cache store and the compressed-inference session.
 
-``LatentCacheStore`` holds rows of one width per layer and merges the groups
-a budget plan names (``apply_plan``), each into one checksummed shared
-prefix; every compressed mode stores and merges through it (latent rows
-here, raw K/V rows in ``evaluation.RawKVSession``).
+``LatentCacheStore`` holds rows of one width per layer and keeps each merged
+group's prefix as one checksummed shared prefix.  ``LatentSession`` runs
+every compressed mode's phases over it: prefill, plan and merge (the one
+merge loop is ``LatentSession.apply_plan``), decode and audit.  Its rows are
+latents here and raw K/V rows in its subclass ``evaluation.RawKVSession``.
 
 A ``LatentSession`` is the KV store that ``model.forward`` runs over: the
 decoder layer is the baseline's, and only what a layer caches and how it
@@ -229,20 +230,6 @@ class LatentCacheStore:
         gc.merged = True
         gc.merge_checksum = _checksum(gc.shared_prefix)
 
-    def apply_plan(self, plan: budget_mod.BudgetPlan,
-                   fisher: budget_mod.FisherWeights | None = None) -> None:
-        """Merge each of the plan's groups by its strategy, recording the weights
-        and any Fisher fallback in the plan."""
-        for gi in sorted(plan.merged_groups):
-            merged, weights_used, fell_back = budget_mod.merge_group(
-                self.groups[gi].layer_prefixes, plan.strategy,
-                fisher.for_layers(self.layout.layers_of(gi)) if fisher is not None else None)
-            plan.merge_weights[gi] = weights_used
-            if fell_back:
-                plan.warnings.append(
-                    f"group {gi}: zero Fisher mass, fell back to mean merge")
-            self.merge_group(gi, merged)
-
     def verify_merged_prefixes(self) -> None:
         for gi, gc in enumerate(self.groups):
             if gc.merged and _checksum(gc.shared_prefix) != gc.merge_checksum:
@@ -267,36 +254,42 @@ class LatentSession:
     """One compressed-inference session: prefill, plan/merge, decode.
 
     The session is its own KV store for ``model.forward`` (``n_tokens`` and
-    ``attend``): a layer's new latents join its prefix until the prefill
-    phase closes (merge or decode), and its suffix after.  The value path
-    is factored: ``B_v`` then ``W_o``, see ``attend_latent``.
+    ``attend``): a layer's new rows join its prefix until the prefill phase
+    closes (merge or decode), and its suffix after.  Prefill may run in as
+    many calls as wanted until then.  The value path is factored: ``B_v``
+    then ``W_o``, see ``attend_latent``.  A subclass that stores other rows
+    (``evaluation.RawKVSession``) overrides ``__init__``, ``group_scores``
+    and ``attend``; the phases, the plan and the merge loop are these.
     """
 
     def __init__(self, weights: ModelWeights, fact: SharedFactorization):
         if fact.config != weights.config:
             raise InputError("factorization does not match model config")
-        self.weights = weights
         self.fact = fact
+        self._open(weights, LatentCacheStore(fact.config, fact.layout, fact.rank))
+
+    def _open(self, weights: ModelWeights, store: LatentCacheStore) -> None:
+        self.weights = weights
         self.rope = weights.rope
-        self.store = LatentCacheStore(fact.config, fact.layout, fact.rank)
+        self.store = store
         self.plan: budget_mod.BudgetPlan | None = None
         self._prefill_frozen = False
 
     # -- phases ------------------------------------------------------------
 
     def prefill(self, token_ids) -> np.ndarray:
-        """Process prompt tokens, caching per-layer latent prefixes."""
+        """Process prompt tokens, caching each layer's prefix rows."""
         if self._prefill_frozen:
             raise InputError("prefill phase already closed (merge or decode happened)")
         return forward(self.weights, token_ids, self)
 
-    def plan_and_merge(self, target_ratio: float, strategy: str = "fisher",
+    def plan_and_merge(self, target_ratio: float, strategy: str = "mean",
                        fisher: budget_mod.FisherWeights | None = None,
                        score_variant: str = "shortcut") -> budget_mod.BudgetPlan:
         """Score groups, allocate the budget, merge the selected prefixes."""
         scores = self.group_scores(score_variant)
         plan = budget_mod.allocate_budget(
-            scores, target_ratio, self.fact.layout, self.fact.rank,
+            scores, target_ratio, self.store.layout, self.store.width,
             self.weights.config, strategy=strategy)
         self.apply_plan(plan, fisher)
         return plan
@@ -317,12 +310,23 @@ class LatentSession:
 
     def apply_plan(self, plan: budget_mod.BudgetPlan,
                    fisher: budget_mod.FisherWeights | None = None) -> None:
+        """Close the prefill phase and merge each of the plan's groups by its
+        strategy, recording the weights and any Fisher fallback in the plan."""
         self._prefill_frozen = True
         self.plan = plan
-        self.store.apply_plan(plan, fisher)
+        store = self.store
+        for gi in sorted(plan.merged_groups):
+            merged, weights_used, fell_back = budget_mod.merge_group(
+                store.groups[gi].layer_prefixes, plan.strategy,
+                fisher.for_layers(store.layout.layers_of(gi)) if fisher is not None else None)
+            plan.merge_weights[gi] = weights_used
+            if fell_back:
+                plan.warnings.append(
+                    f"group {gi}: zero Fisher mass, fell back to mean merge")
+            store.merge_group(gi, merged)
 
     def decode(self, token_id: int) -> np.ndarray:
-        """One generated token; its latent joins the layer-private suffix.
+        """One generated token; its row joins the layer-private suffix.
 
         Closes the prefill phase, unless ``forward`` rejects the token.
         """
@@ -341,15 +345,20 @@ class LatentSession:
 
     def attend(self, layer: int, lw: LayerWeights, xn: np.ndarray, q: np.ndarray,
                rows: range, rope: RopeTable) -> np.ndarray:
-        """Cache the rows' latents (prefix or suffix by phase), attend over the layer's."""
-        store, fact, decoding = self.store, self.fact, self._prefill_frozen
+        """Cache the rows' latents, attend over the layer's."""
+        fact = self.fact
+        visible = self._cache(layer, rows, compute_latent(xn, fact.shared_for_layer(layer)))
+        return attend_latent(q, visible, fact.k_factors[layer], fact.v_factors[layer],
+                             lw.w_o, rope, self.weights.config, v_heads=fact.v_heads[layer])
+
+    def _cache(self, layer: int, rows: range, new_rows: np.ndarray) -> np.ndarray:
+        """Store a call's rows for ``layer`` (prefix or suffix by phase); return
+        every row the layer may attend to."""
+        store, decoding = self.store, self._prefill_frozen
         if layer == 0:
             store.record_positions(rows, decoding)
-        append = store.append_decode if decoding else store.append_prefill
-        append(layer, compute_latent(xn, fact.shared_for_layer(layer)))
-        return attend_latent(q, store.visible_latents(layer), fact.k_factors[layer],
-                             fact.v_factors[layer], lw.w_o, rope, self.weights.config,
-                             v_heads=fact.v_heads[layer])
+        (store.append_decode if decoding else store.append_prefill)(layer, new_rows)
+        return store.visible_latents(layer)
 
     # -- accounting ----------------------------------------------------------
 

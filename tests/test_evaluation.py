@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from commonkv import evaluation, latent_cache
 from commonkv.budget import estimate_fisher, stored_elements
 from commonkv.corpus import markov_byte_corpus
 from commonkv.errors import (CapacityError, ConfigurationError, InputError, NumericError,
@@ -55,7 +56,7 @@ def test_lowrank_target_below_full_rank_ratio_runs_at_full_rank(probe_ids):
     # rank 115; full rank 64 is lossless and already stores half of full KV
     weights = gen_toy_model(ModelConfig(n_kv_heads=4), 5)
     res = perplexity("lowrank_perlayer", weights, probe_ids[:48], target_ratio=0.1)
-    assert res.plan.rank == 64 and res.achieved_ratio >= 0.5
+    assert res.plan.width == 64 and res.achieved_ratio >= 0.5
     base = perplexity("baseline", weights, probe_ids[:48])
     assert res.nll == pytest.approx(base.nll, abs=1e-4)
 
@@ -77,12 +78,38 @@ def test_rawkv_merges_the_budgets_group_count(toy_weights, probe_ids):
     for target, count in ((0.3, 1), (0.5, 2)):
         res = perplexity("rawkv_meanmerge", toy_weights, probe_ids, target_ratio=target,
                          group_size=4)
-        assert (res.plan.merged_count, res.plan.rank, res.plan.strategy) == (count, 64, "mean")
+        assert (res.plan.merged_count, res.plan.width, res.plan.strategy) == (count, 64, "mean")
         assert res.plan.predicted_prefill_ratio == 3 * count / 8 >= target
         assert res.plan.merge_weights == {g: [0.25] * 4 for g in res.plan.merged_groups}
-        # audited elements already cross-checked inside; ratio recomputed from them
+        # audited elements already cross-checked inside; ratio recomputed from
+        # them against full KV for the held tokens: the last one is never fed
         assert res.achieved_ratio == pytest.approx(
-            1.0 - res.cache_elements / (8 * 2 * 32 * res.n_tokens))
+            1.0 - res.cache_elements / (8 * 2 * 32 * (res.n_tokens - 1)))
+
+
+@pytest.mark.parametrize("mode", ["lowrank_perlayer", "rawkv_meanmerge"])
+def test_lossless_target_zero_reports_no_compression(toy_weights, probe_ids, mode):
+    # full rank 64 per layer and raw K/V with no merge both store exactly full
+    # KV; the ratio used to read 1/128 because it counted the unfed last token
+    res = perplexity(mode, toy_weights, probe_ids, target_ratio=0.0)
+    assert res.cache_elements == 8 * 2 * 32 * (probe_ids.size - 1)
+    assert res.achieved_ratio == 0.0
+
+
+@pytest.mark.parametrize("mode, target", [("commonkv", 0.9), ("lowrank_perlayer", 0.99),
+                                          ("rawkv_meanmerge", 0.9)])
+def test_unreachable_target_is_refused_before_any_work(fact07, probe_ids, monkeypatch,
+                                                       mode, target):
+    # the merge count depends only on row width, layout and config, so no
+    # factorization or prefill is needed to find that no count meets the target
+    def fail(*args, **kwargs):
+        raise AssertionError("work done for an unreachable target")
+
+    monkeypatch.setattr(evaluation, "build_factorization", fail)
+    monkeypatch.setattr(latent_cache, "forward", fail)
+    weights, fact, _ = fact07
+    with pytest.raises(UnreachableRatioError, match="unreachable at width"):
+        perplexity(mode, weights, probe_ids, fact=fact, target_ratio=target)
 
 
 @pytest.mark.parametrize("group_size, target, maximum", [(4, 0.9, 0.75), (2, 0.6, 0.5),

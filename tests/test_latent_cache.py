@@ -221,13 +221,28 @@ def test_session_rejects_mismatched_factorization(fact07):
         LatentSession(other, fact)
 
 
-def test_prefill_rejected_after_merge(fact07, probe_ids):
-    weights, fact, _ = fact07
-    session = LatentSession(weights, fact)
+@pytest.mark.parametrize("kind", ["latent", "rawkv"])
+def test_prefill_rejected_after_merge(fact07, probe_ids, kind):
+    session = SESSIONS[kind](*fact07[:2])
     session.prefill(probe_ids[:8])
     session.plan_and_merge(0.0, strategy="mean")
     with pytest.raises(InputError):
         session.prefill(probe_ids[8:12])
+
+
+def test_rawkv_prefill_in_two_calls_equals_one_call(fact07, probe_ids):
+    weights = fact07[0]
+    split, whole = RawKVSession(weights, 4), RawKVSession(weights, 4)
+    split.prefill(probe_ids[:10])
+    split.prefill(probe_ids[10:24])
+    whole.prefill(probe_ids[:24])
+    for a, b in zip(split.store.groups, whole.store.groups):
+        for x, y in zip(a.layer_prefixes, b.layer_prefixes):
+            np.testing.assert_allclose(x, y, rtol=0, atol=1e-5)
+    assert split.plan_and_merge(0.3).merged_groups == whole.plan_and_merge(0.3).merged_groups
+    for t in probe_ids[24:30]:
+        np.testing.assert_allclose(split.decode(int(t)), whole.decode(int(t)),
+                                   rtol=0, atol=1e-5)
 
 
 # -- audit ----------------------------------------------------------------------
@@ -477,11 +492,11 @@ def test_one_python_int_token_decodes_like_any_integer_id(fact07, probe_ids, kin
         fast.decode(-1)
 
 
+@pytest.mark.parametrize("kind", ["latent", "rawkv"])
 @pytest.mark.parametrize("bad", [3.7, 256])
-def test_rejected_latent_decode_leaves_the_prefill_phase_open(fact07, bad):
+def test_rejected_latent_decode_leaves_the_prefill_phase_open(fact07, bad, kind):
     # a rejected decode used to close the prefill phase anyway
-    weights, fact, _ = fact07
-    rejected, clean = LatentSession(weights, fact), LatentSession(weights, fact)
+    rejected, clean = (SESSIONS[kind](*fact07[:2]) for _ in range(2))
     for session in (rejected, clean):
         session.prefill([1, 2, 3])
     with pytest.raises(InputError):
