@@ -213,12 +213,10 @@ def prefill_session(mode: str, weights: ModelWeights, prompt_ids,
         layout, width = GroupLayout.for_model(cfg.n_layers, group_size), 2 * cfg.d_kv
         strategy, fisher = "mean", None
     budget_mod.merge_count(target_ratio, layout, width, cfg)
-    if mode == "rawkv_meanmerge":
-        session = RawKVSession(weights, group_size)
-    else:
-        if mode == "lowrank_perlayer":
-            fact = build_factorization(weights, group_size=1, rank=width)
-        session = LatentSession(weights, fact)
+    if mode == "lowrank_perlayer":
+        fact = build_factorization(weights, group_size=1, rank=width)
+    session = (RawKVSession(weights, group_size) if mode == "rawkv_meanmerge"
+               else LatentSession(weights, fact))
     logits = session.prefill(prompt_ids)
     return session, logits, session.plan_and_merge(target_ratio, strategy=strategy,
                                                    fisher=fisher, score_variant=score_variant)
