@@ -4,8 +4,8 @@ The per-group score is the mean per-token cosine between the first and last
 member layer's latent prefixes (a cheaper stand-in for averaging every
 adjacent pair, which ``group_score_full`` provides).  Budgets map a target
 compression ratio to the number of groups to merge.  ``stored_elements`` is
-the one closed form for how many elements a session stores; the plan, the
-perplexity audit, the self-check and the full-KV baseline all read it.
+the one closed form for how many elements a session stores; the plan, every
+session's own audit (``LatentSession.audit``) and the full-KV baseline read it.
 """
 
 from __future__ import annotations

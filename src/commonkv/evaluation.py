@@ -12,10 +12,10 @@ Every compressed mode runs one session class, ``LatentSession``
 rows), takes its merged groups from one rule, ``budget.allocate_budget``,
 and merges them through ``LatentSession.apply_plan``; only the scores and
 the row width differ.  A target that no merge count meets is refused before
-any session is built.  Every reported compression ratio is recomputed from
-the element-level cache audit, against full KV for the tokens the session
-holds; a mismatch against the budget plan's prediction is a hard failure,
-never a warning.
+any prefill.  Every reported compression ratio is recomputed from the
+element-level cache audit, against full KV for the tokens the session holds;
+a compressed session's audit checks itself against the storage closed form
+(``LatentSession.audit``), and a mismatch is a hard failure.
 
 The perplexity protocol splits the probe text into a prefill segment and a
 teacher-forced decode segment: the prompt is prefilled, the plan's merges are
@@ -32,9 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import budget as budget_mod
-from .budget import BudgetPlan, FisherWeights, group_score, stored_elements
+from .budget import BudgetPlan, FisherWeights, group_score
 from .corpus import markov_byte_corpus
-from .errors import ConfigurationError, InputError, NumericError, UnreachableRatioError
+from .errors import CapacityError, ConfigurationError, InputError, UnreachableRatioError
 from .factorization import GroupLayout, SharedFactorization, build_factorization
 from .latent_cache import LatentCacheStore, LatentSession, baseline_elements, compute_latent
 from .model import (BaselineSession, LayerWeights, ModelConfig, ModelWeights, RopeTable,
@@ -89,12 +89,15 @@ def _mean_token_cosine(a: np.ndarray, b: np.ndarray) -> float:
 def profile_similarity(weights: ModelWeights, probe_ids,
                        fact: SharedFactorization | None = None) -> SimilarityReport:
     """Adjacent-layer cosine profile of keys, values, hidden states, latents."""
-    ids = _check_tokens(weights.config, probe_ids)
+    cfg = weights.config
+    ids = _check_tokens(cfg, probe_ids)
     if ids.size == 0:
         raise InputError("probe corpus is empty")
+    if ids.size > cfg.max_seq:  # before any layer runs
+        raise CapacityError(f"sequence of {ids.size} exceeds max_seq={cfg.max_seq}")
     hiddens, keys, values, latents = _collect_layer_states(weights, ids, fact)
     pairs = []
-    for l in range(weights.config.n_layers - 1):
+    for l in range(cfg.n_layers - 1):
         entry = {
             "pair": float(l),
             "key": _mean_token_cosine(keys[l], keys[l + 1]),
@@ -187,7 +190,8 @@ def prefill_session(mode: str, weights: ModelWeights, prompt_ids,
     Returns ``(session, logits, plan)``: the prompt's logits and the budget
     plan that chose the merged groups (``None`` for ``baseline``, which
     ignores the target).  Every other mode checks the target ratio against
-    its row width and layout before it builds anything, and fails with
+    its session's row width and layout before it prefills anything
+    (``lowrank_perlayer`` before it factorizes), and fails with
     ``UnreachableRatioError`` where no merge count can meet it.  The session
     is ready to decode.
     """
@@ -199,24 +203,20 @@ def prefill_session(mode: str, weights: ModelWeights, prompt_ids,
     if not 0.0 <= target_ratio < 1.0:  # also false for nan
         raise ConfigurationError("target ratio must be in [0, 1)")
     cfg = weights.config
-    if mode == "commonkv":
-        if fact is None:
-            raise ConfigurationError("commonkv mode needs a factorized model")
-        layout, width = fact.layout, fact.rank
-    elif mode == "lowrank_perlayer":
-        # at most d_hidden: when 2*d_kv exceeds it, full rank already meets low
-        # targets; with one-layer groups the plan merges nothing, so the rank
-        # alone decides whether the target is met
-        layout = GroupLayout.for_model(cfg.n_layers, 1)
-        width = max(1, min(cfg.d_hidden, int((1.0 - target_ratio) * 2 * cfg.d_kv)))
-    else:
-        layout, width = GroupLayout.for_model(cfg.n_layers, group_size), 2 * cfg.d_kv
-        strategy, fisher = "mean", None
-    budget_mod.merge_count(target_ratio, layout, width, cfg)
+    if mode == "commonkv" and fact is None:
+        raise ConfigurationError("commonkv mode needs a factorized model")
     if mode == "lowrank_perlayer":
+        # at most d_hidden: when 2*d_kv exceeds it, full rank already meets low targets;
+        # one-layer groups merge nothing, so the rank alone decides, before factorizing
+        width = max(1, min(cfg.d_hidden, int((1.0 - target_ratio) * 2 * cfg.d_kv)))
+        budget_mod.merge_count(target_ratio, GroupLayout.for_model(cfg.n_layers, 1), width, cfg)
         fact = build_factorization(weights, group_size=1, rank=width)
-    session = (RawKVSession(weights, group_size) if mode == "rawkv_meanmerge"
-               else LatentSession(weights, fact))
+    if mode == "rawkv_meanmerge":
+        session = RawKVSession(weights, group_size)
+        strategy, fisher = "mean", None
+    else:
+        session = LatentSession(weights, fact)
+    budget_mod.merge_count(target_ratio, session.store.layout, session.store.width, cfg)
     logits = session.prefill(prompt_ids)
     return session, logits, session.plan_and_merge(target_ratio, strategy=strategy,
                                                    fisher=fisher, score_variant=score_variant)
@@ -236,11 +236,12 @@ def perplexity(mode: str, weights: ModelWeights, text_ids,
     teacher-forced decode, audit.
     The achieved ratio is always recomputed from the session's element
     audit, against full KV for the tokens the session holds (the last token
-    is never fed, so a decoding mode holds one fewer than the text), and the
-    whole-session audit, like the plan's per-token cost, must equal
-    ``budget.stored_elements`` for the mode's row width, merged groups and
-    group size.  ``prefill_fraction`` must lie in [0, 1].  ``baseline``
-    prefills the whole text in one shot, bit-identical to the model's loss.
+    is never fed, so a decoding mode holds one fewer than the text).  A
+    compressed session's audit raises ``NumericError`` unless it equals the
+    closed form (``LatentSession.audit``); the baseline's ``KVCache`` count
+    is not checked at run time.  ``prefill_fraction`` must lie in [0, 1].
+    ``baseline`` prefills the whole text in one shot, bit-identical to the
+    model's loss.
     """
     cfg = weights.config
     ids = _check_tokens(cfg, text_ids)
@@ -254,24 +255,11 @@ def perplexity(mode: str, weights: ModelWeights, text_ids,
     session, logits, plan = prefill_session(
         mode, weights, ids[:split], fact=fact, target_ratio=target_ratio, strategy=strategy,
         fisher=fisher, score_variant=score_variant, group_size=group_size)
-    width, merged, members = 2 * cfg.d_kv, 0, 1
-    if mode != "baseline":
-        store = session.store
-        width, members = store.width, store.layout.group_size
-        merged = sum(gc.merged for gc in store.groups)
     # NLL over the prompt's logits plus one decode step per later token
     decoded = ids[split:-1]
     rows = [logits] + [session.decode(int(t))[None, :] for t in decoded]
     nll = nll_from_logits(np.concatenate(rows, axis=0)[: ids.size - 1], ids[1:])
-
-    sharing = {"merged_count": merged, "group_size": members}
-    if plan is not None and plan.cost_per_token != stored_elements(cfg, width, 1, **sharing):
-        raise NumericError(f"{mode} plan cost {plan.cost_per_token} elements per token "
-                           f"!= closed form {stored_elements(cfg, width, 1, **sharing)}")
     elements = session.cache_element_count()
-    expected = stored_elements(cfg, width, split, decoded.size, **sharing)
-    if elements != expected:
-        raise NumericError(f"{mode} cache audit {elements} elements != closed form {expected}")
     return EvalResult(mode=mode, nll=nll, target_ratio=target_ratio,
                       achieved_ratio=1.0 - elements / baseline_elements(cfg, split + decoded.size),
                       cache_elements=elements, n_tokens=int(ids.size), plan=plan)

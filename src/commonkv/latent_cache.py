@@ -5,6 +5,8 @@ group's prefix as one checksummed shared prefix.  ``LatentSession`` runs
 every compressed mode's phases over it: prefill, plan and merge (the one
 merge loop is ``LatentSession.apply_plan``), decode and audit.  Its rows are
 latents here and raw K/V rows in its subclass ``evaluation.RawKVSession``.
+``LatentSession.audit`` checks every count against the closed form
+``budget.stored_elements``, whoever drives the session.
 
 A ``LatentSession`` is the KV store that ``model.forward`` runs over: the
 decoder layer is the baseline's, and only what a layer caches and how it
@@ -118,7 +120,6 @@ class CacheAudit:
 
     prefix_elements: int
     suffix_elements: int
-    per_group_prefix: list[int]
 
     @property
     def total_elements(self) -> int:
@@ -238,16 +239,11 @@ class LatentCacheStore:
     def audit(self) -> CacheAudit:
         """Element counts; first raises NumericError if a merged prefix changed."""
         self.verify_merged_prefixes()
-        per_group = []
-        for gc in self.groups:
-            if gc.merged:
-                per_group.append(int(gc.shared_prefix.size))
-            else:
-                per_group.append(int(sum(p.size for p in gc.layer_prefixes)))
+        prefix = sum(int(gc.shared_prefix.size) if gc.merged
+                     else sum(int(p.size) for p in gc.layer_prefixes) for gc in self.groups)
         suffix = int(sum(part.size for l in range(self.config.n_layers)
                          for part in self._suffix_parts(l)))
-        return CacheAudit(prefix_elements=sum(per_group), suffix_elements=suffix,
-                          per_group_prefix=per_group)
+        return CacheAudit(prefix_elements=prefix, suffix_elements=suffix)
 
 
 class LatentSession:
@@ -363,7 +359,25 @@ class LatentSession:
     # -- accounting ----------------------------------------------------------
 
     def audit(self) -> CacheAudit:
-        return self.store.audit()
+        """The store's element counts, checked after its checksum walk ("mutated").
+
+        The counts, and an applied plan's per-token cost, must equal
+        ``budget.stored_elements`` for the store's width, lengths, merged
+        groups and group size; a mismatch raises ``NumericError`` ("closed form").
+        """
+        store = self.store
+        audit = store.audit()
+        sharing = {"merged_count": sum(gc.merged for gc in store.groups),
+                   "group_size": store.layout.group_size}
+        expected = budget_mod.stored_elements(store.config, store.width, store.prefill_len,
+                                              store.decode_len, **sharing)
+        if audit.total_elements != expected:
+            raise NumericError(f"cache audit {audit.total_elements} != closed form {expected}")
+        per_token = budget_mod.stored_elements(store.config, store.width, 1, **sharing)
+        if self.plan is not None and self.plan.cost_per_token != per_token:
+            raise NumericError(f"plan cost {self.plan.cost_per_token} per token "
+                               f"!= closed form {per_token}")
+        return audit
 
     def cache_element_count(self) -> int:
         return self.audit().total_elements

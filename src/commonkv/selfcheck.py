@@ -12,7 +12,7 @@ import numpy as np
 
 from .budget import MERGE_STRATEGIES, allocate_budget, estimate_fisher, top_k_groups
 from .corpus import markov_byte_corpus
-from .errors import UnreachableRatioError
+from .errors import NumericError, UnreachableRatioError
 from .factorization import (GroupLayout, factorize_group, transform_model,
                             load_factorized)
 from .latent_cache import LatentSession, baseline_elements
@@ -103,20 +103,17 @@ def _check_budget_audit(seed: int) -> tuple[bool, str]:
     for ratio in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6):
         lat = LatentSession(w2, fact)
         lat.prefill(ids)
-        scores = lat.group_scores()
         try:
-            plan = allocate_budget(scores, ratio, fact.layout, fact.rank, cfg,
-                                   strategy="mean")
+            plan = lat.plan_and_merge(ratio, strategy="mean")
+            audit = lat.audit()  # raises NumericError off the closed form
         except UnreachableRatioError:
             continue
-        lat.apply_plan(plan)
-        audit = lat.audit()
-        if audit.prefix_elements != plan.cost_per_token * ids.size:
-            return False, f"audit mismatch at ratio {ratio}"
-        achieved = 1.0 - audit.prefix_elements / baseline_elements(cfg, ids.size)
+        except NumericError as exc:
+            return False, f"audit mismatch at ratio {ratio}: {exc}"
+        achieved = 1.0 - audit.total_elements / baseline_elements(cfg, ids.size)
         if achieved < ratio:
             return False, f"achieved {achieved:.4f} < target {ratio}"
-        if plan.merged_groups != top_k_groups(scores, plan.merged_count):
+        if plan.merged_groups != top_k_groups(plan.scores, plan.merged_count):
             return False, f"merged set differs from top-k at ratio {ratio}"
         checked += 1
     return checked > 0, f"ratios_checked={checked}"
@@ -143,8 +140,7 @@ def _check_fd_gradients(seed: int) -> tuple[bool, str]:
 
 
 def _check_lossless_merge(seed: int) -> tuple[bool, str]:
-    cfg = ModelConfig()
-    weights = gen_toy_model(cfg, seed)
+    weights = gen_toy_model(ModelConfig(), seed)
     blob, _ = transform_model(weights, 4, 0.7)
     w2, fact = load_factorized(blob)
     ids = markov_byte_corpus(seed + 4, 1, 24)[0]
@@ -155,12 +151,10 @@ def _check_lossless_merge(seed: int) -> tuple[bool, str]:
             session.prefill(ids[:16])
             for gc in session.store.groups:  # force bit-identical member prefixes
                 gc.layer_prefixes = [gc.layer_prefixes[0].copy() for _ in gc.layer_prefixes]
-        plan = allocate_budget(merged.group_scores(), 0.5, fact.layout, fact.rank,
-                               cfg, strategy=strategy)
         fisher = None
         if strategy == "fisher":
             fisher = estimate_fisher(weights, markov_byte_corpus(seed + 6, 2, 12))
-        merged.apply_plan(plan, fisher)
+        merged.plan_and_merge(0.5, strategy, fisher)
         for t in ids[16:24]:
             worst = max(worst, float(np.abs(ref.decode(int(t))
                                             - merged.decode(int(t))).max()))

@@ -3,10 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from commonkv import tensorfile
+from commonkv import evaluation, selfcheck, tensorfile
 from commonkv.cli import main
 from commonkv.corpus import markov_byte_corpus
 from commonkv.evaluation import CSV_COLUMNS, _split_point
+from commonkv.latent_cache import LatentSession
 from commonkv.model import BaselineSession, load_model
 
 
@@ -228,6 +229,20 @@ def test_run_capacity_exit_code(workdir):
     assert code == 4
 
 
+def test_profile_refuses_a_probe_past_max_seq_before_any_layer(workdir, capsys, monkeypatch):
+    # used to exit 4 only when the RoPE table ran out, inside the first layer
+    def no_layer_may_run(*args, **kwargs):
+        raise AssertionError("a layer ran")
+
+    monkeypatch.setattr(evaluation, "rms_norm", no_layer_may_run)
+    out = workdir / "sim.json"
+    code = main(["profile", "--model", str(workdir / "model.tnsr"), "--out", str(out),
+                 "--tokens", "300"])
+    assert code == 4
+    assert capsys.readouterr().err == "error: sequence of 300 exceeds max_seq=256\n"
+    assert not out.exists()
+
+
 def test_missing_model_is_io_error(tmp_path):
     code = main(["transform", "--model", str(tmp_path / "nope.tnsr"),
                  "--out", str(tmp_path / "x.tnsr")])
@@ -282,6 +297,26 @@ def test_check_passes_and_writes_report(workdir):
     text = out.read_text()
     assert "overall: PASS" in text
     assert "FAIL" not in text.replace("PASS/FAIL", "")
+
+
+def test_check_reports_an_audit_off_the_closed_form_as_a_failed_check(workdir, capsys,
+                                                                      monkeypatch):
+    # the session's own audit raises; check reports FAIL and exits 1, no traceback
+    original = LatentSession.plan_and_merge
+
+    def corrupted(self, *args, **kwargs):
+        plan = original(self, *args, **kwargs)
+        plan.cost_per_token += 1
+        return plan
+
+    monkeypatch.setattr(LatentSession, "plan_and_merge", corrupted)
+    monkeypatch.setattr(selfcheck, "CHECKS",
+                        tuple(c for c in selfcheck.CHECKS if c[0] == "budget_audit"))
+    assert main(["check", "--seed", "42"]) == 1
+    captured = capsys.readouterr()
+    assert "FAIL budget_audit: audit mismatch at ratio 0.1: plan cost" in captured.out
+    assert "overall: FAIL (0/1)" in captured.out
+    assert captured.err == ""
 
 
 def test_malformed_config_json_is_configuration_error(workdir):

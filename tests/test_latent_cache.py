@@ -322,6 +322,61 @@ def test_audit_raises_on_merged_prefix_mutated_in_place(fact07, probe_ids):
             session.audit()
 
 
+# The session audits itself against the closed form, driven directly as the
+# benchmark and ``check`` drive it, with no ``perplexity`` around it.
+
+@pytest.mark.parametrize("kind", ["latent", "rawkv"])
+def test_extra_decode_row_fails_the_sessions_own_audit(fact07, probe_ids, monkeypatch, kind):
+    # one decode row stored twice, on the last step, after layer 0 has attended
+    session = SESSIONS[kind](*fact07[:2])
+    n_layers, steps = session.weights.config.n_layers, 5
+    calls = []
+    original = LatentCacheStore.append_decode
+
+    def one_row_too_many(self, layer, latents):
+        original(self, layer, latents)
+        calls.append(layer)
+        if len(calls) == n_layers * steps:
+            original(self, 0, latents)
+
+    monkeypatch.setattr(LatentCacheStore, "append_decode", one_row_too_many)
+    session.prefill(probe_ids[:32])
+    assert session.plan_and_merge(0.5, strategy="mean").merged_groups
+    for t in probe_ids[32:32 + steps - 1]:
+        session.decode(int(t))
+    session.audit()
+    session.decode(int(probe_ids[32 + steps - 1]))
+    with pytest.raises(NumericError, match="closed form"):
+        session.audit()
+    with pytest.raises(NumericError, match="closed form"):
+        session.cache_element_count()
+
+
+@pytest.mark.parametrize("kind", ["latent", "rawkv"])
+def test_plan_cost_off_the_closed_form_fails_the_sessions_own_audit(fact07, probe_ids, kind):
+    session = SESSIONS[kind](*fact07[:2])
+    session.prefill(probe_ids[:32])
+    plan = session.plan_and_merge(0.5, strategy="mean")
+    session.decode(int(probe_ids[32]))
+    session.audit()
+    plan.cost_per_token += 1
+    with pytest.raises(NumericError, match="closed form"):
+        session.audit()
+
+
+@pytest.mark.parametrize("kind", ["latent", "rawkv"])
+def test_mutated_prefix_is_reported_before_any_count(fact07, probe_ids, kind):
+    # both faults at once: the checksum walk runs first, so "mutated" wins
+    session = SESSIONS[kind](*fact07[:2])
+    session.prefill(probe_ids[:32])
+    plan = session.plan_and_merge(0.5, strategy="mean")
+    session.decode(int(probe_ids[32]))
+    plan.cost_per_token += 1
+    session.store.groups[plan.merged_groups[0]].shared_prefix[3, 1] += 1.0
+    with pytest.raises(NumericError, match="mutated"):
+        session.audit()
+
+
 def test_rope_values_shared_across_layers(fact07):
     weights, fact, _ = fact07
     session = LatentSession(weights, fact)
@@ -399,7 +454,6 @@ def test_chunked_suffixes_equal_concatenated_reference_at_chunk_boundaries(fact0
             assert store.visible_latents(layer).tobytes() == visible.tobytes()
         audit = store.audit()
         assert audit.suffix_elements == sum(r.size for r in reference)
-        assert audit.prefix_elements == sum(audit.per_group_prefix)
         assert store.prefill_positions.tolist() == list(range(prompt))
         assert store.decode_positions.tolist() == list(range(prompt, prompt + step))
 
