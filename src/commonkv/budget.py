@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -200,9 +201,12 @@ class FisherWeights:
         per_layer = d.get("per_layer")
         if not isinstance(per_layer, list) or not all(
                 isinstance(v, (int, float)) and not isinstance(v, bool)
-                and math.isfinite(v) and v >= 0 for v in per_layer):
+                and 0 <= v <= sys.float_info.max for v in per_layer):
             raise ConfigurationError(
                 "Fisher weights file needs 'per_layer', a list of finite non-negative numbers")
+        if not sum(per_layer) <= sys.float_info.max:  # a merge would divide by inf
+            raise ConfigurationError("Fisher weights file 'per_layer' does not sum to a "
+                                     "finite number")
         if not isinstance(d.get("corpus_hash"), str):
             raise ConfigurationError("Fisher weights file lacks its 'corpus_hash'")
         return cls(per_layer=per_layer, corpus_digest=d["corpus_hash"],
@@ -270,7 +274,10 @@ def merge_group(prefixes: list[np.ndarray], strategy: str,
             raise InputError("Fisher weight count does not match group size")
         if any(f < 0 for f in fisher_values):
             raise InputError("Fisher weights must be nonnegative")
-        total = float(sum(fisher_values))
+        total = sum(fisher_values)
+        if not total <= sys.float_info.max:  # an inf or nan total zeroes or nans every weight
+            raise InputError(f"Fisher weights of a group sum to {total}, not a finite number")
+        total = float(total)
         if total == 0.0:
             w = [1.0 / m] * m
             fell_back = True

@@ -11,10 +11,11 @@ Exit codes (documented for scripting):
        audit mismatch)
     6  I/O error
 
-Flags can also be supplied through ``--config FILE`` (a flat JSON object of
-flag names with dashes replaced by underscores); explicit flags win.  A
-config-file value goes through its flag's own type and choices, as if it
-were typed, and a key that names no flag the command reads is an error.
+Flags can also be supplied through ``--config FILE``, a flat JSON object of
+flag names with dashes replaced by underscores.  It may set any optional flag
+of the command except ``--out``, and the precedence is built-in defaults <
+file < explicit flags.  A config-file value goes through its flag's own type
+and choices, as if it were typed, and any other key is an error.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from .errors import (CapacityError, CommonKVError, ConfigurationError, InputErro
 from .factorization import SharedFactorization, load_factorized, transform_model
 from .model import ModelConfig, ModelWeights, gen_toy_model, load_model, save_model
 
-# the least value of each integer flag, checked before any file is read (numpy
-# generators take non-negative seeds only)
+# the least value of each integer flag, checked on the final values before any
+# model or corpus file is read (numpy generators take non-negative seeds only)
 FLOORS = {"seed": 0, "tokens": 0, "samples": 1, "seq_len": 2}
 
 EXIT_CODES = {
@@ -47,26 +48,26 @@ EXIT_CODES = {
 }
 
 
-def _resolve(args: argparse.Namespace, defaults: dict) -> argparse.Namespace:
-    """Layer precedence: built-in defaults < --config file < explicit flags.
+def _config_values(args: argparse.Namespace) -> dict:
+    """The ``--config`` file's values, each through its flag's type and checked
+    against its choices, as if it were typed.
 
-    The file may set only the flags in ``defaults``.  Every value it holds
-    goes through its flag's type and must be one of the flag's choices, as if
-    it were typed, whether or not an explicit flag overrides it.
+    The file may set any optional flag of the command except ``--out``.
     """
-    cfg_file = {}
-    if getattr(args, "config", None):
-        try:
-            cfg_file = json.loads(Path(args.config).read_text())
-        except ValueError as exc:
-            raise ConfigurationError(f"--config {args.config} is not valid JSON: {exc}") from None
-        if not isinstance(cfg_file, dict):
-            raise ConfigurationError("--config must hold a JSON object")
-    for key, value in cfg_file.items():
-        if key not in defaults:
+    try:
+        values = json.loads(Path(args.config).read_text())
+    except ValueError as exc:
+        raise ConfigurationError(f"--config {args.config} is not valid JSON: {exc}") from None
+    if not isinstance(values, dict):
+        raise ConfigurationError("--config must hold a JSON object")
+    # argparse keeps no public list of a parser's flags
+    flags = {a.dest: a for a in args.parser._actions
+             if a.option_strings and not a.required and a.dest not in ("help", "config", "out")}
+    for key, value in values.items():
+        if key not in flags:
             raise ConfigurationError(f"--config {args.config}: unknown key {key!r}; "
-                                     f"{args.command} reads {', '.join(sorted(defaults))}")
-        cast, choices = args.flag_types.get(key), args.flag_choices.get(key)
+                                     f"{args.command} reads {', '.join(sorted(flags))}")
+        cast, choices = flags[key].type, flags[key].choices
         if cast is not None:
             try:
                 value = cast(str(value))
@@ -76,14 +77,8 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> argparse.Namespace:
         if choices is not None and value not in choices:
             raise ConfigurationError(f"--config {args.config}: {key}={value!r} is not one "
                                      f"of {', '.join(choices)}")
-        cfg_file[key] = value
-    for key, builtin in defaults.items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, cfg_file.get(key, builtin))
-    for key, floor in FLOORS.items():
-        if key in defaults:
-            _check_floor(key.replace("_", "-"), getattr(args, key), floor)
-    return args
+        values[key] = value
+    return values
 
 
 def _check_floor(flag: str, value: int, floor: int) -> None:
@@ -144,7 +139,7 @@ def _session_inputs(args, modes: list[str]):
     """``(weights, factorization, options)``: ``--model``, ``--factorized`` and
     the keyword arguments that every mode's session reads.
 
-    ``rawkv_meanmerge`` groups layers as ``--factorized`` does, and an explicit
+    The raw-KV mode groups layers as ``--factorized`` does, and an explicit
     ``--group-size`` (flag or ``--config``) must agree; without a container
     it is ``--group-size``, by default 4.
     """
@@ -175,10 +170,6 @@ def _write_json(path, payload: dict) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_gen_toy(args) -> int:
-    args = _resolve(args, {
-        "seed": 42, "layers": 8, "d_hidden": 64, "q_heads": 4, "kv_heads": 2,
-        "d_head": 16, "d_mlp": 128, "max_seq": 256, "rope_theta": 10000.0,
-    })
     config = ModelConfig(n_layers=args.layers, d_hidden=args.d_hidden,
                          n_q_heads=args.q_heads, n_kv_heads=args.kv_heads,
                          d_head=args.d_head, d_mlp=args.d_mlp,
@@ -190,7 +181,6 @@ def cmd_gen_toy(args) -> int:
 
 
 def cmd_transform(args) -> int:
-    args = _resolve(args, {"group_size": 4, "rank_fraction": 0.7, "report": None})
     weights = load_model(args.model)
     blob, report = transform_model(weights, args.group_size, args.rank_fraction)
     Path(args.out).write_bytes(blob)
@@ -205,7 +195,6 @@ def cmd_transform(args) -> int:
 
 
 def cmd_fisher(args) -> int:
-    args = _resolve(args, {"seed": 42, "samples": 8, "seq_len": 64, "corpus": None})
     weights = load_model(args.model)
     if args.corpus:
         ids = load_byte_file(args.corpus)
@@ -223,7 +212,6 @@ def cmd_fisher(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    args = _resolve(args, {"seed": 42, "tokens": 96, "corpus": None, "factorized": None})
     weights = load_model(args.model)
     fact = _load_factorization(args, weights)
     ids = _corpus_ids(args)
@@ -237,11 +225,6 @@ def cmd_profile(args) -> int:
 
 
 def cmd_run(args) -> int:
-    args = _resolve(args, {
-        "mode": "commonkv", "ratio": 0.5, "merge": "fisher", "score": "shortcut",
-        "seed": 42, "tokens": 128, "prefill_fraction": 0.875, "corpus": None,
-        "fisher_file": None, "generate": 0, "group_size": None, "factorized": None,
-    })
     if args.generate < 0:
         raise ConfigurationError(f"--generate {args.generate} is negative")
     weights, fact, options = _session_inputs(args, [args.mode])
@@ -277,13 +260,6 @@ def cmd_run(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    args = _resolve(args, {
-        "ratios": "0.1,0.2,0.3,0.4,0.5,0.6",
-        "modes": "baseline,commonkv,lowrank_perlayer,rawkv_meanmerge",
-        "seeds": "0,1,2", "merge": "mean", "score": "shortcut", "tokens": 128,
-        "prefill_fraction": 0.875, "fisher_file": None, "summary": None,
-        "group_size": None, "factorized": None,
-    })
     modes = _parse_list(args.modes, str, "modes")
     ratios = _parse_list(args.ratios, float, "ratios")
     seeds = _parse_list(args.seeds, int, "seeds")
@@ -306,7 +282,6 @@ def cmd_bench(args) -> int:
 
 
 def cmd_check(args) -> int:
-    args = _resolve(args, {"seed": 42})
     report, ok = selfcheck.run_self_check(args.seed)
     if args.out:
         Path(args.out).write_text(report)
@@ -318,13 +293,6 @@ def cmd_check(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
-def _command(p: argparse.ArgumentParser, func) -> None:
-    """Bind a subcommand to ``func`` and record its flags' types and choices for ``--config``."""
-    p.set_defaults(func=func,
-                   flag_types={a.dest: a.type for a in p._actions if a.type is not None},
-                   flag_choices={a.dest: a.choices for a in p._actions if a.choices is not None})
-
-
 def build_parser() -> argparse.ArgumentParser:
     # no flag abbreviations on any parser: `bench --seed 5` must not mean `--seeds 5`
     parser = argparse.ArgumentParser(
@@ -332,89 +300,77 @@ def build_parser() -> argparse.ArgumentParser:
         description="Cross-layer shared-factor latent KV-cache engine (desk scale)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seeded=True):
+    def command(name, func, help, seeded=True):
+        p = sub.add_parser(name, allow_abbrev=False, help=help)
+        p.set_defaults(func=func, parser=p)
         p.add_argument("--config", help="JSON file of default flag values")
         if seeded:  # only where the command reads it
-            p.add_argument("--seed", type=int, help="root seed (default 42)")
+            p.add_argument("--seed", type=int, default=42, help="root seed (default 42)")
+        return p
 
-    p = sub.add_parser("gen-toy", allow_abbrev=False, help="generate a seeded toy model container")
-    common(p)
+    def session_flags(p, merge):
+        """The model and session flags that ``run`` and ``bench`` share."""
+        p.add_argument("--model", required=True)
+        p.add_argument("--factorized")
+        p.add_argument("--merge", choices=MERGE_STRATEGIES, default=merge)
+        p.add_argument("--score", choices=SCORE_VARIANTS, default="shortcut")
+        p.add_argument("--fisher-file")
+        p.add_argument("--tokens", type=int, default=128)
+        p.add_argument("--prefill-fraction", type=float, default=0.875)
+        p.add_argument("--group-size", type=int)
+
+    toy = ModelConfig()
+    p = command("gen-toy", cmd_gen_toy, "generate a seeded toy model container")
     p.add_argument("--out", required=True)
-    p.add_argument("--layers", type=int)
-    p.add_argument("--d-hidden", dest="d_hidden", type=int)
-    p.add_argument("--q-heads", dest="q_heads", type=int)
-    p.add_argument("--kv-heads", dest="kv_heads", type=int)
-    p.add_argument("--d-head", dest="d_head", type=int)
-    p.add_argument("--d-mlp", dest="d_mlp", type=int)
-    p.add_argument("--max-seq", dest="max_seq", type=int)
-    p.add_argument("--rope-theta", dest="rope_theta", type=float)
-    _command(p, cmd_gen_toy)
+    p.add_argument("--layers", type=int, default=toy.n_layers)
+    p.add_argument("--d-hidden", type=int, default=toy.d_hidden)
+    p.add_argument("--q-heads", type=int, default=toy.n_q_heads)
+    p.add_argument("--kv-heads", type=int, default=toy.n_kv_heads)
+    p.add_argument("--d-head", type=int, default=toy.d_head)
+    p.add_argument("--d-mlp", type=int, default=toy.d_mlp)
+    p.add_argument("--max-seq", type=int, default=toy.max_seq)
+    p.add_argument("--rope-theta", type=float, default=toy.rope_theta)
 
-    p = sub.add_parser("transform", allow_abbrev=False, help="factorize a base model")
-    common(p, seeded=False)
+    p = command("transform", cmd_transform, "factorize a base model", seeded=False)
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--group-size", dest="group_size", type=int)
-    p.add_argument("--rank-fraction", dest="rank_fraction", type=float)
+    p.add_argument("--group-size", type=int, default=4)
+    p.add_argument("--rank-fraction", type=float, default=0.7)
     p.add_argument("--report", help="sidecar report path (default OUT.report.json)")
-    _command(p, cmd_transform)
 
-    p = sub.add_parser("fisher", allow_abbrev=False, help="estimate per-layer Fisher weights")
-    common(p)
+    p = command("fisher", cmd_fisher, "estimate per-layer Fisher weights")
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--seq-len", dest="seq_len", type=int)
+    p.add_argument("--samples", type=int, default=8)
+    p.add_argument("--seq-len", type=int, default=64)
     p.add_argument("--corpus", help="byte file; default is the seeded generator")
-    _command(p, cmd_fisher)
 
-    p = sub.add_parser("profile", allow_abbrev=False, help="cross-layer similarity report")
-    common(p)
+    p = command("profile", cmd_profile, "cross-layer similarity report")
     p.add_argument("--model", required=True)
     p.add_argument("--factorized")
     p.add_argument("--out", required=True)
-    p.add_argument("--tokens", type=int)
+    p.add_argument("--tokens", type=int, default=96)
     p.add_argument("--corpus")
-    _command(p, cmd_profile)
 
-    p = sub.add_parser("run", allow_abbrev=False, help="teacher-forced evaluation of one session")
-    common(p)
-    p.add_argument("--model", required=True)
-    p.add_argument("--factorized")
-    p.add_argument("--mode", choices=evaluation.MODES)
-    p.add_argument("--ratio", type=float)
-    p.add_argument("--merge", choices=MERGE_STRATEGIES)
-    p.add_argument("--score", choices=SCORE_VARIANTS)
-    p.add_argument("--fisher-file", dest="fisher_file")
-    p.add_argument("--tokens", type=int)
-    p.add_argument("--prefill-fraction", dest="prefill_fraction", type=float)
-    p.add_argument("--group-size", dest="group_size", type=int)
+    p = command("run", cmd_run, "teacher-forced evaluation of one session")
+    session_flags(p, merge="fisher")
+    p.add_argument("--mode", choices=evaluation.MODES, default="commonkv")
+    p.add_argument("--ratio", type=float, default=0.5)
     p.add_argument("--corpus")
-    p.add_argument("--generate", type=int, help="greedy tokens to append to the report")
+    p.add_argument("--generate", type=int, default=0,
+                   help="greedy tokens to append to the report")
     p.add_argument("--out", help="JSON session report path")
-    _command(p, cmd_run)
 
-    p = sub.add_parser("bench", allow_abbrev=False, help="sweep modes x ratios x seeds into a CSV")
-    common(p, seeded=False)
-    p.add_argument("--model", required=True)
-    p.add_argument("--factorized")
+    p = command("bench", cmd_bench, "sweep modes x ratios x seeds into a CSV", seeded=False)
+    session_flags(p, merge="mean")
     p.add_argument("--out", required=True)
     p.add_argument("--summary")
-    p.add_argument("--ratios")
-    p.add_argument("--modes")
-    p.add_argument("--seeds")
-    p.add_argument("--merge", choices=MERGE_STRATEGIES)
-    p.add_argument("--score", choices=SCORE_VARIANTS)
-    p.add_argument("--fisher-file", dest="fisher_file")
-    p.add_argument("--tokens", type=int)
-    p.add_argument("--prefill-fraction", dest="prefill_fraction", type=float)
-    p.add_argument("--group-size", dest="group_size", type=int)
-    _command(p, cmd_bench)
+    p.add_argument("--ratios", default="0.1,0.2,0.3,0.4,0.5,0.6")
+    p.add_argument("--modes", default=",".join(evaluation.MODES))
+    p.add_argument("--seeds", default="0,1,2")
 
-    p = sub.add_parser("check", allow_abbrev=False, help="run the invariant self-test suite")
-    common(p)
+    p = command("check", cmd_check, "run the invariant self-test suite")
     p.add_argument("--out", help="also write the report here")
-    _command(p, cmd_check)
 
     return parser
 
@@ -423,6 +379,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.config:
+            # the file's values become the command's defaults, so explicit flags win
+            args.parser.set_defaults(**_config_values(args))
+            args = parser.parse_args(argv)
+        for key, floor in FLOORS.items():
+            if hasattr(args, key):
+                _check_floor(key.replace("_", "-"), getattr(args, key), floor)
         return args.func(args)
     except CommonKVError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -158,7 +158,9 @@ class SharedFactorization:
     k_factors: list[np.ndarray]         # per layer: (r, d_kv)
     v_factors: list[np.ndarray]         # per layer: (r, d_kv)
     fused_out: list[np.ndarray]         # per layer: (n_q_heads, r, d_hidden)
-    recon_errors: dict[str, float]      # "layers.{l}.k" / ".v" -> rel Frobenius
+    # "layers.{l}.k" / ".v" -> rel Frobenius; built by build_factorization for the
+    # transform report, not read back from a container
+    recon_errors: dict[str, float] = field(default_factory=dict)
     # per layer, B_v viewed per KV head, (n_kv_heads, r, d_head): views, made
     # with the factors so that no session step or session rebuilds them
     v_heads: list[np.ndarray] = field(init=False, repr=False, compare=False)
@@ -318,6 +320,5 @@ def load_factorized(blob_or_path) -> tuple[ModelWeights, SharedFactorization]:
         k_factors=take("layers.{}.k_factor", cfg.n_layers, (rank, cfg.d_kv)),
         v_factors=take("layers.{}.v_factor", cfg.n_layers, (rank, cfg.d_kv)),
         fused_out=take("layers.{}.fused_out", cfg.n_layers,
-                       (cfg.n_q_heads, rank, cfg.d_hidden)),
-        recon_errors=dict(meta.get("recon_errors", {})))
+                       (cfg.n_q_heads, rank, cfg.d_hidden)))
     return weights, fact

@@ -111,6 +111,13 @@ class ModelConfig:
         return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
 
 
+def layer_shapes(cfg: ModelConfig) -> tuple[tuple[int, ...], ...]:
+    """The shapes of one layer's tensors, in ``LAYER_TENSORS`` order."""
+    h = cfg.d_hidden
+    return ((h,), (h, h), (h, cfg.d_kv), (h, cfg.d_kv), (h, h), (h,), (h, cfg.d_mlp),
+            (cfg.d_mlp, h))
+
+
 @dataclass
 class LayerWeights:
     attn_gain: np.ndarray   # (d_hidden,)
@@ -165,18 +172,8 @@ class ModelWeights:
             "final_gain": (cfg.d_hidden,),
             "lm_head": (cfg.d_hidden, cfg.vocab_size),
         }
-        per_layer = {
-            "attn_gain": (cfg.d_hidden,),
-            "w_q": (cfg.d_hidden, cfg.d_hidden),
-            "w_k": (cfg.d_hidden, cfg.d_kv),
-            "w_v": (cfg.d_hidden, cfg.d_kv),
-            "w_o": (cfg.d_hidden, cfg.d_hidden),
-            "mlp_gain": (cfg.d_hidden,),
-            "w_in": (cfg.d_hidden, cfg.d_mlp),
-            "w_out": (cfg.d_mlp, cfg.d_hidden),
-        }
         for i in range(cfg.n_layers):
-            for name, shape in per_layer.items():
+            for name, shape in zip(LAYER_TENSORS, layer_shapes(cfg)):
                 expect[f"layers.{i}.{name}"] = shape
         tensors = self.named_tensors()
         if len(self.layers) != cfg.n_layers:
@@ -201,18 +198,11 @@ def gen_toy_model(config: ModelConfig, seed: int) -> ModelWeights:
         return (rng.standard_normal((fan_in, fan_out)) / np.sqrt(fan_in)).astype(np.float32)
 
     embed = mat(config.d_hidden, config.vocab_size).T.copy()  # rows ~ N(0, 1/d_hidden)
-    layers = []
-    for _ in range(config.n_layers):
-        layers.append(LayerWeights(
-            attn_gain=np.ones(config.d_hidden, dtype=np.float32),
-            w_q=mat(config.d_hidden, config.d_hidden),
-            w_k=mat(config.d_hidden, config.d_kv),
-            w_v=mat(config.d_hidden, config.d_kv),
-            w_o=mat(config.d_hidden, config.d_hidden),
-            mlp_gain=np.ones(config.d_hidden, dtype=np.float32),
-            w_in=mat(config.d_hidden, config.d_mlp),
-            w_out=mat(config.d_mlp, config.d_hidden),
-        ))
+    # a 1-D shape is a gain: ones, drawing nothing
+    layers = [LayerWeights(**{name: np.ones(shape, dtype=np.float32) if len(shape) == 1
+                              else mat(*shape)
+                              for name, shape in zip(LAYER_TENSORS, layer_shapes(config))})
+              for _ in range(config.n_layers)]
     weights = ModelWeights(
         config=config,
         embed=embed,

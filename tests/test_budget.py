@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -293,3 +295,21 @@ def test_merged_rows_stay_in_convex_hull(m, seed, strategy):
     low = stack.min(axis=0) - 1e-5
     high = stack.max(axis=0) + 1e-5
     assert np.all(merged >= low) and np.all(merged <= high)
+
+
+@pytest.mark.parametrize("values", [[1e308] * 4, [1.0, float("nan"), 1.0, 1.0]],
+                         ids=["overflow", "nan"])
+def test_fisher_weights_without_a_finite_sum_are_refused(values):
+    # [1e308] * 4 used to give weights [0, 0, 0, 0] and an all-zero merged prefix
+    prefixes = [_prefix(s) for s in (45, 46, 47, 48)]
+    with pytest.raises(InputError, match="not a finite number"):
+        merge_group(prefixes, "fisher", values)
+
+
+@pytest.mark.parametrize("per_layer", [[1e308] * 8, [10**400] + [1.0] * 7],
+                         ids=["sum_overflows", "past_float64"])
+def test_fisher_file_beyond_the_float_range_is_refused(per_layer):
+    # the first used to load and merge to zeros, the second to raise OverflowError
+    text = json.dumps({"kind": "fisher_weights", "per_layer": per_layer, "corpus_hash": "x"})
+    with pytest.raises(ConfigurationError, match="finite"):
+        FisherWeights.from_json(text)

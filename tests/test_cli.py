@@ -747,3 +747,103 @@ def test_factorization_of_another_model_is_configuration_error(workdir, factoriz
     assert err.count("\n") == 1 and "was not built from --model" in err
     expected = "config" if other[0] == "--layers" else "embed"
     assert f"(first difference: {expected})" in err
+
+
+def test_fisher_file_whose_sum_overflows_is_configuration_error(workdir, factorized, capsys):
+    # every weight is finite but their sum is not: run used to exit 0 with each
+    # merged prefix all zeros
+    good = json.loads(_fisher_file(workdir).read_text())
+    bad = workdir / "bad_fisher.json"
+    bad.write_text(json.dumps(dict(good, per_layer=[1e308] * len(good["per_layer"]))))
+    capsys.readouterr()
+    code = _run_commonkv(workdir, factorized, "--merge", "fisher", "--fisher-file", str(bad))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "does not sum to a finite number" in err
+
+
+@pytest.mark.parametrize("recon_errors", [[1, 2], "x", 5], ids=["list", "str", "int"])
+def test_factorized_manifest_recon_errors_are_not_read(workdir, factorized, recon_errors):
+    # no session reads the transform report's errors; a malformed one used to
+    # end in a TypeError or ValueError traceback
+    clean, out = workdir / "clean.json", workdir / "run.json"
+    assert _run_commonkv(workdir, factorized, "--generate", "2", "--out", str(clean)) == 0
+    tensors, meta = tensorfile.load(factorized)
+    tensorfile.save(factorized, tensors, meta=dict(meta, recon_errors=recon_errors))
+    assert _run_commonkv(workdir, factorized, "--generate", "2", "--out", str(out)) == 0
+    assert out.read_bytes() == clean.read_bytes()
+
+
+# -- the --config contract of every command ----------------------------------------
+
+# per command: its other arguments, the keys --config may set (every optional
+# flag but --out), and one config that changes the command's output
+CONFIG_CONTRACT = {
+    "gen-toy": (["--out", "out.tnsr"],
+                "d_head, d_hidden, d_mlp, kv_heads, layers, max_seq, q_heads, rope_theta, seed",
+                {"layers": 2, "d_hidden": 32, "q_heads": 2, "kv_heads": 1, "seed": 3}),
+    "transform": (["--model", "model.tnsr", "--out", "out.tnsr"],
+                  "group_size, rank_fraction, report",
+                  {"group_size": 2, "rank_fraction": 0.5}),
+    "fisher": (["--model", "model.tnsr", "--out", "out.json"],
+               "corpus, samples, seed, seq_len",
+               {"samples": 2, "seq_len": 16, "seed": 3}),
+    "profile": (["--model", "model.tnsr", "--out", "out.json"],
+                "corpus, factorized, seed, tokens",
+                {"tokens": 32, "seed": 3}),
+    "run": (["--model", "model.tnsr", "--factorized", "fact.tnsr", "--merge", "mean",
+             "--out", "out.json"],
+            "corpus, factorized, fisher_file, generate, group_size, merge, mode, "
+            "prefill_fraction, ratio, score, seed, tokens",
+            {"mode": "rawkv_meanmerge", "ratio": 0.3, "tokens": 32, "generate": 2}),
+    "bench": (["--model", "model.tnsr", "--factorized", "fact.tnsr", "--out", "out.csv",
+               "--ratios", "0.5", "--seeds", "1"],
+              "factorized, fisher_file, group_size, merge, modes, prefill_fraction, ratios, "
+              "score, seeds, summary, tokens",
+              {"modes": "baseline,rawkv_meanmerge", "tokens": 32}),
+    "check": (["--out", "out.txt"], "seed", {"seed": 3}),
+}
+
+
+def _contract_args(workdir, command):
+    args, _, _ = CONFIG_CONTRACT[command]
+    return [str(workdir / a) if a.endswith((".tnsr", ".json", ".csv", ".txt")) else a
+            for a in args]
+
+
+def _contract_output(workdir, command):
+    """The command's output file, without the bench CSV's timing column."""
+    path = next(workdir / a for a in CONFIG_CONTRACT[command][0] if a.startswith("out."))
+    if command != "bench":
+        return path.read_bytes()
+    col = CSV_COLUMNS.index("wall_ms")
+    return [row.split(",")[:col] + row.split(",")[col + 1:]
+            for row in path.read_text().splitlines()]
+
+
+@pytest.mark.parametrize("command", sorted(CONFIG_CONTRACT))
+def test_unknown_config_key_lists_every_key_the_command_reads(workdir, capsys, command):
+    _, keys, _ = CONFIG_CONTRACT[command]
+    config = workdir / "config.json"
+    config.write_text(json.dumps({"bogus": 1}))
+    capsys.readouterr()
+    assert main([command, *_contract_args(workdir, command), "--config", str(config)]) == 2
+    assert capsys.readouterr().err == (f"error: --config {config}: unknown key 'bogus'; "
+                                       f"{command} reads {keys}\n")
+
+
+@pytest.mark.parametrize("command", sorted(CONFIG_CONTRACT))
+def test_config_value_is_honoured_as_the_same_flag_typed(workdir, factorized, command):
+    _, _, values = CONFIG_CONTRACT[command]
+    args = _contract_args(workdir, command)
+    config = workdir / "config.json"
+    config.write_text(json.dumps(values))
+    flags = [item for key, value in values.items()
+             for item in ("--" + key.replace("_", "-"), str(value))]
+    assert main([command, *args]) == 0
+    default = _contract_output(workdir, command)
+    assert main([command, *args, "--config", str(config)]) == 0
+    from_config = _contract_output(workdir, command)
+    assert main([command, *args, *flags]) == 0
+    assert from_config == _contract_output(workdir, command)
+    assert from_config != default
