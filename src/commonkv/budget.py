@@ -50,14 +50,15 @@ def group_score(h_first: np.ndarray, h_last: np.ndarray) -> float:
     return float(np.mean(_token_cosines(h_first, h_last)))
 
 
-def group_score_full(prefixes: list[np.ndarray]) -> float:
-    """Mean over adjacent member-layer pairs of the mean token cosine."""
+def group_score_full(prefixes: list[np.ndarray], pair=None) -> float:
+    """Mean over adjacent member-layer pairs of ``pair(a, b)``, by default
+    ``group_score``, the mean token cosine."""
+    pair = pair or group_score
     if not prefixes:
         raise InputError("empty group")
     if len(prefixes) == 1:
-        return group_score(prefixes[0], prefixes[0])
-    pair_scores = [group_score(prefixes[i], prefixes[i + 1])
-                   for i in range(len(prefixes) - 1)]
+        return pair(prefixes[0], prefixes[0])
+    pair_scores = [pair(prefixes[i], prefixes[i + 1]) for i in range(len(prefixes) - 1)]
     return float(np.mean(pair_scores))
 
 

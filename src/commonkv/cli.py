@@ -15,7 +15,8 @@ Flags can also be supplied through ``--config FILE``, a flat JSON object of
 flag names with dashes replaced by underscores.  It may set any optional flag
 of the command except ``--out``, and the precedence is built-in defaults <
 file < explicit flags.  A config-file value goes through its flag's own type
-and choices, as if it were typed, and any other key is an error.
+and choices, as if it were typed, and any other key is an error.  A file path
+flag, which has no type, takes a JSON string, or ``null`` to leave it unset.
 """
 
 from __future__ import annotations
@@ -52,7 +53,9 @@ def _config_values(args: argparse.Namespace) -> dict:
     """The ``--config`` file's values, each through its flag's type and checked
     against its choices, as if it were typed.
 
-    The file may set any optional flag of the command except ``--out``.
+    The file may set any optional flag of the command except ``--out``.  A
+    flag with neither type nor choices (a file path) takes a string or
+    ``null``, which leaves it unset.
     """
     try:
         values = json.loads(Path(args.config).read_text())
@@ -68,7 +71,11 @@ def _config_values(args: argparse.Namespace) -> dict:
             raise ConfigurationError(f"--config {args.config}: unknown key {key!r}; "
                                      f"{args.command} reads {', '.join(sorted(flags))}")
         cast, choices = flags[key].type, flags[key].choices
-        if cast is not None:
+        if cast is None and choices is None:
+            if value is not None and not isinstance(value, str):
+                raise ConfigurationError(f"--config {args.config}: {key}={value!r} is not "
+                                         f"a string or null")
+        elif cast is not None:
             try:
                 value = cast(str(value))
             except ValueError:
@@ -365,9 +372,10 @@ def build_parser() -> argparse.ArgumentParser:
     session_flags(p, merge="mean")
     p.add_argument("--out", required=True)
     p.add_argument("--summary")
-    p.add_argument("--ratios", default="0.1,0.2,0.3,0.4,0.5,0.6")
-    p.add_argument("--modes", default=",".join(evaluation.MODES))
-    p.add_argument("--seeds", default="0,1,2")
+    # comma-separated lists, split by the command: --config takes a number as its text
+    p.add_argument("--ratios", type=str, default="0.1,0.2,0.3,0.4,0.5,0.6")
+    p.add_argument("--modes", type=str, default=",".join(evaluation.MODES))
+    p.add_argument("--seeds", type=str, default="0,1,2")
 
     p = command("check", cmd_check, "run the invariant self-test suite")
     p.add_argument("--out", help="also write the report here")

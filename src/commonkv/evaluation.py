@@ -122,12 +122,13 @@ class RawKVSession(LatentSession):
 
     Stands in for direct cross-layer sharing baselines.  Each row is ``2·d_kv``
     wide: a token's rotated keys and values, flattened.  Only three things
-    differ from the latent session: the constructor, the group scores (the
-    mean of the first and last layers' key and value cosines, whatever the
-    variant) and ``attend``, which projects K/V as the full-KV ``KVCache``
-    does, stores them and attends over the layer's rows.  The phases, the
-    plan through ``budget.allocate_budget`` and the merge loop are
-    ``LatentSession``'s; ``prefill_session`` always merges raw K/V by mean.
+    differ from the latent session: the constructor, ``pair_score`` (the mean
+    of two layers' key cosines and value cosines, which both score variants
+    compare: first against last layer, or each adjacent pair) and ``attend``,
+    which projects K/V as the full-KV ``KVCache`` does, stores them and
+    attends over the layer's rows.  The phases, the plan through
+    ``budget.allocate_budget`` and the merge loop are ``LatentSession``'s;
+    ``prefill_session`` always merges raw K/V by mean.
     """
 
     def __init__(self, weights: ModelWeights, group_size: int):
@@ -135,17 +136,11 @@ class RawKVSession(LatentSession):
         self._open(weights, LatentCacheStore(
             cfg, GroupLayout.for_model(cfg.n_layers, group_size), 2 * cfg.d_kv))
 
-    def group_scores(self, variant: str = "shortcut") -> list[float]:
+    def pair_score(self, first: np.ndarray, second: np.ndarray) -> float:
         d_kv = self.weights.config.d_kv
-        scores = []
-        for gc in self.store.groups:
-            if gc.merged:
-                raise InputError("scores must be computed before merging")
-            first, last = gc.layer_prefixes[0], gc.layer_prefixes[-1]
-            k_sim = group_score(first[:, :d_kv], last[:, :d_kv])
-            v_sim = group_score(first[:, d_kv:], last[:, d_kv:])
-            scores.append(0.5 * (k_sim + v_sim))
-        return scores
+        k_sim = group_score(first[:, :d_kv], second[:, :d_kv])
+        v_sim = group_score(first[:, d_kv:], second[:, d_kv:])
+        return 0.5 * (k_sim + v_sim)
 
     def attend(self, layer: int, lw: LayerWeights, xn: np.ndarray, q: np.ndarray,
                rows: range, rope: RopeTable) -> np.ndarray:

@@ -72,7 +72,9 @@ def attend_latent(q_rope: np.ndarray, latents: np.ndarray, k_factor: np.ndarray,
     * restore values, ``Tk·r·d_kv + n_q·Tq·Tk·d_head``: ``V = H @ B_v`` for
       this call only, then the baseline ``attention_block``;
     * mix latents, ``n_q·Tq·Tk·r + n_q·Tq·r·d_head``: ``P_q @ H`` per query
-      head, then that head's ``B_v`` columns.
+      head, then that head's ``B_v`` columns.  ``P_q @ H`` is the unnormalised
+      weights' product, scaled row by row by the reciprocal row sums (see
+      ``model.causal_attention_weights``).
 
     Prefill restores values and a decode step (Tq = 1) mixes latents; the
     crossover sits near Tq ≈ r·d_kv / (n_q·(r − d_head)).  ``v_heads``, the
@@ -91,8 +93,9 @@ def attend_latent(q_rope: np.ndarray, latents: np.ndarray, k_factor: np.ndarray,
     if v_heads is None:
         v_heads = v_factor.reshape(rank, n_kv, d_head).transpose(1, 0, 2)  # (n_kv, r, d_head)
     o_cat = None if tq == 1 else np.empty((tq, n_q, d_head), dtype=np.float32)
-    for start, stop, tk, probs in attention_probs(q_rope, keys, config):
-        mixed = probs.reshape(-1, tk) @ latents[:tk]  # (n_q * rows, r), head-major
+    for start, stop, tk, weights, inv in attention_probs(q_rope, keys, config):
+        mixed = weights.reshape(-1, tk) @ latents[:tk]  # (n_q * rows, r), head-major
+        mixed *= inv.reshape(-1, 1)
         heads = np.matmul(mixed.reshape(n_kv, -1, rank), v_heads)  # (n_kv, hpk * rows, d_head)
         if o_cat is None:
             # one row: query head q = kv·hpk + j is already in order
@@ -254,8 +257,9 @@ class LatentSession:
     closes (merge or decode), and its suffix after.  Prefill may run in as
     many calls as wanted until then.  The value path is factored: ``B_v``
     then ``W_o``, see ``attend_latent``.  A subclass that stores other rows
-    (``evaluation.RawKVSession``) overrides ``__init__``, ``group_scores``
-    and ``attend``; the phases, the plan and the merge loop are these.
+    (``evaluation.RawKVSession``) overrides ``__init__``, ``pair_score`` and
+    ``attend``; the phases, the group scores, the plan and the merge loop
+    are these.
     """
 
     def __init__(self, weights: ModelWeights, fact: SharedFactorization):
@@ -291,18 +295,24 @@ class LatentSession:
         return plan
 
     def group_scores(self, variant: str = "shortcut") -> list[float]:
+        """Each group's ``pair_score``: of its first and last layers'
+        prefixes (``"shortcut"``), or its mean over adjacent layers (``"full"``)."""
         if variant not in budget_mod.SCORE_VARIANTS:
             raise InputError(f"unknown score variant {variant!r}")
         scores = []
         for gc in self.store.groups:
             if gc.merged:
                 raise InputError("scores must be computed before merging")
+            prefixes = gc.layer_prefixes
             if variant == "shortcut":
-                scores.append(budget_mod.group_score(gc.layer_prefixes[0],
-                                                     gc.layer_prefixes[-1]))
+                scores.append(self.pair_score(prefixes[0], prefixes[-1]))
             else:
-                scores.append(budget_mod.group_score_full(gc.layer_prefixes))
+                scores.append(budget_mod.group_score_full(prefixes, self.pair_score))
         return scores
+
+    def pair_score(self, first: np.ndarray, second: np.ndarray) -> float:
+        """How alike two member layers' prefix rows are: their mean token cosine."""
+        return budget_mod.group_score(first, second)
 
     def apply_plan(self, plan: budget_mod.BudgetPlan,
                    fisher: budget_mod.FisherWeights | None = None) -> None:

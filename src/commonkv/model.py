@@ -9,10 +9,13 @@ for all of them:
 * RoPE rotates dimension pairs ``(2i, 2i+1)`` inside each head: a pair is
   the complex number ``x_2i + i·x_2i+1`` multiplied by ``cos + i·sin``; the
   per-layer key cache stores keys *after* rotation
-* all tensors are float32; RMS statistics, softmax row sums and loss
-  reductions accumulate in float64 so results are reproducible across BLAS
-  builds, while elementwise work runs in float32: the softmax's max-subtract,
-  exp and normalise (in place on the scores block) and SiLU
+* all tensors are float32; RMS statistics and loss reductions accumulate in
+  float64 so results are reproducible across BLAS builds, while elementwise
+  work runs in float32: the softmax's max-subtract and exp (in place on the
+  scores block) and SiLU.  Softmax row sums are numpy's float32 pairwise sums,
+  not BLAS, and normalisation is deferred: attention multiplies each head's
+  output rows by their float32 reciprocal row sums after the value matmul,
+  never the (rows, Tk) scores block
 * prefill attention works on row blocks whose scores fit in a fixed budget
   (``SCORES_BLOCK_ELEMENTS``), so a long prompt's softmax stays cache-resident;
   a one-row block (a decode step) computes its scores keys-left,
@@ -338,16 +341,20 @@ def apply_rope(vectors: np.ndarray, start: int, table: RopeTable,
     return out
 
 
-def causal_attention_weights(scores: np.ndarray) -> np.ndarray:
-    """Causally masked softmax over the key axis, in place; returns ``scores``.
+def causal_attention_weights(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Causally masked, unnormalised softmax over the key axis, in place.
 
-    ``scores`` is a float32 (..., Tq, Tk) block the caller owns and gives up:
-    it is overwritten with the probabilities.  Key j sits at position j and
-    query row i at Tk - Tq + i, so keys up to the first query are visible to
-    every row and only the (Tq, Tq - 1) tile of later keys is masked; a
-    decode row (Tq = 1) does no mask work.  Max-subtract, exp and the
-    normalising multiply by each row's reciprocal sum run in float32; the
-    row sums accumulate in float64.  Masked entries are exactly 0.
+    ``scores`` is a float32 (..., Tq, Tk) block the caller owns and gives up.
+    Returns ``(weights, inv)``: ``weights`` is ``scores`` itself, overwritten
+    with each row's exponentials after its max-subtract, and ``inv`` the
+    float32 (..., Tq, 1) reciprocal of each row's sum, so the probabilities
+    are ``weights * inv``.  Callers apply ``inv`` to what they compute from the
+    weights (``P @ V = inv * (weights @ V)``), a pass over the (rows, d) output
+    instead of the (rows, Tk) block.  Key j sits at position j and query row i
+    at Tk - Tq + i, so keys up to the first query are visible to every row and
+    only the (Tq, Tq - 1) tile of later keys is masked; a decode row (Tq = 1)
+    does no mask work.  Everything runs in float32; the row sums are numpy's
+    pairwise sums.  Masked entries are exactly 0.
     """
     tq = scores.shape[-2]
     if tq > 1:
@@ -355,9 +362,8 @@ def causal_attention_weights(scores: np.ndarray) -> np.ndarray:
         np.copyto(scores[..., scores.shape[-1] - tq + 1:], -np.inf, where=later)
     scores -= np.maximum.reduce(scores, axis=-1, keepdims=True)
     np.exp(scores, out=scores)
-    sums = np.add.reduce(scores, axis=-1, dtype=np.float64, keepdims=True)
-    scores *= np.divide(1.0, sums, out=sums).astype(np.float32)
-    return scores
+    inv = np.add.reduce(scores, axis=-1, keepdims=True)
+    return scores, np.reciprocal(inv, out=inv)
 
 
 def _row_scores(q_row: np.ndarray, keys_h: np.ndarray) -> np.ndarray:
@@ -376,15 +382,18 @@ def attention_probs(q_rope: np.ndarray, keys: np.ndarray, config: ModelConfig):
     """Causal softmax weights of every query head, one row block at a time.
 
     The Tq queries are the last Tq of the Tk keys' positions.  Returns an
-    iterator of ``(start, stop, tk, probs)`` with probs
-    (n_q_heads, stop - start, tk) over query rows ``start:stop`` and the
-    first ``tk = Tk - Tq + stop`` keys: later keys are masked for every row
-    of the block and are skipped.  All query heads of a KV head share one
+    iterator of ``(start, stop, tk, weights, inv)`` with the unnormalised
+    weights (n_q_heads, stop - start, tk) over query rows ``start:stop`` and
+    the first ``tk = Tk - Tq + stop`` keys (later keys are masked for every
+    row of the block and are skipped), and ``inv`` (n_q_heads, stop - start,
+    1), the reciprocal row sums: the probabilities are ``weights * inv``, and
+    consumers scale their matmul's output by ``inv`` instead (see
+    ``causal_attention_weights``).  All query heads of a KV head share one
     scores matmul.  Blocks hold
     ``max(1, min(Tq // n_q_heads, SCORES_BLOCK_ELEMENTS // (n_q_heads * Tk)))``
     rows: a block's scores never exceed one head's (Tq, Tk), nor the budget
     unless a single row is already larger.  Each block's scores are a fresh
-    array that the softmax overwrites in place.
+    array that the softmax overwrites in place with its weights.
 
     A one-row query (every decode step) is one block over every key,
     iterated from a 1-tuple with no generator frame, and skips the block
@@ -397,7 +406,7 @@ def attention_probs(q_rope: np.ndarray, keys: np.ndarray, config: ModelConfig):
     scale = np.float32(1.0 / math.sqrt(config.d_head))
     q_row = q_rope.reshape(config.n_kv_heads, config.heads_per_kv, config.d_head) * scale
     scores = _row_scores(q_row, keys.transpose(1, 0, 2))
-    return iter(((0, 1, keys.shape[0], causal_attention_weights(scores)),))
+    return iter(((0, 1, keys.shape[0], *causal_attention_weights(scores)),))
 
 
 def _block_probs(q_rope: np.ndarray, keys: np.ndarray, config: ModelConfig):
@@ -417,8 +426,8 @@ def _block_probs(q_rope: np.ndarray, keys: np.ndarray, config: ModelConfig):
         else:
             scores = np.matmul(q_grouped[:, :, start:stop].reshape(n_kv, -1, d_head),
                                keys_h[:, :tk].transpose(0, 2, 1))
-        probs = causal_attention_weights(scores.reshape(n_kv, hpk, stop - start, tk))
-        yield start, stop, tk, probs.reshape(n_q, stop - start, tk)
+        weights, inv = causal_attention_weights(scores.reshape(n_kv, hpk, stop - start, tk))
+        yield start, stop, tk, weights.reshape(n_q, stop - start, tk), inv.reshape(n_q, -1, 1)
 
 
 def silu(z: np.ndarray) -> np.ndarray:
@@ -522,13 +531,16 @@ def attention_block(q_rope: np.ndarray, keys: np.ndarray, values: np.ndarray,
     """Causal GQA attention. q_rope (Tq, n_q, d_head) -> (Tq, d_hidden).
 
     The queries are the last Tq of the keys' positions (see ``attention_probs``).
+    Each block's head outputs, ``weights @ V``, are normalised by its
+    reciprocal row sums.
     """
     tq, n_kv = q_rope.shape[0], config.n_kv_heads
     values_t = values.transpose(1, 0, 2)  # (n_kv, Tk, d_head)
     o_cat = None if tq == 1 else np.empty((tq, config.n_q_heads, config.d_head),
                                           dtype=np.float32)
-    for start, stop, tk, probs in attention_probs(q_rope, keys, config):
-        heads = np.matmul(probs.reshape(n_kv, -1, tk), values_t[:, :tk])
+    for start, stop, tk, weights, inv in attention_probs(q_rope, keys, config):
+        heads = np.matmul(weights.reshape(n_kv, -1, tk), values_t[:, :tk])
+        heads *= inv.reshape(n_kv, -1, 1)  # (n_kv, hpk * rows, d_head)
         if o_cat is None:
             # one row: query head q = kv·hpk + j is already in order
             return heads.reshape(1, config.d_hidden) @ w_o

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from commonkv import evaluation, selfcheck, tensorfile
-from commonkv.cli import main
+from commonkv.cli import build_parser, main
 from commonkv.corpus import markov_byte_corpus
 from commonkv.evaluation import CSV_COLUMNS, _split_point
 from commonkv.latent_cache import LatentSession
@@ -657,6 +657,19 @@ def test_rawkv_group_size_is_the_containers(workdir):
         assert len(json.loads(out.read_text())["plan"]["scores"]) == n_groups, extra
 
 
+
+def test_rawkv_run_reports_the_full_score_variant(workdir):
+    # --score full used to write the same plan, scores included, as the shortcut
+    out = workdir / "run.json"
+    run = ["run", "--model", str(workdir / "model.tnsr"), "--mode", "rawkv_meanmerge",
+           "--ratio", "0.3", "--tokens", "32", "--out", str(out)]
+    plans = []
+    for score in ("shortcut", "full"):
+        assert main([*run, "--score", score]) == 0
+        plans.append(json.loads(out.read_text())["plan"])
+    assert len(plans[1]["scores"]) == 2 and plans[0]["scores"] != plans[1]["scores"]
+
+
 def test_bench_configuration_error_is_not_an_unreachable_ratio(workdir):
     # 8 layers do not split into groups of 3: the sweep must fail, not record
     # every ratio as unreachable
@@ -847,3 +860,46 @@ def test_config_value_is_honoured_as_the_same_flag_typed(workdir, factorized, co
     assert main([command, *args, *flags]) == 0
     assert from_config == _contract_output(workdir, command)
     assert from_config != default
+
+
+# per command: the flags with neither type nor choices, all file paths
+UNTYPED_KEYS = {"transform": ("report",), "fisher": ("corpus",),
+                "profile": ("corpus", "factorized"),
+                "run": ("corpus", "factorized", "fisher_file"),
+                "bench": ("factorized", "fisher_file", "summary")}
+
+
+def test_untyped_config_keys_are_the_path_flags():
+    commands = build_parser()._subparsers._group_actions[0].choices
+    untyped = {name: tuple(sorted(a.dest for a in sub._actions
+                                  if a.option_strings and not a.required
+                                  and a.type is None and a.choices is None
+                                  and a.dest not in ("help", "config", "out")))
+               for name, sub in commands.items()}
+    assert {name: keys for name, keys in untyped.items() if keys} == UNTYPED_KEYS
+
+
+@pytest.mark.parametrize("command, key", [(c, k) for c, keys in sorted(UNTYPED_KEYS.items())
+                                          for k in keys])
+@pytest.mark.parametrize("value", [5, ["a"], True, {"path": "x"}])
+def test_non_string_path_in_config_is_configuration_error(workdir, factorized, capsys,
+                                                           command, key, value):
+    # used to reach Path(...) and end in a TypeError traceback, exit 1
+    config = workdir / "config.json"
+    config.write_text(json.dumps({key: value}))
+    capsys.readouterr()
+    assert main([command, *_contract_args(workdir, command), "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: --config {config}: {key}={value!r} is not a string or null\n"
+
+
+@pytest.mark.parametrize("command, key", [(c, k) for c, keys in sorted(UNTYPED_KEYS.items())
+                                          for k in keys])
+def test_null_path_in_config_leaves_the_flag_unset(workdir, factorized, command, key):
+    config = workdir / "config.json"
+    config.write_text(json.dumps({key: None}))
+    args = _contract_args(workdir, command)
+    assert main([command, *args]) == 0
+    default = _contract_output(workdir, command)
+    assert main([command, *args, "--config", str(config)]) == 0
+    assert _contract_output(workdir, command) == default

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from commonkv import evaluation, latent_cache
-from commonkv.budget import estimate_fisher, stored_elements
+from commonkv.budget import estimate_fisher, group_score, stored_elements
 from commonkv.corpus import markov_byte_corpus
 from commonkv.errors import (CapacityError, ConfigurationError, InputError, NumericError,
                              UnreachableRatioError)
@@ -259,6 +259,38 @@ def test_rawkv_merged_prefix_mutated_in_place_fails_the_audit(toy_weights, probe
     raw.store.groups[gi].shared_prefix[3, 1] += 1.0
     with pytest.raises(NumericError, match=f"group {gi}"):
         raw.cache_element_count()
+
+
+
+def _mean_cosine(a, b):
+    """Float64 mean over tokens of the cosine between two rows."""
+    a, b = a.astype(np.float64), b.astype(np.float64)
+    return float(np.mean(np.sum(a * b, axis=1)
+                         / (np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1))))
+
+
+@pytest.mark.parametrize("group_size", [1, 2, 4])
+def test_rawkv_group_scores_follow_the_score_variant(toy_weights, probe_ids, group_size):
+    # "full" used to return the shortcut's first-against-last scores
+    raw = RawKVSession(toy_weights, group_size)
+    raw.prefill(probe_ids[:32])
+    d_kv = toy_weights.config.d_kv
+
+    def kv_score(a, b):
+        return 0.5 * (_mean_cosine(a[:, :d_kv], b[:, :d_kv])
+                      + _mean_cosine(a[:, d_kv:], b[:, d_kv:]))
+
+    prefixes = [gc.layer_prefixes for gc in raw.store.groups]
+    shortcut, full = raw.group_scores("shortcut"), raw.group_scores("full")
+    # the shortcut is, bit for bit, the mean of first-vs-last key and value scores
+    assert shortcut == [0.5 * (group_score(p[0][:, :d_kv], p[-1][:, :d_kv])
+                               + group_score(p[0][:, d_kv:], p[-1][:, d_kv:]))
+                        for p in prefixes]
+    np.testing.assert_allclose(
+        full, [np.mean([kv_score(a, b) for a, b in zip(p, p[1:])] or [kv_score(p[0], p[0])])
+               for p in prefixes], rtol=0, atol=1e-12)
+    # one adjacent pair per group (or none) leaves nothing for the variants to differ on
+    assert (shortcut != full) == (group_size > 2)
 
 
 # -- bench ---------------------------------------------------------------------

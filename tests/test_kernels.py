@@ -107,9 +107,9 @@ def _record_blocks(monkeypatch, budget: int) -> list[tuple[int, int]]:
     real = model.attention_probs
 
     def recording(*args):
-        for start, stop, tk, probs in real(*args):
-            blocks.append((stop - start, probs.size))
-            yield start, stop, tk, probs
+        for start, stop, tk, weights, inv in real(*args):
+            blocks.append((stop - start, weights.size))
+            yield start, stop, tk, weights, inv
 
     monkeypatch.setattr(model, "SCORES_BLOCK_ELEMENTS", budget)
     monkeypatch.setattr(model, "attention_probs", recording)
@@ -163,9 +163,10 @@ def test_block_rows_at_workload_shapes(tq, tk, n_q, rows):
                       d_head=32, d_mlp=16, max_seq=1024)
     q = np.zeros((tq, n_q, 32), dtype=np.float32)
     keys = np.zeros((tk, 2, 32), dtype=np.float32)
-    start, stop, _, probs = next(attention_probs(q, keys, cfg))
+    start, stop, _, weights, inv = next(attention_probs(q, keys, cfg))
     assert (start, stop) == (0, rows)
-    assert rows == 1 or probs.size <= model.SCORES_BLOCK_ELEMENTS == 2**18
+    assert inv.shape == (n_q, rows, 1)
+    assert rows == 1 or weights.size <= model.SCORES_BLOCK_ELEMENTS == 2**18
 
 
 # -- SiLU and RMSNorm ---------------------------------------------------------------
@@ -222,12 +223,37 @@ def test_causal_softmax_matches_float64_reference(case):
     scores = scores.astype(np.float32)
     expected = reference_causal_softmax(scores, q_pos, k_pos)
     block = scores.copy()
-    probs = causal_attention_weights(block)
-    assert probs is block and probs.dtype == np.float32  # in place, no copy
+    weights, inv = causal_attention_weights(block)
+    assert weights is block and weights.dtype == np.float32  # in place, no copy
+    assert inv.dtype == np.float32 and inv.shape == (*shape[:-1], 1)
+    # unnormalised: each row's largest weight is exp(0), untouched by any multiply
+    assert (weights.max(axis=-1) == 1.0).all()
+    probs = weights * inv
     np.testing.assert_allclose(probs, expected, rtol=0, atol=1e-6)
     masked = np.broadcast_to(k_pos[None, :] > q_pos[:, None], shape)
-    assert not probs[masked].any()
+    assert not weights[masked].any()
     np.testing.assert_allclose(probs.sum(axis=-1, dtype=np.float64), 1.0, rtol=0, atol=1e-6)
+
+
+
+@pytest.mark.parametrize("shape", [(2, 4, 34, 960), (8, 1, 960), (2, 3, 9, 29)])
+def test_causal_softmax_allocates_no_float64_buffer(shape):
+    # the row statistics are float32 and nothing is cast: beyond the (rows, 1)
+    # max and reciprocal sums and the mask tile, only numpy's fixed-size
+    # float32 ufunc buffer (np.getbufsize() elements, whatever Tk is) is
+    # allowed; a float64 row sum would need a cast buffer twice that size
+    block = np.random.default_rng(len(shape)).standard_normal(shape).astype(np.float32)
+    rows = block.size // shape[-1]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        _, inv = causal_attention_weights(block)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert inv.dtype == np.float32
+    assert peak <= 2 * 4 * rows + shape[-2] ** 2 + 4 * np.getbufsize() + 4096
 
 
 # -- RoPE as one complex multiply ------------------------------------------------
@@ -392,4 +418,62 @@ def test_decode_row_matches_per_head_reference(heads_per_kv, tk):
     latents, k_factor, v_factor = rand(tk, RANK), rand(RANK, cfg.d_kv), rand(RANK, cfg.d_kv)
     expected = reference_latent_attention(q, latents, k_factor, v_factor, w_o, cfg.rope_theta)
     out = attend_latent(q, latents, k_factor, v_factor, w_o, build_rope_table(cfg), cfg)
+    np.testing.assert_allclose(out, expected, atol=1e-5)
+
+
+# -- the benchmark's wide shapes against the float64 oracle -------------------------
+
+WIDE = ModelConfig(n_layers=1, d_hidden=256, n_q_heads=8, n_kv_heads=2, d_head=32,
+                   d_mlp=16, max_seq=1024)
+WIDE_LATENT_RANK = 179  # rank fraction 0.7 of 256
+
+
+def _wide_inputs(tq: int, tk: int, seed: int) -> dict:
+    rng = np.random.default_rng(seed)
+
+    def rand(*shape, scale=0.5):
+        return (rng.standard_normal(shape) * scale).astype(np.float32)
+
+    return {"q": rand(tq, WIDE.n_q_heads, WIDE.d_head, scale=1.0),
+            "keys": rand(tk, WIDE.n_kv_heads, WIDE.d_head, scale=1.0),
+            "values": rand(tk, WIDE.n_kv_heads, WIDE.d_head),
+            "w_o": rand(WIDE.d_hidden, WIDE.d_hidden, scale=WIDE.d_hidden ** -0.5),
+            "latents": rand(tk, WIDE_LATENT_RANK),
+            "k_factor": rand(WIDE_LATENT_RANK, WIDE.d_kv, scale=0.1),
+            "v_factor": rand(WIDE_LATENT_RANK, WIDE.d_kv, scale=0.1)}
+
+
+def test_wide_prefill_attention_block_matches_reference(monkeypatch):
+    # a 960-token prompt at the wide shape: 34-row blocks, the last one short
+    blocks = _record_blocks(monkeypatch, model.SCORES_BLOCK_ELEMENTS)
+    x = _wide_inputs(960, 960, 960)
+    out = attention_block(x["q"], x["keys"], x["values"], x["w_o"], WIDE)
+    expected = reference_attention(x["q"], x["keys"], x["values"], x["w_o"])
+    np.testing.assert_allclose(out, expected, atol=1e-5)
+    assert [r for r, _ in blocks] == [34] * 28 + [8]
+
+
+def test_wide_prefill_restore_order_matches_reference(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return attention_block(*args)
+
+    monkeypatch.setattr(latent_cache, "attention_block", counted)
+    x = _wide_inputs(960, 960, 961)
+    factors = (x["latents"], x["k_factor"], x["v_factor"], x["w_o"])
+    out = attend_latent(x["q"], *factors, build_rope_table(WIDE), WIDE)
+    assert len(calls) == 1  # the restore-values order
+    expected = reference_latent_attention(x["q"], *factors, WIDE.rope_theta)
+    np.testing.assert_allclose(out, expected, atol=1e-5)
+
+
+def test_wide_decode_row_mix_order_matches_reference(monkeypatch):
+    # the last decode row of the wide-prefill workload: Tk = 960 + 32
+    monkeypatch.setattr(latent_cache, "attention_block", None)  # the mix order never calls it
+    x = _wide_inputs(1, 992, 992)
+    factors = (x["latents"], x["k_factor"], x["v_factor"], x["w_o"])
+    out = attend_latent(x["q"], *factors, build_rope_table(WIDE), WIDE)
+    expected = reference_latent_attention(x["q"], *factors, WIDE.rope_theta)
     np.testing.assert_allclose(out, expected, atol=1e-5)
