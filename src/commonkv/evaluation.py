@@ -37,8 +37,8 @@ from .corpus import markov_byte_corpus
 from .errors import CapacityError, ConfigurationError, InputError, UnreachableRatioError
 from .factorization import GroupLayout, SharedFactorization, build_factorization
 from .latent_cache import LatentCacheStore, LatentSession, baseline_elements, compute_latent
-from .model import (BaselineSession, LayerWeights, ModelConfig, ModelWeights, RopeTable,
-                    apply_rope, attention_block, mlp_block, nll_from_logits, project_kv,
+from .model import (BaselineSession, KVCache, LayerWeights, ModelConfig, ModelWeights,
+                    RopeTable, attention_block, decoder_layer, nll_from_logits, project_kv,
                     rms_norm, _check_tokens)
 
 MODES = ("baseline", "commonkv", "lowrank_perlayer", "rawkv_meanmerge")
@@ -64,21 +64,19 @@ class SimilarityReport:
 
 def _collect_layer_states(weights: ModelWeights, ids: np.ndarray,
                           fact: SharedFactorization | None):
-    """Prefill once, returning per-layer hidden/key/value (and latent) stacks."""
-    cfg = weights.config
-    hiddens, keys, values, latents = [], [], [], []
+    """Prefill once over a full-KV cache, returning per-layer hidden/key/value
+    (and latent) stacks; a layer's hidden stack is its input residual stream."""
+    cache = KVCache(weights.config)
+    rows = range(ids.size)
+    hiddens, latents = [], []
     x = weights.embed[ids]
     for li, lw in enumerate(weights.layers):
         hiddens.append(x.copy())
-        xn = rms_norm(x, lw.attn_gain)
-        q = apply_rope((xn @ lw.w_q).reshape(-1, cfg.n_q_heads, cfg.d_head), 0, weights.rope)
-        k, v = project_kv(xn, lw, 0, weights.rope, cfg)
-        keys.append(k.reshape(ids.size, -1))
-        values.append(v.reshape(ids.size, -1))
         if fact is not None:
-            latents.append(compute_latent(xn, fact.shared_for_layer(li)))
-        x = x + attention_block(q, k, v, lw.w_o, cfg)
-        x = x + mlp_block(rms_norm(x, lw.mlp_gain), lw)
+            latents.append(compute_latent(rms_norm(x, lw.attn_gain), fact.shared_for_layer(li)))
+        decoder_layer(x, li, lw, cache, rows, weights.rope, weights.config)
+    keys = [lk.keys.reshape(ids.size, -1) for lk in cache.layers]
+    values = [lk.values.reshape(ids.size, -1) for lk in cache.layers]
     return hiddens, keys, values, latents
 
 
@@ -93,6 +91,9 @@ def profile_similarity(weights: ModelWeights, probe_ids,
     ids = _check_tokens(cfg, probe_ids)
     if ids.size == 0:
         raise InputError("probe corpus is empty")
+    if cfg.n_layers < 2:
+        raise InputError(f"profiling compares adjacent layers; a {cfg.n_layers}-layer "
+                         "model has none")
     if ids.size > cfg.max_seq:  # before any layer runs
         raise CapacityError(f"sequence of {ids.size} exceeds max_seq={cfg.max_seq}")
     hiddens, keys, values, latents = _collect_layer_states(weights, ids, fact)

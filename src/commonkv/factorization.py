@@ -4,9 +4,11 @@ For each group of ``m`` consecutive layers the K/V projection matrices are
 concatenated column-wise, factorized once by truncated SVD, and split into a
 shared left factor ``A`` (hidden -> latent) plus per-layer right factors
 ``B_k`` / ``B_v`` (latent -> keys / values).  The runtime value path applies
-``B_v`` and then the layer's output projection ``W_o``.  Each layer's value
-factor is also fused with ``W_o`` per query head (``M_q``) and stored in the
-container; no session reads those matrices.
+``B_v`` and then the layer's output projection ``W_o``; a loaded
+``SharedFactorization`` holds only ``A``, ``B_k`` and ``B_v``.  The container
+also carries two products that ``transform_model`` alone makes and no loader
+reads: each layer's ``B_v`` fused with ``W_o`` per query head (``M_q``) and
+the per-layer reconstruction errors.
 
 The truncated SVD is read off the eigendecomposition of the Gram matrix
 ``W W^T = U S^2 U^T`` (``d_hidden x d_hidden``), in float64.  With the top
@@ -148,19 +150,14 @@ def fuse_value_output(b_v: np.ndarray, w_o: np.ndarray, config: ModelConfig) -> 
 
 @dataclass
 class SharedFactorization:
-    """Shared/per-layer factors for one model, plus reconstruction report."""
+    """Shared and per-layer factors for one model: what a session reads."""
 
     config: ModelConfig
     layout: GroupLayout
     rank: int
-    rank_fraction: float
     shared: list[np.ndarray]            # per group: (d_hidden, r)
     k_factors: list[np.ndarray]         # per layer: (r, d_kv)
     v_factors: list[np.ndarray]         # per layer: (r, d_kv)
-    fused_out: list[np.ndarray]         # per layer: (n_q_heads, r, d_hidden)
-    # "layers.{l}.k" / ".v" -> rel Frobenius; built by build_factorization for the
-    # transform report, not read back from a container
-    recon_errors: dict[str, float] = field(default_factory=dict)
     # per layer, B_v viewed per KV head, (n_kv_heads, r, d_head): views, made
     # with the factors so that no session step or session rebuilds them
     v_heads: list[np.ndarray] = field(init=False, repr=False, compare=False)
@@ -205,53 +202,28 @@ def _rel_frobenius(approx: np.ndarray, exact: np.ndarray) -> float:
 def build_factorization(weights: ModelWeights, group_size: int,
                         rank_fraction: float | None = None,
                         rank: int | None = None) -> SharedFactorization:
+    """The shared and per-layer factors at ``rank_fraction`` or at ``rank``."""
     cfg = weights.config
     layout = GroupLayout.for_model(cfg.n_layers, group_size)
     if (rank is None) == (rank_fraction is None):
         raise ConfigurationError("pass exactly one of rank_fraction / rank")
     if rank is None:
         rank = clamp_rank(rank_fraction, cfg, group_size)
-    else:
-        if not 1 <= rank <= min(cfg.d_hidden, 2 * group_size * cfg.d_kv):
-            raise ConfigurationError(f"rank {rank} out of range")
-        rank_fraction = rank / cfg.d_hidden
+    elif not 1 <= rank <= min(cfg.d_hidden, 2 * group_size * cfg.d_kv):
+        raise ConfigurationError(f"rank {rank} out of range")
 
     shared: list[np.ndarray] = []
     k_factors: list[np.ndarray | None] = [None] * cfg.n_layers
     v_factors: list[np.ndarray | None] = [None] * cfg.n_layers
-    fused: list[np.ndarray | None] = [None] * cfg.n_layers
-    errors: dict[str, float] = {}
-
     for gi in range(layout.n_groups):
         members = layout.layers_of(gi)
-        w_g = concat_group_weights(weights, members)
-        a, r = factorize_group(w_g, rank)
-        a32 = a.astype(np.float32)
-        shared.append(a32)
+        a, r = factorize_group(concat_group_weights(weights, members), rank)
+        shared.append(a.astype(np.float32))
         for layer, (b_k, b_v) in split_right_factor(r, members, cfg.d_kv).items():
-            bk32 = b_k.astype(np.float32)
-            bv32 = b_v.astype(np.float32)
-            k_factors[layer] = bk32
-            v_factors[layer] = bv32
-            fused[layer] = fuse_value_output(bv32, weights.layers[layer].w_o, cfg)
-            errors[f"layers.{layer}.k"] = _rel_frobenius(a32 @ bk32, weights.layers[layer].w_k)
-            errors[f"layers.{layer}.v"] = _rel_frobenius(a32 @ bv32, weights.layers[layer].w_v)
-
-    return SharedFactorization(
-        config=cfg, layout=layout, rank=rank, rank_fraction=rank_fraction,
-        shared=shared, k_factors=k_factors, v_factors=v_factors,
-        fused_out=fused, recon_errors=errors)
-
-
-def factorization_tensors(fact: SharedFactorization) -> dict[str, np.ndarray]:
-    out = {}
-    for gi, a in enumerate(fact.shared):
-        out[f"groups.{gi}.shared"] = a
-    for l in range(fact.config.n_layers):
-        out[f"layers.{l}.k_factor"] = fact.k_factors[l]
-        out[f"layers.{l}.v_factor"] = fact.v_factors[l]
-        out[f"layers.{l}.fused_out"] = fact.fused_out[l]
-    return out
+            k_factors[layer] = b_k.astype(np.float32)
+            v_factors[layer] = b_v.astype(np.float32)
+    return SharedFactorization(config=cfg, layout=layout, rank=rank, shared=shared,
+                               k_factors=k_factors, v_factors=v_factors)
 
 
 def transform_model(weights: ModelWeights, group_size: int, rank_fraction: float
@@ -263,27 +235,41 @@ def transform_model(weights: ModelWeights, group_size: int, rank_fraction: float
 
     The container keeps every original weight (``W_o`` is the runtime output
     projection of the value path) alongside the factor tensors and the fused
-    per-head matrices ``M_q``, which no session reads.
+    per-head matrices ``M_q`` (``layers.{l}.fused_out``); the manifest
+    carries each layer's relative Frobenius reconstruction errors.
     """
+    cfg = weights.config
     fact = build_factorization(weights, group_size, rank_fraction)
     tensors = dict(weights.named_tensors())
-    tensors.update(factorization_tensors(fact))
+    tensors.update((f"groups.{gi}.shared", a) for gi, a in enumerate(fact.shared))
+    errors = {}
+    for l, lw in enumerate(weights.layers):
+        a, b_k, b_v = fact.shared_for_layer(l), fact.k_factors[l], fact.v_factors[l]
+        tensors[f"layers.{l}.k_factor"] = b_k
+        tensors[f"layers.{l}.v_factor"] = b_v
+        tensors[f"layers.{l}.fused_out"] = fuse_value_output(b_v, lw.w_o, cfg)
+        errors[f"layers.{l}.k"] = _rel_frobenius(a @ b_k, lw.w_k)
+        errors[f"layers.{l}.v"] = _rel_frobenius(a @ b_v, lw.w_v)
     manifest = {
         "kind": "factorized_model",
-        "config": weights.config.to_dict(),
+        "config": cfg.to_dict(),
         "seed": weights.seed,
         "group_size": group_size,
         "rank": fact.rank,
         "rank_fraction": rank_fraction,
         "groups": [list(g) for g in fact.layout.groups],
-        "recon_errors": {k: fact.recon_errors[k] for k in sorted(fact.recon_errors)},
+        "recon_errors": {k: errors[k] for k in sorted(errors)},
     }
     blob = tensorfile.serialize(tensors, meta=manifest)
-    return blob, dict(manifest, warnings=rank_warnings(fact.rank, weights.config))
+    return blob, dict(manifest, warnings=rank_warnings(fact.rank, cfg))
 
 
 def load_factorized(blob_or_path) -> tuple[ModelWeights, SharedFactorization]:
-    """Load a factorized container (path or bytes) back into runtime objects."""
+    """Load a factorized container (path or bytes) back into runtime objects.
+
+    Reads the base weights, the factors, and the manifest's ``config``,
+    ``group_size``, ``groups`` and ``rank``; nothing else.
+    """
     if isinstance(blob_or_path, (bytes, bytearray)):
         tensors, meta = tensorfile.deserialize(bytes(blob_or_path))
     else:
@@ -291,8 +277,8 @@ def load_factorized(blob_or_path) -> tuple[ModelWeights, SharedFactorization]:
     if meta.get("kind") != "factorized_model":
         raise ConfigurationError("container is not a factorized model")
     cfg = config_from_manifest(meta)
-    group_size, groups, rank, rank_fraction = tensorfile.take(
-        meta, ("group_size", "groups", "rank", "rank_fraction"), "factorized manifest")
+    group_size, groups, rank = tensorfile.take(
+        meta, ("group_size", "groups", "rank"), "factorized manifest")
     for name, value in (("group_size", group_size), ("rank", rank)):
         if not isinstance(value, int) or isinstance(value, bool):
             raise InputError(f"factorized manifest {name!r} is not an integer: {value!r}")
@@ -315,10 +301,8 @@ def load_factorized(blob_or_path) -> tuple[ModelWeights, SharedFactorization]:
         return arrays
 
     fact = SharedFactorization(
-        config=cfg, layout=layout, rank=rank, rank_fraction=rank_fraction,
+        config=cfg, layout=layout, rank=rank,
         shared=take("groups.{}.shared", layout.n_groups, (cfg.d_hidden, rank)),
         k_factors=take("layers.{}.k_factor", cfg.n_layers, (rank, cfg.d_kv)),
-        v_factors=take("layers.{}.v_factor", cfg.n_layers, (rank, cfg.d_kv)),
-        fused_out=take("layers.{}.fused_out", cfg.n_layers,
-                       (cfg.n_q_heads, rank, cfg.d_hidden)))
+        v_factors=take("layers.{}.v_factor", cfg.n_layers, (rank, cfg.d_kv)))
     return weights, fact

@@ -1,8 +1,9 @@
 """Deterministic toy GQA decoder with byte vocabulary and full-KV baseline.
 
-``forward`` is the one decoder layer loop: every session (full-KV, latent,
-raw-KV merge) runs it over its own KV store, so the conventions below hold
-for all of them:
+``decoder_layer`` is the one float32 layer body and ``forward`` the one
+layer loop: every session (full-KV, latent, raw-KV merge) runs it over its
+own KV store, and the similarity profiler runs the same body layer by layer
+over a full-KV cache, so the conventions below hold for all of them:
 
 * hidden states are row vectors, projections are ``x @ W``
 * query head ``q`` reads KV head ``q // (n_q_heads // n_kv_heads)``
@@ -548,6 +549,20 @@ def attention_block(q_rope: np.ndarray, keys: np.ndarray, values: np.ndarray,
     return o_cat.reshape(tq, config.d_hidden) @ w_o
 
 
+def decoder_layer(x: np.ndarray, layer: int, lw: LayerWeights, store, rows: range,
+                  rope: RopeTable, config: ModelConfig) -> None:
+    """One layer over the residual rows ``x`` at positions ``rows``, in place.
+
+    Norm, query projection and its RoPE, ``store.attend`` (see ``forward``)
+    and the MLP; both blocks are added to ``x``.
+    """
+    xn = rms_norm(x, lw.attn_gain)
+    q = (xn @ lw.w_q).reshape(len(rows), config.n_q_heads, config.d_head)
+    apply_rope(q, rows.start, rope, out=q)
+    x += store.attend(layer, lw, xn, q, rows, rope)
+    x += mlp_block(rms_norm(x, lw.mlp_gain), lw)
+
+
 def forward(weights: ModelWeights, token_ids, store) -> np.ndarray:
     """Run the decoder layers over new tokens through a KV store; returns logits.
 
@@ -558,8 +573,8 @@ def forward(weights: ModelWeights, token_ids, store) -> np.ndarray:
     its normed rows ``xn``, then return the ``lw.w_o``-projected causal
     attention (Tq, d_hidden) of the rotated queries ``q`` over every row the
     layer sees, at positions ``0..rows.stop-1``; ``rope`` is the model's own
-    table, ``weights.rope``.  Layers
-    run in order; layer 0's call records ``rows`` in the store's positions.
+    table, ``weights.rope``.  Layers (``decoder_layer``) run in order; layer
+    0's call records ``rows`` in the store's positions.
     Tokens (at least one) and ``max_seq`` are checked first, so a rejected
     call leaves the store as it was.
     """
@@ -571,16 +586,9 @@ def forward(weights: ModelWeights, token_ids, store) -> np.ndarray:
     if start + ids.size > cfg.max_seq:
         raise CapacityError(f"sequence of {start + ids.size} exceeds max_seq={cfg.max_seq}")
     rows = range(start, start + ids.size)
-
-    rope = weights.rope
-    q_shape = (ids.size, cfg.n_q_heads, cfg.d_head)
     x = weights.embed[ids]
     for li, lw in enumerate(weights.layers):
-        xn = rms_norm(x, lw.attn_gain)
-        q = (xn @ lw.w_q).reshape(q_shape)
-        apply_rope(q, start, rope, out=q)
-        x += store.attend(li, lw, xn, q, rows, rope)
-        x += mlp_block(rms_norm(x, lw.mlp_gain), lw)
+        decoder_layer(x, li, lw, store, rows, weights.rope, cfg)
     return rms_norm(x, weights.final_gain) @ weights.lm_head
 
 

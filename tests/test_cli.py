@@ -243,6 +243,22 @@ def test_profile_refuses_a_probe_past_max_seq_before_any_layer(workdir, capsys, 
     assert not out.exists()
 
 
+def test_profile_of_a_one_layer_model_is_input_error_before_any_layer(tmp_path, capsys,
+                                                                      monkeypatch):
+    # used to end in an IndexError traceback: one layer has no adjacent pair
+    def no_layer_may_run(*args, **kwargs):
+        raise AssertionError("a layer ran")
+
+    model, out = tmp_path / "m.tnsr", tmp_path / "p.json"
+    assert main(["gen-toy", "--out", str(model), "--layers", "1"]) == 0
+    monkeypatch.setattr(evaluation, "decoder_layer", no_layer_may_run)
+    capsys.readouterr()
+    assert main(["profile", "--model", str(model), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == ("error: profiling compares adjacent layers; "
+                                       "a 1-layer model has none\n")
+    assert not out.exists()
+
+
 def test_missing_model_is_io_error(tmp_path):
     code = main(["transform", "--model", str(tmp_path / "nope.tnsr"),
                  "--out", str(tmp_path / "x.tnsr")])
@@ -539,7 +555,7 @@ def test_base_container_without_tensors_is_input_error(workdir):
     assert code == 3
 
 
-@pytest.mark.parametrize("field", ["config", "group_size", "groups", "rank", "rank_fraction"])
+@pytest.mark.parametrize("field", ["config", "group_size", "groups", "rank"])
 def test_factorized_manifest_missing_field_is_input_error(workdir, factorized, field):
     tensors, meta = tensorfile.load(factorized)
     del meta[field]
@@ -548,7 +564,7 @@ def test_factorized_manifest_missing_field_is_input_error(workdir, factorized, f
 
 
 @pytest.mark.parametrize("tensor", ["layers.0.attn_gain", "groups.1.shared",
-                                    "layers.5.v_factor", "layers.7.fused_out"])
+                                    "layers.5.v_factor"])
 def test_factorized_container_missing_tensor_is_input_error(workdir, factorized, tensor):
     tensors, meta = tensorfile.load(factorized)
     del tensors[tensor]
@@ -557,7 +573,7 @@ def test_factorized_container_missing_tensor_is_input_error(workdir, factorized,
 
 
 @pytest.mark.parametrize("tensor", ["groups.0.shared", "layers.2.k_factor",
-                                    "layers.5.v_factor", "layers.7.fused_out"])
+                                    "layers.5.v_factor"])
 def test_factorized_tensor_of_wrong_shape_is_input_error(workdir, factorized, tensor, capsys):
     tensors, meta = tensorfile.load(factorized)
     tensors[tensor] = np.ones((3, 3), dtype=np.float32)
@@ -783,6 +799,23 @@ def test_factorized_manifest_recon_errors_are_not_read(workdir, factorized, reco
     assert _run_commonkv(workdir, factorized, "--generate", "2", "--out", str(clean)) == 0
     tensors, meta = tensorfile.load(factorized)
     tensorfile.save(factorized, tensors, meta=dict(meta, recon_errors=recon_errors))
+    assert _run_commonkv(workdir, factorized, "--generate", "2", "--out", str(out)) == 0
+    assert out.read_bytes() == clean.read_bytes()
+
+
+@pytest.mark.parametrize("change", [
+    lambda tensors, meta: meta.pop("rank_fraction"),
+    lambda tensors, meta: tensors.pop("layers.7.fused_out"),
+    lambda tensors, meta: tensors.update({"layers.7.fused_out": np.ones((3, 3), np.float32)}),
+], ids=["rank_fraction_missing", "fused_out_missing", "fused_out_wrong_shape"])
+def test_factorized_transform_products_are_not_read(workdir, factorized, change):
+    # a session reads only the factors; the rank fraction and the fused M_q
+    # matrices used to be required and shape-checked by the loader
+    clean, out = workdir / "clean.json", workdir / "run.json"
+    assert _run_commonkv(workdir, factorized, "--generate", "2", "--out", str(clean)) == 0
+    tensors, meta = tensorfile.load(factorized)
+    change(tensors, meta)
+    tensorfile.save(factorized, tensors, meta=meta)
     assert _run_commonkv(workdir, factorized, "--generate", "2", "--out", str(out)) == 0
     assert out.read_bytes() == clean.read_bytes()
 

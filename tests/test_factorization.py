@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from commonkv import tensorfile
 from commonkv.errors import ConfigurationError, NumericError
 from commonkv.factorization import (GroupLayout, build_factorization, clamp_rank,
                                     concat_group_weights, factorize_group,
@@ -186,9 +187,10 @@ def test_non_finite_group_weights_raise_numeric_error(bad):
 
 # -- fusion ----------------------------------------------------------------------
 
-def test_fused_matches_unfused_attention_output(fact07):
+def test_fused_matches_unfused_attention_output(fact07, toy_weights):
     weights, fact, _ = fact07
     cfg = weights.config
+    tensors, _ = tensorfile.deserialize(transform_model(toy_weights, 4, 0.7)[0])
     rng = np.random.default_rng(9)
     latents = rng.standard_normal((12, fact.rank)).astype(np.float32)
     probs = rng.random((cfg.n_q_heads, 5, 12)).astype(np.float32)
@@ -201,7 +203,7 @@ def test_fused_matches_unfused_attention_output(fact07):
             [probs[q] @ values[:, cfg.kv_head_of(q), :] for q in range(cfg.n_q_heads)],
             axis=-1)
         unfused = o_cat @ w_o
-        fused = sum((probs[q] @ latents) @ fact.fused_out[layer][q]
+        fused = sum((probs[q] @ latents) @ tensors[f"layers.{layer}.fused_out"][q]
                     for q in range(cfg.n_q_heads))
         assert np.abs(fused - unfused).max() < 1e-5
 

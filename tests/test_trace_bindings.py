@@ -2,8 +2,9 @@
 
 ``perfbench`` wraps functions at their module bindings and checks per-step
 call counts, so a refactor that bypasses a binding, calls ``apply_rope`` a
-different number of times, or passes ``restore_keys`` its latents and key
-factor by keyword breaks the traced benchmark.  These tests fail first.
+different number of times, passes ``restore_keys`` its latents and key
+factor by keyword, or drops a required set-up span breaks the traced
+benchmark.  These tests fail first.
 """
 
 import sys
@@ -11,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from commonkv import latent_cache, model
+from commonkv import factorization, latent_cache, model, tensorfile
 from commonkv.latent_cache import LatentSession
 from commonkv.model import BaselineSession
 
@@ -20,13 +21,16 @@ TRACED = {
     "mlp_block": model, "compute_latent": latent_cache, "restore_keys": latent_cache,
     "attend_latent": latent_cache,
 }
+# the benchmark's required set-up spans below transform_model and load_factorized
+SETUP_TRACED = {
+    "factorize_group": factorization, "fuse_value_output": factorization,
+    "serialize": tensorfile, "deserialize": tensorfile,
+}
 
 
-@pytest.fixture()
-def calls(monkeypatch):
-    """Record the positional args of every call, at every commonkv binding."""
-    log = {name: [] for name in TRACED}
-    for name, home in TRACED.items():
+def _record(monkeypatch, traced: dict) -> dict:
+    log = {name: [] for name in traced}
+    for name, home in traced.items():
         original = getattr(home, name)
 
         def wrapper(*args, _name=name, _original=original, **kwargs):
@@ -37,6 +41,12 @@ def calls(monkeypatch):
             if modname.startswith("commonkv") and vars(mod).get(name) is original:
                 monkeypatch.setattr(mod, name, wrapper)
     return log
+
+
+@pytest.fixture()
+def calls(monkeypatch):
+    """Record the positional args of every call, at every commonkv binding."""
+    return _record(monkeypatch, TRACED)
 
 
 def _are(expected: list, got: list) -> bool:
@@ -93,3 +103,14 @@ def test_commonkv_restores_values_in_prefill_only(fact07, probe_ids, calls):
     assert len(calls["attention_block"]) == 0
     assert len(calls["restore_keys"]) == n_layers
     assert len(calls["apply_rope"]) == 2 * n_layers
+
+
+def test_transform_and_load_call_every_setup_span(toy_weights, monkeypatch):
+    # each of these is a required span of the traced benchmark's set-up; M_q is
+    # fused once per layer although no session reads it
+    log = _record(monkeypatch, SETUP_TRACED)
+    blob, _ = factorization.transform_model(toy_weights, 4, 0.7)
+    factorization.load_factorized(blob)
+    assert {name: len(args) for name, args in log.items()} == {
+        "factorize_group": 2, "fuse_value_output": toy_weights.config.n_layers,
+        "serialize": 1, "deserialize": 1}
