@@ -31,10 +31,19 @@ SCORE_VARIANTS = ("shortcut", "full")  # ``group_score`` / ``group_score_full``
 # ---------------------------------------------------------------------------
 
 def _token_cosines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    x = a.astype(np.float64)
-    y = b.astype(np.float64)
-    dots = np.sum(x * y, axis=-1)
-    norms = np.linalg.norm(x, axis=-1) * np.linalg.norm(y, axis=-1)
+    """Each row's cosine, in float64 with one (rows, d) float64 scratch array.
+
+    The products are formed in place in that array and each row sum is the
+    one ``np.sum(x * y, axis=-1)`` and ``np.linalg.norm(x, axis=-1)`` take.
+    """
+    work = a.astype(np.float64)
+    work *= b
+    dots = np.sum(work, axis=-1)
+    norms = 1.0
+    for rows in (a, b):
+        np.copyto(work, rows)
+        work *= work
+        norms = norms * np.sqrt(np.sum(work, axis=-1))
     out = np.zeros_like(dots)
     ok = norms > 0.0
     out[ok] = dots[ok] / norms[ok]

@@ -268,7 +268,9 @@ def load_factorized(blob_or_path) -> tuple[ModelWeights, SharedFactorization]:
     """Load a factorized container (path or bytes) back into runtime objects.
 
     Reads the base weights, the factors, and the manifest's ``config``,
-    ``group_size``, ``groups`` and ``rank``; nothing else.
+    ``group_size``, ``groups`` and ``rank``; nothing else.  Every tensor
+    entry is checked, but only the tensors kept are copied out of the
+    container bytes.
     """
     if isinstance(blob_or_path, (bytes, bytearray)):
         tensors, meta = tensorfile.deserialize(bytes(blob_or_path))
@@ -298,7 +300,7 @@ def load_factorized(blob_or_path) -> tuple[ModelWeights, SharedFactorization]:
             if arr.shape != shape:
                 raise InputError(f"{name}: expected shape {shape} for rank {rank}, "
                                  f"got {arr.shape}")
-        return arrays
+        return [arr.copy() for arr in arrays]
 
     fact = SharedFactorization(
         config=cfg, layout=layout, rank=rank,

@@ -101,6 +101,7 @@ def attend_latent(q_rope: np.ndarray, latents: np.ndarray, k_factor: np.ndarray,
             # one row: query head q = kv·hpk + j is already in order
             return heads.reshape(1, config.d_hidden) @ w_o
         o_cat[start:stop] = heads.reshape(n_q, stop - start, d_head).transpose(1, 0, 2)
+        del weights, inv, mixed, heads  # before the next block's scores
     return o_cat.reshape(tq, config.d_hidden) @ w_o
 
 
@@ -218,10 +219,14 @@ class LatentCacheStore:
     def visible_latents(self, layer: int) -> np.ndarray:
         """The rows this layer may attend to, at positions 0..T-1.
 
-        Prefix, sealed chunks and tail are joined by one concatenation.
+        Prefix, sealed chunks and tail are joined by one concatenation; with
+        no suffix rows yet (every prefill call) it is the stored prefix
+        itself, which the caller only reads.
         """
-        return np.concatenate([self.prefix_for_layer(layer), *self._suffix_parts(layer)],
-                              axis=0)
+        prefix = self.prefix_for_layer(layer)
+        if not self._chunks[layer] and not len(self._tails[layer]):
+            return prefix
+        return np.concatenate([prefix, *self._suffix_parts(layer)], axis=0)
 
     def merge_group(self, gi: int, merged: np.ndarray) -> None:
         gc = self.groups[gi]

@@ -31,6 +31,12 @@ over a full-KV cache, so the conventions below hold for all of them:
   Tq queries are the last Tq of them.  No kernel takes a position array; a
   store records its positions once per step, at layer 0, as one int64
   ``arange``
+* a transient lives only while it is read: prefill holds one scores block
+  at a time (``_block_probs`` and the loops over it drop each block before
+  the next one's scores are allocated, and each block scales and groups its
+  own query rows), the MLP applies SiLU in place over one block of at most
+  ``SCORES_BLOCK_ELEMENTS`` activations at a time, and the layer body drops
+  ``xn`` and ``q`` before the MLP
 * a single row (a decode step) takes one-row paths: ``rms_norm`` keeps its
   statistics in Python floats; ``attention_probs`` skips the row-block
   machinery, its generator (the one block comes from a 1-tuple) and all mask
@@ -221,9 +227,9 @@ def gen_toy_model(config: ModelConfig, seed: int) -> ModelWeights:
 
 def weights_from_tensors(config: ModelConfig, tensors: dict[str, np.ndarray],
                          seed: int | None = None) -> ModelWeights:
-    """Base weights from container tensors; a missing tensor raises InputError."""
+    """Base weights copied from container tensors; a missing tensor raises InputError."""
     def take(names):
-        return tensorfile.take(tensors, names, "model container")
+        return [arr.copy() for arr in tensorfile.take(tensors, names, "model container")]
 
     layers = []
     for i in range(config.n_layers):
@@ -411,24 +417,30 @@ def attention_probs(q_rope: np.ndarray, keys: np.ndarray, config: ModelConfig):
 
 
 def _block_probs(q_rope: np.ndarray, keys: np.ndarray, config: ModelConfig):
-    """``attention_probs`` over several query rows, a generator of row blocks."""
+    """``attention_probs`` over several query rows, a generator of row blocks.
+
+    Each block scales and groups its own query rows, and the generator drops
+    its scores after the yield: a consumer that also drops its references
+    before asking for the next block keeps one scores block alive.
+    """
     n_q, n_kv, hpk = config.n_q_heads, config.n_kv_heads, config.heads_per_kv
     d_head, tq = config.d_head, q_rope.shape[0]
     scale = np.float32(1.0 / math.sqrt(d_head))
     keys_h = keys.transpose(1, 0, 2)  # (n_kv, Tk, d_head)
-    # query head q sits at [q // heads_per_kv, q % heads_per_kv]
-    q_grouped = (q_rope * scale).transpose(1, 0, 2).reshape(n_kv, hpk, tq, d_head)
     block = max(1, min(tq // n_q, SCORES_BLOCK_ELEMENTS // (n_q * keys.shape[0])))
     for start in range(0, tq, block):
         stop = min(start + block, tq)
         tk = keys.shape[0] - tq + stop
+        # query head q sits at [q // heads_per_kv, q % heads_per_kv]
+        q_rows = (q_rope[start:stop] * scale).transpose(1, 0, 2)  # (n_q, rows, d_head)
         if stop - start == 1:
-            scores = _row_scores(q_grouped[:, :, start], keys_h[:, :tk])
+            scores = _row_scores(q_rows.reshape(n_kv, hpk, d_head), keys_h[:, :tk])
         else:
-            scores = np.matmul(q_grouped[:, :, start:stop].reshape(n_kv, -1, d_head),
+            scores = np.matmul(q_rows.reshape(n_kv, -1, d_head),
                                keys_h[:, :tk].transpose(0, 2, 1))
         weights, inv = causal_attention_weights(scores.reshape(n_kv, hpk, stop - start, tk))
         yield start, stop, tk, weights.reshape(n_q, stop - start, tk), inv.reshape(n_q, -1, 1)
+        del scores, weights, inv
 
 
 def silu(z: np.ndarray) -> np.ndarray:
@@ -446,7 +458,17 @@ def silu(z: np.ndarray) -> np.ndarray:
 
 
 def mlp_block(x_normed: np.ndarray, lw: LayerWeights) -> np.ndarray:
-    return silu(x_normed @ lw.w_in) @ lw.w_out
+    """``silu(x_normed @ w_in) @ w_out``.  Over several rows, SiLU overwrites
+    the ``(rows, d_mlp)`` activations in place, one block of at most
+    ``SCORES_BLOCK_ELEMENTS`` of them at a time."""
+    z = x_normed @ lw.w_in
+    if len(z) == 1:
+        return silu(z) @ lw.w_out
+    block = max(1, SCORES_BLOCK_ELEMENTS // z.shape[1])
+    for start in range(0, len(z), block):
+        part = z[start:start + block]
+        part[...] = silu(part)
+    return z @ lw.w_out
 
 
 # ---------------------------------------------------------------------------
@@ -546,6 +568,7 @@ def attention_block(q_rope: np.ndarray, keys: np.ndarray, values: np.ndarray,
             # one row: query head q = kv·hpk + j is already in order
             return heads.reshape(1, config.d_hidden) @ w_o
         o_cat[start:stop] = heads.reshape(config.n_q_heads, stop - start, -1).transpose(1, 0, 2)
+        del weights, inv, heads  # before the next block's scores
     return o_cat.reshape(tq, config.d_hidden) @ w_o
 
 
@@ -560,6 +583,7 @@ def decoder_layer(x: np.ndarray, layer: int, lw: LayerWeights, store, rows: rang
     q = (xn @ lw.w_q).reshape(len(rows), config.n_q_heads, config.d_head)
     apply_rope(q, rows.start, rope, out=q)
     x += store.attend(layer, lw, xn, q, rows, rope)
+    del xn, q  # the MLP reads neither
     x += mlp_block(rms_norm(x, lw.mlp_gain), lw)
 
 

@@ -63,7 +63,11 @@ def serialize(tensors: dict[str, np.ndarray], meta: dict | None = None) -> bytes
 
 
 def deserialize(blob: bytes) -> tuple[dict[str, np.ndarray], dict]:
-    """Inverse of :func:`serialize`: (tensors, meta); malformed input raises InputError."""
+    """Inverse of :func:`serialize`: (tensors, meta); malformed input raises InputError.
+
+    Every header entry is checked.  The tensors are read-only views into
+    ``blob``: a loader copies the ones it keeps, and no others.
+    """
     if len(blob) < 8:
         raise InputError("container too short for header length field")
     (header_len,) = struct.unpack("<Q", blob[:8])
@@ -76,7 +80,7 @@ def deserialize(blob: bytes) -> tuple[dict[str, np.ndarray], dict]:
     if not (isinstance(header, dict) and isinstance(header.get("tensors"), dict)
             and isinstance(header.get("meta", {}), dict)):
         raise InputError("container header lacks a tensors table or meta object")
-    # tensors are read straight out of ``blob``; the payload is never copied whole
+    # tensors are views into ``blob``; the payload is never copied here
     payload_start = 8 + header_len
     payload_len = len(blob) - payload_start
     tensors: dict[str, np.ndarray] = {}
@@ -91,7 +95,7 @@ def deserialize(blob: bytes) -> tuple[dict[str, np.ndarray], dict]:
         if start + count * 4 > payload_len:
             raise InputError(f"payload truncated for tensor {name!r}")
         tensors[name] = np.frombuffer(blob, dtype="<f4", count=count,
-                                      offset=payload_start + start).reshape(shape).copy()
+                                      offset=payload_start + start).reshape(shape)
     return tensors, header.get("meta", {})
 
 
