@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,8 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from commonkv import budget, model
-from commonkv.budget import (FisherWeights, allocate_budget, corpus_hash, estimate_fisher,
-                             group_score, group_score_full, merge_group, top_k_groups)
+from commonkv.budget import (MERGE_STRATEGIES, FisherWeights, allocate_budget, corpus_hash,
+                             estimate_fisher, group_score, group_score_full, merge_group,
+                             top_k_groups)
 from commonkv.corpus import markov_byte_corpus
 from commonkv.errors import ConfigurationError, InputError
 from commonkv.factorization import GroupLayout
@@ -295,6 +297,76 @@ def test_merged_rows_stay_in_convex_hull(m, seed, strategy):
     low = stack.min(axis=0) - 1e-5
     high = stack.max(axis=0) + 1e-5
     assert np.all(merged >= low) and np.all(merged <= high)
+
+
+# -- the merge phase's float64 scratch ---------------------------------------------
+
+WIDE_PREFIX = (960, 179)  # a wide-prefill prefix: 960 prompt rows of rank 179
+
+
+def _direct_cosines(a, b):
+    """Token cosines from float64 copies of both prefixes and their products."""
+    x, y = a.astype(np.float64), b.astype(np.float64)
+    dots = np.sum(x * y, axis=-1)
+    norms = np.linalg.norm(x, axis=-1) * np.linalg.norm(y, axis=-1)
+    out = np.zeros_like(dots)
+    ok = norms > 0.0
+    out[ok] = dots[ok] / norms[ok]
+    return out
+
+
+def _direct_merge(prefixes, weights):
+    """The weighted sum from a float64 copy of each member and its scaled copy."""
+    merged = np.zeros(prefixes[0].shape, dtype=np.float64)
+    for weight, prefix in zip(weights, prefixes):
+        if weight != 0.0:
+            merged += weight * prefix.astype(np.float64)
+    return merged.astype(np.float32)
+
+
+def test_token_cosines_equal_the_direct_formula():
+    rng = np.random.default_rng(50)
+    a, b = (rng.standard_normal(WIDE_PREFIX).astype(np.float32) for _ in range(2))
+    a[3] = 0.0
+    assert budget._token_cosines(a, b).tobytes() == _direct_cosines(a, b).tobytes()
+    assert group_score(a, b) == float(np.mean(_direct_cosines(a, b)))
+    # the raw-KV session scores the strided key and value halves of its rows
+    raw = rng.standard_normal((960, 128)).astype(np.float32)
+    halves = raw[:, :64], raw[:, 64:]
+    assert budget._token_cosines(*halves).tobytes() == _direct_cosines(*halves).tobytes()
+
+
+@pytest.mark.parametrize("strategy", MERGE_STRATEGIES)
+def test_merged_prefix_equals_the_direct_formula(strategy):
+    rng = np.random.default_rng(51)
+    prefixes = [rng.standard_normal(WIDE_PREFIX).astype(np.float32) for _ in range(4)]
+    fisher = [0.3, 1.7, 0.0, 2.9] if strategy == "fisher" else None
+    merged, weights, _ = merge_group(prefixes, strategy, fisher)
+    assert merged.tobytes() == _direct_merge(prefixes, weights).tobytes()
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_merge_phase_holds_one_float64_prefix_beyond_its_result():
+    # beyond (rows,)-sized statistics and numpy's fixed-size ufunc buffers, a
+    # score holds one float64 copy of a prefix, and a merge its float64 sum
+    # and one float64 term
+    rows, width = WIDE_PREFIX
+    full64 = 8 * rows * width
+    slack = 8 * 8 * rows + 4 * 8 * np.getbufsize() + 4096
+    rng = np.random.default_rng(52)
+    prefixes = [rng.standard_normal(WIDE_PREFIX).astype(np.float32) for _ in range(4)]
+    assert _traced_peak(lambda: group_score(prefixes[0], prefixes[-1])) <= full64 + slack
+    assert _traced_peak(lambda: merge_group(prefixes, "mean")) <= 2 * full64 + slack
 
 
 @pytest.mark.parametrize("values", [[1e308] * 4, [1.0, float("nan"), 1.0, 1.0]],

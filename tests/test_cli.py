@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -818,6 +819,22 @@ def test_factorized_transform_products_are_not_read(workdir, factorized, change)
     tensorfile.save(factorized, tensors, meta=meta)
     assert _run_commonkv(workdir, factorized, "--generate", "2", "--out", str(out)) == 0
     assert out.read_bytes() == clean.read_bytes()
+
+
+@pytest.mark.parametrize("entry", [{"dtype": "f16"}, {"shape": [-1]}, {"offset": 2**40}],
+                         ids=["dtype", "shape", "offset"])
+def test_malformed_unread_tensor_entry_is_input_error(workdir, factorized, capsys, entry):
+    # the loader copies only the tensors it keeps, but checks every entry
+    blob = factorized.read_bytes()
+    (size,) = struct.unpack("<Q", blob[:8])
+    header = json.loads(blob[8:8 + size])
+    header["tensors"]["layers.7.fused_out"].update(entry)
+    text = json.dumps(header).encode()
+    factorized.write_bytes(struct.pack("<Q", len(text)) + text + blob[8 + size:])
+    capsys.readouterr()
+    assert _run_commonkv(workdir, factorized) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "'layers.7.fused_out'" in err
 
 
 # -- the --config contract of every command ----------------------------------------

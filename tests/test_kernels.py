@@ -6,7 +6,9 @@ in the batched kernel shows up as a mismatch.
 """
 
 import dataclasses
+import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +17,8 @@ from commonkv import latent_cache, model
 from commonkv.errors import CapacityError
 from commonkv.latent_cache import attend_latent
 from commonkv.model import (ModelConfig, apply_rope, attention_block, attention_probs,
-                            build_rope_table, causal_attention_weights, rms_norm, silu)
+                            build_rope_table, causal_attention_weights, mlp_block, rms_norm,
+                            silu)
 from oracles import (_norm, reference_attention, reference_causal_softmax,
                      reference_latent_attention)
 
@@ -169,7 +172,47 @@ def test_block_rows_at_workload_shapes(tq, tk, n_q, rows):
     assert rows == 1 or weights.size <= model.SCORES_BLOCK_ELEMENTS == 2**18
 
 
-# -- SiLU and RMSNorm ---------------------------------------------------------------
+def _full_copy_block_probs(q_rope, keys, cfg):
+    """``model._block_probs``'s blocks taken from one scaled, head-grouped copy
+    of every query row, made before the first block; it drives the package's
+    softmax and one-row scores."""
+    n_q, n_kv, hpk, d_head, tq = (cfg.n_q_heads, cfg.n_kv_heads, cfg.heads_per_kv,
+                                  cfg.d_head, q_rope.shape[0])
+    keys_h = keys.transpose(1, 0, 2)
+    q_grouped = (q_rope * np.float32(1.0 / math.sqrt(d_head))).transpose(1, 0, 2).reshape(
+        n_kv, hpk, tq, d_head)
+    block = max(1, min(tq // n_q, model.SCORES_BLOCK_ELEMENTS // (n_q * keys.shape[0])))
+    for start in range(0, tq, block):
+        stop = min(start + block, tq)
+        tk = keys.shape[0] - tq + stop
+        if stop - start == 1:
+            scores = model._row_scores(q_grouped[:, :, start], keys_h[:, :tk])
+        else:
+            scores = np.matmul(q_grouped[:, :, start:stop].reshape(n_kv, -1, d_head),
+                               keys_h[:, :tk].transpose(0, 2, 1))
+        weights, inv = causal_attention_weights(scores.reshape(n_kv, hpk, stop - start, tk))
+        yield start, stop, tk, weights.reshape(n_q, stop - start, tk), inv.reshape(n_q, -1, 1)
+
+
+# the shapes of test_block_rows_at_workload_shapes that take the row blocks,
+# and a prompt shorter than n_q, whose blocks are single rows
+@pytest.mark.parametrize("tq, tk, n_q", [(960, 960, 8), (256, 256, 8), (96, 96, 4), (5, 40, 8)])
+def test_per_block_query_grouping_is_bit_identical_to_the_full_copy(tq, tk, n_q):
+    cfg = ModelConfig(n_layers=1, d_hidden=32 * n_q, n_q_heads=n_q, n_kv_heads=2,
+                      d_head=32, d_mlp=16, max_seq=1024)
+    rng = np.random.default_rng(tq + n_q)
+    q = rng.standard_normal((tq, n_q, 32)).astype(np.float32)
+    keys = rng.standard_normal((tk, 2, 32)).astype(np.float32)
+    blocks = 0
+    for got, want in zip(attention_probs(q, keys, cfg), _full_copy_block_probs(q, keys, cfg),
+                         strict=True):
+        assert got[:3] == want[:3]
+        assert got[3].tobytes() == want[3].tobytes() and got[4].tobytes() == want[4].tobytes()
+        blocks += 1
+    assert blocks > 1
+
+
+# -- SiLU, the MLP and RMSNorm -------------------------------------------------------
 
 def test_float32_silu_matches_float64_without_warnings():
     tails = np.concatenate([np.arange(88, 105), [1e4]])
@@ -180,6 +223,21 @@ def test_float32_silu_matches_float64_without_warnings():
         out = silu(grid)
     assert out.dtype == np.float32
     np.testing.assert_allclose(out, expected, rtol=1e-6, atol=1e-6)
+
+
+# 256 rows per SiLU block at d_mlp = 1024: one row (a decode step), one short
+# block, exactly one full block, and three blocks with a short last one
+@pytest.mark.parametrize("rows", [1, 255, 256, 700])
+def test_mlp_over_silu_row_blocks_is_bit_identical_to_one_silu(rows):
+    d_hidden, d_mlp = 64, 1024
+    assert model.SCORES_BLOCK_ELEMENTS // d_mlp == 256
+    rng = np.random.default_rng(rows)
+    x = rng.standard_normal((rows, d_hidden)).astype(np.float32)
+    lw = SimpleNamespace(
+        w_in=(rng.standard_normal((d_hidden, d_mlp)) / 8).astype(np.float32),
+        w_out=(rng.standard_normal((d_mlp, d_hidden)) / 32).astype(np.float32))
+    expected = silu(x @ lw.w_in) @ lw.w_out
+    assert mlp_block(x, lw).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("shape", [(64,), (1, 256), (96, 64), (3, 5, 8)])

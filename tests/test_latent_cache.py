@@ -3,16 +3,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from commonkv import latent_cache
+from commonkv import latent_cache, model
 from commonkv.budget import allocate_budget
 from commonkv.corpus import markov_byte_corpus
 from commonkv.errors import InputError, NumericError
 from commonkv.evaluation import RawKVSession
+from commonkv.factorization import load_factorized, transform_model
 from commonkv.latent_cache import (SUFFIX_CHUNK_ROWS, LatentCacheStore, LatentSession,
                                    attend_latent, baseline_elements, compute_latent,
                                    restore_keys)
-from commonkv.model import (BaselineSession, apply_rope, attention_block,
-                            build_rope_table, forward_baseline, rms_norm)
+from commonkv.model import (BaselineSession, ModelConfig, apply_rope, attention_block,
+                            build_rope_table, forward_baseline, gen_toy_model, rms_norm)
 from oracles import reference_latent_attention
 
 
@@ -413,6 +414,94 @@ def test_sessions_share_the_models_read_only_rope_table(fact07, kind):
     for view in (session.rope.tiled, session.rope.cis, session.rope.cis.real):
         with pytest.raises(ValueError):
             view[3] *= 2
+
+
+# -- prefill transients and the stored rows -----------------------------------------
+
+# The wide benchmark shape with two layers: a 960-token prompt makes 29 scores
+# blocks per layer and two SiLU blocks.
+WIDE_TWO_LAYERS = ModelConfig(n_layers=2, d_hidden=256, n_q_heads=8, n_kv_heads=2,
+                              d_head=32, d_mlp=512, max_seq=1024)
+
+
+@pytest.fixture(scope="module")
+def wide_two_layers():
+    blob, _ = transform_model(gen_toy_model(WIDE_TWO_LAYERS, 5), 2, 0.7)
+    return load_factorized(blob)
+
+
+@pytest.mark.parametrize("kind", ["baseline", "latent"])
+def test_prefill_holds_one_scores_block_and_one_silu_block(wide_two_layers, kind):
+    # beyond the cache, a prefill holds at most four (T, d_hidden) arrays (the
+    # residual, a normed copy, the queries and the head outputs; or the
+    # residual and rms_norm's float64 copy and result), one layer's keys and
+    # values, one scores block and one SiLU block
+    weights, fact = wide_two_layers
+    cfg, tokens = weights.config, 960
+    ids = markov_byte_corpus(13, 1, tokens)[0]
+    silu_block = model.SCORES_BLOCK_ELEMENTS // cfg.d_mlp * cfg.d_mlp
+    transients = 4 * (4 * tokens * cfg.d_hidden + 2 * tokens * cfg.d_kv
+                      + model.SCORES_BLOCK_ELEMENTS + silu_block)
+    assert tokens * cfg.n_q_heads * tokens > 8 * model.SCORES_BLOCK_ELEMENTS
+    assert tokens * cfg.d_mlp > silu_block
+    session = SESSIONS[kind](weights, fact)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        session.prefill(ids)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak - 4 * session.cache_element_count() <= transients
+
+
+@pytest.mark.parametrize("kind", ["latent", "rawkv"])
+def test_attention_never_writes_the_stored_rows(fact07, probe_ids, kind):
+    # prefill attends over the store's own prefix arrays, so a kernel that
+    # wrote through them would change rows already stored
+    weights, fact, _ = fact07
+    session = SESSIONS[kind](weights, fact)
+    store, n_layers = session.store, weights.config.n_layers
+    appended = {"prefix": [[] for _ in range(n_layers)], "suffix": [[] for _ in range(n_layers)]}
+    merged = {}
+
+    append_prefill, append_decode, merge_group = (
+        store.append_prefill, store.append_decode, store.merge_group)
+
+    def record_prefill(layer, rows):
+        appended["prefix"][layer].append(rows.copy())
+        append_prefill(layer, rows)
+
+    def record_decode(layer, rows):
+        appended["suffix"][layer].append(rows.copy())
+        append_decode(layer, rows)
+
+    def record_merge(gi, rows):
+        merged[gi] = rows.copy()
+        merge_group(gi, rows)
+
+    store.append_prefill, store.append_decode, store.merge_group = (
+        record_prefill, record_decode, record_merge)
+
+    def check():
+        for layer in range(n_layers):
+            gi = store.layout.group_of(layer)
+            prefix = merged[gi] if gi in merged else np.concatenate(appended["prefix"][layer])
+            assert store.prefix_for_layer(layer).tobytes() == prefix.tobytes()
+            suffix = appended["suffix"][layer]
+            assert store.suffixes[layer].tobytes() == b"".join(r.tobytes() for r in suffix)
+
+    session.prefill(probe_ids[:20])
+    check()
+    session.prefill(probe_ids[20:40])
+    check()
+    session.plan_and_merge(0.3, strategy="mean")  # one group of two, in either kind
+    assert len(merged) == 1
+    check()
+    for t in probe_ids[40:48]:
+        session.decode(int(t))
+        check()
 
 
 # -- chunked decode suffixes -------------------------------------------------------
