@@ -295,12 +295,12 @@ def load_factorized(blob_or_path) -> tuple[ModelWeights, SharedFactorization]:
 
     def take(pattern, count, shape):
         names = [pattern.format(i) for i in range(count)]
-        arrays = tensorfile.take(tensors, names, "factorized container")
+        arrays = tensorfile.take_tensors(tensors, names, "factorized container")
         for name, arr in zip(names, arrays):
             if arr.shape != shape:
                 raise InputError(f"{name}: expected shape {shape} for rank {rank}, "
                                  f"got {arr.shape}")
-        return [arr.copy() for arr in arrays]
+        return arrays
 
     fact = SharedFactorization(
         config=cfg, layout=layout, rank=rank,

@@ -229,7 +229,7 @@ def weights_from_tensors(config: ModelConfig, tensors: dict[str, np.ndarray],
                          seed: int | None = None) -> ModelWeights:
     """Base weights copied from container tensors; a missing tensor raises InputError."""
     def take(names):
-        return [arr.copy() for arr in tensorfile.take(tensors, names, "model container")]
+        return tensorfile.take_tensors(tensors, names, "model container")
 
     layers = []
     for i in range(config.n_layers):
@@ -458,12 +458,10 @@ def silu(z: np.ndarray) -> np.ndarray:
 
 
 def mlp_block(x_normed: np.ndarray, lw: LayerWeights) -> np.ndarray:
-    """``silu(x_normed @ w_in) @ w_out``.  Over several rows, SiLU overwrites
-    the ``(rows, d_mlp)`` activations in place, one block of at most
-    ``SCORES_BLOCK_ELEMENTS`` of them at a time."""
+    """``silu(x_normed @ w_in) @ w_out``.  SiLU overwrites the ``(rows,
+    d_mlp)`` activations in place, one block of at most
+    ``SCORES_BLOCK_ELEMENTS`` of them at a time (one block for a decode row)."""
     z = x_normed @ lw.w_in
-    if len(z) == 1:
-        return silu(z) @ lw.w_out
     block = max(1, SCORES_BLOCK_ELEMENTS // z.shape[1])
     for start in range(0, len(z), block):
         part = z[start:start + block]

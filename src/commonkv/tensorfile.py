@@ -66,7 +66,8 @@ def deserialize(blob: bytes) -> tuple[dict[str, np.ndarray], dict]:
     """Inverse of :func:`serialize`: (tensors, meta); malformed input raises InputError.
 
     Every header entry is checked.  The tensors are read-only views into
-    ``blob``: a loader copies the ones it keeps, and no others.
+    ``blob`` that keep it alive: a loader takes the ones it keeps through
+    :func:`take_tensors`, which copies them, and no others.
     """
     if len(blob) < 8:
         raise InputError("container too short for header length field")
@@ -105,6 +106,12 @@ def take(entries: dict, names, what: str) -> list:
         if name not in entries:
             raise InputError(f"{what} lacks {name!r}")
     return [entries[name] for name in names]
+
+
+def take_tensors(tensors: dict[str, np.ndarray], names, what: str) -> list[np.ndarray]:
+    """Writable copies of the ``names`` tensors of :func:`deserialize`, which
+    hold none of the container bytes; a missing name raises InputError."""
+    return [arr.copy() for arr in take(tensors, names, what)]
 
 
 def save(path: str | Path, tensors: dict[str, np.ndarray], meta: dict | None = None) -> None:
