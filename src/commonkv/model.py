@@ -41,7 +41,8 @@ over a full-KV cache, so the conventions below hold for all of them:
   statistics in Python floats; ``attention_probs`` skips the row-block
   machinery, its generator (the one block comes from a 1-tuple) and all mask
   work; the attention output meets ``W_o`` with no ``(Tq, n_q, d_head)``
-  buffer; and ``_check_tokens`` checks one token as a Python int
+  buffer; ``mlp_block`` applies SiLU out of place, with no block loop; and
+  ``_check_tokens`` checks one token as a Python int
 * gradients (used only for calibration) run a separate float64 pass
 """
 
@@ -458,10 +459,13 @@ def silu(z: np.ndarray) -> np.ndarray:
 
 
 def mlp_block(x_normed: np.ndarray, lw: LayerWeights) -> np.ndarray:
-    """``silu(x_normed @ w_in) @ w_out``.  SiLU overwrites the ``(rows,
-    d_mlp)`` activations in place, one block of at most
-    ``SCORES_BLOCK_ELEMENTS`` of them at a time (one block for a decode row)."""
+    """``silu(x_normed @ w_in) @ w_out``.  Over several rows, SiLU overwrites
+    the ``(rows, d_mlp)`` activations in place, one block of at most
+    ``SCORES_BLOCK_ELEMENTS`` of them at a time; one row (a decode step) skips
+    the block loop and its copy back."""
     z = x_normed @ lw.w_in
+    if len(z) == 1:
+        return silu(z) @ lw.w_out
     block = max(1, SCORES_BLOCK_ELEMENTS // z.shape[1])
     for start in range(0, len(z), block):
         part = z[start:start + block]
