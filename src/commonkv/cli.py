@@ -7,8 +7,8 @@ Exit codes (documented for scripting):
     2  configuration error (bad dimensions, unreachable ratio, bad flags)
     3  input error (empty corpus, short sequence)
     4  capacity error (sequence beyond max_seq)
-    5  numeric error (non-finite weights, factorization non-convergence,
-       audit mismatch)
+    5  numeric error (non-finite weights or factors, factorization
+       non-convergence, audit mismatch)
     6  I/O error
 
 Flags can also be supplied through ``--config FILE``, a flat JSON object of

@@ -270,7 +270,8 @@ def load_factorized(blob_or_path) -> tuple[ModelWeights, SharedFactorization]:
     Reads the base weights, the factors, and the manifest's ``config``,
     ``group_size``, ``groups`` and ``rank``; nothing else.  Every tensor
     entry is checked, but only the tensors kept are copied out of the
-    container bytes.
+    container bytes.  A rank outside ``[1, min(d_hidden, 2·group_size·d_kv)]``
+    is an InputError, a non-finite weight or factor a NumericError.
     """
     if isinstance(blob_or_path, (bytes, bytearray)):
         tensors, meta = tensorfile.deserialize(bytes(blob_or_path))
@@ -291,6 +292,9 @@ def load_factorized(blob_or_path) -> tuple[ModelWeights, SharedFactorization]:
     if groups != [list(g) for g in layout.groups]:
         raise InputError(f"factorized manifest 'groups' {groups!r} are not the "
                          f"group_size={group_size} layout of {cfg.n_layers} layers")
+    max_rank = min(cfg.d_hidden, 2 * group_size * cfg.d_kv)
+    if not 1 <= rank <= max_rank:
+        raise InputError(f"factorized manifest 'rank' {rank} is outside [1, {max_rank}]")
     weights = weights_from_tensors(cfg, tensors, seed=meta.get("seed"))
 
     def take(pattern, count, shape):
@@ -300,6 +304,8 @@ def load_factorized(blob_or_path) -> tuple[ModelWeights, SharedFactorization]:
             if arr.shape != shape:
                 raise InputError(f"{name}: expected shape {shape} for rank {rank}, "
                                  f"got {arr.shape}")
+            if not np.all(np.isfinite(arr)):
+                raise NumericError(f"{name}: contains non-finite values")
         return arrays
 
     fact = SharedFactorization(

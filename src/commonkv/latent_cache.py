@@ -41,7 +41,7 @@ from .budget import baseline_elements  # the storage closed form, also read from
 from .errors import CapacityError, InputError, NumericError
 from .factorization import GroupLayout, SharedFactorization
 from .model import (LayerWeights, ModelConfig, ModelWeights, RopeTable, apply_rope,
-                    attention_block, attention_probs, forward)
+                    attention_block, causal_attention, forward)
 
 
 def compute_latent(x: np.ndarray, shared: np.ndarray) -> np.ndarray:
@@ -62,24 +62,23 @@ def restore_keys(latents: np.ndarray, k_factor: np.ndarray, rope: RopeTable,
 
 def attend_latent(q_rope: np.ndarray, latents: np.ndarray, k_factor: np.ndarray,
                   v_factor: np.ndarray, w_o: np.ndarray, rope: RopeTable,
-                  config: ModelConfig, v_heads: np.ndarray | None = None) -> np.ndarray:
+                  config: ModelConfig, v_heads: np.ndarray) -> np.ndarray:
     """Causal attention over latent rows for one layer; returns (Tq, d_hidden).
 
-    The output is ``o_cat @ W_o``, and ``o_cat`` comes from whichever exact
-    order needs fewer multiply-adds for these shapes (Tq query rows, Tk
-    latent rows of width r):
+    The output is ``model.causal_attention`` over the restored keys, with
+    whichever exact value step needs fewer multiply-adds for these shapes
+    (Tq query rows, Tk latent rows of width r):
 
     * restore values, ``Tk·r·d_kv + n_q·Tq·Tk·d_head``: ``V = H @ B_v`` for
       this call only, then the baseline ``attention_block``;
     * mix latents, ``n_q·Tq·Tk·r + n_q·Tq·r·d_head``: ``P_q @ H`` per query
-      head, then that head's ``B_v`` columns.  ``P_q @ H`` is the unnormalised
-      weights' product, scaled row by row by the reciprocal row sums (see
-      ``model.causal_attention_weights``).
+      head, scaled row by row by the reciprocal row sums (see
+      ``model.causal_attention_weights``), then that head's ``B_v`` columns,
+      read from ``v_heads``, the (n_kv, r, d_head) per-KV-head view of
+      ``v_factor`` (``SharedFactorization.v_heads`` holds one per layer).
 
     Prefill restores values and a decode step (Tq = 1) mixes latents; the
-    crossover sits near Tq ≈ r·d_kv / (n_q·(r − d_head)).  ``v_heads``, the
-    per-KV-head view of ``v_factor`` that the mix order reads, is made here
-    unless given (``SharedFactorization.v_heads`` holds one per layer).
+    crossover sits near Tq ≈ r·d_kv / (n_q·(r − d_head)).
     The latents sit at positions 0..Tk-1 and the queries are the last Tq.
     """
     keys = restore_keys(latents, k_factor, rope, config.n_kv_heads)
@@ -90,19 +89,13 @@ def attend_latent(q_rope: np.ndarray, latents: np.ndarray, k_factor: np.ndarray,
     if restore <= mix:
         values = (latents @ v_factor).reshape(tk_all, n_kv, d_head)
         return attention_block(q_rope, keys, values, w_o, config)
-    if v_heads is None:
-        v_heads = v_factor.reshape(rank, n_kv, d_head).transpose(1, 0, 2)  # (n_kv, r, d_head)
-    o_cat = None if tq == 1 else np.empty((tq, n_q, d_head), dtype=np.float32)
-    for start, stop, tk, weights, inv in attention_probs(q_rope, keys, config):
+
+    def head_values(weights, inv, tk):
         mixed = weights.reshape(-1, tk) @ latents[:tk]  # (n_q * rows, r), head-major
         mixed *= inv.reshape(-1, 1)
-        heads = np.matmul(mixed.reshape(n_kv, -1, rank), v_heads)  # (n_kv, hpk * rows, d_head)
-        if o_cat is None:
-            # one row: query head q = kv·hpk + j is already in order
-            return heads.reshape(1, config.d_hidden) @ w_o
-        o_cat[start:stop] = heads.reshape(n_q, stop - start, d_head).transpose(1, 0, 2)
-        del weights, inv, mixed, heads  # before the next block's scores
-    return o_cat.reshape(tq, config.d_hidden) @ w_o
+        return np.matmul(mixed.reshape(n_kv, -1, rank), v_heads)  # (n_kv, hpk * rows, d_head)
+
+    return causal_attention(q_rope, keys, w_o, config, head_values)
 
 
 def _checksum(array: np.ndarray) -> str:

@@ -17,7 +17,9 @@ over a full-KV cache, so the conventions below hold for all of them:
   not BLAS, and normalisation is deferred: attention multiplies each head's
   output rows by their float32 reciprocal row sums after the value matmul,
   never the (rows, Tk) scores block
-* prefill attention works on row blocks whose scores fit in a fixed budget
+* ``causal_attention`` is the one attention loop; the full-KV
+  ``attention_block`` and the latent mix order pass it only their value step.
+  Prefill attention works on row blocks whose scores fit in a fixed budget
   (``SCORES_BLOCK_ELEMENTS``), so a long prompt's softmax stays cache-resident;
   a one-row block (a decode step) computes its scores keys-left,
   ``keys_h @ q_hᵀ``, a plain GEMM over the keys' own row layout
@@ -32,17 +34,16 @@ over a full-KV cache, so the conventions below hold for all of them:
   store records its positions once per step, at layer 0, as one int64
   ``arange``
 * a transient lives only while it is read: prefill holds one scores block
-  at a time (``_block_probs`` and the loops over it drop each block before
-  the next one's scores are allocated, and each block scales and groups its
-  own query rows), the MLP applies SiLU in place over one block of at most
+  at a time (``causal_attention`` drops each block before the next one's
+  scores are allocated, and each block scales and groups its own query
+  rows), the MLP applies SiLU in place over one block of at most
   ``SCORES_BLOCK_ELEMENTS`` activations at a time, and the layer body drops
   ``xn`` and ``q`` before the MLP
 * a single row (a decode step) takes one-row paths: ``rms_norm`` keeps its
-  statistics in Python floats; ``attention_probs`` skips the row-block
-  machinery, its generator (the one block comes from a 1-tuple) and all mask
-  work; the attention output meets ``W_o`` with no ``(Tq, n_q, d_head)``
-  buffer; ``mlp_block`` applies SiLU out of place, with no block loop; and
-  ``_check_tokens`` checks one token as a Python int
+  statistics in Python floats; ``causal_attention`` skips the row-block
+  loop and all mask work, and its output meets ``W_o`` with no
+  ``(Tq, n_q, d_head)`` buffer; ``mlp_block`` applies SiLU out of place,
+  with no block loop; and ``_check_tokens`` checks one token as a Python int
 * gradients (used only for calibration) run a separate float64 pass
 """
 
@@ -55,7 +56,7 @@ from functools import cached_property
 import numpy as np
 
 from . import tensorfile
-from .errors import CapacityError, ConfigurationError, InputError
+from .errors import CapacityError, ConfigurationError, InputError, NumericError
 
 RMS_EPS = 1e-6
 # Float32 scores per attention row block (1 MB): small enough to stay in a
@@ -194,7 +195,7 @@ class ModelWeights:
             if arr.shape != shape:
                 raise ConfigurationError(f"{name}: expected shape {shape}, got {arr.shape}")
             if not np.all(np.isfinite(arr)):
-                raise ConfigurationError(f"{name}: contains non-finite values")
+                raise NumericError(f"{name}: contains non-finite values")
 
 
 def gen_toy_model(config: ModelConfig, seed: int) -> ModelWeights:
@@ -386,62 +387,55 @@ def _row_scores(q_row: np.ndarray, keys_h: np.ndarray) -> np.ndarray:
     return scores_t.transpose(0, 2, 1).reshape(-1, 1, keys_h.shape[1])
 
 
-def attention_probs(q_rope: np.ndarray, keys: np.ndarray, config: ModelConfig):
-    """Causal softmax weights of every query head, one row block at a time.
+def causal_attention(q_rope: np.ndarray, keys: np.ndarray, w_o: np.ndarray,
+                     config: ModelConfig, head_values) -> np.ndarray:
+    """Causal GQA attention of rotated queries (Tq, n_q, d_head); (Tq, d_hidden).
 
-    The Tq queries are the last Tq of the Tk keys' positions.  Returns an
-    iterator of ``(start, stop, tk, weights, inv)`` with the unnormalised
-    weights (n_q_heads, stop - start, tk) over query rows ``start:stop`` and
-    the first ``tk = Tk - Tq + stop`` keys (later keys are masked for every
-    row of the block and are skipped), and ``inv`` (n_q_heads, stop - start,
-    1), the reciprocal row sums: the probabilities are ``weights * inv``, and
-    consumers scale their matmul's output by ``inv`` instead (see
-    ``causal_attention_weights``).  All query heads of a KV head share one
-    scores matmul.  Blocks hold
+    The one attention loop.  The queries are the last Tq of the Tk keys'
+    positions.  Blocks hold
     ``max(1, min(Tq // n_q_heads, SCORES_BLOCK_ELEMENTS // (n_q_heads * Tk)))``
-    rows: a block's scores never exceed one head's (Tq, Tk), nor the budget
-    unless a single row is already larger.  Each block's scores are a fresh
-    array that the softmax overwrites in place with its weights.
+    query rows: a block's scores never exceed one head's (Tq, Tk), nor the
+    budget unless a single row is already larger.  Each block scales and
+    groups its own query rows (query head q sits at
+    ``[q // heads_per_kv, q % heads_per_kv]``), takes one scores matmul per
+    KV head over the first ``tk = Tk - Tq + stop`` keys (later keys are
+    masked for every row of the block and are skipped), keys on the left for
+    a one-row block (``_row_scores``), and overwrites the fresh scores in
+    place with ``causal_attention_weights``.
 
-    A one-row query (every decode step) is one block over every key,
-    iterated from a 1-tuple with no generator frame, and skips the block
-    machinery: its scaled row is already grouped by KV head, so no query is
-    transposed or copied.  One-row blocks take their scores keys on the left
-    (``_row_scores``).
-    """
-    if q_rope.shape[0] != 1:
-        return _block_probs(q_rope, keys, config)
-    scale = np.float32(1.0 / math.sqrt(config.d_head))
-    q_row = q_rope.reshape(config.n_kv_heads, config.heads_per_kv, config.d_head) * scale
-    scores = _row_scores(q_row, keys.transpose(1, 0, 2))
-    return iter(((0, 1, keys.shape[0], *causal_attention_weights(scores)),))
-
-
-def _block_probs(q_rope: np.ndarray, keys: np.ndarray, config: ModelConfig):
-    """``attention_probs`` over several query rows, a generator of row blocks.
-
-    Each block scales and groups its own query rows, and the generator drops
-    its scores after the yield: a consumer that also drops its references
-    before asking for the next block keeps one scores block alive.
+    The caller's value step, ``head_values(weights, inv, tk)``, gets the
+    unnormalised weights (n_kv, hpk·rows, tk) and reciprocal row sums
+    (n_kv, hpk·rows, 1) and returns the head outputs (n_kv, hpk·rows,
+    d_head), scaled by ``inv``.  They go into ``o_cat``, and every reference
+    to the block is dropped before the next block's scores are allocated.
+    A one-row query (every decode step) is a single block over every key,
+    already grouped by KV head; its head outputs meet ``w_o`` directly, with
+    no ``(Tq, n_q, d_head)`` buffer.
     """
     n_q, n_kv, hpk = config.n_q_heads, config.n_kv_heads, config.heads_per_kv
     d_head, tq = config.d_head, q_rope.shape[0]
     scale = np.float32(1.0 / math.sqrt(d_head))
     keys_h = keys.transpose(1, 0, 2)  # (n_kv, Tk, d_head)
+    o_cat = None if tq == 1 else np.empty((tq, n_q, d_head), dtype=np.float32)
     block = max(1, min(tq // n_q, SCORES_BLOCK_ELEMENTS // (n_q * keys.shape[0])))
     for start in range(0, tq, block):
         stop = min(start + block, tq)
-        tk = keys.shape[0] - tq + stop
-        # query head q sits at [q // heads_per_kv, q % heads_per_kv]
-        q_rows = (q_rope[start:stop] * scale).transpose(1, 0, 2)  # (n_q, rows, d_head)
-        if stop - start == 1:
-            scores = _row_scores(q_rows.reshape(n_kv, hpk, d_head), keys_h[:, :tk])
+        rows, tk = stop - start, keys.shape[0] - tq + stop
+        if rows == 1:  # one row is already grouped by KV head
+            scores = _row_scores(q_rope[start].reshape(n_kv, hpk, d_head) * scale,
+                                 keys_h[:, :tk])
         else:
+            q_rows = (q_rope[start:stop] * scale).transpose(1, 0, 2)  # (n_q, rows, d_head)
             scores = np.matmul(q_rows.reshape(n_kv, -1, d_head),
                                keys_h[:, :tk].transpose(0, 2, 1))
-        weights, inv = causal_attention_weights(scores.reshape(n_kv, hpk, stop - start, tk))
-        yield start, stop, tk, weights.reshape(n_q, stop - start, tk), inv.reshape(n_q, -1, 1)
-        del scores, weights, inv
+            del q_rows
+        weights, inv = causal_attention_weights(scores.reshape(n_kv, hpk, rows, tk))
+        heads = head_values(weights.reshape(n_kv, -1, tk), inv.reshape(n_kv, -1, 1), tk)
+        if o_cat is None:  # one query row: query head q = kv·hpk + j is in order
+            return heads.reshape(1, config.d_hidden) @ w_o
+        o_cat[start:stop] = heads.reshape(n_q, rows, d_head).transpose(1, 0, 2)
+        del scores, weights, inv, heads  # before the next block's scores
+    return o_cat.reshape(tq, config.d_hidden) @ w_o
 
 
 def silu(z: np.ndarray) -> np.ndarray:
@@ -553,25 +547,19 @@ def project_kv(xn: np.ndarray, lw: LayerWeights, start: int, rope: RopeTable,
 
 def attention_block(q_rope: np.ndarray, keys: np.ndarray, values: np.ndarray,
                     w_o: np.ndarray, config: ModelConfig) -> np.ndarray:
-    """Causal GQA attention. q_rope (Tq, n_q, d_head) -> (Tq, d_hidden).
+    """Causal GQA attention over cached values. q_rope (Tq, n_q, d_head) -> (Tq, d_hidden).
 
-    The queries are the last Tq of the keys' positions (see ``attention_probs``).
-    Each block's head outputs, ``weights @ V``, are normalised by its
-    reciprocal row sums.
+    ``causal_attention`` with the value step ``weights @ V``, normalised by
+    the block's reciprocal row sums.
     """
-    tq, n_kv = q_rope.shape[0], config.n_kv_heads
     values_t = values.transpose(1, 0, 2)  # (n_kv, Tk, d_head)
-    o_cat = None if tq == 1 else np.empty((tq, config.n_q_heads, config.d_head),
-                                          dtype=np.float32)
-    for start, stop, tk, weights, inv in attention_probs(q_rope, keys, config):
-        heads = np.matmul(weights.reshape(n_kv, -1, tk), values_t[:, :tk])
-        heads *= inv.reshape(n_kv, -1, 1)  # (n_kv, hpk * rows, d_head)
-        if o_cat is None:
-            # one row: query head q = kv·hpk + j is already in order
-            return heads.reshape(1, config.d_hidden) @ w_o
-        o_cat[start:stop] = heads.reshape(config.n_q_heads, stop - start, -1).transpose(1, 0, 2)
-        del weights, inv, heads  # before the next block's scores
-    return o_cat.reshape(tq, config.d_hidden) @ w_o
+
+    def head_values(weights, inv, tk):
+        heads = np.matmul(weights, values_t[:, :tk])
+        heads *= inv
+        return heads
+
+    return causal_attention(q_rope, keys, w_o, config, head_values)
 
 
 def decoder_layer(x: np.ndarray, layer: int, lw: LayerWeights, store, rows: range,
@@ -693,7 +681,7 @@ def loss_and_grads(weights: ModelWeights, token_ids) -> tuple[float, list[dict[s
 
     ``token_ids`` is one sequence, a 1-D run of at least two ids.  Query heads
     are batched by KV head, (n_kv, hpk, T, d_head) with head ``q = kv·hpk + j``
-    as in ``attention_probs``: per layer, one scores matmul, one softmax and
+    as in ``causal_attention``: per layer, one scores matmul, one softmax and
     one value matmul forward, one matmul each for dp, dq, dk and dv backward.
     The whole pass runs in float64: it only feeds calibration, and the extra
     precision lets finite-difference checks resolve at 1e-3.  Float64 weights

@@ -2,11 +2,12 @@
 
 The benchmark's tracer wraps functions at their module bindings and replaces
 methods in their own class's ``__dict__``, and its harness reads a session's
-cache arrays to count copied bytes.  A refactor that drops a traced name, or
-moves a method to a base class, breaks the benchmark; these tests fail first,
-without running it.
+cache arrays to count copied bytes.  A refactor that drops a traced name,
+moves a method to a base class, or stops calling a span the per-layer report
+requires breaks the benchmark; these tests fail first, without a timed run.
 """
 
+import dataclasses
 import importlib
 import sys
 from pathlib import Path
@@ -18,10 +19,15 @@ for path in (ROOT / "src", ROOT):
     if str(path) not in sys.path:
         sys.path.insert(0, str(path))
 
-from perfbench import harness, spans  # noqa: E402
+from perfbench import harness, metrics, spans, workloads  # noqa: E402
 
 from commonkv.latent_cache import LatentSession  # noqa: E402
-from commonkv.model import BaselineSession  # noqa: E402
+from commonkv.model import BaselineSession, ModelConfig  # noqa: E402
+
+# the shape of perfbench's own micro smoke runs: 8 layers, so group size 4
+# gives two groups, as at the real shapes
+MICRO = ModelConfig(n_layers=8, d_hidden=16, n_q_heads=2, n_kv_heads=1, d_head=8,
+                    d_mlp=32, max_seq=64)
 
 
 @pytest.mark.parametrize("name", sorted(spans.SPAN_FUNCTIONS))
@@ -51,3 +57,28 @@ def test_bytes_copied_reads_a_session_after_one_decode_step(fact07, probe_ids, m
     session.decode(int(probe_ids[24]))
     copied = harness.bytes_copied(mode, session)
     assert isinstance(copied, int) and copied > 0
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_every_required_span_is_called(name):
+    # one traced set-up and one session per mode at a micro shape; the traced
+    # benchmark reports a run as failed when a (span, mode, phase) of
+    # metrics.SELF_TIMES is never called.  Calls are counted, never timed.
+    workload = dataclasses.replace(workloads.WORKLOADS[name], config=MICRO, prompt_len=16,
+                                   decode_len=4)
+    seeds = workloads.derive_seeds(3)
+    stream = workloads.token_stream(seeds.streams, 0, workload.stream_len)
+    tracer = spans.Tracer()
+    with tracer.installed():
+        tracer.begin_session(-1, None)
+        tracer.phase = "setup"
+        setup = harness.set_up(workload, seeds, calibrate=True)
+        tracer.phase = None
+        for session, mode in enumerate(harness.MODES):
+            tracer.begin_session(session, mode)
+            result, _ = harness.run_session(mode, setup, workload, stream, tracer=tracer)
+            assert result.error is None, result.error
+    calls = spans.aggregate(tracer.spans)
+    missing = [(span, mode, phase) for span, modes, phases in metrics.SELF_TIMES
+               for mode in modes for phase in phases if (mode, phase, span) not in calls]
+    assert not missing

@@ -837,6 +837,69 @@ def test_malformed_unread_tensor_entry_is_input_error(workdir, factorized, capsy
     assert err.count("\n") == 1 and "'layers.7.fused_out'" in err
 
 
+def _poke(path, tensor, value):
+    """Write ``value`` over the first element of ``tensor`` in a container file,
+    past ``serialize``, which refuses non-finite values."""
+    blob = bytearray(path.read_bytes())
+    (size,) = struct.unpack("<Q", blob[:8])
+    start = 8 + size + json.loads(blob[8:8 + size])["tensors"][tensor]["offset"]
+    blob[start:start + 4] = struct.pack("<f", value)
+    path.write_bytes(bytes(blob))
+
+
+@pytest.mark.parametrize("command", ["run", "profile"])
+@pytest.mark.parametrize("tensor, value", [
+    ("groups.0.shared", float("nan")), ("layers.3.k_factor", float("inf")),
+    ("layers.6.v_factor", float("-inf")),
+])
+def test_non_finite_factor_is_numeric_error(workdir, factorized, capsys, command, tensor,
+                                            value):
+    # a nan shared factor used to load, and run and profile then exited 0 with nan results
+    _poke(factorized, tensor, value)
+    capsys.readouterr()
+    if command == "run":
+        code = _run_commonkv(workdir, factorized)
+    else:
+        code = main(["profile", "--model", str(workdir / "model.tnsr"), "--factorized",
+                     str(factorized), "--out", str(workdir / "sim.json"), "--tokens", "32"])
+    assert code == 5
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"{tensor}: contains non-finite values" in err
+
+
+@pytest.mark.parametrize("container", ["model", "factorized"])
+def test_non_finite_base_weight_is_numeric_error(workdir, factorized, capsys, container):
+    # used to exit 2, a configuration error, against the documented 5
+    path = workdir / "model.tnsr" if container == "model" else factorized
+    _poke(path, "layers.3.w_q", float("inf"))
+    capsys.readouterr()
+    if container == "model":
+        code = main(["run", "--model", str(path), "--mode", "baseline", "--tokens", "16"])
+    else:
+        code = _run_commonkv(workdir, factorized)
+    assert code == 5
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "layers.3.w_q: contains non-finite values" in err
+
+
+@pytest.mark.parametrize("rank", [0, 65])
+def test_factorized_manifest_rank_out_of_range_is_input_error(workdir, factorized, capsys,
+                                                              rank):
+    # rank 0 with zero-width factors used to end in a ValueError traceback;
+    # the toy shape's rank ceiling is min(d_hidden, 2·group_size·d_kv) = 64
+    tensors, meta = tensorfile.load(factorized)
+    for name, arr in tensors.items():
+        if name.startswith("groups."):
+            tensors[name] = np.ones((arr.shape[0], rank), dtype=np.float32)
+        elif name.endswith(("k_factor", "v_factor")):
+            tensors[name] = np.ones((rank, arr.shape[1]), dtype=np.float32)
+    tensorfile.save(factorized, tensors, meta=dict(meta, rank=rank))
+    capsys.readouterr()
+    assert _run_commonkv(workdir, factorized) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "'rank'" in err and "outside [1, 64]" in err
+
+
 # -- the --config contract of every command ----------------------------------------
 
 # per command: its other arguments, the keys --config may set (every optional

@@ -15,9 +15,8 @@ import pytest
 
 from commonkv import latent_cache, model
 from commonkv.errors import CapacityError
-from commonkv.latent_cache import attend_latent
-from commonkv.model import (ModelConfig, apply_rope, attention_block, attention_probs,
-                            build_rope_table, causal_attention_weights, mlp_block, rms_norm,
+from commonkv.model import (ModelConfig, apply_rope, attention_block, build_rope_table,
+                            causal_attention, causal_attention_weights, mlp_block, rms_norm,
                             silu)
 from oracles import (_norm, reference_attention, reference_causal_softmax,
                      reference_latent_attention)
@@ -45,6 +44,13 @@ def _random_inputs(cfg: ModelConfig, tq: int, seed: int) -> dict:
         "w_o": rand(cfg.d_hidden, cfg.d_hidden), "latents": rand(HISTORY, RANK),
         "k_factor": rand(RANK, cfg.d_kv), "v_factor": rand(RANK, cfg.d_kv),
     }
+
+
+def attend_latent(q, latents, k_factor, v_factor, w_o, rope, cfg):
+    """``latent_cache.attend_latent`` given the (n_kv, r, d_head) view of
+    ``v_factor`` that ``SharedFactorization.v_heads`` holds for each layer."""
+    v_heads = v_factor.reshape(len(v_factor), cfg.n_kv_heads, cfg.d_head).transpose(1, 0, 2)
+    return latent_cache.attend_latent(q, latents, k_factor, v_factor, w_o, rope, cfg, v_heads)
 
 
 # Tq = 1 is one decode block; 7 and 33 are not multiples of the row block
@@ -94,8 +100,8 @@ def test_factored_value_path_orders_match_reference(monkeypatch, heads_per_kv, t
         return attention_block(*args, **kwargs)
 
     monkeypatch.setattr(latent_cache, "attention_block", counted)
-    out = latent_cache.attend_latent(x["q"], latents, k_factor, v_factor, x["w_o"],
-                                     build_rope_table(cfg), cfg)
+    out = attend_latent(x["q"], latents, k_factor, v_factor, x["w_o"], build_rope_table(cfg),
+                        cfg)
     assert len(calls) == (1 if order == "restore" else 0)
     expected = reference_latent_attention(x["q"], latents, k_factor, v_factor, x["w_o"],
                                           cfg.rope_theta)
@@ -105,19 +111,27 @@ def test_factored_value_path_orders_match_reference(monkeypatch, heads_per_kv, t
 # -- row blocks sized by the scores budget ---------------------------------------
 
 def _record_blocks(monkeypatch, budget: int) -> list[tuple[int, int]]:
-    """Set the scores budget and log each yielded block's (rows, scores size)."""
+    """Set the scores budget and log each softmax block's (rows, scores size)."""
     blocks = []
-    real = model.attention_probs
+    real = model.causal_attention_weights
 
-    def recording(*args):
-        for start, stop, tk, weights, inv in real(*args):
-            blocks.append((stop - start, weights.size))
-            yield start, stop, tk, weights, inv
+    def recording(scores):
+        blocks.append((scores.shape[-2], scores.size))
+        return real(scores)
 
     monkeypatch.setattr(model, "SCORES_BLOCK_ELEMENTS", budget)
-    monkeypatch.setattr(model, "attention_probs", recording)
-    monkeypatch.setattr(latent_cache, "attention_probs", recording)
+    monkeypatch.setattr(model, "causal_attention_weights", recording)
     return blocks
+
+
+def _recording_head_values(cfg: ModelConfig, step):
+    """A ``causal_attention`` value step that hands each block's
+    ``(weights, inv, tk)`` to ``step`` and returns zero head outputs."""
+    def head_values(weights, inv, tk):
+        step(weights, inv, tk)
+        return np.zeros((cfg.n_kv_heads, weights.shape[1], cfg.d_head), dtype=np.float32)
+
+    return head_values
 
 
 # Every case caps the rows below Tq // n_q_heads (or at it, for the mix order),
@@ -166,16 +180,19 @@ def test_block_rows_at_workload_shapes(tq, tk, n_q, rows):
                       d_head=32, d_mlp=16, max_seq=1024)
     q = np.zeros((tq, n_q, 32), dtype=np.float32)
     keys = np.zeros((tk, 2, 32), dtype=np.float32)
-    start, stop, _, weights, inv = next(attention_probs(q, keys, cfg))
-    assert (start, stop) == (0, rows)
-    assert inv.shape == (n_q, rows, 1)
+    blocks = []
+    causal_attention(q, keys, np.zeros((cfg.d_hidden, cfg.d_hidden), dtype=np.float32), cfg,
+                     _recording_head_values(cfg, lambda *block: blocks.append(block)))
+    weights, inv, first_tk = blocks[0]  # query rows 0:rows over their visible keys
+    assert first_tk == tk - tq + rows and weights.shape == (2, n_q // 2 * rows, first_tk)
+    assert inv.shape == (2, n_q // 2 * rows, 1)
     assert rows == 1 or weights.size <= model.SCORES_BLOCK_ELEMENTS == 2**18
 
 
 def _full_copy_block_probs(q_rope, keys, cfg):
-    """``model._block_probs``'s blocks taken from one scaled, head-grouped copy
-    of every query row, made before the first block; it drives the package's
-    softmax and one-row scores."""
+    """``model.causal_attention``'s blocks, as ``(start, stop, tk, weights,
+    inv)``, taken from one scaled, head-grouped copy of every query row, made
+    before the first block; it drives the package's softmax and one-row scores."""
     n_q, n_kv, hpk, d_head, tq = (cfg.n_q_heads, cfg.n_kv_heads, cfg.heads_per_kv,
                                   cfg.d_head, q_rope.shape[0])
     keys_h = keys.transpose(1, 0, 2)
@@ -203,13 +220,20 @@ def test_per_block_query_grouping_is_bit_identical_to_the_full_copy(tq, tk, n_q)
     rng = np.random.default_rng(tq + n_q)
     q = rng.standard_normal((tq, n_q, 32)).astype(np.float32)
     keys = rng.standard_normal((tk, 2, 32)).astype(np.float32)
-    blocks = 0
-    for got, want in zip(attention_probs(q, keys, cfg), _full_copy_block_probs(q, keys, cfg),
-                         strict=True):
-        assert got[:3] == want[:3]
-        assert got[3].tobytes() == want[3].tobytes() and got[4].tobytes() == want[4].tobytes()
-        blocks += 1
-    assert blocks > 1
+    wanted = _full_copy_block_probs(q, keys, cfg)
+    blocks = []
+
+    def compare(weights, inv, tk):
+        start, stop, want_tk, want_weights, want_inv = next(wanted)
+        assert (tk, weights.shape[1]) == (want_tk, cfg.heads_per_kv * (stop - start))
+        assert weights.tobytes() == want_weights.tobytes()
+        assert inv.tobytes() == want_inv.tobytes()
+        blocks.append(start)
+
+    causal_attention(q, keys, np.zeros((cfg.d_hidden, cfg.d_hidden), dtype=np.float32), cfg,
+                     _recording_head_values(cfg, compare))
+    assert next(wanted, None) is None
+    assert len(blocks) > 1
 
 
 # -- SiLU, the MLP and RMSNorm -------------------------------------------------------

@@ -100,7 +100,7 @@ def test_latent_attention_matches_baseline_at_full_rank(fact_full):
         baseline = reference_latent_attention(q, xn, lw.w_k, lw.w_v, lw.w_o, cfg.rope_theta)
         h = compute_latent(xn, fact.shared_for_layer(layer))
         latent = attend_latent(q, h, fact.k_factors[layer], fact.v_factors[layer], lw.w_o,
-                               rope, cfg)
+                               rope, cfg, fact.v_heads[layer])
         assert np.abs(latent - baseline).max() < 1e-5
 
 
@@ -112,7 +112,8 @@ def test_singleton_softmax(fact07):
     h = rng.standard_normal((1, fact.rank)).astype(np.float32)
     q = rng.standard_normal((1, cfg.n_q_heads, cfg.d_head)).astype(np.float32)
     w_o = weights.layers[0].w_o
-    out = attend_latent(q, h, fact.k_factors[0], fact.v_factors[0], w_o, rope, cfg)
+    out = attend_latent(q, h, fact.k_factors[0], fact.v_factors[0], w_o, rope, cfg,
+                        fact.v_heads[0])
     # one key takes all the weight: each query head reads its KV head's value row
     values = (h.astype(np.float64) @ fact.v_factors[0]).reshape(cfg.n_kv_heads, cfg.d_head)
     expected = np.repeat(values, cfg.heads_per_kv, axis=0).reshape(1, -1) @ w_o
