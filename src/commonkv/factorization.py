@@ -292,7 +292,7 @@ def load_factorized(blob_or_path) -> tuple[ModelWeights, SharedFactorization]:
     if groups != [list(g) for g in layout.groups]:
         raise InputError(f"factorized manifest 'groups' {groups!r} are not the "
                          f"group_size={group_size} layout of {cfg.n_layers} layers")
-    max_rank = min(cfg.d_hidden, 2 * group_size * cfg.d_kv)
+    max_rank = clamp_rank(1.0, cfg, group_size)  # full rank, clamped to the layout
     if not 1 <= rank <= max_rank:
         raise InputError(f"factorized manifest 'rank' {rank} is outside [1, {max_rank}]")
     weights = weights_from_tensors(cfg, tensors, seed=meta.get("seed"))

@@ -413,23 +413,25 @@ def causal_attention(q_rope: np.ndarray, keys: np.ndarray, w_o: np.ndarray,
     no ``(Tq, n_q, d_head)`` buffer.
     """
     n_q, n_kv, hpk = config.n_q_heads, config.n_kv_heads, config.heads_per_kv
-    d_head, tq = config.d_head, q_rope.shape[0]
+    d_head, tq, tk_all = config.d_head, q_rope.shape[0], keys.shape[0]
     scale = np.float32(1.0 / math.sqrt(d_head))
     keys_h = keys.transpose(1, 0, 2)  # (n_kv, Tk, d_head)
-    o_cat = None if tq == 1 else np.empty((tq, n_q, d_head), dtype=np.float32)
-    block = max(1, min(tq // n_q, SCORES_BLOCK_ELEMENTS // (n_q * keys.shape[0])))
+    o_cat, block = None, 1
+    if tq > 1:
+        o_cat = np.empty((tq, n_q, d_head), dtype=np.float32)
+        block = max(1, min(tq // n_q, SCORES_BLOCK_ELEMENTS // (n_q * tk_all)))
     for start in range(0, tq, block):
         stop = min(start + block, tq)
-        rows, tk = stop - start, keys.shape[0] - tq + stop
-        if rows == 1:  # one row is already grouped by KV head
-            scores = _row_scores(q_rope[start].reshape(n_kv, hpk, d_head) * scale,
-                                 keys_h[:, :tk])
+        rows, tk = stop - start, tk_all - tq + stop
+        keys_b = keys_h if tk == tk_all else keys_h[:, :tk]
+        if rows == 1:  # one row is already grouped by KV head: (n_q, 1, tk) scores
+            scores = _row_scores(q_rope[start].reshape(n_kv, hpk, d_head) * scale, keys_b)
         else:
             q_rows = (q_rope[start:stop] * scale).transpose(1, 0, 2)  # (n_q, rows, d_head)
             scores = np.matmul(q_rows.reshape(n_kv, -1, d_head),
-                               keys_h[:, :tk].transpose(0, 2, 1))
+                               keys_b.transpose(0, 2, 1)).reshape(n_kv, hpk, rows, tk)
             del q_rows
-        weights, inv = causal_attention_weights(scores.reshape(n_kv, hpk, rows, tk))
+        weights, inv = causal_attention_weights(scores)
         heads = head_values(weights.reshape(n_kv, -1, tk), inv.reshape(n_kv, -1, 1), tk)
         if o_cat is None:  # one query row: query head q = kv·hpk + j is in order
             return heads.reshape(1, config.d_hidden) @ w_o

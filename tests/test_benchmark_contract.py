@@ -7,7 +7,6 @@ moves a method to a base class, or stops calling a span the per-layer report
 requires breaks the benchmark; these tests fail first, without a timed run.
 """
 
-import dataclasses
 import importlib
 import sys
 from pathlib import Path
@@ -20,14 +19,10 @@ for path in (ROOT / "src", ROOT):
         sys.path.insert(0, str(path))
 
 from perfbench import harness, metrics, spans, workloads  # noqa: E402
+from perfbench.tests.conftest import micro  # noqa: E402
 
 from commonkv.latent_cache import LatentSession  # noqa: E402
-from commonkv.model import BaselineSession, ModelConfig  # noqa: E402
-
-# the shape of perfbench's own micro smoke runs: 8 layers, so group size 4
-# gives two groups, as at the real shapes
-MICRO = ModelConfig(n_layers=8, d_hidden=16, n_q_heads=2, n_kv_heads=1, d_head=8,
-                    d_mlp=32, max_seq=64)
+from commonkv.model import BaselineSession  # noqa: E402
 
 
 @pytest.mark.parametrize("name", sorted(spans.SPAN_FUNCTIONS))
@@ -61,11 +56,10 @@ def test_bytes_copied_reads_a_session_after_one_decode_step(fact07, probe_ids, m
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
 def test_every_required_span_is_called(name):
-    # one traced set-up and one session per mode at a micro shape; the traced
-    # benchmark reports a run as failed when a (span, mode, phase) of
-    # metrics.SELF_TIMES is never called.  Calls are counted, never timed.
-    workload = dataclasses.replace(workloads.WORKLOADS[name], config=MICRO, prompt_len=16,
-                                   decode_len=4)
+    # one traced set-up and one session per mode at perfbench's own micro
+    # shape; the traced benchmark reports a run as failed when a (span, mode,
+    # phase) of metrics.SELF_TIMES is never called.  Calls are counted, never timed.
+    workload = micro(workloads.WORKLOADS[name])
     seeds = workloads.derive_seeds(3)
     stream = workloads.token_stream(seeds.streams, 0, workload.stream_len)
     tracer = spans.Tracer()
