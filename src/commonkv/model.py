@@ -193,7 +193,7 @@ class ModelWeights:
         for name, shape in expect.items():
             arr = tensors[name]
             if arr.shape != shape:
-                raise ConfigurationError(f"{name}: expected shape {shape}, got {arr.shape}")
+                raise InputError(f"{name}: expected shape {shape}, got {arr.shape}")
             if not np.all(np.isfinite(arr)):
                 raise NumericError(f"{name}: contains non-finite values")
 

@@ -573,8 +573,9 @@ def test_factorized_container_missing_tensor_is_input_error(workdir, factorized,
     assert _run_commonkv(workdir, factorized) == 3
 
 
+# a base weight of the wrong shape used to exit 2, a configuration error
 @pytest.mark.parametrize("tensor", ["groups.0.shared", "layers.2.k_factor",
-                                    "layers.5.v_factor"])
+                                    "layers.5.v_factor", "layers.2.w_q"])
 def test_factorized_tensor_of_wrong_shape_is_input_error(workdir, factorized, tensor, capsys):
     tensors, meta = tensorfile.load(factorized)
     tensors[tensor] = np.ones((3, 3), dtype=np.float32)
