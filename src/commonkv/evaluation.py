@@ -147,7 +147,7 @@ class RawKVSession(LatentSession):
                rows: range, rope: RopeTable) -> np.ndarray:
         cfg = self.weights.config
         k, v = project_kv(xn, lw, rows.start, rope, cfg)
-        visible = self._cache(layer, rows, np.concatenate(
+        visible = self._cache(layer, np.concatenate(
             [k.reshape(len(rows), -1), v.reshape(len(rows), -1)], axis=1))
         shape = (len(visible), cfg.n_kv_heads, cfg.d_head)
         return attention_block(q, visible[:, :cfg.d_kv].reshape(shape),

@@ -200,18 +200,11 @@ def _rel_frobenius(approx: np.ndarray, exact: np.ndarray) -> float:
 
 
 def build_factorization(weights: ModelWeights, group_size: int,
-                        rank_fraction: float | None = None,
-                        rank: int | None = None) -> SharedFactorization:
-    """The shared and per-layer factors at ``rank_fraction`` or at ``rank``."""
+                        rank: int) -> SharedFactorization:
+    """The shared and per-layer factors at ``rank``; ``factorize_group``
+    refuses one outside ``[1, min(d_hidden, 2·group_size·d_kv)]``."""
     cfg = weights.config
     layout = GroupLayout.for_model(cfg.n_layers, group_size)
-    if (rank is None) == (rank_fraction is None):
-        raise ConfigurationError("pass exactly one of rank_fraction / rank")
-    if rank is None:
-        rank = clamp_rank(rank_fraction, cfg, group_size)
-    elif not 1 <= rank <= min(cfg.d_hidden, 2 * group_size * cfg.d_kv):
-        raise ConfigurationError(f"rank {rank} out of range")
-
     shared: list[np.ndarray] = []
     k_factors: list[np.ndarray | None] = [None] * cfg.n_layers
     v_factors: list[np.ndarray | None] = [None] * cfg.n_layers
@@ -239,7 +232,7 @@ def transform_model(weights: ModelWeights, group_size: int, rank_fraction: float
     carries each layer's relative Frobenius reconstruction errors.
     """
     cfg = weights.config
-    fact = build_factorization(weights, group_size, rank_fraction)
+    fact = build_factorization(weights, group_size, clamp_rank(rank_fraction, cfg, group_size))
     tensors = dict(weights.named_tensors())
     tensors.update((f"groups.{gi}.shared", a) for gi, a in enumerate(fact.shared))
     errors = {}

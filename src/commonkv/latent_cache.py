@@ -26,7 +26,9 @@ After prefill, groups selected by the budget plan collapse their per-layer
 prefixes into one shared prefix; decode-time latents always stay per layer.
 A layer's decode suffix is held as sealed fixed-size chunks plus a short
 open tail, so a decode append copies at most one chunk of rows, and the
-rows a layer attends to are joined by one concatenation per step.
+rows a layer attends to are joined by one concatenation per step.  The store
+keeps no positions: its prefill and decode lengths are the rows its layer 0
+holds.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ def restore_keys(latents: np.ndarray, k_factor: np.ndarray, rope: RopeTable,
     array allocated.
     """
     keys = (latents @ k_factor).reshape(latents.shape[0], n_kv_heads, -1)
-    return apply_rope(keys, 0, rope, out=keys)
+    return apply_rope(keys, 0, rope)
 
 
 def attend_latent(q_rope: np.ndarray, latents: np.ndarray, k_factor: np.ndarray,
@@ -138,7 +140,8 @@ class LatentCacheStore:
     sealed ``SUFFIX_CHUNK_ROWS``-row arrays plus an open tail of fewer rows;
     ``suffixes`` joins them on each read.
     Tuples, not lists: an empty tuple allocates nothing, so a session that
-    never seals a chunk holds no more than one array per layer.
+    never seals a chunk holds no more than one array per layer.  The lengths
+    are counted from layer 0's rows; the store keeps no positions.
     """
 
     def __init__(self, config: ModelConfig, layout: GroupLayout, width: int):
@@ -153,26 +156,26 @@ class LatentCacheStore:
         self._chunks: list[tuple[np.ndarray, ...]] = [()] * config.n_layers
         self._tails = [np.empty((0, width), dtype=np.float32)
                        for _ in range(config.n_layers)]
-        self.prefill_positions = np.empty(0, dtype=np.int64)
-        self.decode_positions = np.empty(0, dtype=np.int64)
 
     @property
     def prefill_len(self) -> int:
-        return len(self.prefill_positions)
+        """Layer 0's prefix rows (its group's shared prefix once merged)."""
+        return len(self.prefix_for_layer(0))
 
     @property
     def decode_len(self) -> int:
-        return len(self.decode_positions)
+        """Layer 0's suffix rows: its sealed chunks plus its open tail."""
+        return len(self._chunks[0]) * SUFFIX_CHUNK_ROWS + len(self._tails[0])
 
-    def record_positions(self, rows: range, decoding: bool) -> None:
-        """Record a call's positions by phase, always 0..T-1, as one new int64 ``arange``.
+    # The rows' positions as new int64 aranges: only the benchmark's copy count
+    # reads them, no kernel does.
+    @property
+    def prefill_positions(self) -> np.ndarray:
+        return np.arange(self.prefill_len, dtype=np.int64)
 
-        A session calls this once per step, at layer 0; no kernel reads them.
-        """
-        if decoding:
-            self.decode_positions = np.arange(self.prefill_len, rows.stop, dtype=np.int64)
-        else:
-            self.prefill_positions = np.arange(rows.stop, dtype=np.int64)
+    @property
+    def decode_positions(self) -> np.ndarray:
+        return np.arange(self.prefill_len, self.prefill_len + self.decode_len, dtype=np.int64)
 
     def append_prefill(self, layer: int, latents: np.ndarray) -> None:
         gi = self.layout.group_of(layer)
@@ -351,17 +354,15 @@ class LatentSession:
                rows: range, rope: RopeTable) -> np.ndarray:
         """Cache the rows' latents, attend over the layer's."""
         fact = self.fact
-        visible = self._cache(layer, rows, compute_latent(xn, fact.shared_for_layer(layer)))
+        visible = self._cache(layer, compute_latent(xn, fact.shared_for_layer(layer)))
         return attend_latent(q, visible, fact.k_factors[layer], fact.v_factors[layer],
                              lw.w_o, rope, self.weights.config, v_heads=fact.v_heads[layer])
 
-    def _cache(self, layer: int, rows: range, new_rows: np.ndarray) -> np.ndarray:
+    def _cache(self, layer: int, new_rows: np.ndarray) -> np.ndarray:
         """Store a call's rows for ``layer`` (prefix or suffix by phase); return
         every row the layer may attend to."""
-        store, decoding = self.store, self._prefill_frozen
-        if layer == 0:
-            store.record_positions(rows, decoding)
-        (store.append_decode if decoding else store.append_prefill)(layer, new_rows)
+        store = self.store
+        (store.append_decode if self._prefill_frozen else store.append_prefill)(layer, new_rows)
         return store.visible_latents(layer)
 
     # -- accounting ----------------------------------------------------------

@@ -29,10 +29,9 @@ over a full-KV cache, so the conventions below hold for all of them:
   rotate by one flat multiply; queries multiply one row broadcast over heads
 * positions follow from shapes: a call's new rows sit at consecutive
   positions, so RoPE takes the first row's position and rotates by a slice of
-  its table, in place into ``out``; attention's Tk keys sit at 0..Tk-1 and its
-  Tq queries are the last Tq of them.  No kernel takes a position array; a
-  store records its positions once per step, at layer 0, as one int64
-  ``arange``
+  its table, in place; attention's Tk keys sit at 0..Tk-1 and its Tq queries
+  are the last Tq of them.  No kernel takes a position array, and no store
+  keeps one: a store's token count is the number of rows its layer 0 holds
 * a transient lives only while it is read: prefill holds one scores block
   at a time (``causal_attention`` drops each block before the next one's
   scores are allocated, and each block scales and groups its own query
@@ -320,17 +319,17 @@ def build_rope_table(config: ModelConfig) -> RopeTable:
     return RopeTable(tiled=tiled)
 
 
-def apply_rope(vectors: np.ndarray, start: int, table: RopeTable,
-               out: np.ndarray | None = None) -> np.ndarray:
-    """Rotate (tokens, heads, d_head) pairwise: token i to position ``start + i``.
+def apply_rope(vectors: np.ndarray, start: int, table: RopeTable) -> np.ndarray:
+    """Rotate (tokens, heads, d_head) pairwise in place: token i to position
+    ``start + i``; returns ``vectors``.
 
-    One complex multiply per pair by a slice of the table.  Keys
-    (``n_kv_heads`` heads) multiply the head-tiled table elementwise, with no
-    broadcast; any other head count, such as queries, multiplies one rotation
-    row broadcast over its heads.  With ``out`` (a C-contiguous float32 array
-    of the same shape, which may be ``vectors`` itself) the result is written
-    there instead of into a new array; rotating in place copies nothing.
-    Positions outside the table raise ``CapacityError`` before any write.
+    One complex multiply per pair by a slice of the table, written back over
+    ``vectors``, so nothing is copied.  Keys (``n_kv_heads`` heads) multiply
+    the head-tiled table elementwise, with no broadcast; any other head count,
+    such as queries, multiplies one rotation row broadcast over its heads.
+    ``vectors`` must be C-contiguous float32 (``InputError``), and positions
+    outside the table raise ``CapacityError``; both are checked before any
+    write.
     """
     tiled = table.tiled
     stop = start + vectors.shape[0]
@@ -338,16 +337,13 @@ def apply_rope(vectors: np.ndarray, start: int, table: RopeTable,
         raise CapacityError(f"position {stop - 1} outside RoPE table of {len(tiled)}")
     if start < 0:
         raise CapacityError("negative position id")
-    if out is not None and (out.dtype != np.float32 or not out.flags.c_contiguous):
-        raise InputError("apply_rope writes only into a C-contiguous float32 array")
-    src = vectors if out is vectors else np.ascontiguousarray(vectors, dtype=np.float32)
-    pairs = src.view(np.complex64)
+    if vectors.dtype != np.float32 or not vectors.flags.c_contiguous:
+        raise InputError("apply_rope rotates only a C-contiguous float32 array")
+    pairs = vectors.view(np.complex64)
     # keys: one flat multiply by tiled rows; other head counts: one row over the heads
     cis = tiled[start:stop] if pairs.shape[1] == tiled.shape[1] else tiled[start:stop, :1]
-    if out is None:
-        return (pairs * cis).view(np.float32)
-    np.multiply(pairs, cis, out=pairs if out is vectors else out.view(np.complex64))
-    return out
+    np.multiply(pairs, cis, out=pairs)
+    return vectors
 
 
 def causal_attention_weights(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -485,7 +481,6 @@ class KVCache:
 
     config: ModelConfig
     layers: list[LayerKV] = field(default_factory=list)
-    positions: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
 
     def __post_init__(self):
         if not self.layers:
@@ -496,15 +491,19 @@ class KVCache:
 
     @property
     def n_tokens(self) -> int:
-        return len(self.positions)
+        return len(self.layers[0].keys)
+
+    @property
+    def positions(self) -> np.ndarray:
+        """0..n_tokens-1 as a new int64 ``arange``; only the benchmark's copy
+        count reads it, no kernel does."""
+        return np.arange(self.n_tokens, dtype=np.int64)
 
     def element_count(self) -> int:
         return sum(lk.keys.size + lk.values.size for lk in self.layers)
 
     def attend(self, layer: int, lw: LayerWeights, xn: np.ndarray, q: np.ndarray,
                rows: range, rope: RopeTable) -> np.ndarray:
-        if layer == 0:  # the cached positions are always 0..T-1
-            self.positions = np.arange(rows.stop, dtype=np.int64)
         k, v = project_kv(xn, lw, rows.start, rope, self.config)
         lk = self.layers[layer]
         lk.keys = np.concatenate([lk.keys, k], axis=0)
@@ -543,7 +542,7 @@ def project_kv(xn: np.ndarray, lw: LayerWeights, start: int, rope: RopeTable,
     """Keys, rotated in place to positions from ``start`` on, and values of normed rows."""
     k = (xn @ lw.w_k).reshape(-1, config.n_kv_heads, config.d_head)
     v = (xn @ lw.w_v).reshape(-1, config.n_kv_heads, config.d_head)
-    apply_rope(k, start, rope, out=k)
+    apply_rope(k, start, rope)
     return k, v
 
 
@@ -573,7 +572,7 @@ def decoder_layer(x: np.ndarray, layer: int, lw: LayerWeights, store, rows: rang
     """
     xn = rms_norm(x, lw.attn_gain)
     q = (xn @ lw.w_q).reshape(len(rows), config.n_q_heads, config.d_head)
-    apply_rope(q, rows.start, rope, out=q)
+    apply_rope(q, rows.start, rope)
     x += store.attend(layer, lw, xn, q, rows, rope)
     del xn, q  # the MLP reads neither
     x += mlp_block(rms_norm(x, lw.mlp_gain), lw)
@@ -589,8 +588,8 @@ def forward(weights: ModelWeights, token_ids, store) -> np.ndarray:
     its normed rows ``xn``, then return the ``lw.w_o``-projected causal
     attention (Tq, d_hidden) of the rotated queries ``q`` over every row the
     layer sees, at positions ``0..rows.stop-1``; ``rope`` is the model's own
-    table, ``weights.rope``.  Layers (``decoder_layer``) run in order; layer
-    0's call records ``rows`` in the store's positions.
+    table, ``weights.rope``.  Layers (``decoder_layer``) run in order, and
+    ``n_tokens`` follows from the rows the store holds.
     Tokens (at least one) and ``max_seq`` are checked first, so a rejected
     call leaves the store as it was.
     """

@@ -3,9 +3,7 @@ import pytest
 from commonkv.corpus import markov_byte_corpus
 from commonkv.factorization import load_factorized, transform_model
 from commonkv.model import ModelConfig, gen_toy_model
-
-MICRO = ModelConfig(n_layers=2, d_hidden=8, n_q_heads=2, n_kv_heads=1,
-                    d_head=4, d_mlp=16, max_seq=32)
+from micro_config import MICRO
 
 
 @pytest.fixture(scope="session")

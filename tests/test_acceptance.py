@@ -20,7 +20,7 @@ from commonkv.factorization import (GroupLayout, factorize_group, load_factorize
 from commonkv.latent_cache import LatentSession, attend_latent
 from commonkv.model import (BaselineSession, ModelConfig, apply_rope, build_rope_table,
                             gen_toy_model, loss_and_grads)
-from conftest import MICRO
+from micro_config import MICRO
 from oracles import (engine_fd_gradient, reference_latent_attention,
                      similarity_construction_trial, singular_values_by_eig)
 

@@ -14,7 +14,7 @@ from commonkv.corpus import markov_byte_corpus
 from commonkv.errors import ConfigurationError, InputError
 from commonkv.factorization import GroupLayout
 from commonkv.model import ModelConfig
-from conftest import MICRO
+from micro_config import MICRO
 from oracles import reference_fd_gradient
 
 

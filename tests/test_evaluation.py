@@ -8,7 +8,8 @@ from commonkv.errors import (CapacityError, ConfigurationError, InputError, Nume
                              UnreachableRatioError)
 from commonkv.evaluation import (CSV_COLUMNS, MODES, RawKVSession, bench_sweep, perplexity,
                                  profile_similarity, records_to_csv, sweep_summary)
-from commonkv.factorization import build_factorization, transform_model, load_factorized
+from commonkv.factorization import (build_factorization, clamp_rank, load_factorized,
+                                   transform_model)
 from commonkv.latent_cache import SUFFIX_CHUNK_ROWS, LatentCacheStore, LatentSession
 from commonkv.model import BaselineSession, ModelConfig, gen_toy_model
 from oracles import sequence_nll, similarity_construction_trial
@@ -196,7 +197,8 @@ def test_every_stores_audit_equals_the_storage_model(toy_weights, mode, group_si
     width, merged, members = shapes[mode]
     if mode == "rawkv_meanmerge" and group_size == 1:
         target = 0.0
-    fact = build_factorization(toy_weights, group_size, 0.7) if mode == "commonkv" else None
+    rank = clamp_rank(0.7, toy_weights.config, group_size)
+    fact = build_factorization(toy_weights, group_size, rank) if mode == "commonkv" else None
     for decode_len in (0, 1, SUFFIX_CHUNK_ROWS - 1, SUFFIX_CHUNK_ROWS, SUFFIX_CHUNK_ROWS + 1):
         n = 16 + 1 + decode_len
         res = perplexity(mode, toy_weights, markov_byte_corpus(decode_len, 1, n)[0], fact=fact,

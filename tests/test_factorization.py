@@ -11,7 +11,7 @@ from commonkv.factorization import (GroupLayout, build_factorization, clamp_rank
                                     fuse_value_output, load_factorized,
                                     split_right_factor, transform_model)
 from commonkv.model import ModelConfig, gen_toy_model
-from conftest import MICRO
+from micro_config import MICRO
 from oracles import singular_values_by_eig
 
 
@@ -289,7 +289,8 @@ def test_loading_copies_only_the_tensors_it_keeps():
 def test_build_factorization_rank_override(toy_weights):
     fact = build_factorization(toy_weights, group_size=1, rank=32)
     assert fact.rank == 32
-    with pytest.raises(ConfigurationError):
-        build_factorization(toy_weights, 1, rank_fraction=0.5, rank=10)
-    with pytest.raises(ConfigurationError):
-        build_factorization(toy_weights, 1)
+    # [1, min(d_hidden, 2·group_size·d_kv)]: 64 at group size 1 and at 4 on the toy model
+    assert build_factorization(toy_weights, 4, rank=64).rank == 64
+    for group_size, rank in ((1, 0), (1, 65), (4, 65), (4, -1)):
+        with pytest.raises(ConfigurationError, match=f"rank {rank} outside"):
+            build_factorization(toy_weights, group_size, rank)

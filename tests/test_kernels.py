@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from commonkv import latent_cache, model
-from commonkv.errors import CapacityError
+from commonkv.errors import CapacityError, InputError
 from commonkv.model import (ModelConfig, apply_rope, attention_block, build_rope_table,
                             causal_attention, causal_attention_weights, mlp_block, rms_norm,
                             silu)
@@ -351,15 +351,29 @@ def _pairwise_rope(vectors, positions, table):
     return out
 
 
-def test_complex_rope_matches_pairwise_formula_on_non_contiguous_input(toy_cfg):
+def test_complex_rope_matches_pairwise_formula(toy_cfg):
     table = build_rope_table(toy_cfg)
     rng = np.random.default_rng(21)
-    base = rng.standard_normal((toy_cfg.n_q_heads, 12, toy_cfg.d_head)).astype(np.float32)
-    vectors = base.transpose(1, 0, 2)  # (tokens, heads, d_head), not C-contiguous
-    assert not vectors.flags.c_contiguous
-    positions = np.arange(200, 212)
-    out = apply_rope(vectors, 200, table)
-    np.testing.assert_allclose(out, _pairwise_rope(vectors, positions, table), atol=1e-6)
+    vectors = rng.standard_normal((12, toy_cfg.n_q_heads, toy_cfg.d_head)).astype(np.float32)
+    rotated = vectors.copy()
+    assert apply_rope(rotated, 200, table) is rotated
+    np.testing.assert_allclose(rotated, _pairwise_rope(vectors, np.arange(200, 212), table),
+                               atol=1e-6)
+
+
+@pytest.mark.parametrize("make", [
+    lambda base: base.transpose(1, 0, 2),  # (tokens, heads, d_head), not C-contiguous
+    lambda base: np.ascontiguousarray(base.transpose(1, 0, 2), dtype=np.float64),
+])
+def test_rope_refuses_what_it_cannot_rotate_in_place(toy_cfg, make):
+    table = build_rope_table(toy_cfg)
+    base = np.random.default_rng(21).standard_normal(
+        (toy_cfg.n_q_heads, 12, toy_cfg.d_head)).astype(np.float32)
+    vectors = make(base)
+    before = vectors.tobytes()
+    with pytest.raises(InputError, match="C-contiguous float32"):
+        apply_rope(vectors, 200, table)
+    assert vectors.tobytes() == before
 
 
 def test_rope_table_is_one_complex_table_with_exact_cos_sin(toy_cfg):
@@ -391,28 +405,25 @@ def test_rope_over_a_range_is_bit_identical_to_the_gather(toy_cfg, first, stop):
     vectors = np.random.default_rng(first + stop).standard_normal(
         (stop - first, toy_cfg.n_kv_heads, toy_cfg.d_head)).astype(np.float32)
     gathered = _gathered_rope(vectors, first, table)
-    sliced = apply_rope(vectors, first, table)
-    assert sliced.tobytes() == gathered.tobytes()
     in_place = vectors.copy()
-    assert apply_rope(in_place, first, table, out=in_place) is in_place
+    assert apply_rope(in_place, first, table) is in_place
     assert in_place.tobytes() == gathered.tobytes()
-    # the in-place path (out=vectors, what sessions call) for keys, which take
-    # the head-tiled table, and for queries, which broadcast one row
+    # keys, which take the head-tiled table, and queries, which broadcast one row
     n = stop - first
     for heads in (toy_cfg.n_kv_heads, toy_cfg.n_q_heads):
         vectors = np.random.default_rng(heads).standard_normal(
             (n, heads, toy_cfg.d_head)).astype(np.float32)
         expected = _gathered_rope(vectors, first, table)
         rotated = vectors.copy()
-        assert apply_rope(rotated, first, table, out=rotated) is rotated
+        assert apply_rope(rotated, first, table) is rotated
         assert rotated.tobytes() == expected.tobytes()
         if n == 0:
             continue
-        # both capacity checks hold on this path too, before anything is written
+        # both capacity checks run before anything is written
         untouched = vectors.copy()
         for outside in (toy_cfg.max_seq - n + 1, -1):
             with pytest.raises(CapacityError):
-                apply_rope(untouched, outside, table, out=untouched)
+                apply_rope(untouched, outside, table)
             assert untouched.tobytes() == vectors.tobytes()
 
 
@@ -430,23 +441,19 @@ def test_tiled_key_rotation_is_bit_identical_to_the_gathered_rotation(tokens):
     for heads in (cfg.n_kv_heads, cfg.n_q_heads):  # keys take the tiled table, queries not
         vectors = rng.standard_normal((tokens, heads, cfg.d_head)).astype(np.float32)
         expected = (vectors.view(np.complex64) * rotations).view(np.float32).tobytes()
-        assert apply_rope(vectors, first, table).tobytes() == expected
-        out = vectors.copy()
-        assert apply_rope(out, first, table, out=out) is out
-        assert out.tobytes() == expected
+        rotated = vectors.copy()
+        assert apply_rope(rotated, first, table) is rotated
+        assert rotated.tobytes() == expected
 
 
 @pytest.mark.parametrize("positions", [range(250, 257), range(-1, 3)])
 def test_rope_range_outside_the_table_raises(toy_cfg, positions):
-    # start + T > max_seq, and start = -1: nothing is written into out first
+    # start + T > max_seq, and start = -1: nothing is written first
     table = build_rope_table(toy_cfg)
-    vectors = np.zeros((len(positions), 1, toy_cfg.d_head), dtype=np.float32)
+    vectors = np.full((len(positions), 1, toy_cfg.d_head), 7.0, dtype=np.float32)
     with pytest.raises(CapacityError):
         apply_rope(vectors, positions.start, table)
-    out = np.full_like(vectors, 7.0)
-    with pytest.raises(CapacityError):
-        apply_rope(vectors, positions.start, table, out=out)
-    assert (out == 7.0).all()
+    assert (vectors == 7.0).all()
 
 
 def test_restore_keys_allocates_only_its_keys():

@@ -584,6 +584,37 @@ def test_decode_append_copies_at_most_a_chunk(fact07):
     assert worst <= 2 * C * row_bytes + 4096
 
 
+def test_bare_store_lengths_count_the_rows_it_holds(fact07):
+    # driven through its appends alone, with no session: the lengths and the
+    # position properties follow from layer 0's rows, through a merge and a seal
+    _, fact, _ = fact07
+    store = LatentCacheStore(fact.config, fact.layout, fact.rank)
+    rng = np.random.default_rng(27)
+
+    def rows(n):
+        return rng.standard_normal((n, fact.rank)).astype(np.float32)
+
+    def assert_lengths(prefill, decode):
+        assert (store.prefill_len, store.decode_len) == (prefill, decode)
+        assert store.prefill_positions.tolist() == list(range(prefill))
+        assert store.decode_positions.tolist() == list(range(prefill, prefill + decode))
+        assert store.prefill_positions.dtype == store.decode_positions.dtype == np.int64
+
+    assert_lengths(0, 0)
+    for n in (6, 4):
+        for layer in range(fact.config.n_layers):
+            store.append_prefill(layer, rows(n))
+    assert_lengths(10, 0)
+    store.merge_group(0, np.mean(store.groups[0].layer_prefixes, axis=0))
+    assert_lengths(10, 0)
+    for step in range(1, C + 3):
+        for layer in range(fact.config.n_layers):
+            store.append_decode(layer, rows(1))
+        assert_lengths(10, step)
+    assert len(store._chunks[0]) == 1 and len(store._tails[0]) == 2
+    store.audit()
+
+
 # -- rejected token lists and the stored positions ----------------------------------
 
 def _session(fact07, kind):
@@ -665,8 +696,8 @@ def test_rejected_rawkv_decode_changes_nothing(fact07, probe_ids):
 
 
 def test_stored_positions_stay_int64_aranges_through_prefill_and_decode(fact07, probe_ids):
-    # each store keeps its positions as one int64 arange, rebuilt once per step;
-    # the benchmark's traced bytes_copied reads these arrays' nbytes
+    # each store's positions are one int64 arange, built from its row counts on
+    # every read; the benchmark's traced bytes_copied reads these arrays' nbytes
     base, latent = _session(fact07, "baseline"), _session(fact07, "commonkv")
     for session in (base, latent):
         session.prefill(probe_ids[:12])

@@ -8,7 +8,7 @@ from commonkv.errors import CapacityError, ConfigurationError, InputError
 from commonkv.model import (BaselineSession, ModelConfig, apply_rope, build_rope_table,
                             forward_baseline, gen_toy_model, load_model, loss_and_grads,
                             save_model)
-from conftest import MICRO
+from micro_config import MICRO
 from oracles import engine_fd_gradient, reference_fd_gradient, reference_loss, sequence_nll
 
 
@@ -50,14 +50,14 @@ def test_rope_identity_at_position_zero(toy_cfg):
     table = build_rope_table(toy_cfg)
     rng = np.random.default_rng(1)
     v = rng.standard_normal((1, toy_cfg.n_q_heads, toy_cfg.d_head)).astype(np.float32)
-    np.testing.assert_array_equal(apply_rope(v, 0, table), v)
+    np.testing.assert_array_equal(apply_rope(v.copy(), 0, table), v)
 
 
 def test_rope_isometry(toy_cfg):
     table = build_rope_table(toy_cfg)
     rng = np.random.default_rng(2)
     v = rng.standard_normal((10, toy_cfg.n_q_heads, toy_cfg.d_head)).astype(np.float32)
-    rotated = apply_rope(v, 5, table)
+    rotated = apply_rope(v.copy(), 5, table)
     before = np.linalg.norm(v, axis=-1)
     after = np.linalg.norm(rotated, axis=-1)
     np.testing.assert_allclose(after, before, rtol=1e-6, atol=1e-6)
@@ -77,7 +77,7 @@ def test_rope_isometry_property(position, seed):
     table = build_rope_table(cfg)
     v = np.random.default_rng(seed).standard_normal(
         (1, cfg.n_q_heads, cfg.d_head)).astype(np.float32)
-    rotated = apply_rope(v, position, table)
+    rotated = apply_rope(v.copy(), position, table)
     np.testing.assert_allclose(np.linalg.norm(rotated, axis=-1),
                                np.linalg.norm(v, axis=-1), rtol=1e-6, atol=1e-6)
 
