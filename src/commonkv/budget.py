@@ -19,10 +19,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, InputError, UnreachableRatioError
-from .model import ModelConfig, ModelWeights, loss_and_grads
+from .model import ModelConfig, ModelWeights, loss_and_grads, row_blocks
 
 
 MERGE_STRATEGIES = ("mean", "fisher", "shallow", "deep")
+# Elements per row block of ``merge_group``'s float64 sums (32 KB).  A merge
+# runs once per group, so small blocks cost little time, and even a short
+# prompt's prefix spans several of them: its float64 scratch stays below one
+# float64 copy of the prefix.
+MERGE_BLOCK_ELEMENTS = 2**12
 SCORE_VARIANTS = ("shortcut", "full")  # ``group_score`` / ``group_score_full``
 
 
@@ -260,7 +265,9 @@ def merge_group(prefixes: list[np.ndarray], strategy: str,
 
     Returns (merged, weights_used, fisher_fell_back).  Weights are always
     nonnegative and sum to one, so merged rows stay in the convex hull of
-    the member rows.
+    the member rows.  The weighted sum accumulates in float64 one row block
+    of at most ``MERGE_BLOCK_ELEMENTS`` at a time (``model.row_blocks``), so
+    beside the float32 result only block-sized float64 arrays exist.
     """
     if not prefixes:
         raise InputError("nothing to merge")
@@ -295,8 +302,12 @@ def merge_group(prefixes: list[np.ndarray], strategy: str,
             w = [float(f) / total for f in fisher_values]
     else:
         raise InputError(f"unknown merge strategy {strategy!r}")
-    merged = np.zeros(prefixes[0].shape, dtype=np.float64)
-    for weight, prefix in zip(w, prefixes):
-        if weight != 0.0:
-            merged += weight * prefix.astype(np.float64)
-    return merged.astype(np.float32), w, fell_back
+    merged = np.empty(prefixes[0].shape, dtype=np.float32)
+    for block in row_blocks(*merged.shape, MERGE_BLOCK_ELEMENTS):
+        acc = np.zeros(merged[block].shape, dtype=np.float64)
+        for weight, prefix in zip(w, prefixes):
+            if weight != 0.0:
+                acc += weight * prefix[block].astype(np.float64)
+        merged[block] = acc
+        del acc  # before the next block's sums
+    return merged, w, fell_back

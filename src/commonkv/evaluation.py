@@ -125,9 +125,9 @@ class RawKVSession(LatentSession):
     wide: a token's rotated keys and values, flattened.  Only three things
     differ from the latent session: the constructor, ``pair_score`` (the mean
     of two layers' key cosines and value cosines, which both score variants
-    compare: first against last layer, or each adjacent pair) and ``attend``,
-    which projects K/V as the full-KV ``KVCache`` does, stores them and
-    attends over the layer's rows.  The phases, the plan through
+    compare: first against last layer, or each adjacent pair), ``append``,
+    which projects K/V as the full-KV ``KVCache`` does and stores them, and
+    ``attend``, which attends over the layer's rows.  The phases, the plan through
     ``budget.allocate_budget`` and the merge loop are ``LatentSession``'s;
     ``prefill_session`` always merges raw K/V by mean.
     """
@@ -143,15 +143,19 @@ class RawKVSession(LatentSession):
         v_sim = group_score(first[:, d_kv:], second[:, d_kv:])
         return 0.5 * (k_sim + v_sim)
 
-    def attend(self, layer: int, lw: LayerWeights, xn: np.ndarray, q: np.ndarray,
-               rows: range, rope: RopeTable) -> np.ndarray:
-        cfg = self.weights.config
-        k, v = project_kv(xn, lw, rows.start, rope, cfg)
-        visible = self._cache(layer, np.concatenate(
+    def append(self, layer: int, lw: LayerWeights, xn: np.ndarray, rows: range,
+               rope: RopeTable) -> None:
+        k, v = project_kv(xn, lw, rows.start, rope, self.weights.config)
+        self._keep(layer, np.concatenate(
             [k.reshape(len(rows), -1), v.reshape(len(rows), -1)], axis=1))
+
+    def attend(self, layer: int, lw: LayerWeights, q: np.ndarray, rows: range,
+               rope: RopeTable) -> np.ndarray:
+        cfg = self.weights.config
+        visible = self.store.visible_latents(layer)
         shape = (len(visible), cfg.n_kv_heads, cfg.d_head)
         return attention_block(q, visible[:, :cfg.d_kv].reshape(shape),
-                               visible[:, cfg.d_kv:].reshape(shape), lw.w_o, cfg)
+                               visible[:, cfg.d_kv:].reshape(shape), lw.w_o, cfg, o_cat=q)
 
 
 # ---------------------------------------------------------------------------

@@ -64,7 +64,8 @@ def restore_keys(latents: np.ndarray, k_factor: np.ndarray, rope: RopeTable,
 
 def attend_latent(q_rope: np.ndarray, latents: np.ndarray, k_factor: np.ndarray,
                   v_factor: np.ndarray, w_o: np.ndarray, rope: RopeTable,
-                  config: ModelConfig, v_heads: np.ndarray) -> np.ndarray:
+                  config: ModelConfig, v_heads: np.ndarray,
+                  o_cat: np.ndarray | None = None) -> np.ndarray:
     """Causal attention over latent rows for one layer; returns (Tq, d_hidden).
 
     The output is ``model.causal_attention`` over the restored keys, with
@@ -82,6 +83,8 @@ def attend_latent(q_rope: np.ndarray, latents: np.ndarray, k_factor: np.ndarray,
     Prefill restores values and a decode step (Tq = 1) mixes latents; the
     crossover sits near Tq ≈ r·d_kv / (n_q·(r − d_head)).
     The latents sit at positions 0..Tk-1 and the queries are the last Tq.
+    ``o_cat`` is the head-output buffer of ``model.causal_attention``; a
+    session passes its queries, which it gives up.
     """
     keys = restore_keys(latents, k_factor, rope, config.n_kv_heads)
     n_q, n_kv, d_head = config.n_q_heads, config.n_kv_heads, config.d_head
@@ -90,14 +93,14 @@ def attend_latent(q_rope: np.ndarray, latents: np.ndarray, k_factor: np.ndarray,
     mix = n_q * tq * tk_all * rank + n_q * tq * rank * d_head
     if restore <= mix:
         values = (latents @ v_factor).reshape(tk_all, n_kv, d_head)
-        return attention_block(q_rope, keys, values, w_o, config)
+        return attention_block(q_rope, keys, values, w_o, config, o_cat)
 
     def head_values(weights, inv, tk):
         mixed = weights.reshape(-1, tk) @ latents[:tk]  # (n_q * rows, r), head-major
         mixed *= inv.reshape(-1, 1)
         return np.matmul(mixed.reshape(n_kv, -1, rank), v_heads)  # (n_kv, hpk * rows, d_head)
 
-    return causal_attention(q_rope, keys, w_o, config, head_values)
+    return causal_attention(q_rope, keys, w_o, config, head_values, o_cat)
 
 
 def _checksum(array: np.ndarray) -> str:
@@ -178,12 +181,15 @@ class LatentCacheStore:
         return np.arange(self.prefill_len, self.prefill_len + self.decode_len, dtype=np.int64)
 
     def append_prefill(self, layer: int, latents: np.ndarray) -> None:
+        """Extend a layer's prefix; its first rows are kept as given, not copied."""
         gi = self.layout.group_of(layer)
         gc = self.groups[gi]
         if gc.merged:
             raise InputError("cannot extend the prefix of a merged group")
         slot = layer - self.layout.groups[gi][0]
-        gc.layer_prefixes[slot] = np.concatenate([gc.layer_prefixes[slot], latents], axis=0)
+        prefix = gc.layer_prefixes[slot]
+        gc.layer_prefixes[slot] = (np.concatenate([prefix, latents], axis=0) if len(prefix)
+                                   else latents)
 
     @property
     def suffixes(self) -> list[np.ndarray]:
@@ -253,14 +259,14 @@ class LatentCacheStore:
 class LatentSession:
     """One compressed-inference session: prefill, plan/merge, decode.
 
-    The session is its own KV store for ``model.forward`` (``n_tokens`` and
-    ``attend``): a layer's new rows join its prefix until the prefill phase
-    closes (merge or decode), and its suffix after.  Prefill may run in as
-    many calls as wanted until then.  The value path is factored: ``B_v``
-    then ``W_o``, see ``attend_latent``.  A subclass that stores other rows
-    (``evaluation.RawKVSession``) overrides ``__init__``, ``pair_score`` and
-    ``attend``; the phases, the group scores, the plan and the merge loop
-    are these.
+    The session is its own KV store for ``model.forward`` (``n_tokens``,
+    ``append`` and ``attend``): a layer's new rows join its prefix until the
+    prefill phase closes (merge or decode), and its suffix after.  Prefill
+    may run in as many calls as wanted until then.  The value path is
+    factored: ``B_v`` then ``W_o``, see ``attend_latent``.  A subclass that
+    stores other rows (``evaluation.RawKVSession``) overrides ``__init__``,
+    ``pair_score``, ``append`` and ``attend``; the phases, the group scores,
+    the plan and the merge loop are these.
     """
 
     def __init__(self, weights: ModelWeights, fact: SharedFactorization):
@@ -350,20 +356,23 @@ class LatentSession:
     def n_tokens(self) -> int:
         return self.store.prefill_len + self.store.decode_len
 
-    def attend(self, layer: int, lw: LayerWeights, xn: np.ndarray, q: np.ndarray,
-               rows: range, rope: RopeTable) -> np.ndarray:
-        """Cache the rows' latents, attend over the layer's."""
-        fact = self.fact
-        visible = self._cache(layer, compute_latent(xn, fact.shared_for_layer(layer)))
-        return attend_latent(q, visible, fact.k_factors[layer], fact.v_factors[layer],
-                             lw.w_o, rope, self.weights.config, v_heads=fact.v_heads[layer])
+    def append(self, layer: int, lw: LayerWeights, xn: np.ndarray, rows: range,
+               rope: RopeTable) -> None:
+        """Cache the rows' latents."""
+        self._keep(layer, compute_latent(xn, self.fact.shared_for_layer(layer)))
 
-    def _cache(self, layer: int, new_rows: np.ndarray) -> np.ndarray:
-        """Store a call's rows for ``layer`` (prefix or suffix by phase); return
-        every row the layer may attend to."""
+    def attend(self, layer: int, lw: LayerWeights, q: np.ndarray, rows: range,
+               rope: RopeTable) -> np.ndarray:
+        """Attend over the layer's latents; the head outputs overwrite ``q``."""
+        fact = self.fact
+        return attend_latent(q, self.store.visible_latents(layer), fact.k_factors[layer],
+                             fact.v_factors[layer], lw.w_o, rope, self.weights.config,
+                             v_heads=fact.v_heads[layer], o_cat=q)
+
+    def _keep(self, layer: int, new_rows: np.ndarray) -> None:
+        """Store a call's rows for ``layer``: prefix or suffix rows by phase."""
         store = self.store
         (store.append_decode if self._prefill_frozen else store.append_prefill)(layer, new_rows)
-        return store.visible_latents(layer)
 
     # -- accounting ----------------------------------------------------------
 

@@ -32,17 +32,24 @@ over a full-KV cache, so the conventions below hold for all of them:
   its table, in place; attention's Tk keys sit at 0..Tk-1 and its Tq queries
   are the last Tq of them.  No kernel takes a position array, and no store
   keeps one: a store's token count is the number of rows its layer 0 holds
-* a transient lives only while it is read: prefill holds one scores block
-  at a time (``causal_attention`` drops each block before the next one's
-  scores are allocated, and each block scales and groups its own query
-  rows), the MLP applies SiLU in place over one block of at most
-  ``SCORES_BLOCK_ELEMENTS`` activations at a time, and the layer body drops
-  ``xn`` and ``q`` before the MLP
+* a KV store provides ``n_tokens``, ``append`` (cache what a layer keeps of
+  its normed rows) and ``attend`` (attention of the layer's queries over
+  every row it holds); see ``forward``
+* a transient lives only while it is read, so a prefill layer holds the
+  residual, one (T, d_hidden) buffer and blocks: the normed rows are dropped
+  once the store has appended, attention writes its head outputs over the
+  queries, and the MLP writes its output over its normed rows.
+  ``causal_attention`` holds one scores block at a time (each block is
+  dropped before the next one's scores are allocated, and each block scales
+  and groups its own query rows); ``rms_norm`` and ``mlp_block`` work one
+  row block of at most ``ROW_BLOCK_ELEMENTS`` at a time (``row_blocks``),
+  and so does ``budget.merge_group`` with a smaller block.  Every block is
+  row-wise, so blocking changes no bit of the result
 * a single row (a decode step) takes one-row paths: ``rms_norm`` keeps its
   statistics in Python floats; ``causal_attention`` skips the row-block
   loop and all mask work, and its output meets ``W_o`` with no
-  ``(Tq, n_q, d_head)`` buffer; ``mlp_block`` applies SiLU out of place,
-  with no block loop; and ``_check_tokens`` checks one token as a Python int
+  ``(Tq, n_q, d_head)`` buffer; ``mlp_block`` returns a new array, with no
+  block loop; and ``_check_tokens`` checks one token as a Python int
 * gradients (used only for calibration) run a separate float64 pass
 """
 
@@ -61,6 +68,10 @@ RMS_EPS = 1e-6
 # Float32 scores per attention row block (1 MB): small enough to stay in a
 # per-core L2 cache while the softmax makes its passes over the block.
 SCORES_BLOCK_ELEMENTS = 2**18
+# Elements per row block of ``rms_norm`` and ``mlp_block``: a 1 MB float64
+# norm block, or 0.5 MB of float32 MLP activations.  That is no more than one
+# scores block, while a block of a few hundred rows keeps each GEMM efficient.
+ROW_BLOCK_ELEMENTS = 2**17
 LAYER_TENSORS = ("attn_gain", "w_q", "w_k", "w_v", "w_o", "mlp_gain", "w_in", "w_out")
 
 
@@ -272,23 +283,46 @@ def load_model(path) -> ModelWeights:
 # Shared numeric kernels
 # ---------------------------------------------------------------------------
 
+def row_blocks(n_rows: int, width: int, elements: int):
+    """Consecutive row slices covering ``n_rows`` rows of ``width`` elements.
+
+    Each block holds at most ``elements`` elements (at least one row), and
+    the rows are spread evenly over the fewest such blocks, so no block is
+    much smaller than half the limit: a GEMM over only a few rows may take
+    another BLAS kernel (one row is a matrix-vector product) and round
+    differently from the same rows inside a larger GEMM.
+    """
+    n_blocks = -(-n_rows // max(1, elements // width))
+    size = -(-n_rows // n_blocks) if n_blocks else 1
+    return (slice(start, start + size) for start in range(0, n_rows, size))
+
+
 def rms_norm(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
     """RMS normalization with learnable gain; statistics and scaling in float64.
 
-    One float64 copy of ``x`` is scaled in place.  The sum of squares is one
-    ``einsum``, or for a single row (a decode step) one dot product whose
-    scalar statistics then stay Python floats; the kernel tests check that
-    both reproduce ``mean(x * x)`` bit for bit.
+    Each row's sum of squares is one ``einsum`` over a float64 copy of its
+    row block (``row_blocks``), scaled in place and written into the float32
+    result, so no float64 copy of the whole input exists.  A single row (a
+    decode step) takes one dot product instead, whose scalar statistics stay
+    Python floats; the kernel tests check that both reproduce ``mean(x * x)``
+    bit for bit.
     """
-    x64 = x.astype(np.float64)
-    if x64.size == x64.shape[-1]:
+    if x.size == x.shape[-1]:
+        x64 = x.astype(np.float64)
         row = x64.ravel()
         x64 *= 1.0 / math.sqrt(float(row.dot(row)) / row.size + RMS_EPS)
-    else:
+        x64 *= gain
+        return x64.astype(np.float32)
+    rows = x.reshape(-1, x.shape[-1])
+    out = np.empty(rows.shape, dtype=np.float32)
+    for block in row_blocks(*rows.shape, ROW_BLOCK_ELEMENTS):
+        x64 = rows[block].astype(np.float64)
         mean_sq = np.einsum("...i,...i->...", x64, x64)[..., None] / x.shape[-1]
         x64 *= 1.0 / np.sqrt(mean_sq + RMS_EPS)
-    x64 *= gain
-    return x64.astype(np.float32)
+        x64 *= gain
+        out[block] = x64
+        del x64  # before the next block's copy
+    return out.reshape(x.shape)
 
 
 @dataclass(frozen=True)
@@ -384,7 +418,8 @@ def _row_scores(q_row: np.ndarray, keys_h: np.ndarray) -> np.ndarray:
 
 
 def causal_attention(q_rope: np.ndarray, keys: np.ndarray, w_o: np.ndarray,
-                     config: ModelConfig, head_values) -> np.ndarray:
+                     config: ModelConfig, head_values, o_cat: np.ndarray | None = None
+                     ) -> np.ndarray:
     """Causal GQA attention of rotated queries (Tq, n_q, d_head); (Tq, d_hidden).
 
     The one attention loop.  The queries are the last Tq of the Tk keys'
@@ -404,6 +439,9 @@ def causal_attention(q_rope: np.ndarray, keys: np.ndarray, w_o: np.ndarray,
     (n_kv, hpk·rows, 1) and returns the head outputs (n_kv, hpk·rows,
     d_head), scaled by ``inv``.  They go into ``o_cat``, and every reference
     to the block is dropped before the next block's scores are allocated.
+    ``o_cat`` is a new (Tq, n_q, d_head) buffer unless the caller passes one;
+    a KV store passes ``q_rope`` itself, which it gives up, because a block
+    has read its own query rows before it writes their head outputs.
     A one-row query (every decode step) is a single block over every key,
     already grouped by KV head; its head outputs meet ``w_o`` directly, with
     no ``(Tq, n_q, d_head)`` buffer.
@@ -412,9 +450,10 @@ def causal_attention(q_rope: np.ndarray, keys: np.ndarray, w_o: np.ndarray,
     d_head, tq, tk_all = config.d_head, q_rope.shape[0], keys.shape[0]
     scale = np.float32(1.0 / math.sqrt(d_head))
     keys_h = keys.transpose(1, 0, 2)  # (n_kv, Tk, d_head)
-    o_cat, block = None, 1
+    block = 1
     if tq > 1:
-        o_cat = np.empty((tq, n_q, d_head), dtype=np.float32)
+        if o_cat is None:
+            o_cat = np.empty((tq, n_q, d_head), dtype=np.float32)
         block = max(1, min(tq // n_q, SCORES_BLOCK_ELEMENTS // (n_q * tk_all)))
     for start in range(0, tq, block):
         stop = min(start + block, tq)
@@ -429,7 +468,7 @@ def causal_attention(q_rope: np.ndarray, keys: np.ndarray, w_o: np.ndarray,
             del q_rows
         weights, inv = causal_attention_weights(scores)
         heads = head_values(weights.reshape(n_kv, -1, tk), inv.reshape(n_kv, -1, 1), tk)
-        if o_cat is None:  # one query row: query head q = kv·hpk + j is in order
+        if tq == 1:  # one query row: query head q = kv·hpk + j is in order
             return heads.reshape(1, config.d_hidden) @ w_o
         o_cat[start:stop] = heads.reshape(n_q, rows, d_head).transpose(1, 0, 2)
         del scores, weights, inv, heads  # before the next block's scores
@@ -451,18 +490,19 @@ def silu(z: np.ndarray) -> np.ndarray:
 
 
 def mlp_block(x_normed: np.ndarray, lw: LayerWeights) -> np.ndarray:
-    """``silu(x_normed @ w_in) @ w_out``.  Over several rows, SiLU overwrites
-    the ``(rows, d_mlp)`` activations in place, one block of at most
-    ``SCORES_BLOCK_ELEMENTS`` of them at a time; one row (a decode step) skips
-    the block loop and its copy back."""
-    z = x_normed @ lw.w_in
-    if len(z) == 1:
-        return silu(z) @ lw.w_out
-    block = max(1, SCORES_BLOCK_ELEMENTS // z.shape[1])
-    for start in range(0, len(z), block):
-        part = z[start:start + block]
-        part[...] = silu(part)
-    return z @ lw.w_out
+    """``silu(x_normed @ w_in) @ w_out``.
+
+    Over several rows it runs GEMM, SiLU and GEMM one row block at a time
+    (``row_blocks`` over the ``d_mlp`` activations) and writes each block's
+    result over its own rows of ``x_normed``, which it returns: the caller
+    gives up its normed rows, and no ``(rows, d_mlp)`` array is ever whole.
+    One row (a decode step) skips the block loop and returns a new array.
+    """
+    if len(x_normed) == 1:
+        return silu(x_normed @ lw.w_in) @ lw.w_out
+    for block in row_blocks(len(x_normed), lw.w_in.shape[1], ROW_BLOCK_ELEMENTS):
+        x_normed[block] = silu(x_normed[block] @ lw.w_in) @ lw.w_out
+    return x_normed
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +517,11 @@ class LayerKV:
 
 @dataclass
 class KVCache:
-    """Full-KV store: every layer's rotated keys and values for every token."""
+    """Full-KV store: every layer's rotated keys and values for every token.
+
+    A layer's first block of rows is kept as projected; later blocks join it
+    by one concatenation each.
+    """
 
     config: ModelConfig
     layers: list[LayerKV] = field(default_factory=list)
@@ -502,13 +546,21 @@ class KVCache:
     def element_count(self) -> int:
         return sum(lk.keys.size + lk.values.size for lk in self.layers)
 
-    def attend(self, layer: int, lw: LayerWeights, xn: np.ndarray, q: np.ndarray,
-               rows: range, rope: RopeTable) -> np.ndarray:
+    def append(self, layer: int, lw: LayerWeights, xn: np.ndarray, rows: range,
+               rope: RopeTable) -> None:
         k, v = project_kv(xn, lw, rows.start, rope, self.config)
         lk = self.layers[layer]
+        if not len(lk.keys):
+            lk.keys, lk.values = k, v
+            return
+        # one at a time, so the old keys are gone before the values are copied
         lk.keys = np.concatenate([lk.keys, k], axis=0)
         lk.values = np.concatenate([lk.values, v], axis=0)
-        return attention_block(q, lk.keys, lk.values, lw.w_o, self.config)
+
+    def attend(self, layer: int, lw: LayerWeights, q: np.ndarray, rows: range,
+               rope: RopeTable) -> np.ndarray:
+        lk = self.layers[layer]
+        return attention_block(q, lk.keys, lk.values, lw.w_o, self.config, o_cat=q)
 
 
 def _check_tokens(config: ModelConfig, token_ids) -> np.ndarray:
@@ -547,11 +599,12 @@ def project_kv(xn: np.ndarray, lw: LayerWeights, start: int, rope: RopeTable,
 
 
 def attention_block(q_rope: np.ndarray, keys: np.ndarray, values: np.ndarray,
-                    w_o: np.ndarray, config: ModelConfig) -> np.ndarray:
+                    w_o: np.ndarray, config: ModelConfig,
+                    o_cat: np.ndarray | None = None) -> np.ndarray:
     """Causal GQA attention over cached values. q_rope (Tq, n_q, d_head) -> (Tq, d_hidden).
 
     ``causal_attention`` with the value step ``weights @ V``, normalised by
-    the block's reciprocal row sums.
+    the block's reciprocal row sums; ``o_cat`` is its head-output buffer.
     """
     values_t = values.transpose(1, 0, 2)  # (n_kv, Tk, d_head)
 
@@ -560,21 +613,27 @@ def attention_block(q_rope: np.ndarray, keys: np.ndarray, values: np.ndarray,
         heads *= inv
         return heads
 
-    return causal_attention(q_rope, keys, w_o, config, head_values)
+    return causal_attention(q_rope, keys, w_o, config, head_values, o_cat)
 
 
 def decoder_layer(x: np.ndarray, layer: int, lw: LayerWeights, store, rows: range,
                   rope: RopeTable, config: ModelConfig) -> None:
     """One layer over the residual rows ``x`` at positions ``rows``, in place.
 
-    Norm, query projection and its RoPE, ``store.attend`` (see ``forward``)
-    and the MLP; both blocks are added to ``x``.
+    Norm, query projection and its RoPE, ``store.append`` and then
+    ``store.attend`` (see ``forward``), and the MLP; both blocks are added to
+    ``x``.  Beside the residual it keeps one (rows, d_hidden) buffer through
+    attention and the MLP: the normed rows go as soon as the store has
+    cached what it keeps of them, the head outputs overwrite the queries,
+    and the MLP writes its output over its own normed rows.
     """
     xn = rms_norm(x, lw.attn_gain)
     q = (xn @ lw.w_q).reshape(len(rows), config.n_q_heads, config.d_head)
     apply_rope(q, rows.start, rope)
-    x += store.attend(layer, lw, xn, q, rows, rope)
-    del xn, q  # the MLP reads neither
+    store.append(layer, lw, xn, rows, rope)
+    del xn  # attention reads only the queries and the store
+    x += store.attend(layer, lw, q, rows, rope)
+    del q
     x += mlp_block(rms_norm(x, lw.mlp_gain), lw)
 
 
@@ -583,13 +642,16 @@ def forward(weights: ModelWeights, token_ids, store) -> np.ndarray:
 
     The store decides what a layer caches and how it attends.  It provides
     ``n_tokens``, the tokens already cached (the new ones take positions
-    ``rows = range(n_tokens, n_tokens + len(token_ids))``), and
-    ``attend(layer, lw, xn, q, rows, rope)``: cache what the layer keeps of
-    its normed rows ``xn``, then return the ``lw.w_o``-projected causal
-    attention (Tq, d_hidden) of the rotated queries ``q`` over every row the
-    layer sees, at positions ``0..rows.stop-1``; ``rope`` is the model's own
-    table, ``weights.rope``.  Layers (``decoder_layer``) run in order, and
-    ``n_tokens`` follows from the rows the store holds.
+    ``rows = range(n_tokens, n_tokens + len(token_ids))``);
+    ``append(layer, lw, xn, rows, rope)``, which caches what the layer keeps
+    of its normed rows ``xn``; and then ``attend(layer, lw, q, rows, rope)``,
+    which returns the ``lw.w_o``-projected causal attention (Tq, d_hidden)
+    of the rotated queries ``q`` over every row the layer holds, at
+    positions ``0..rows.stop-1``.  ``attend`` may overwrite ``q``, which the
+    layer gives up (the stores write their head outputs over it); ``rope``
+    is the model's own table, ``weights.rope``.  Layers
+    (``decoder_layer``) run in order, and ``n_tokens`` follows from the rows
+    the store holds.
     Tokens (at least one) and ``max_seq`` are checked first, so a rejected
     call leaves the store as it was.
     """

@@ -345,6 +345,23 @@ def test_merged_prefix_equals_the_direct_formula(strategy):
     assert merged.tobytes() == _direct_merge(prefixes, weights).tobytes()
 
 
+# B rows per merge block at the wide rank: one row, B - 1, B and B + 1 rows, 3B + 5
+MERGE_WIDTH = WIDE_PREFIX[1]
+MERGE_BLOCK = budget.MERGE_BLOCK_ELEMENTS // MERGE_WIDTH
+
+
+@pytest.mark.parametrize("rows", [1, MERGE_BLOCK - 1, MERGE_BLOCK, MERGE_BLOCK + 1,
+                                  3 * MERGE_BLOCK + 5])
+@pytest.mark.parametrize("strategy", ["mean", "fisher"])
+def test_merge_over_row_blocks_is_bit_identical_to_the_whole_array_sum(rows, strategy):
+    rng = np.random.default_rng(rows)
+    prefixes = [rng.standard_normal((rows, MERGE_WIDTH)).astype(np.float32) for _ in range(4)]
+    fisher = [0.3, 1.7, 0.1, 2.9] if strategy == "fisher" else None
+    merged, weights, _ = merge_group(prefixes, strategy, fisher)
+    assert merged.dtype == np.float32 and merged.shape == (rows, MERGE_WIDTH)
+    assert merged.tobytes() == _direct_merge(prefixes, weights).tobytes()
+
+
 def _traced_peak(call) -> int:
     tracemalloc.start()
     try:
@@ -358,15 +375,16 @@ def _traced_peak(call) -> int:
 
 def test_merge_phase_holds_one_float64_prefix_beyond_its_result():
     # beyond (rows,)-sized statistics and numpy's fixed-size ufunc buffers, a
-    # score holds one float64 copy of a prefix, and a merge its float64 sum
-    # and one float64 term
+    # score holds one float64 copy of a prefix, and a merge its float32 result
+    # plus one block's float64 sum and float64 term
     rows, width = WIDE_PREFIX
     full64 = 8 * rows * width
     slack = 8 * 8 * rows + 4 * 8 * np.getbufsize() + 4096
     rng = np.random.default_rng(52)
     prefixes = [rng.standard_normal(WIDE_PREFIX).astype(np.float32) for _ in range(4)]
     assert _traced_peak(lambda: group_score(prefixes[0], prefixes[-1])) <= full64 + slack
-    assert _traced_peak(lambda: merge_group(prefixes, "mean")) <= 2 * full64 + slack
+    merge_blocks = 2 * 8 * budget.MERGE_BLOCK_ELEMENTS
+    assert _traced_peak(lambda: merge_group(prefixes, "mean")) <= full64 // 2 + merge_blocks + slack
 
 
 @pytest.mark.parametrize("values", [[1e308] * 4, [1.0, float("nan"), 1.0, 1.0]],

@@ -110,6 +110,42 @@ def test_factored_value_path_orders_match_reference(monkeypatch, heads_per_kv, t
 
 # -- row blocks sized by the scores budget ---------------------------------------
 
+# at WIDE_RANK and two query heads per KV head, Tq = 1 (a decode row) and 3
+# (three one-row blocks) take the mix-latents order, and Tq = 33 (8-row blocks)
+# restores values
+@pytest.mark.parametrize("tq", [1, 3, 33])
+def test_queries_are_written_over_only_when_passed_as_the_output_buffer(tq):
+    cfg = _config(2)
+    x = _random_inputs(cfg, tq, 700 + tq)
+    rng = np.random.default_rng(700 + tq)
+    latents = (rng.standard_normal((HISTORY, WIDE_RANK)) * 0.5).astype(np.float32)
+    k_factor, v_factor = ((rng.standard_normal((WIDE_RANK, cfg.d_kv)) * 0.2).astype(np.float32)
+                          for _ in range(2))
+    v_heads = v_factor.reshape(WIDE_RANK, cfg.n_kv_heads, cfg.d_head).transpose(1, 0, 2)
+    rope = build_rope_table(cfg)
+    values_t = x["values"].transpose(1, 0, 2)
+
+    def head_values(weights, inv, tk):
+        heads = np.matmul(weights, values_t[:, :tk])
+        heads *= inv
+        return heads
+
+    calls = {
+        "attention_block": lambda q, **kw: attention_block(
+            q, x["keys"], x["values"], x["w_o"], cfg, **kw),
+        "causal_attention": lambda q, **kw: causal_attention(
+            q, x["keys"], x["w_o"], cfg, head_values, **kw),
+        "attend_latent": lambda q, **kw: latent_cache.attend_latent(
+            q, latents, k_factor, v_factor, x["w_o"], rope, cfg, v_heads, **kw),
+    }
+    for name, call in calls.items():
+        q = x["q"].copy()
+        out = call(q)
+        assert q.tobytes() == x["q"].tobytes(), name  # the caller keeps its queries
+        # a KV store gives its queries up as the buffer: the same output
+        assert call(q, o_cat=q).tobytes() == out.tobytes(), name
+
+
 def _record_blocks(monkeypatch, budget: int) -> list[tuple[int, int]]:
     """Set the scores budget and log each softmax block's (rows, scores size)."""
     blocks = []
@@ -249,19 +285,57 @@ def test_float32_silu_matches_float64_without_warnings():
     np.testing.assert_allclose(out, expected, rtol=1e-6, atol=1e-6)
 
 
-# 256 rows per SiLU block at d_mlp = 1024: one row (a decode step), one short
-# block, exactly one full block, and three blocks with a short last one
-@pytest.mark.parametrize("rows", [1, 255, 256, 700])
+# B rows per MLP row block at d_mlp = 1024: one row (a decode step), B - 1, B
+# and B + 1 rows (two blocks, none of them a single row), 3B + 5 rows, and
+# three more counts of two or more blocks
+MLP_BLOCK = model.ROW_BLOCK_ELEMENTS // 1024
+
+
+@pytest.mark.parametrize("rows", [1, MLP_BLOCK - 1, MLP_BLOCK, MLP_BLOCK + 1,
+                                  3 * MLP_BLOCK + 5, 255, 256, 700])
 def test_mlp_over_silu_row_blocks_is_bit_identical_to_one_silu(rows):
     d_hidden, d_mlp = 64, 1024
-    assert model.SCORES_BLOCK_ELEMENTS // d_mlp == 256
     rng = np.random.default_rng(rows)
     x = rng.standard_normal((rows, d_hidden)).astype(np.float32)
     lw = SimpleNamespace(
         w_in=(rng.standard_normal((d_hidden, d_mlp)) / 8).astype(np.float32),
         w_out=(rng.standard_normal((d_mlp, d_hidden)) / 32).astype(np.float32))
     expected = silu(x @ lw.w_in) @ lw.w_out
-    assert mlp_block(x, lw).tobytes() == expected.tobytes()
+    out = mlp_block(x, lw)
+    assert out.tobytes() == expected.tobytes()
+    # several rows are written over the normed rows they were given; one row is not
+    assert (out is x) == (rows > 1)
+
+
+# B rows per rms_norm block at d = 256: the same counts as the MLP's
+NORM_WIDTH = 256
+NORM_BLOCK = model.ROW_BLOCK_ELEMENTS // NORM_WIDTH
+
+
+@pytest.mark.parametrize("rows", [1, NORM_BLOCK - 1, NORM_BLOCK, NORM_BLOCK + 1,
+                                  3 * NORM_BLOCK + 5])
+def test_rms_norm_over_row_blocks_is_bit_identical_to_the_whole_array_formula(rows):
+    rng = np.random.default_rng(rows)
+    x = (rng.standard_normal((rows, NORM_WIDTH)) * 3).astype(np.float32)
+    gain = rng.uniform(0.5, 1.5, NORM_WIDTH).astype(np.float32)
+    x64 = x.astype(np.float64)
+    inv = 1.0 / np.sqrt(np.mean(x64 * x64, axis=-1, keepdims=True) + model.RMS_EPS)
+    expected = (x64 * inv * gain.astype(np.float64)).astype(np.float32)
+    del x64, inv
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = rms_norm(x, gain)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert out.tobytes() == expected.tobytes()
+    # the float32 result and one block's float64 copy, never a float64 copy of
+    # every row; beside them only per-row statistics and numpy's cast buffers
+    block_rows = min(rows, NORM_BLOCK)
+    slack = 4 * 8 * block_rows + 2 * 8 * np.getbufsize() + 4096
+    assert peak <= 4 * x.size + 8 * block_rows * NORM_WIDTH + slack
 
 
 @pytest.mark.parametrize("shape", [(64,), (1, 256), (96, 64), (3, 5, 8)])

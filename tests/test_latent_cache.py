@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from commonkv import budget as budget_mod
 from commonkv import latent_cache, model
 from commonkv.budget import allocate_budget
 from commonkv.corpus import markov_byte_corpus
@@ -130,11 +131,12 @@ def test_factored_session_matches_float64_reference_through_merge_and_decode(
     diffs = []
 
     def checked(q, latents, *args, **kwargs):
-        out = attend_latent(q, latents, *args, **kwargs)
+        # the reference first: a session's call writes its head outputs over q
         layer = len(diffs) % n_layers
         expected = reference_latent_attention(
             q, latents, fact.k_factors[layer], fact.v_factors[layer],
             weights.layers[layer].w_o, weights.config.rope_theta)
+        out = attend_latent(q, latents, *args, **kwargs)
         diffs.append(float(np.abs(out - expected).max()))
         return out
 
@@ -433,18 +435,17 @@ def wide_two_layers():
 
 @pytest.mark.parametrize("kind", ["baseline", "latent"])
 def test_prefill_holds_one_scores_block_and_one_silu_block(wide_two_layers, kind):
-    # beyond the cache, a prefill holds at most four (T, d_hidden) arrays (the
-    # residual, a normed copy, the queries and the head outputs; or the
-    # residual and rms_norm's float64 copy and result), one layer's keys and
-    # values, one scores block and one SiLU block
+    # beyond the cache, a prefill holds at most two (T, d_hidden) arrays (the
+    # residual and one buffer: the normed rows, then the queries, overwritten
+    # by the head outputs, then the normed rows the MLP writes over), one
+    # layer's keys and values, one scores block and one row block
     weights, fact = wide_two_layers
     cfg, tokens = weights.config, 960
     ids = markov_byte_corpus(13, 1, tokens)[0]
-    silu_block = model.SCORES_BLOCK_ELEMENTS // cfg.d_mlp * cfg.d_mlp
-    transients = 4 * (4 * tokens * cfg.d_hidden + 2 * tokens * cfg.d_kv
-                      + model.SCORES_BLOCK_ELEMENTS + silu_block)
+    transients = 4 * (2 * tokens * cfg.d_hidden + 2 * tokens * cfg.d_kv
+                      + model.SCORES_BLOCK_ELEMENTS + model.ROW_BLOCK_ELEMENTS)
     assert tokens * cfg.n_q_heads * tokens > 8 * model.SCORES_BLOCK_ELEMENTS
-    assert tokens * cfg.d_mlp > silu_block
+    assert tokens * cfg.d_mlp > 2 * model.ROW_BLOCK_ELEMENTS
     session = SESSIONS[kind](weights, fact)
     tracemalloc.start()
     try:
@@ -455,6 +456,27 @@ def test_prefill_holds_one_scores_block_and_one_silu_block(wide_two_layers, kind
     finally:
         tracemalloc.stop()
     assert peak - 4 * session.cache_element_count() <= transients
+
+
+def test_merge_phase_holds_one_float64_prefix(wide_two_layers):
+    # scoring holds one float64 copy of a prefix; the merge, beside its float32
+    # result, only block-sized float64 sums
+    weights, fact = wide_two_layers
+    tokens = 960
+    session = LatentSession(weights, fact)
+    session.prefill(markov_byte_corpus(13, 1, tokens)[0])
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        session.plan_and_merge(0.3, strategy="fisher", fisher=budget_mod.FisherWeights(
+            per_layer=[1.0, 3.0], corpus_digest="x"))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert session.plan.merged_groups == [0]
+    slack = 8 * 8 * tokens + 4 * 8 * np.getbufsize() + 4096
+    assert peak <= 8 * tokens * fact.rank + slack
 
 
 @pytest.mark.parametrize("kind", ["latent", "rawkv"])
