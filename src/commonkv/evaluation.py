@@ -122,7 +122,7 @@ class RawKVSession(LatentSession):
     """A ``LatentSession`` whose rows are full K/V, mean-merged across groups.
 
     Stands in for direct cross-layer sharing baselines.  Each row is ``2·d_kv``
-    wide: a token's rotated keys and values, flattened.  Only three things
+    wide: a token's rotated keys and values, flattened.  Only four things
     differ from the latent session: the constructor, ``pair_score`` (the mean
     of two layers' key cosines and value cosines, which both score variants
     compare: first against last layer, or each adjacent pair), ``append``,

@@ -633,7 +633,7 @@ def decoder_layer(x: np.ndarray, layer: int, lw: LayerWeights, store, rows: rang
     store.append(layer, lw, xn, rows, rope)
     del xn  # attention reads only the queries and the store
     x += store.attend(layer, lw, q, rows, rope)
-    del q
+    del q  # its buffer holds the head outputs, which the MLP does not read
     x += mlp_block(rms_norm(x, lw.mlp_gain), lw)
 
 

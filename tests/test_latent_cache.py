@@ -3,9 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from commonkv import budget as budget_mod
 from commonkv import latent_cache, model
-from commonkv.budget import allocate_budget
+from commonkv.budget import FisherWeights, allocate_budget
 from commonkv.corpus import markov_byte_corpus
 from commonkv.errors import InputError, NumericError
 from commonkv.evaluation import RawKVSession
@@ -469,8 +468,8 @@ def test_merge_phase_holds_one_float64_prefix(wide_two_layers):
     try:
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        session.plan_and_merge(0.3, strategy="fisher", fisher=budget_mod.FisherWeights(
-            per_layer=[1.0, 3.0], corpus_digest="x"))
+        session.plan_and_merge(0.3, strategy="fisher",
+                               fisher=FisherWeights(per_layer=[1.0, 3.0], corpus_digest="x"))
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()

@@ -64,13 +64,11 @@ def session_phases(mode: str, setup, workload, stream) -> dict:
         if mode != "baseline":
             phases["merge"] = phase(lambda: session.plan_and_merge(
                 workload.target_ratio, workload.strategy, setup.fisher))
-        worst = None
+        # only the worst step is kept: every kept record would count as live bytes
         for step, token in enumerate(stream[P:P + D]):
             measured = phase(lambda: session.decode(int(token)))
-            if worst is None or measured["peak_bytes"] > worst["peak_bytes"]:
-                worst = {**measured, "step": step}
-        if worst is not None:
-            phases["decode"] = worst
+            if step == 0 or measured["peak_bytes"] > phases["decode"]["peak_bytes"]:
+                phases["decode"] = {**measured, "step": step}
     finally:
         tracemalloc.stop()
     return phases
