@@ -42,9 +42,10 @@ over a full-KV cache, so the conventions below hold for all of them:
   ``causal_attention`` holds one scores block at a time (each block is
   dropped before the next one's scores are allocated, and each block scales
   and groups its own query rows); ``rms_norm`` and ``mlp_block`` work one
-  row block of at most ``ROW_BLOCK_ELEMENTS`` at a time (``row_blocks``),
-  and so does ``budget.merge_group`` with a smaller block.  Every block is
-  row-wise, so blocking changes no bit of the result
+  row block of at most ``ROW_BLOCK_ELEMENTS`` at a time, and so does
+  ``budget.merge_group`` with a smaller block.  Every block is row-wise, and
+  ``row_blocks`` spreads rows evenly so no GEMM block is a sliver: blocking
+  changes no bit of the result
 * a single row (a decode step) takes one-row paths: ``rms_norm`` keeps its
   statistics in Python floats; ``causal_attention`` skips the row-block
   loop and all mask work, and its output meets ``W_o`` with no
