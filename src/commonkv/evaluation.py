@@ -37,9 +37,8 @@ from .corpus import markov_byte_corpus
 from .errors import CapacityError, ConfigurationError, InputError, UnreachableRatioError
 from .factorization import GroupLayout, SharedFactorization, build_factorization
 from .latent_cache import LatentCacheStore, LatentSession, baseline_elements, compute_latent
-from .model import (BaselineSession, KVCache, LayerWeights, ModelConfig, ModelWeights,
-                    RopeTable, attention_block, decoder_layer, nll_from_logits, project_kv,
-                    rms_norm, _check_tokens)
+from .model import (BaselineSession, KVCache, ModelConfig, ModelWeights, attention_block,
+                    decoder_layer, nll_from_logits, project_kv, rms_norm, _check_tokens)
 
 MODES = ("baseline", "commonkv", "lowrank_perlayer", "rawkv_meanmerge")
 CSV_COLUMNS = ("mode", "target_ratio", "achieved_ratio", "nll", "cache_elements",
@@ -66,15 +65,14 @@ def _collect_layer_states(weights: ModelWeights, ids: np.ndarray,
                           fact: SharedFactorization | None):
     """Prefill once over a full-KV cache, returning per-layer hidden/key/value
     (and latent) stacks; a layer's hidden stack is its input residual stream."""
-    cache = KVCache(weights.config)
-    rows = range(ids.size)
+    cache = KVCache(weights)
     hiddens, latents = [], []
     x = weights.embed[ids]
     for li, lw in enumerate(weights.layers):
         hiddens.append(x.copy())
         if fact is not None:
             latents.append(compute_latent(rms_norm(x, lw.attn_gain), fact.shared_for_layer(li)))
-        decoder_layer(x, li, lw, cache, rows, weights.rope, weights.config)
+        decoder_layer(x, li, cache, 0)
     keys = [lk.keys.reshape(ids.size, -1) for lk in cache.layers]
     values = [lk.values.reshape(ids.size, -1) for lk in cache.layers]
     return hiddens, keys, values, latents
@@ -125,11 +123,14 @@ class RawKVSession(LatentSession):
     wide: a token's rotated keys and values, flattened.  Only four things
     differ from the latent session: the constructor, ``pair_score`` (the mean
     of two layers' key cosines and value cosines, which both score variants
-    compare: first against last layer, or each adjacent pair), ``append``,
-    which projects K/V as the full-KV ``KVCache`` does and stores them, and
-    ``attend``, which attends over the layer's rows.  The phases, the plan through
-    ``budget.allocate_budget`` and the merge loop are ``LatentSession``'s;
-    ``prefill_session`` always merges raw K/V by mean.
+    compare: first against last layer, or each adjacent pair),
+    ``append(layer, xn, start)``, which projects K/V as the full-KV
+    ``KVCache`` does and stores them, and ``attend(layer, q)``, which attends
+    over the layer's rows and writes a multi-row call's head outputs over
+    ``q``.  Like every store it reads its model from ``weights``.  The
+    phases, the plan through ``budget.allocate_budget`` and the merge loop
+    are ``LatentSession``'s; ``prefill_session`` always merges raw K/V by
+    mean.
     """
 
     def __init__(self, weights: ModelWeights, group_size: int):
@@ -143,19 +144,18 @@ class RawKVSession(LatentSession):
         v_sim = group_score(first[:, d_kv:], second[:, d_kv:])
         return 0.5 * (k_sim + v_sim)
 
-    def append(self, layer: int, lw: LayerWeights, xn: np.ndarray, rows: range,
-               rope: RopeTable) -> None:
-        k, v = project_kv(xn, lw, rows.start, rope, self.weights.config)
-        self._keep(layer, np.concatenate(
-            [k.reshape(len(rows), -1), v.reshape(len(rows), -1)], axis=1))
+    def append(self, layer: int, xn: np.ndarray, start: int) -> None:
+        k, v = project_kv(xn, self.weights, layer, start)
+        self._keep(layer, np.concatenate([k.reshape(len(xn), -1), v.reshape(len(xn), -1)],
+                                         axis=1))
 
-    def attend(self, layer: int, lw: LayerWeights, q: np.ndarray, rows: range,
-               rope: RopeTable) -> np.ndarray:
+    def attend(self, layer: int, q: np.ndarray) -> np.ndarray:
         cfg = self.weights.config
         visible = self.store.visible_latents(layer)
         shape = (len(visible), cfg.n_kv_heads, cfg.d_head)
         return attention_block(q, visible[:, :cfg.d_kv].reshape(shape),
-                               visible[:, cfg.d_kv:].reshape(shape), lw.w_o, cfg, o_cat=q)
+                               visible[:, cfg.d_kv:].reshape(shape),
+                               self.weights.layers[layer].w_o, cfg)
 
 
 # ---------------------------------------------------------------------------

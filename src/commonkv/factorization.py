@@ -270,7 +270,7 @@ def load_factorized(blob_or_path) -> tuple[ModelWeights, SharedFactorization]:
         tensors, meta = tensorfile.deserialize(bytes(blob_or_path))
     else:
         tensors, meta = tensorfile.load(blob_or_path)
-    if meta.get("kind") != "factorized_model":
+    if tensorfile.take(meta, ("kind",), "container manifest") != ["factorized_model"]:
         raise ConfigurationError("container is not a factorized model")
     cfg = config_from_manifest(meta)
     group_size, groups, rank = tensorfile.take(

@@ -8,10 +8,11 @@ latents here and raw K/V rows in its subclass ``evaluation.RawKVSession``.
 ``LatentSession.audit`` checks every count against the closed form
 ``budget.stored_elements``, whoever drives the session.
 
-A ``LatentSession`` is the KV store that ``model.forward`` runs over: the
-decoder layer is the baseline's, and only what a layer caches and how it
-attends differ.  The cache stores position-free latent rows
-``h = x_normed @ A`` per layer.
+A ``LatentSession`` is the KV store that ``model.forward`` runs over: it
+holds its model, the decoder layer is the baseline's, and only what a layer
+caches (``append(layer, xn, start)``) and how it attends (``attend(layer,
+q)``, which writes a multi-row call's head outputs over ``q``) differ.  The
+cache stores position-free latent rows ``h = x_normed @ A`` per layer.
 Keys are restored on the fly each step as ``rope(h @ B_k)``: positions follow
 from shapes (a layer's T latent rows sit at 0..T-1 and a call's queries are
 the last of them), so the rotations are a slice of the RoPE table, applied in
@@ -42,8 +43,8 @@ from . import budget as budget_mod
 from .budget import baseline_elements  # the storage closed form, also read from here
 from .errors import CapacityError, InputError, NumericError
 from .factorization import GroupLayout, SharedFactorization
-from .model import (LayerWeights, ModelConfig, ModelWeights, RopeTable, apply_rope,
-                    attention_block, causal_attention, forward)
+from .model import (ModelConfig, ModelWeights, RopeTable, apply_rope, attention_block,
+                    causal_attention, forward)
 
 
 def compute_latent(x: np.ndarray, shared: np.ndarray) -> np.ndarray:
@@ -64,8 +65,7 @@ def restore_keys(latents: np.ndarray, k_factor: np.ndarray, rope: RopeTable,
 
 def attend_latent(q_rope: np.ndarray, latents: np.ndarray, k_factor: np.ndarray,
                   v_factor: np.ndarray, w_o: np.ndarray, rope: RopeTable,
-                  config: ModelConfig, v_heads: np.ndarray,
-                  o_cat: np.ndarray | None = None) -> np.ndarray:
+                  config: ModelConfig, v_heads: np.ndarray) -> np.ndarray:
     """Causal attention over latent rows for one layer; returns (Tq, d_hidden).
 
     The output is ``model.causal_attention`` over the restored keys, with
@@ -82,9 +82,9 @@ def attend_latent(q_rope: np.ndarray, latents: np.ndarray, k_factor: np.ndarray,
 
     Prefill restores values and a decode step (Tq = 1) mixes latents; the
     crossover sits near Tq ≈ r·d_kv / (n_q·(r − d_head)).
-    The latents sit at positions 0..Tk-1 and the queries are the last Tq.
-    ``o_cat`` is the head-output buffer of ``model.causal_attention``; a
-    session passes its queries, which it gives up.
+    The latents sit at positions 0..Tk-1 and the queries are the last Tq;
+    as in ``model.causal_attention``, a multi-row call writes its head
+    outputs over ``q_rope``.
     """
     keys = restore_keys(latents, k_factor, rope, config.n_kv_heads)
     n_q, n_kv, d_head = config.n_q_heads, config.n_kv_heads, config.d_head
@@ -93,14 +93,14 @@ def attend_latent(q_rope: np.ndarray, latents: np.ndarray, k_factor: np.ndarray,
     mix = n_q * tq * tk_all * rank + n_q * tq * rank * d_head
     if restore <= mix:
         values = (latents @ v_factor).reshape(tk_all, n_kv, d_head)
-        return attention_block(q_rope, keys, values, w_o, config, o_cat)
+        return attention_block(q_rope, keys, values, w_o, config)
 
     def head_values(weights, inv, tk):
         mixed = weights.reshape(-1, tk) @ latents[:tk]  # (n_q * rows, r), head-major
         mixed *= inv.reshape(-1, 1)
         return np.matmul(mixed.reshape(n_kv, -1, rank), v_heads)  # (n_kv, hpk * rows, d_head)
 
-    return causal_attention(q_rope, keys, w_o, config, head_values, o_cat)
+    return causal_attention(q_rope, keys, w_o, config, head_values)
 
 
 def _checksum(array: np.ndarray) -> str:
@@ -259,14 +259,15 @@ class LatentCacheStore:
 class LatentSession:
     """One compressed-inference session: prefill, plan/merge, decode.
 
-    The session is its own KV store for ``model.forward`` (``n_tokens``,
-    ``append`` and ``attend``): a layer's new rows join its prefix until the
-    prefill phase closes (merge or decode), and its suffix after.  Prefill
-    may run in as many calls as wanted until then.  The value path is
-    factored: ``B_v`` then ``W_o``, see ``attend_latent``.  A subclass that
-    stores other rows (``evaluation.RawKVSession``) overrides ``__init__``,
-    ``pair_score``, ``append`` and ``attend``; the phases, the group scores,
-    the plan and the merge loop are these.
+    The session is its own KV store for ``model.forward`` (``weights``,
+    ``n_tokens``, ``append`` and ``attend``): a layer's new rows join its
+    prefix until the prefill phase closes (merge or decode), and its suffix
+    after.  Prefill may run in as many calls as wanted until then, and the
+    session plans once: a second plan is refused before anything is scored.
+    The value path is factored: ``B_v`` then ``W_o``, see ``attend_latent``.
+    A subclass that stores other rows (``evaluation.RawKVSession``) overrides
+    ``__init__``, ``pair_score``, ``append`` and ``attend``; the phases, the
+    group scores, the plan and the merge loop are these.
     """
 
     def __init__(self, weights: ModelWeights, fact: SharedFactorization):
@@ -277,7 +278,6 @@ class LatentSession:
 
     def _open(self, weights: ModelWeights, store: LatentCacheStore) -> None:
         self.weights = weights
-        self.rope = weights.rope
         self.store = store
         self.plan: budget_mod.BudgetPlan | None = None
         self._prefill_frozen = False
@@ -288,12 +288,15 @@ class LatentSession:
         """Process prompt tokens, caching each layer's prefix rows."""
         if self._prefill_frozen:
             raise InputError("prefill phase already closed (merge or decode happened)")
-        return forward(self.weights, token_ids, self)
+        return forward(self, token_ids)
 
     def plan_and_merge(self, target_ratio: float, strategy: str = "mean",
                        fisher: budget_mod.FisherWeights | None = None,
                        score_variant: str = "shortcut") -> budget_mod.BudgetPlan:
-        """Score groups, allocate the budget, merge the selected prefixes."""
+        """Score groups, allocate the budget, merge the selected prefixes.
+
+        A second call is an ``InputError`` ("already planned") before any
+        group is scored, whether or not the first plan merged anything."""
         scores = self.group_scores(score_variant)
         plan = budget_mod.allocate_budget(
             scores, target_ratio, self.store.layout, self.store.width,
@@ -303,13 +306,14 @@ class LatentSession:
 
     def group_scores(self, variant: str = "shortcut") -> list[float]:
         """Each group's ``pair_score``: of its first and last layers'
-        prefixes (``"shortcut"``), or its mean over adjacent layers (``"full"``)."""
+        prefixes (``"shortcut"``), or its mean over adjacent layers (``"full"``);
+        only before the session has planned."""
+        if self.plan is not None:
+            raise InputError("already planned: a session plans once")
         if variant not in budget_mod.SCORE_VARIANTS:
             raise InputError(f"unknown score variant {variant!r}")
         scores = []
         for gc in self.store.groups:
-            if gc.merged:
-                raise InputError("scores must be computed before merging")
             prefixes = gc.layer_prefixes
             if variant == "shortcut":
                 scores.append(self.pair_score(prefixes[0], prefixes[-1]))
@@ -325,6 +329,8 @@ class LatentSession:
                    fisher: budget_mod.FisherWeights | None = None) -> None:
         """Close the prefill phase and merge each of the plan's groups by its
         strategy, recording the weights and any Fisher fallback in the plan."""
+        if self.plan is not None:
+            raise InputError("already planned: a session plans once")
         self._prefill_frozen = True
         self.plan = plan
         store = self.store
@@ -345,7 +351,7 @@ class LatentSession:
         """
         was_frozen, self._prefill_frozen = self._prefill_frozen, True
         try:
-            return forward(self.weights, [token_id], self)[0]
+            return forward(self, [token_id])[0]
         except (InputError, CapacityError):
             self._prefill_frozen = was_frozen
             raise
@@ -356,18 +362,16 @@ class LatentSession:
     def n_tokens(self) -> int:
         return self.store.prefill_len + self.store.decode_len
 
-    def append(self, layer: int, lw: LayerWeights, xn: np.ndarray, rows: range,
-               rope: RopeTable) -> None:
-        """Cache the rows' latents."""
+    def append(self, layer: int, xn: np.ndarray, start: int) -> None:
+        """Cache the rows' latents, which are position-free."""
         self._keep(layer, compute_latent(xn, self.fact.shared_for_layer(layer)))
 
-    def attend(self, layer: int, lw: LayerWeights, q: np.ndarray, rows: range,
-               rope: RopeTable) -> np.ndarray:
+    def attend(self, layer: int, q: np.ndarray) -> np.ndarray:
         """Attend over the layer's latents; the head outputs overwrite ``q``."""
-        fact = self.fact
+        fact, weights = self.fact, self.weights
         return attend_latent(q, self.store.visible_latents(layer), fact.k_factors[layer],
-                             fact.v_factors[layer], lw.w_o, rope, self.weights.config,
-                             v_heads=fact.v_heads[layer], o_cat=q)
+                             fact.v_factors[layer], weights.layers[layer].w_o, weights.rope,
+                             weights.config, fact.v_heads[layer])
 
     def _keep(self, layer: int, new_rows: np.ndarray) -> None:
         """Store a call's rows for ``layer``: prefix or suffix rows by phase."""

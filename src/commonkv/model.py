@@ -32,13 +32,16 @@ over a full-KV cache, so the conventions below hold for all of them:
   its table, in place; attention's Tk keys sit at 0..Tk-1 and its Tq queries
   are the last Tq of them.  No kernel takes a position array, and no store
   keeps one: a store's token count is the number of rows its layer 0 holds
-* a KV store provides ``n_tokens``, ``append`` (cache what a layer keeps of
-  its normed rows) and ``attend`` (attention of the layer's queries over
-  every row it holds); see ``forward``
+* a KV store holds the model it serves, ``weights``, and provides
+  ``n_tokens``, ``append(layer, xn, start)`` (cache what a layer keeps of its
+  normed rows) and ``attend(layer, q)`` (attention of the layer's queries
+  over every row it holds).  ``forward`` and ``decoder_layer`` read the
+  model from the store, so one model drives every call; see ``forward``
 * a transient lives only while it is read, so a prefill layer holds the
   residual, one (T, d_hidden) buffer and blocks: the normed rows are dropped
-  once the store has appended, attention writes its head outputs over the
-  queries, and the MLP writes its output over its normed rows.
+  once the store has appended, attention always writes a multi-row call's
+  head outputs over its queries (no kernel allocates a head-output buffer),
+  and the MLP writes its output over its normed rows.
   ``causal_attention`` holds one scores block at a time (each block is
   dropped before the next one's scores are allocated, and each block scales
   and groups its own query rows); ``rms_norm`` and ``mlp_block`` work one
@@ -275,7 +278,7 @@ def save_model(weights: ModelWeights, path) -> None:
 
 def load_model(path) -> ModelWeights:
     tensors, meta = tensorfile.load(path)
-    if meta.get("kind") != "base_model":
+    if tensorfile.take(meta, ("kind",), "container manifest") != ["base_model"]:
         raise ConfigurationError(f"{path} is not a base model container")
     return weights_from_tensors(config_from_manifest(meta), tensors, seed=meta.get("seed"))
 
@@ -419,8 +422,7 @@ def _row_scores(q_row: np.ndarray, keys_h: np.ndarray) -> np.ndarray:
 
 
 def causal_attention(q_rope: np.ndarray, keys: np.ndarray, w_o: np.ndarray,
-                     config: ModelConfig, head_values, o_cat: np.ndarray | None = None
-                     ) -> np.ndarray:
+                     config: ModelConfig, head_values) -> np.ndarray:
     """Causal GQA attention of rotated queries (Tq, n_q, d_head); (Tq, d_hidden).
 
     The one attention loop.  The queries are the last Tq of the Tk keys'
@@ -438,24 +440,20 @@ def causal_attention(q_rope: np.ndarray, keys: np.ndarray, w_o: np.ndarray,
     The caller's value step, ``head_values(weights, inv, tk)``, gets the
     unnormalised weights (n_kv, hpk·rows, tk) and reciprocal row sums
     (n_kv, hpk·rows, 1) and returns the head outputs (n_kv, hpk·rows,
-    d_head), scaled by ``inv``.  They go into ``o_cat``, and every reference
-    to the block is dropped before the next block's scores are allocated.
-    ``o_cat`` is a new (Tq, n_q, d_head) buffer unless the caller passes one;
-    a KV store passes ``q_rope`` itself, which it gives up, because a block
-    has read its own query rows before it writes their head outputs.
+    d_head), scaled by ``inv``.  They are written over the block's own
+    query rows of ``q_rope``, which the caller gives up: a block has read
+    its query rows before it writes their head outputs, so no
+    ``(Tq, n_q, d_head)`` buffer is allocated.  Every reference to the block
+    is dropped before the next block's scores are allocated.
     A one-row query (every decode step) is a single block over every key,
-    already grouped by KV head; its head outputs meet ``w_o`` directly, with
-    no ``(Tq, n_q, d_head)`` buffer.
+    already grouped by KV head; its head outputs meet ``w_o`` directly, and
+    ``q_rope`` is left as it was.
     """
     n_q, n_kv, hpk = config.n_q_heads, config.n_kv_heads, config.heads_per_kv
     d_head, tq, tk_all = config.d_head, q_rope.shape[0], keys.shape[0]
     scale = np.float32(1.0 / math.sqrt(d_head))
     keys_h = keys.transpose(1, 0, 2)  # (n_kv, Tk, d_head)
-    block = 1
-    if tq > 1:
-        if o_cat is None:
-            o_cat = np.empty((tq, n_q, d_head), dtype=np.float32)
-        block = max(1, min(tq // n_q, SCORES_BLOCK_ELEMENTS // (n_q * tk_all)))
+    block = max(1, min(tq // n_q, SCORES_BLOCK_ELEMENTS // (n_q * tk_all)))
     for start in range(0, tq, block):
         stop = min(start + block, tq)
         rows, tk = stop - start, tk_all - tq + stop
@@ -471,9 +469,9 @@ def causal_attention(q_rope: np.ndarray, keys: np.ndarray, w_o: np.ndarray,
         heads = head_values(weights.reshape(n_kv, -1, tk), inv.reshape(n_kv, -1, 1), tk)
         if tq == 1:  # one query row: query head q = kv·hpk + j is in order
             return heads.reshape(1, config.d_hidden) @ w_o
-        o_cat[start:stop] = heads.reshape(n_q, rows, d_head).transpose(1, 0, 2)
+        q_rope[start:stop] = heads.reshape(n_q, rows, d_head).transpose(1, 0, 2)
         del scores, weights, inv, heads  # before the next block's scores
-    return o_cat.reshape(tq, config.d_hidden) @ w_o
+    return q_rope.reshape(tq, config.d_hidden) @ w_o
 
 
 def silu(z: np.ndarray) -> np.ndarray:
@@ -516,23 +514,19 @@ class LayerKV:
     values: np.ndarray  # (tokens, n_kv_heads, d_head)
 
 
-@dataclass
 class KVCache:
-    """Full-KV store: every layer's rotated keys and values for every token.
+    """Full-KV store of a model: every layer's rotated keys and values for
+    every token.
 
     A layer's first block of rows is kept as projected; later blocks join it
     by one concatenation each.
     """
 
-    config: ModelConfig
-    layers: list[LayerKV] = field(default_factory=list)
-
-    def __post_init__(self):
-        if not self.layers:
-            empty = lambda: np.empty((0, self.config.n_kv_heads, self.config.d_head),
-                                     dtype=np.float32)
-            self.layers = [LayerKV(keys=empty(), values=empty())
-                           for _ in range(self.config.n_layers)]
+    def __init__(self, weights: ModelWeights):
+        self.weights = weights
+        cfg = weights.config
+        empty = lambda: np.empty((0, cfg.n_kv_heads, cfg.d_head), dtype=np.float32)
+        self.layers = [LayerKV(keys=empty(), values=empty()) for _ in range(cfg.n_layers)]
 
     @property
     def n_tokens(self) -> int:
@@ -547,9 +541,8 @@ class KVCache:
     def element_count(self) -> int:
         return sum(lk.keys.size + lk.values.size for lk in self.layers)
 
-    def append(self, layer: int, lw: LayerWeights, xn: np.ndarray, rows: range,
-               rope: RopeTable) -> None:
-        k, v = project_kv(xn, lw, rows.start, rope, self.config)
+    def append(self, layer: int, xn: np.ndarray, start: int) -> None:
+        k, v = project_kv(xn, self.weights, layer, start)
         lk = self.layers[layer]
         if not len(lk.keys):
             lk.keys, lk.values = k, v
@@ -558,10 +551,10 @@ class KVCache:
         lk.keys = np.concatenate([lk.keys, k], axis=0)
         lk.values = np.concatenate([lk.values, v], axis=0)
 
-    def attend(self, layer: int, lw: LayerWeights, q: np.ndarray, rows: range,
-               rope: RopeTable) -> np.ndarray:
+    def attend(self, layer: int, q: np.ndarray) -> np.ndarray:
         lk = self.layers[layer]
-        return attention_block(q, lk.keys, lk.values, lw.w_o, self.config, o_cat=q)
+        return attention_block(q, lk.keys, lk.values, self.weights.layers[layer].w_o,
+                               self.weights.config)
 
 
 def _check_tokens(config: ModelConfig, token_ids) -> np.ndarray:
@@ -590,22 +583,24 @@ def _check_tokens(config: ModelConfig, token_ids) -> np.ndarray:
     return ids
 
 
-def project_kv(xn: np.ndarray, lw: LayerWeights, start: int, rope: RopeTable,
-               config: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Keys, rotated in place to positions from ``start`` on, and values of normed rows."""
-    k = (xn @ lw.w_k).reshape(-1, config.n_kv_heads, config.d_head)
-    v = (xn @ lw.w_v).reshape(-1, config.n_kv_heads, config.d_head)
-    apply_rope(k, start, rope)
+def project_kv(xn: np.ndarray, weights: ModelWeights, layer: int,
+               start: int) -> tuple[np.ndarray, np.ndarray]:
+    """Keys, rotated in place to positions from ``start`` on, and values of
+    one layer's normed rows."""
+    cfg, lw = weights.config, weights.layers[layer]
+    k = (xn @ lw.w_k).reshape(-1, cfg.n_kv_heads, cfg.d_head)
+    v = (xn @ lw.w_v).reshape(-1, cfg.n_kv_heads, cfg.d_head)
+    apply_rope(k, start, weights.rope)
     return k, v
 
 
 def attention_block(q_rope: np.ndarray, keys: np.ndarray, values: np.ndarray,
-                    w_o: np.ndarray, config: ModelConfig,
-                    o_cat: np.ndarray | None = None) -> np.ndarray:
+                    w_o: np.ndarray, config: ModelConfig) -> np.ndarray:
     """Causal GQA attention over cached values. q_rope (Tq, n_q, d_head) -> (Tq, d_hidden).
 
     ``causal_attention`` with the value step ``weights @ V``, normalised by
-    the block's reciprocal row sums; ``o_cat`` is its head-output buffer.
+    the block's reciprocal row sums; the head outputs of a multi-row call
+    are written over ``q_rope``.
     """
     values_t = values.transpose(1, 0, 2)  # (n_kv, Tk, d_head)
 
@@ -614,12 +609,12 @@ def attention_block(q_rope: np.ndarray, keys: np.ndarray, values: np.ndarray,
         heads *= inv
         return heads
 
-    return causal_attention(q_rope, keys, w_o, config, head_values, o_cat)
+    return causal_attention(q_rope, keys, w_o, config, head_values)
 
 
-def decoder_layer(x: np.ndarray, layer: int, lw: LayerWeights, store, rows: range,
-                  rope: RopeTable, config: ModelConfig) -> None:
-    """One layer over the residual rows ``x`` at positions ``rows``, in place.
+def decoder_layer(x: np.ndarray, layer: int, store, start: int) -> None:
+    """One layer of ``store.weights`` over the residual rows ``x``, in place;
+    row i sits at position ``start + i``.
 
     Norm, query projection and its RoPE, ``store.append`` and then
     ``store.attend`` (see ``forward``), and the MLP; both blocks are added to
@@ -628,34 +623,36 @@ def decoder_layer(x: np.ndarray, layer: int, lw: LayerWeights, store, rows: rang
     cached what it keeps of them, the head outputs overwrite the queries,
     and the MLP writes its output over its own normed rows.
     """
+    weights = store.weights
+    cfg, lw = weights.config, weights.layers[layer]
     xn = rms_norm(x, lw.attn_gain)
-    q = (xn @ lw.w_q).reshape(len(rows), config.n_q_heads, config.d_head)
-    apply_rope(q, rows.start, rope)
-    store.append(layer, lw, xn, rows, rope)
+    q = (xn @ lw.w_q).reshape(len(x), cfg.n_q_heads, cfg.d_head)
+    apply_rope(q, start, weights.rope)
+    store.append(layer, xn, start)
     del xn  # attention reads only the queries and the store
-    x += store.attend(layer, lw, q, rows, rope)
+    x += store.attend(layer, q)
     del q  # its buffer holds the head outputs, which the MLP does not read
     x += mlp_block(rms_norm(x, lw.mlp_gain), lw)
 
 
-def forward(weights: ModelWeights, token_ids, store) -> np.ndarray:
-    """Run the decoder layers over new tokens through a KV store; returns logits.
+def forward(store, token_ids) -> np.ndarray:
+    """Run the store's model over new tokens through the store; returns logits.
 
-    The store decides what a layer caches and how it attends.  It provides
-    ``n_tokens``, the tokens already cached (the new ones take positions
-    ``rows = range(n_tokens, n_tokens + len(token_ids))``);
-    ``append(layer, lw, xn, rows, rope)``, which caches what the layer keeps
-    of its normed rows ``xn``; and then ``attend(layer, lw, q, rows, rope)``,
-    which returns the ``lw.w_o``-projected causal attention (Tq, d_hidden)
-    of the rotated queries ``q`` over every row the layer holds, at
-    positions ``0..rows.stop-1``.  ``attend`` may overwrite ``q``, which the
-    layer gives up (the stores write their head outputs over it); ``rope``
-    is the model's own table, ``weights.rope``.  Layers
+    The store holds the model it serves and decides what a layer caches and
+    how it attends.  It provides ``weights``, the ``ModelWeights`` every
+    layer reads; ``n_tokens``, the tokens already cached (the new ones take
+    positions from ``start = n_tokens`` on); ``append(layer, xn, start)``,
+    which caches what the layer keeps of its normed rows ``xn``; and then
+    ``attend(layer, q)``, which returns the ``W_o``-projected causal
+    attention (Tq, d_hidden) of the rotated queries ``q`` over every row
+    the layer holds, at positions ``0..start+Tq-1``.  The layer gives ``q``
+    up: a multi-row call writes its head outputs over it.  Layers
     (``decoder_layer``) run in order, and ``n_tokens`` follows from the rows
     the store holds.
     Tokens (at least one) and ``max_seq`` are checked first, so a rejected
-    call leaves the store as it was.
+    call makes no store call and leaves the store as it was.
     """
+    weights = store.weights
     cfg = weights.config
     ids = _check_tokens(cfg, token_ids)
     if not ids.size:
@@ -663,18 +660,18 @@ def forward(weights: ModelWeights, token_ids, store) -> np.ndarray:
     start = store.n_tokens
     if start + ids.size > cfg.max_seq:
         raise CapacityError(f"sequence of {start + ids.size} exceeds max_seq={cfg.max_seq}")
-    rows = range(start, start + ids.size)
     x = weights.embed[ids]
-    for li, lw in enumerate(weights.layers):
-        decoder_layer(x, li, lw, store, rows, weights.rope, cfg)
+    for layer in range(cfg.n_layers):
+        decoder_layer(x, layer, store, start)
     return rms_norm(x, weights.final_gain) @ weights.lm_head
 
 
 def forward_baseline(weights: ModelWeights, token_ids,
                      cache: KVCache | None = None) -> tuple[np.ndarray, KVCache]:
-    """``forward`` over a full-KV cache (a new one by default); returns (logits, cache)."""
-    cache = cache if cache is not None else KVCache(weights.config)
-    return forward(weights, token_ids, cache), cache
+    """``forward`` over a full-KV cache of ``weights`` (a new one by default;
+    a given cache runs its own model); returns (logits, cache)."""
+    cache = cache if cache is not None else KVCache(weights)
+    return forward(cache, token_ids), cache
 
 
 class BaselineSession:
@@ -682,16 +679,13 @@ class BaselineSession:
 
     def __init__(self, weights: ModelWeights):
         self.weights = weights
-        self.rope = weights.rope
-        self.cache = KVCache(weights.config)
+        self.cache = KVCache(weights)
 
     def prefill(self, token_ids) -> np.ndarray:
-        logits, self.cache = forward_baseline(self.weights, token_ids, self.cache)
-        return logits
+        return forward_baseline(self.weights, token_ids, self.cache)[0]
 
     def decode(self, token_id: int) -> np.ndarray:
-        logits, self.cache = forward_baseline(self.weights, [token_id], self.cache)
-        return logits[0]
+        return forward_baseline(self.weights, [token_id], self.cache)[0][0]
 
     def cache_element_count(self) -> int:
         return self.cache.element_count()

@@ -82,7 +82,7 @@ def test_criterion_2_factored_path_equality(fact07):
                            fact.v_factors[layer], lw.w_o)
                 expected = reference_latent_attention(q, *factors, cfg.rope_theta)
                 for rows in (q, q[-1:]):
-                    out = attend_latent(rows, *factors, rope, cfg, fact.v_heads[layer])
+                    out = attend_latent(rows.copy(), *factors, rope, cfg, fact.v_heads[layer])
                     worst = max(worst, float(np.abs(out - expected[-len(rows):]).max()))
     report(2, "factored value path vs float64 reference (all layers, both orders, 10 seeds)",
            worst < 1e-5, f"max output diff {worst:.3e} < 1e-5", t, 10)

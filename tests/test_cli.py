@@ -548,6 +548,28 @@ def test_base_manifest_without_config_is_input_error(workdir):
     assert code == 3
 
 
+# a manifest without 'kind' used to exit 2, as if it were the other kind
+@pytest.mark.parametrize("loader", ["base", "factorized"])
+def test_manifest_without_kind_is_input_error(workdir, factorized, loader, capsys):
+    path = workdir / "model.tnsr" if loader == "base" else factorized
+    tensors, meta = tensorfile.load(path)
+    del meta["kind"]
+    tensorfile.save(path, tensors, meta=meta)
+    if loader == "base":
+        code = main(["transform", "--model", str(path), "--out", str(workdir / "x.tnsr")])
+    else:
+        code = _run_commonkv(workdir, path)
+    assert code == 3
+    assert capsys.readouterr().err == "error: container manifest lacks 'kind'\n"
+
+
+def test_container_of_the_other_kind_stays_a_configuration_error(workdir, factorized):
+    model = workdir / "model.tnsr"
+    assert main(["transform", "--model", str(factorized), "--out", str(workdir / "x.tnsr")]) == 2
+    assert main(["run", "--model", str(model), "--factorized", str(model), "--mode",
+                 "commonkv", "--merge", "mean", "--tokens", "32"]) == 2
+
+
 def test_base_container_without_tensors_is_input_error(workdir):
     _, meta = tensorfile.load(workdir / "model.tnsr")
     empty = workdir / "empty.tnsr"

@@ -248,7 +248,7 @@ def test_rawkv_session_merges_once(toy_weights, probe_ids):
     raw = RawKVSession(toy_weights, group_size=4)
     raw.prefill(probe_ids[:32])
     raw.plan_and_merge(0.3)
-    with pytest.raises(InputError, match="before merging"):
+    with pytest.raises(InputError, match="already planned"):
         raw.plan_and_merge(0.3)
 
 

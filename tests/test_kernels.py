@@ -60,7 +60,7 @@ def attend_latent(q, latents, k_factor, v_factor, w_o, rope, cfg):
 def test_attention_block_matches_per_head_reference(heads_per_kv, tq):
     cfg = _config(heads_per_kv)
     x = _random_inputs(cfg, tq, 10 * heads_per_kv + tq)
-    out = attention_block(x["q"], x["keys"], x["values"], x["w_o"], cfg)
+    out = attention_block(x["q"].copy(), x["keys"], x["values"], x["w_o"], cfg)
     expected = reference_attention(x["q"], x["keys"], x["values"], x["w_o"])
     np.testing.assert_allclose(out, expected, atol=1e-5)
 
@@ -71,7 +71,7 @@ def test_attend_latent_matches_per_head_reference(heads_per_kv, tq):
     cfg = _config(heads_per_kv)
     x = _random_inputs(cfg, tq, 100 * heads_per_kv + tq)
     factors = (x["latents"], x["k_factor"], x["v_factor"], x["w_o"])
-    out = attend_latent(x["q"], *factors, build_rope_table(cfg), cfg)
+    out = attend_latent(x["q"].copy(), *factors, build_rope_table(cfg), cfg)
     expected = reference_latent_attention(x["q"], *factors, cfg.rope_theta)
     np.testing.assert_allclose(out, expected, atol=1e-5)
 
@@ -100,8 +100,8 @@ def test_factored_value_path_orders_match_reference(monkeypatch, heads_per_kv, t
         return attention_block(*args, **kwargs)
 
     monkeypatch.setattr(latent_cache, "attention_block", counted)
-    out = attend_latent(x["q"], latents, k_factor, v_factor, x["w_o"], build_rope_table(cfg),
-                        cfg)
+    out = attend_latent(x["q"].copy(), latents, k_factor, v_factor, x["w_o"],
+                        build_rope_table(cfg), cfg)
     assert len(calls) == (1 if order == "restore" else 0)
     expected = reference_latent_attention(x["q"], latents, k_factor, v_factor, x["w_o"],
                                           cfg.rope_theta)
@@ -114,7 +114,7 @@ def test_factored_value_path_orders_match_reference(monkeypatch, heads_per_kv, t
 # (three one-row blocks) take the mix-latents order, and Tq = 33 (8-row blocks)
 # restores values
 @pytest.mark.parametrize("tq", [1, 3, 33])
-def test_queries_are_written_over_only_when_passed_as_the_output_buffer(tq):
+def test_attention_writes_head_outputs_over_the_queries(tq):
     cfg = _config(2)
     x = _random_inputs(cfg, tq, 700 + tq)
     rng = np.random.default_rng(700 + tq)
@@ -131,19 +131,24 @@ def test_queries_are_written_over_only_when_passed_as_the_output_buffer(tq):
         return heads
 
     calls = {
-        "attention_block": lambda q, **kw: attention_block(
-            q, x["keys"], x["values"], x["w_o"], cfg, **kw),
-        "causal_attention": lambda q, **kw: causal_attention(
-            q, x["keys"], x["w_o"], cfg, head_values, **kw),
-        "attend_latent": lambda q, **kw: latent_cache.attend_latent(
-            q, latents, k_factor, v_factor, x["w_o"], rope, cfg, v_heads, **kw),
+        "attention_block": lambda q: attention_block(
+            q, x["keys"], x["values"], x["w_o"], cfg),
+        "causal_attention": lambda q: causal_attention(
+            q, x["keys"], x["w_o"], cfg, head_values),
+        "attend_latent": lambda q: latent_cache.attend_latent(
+            q, latents, k_factor, v_factor, x["w_o"], rope, cfg, v_heads),
     }
+    outputs = {}
     for name, call in calls.items():
         q = x["q"].copy()
-        out = call(q)
-        assert q.tobytes() == x["q"].tobytes(), name  # the caller keeps its queries
-        # a KV store gives its queries up as the buffer: the same output
-        assert call(q, o_cat=q).tobytes() == out.tobytes(), name
+        outputs[name] = out = call(q)
+        assert call(x["q"].copy()).tobytes() == out.tobytes(), name  # a fresh copy: the same
+        if tq == 1:  # a decode row's head outputs meet W_o directly
+            assert q.tobytes() == x["q"].tobytes(), name
+        else:  # the buffer holds the head outputs that meet W_o
+            assert (q.reshape(tq, cfg.d_hidden) @ x["w_o"]).tobytes() == out.tobytes(), name
+    # the same value step through either entry point: the same bytes
+    assert outputs["attention_block"].tobytes() == outputs["causal_attention"].tobytes()
 
 
 def _record_blocks(monkeypatch, budget: int) -> list[tuple[int, int]]:
@@ -181,7 +186,7 @@ def test_budget_sized_blocks_match_reference(monkeypatch, rows, path, heads_per_
     blocks = _record_blocks(monkeypatch, budget)
     x = _random_inputs(cfg, tq, 7 * rows + tq)
     if path == "block":
-        out = attention_block(x["q"], x["keys"], x["values"], x["w_o"], cfg)
+        out = attention_block(x["q"].copy(), x["keys"], x["values"], x["w_o"], cfg)
         expected = reference_attention(x["q"], x["keys"], x["values"], x["w_o"])
     else:
         rng = np.random.default_rng(rows + tq)
@@ -195,7 +200,7 @@ def test_budget_sized_blocks_match_reference(monkeypatch, rows, path, heads_per_
             return attention_block(*args)
 
         monkeypatch.setattr(latent_cache, "attention_block", counted)
-        out = attend_latent(x["q"], latents, k_factor, v_factor, x["w_o"],
+        out = attend_latent(x["q"].copy(), latents, k_factor, v_factor, x["w_o"],
                             build_rope_table(cfg), cfg)
         assert len(calls) == (path == "restore")
         expected = reference_latent_attention(x["q"], latents, k_factor, v_factor, x["w_o"],
@@ -610,7 +615,7 @@ def test_wide_prefill_attention_block_matches_reference(monkeypatch):
     # a 960-token prompt at the wide shape: 34-row blocks, the last one short
     blocks = _record_blocks(monkeypatch, model.SCORES_BLOCK_ELEMENTS)
     x = _wide_inputs(960, 960, 960)
-    out = attention_block(x["q"], x["keys"], x["values"], x["w_o"], WIDE)
+    out = attention_block(x["q"].copy(), x["keys"], x["values"], x["w_o"], WIDE)
     expected = reference_attention(x["q"], x["keys"], x["values"], x["w_o"])
     np.testing.assert_allclose(out, expected, atol=1e-5)
     assert [r for r, _ in blocks] == [34] * 28 + [8]
@@ -626,7 +631,7 @@ def test_wide_prefill_restore_order_matches_reference(monkeypatch):
     monkeypatch.setattr(latent_cache, "attention_block", counted)
     x = _wide_inputs(960, 960, 961)
     factors = (x["latents"], x["k_factor"], x["v_factor"], x["w_o"])
-    out = attend_latent(x["q"], *factors, build_rope_table(WIDE), WIDE)
+    out = attend_latent(x["q"].copy(), *factors, build_rope_table(WIDE), WIDE)
     assert len(calls) == 1  # the restore-values order
     expected = reference_latent_attention(x["q"], *factors, WIDE.rope_theta)
     np.testing.assert_allclose(out, expected, atol=1e-5)

@@ -233,6 +233,30 @@ def test_prefill_rejected_after_merge(fact07, probe_ids, kind):
         session.prefill(probe_ids[8:12])
 
 
+# a first plan that merged nothing used to accept a second one, which merged
+# group 1 after five decode rows and replaced the plan; after a plan that did
+# merge, the refusal read "scores must be computed before merging"
+@pytest.mark.parametrize("first_ratio", [0.0, 0.3])
+def test_a_session_plans_once(fact07, probe_ids, first_ratio):
+    session = LatentSession(*fact07[:2])
+    session.prefill(probe_ids[:32])
+    plan = session.plan_and_merge(first_ratio)
+    for t in probe_ids[32:37]:
+        session.decode(int(t))
+    merged = [gc.merged for gc in session.store.groups]
+    audit = session.audit()
+
+    def no_scoring(*args):
+        raise AssertionError("a refused plan scored a group")
+
+    session.pair_score = no_scoring
+    with pytest.raises(InputError, match="already planned"):
+        session.plan_and_merge(0.3)
+    assert session.plan is plan
+    assert [gc.merged for gc in session.store.groups] == merged
+    assert session.audit() == audit
+
+
 def test_rawkv_prefill_in_two_calls_equals_one_call(fact07, probe_ids):
     weights = fact07[0]
     split, whole = RawKVSession(weights, 4), RawKVSession(weights, 4)
@@ -384,7 +408,7 @@ def test_rope_values_shared_across_layers(fact07):
     weights, fact, _ = fact07
     session = LatentSession(weights, fact)
     # every layer reads the same table values for a given decode position
-    tables = [session.rope for _ in range(weights.config.n_layers)]
+    tables = [session.weights.rope for _ in range(weights.config.n_layers)]
     pos = 17
     rows = {(t.cis.real[pos].tobytes(), t.cis.imag[pos].tobytes()) for t in tables}
     assert len(rows) == 1
@@ -410,10 +434,11 @@ def test_sessions_share_the_models_read_only_rope_table(fact07, kind):
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert session.rope is weights.rope
+    assert session.weights.rope is weights.rope and not hasattr(session, "rope")
     # a session builds no table of its own: well under one table's bytes
     assert peak < table_bytes // 2
-    for view in (session.rope.tiled, session.rope.cis, session.rope.cis.real):
+    rope = session.weights.rope
+    for view in (rope.tiled, rope.cis, rope.cis.real):
         with pytest.raises(ValueError):
             view[3] *= 2
 

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,9 +7,11 @@ from hypothesis import strategies as st
 
 from commonkv.corpus import markov_byte_corpus
 from commonkv.errors import CapacityError, ConfigurationError, InputError
-from commonkv.model import (BaselineSession, ModelConfig, apply_rope, build_rope_table,
-                            forward_baseline, gen_toy_model, load_model, loss_and_grads,
-                            save_model)
+from commonkv.evaluation import RawKVSession
+from commonkv.latent_cache import LatentSession
+from commonkv.model import (BaselineSession, KVCache, ModelConfig, apply_rope,
+                            build_rope_table, decoder_layer, forward, forward_baseline,
+                            gen_toy_model, load_model, loss_and_grads, save_model)
 from micro_config import MICRO
 from oracles import engine_fd_gradient, reference_fd_gradient, reference_loss, sequence_nll
 
@@ -126,6 +130,58 @@ def test_session_decode_equals_functional(toy_weights, probe_ids):
     row = session.decode(int(probe_ids[20]))
     full, _ = forward_baseline(toy_weights, probe_ids[:21])
     assert np.abs(row - full[-1]).max() < 1e-5
+
+
+# -- the KV-store contract ---------------------------------------------------------
+
+class RecordingStore:
+    """A full-KV cache that logs each store call ``forward`` makes."""
+
+    def __init__(self, weights):
+        self.weights = weights
+        self.cache = KVCache(weights)
+        self.calls = []
+
+    @property
+    def n_tokens(self):
+        return self.cache.n_tokens
+
+    def append(self, layer, xn, start):
+        self.calls.append(("append", layer, start, xn.shape))
+        self.cache.append(layer, xn, start)
+
+    def attend(self, layer, q):
+        self.calls.append(("attend", layer, q.shape))
+        return self.cache.attend(layer, q)
+
+
+def test_forward_appends_then_attends_each_layer_in_order(micro_weights, probe_ids):
+    cfg = micro_weights.config
+    store, plain = RecordingStore(micro_weights), KVCache(micro_weights)
+    for chunk in (probe_ids[:5], [int(probe_ids[5])], probe_ids[6:9]):
+        held, store.calls = store.n_tokens, []
+        logits = forward(store, chunk)
+        assert store.calls == [call for layer in range(cfg.n_layers) for call in (
+            ("append", layer, held, (len(chunk), cfg.d_hidden)),
+            ("attend", layer, (len(chunk), cfg.n_q_heads, cfg.d_head)))]
+        assert logits.tobytes() == forward(plain, chunk).tobytes()
+    # a rejected call makes no store call
+    for bad in ([], [256], np.zeros(cfg.max_seq - store.n_tokens + 1, dtype=np.int64)):
+        store.calls = []
+        with pytest.raises((InputError, CapacityError)):
+            forward(store, bad)
+        assert store.calls == [] and store.n_tokens == 9
+
+
+def test_every_store_takes_the_narrow_contract():
+    def params(func):
+        return list(inspect.signature(func).parameters)
+
+    for store in (KVCache, LatentSession, RawKVSession):
+        assert params(store.append) == ["self", "layer", "xn", "start"], store
+        assert params(store.attend) == ["self", "layer", "q"], store
+    assert params(forward) == ["store", "token_ids"]
+    assert params(decoder_layer) == ["x", "layer", "store", "start"]
 
 
 # -- loss and gradients --------------------------------------------------------
