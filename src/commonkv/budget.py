@@ -23,10 +23,11 @@ from .model import ModelConfig, ModelWeights, loss_and_grads, row_blocks
 
 
 MERGE_STRATEGIES = ("mean", "fisher", "shallow", "deep")
-# Elements per row block of ``merge_group``'s float64 sums (32 KB).  A merge
-# runs once per group, so small blocks cost little time, and even a short
-# prompt's prefix spans several of them: its float64 scratch stays below one
-# float64 copy of the prefix.
+# Elements per row block of ``merge_group``'s float64 sums and of the float64
+# scratch of ``_token_cosines`` (32 KB).  Scores and merges run once per group,
+# so small blocks cost little time, and even a short prompt's prefix spans
+# several of them: its float64 scratch stays below one float64 copy of the
+# prefix.
 MERGE_BLOCK_ELEMENTS = 2**12
 SCORE_VARIANTS = ("shortcut", "full")  # ``group_score`` / ``group_score_full``
 
@@ -36,22 +37,27 @@ SCORE_VARIANTS = ("shortcut", "full")  # ``group_score`` / ``group_score_full``
 # ---------------------------------------------------------------------------
 
 def _token_cosines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Each row's cosine, in float64 with one (rows, d) float64 scratch array.
+    """Each row's cosine in float64, one row block of at most
+    ``MERGE_BLOCK_ELEMENTS`` per prefix at a time (``model.row_blocks``).
 
-    The products are formed in place in that array and each row sum is the
-    one ``np.sum(x * y, axis=-1)`` and ``np.linalg.norm(x, axis=-1)`` take.
+    A block's products ``x * y``, ``x * x`` and ``y * y`` are formed in one
+    float64 scratch array, and one ``np.sum(..., axis=-1)`` takes the row
+    sums that ``np.sum(x * y, axis=-1)`` and ``np.linalg.norm(x, axis=-1)``
+    take.  Every sum is per row, so blocking changes no bit, and no float64
+    copy of a whole prefix exists.
     """
-    work = a.astype(np.float64)
-    work *= b
-    dots = np.sum(work, axis=-1)
-    norms = 1.0
-    for rows in (a, b):
-        np.copyto(work, rows)
-        work *= work
-        norms = norms * np.sqrt(np.sum(work, axis=-1))
-    out = np.zeros_like(dots)
-    ok = norms > 0.0
-    out[ok] = dots[ok] / norms[ok]
+    out = np.zeros(len(a), dtype=np.float64)
+    for block in row_blocks(*a.shape, MERGE_BLOCK_ELEMENTS):
+        work = np.empty((3, *a[block].shape), dtype=np.float64)
+        np.copyto(work[0], a[block])
+        np.copyto(work[1], b[block])
+        np.multiply(work[0], work[1], out=work[2])
+        np.square(work[:2], out=work[:2])
+        sums = np.sum(work, axis=-1)  # (3, rows): |x|², |y|², x·y
+        del work  # before the next block's scratch
+        norms = np.sqrt(sums[:2])
+        norms = norms[0] * norms[1]
+        np.divide(sums[2], norms, out=out[block], where=norms > 0.0)
     return out
 
 

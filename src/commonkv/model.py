@@ -12,9 +12,12 @@ over a full-KV cache, so the conventions below hold for all of them:
   per-layer key cache stores keys *after* rotation
 * all tensors are float32; RMS statistics and loss reductions accumulate in
   float64 so results are reproducible across BLAS builds, while elementwise
-  work runs in float32: the softmax's max-subtract and exp (in place on the
-  scores block) and SiLU.  Softmax row sums are numpy's float32 pairwise sums,
-  not BLAS, and normalisation is deferred: attention multiplies each head's
+  work runs in float32: the softmax's exp (in place on the scores block) and
+  SiLU.  The softmax subtracts each row's max first unless a multi-row call's
+  Cauchy–Schwarz bound on its scores (``score_bound``) is at most
+  ``SHIFT_FREE_BOUND``, so a prefill block makes two passes, exp and one
+  float32 GEMV of row sums; a decode row keeps the max-subtract and numpy's
+  pairwise sum.  Normalisation is deferred: attention multiplies each head's
   output rows by their float32 reciprocal row sums after the value matmul,
   never the (rows, Tk) scores block
 * ``causal_attention`` is the one attention loop; the full-KV
@@ -76,6 +79,11 @@ SCORES_BLOCK_ELEMENTS = 2**18
 # norm block, or 0.5 MB of float32 MLP activations.  That is no more than one
 # scores block, while a block of a few hundred rows keeps each GEMM efficient.
 ROW_BLOCK_ELEMENTS = 2**17
+# Largest score bound for which prefill's softmax skips its max-subtract.  With
+# every |score| <= 32 an exponential lies in [e^-32, e^32]: far above float32's
+# smallest normal (1.2e-38), while a row sum of max_seq of them and its products
+# with values stay far below float32's largest finite number (3.4e38).
+SHIFT_FREE_BOUND = 32.0
 LAYER_TENSORS = ("attn_gain", "w_q", "w_k", "w_v", "w_o", "mlp_gain", "w_in", "w_out")
 
 
@@ -384,29 +392,59 @@ def apply_rope(vectors: np.ndarray, start: int, table: RopeTable) -> np.ndarray:
     return vectors
 
 
-def causal_attention_weights(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def causal_attention_weights(scores: np.ndarray, shift: bool = True
+                             ) -> tuple[np.ndarray, np.ndarray]:
     """Causally masked, unnormalised softmax over the key axis, in place.
 
     ``scores`` is a float32 (..., Tq, Tk) block the caller owns and gives up.
     Returns ``(weights, inv)``: ``weights`` is ``scores`` itself, overwritten
-    with each row's exponentials after its max-subtract, and ``inv`` the
-    float32 (..., Tq, 1) reciprocal of each row's sum, so the probabilities
-    are ``weights * inv``.  Callers apply ``inv`` to what they compute from the
-    weights (``P @ V = inv * (weights @ V)``), a pass over the (rows, d) output
+    with each row's exponentials, and ``inv`` the float32 (..., Tq, 1)
+    reciprocal of each row's sum, so the probabilities are ``weights * inv``.
+    Callers apply ``inv`` to what they compute from the weights
+    (``P @ V = inv * (weights @ V)``), a pass over the (rows, d) output
     instead of the (rows, Tk) block.  Key j sits at position j and query row i
     at Tk - Tq + i, so keys up to the first query are visible to every row and
     only the (Tq, Tq - 1) tile of later keys is masked; a decode row (Tq = 1)
-    does no mask work.  Everything runs in float32; the row sums are numpy's
-    pairwise sums.  Masked entries are exactly 0.
+    does no mask work.  Masked entries are exactly 0.
+
+    By default each row's max is subtracted before the exp, so any finite
+    scores are safe.  ``shift=False`` skips that subtract and its max pass:
+    the softmax is the same, and it is safe for scores the caller has bounded
+    (``causal_attention`` passes it when every |score| is at most
+    ``SHIFT_FREE_BOUND``).  Everything runs in float32.  Several query rows
+    take their row sums as one GEMV of the (rows, Tk) block with a ones
+    column; one row takes numpy's pairwise sum.
     """
-    tq = scores.shape[-2]
+    tq, tk = scores.shape[-2:]
     if tq > 1:
         later = np.arange(tq - 1) >= np.arange(tq)[:, None]
-        np.copyto(scores[..., scores.shape[-1] - tq + 1:], -np.inf, where=later)
-    scores -= np.maximum.reduce(scores, axis=-1, keepdims=True)
+        np.copyto(scores[..., tk - tq + 1:], -np.inf, where=later)
+    if shift:
+        scores -= np.maximum.reduce(scores, axis=-1, keepdims=True)
     np.exp(scores, out=scores)
-    inv = np.add.reduce(scores, axis=-1, keepdims=True)
+    if tq > 1:
+        inv = (scores.reshape(-1, tk) @ np.ones((tk, 1), dtype=np.float32)
+               ).reshape(*scores.shape[:-1], 1)
+    else:
+        inv = np.add.reduce(scores, axis=-1, keepdims=True)
     return scores, np.reciprocal(inv, out=inv)
+
+
+def score_bound(q_rope: np.ndarray, keys: np.ndarray, scale: float) -> float:
+    """An upper bound on |q·k|·scale over every query head and key head.
+
+    By Cauchy–Schwarz, ``max‖q‖ · max‖k‖ · scale``.  The squared norms are
+    float32 sums, each at most ``d_head`` roundings below the exact one, so
+    the product is raised by ``4·d_head`` float32 epsilons to stay a bound
+    (where squares underflow, below 1e-19, the scores are far below any
+    limit anyway).  Any non-finite input makes it ``inf`` or ``nan``, which
+    no ``bound <= limit`` test accepts.
+    """
+    d_head = q_rope.shape[-1]
+    q_sq = float(np.einsum("...i,...i->...", q_rope, q_rope).max())
+    k_sq = float(np.einsum("...i,...i->...", keys, keys).max())
+    margin = 1.0 + 4 * d_head * float(np.finfo(np.float32).eps)
+    return math.sqrt(q_sq * k_sq) * float(scale) * margin
 
 
 def _row_scores(q_row: np.ndarray, keys_h: np.ndarray) -> np.ndarray:
@@ -435,7 +473,11 @@ def causal_attention(q_rope: np.ndarray, keys: np.ndarray, w_o: np.ndarray,
     KV head over the first ``tk = Tk - Tq + stop`` keys (later keys are
     masked for every row of the block and are skipped), keys on the left for
     a one-row block (``_row_scores``), and overwrites the fresh scores in
-    place with ``causal_attention_weights``.
+    place with ``causal_attention_weights``.  A call of several query rows
+    first takes one ``score_bound`` over all of them and every key; when it
+    is at most ``SHIFT_FREE_BOUND``, every block skips the softmax's
+    max-subtract (``shift=False``).  A larger or non-finite bound, and every
+    one-row call, keeps the max-subtract.
 
     The caller's value step, ``head_values(weights, inv, tk)``, gets the
     unnormalised weights (n_kv, hpk·rows, tk) and reciprocal row sums
@@ -454,6 +496,7 @@ def causal_attention(q_rope: np.ndarray, keys: np.ndarray, w_o: np.ndarray,
     scale = np.float32(1.0 / math.sqrt(d_head))
     keys_h = keys.transpose(1, 0, 2)  # (n_kv, Tk, d_head)
     block = max(1, min(tq // n_q, SCORES_BLOCK_ELEMENTS // (n_q * tk_all)))
+    shift = tq == 1 or not score_bound(q_rope, keys, scale) <= SHIFT_FREE_BOUND
     for start in range(0, tq, block):
         stop = min(start + block, tq)
         rows, tk = stop - start, tk_all - tq + stop
@@ -465,7 +508,7 @@ def causal_attention(q_rope: np.ndarray, keys: np.ndarray, w_o: np.ndarray,
             scores = np.matmul(q_rows.reshape(n_kv, -1, d_head),
                                keys_b.transpose(0, 2, 1)).reshape(n_kv, hpk, rows, tk)
             del q_rows
-        weights, inv = causal_attention_weights(scores)
+        weights, inv = causal_attention_weights(scores, shift=shift)
         heads = head_values(weights.reshape(n_kv, -1, tk), inv.reshape(n_kv, -1, 1), tk)
         if tq == 1:  # one query row: query head q = kv·hpk + j is in order
             return heads.reshape(1, config.d_hidden) @ w_o

@@ -362,6 +362,17 @@ def test_merge_over_row_blocks_is_bit_identical_to_the_whole_array_sum(rows, str
     assert merged.tobytes() == _direct_merge(prefixes, weights).tobytes()
 
 
+@pytest.mark.parametrize("rows", [1, MERGE_BLOCK - 1, MERGE_BLOCK, MERGE_BLOCK + 1,
+                                  3 * MERGE_BLOCK + 5])
+def test_token_cosines_over_row_blocks_are_bit_identical_to_the_whole_array_formula(rows):
+    rng = np.random.default_rng(100 + rows)
+    a, b = (rng.standard_normal((rows, MERGE_WIDTH)).astype(np.float32) for _ in range(2))
+    a[rows // 2] = 0.0  # a zero row has cosine 0, in whichever block it falls
+    cosines = budget._token_cosines(a, b)
+    assert cosines.dtype == np.float64 and cosines.shape == (rows,)
+    assert cosines.tobytes() == _direct_cosines(a, b).tobytes()
+
+
 def _traced_peak(call) -> int:
     tracemalloc.start()
     try:
@@ -375,14 +386,15 @@ def _traced_peak(call) -> int:
 
 def test_merge_phase_holds_one_float64_prefix_beyond_its_result():
     # beyond (rows,)-sized statistics and numpy's fixed-size ufunc buffers, a
-    # score holds one float64 copy of a prefix, and a merge its float32 result
-    # plus one block's float64 sum and float64 term
+    # score holds one block's three float64 products, and a merge its float32
+    # result plus one block's float64 sum and float64 term
     rows, width = WIDE_PREFIX
     full64 = 8 * rows * width
     slack = 8 * 8 * rows + 4 * 8 * np.getbufsize() + 4096
     rng = np.random.default_rng(52)
     prefixes = [rng.standard_normal(WIDE_PREFIX).astype(np.float32) for _ in range(4)]
-    assert _traced_peak(lambda: group_score(prefixes[0], prefixes[-1])) <= full64 + slack
+    score_blocks = 3 * 8 * budget.MERGE_BLOCK_ELEMENTS
+    assert _traced_peak(lambda: group_score(prefixes[0], prefixes[-1])) <= score_blocks + slack
     merge_blocks = 2 * 8 * budget.MERGE_BLOCK_ELEMENTS
     assert _traced_peak(lambda: merge_group(prefixes, "mean")) <= full64 // 2 + merge_blocks + slack
 

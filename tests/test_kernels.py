@@ -12,6 +12,9 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from commonkv import latent_cache, model
 from commonkv.errors import CapacityError, InputError
@@ -156,9 +159,9 @@ def _record_blocks(monkeypatch, budget: int) -> list[tuple[int, int]]:
     blocks = []
     real = model.causal_attention_weights
 
-    def recording(scores):
+    def recording(scores, **kwargs):
         blocks.append((scores.shape[-2], scores.size))
-        return real(scores)
+        return real(scores, **kwargs)
 
     monkeypatch.setattr(model, "SCORES_BLOCK_ELEMENTS", budget)
     monkeypatch.setattr(model, "causal_attention_weights", recording)
@@ -233,12 +236,14 @@ def test_block_rows_at_workload_shapes(tq, tk, n_q, rows):
 def _full_copy_block_probs(q_rope, keys, cfg):
     """``model.causal_attention``'s blocks, as ``(start, stop, tk, weights,
     inv)``, taken from one scaled, head-grouped copy of every query row, made
-    before the first block; it drives the package's softmax and one-row scores."""
+    before the first block; it drives the package's softmax and one-row scores,
+    and makes the same score-bound decision on the max-subtract."""
     n_q, n_kv, hpk, d_head, tq = (cfg.n_q_heads, cfg.n_kv_heads, cfg.heads_per_kv,
                                   cfg.d_head, q_rope.shape[0])
     keys_h = keys.transpose(1, 0, 2)
-    q_grouped = (q_rope * np.float32(1.0 / math.sqrt(d_head))).transpose(1, 0, 2).reshape(
-        n_kv, hpk, tq, d_head)
+    scale = np.float32(1.0 / math.sqrt(d_head))
+    shift = tq == 1 or not model.score_bound(q_rope, keys, scale) <= model.SHIFT_FREE_BOUND
+    q_grouped = (q_rope * scale).transpose(1, 0, 2).reshape(n_kv, hpk, tq, d_head)
     block = max(1, min(tq // n_q, model.SCORES_BLOCK_ELEMENTS // (n_q * keys.shape[0])))
     for start in range(0, tq, block):
         stop = min(start + block, tq)
@@ -248,7 +253,8 @@ def _full_copy_block_probs(q_rope, keys, cfg):
         else:
             scores = np.matmul(q_grouped[:, :, start:stop].reshape(n_kv, -1, d_head),
                                keys_h[:, :tk].transpose(0, 2, 1))
-        weights, inv = causal_attention_weights(scores.reshape(n_kv, hpk, stop - start, tk))
+        weights, inv = causal_attention_weights(scores.reshape(n_kv, hpk, stop - start, tk),
+                                                shift=shift)
         yield start, stop, tk, weights.reshape(n_q, stop - start, tk), inv.reshape(n_q, -1, 1)
 
 
@@ -415,6 +421,104 @@ def test_causal_softmax_allocates_no_float64_buffer(shape):
         tracemalloc.stop()
     assert inv.dtype == np.float32
     assert peak <= 2 * 4 * rows + shape[-2] ** 2 + 4 * np.getbufsize() + 4096
+
+
+# -- the shift-free softmax of a bounded prefill ----------------------------------
+
+BOUND = model.SHIFT_FREE_BOUND
+
+# name: (query rows Tq, keys Tk, fill), with scores uniform over [-BOUND, BOUND]
+# when fill is None, else all equal to fill
+SHIFT_FREE_CASES = {
+    "decode_row": (1, 40, None),
+    "prefill_block_from_0": (9, 9, None),
+    "prefill_block_mid_sequence": (9, 29, None),
+    "all_at_plus_bound": (9, 29, BOUND),
+    "all_at_minus_bound": (9, 29, -BOUND),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SHIFT_FREE_CASES))
+def test_shift_free_softmax_matches_float64_reference(case):
+    tq, tk, fill = SHIFT_FREE_CASES[case]
+    q_pos, k_pos = np.arange(tk - tq, tk), np.arange(tk)
+    shape = (2, 3, tq, tk)
+    rng = np.random.default_rng(tq + tk)
+    scores = rng.uniform(-BOUND, BOUND, shape) if fill is None else np.full(shape, fill)
+    scores = scores.astype(np.float32)
+    expected = reference_causal_softmax(scores, q_pos, k_pos)
+    block = scores.copy()
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        weights, inv = causal_attention_weights(block, shift=False)
+    assert weights is block and inv.dtype == np.float32 and inv.shape == (*shape[:-1], 1)
+    probs = weights * inv
+    np.testing.assert_allclose(probs, expected, rtol=0, atol=1e-6)
+    masked = np.broadcast_to(k_pos[None, :] > q_pos[:, None], shape)
+    assert not weights[masked].any()
+    np.testing.assert_allclose(probs.sum(axis=-1, dtype=np.float64), 1.0, rtol=0, atol=1e-6)
+
+
+@pytest.mark.parametrize("shift", [True, False])
+def test_gemv_row_sums_match_float64_sums(shift):
+    # a wide-prefill block: 2 KV heads, 4 query heads each, 34 rows, 960 keys
+    rng = np.random.default_rng(34 + shift)
+    shape = (2, 4, 34, 960)
+    scores = (rng.uniform(-BOUND, BOUND, shape) if not shift
+              else rng.standard_normal(shape) * 3).astype(np.float32)
+    weights, inv = causal_attention_weights(scores, shift=shift)
+    sums = weights.sum(axis=-1, dtype=np.float64, keepdims=True)
+    np.testing.assert_allclose(np.reciprocal(inv, dtype=np.float64), sums, rtol=1e-6)
+
+
+# elements whose squares are normal float32 numbers, where each squared norm
+# is within float32 rounding of the exact one
+_ELEMENTS = st.floats(-64, 64, width=32).map(lambda v: v if abs(v) >= 2**-10 else 0.0)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(q=arrays(np.float32, st.tuples(st.integers(1, 6), st.just(4), st.just(8)),
+                elements=_ELEMENTS),
+       keys=arrays(np.float32, st.tuples(st.integers(1, 6), st.just(2), st.just(8)),
+                   elements=_ELEMENTS))
+@example(q=np.full((1, 4, 8), 0.1, dtype=np.float32),  # parallel: Cauchy–Schwarz is tight
+         keys=np.full((2, 2, 8), 0.1, dtype=np.float32))
+def test_score_bound_is_at_least_every_score(q, keys):
+    scale = np.float32(1.0 / math.sqrt(8))
+    q64, k64 = q.astype(np.float64).reshape(-1, 8), keys.astype(np.float64).reshape(-1, 8)
+    true_max = float(np.abs(q64 @ k64.T).max()) * float(scale)
+    assert model.score_bound(q, keys, scale) >= true_max
+
+
+@pytest.mark.parametrize("tq", [1, 7, 33])
+def test_a_call_above_the_bound_keeps_the_max_subtract(monkeypatch, tq):
+    # ordinary queries take the shift-free softmax in every block of a
+    # multi-row call; queries scaled by 1e3 put the bound above BOUND and take
+    # the max-subtract, with no warning; a one-row call always takes it.
+    # Integer queries and keys and d_head = 16 (scale 1/4) make every float32
+    # score exact, so the reference sees only the softmax and the value step.
+    cfg = ModelConfig(n_layers=1, d_hidden=64, n_q_heads=4, n_kv_heads=2, d_head=16,
+                      d_mlp=16, max_seq=64)
+    rng = np.random.default_rng(900 + tq)
+    q = rng.integers(-2, 3, (tq, cfg.n_q_heads, cfg.d_head)).astype(np.float32)
+    keys = rng.integers(-2, 3, (HISTORY, cfg.n_kv_heads, cfg.d_head)).astype(np.float32)
+    values = (rng.standard_normal((HISTORY, cfg.n_kv_heads, cfg.d_head)) * 0.5).astype(np.float32)
+    w_o = (rng.standard_normal((cfg.d_hidden, cfg.d_hidden)) * 0.5).astype(np.float32)
+    shifts = []
+    real = model.causal_attention_weights
+
+    def recording(scores, **kwargs):
+        shifts.append(kwargs["shift"])
+        return real(scores, **kwargs)
+
+    monkeypatch.setattr(model, "causal_attention_weights", recording)
+    for q_scale, above in [(1.0, False), (1e3, True)]:
+        q_scaled = q * np.float32(q_scale)
+        assert (model.score_bound(q_scaled, keys, np.float32(0.25)) > BOUND) == above
+        shifts.clear()
+        out = attention_block(q_scaled.copy(), keys, values, w_o, cfg)
+        assert shifts and shifts == [above or tq == 1] * len(shifts)
+        expected = reference_attention(q_scaled, keys, values, w_o)
+        np.testing.assert_allclose(out, expected, atol=1e-5)
 
 
 # -- RoPE as one complex multiply ------------------------------------------------

@@ -20,6 +20,15 @@ every decode step's logit row, in order, so equal lines mean bit-identical
 logits.  This checkout's ``src`` goes on the import path after whatever is
 already there, so ``PYTHONPATH=other/src python3 tools/logit_digest.py ...``
 digests another version of ``commonkv`` against the same workloads.
+
+A change that moves rounding can say by how much: ``--save FILE.npz`` writes
+every logit of the run, and a run of another version with ``--against
+FILE.npz`` (same workload and seed, else exit 2) adds to its line
+
+    "max_abs_diff": {"baseline": {"prefill": <float>, "decode": <float>},
+                     "commonkv": {"prefill": <float>, "decode": <float>}}
+
+the largest |logit difference| of each mode and phase, taken in float64.
 """
 
 from __future__ import annotations
@@ -29,6 +38,8 @@ import hashlib
 import json
 import sys
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 for path in (ROOT / "src", ROOT):
@@ -40,31 +51,46 @@ from commonkv.model import BaselineSession  # noqa: E402
 from perfbench import harness, workloads  # noqa: E402
 
 
-def session_digests(mode: str, setup, workload, stream) -> dict:
-    """One session of ``mode`` over ``stream``: digests of its prefill and decode logits."""
+def session_logits(mode: str, setup, workload, stream) -> dict[str, np.ndarray]:
+    """One session of ``mode`` over ``stream``: its prefill logits and the
+    (decode_len, vocab) logit rows of its decode steps."""
     P, D = workload.prompt_len, workload.decode_len
     if mode == "baseline":
         session = BaselineSession(setup.weights)
     else:
         session = LatentSession(setup.weights, setup.fact)
-    out = {"prefill": hashlib.sha256(session.prefill(stream[:P])).hexdigest()}
+    prefill = session.prefill(stream[:P])
     if mode != "baseline":
         session.plan_and_merge(workload.target_ratio, workload.strategy, setup.fisher)
-    decode = hashlib.sha256()
-    for token in stream[P:P + D]:
-        decode.update(session.decode(int(token)))
-    out["decode"] = decode.hexdigest()
-    return out
+    return {"prefill": prefill,
+            "decode": np.stack([session.decode(int(token)) for token in stream[P:P + D]])}
 
 
-def digest(workload, seed: int) -> dict:
-    """Every mode's digests for ``workload`` at perfbench seed ``seed``."""
+def workload_logits(workload, seed: int) -> dict[str, dict[str, np.ndarray]]:
+    """Every mode's logits for ``workload`` at perfbench seed ``seed``."""
     seeds = workloads.derive_seeds(seed)
     setup = harness.set_up(workload, seeds, calibrate=workload.strategy == "fisher")
     stream = workloads.token_stream(seeds.streams, 0, workload.stream_len)
-    out = {"workload": workload.name, "seed": seed}
-    for mode in harness.MODES:
-        out[mode] = session_digests(mode, setup, workload, stream)
+    return {mode: session_logits(mode, setup, workload, stream) for mode in harness.MODES}
+
+
+def digests(logits: dict) -> dict:
+    """The SHA-256 of each mode's and phase's logits."""
+    return {mode: {phase: hashlib.sha256(rows).hexdigest() for phase, rows in phases.items()}
+            for mode, phases in logits.items()}
+
+
+def max_abs_diff(logits: dict, saved: dict[str, np.ndarray]) -> dict:
+    """Largest |difference| of each mode's and phase's logits from ``saved``,
+    whose keys are ``"<mode>.<phase>"``; a shape that differs is a ValueError."""
+    out = {}
+    for mode, phases in logits.items():
+        out[mode] = {}
+        for phase, rows in phases.items():
+            other = saved[f"{mode}.{phase}"]
+            if other.shape != rows.shape:
+                raise ValueError(f"{mode} {phase} logits are {rows.shape}, saved {other.shape}")
+            out[mode][phase] = float(np.max(np.abs(rows.astype(np.float64) - other)))
     return out
 
 
@@ -72,8 +98,33 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True, choices=sorted(workloads.WORKLOADS))
     parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--save", metavar="FILE.npz", help="write every logit of this run")
+    parser.add_argument("--against", metavar="FILE.npz",
+                        help="report max |logit difference| from a --save of the same run")
     args = parser.parse_args(argv)
-    print(json.dumps(digest(workloads.WORKLOADS[args.workload], args.seed)))
+    saved = None
+    if args.against:
+        try:
+            with np.load(args.against) as npz:
+                saved = dict(npz)
+        except (OSError, ValueError) as exc:
+            parser.error(f"cannot read {args.against}: {exc}")
+        found = [saved.pop(key, np.array(None)).item() for key in ("workload", "seed")]
+        if found != [args.workload, args.seed]:
+            parser.error(f"{args.against} holds another workload or seed")
+    logits = workload_logits(workloads.WORKLOADS[args.workload], args.seed)
+    out = {"workload": args.workload, "seed": args.seed, **digests(logits)}
+    if saved is not None:
+        try:
+            out["max_abs_diff"] = max_abs_diff(logits, saved)
+        except (KeyError, ValueError) as exc:
+            parser.error(f"{args.against} does not match this run: {exc}")
+    if args.save:
+        with open(args.save, "wb") as f:
+            np.savez(f, workload=args.workload, seed=args.seed,
+                     **{f"{mode}.{phase}": rows for mode, phases in logits.items()
+                        for phase, rows in phases.items()})
+    print(json.dumps(out))
     return 0
 
 
