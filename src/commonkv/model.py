@@ -84,6 +84,7 @@ ROW_BLOCK_ELEMENTS = 2**17
 # smallest normal (1.2e-38), while a row sum of max_seq of them and its products
 # with values stay far below float32's largest finite number (3.4e38).
 SHIFT_FREE_BOUND = 32.0
+FLOAT32_EPS = float(np.finfo(np.float32).eps)
 LAYER_TENSORS = ("attn_gain", "w_q", "w_k", "w_v", "w_o", "mlp_gain", "w_in", "w_out")
 
 
@@ -415,18 +416,19 @@ def causal_attention_weights(scores: np.ndarray, shift: bool = True
     take their row sums as one GEMV of the (rows, Tk) block with a ones
     column; one row takes numpy's pairwise sum.
     """
-    tq, tk = scores.shape[-2:]
+    tq = scores.shape[-2]
     if tq > 1:
+        tk = scores.shape[-1]
         later = np.arange(tq - 1) >= np.arange(tq)[:, None]
         np.copyto(scores[..., tk - tq + 1:], -np.inf, where=later)
     if shift:
         scores -= np.maximum.reduce(scores, axis=-1, keepdims=True)
     np.exp(scores, out=scores)
-    if tq > 1:
+    if tq == 1:
+        inv = np.add.reduce(scores, axis=-1, keepdims=True)
+    else:
         inv = (scores.reshape(-1, tk) @ np.ones((tk, 1), dtype=np.float32)
                ).reshape(*scores.shape[:-1], 1)
-    else:
-        inv = np.add.reduce(scores, axis=-1, keepdims=True)
     return scores, np.reciprocal(inv, out=inv)
 
 
@@ -443,7 +445,7 @@ def score_bound(q_rope: np.ndarray, keys: np.ndarray, scale: float) -> float:
     d_head = q_rope.shape[-1]
     q_sq = float(np.einsum("...i,...i->...", q_rope, q_rope).max())
     k_sq = float(np.einsum("...i,...i->...", keys, keys).max())
-    margin = 1.0 + 4 * d_head * float(np.finfo(np.float32).eps)
+    margin = 1.0 + 4 * d_head * FLOAT32_EPS
     return math.sqrt(q_sq * k_sq) * float(scale) * margin
 
 
