@@ -1,7 +1,7 @@
 """Desk-scale GQA inference engine with cross-layer shared-factor latent KV cache."""
 
 from .budget import (BudgetPlan, FisherWeights, allocate_budget, estimate_fisher,
-                     group_score, group_score_full, merge_group)
+                     group_score, merge_group)
 from .errors import (CapacityError, CommonKVError, ConfigurationError, InputError,
                      NumericError, UnreachableRatioError)
 from .factorization import (GroupLayout, SharedFactorization, build_factorization,

@@ -1,8 +1,8 @@
 """Adaptive compression budgets, Fisher calibration, and prefix merging.
 
-The per-group score is the mean per-token cosine between the first and last
-member layer's latent prefixes (a cheaper stand-in for averaging every
-adjacent pair, which ``group_score_full`` provides).  Budgets map a target
+A group's score averages the mean token cosine (``group_score``) over the
+member-layer pairs its variant names (``SCORE_VARIANTS``): by default its first
+and last layers, a cheaper stand-in for every adjacent pair.  Budgets map a target
 compression ratio to the number of groups to merge.  ``stored_elements`` is
 the one closed form for how many elements a session stores; the plan, every
 session's own audit (``LatentSession.audit``) and the full-KV baseline read it.
@@ -29,7 +29,11 @@ MERGE_STRATEGIES = ("mean", "fisher", "shallow", "deep")
 # several of them: its float64 scratch stays below one float64 copy of the
 # prefix.
 MERGE_BLOCK_ELEMENTS = 2**12
-SCORE_VARIANTS = ("shortcut", "full")  # ``group_score`` / ``group_score_full``
+# Each score variant's member-layer index pairs in a group of m layers
+SCORE_VARIANTS = {
+    "shortcut": lambda m: [(0, m - 1)],
+    "full": lambda m: [(i, i + 1) for i in range(m - 1)] or [(0, 0)],
+}
 
 
 # ---------------------------------------------------------------------------
@@ -62,24 +66,12 @@ def _token_cosines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def group_score(h_first: np.ndarray, h_last: np.ndarray) -> float:
-    """Mean token cosine between a group's first and last latent prefixes."""
+    """Mean token cosine between two member layers' latent prefixes."""
     if h_first.shape != h_last.shape:
         raise InputError("latent prefixes differ in shape")
     if h_first.shape[0] == 0:
         raise InputError("cannot score an empty prefix")
     return float(np.mean(_token_cosines(h_first, h_last)))
-
-
-def group_score_full(prefixes: list[np.ndarray], pair=None) -> float:
-    """Mean over adjacent member-layer pairs of ``pair(a, b)``, by default
-    ``group_score``, the mean token cosine."""
-    pair = pair or group_score
-    if not prefixes:
-        raise InputError("empty group")
-    if len(prefixes) == 1:
-        return pair(prefixes[0], prefixes[0])
-    pair_scores = [pair(prefixes[i], prefixes[i + 1]) for i in range(len(prefixes) - 1)]
-    return float(np.mean(pair_scores))
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ import numpy as np
 
 from . import budget as budget_mod
 from .budget import baseline_elements  # the storage closed form, also read from here
-from .errors import CapacityError, InputError, NumericError
+from .errors import InputError, NumericError
 from .factorization import GroupLayout, SharedFactorization
 from .model import (ModelConfig, ModelWeights, RopeTable, apply_rope, attention_block,
                     causal_attention, forward)
@@ -110,10 +110,13 @@ def _checksum(array: np.ndarray) -> str:
 
 @dataclass
 class GroupCache:
-    layer_prefixes: list[np.ndarray]     # per member layer, (T_pre, r); unused once merged
-    merged: bool = False
+    layer_prefixes: list[np.ndarray]     # per member layer, (T_pre, r); emptied once merged
     shared_prefix: np.ndarray | None = None
     merge_checksum: str | None = None
+
+    @property
+    def merged(self) -> bool:
+        return self.shared_prefix is not None
 
 
 @dataclass
@@ -238,7 +241,6 @@ class LatentCacheStore:
             raise InputError("merged prefix has wrong shape")
         gc.shared_prefix = np.ascontiguousarray(merged)
         gc.layer_prefixes = []
-        gc.merged = True
         gc.merge_checksum = _checksum(gc.shared_prefix)
 
     def verify_merged_prefixes(self) -> None:
@@ -260,10 +262,11 @@ class LatentSession:
     """One compressed-inference session: prefill, plan/merge, decode.
 
     The session is its own KV store for ``model.forward`` (``weights``,
-    ``n_tokens``, ``append`` and ``attend``): a layer's new rows join its
-    prefix until the prefill phase closes (merge or decode), and its suffix
-    after.  Prefill may run in as many calls as wanted until then, and the
-    session plans once: a second plan is refused before anything is scored.
+    ``n_tokens``, ``append`` and ``attend``): a prefill call's rows join each
+    layer's prefix and a decode call's its suffix.  It keeps no phase: a
+    prefill is refused once the session has planned or holds a decode row, so
+    prefill may run in as many calls as wanted until then.  The session plans
+    once: a second plan is refused before anything is scored.
     The value path is factored: ``B_v`` then ``W_o``, see ``attend_latent``.
     A subclass that stores other rows (``evaluation.RawKVSession``) overrides
     ``__init__``, ``pair_score``, ``append`` and ``attend``; the phases, the
@@ -280,14 +283,16 @@ class LatentSession:
         self.weights = weights
         self.store = store
         self.plan: budget_mod.BudgetPlan | None = None
-        self._prefill_frozen = False
+        self._decode_call = False   # set by each prefill and decode: where its rows go
 
     # -- phases ------------------------------------------------------------
 
     def prefill(self, token_ids) -> np.ndarray:
-        """Process prompt tokens, caching each layer's prefix rows."""
-        if self._prefill_frozen:
+        """Process prompt tokens, caching each layer's prefix rows; refused
+        once the session has planned or holds a decode row."""
+        if self.plan is not None or self.store.decode_len:
             raise InputError("prefill phase already closed (merge or decode happened)")
+        self._decode_call = False
         return forward(self, token_ids)
 
     def plan_and_merge(self, target_ratio: float, strategy: str = "mean",
@@ -305,20 +310,19 @@ class LatentSession:
         return plan
 
     def group_scores(self, variant: str = "shortcut") -> list[float]:
-        """Each group's ``pair_score``: of its first and last layers'
-        prefixes (``"shortcut"``), or its mean over adjacent layers (``"full"``);
-        only before the session has planned."""
+        """Each group's mean ``pair_score`` over the member-layer pairs that
+        ``budget.SCORE_VARIANTS[variant]`` names; only before the session has
+        planned."""
         if self.plan is not None:
             raise InputError("already planned: a session plans once")
         if variant not in budget_mod.SCORE_VARIANTS:
             raise InputError(f"unknown score variant {variant!r}")
+        pairs_of = budget_mod.SCORE_VARIANTS[variant]
         scores = []
         for gc in self.store.groups:
             prefixes = gc.layer_prefixes
-            if variant == "shortcut":
-                scores.append(self.pair_score(prefixes[0], prefixes[-1]))
-            else:
-                scores.append(budget_mod.group_score_full(prefixes, self.pair_score))
+            scores.append(float(np.mean([self.pair_score(prefixes[i], prefixes[j])
+                                         for i, j in pairs_of(len(prefixes))])))
         return scores
 
     def pair_score(self, first: np.ndarray, second: np.ndarray) -> float:
@@ -327,11 +331,10 @@ class LatentSession:
 
     def apply_plan(self, plan: budget_mod.BudgetPlan,
                    fisher: budget_mod.FisherWeights | None = None) -> None:
-        """Close the prefill phase and merge each of the plan's groups by its
-        strategy, recording the weights and any Fisher fallback in the plan."""
+        """Merge each of the plan's groups by its strategy, recording the
+        weights and any Fisher fallback in the plan."""
         if self.plan is not None:
             raise InputError("already planned: a session plans once")
-        self._prefill_frozen = True
         self.plan = plan
         store = self.store
         for gi in sorted(plan.merged_groups):
@@ -345,16 +348,10 @@ class LatentSession:
             store.merge_group(gi, merged)
 
     def decode(self, token_id: int) -> np.ndarray:
-        """One generated token; its row joins the layer-private suffix.
-
-        Closes the prefill phase, unless ``forward`` rejects the token.
-        """
-        was_frozen, self._prefill_frozen = self._prefill_frozen, True
-        try:
-            return forward(self, [token_id])[0]
-        except (InputError, CapacityError):
-            self._prefill_frozen = was_frozen
-            raise
+        """One generated token; its row joins the layer-private suffix.  ``forward``
+        checks the token before it keeps a row, so a rejected call keeps none."""
+        self._decode_call = True
+        return forward(self, [token_id])[0]
 
     # -- the KV store ``model.forward`` runs over ------------------------------
 
@@ -374,9 +371,9 @@ class LatentSession:
                              weights.config, fact.v_heads[layer])
 
     def _keep(self, layer: int, new_rows: np.ndarray) -> None:
-        """Store a call's rows for ``layer``: prefix or suffix rows by phase."""
+        """Store a call's rows for ``layer``: suffix rows in a decode call, else prefix."""
         store = self.store
-        (store.append_decode if self._prefill_frozen else store.append_prefill)(layer, new_rows)
+        (store.append_decode if self._decode_call else store.append_prefill)(layer, new_rows)
 
     # -- accounting ----------------------------------------------------------
 

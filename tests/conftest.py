@@ -1,9 +1,15 @@
 import pytest
+from hypothesis import settings
 
 from commonkv.corpus import markov_byte_corpus
 from commonkv.factorization import load_factorized, transform_model
 from commonkv.model import ModelConfig, gen_toy_model
 from micro_config import MICRO
+
+# Every property test draws the same examples on every run and keeps no
+# example database, so a tier-1 run does not depend on the runs before it.
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

@@ -7,8 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from commonkv import budget, model
-from commonkv.budget import (MERGE_STRATEGIES, FisherWeights, allocate_budget, corpus_hash,
-                             estimate_fisher, group_score, group_score_full, merge_group,
+from commonkv.budget import (MERGE_STRATEGIES, SCORE_VARIANTS, FisherWeights, allocate_budget,
+                             corpus_hash, estimate_fisher, group_score, merge_group,
                              top_k_groups)
 from commonkv.corpus import markov_byte_corpus
 from commonkv.errors import ConfigurationError, InputError
@@ -57,14 +57,12 @@ def test_empty_prefix_rejected():
         group_score(empty, empty)
 
 
-def test_full_score_all_identical_is_one():
-    h = _prefix(6)
-    assert group_score_full([h, h, h, h]) == pytest.approx(1.0, abs=1e-7)
-
-
-def test_full_score_of_pair_equals_shortcut():
-    a, b = _prefix(7), _prefix(8)
-    assert group_score_full([a, b]) == group_score(a, b)
+def test_score_variants_name_their_member_pairs():
+    # a one-layer group pairs with itself, and two layers are one pair in either variant
+    assert {name: [pairs(m) for m in (1, 2, 4)] for name, pairs in SCORE_VARIANTS.items()} == {
+        "shortcut": [[(0, 0)], [(0, 1)], [(0, 3)]],
+        "full": [[(0, 0)], [(0, 1)], [(0, 1), (1, 2), (2, 3)]],
+    }
 
 
 def test_full_score_matches_brute_force():
@@ -75,7 +73,8 @@ def test_full_score_matches_brute_force():
                / (np.linalg.norm(prefixes[l][t]) * np.linalg.norm(prefixes[l + 1][t]))
                for t in range(10)]
         pair_means.append(np.mean(cos))
-    assert group_score_full(prefixes) == pytest.approx(np.mean(pair_means), abs=1e-6)
+    full = np.mean([group_score(prefixes[i], prefixes[j]) for i, j in SCORE_VARIANTS["full"](4)])
+    assert full == pytest.approx(np.mean(pair_means), abs=1e-6)
 
 
 # -- allocation ----------------------------------------------------------------

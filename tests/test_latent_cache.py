@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from commonkv import budget, latent_cache, model
 from commonkv.budget import FisherWeights, allocate_budget
@@ -790,3 +792,78 @@ def test_stored_positions_stay_int64_aranges_through_prefill_and_decode(fact07, 
     assert is_arange(base.cache.positions, 0, 26)
     assert is_arange(latent.store.prefill_positions, 0, 20)
     assert is_arange(latent.store.decode_positions, 20, 26)
+
+
+# -- call sequences: the phase rule and rejected calls --------------------------------
+
+# Four layers in two groups of two, so a plan can merge 0, 1 or 2 groups at
+# either row width, and room for 12 prompt rows, 8 more prefill rows and a
+# decode run across the first sealed suffix chunk.
+SMALL = ModelConfig(n_layers=4, d_hidden=16, n_q_heads=2, n_kv_heads=1, d_head=8, d_mlp=32,
+                    max_seq=96)
+
+
+@pytest.fixture(scope="module")
+def small_model():
+    blob, _ = transform_model(gen_toy_model(SMALL, 3), 2, 0.7)
+    return load_factorized(blob)
+
+
+@st.composite
+def call_sequences(draw):
+    """1–3 prefill calls, an optional plan (by the number of groups it merges),
+    0–70 decode steps, and calls that a session may refuse mixed in anywhere."""
+    token = st.integers(0, 255)
+    calls = [("prefill", draw(st.lists(token, min_size=1, max_size=4)))
+             for _ in range(draw(st.integers(1, 3)))]
+    if draw(st.booleans()):
+        calls.append(("plan", draw(st.integers(0, 2))))
+    first_decode = len(calls)
+    steps = draw(st.one_of(st.integers(0, 70), st.integers(C, 70)))  # often past the first seal
+    calls += [("decode", t) for t in draw(st.lists(token, min_size=steps, max_size=steps))]
+    for _ in range(draw(st.integers(0, 4))):
+        call = draw(st.one_of(st.just(("prefill", [7, 8])), st.sampled_from(
+            [("decode", 256), ("decode", -1), ("decode", 3.7), ("decode", "a"),
+             ("prefill", [65, 3.7])])))
+        # often just before the first decode, where the phase changes
+        at = draw(st.one_of(st.just(first_decode), st.integers(0, len(calls))))
+        calls.insert(at, call)
+        first_decode += at <= first_decode
+    return calls
+
+
+@settings(max_examples=25)
+@given(kind=st.sampled_from(["latent", "rawkv"]), calls=call_sequences())
+# a rejected decode used to close the prefill phase
+@example(kind="latent", calls=[("prefill", [1, 2]), ("decode", 3.7), ("prefill", [3]), ("decode", 4)])
+# a plan closes it even when it merges nothing
+@example(kind="rawkv", calls=[("prefill", [1, 2, 3]), ("plan", 0), ("prefill", [4]), ("decode", 5)])
+def test_call_sequences_keep_the_phase_rule_and_rejected_calls_change_nothing(
+        small_model, kind, calls):
+    # ``twin`` makes only the calls that ``session`` should accept
+    session, twin = (LatentSession(*small_model) if kind == "latent"
+                     else RawKVSession(small_model[0], 2) for _ in range(2))
+    width = session.store.width
+    planned, decode_rows = False, 0
+    for call, arg in calls:
+        if call == "plan":
+            ratio = 1.0 - budget.stored_elements(SMALL, width, 1, merged_count=arg, group_size=2) \
+                / baseline_elements(SMALL, 1)
+            plan = session.plan_and_merge(ratio)
+            assert plan.merged_count == arg and twin.plan_and_merge(ratio) == plan
+            planned = True
+        else:
+            tokens = arg if call == "prefill" else [arg]
+            if not all(type(t) is int and 0 <= t < 256 for t in tokens):
+                with pytest.raises(InputError):
+                    getattr(session, call)(arg)
+                continue
+            # a prefill is refused exactly when the session has planned or holds a decode row
+            if call == "prefill" and (planned or decode_rows):
+                with pytest.raises(InputError, match="prefill phase already closed"):
+                    session.prefill(arg)
+                continue
+            assert getattr(session, call)(arg).tobytes() == getattr(twin, call)(arg).tobytes()
+            decode_rows += call == "decode"
+        assert session.audit() == twin.audit()
+        assert session.store.decode_len == decode_rows

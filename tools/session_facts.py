@@ -18,8 +18,10 @@ input token) under ``tracemalloc``, and the script prints one JSON line:
 
 Each phase gives ``peak_bytes``, the highest traced total while it ran, and
 ``live_bytes``, what was still allocated when it ended, both counted from
-just before the session was built.  ``decode`` is the decode step with the
-highest peak, numbered from 0 in ``step``.  ``achieved_ratio`` is
+just before the session was built.  One untraced session per mode runs
+first, so that what numpy and Python keep from a first call in the process
+counts in no phase.  ``decode`` is the decode step with the highest peak,
+numbered from 0 in ``step``.  ``achieved_ratio`` is
 ``1 - elements / budget.baseline_elements(config, tokens held)``, read after
 the phase's bytes: the elements are ``cache_element_count()``, which for
 commonkv is the session's own ``audit()`` (closed form and checksums).
@@ -79,7 +81,8 @@ from perfbench import harness, workloads  # noqa: E402
 def session_phases(mode: str, setup, workload, stream, logits: dict[str, np.ndarray]) -> dict:
     """One session of ``mode`` over ``stream``: each phase's bytes and ratio.
 
-    Its logits are copied into ``logits["prefill"]`` and ``logits["decode"]``."""
+    Its logits are copied into ``logits["prefill"]`` and ``logits["decode"]``.
+    The bytes count from the call on while ``tracemalloc`` traces, else read 0."""
     cfg, P, D = workload.config, workload.prompt_len, workload.decode_len
     phases = {}
 
@@ -96,28 +99,23 @@ def session_phases(mode: str, setup, workload, stream, logits: dict[str, np.ndar
     def ratio(tokens):
         return 1.0 - session.cache_element_count() / budget.baseline_elements(cfg, tokens)
 
-    gc.collect()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        if mode == "baseline":
-            session = BaselineSession(setup.weights)
-        else:
-            session = LatentSession(setup.weights, setup.fact)
-        phases["prefill"] = phase(lambda: session.prefill(stream[:P]), logits["prefill"])
-        phases["prefill"]["achieved_ratio"] = ratio(P)
-        if mode != "baseline":
-            phases["merge"] = phase(lambda: session.plan_and_merge(
-                workload.target_ratio, workload.strategy, setup.fisher), None)
-            phases["merge"]["achieved_ratio"] = ratio(P)
-        # only the worst step is kept: every kept record would count as live bytes
-        for step, token in enumerate(stream[P:P + D]):
-            measured = phase(lambda: session.decode(int(token)), logits["decode"][step])
-            if step == 0 or measured["peak_bytes"] > phases["decode"]["peak_bytes"]:
-                phases["decode"] = {**measured, "step": step}
-        phases["decode"]["achieved_ratio"] = ratio(P + D)
-    finally:
-        tracemalloc.stop()
+    before = tracemalloc.get_traced_memory()[0]
+    if mode == "baseline":
+        session = BaselineSession(setup.weights)
+    else:
+        session = LatentSession(setup.weights, setup.fact)
+    phases["prefill"] = phase(lambda: session.prefill(stream[:P]), logits["prefill"])
+    phases["prefill"]["achieved_ratio"] = ratio(P)
+    if mode != "baseline":
+        phases["merge"] = phase(lambda: session.plan_and_merge(
+            workload.target_ratio, workload.strategy, setup.fisher), None)
+        phases["merge"]["achieved_ratio"] = ratio(P)
+    # only the worst step is kept: every kept record would count as live bytes
+    for step, token in enumerate(stream[P:P + D]):
+        measured = phase(lambda: session.decode(int(token)), logits["decode"][step])
+        if step == 0 or measured["peak_bytes"] > phases["decode"]["peak_bytes"]:
+            phases["decode"] = {**measured, "step": step}
+    phases["decode"]["achieved_ratio"] = ratio(P + D)
     return phases
 
 
@@ -139,15 +137,20 @@ def measure(workload, seed: int):
     stream = workloads.token_stream(seeds.streams, 0, workload.stream_len)
     vocab = workload.config.vocab_size
     out = {"workload": workload.name, "seed": seed}
-    # numpy's first int64 min and max in a process each leave a 54-byte
-    # object; set-up makes the max one in some processes and not in others,
-    # so both are made here, before any session is traced
-    np.zeros(1, np.int64).min(), np.zeros(1, np.int64).max()
-    logits = {}
+    logits = {mode: {"prefill": np.empty((workload.prompt_len, vocab), np.float32),
+                     "decode": np.empty((workload.decode_len, vocab), np.float32)}
+              for mode in harness.MODES}
+    # one untraced session per mode first, so that what numpy and Python keep
+    # from a first call in the process counts in no traced phase
     for mode in harness.MODES:
-        logits[mode] = {"prefill": np.empty((workload.prompt_len, vocab), np.float32),
-                        "decode": np.empty((workload.decode_len, vocab), np.float32)}
-        out[mode] = session_phases(mode, setup, workload, stream, logits[mode])
+        session_phases(mode, setup, workload, stream, logits[mode])
+    for mode in harness.MODES:
+        gc.collect()
+        tracemalloc.start()
+        try:
+            out[mode] = session_phases(mode, setup, workload, stream, logits[mode])
+        finally:
+            tracemalloc.stop()
         for phase, rows in logits[mode].items():
             out[mode][phase]["sha256"] = hashlib.sha256(rows).hexdigest()
     out["logit_drift"] = logit_drift(logits)
