@@ -6,7 +6,7 @@ Exit codes (documented for scripting):
     1  self-check failure or unexpected error
     2  configuration error (bad dimensions, unreachable ratio, bad flags)
     3  input error (empty corpus, short sequence)
-    4  capacity error (sequence beyond max_seq)
+    4  capacity error (sequence beyond max_seq, a size too large to allocate)
     5  numeric error (non-finite weights or factors, factorization
        non-convergence, audit mismatch)
     6  I/O error
@@ -401,6 +401,9 @@ def main(argv=None) -> int:
             if isinstance(exc, cls):
                 return code
         return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_CODES[CapacityError]
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_CODES[OSError]

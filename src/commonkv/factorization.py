@@ -262,9 +262,9 @@ def load_factorized(blob_or_path) -> tuple[ModelWeights, SharedFactorization]:
 
     Reads the base weights, the factors, and the manifest's ``config``,
     ``group_size``, ``groups`` and ``rank``; nothing else.  Every tensor
-    entry is checked, but only the tensors kept are copied out of the
-    container bytes.  A rank outside ``[1, min(d_hidden, 2·group_size·d_kv)]``
-    is an InputError, a non-finite weight or factor a NumericError.
+    entry is checked, and ``tensorfile.take_tensors`` checks and copies out
+    the weights, then the factors, and no other tensor.  A rank outside
+    ``[1, min(d_hidden, 2·group_size·d_kv)]`` is an InputError.
     """
     if isinstance(blob_or_path, (bytes, bytearray)):
         tensors, meta = tensorfile.deserialize(bytes(blob_or_path))
@@ -289,21 +289,13 @@ def load_factorized(blob_or_path) -> tuple[ModelWeights, SharedFactorization]:
     if not 1 <= rank <= max_rank:
         raise InputError(f"factorized manifest 'rank' {rank} is outside [1, {max_rank}]")
     weights = weights_from_tensors(cfg, tensors, seed=meta.get("seed"))
-
-    def take(pattern, count, shape):
-        names = [pattern.format(i) for i in range(count)]
-        arrays = tensorfile.take_tensors(tensors, names, "factorized container")
-        for name, arr in zip(names, arrays):
-            if arr.shape != shape:
-                raise InputError(f"{name}: expected shape {shape} for rank {rank}, "
-                                 f"got {arr.shape}")
-            if not np.all(np.isfinite(arr)):
-                raise NumericError(f"{name}: contains non-finite values")
-        return arrays
-
-    fact = SharedFactorization(
-        config=cfg, layout=layout, rank=rank,
-        shared=take("groups.{}.shared", layout.n_groups, (cfg.d_hidden, rank)),
-        k_factors=take("layers.{}.k_factor", cfg.n_layers, (rank, cfg.d_kv)),
-        v_factors=take("layers.{}.v_factor", cfg.n_layers, (rank, cfg.d_kv)))
+    shapes = {f"groups.{g}.shared": (cfg.d_hidden, rank) for g in range(layout.n_groups)}
+    for kind in ("k", "v"):
+        shapes.update((f"layers.{l}.{kind}_factor", (rank, cfg.d_kv))
+                      for l in range(cfg.n_layers))
+    arrays = tensorfile.take_tensors(tensors, shapes, "factorized container")
+    shared, factors = arrays[:layout.n_groups], arrays[layout.n_groups:]
+    fact = SharedFactorization(config=cfg, layout=layout, rank=rank, shared=shared,
+                               k_factors=factors[:cfg.n_layers],
+                               v_factors=factors[cfg.n_layers:])
     return weights, fact

@@ -69,7 +69,7 @@ from functools import cached_property
 import numpy as np
 
 from . import tensorfile
-from .errors import CapacityError, ConfigurationError, InputError, NumericError
+from .errors import CapacityError, ConfigurationError, InputError
 
 RMS_EPS = 1e-6
 # Float32 scores per attention row block (1 MB): small enough to stay in a
@@ -200,26 +200,6 @@ class ModelWeights:
                 out[f"layers.{i}.{name}"] = getattr(lw, name)
         return out
 
-    def validate(self) -> None:
-        cfg = self.config
-        expect = {
-            "embed": (cfg.vocab_size, cfg.d_hidden),
-            "final_gain": (cfg.d_hidden,),
-            "lm_head": (cfg.d_hidden, cfg.vocab_size),
-        }
-        for i in range(cfg.n_layers):
-            for name, shape in zip(LAYER_TENSORS, layer_shapes(cfg)):
-                expect[f"layers.{i}.{name}"] = shape
-        tensors = self.named_tensors()
-        if len(self.layers) != cfg.n_layers:
-            raise ConfigurationError("layer count does not match config")
-        for name, shape in expect.items():
-            arr = tensors[name]
-            if arr.shape != shape:
-                raise InputError(f"{name}: expected shape {shape}, got {arr.shape}")
-            if not np.all(np.isfinite(arr)):
-                raise NumericError(f"{name}: contains non-finite values")
-
 
 def gen_toy_model(config: ModelConfig, seed: int) -> ModelWeights:
     """Seeded Gaussian init, entries scaled by 1/sqrt(fan_in); gains start at one.
@@ -238,7 +218,7 @@ def gen_toy_model(config: ModelConfig, seed: int) -> ModelWeights:
                               else mat(*shape)
                               for name, shape in zip(LAYER_TENSORS, layer_shapes(config))})
               for _ in range(config.n_layers)]
-    weights = ModelWeights(
+    return ModelWeights(
         config=config,
         embed=embed,
         layers=layers,
@@ -246,25 +226,24 @@ def gen_toy_model(config: ModelConfig, seed: int) -> ModelWeights:
         lm_head=mat(config.d_hidden, config.vocab_size),
         seed=seed,
     )
-    weights.validate()
-    return weights
 
 
 def weights_from_tensors(config: ModelConfig, tensors: dict[str, np.ndarray],
                          seed: int | None = None) -> ModelWeights:
-    """Base weights copied from container tensors; a missing tensor raises InputError."""
-    def take(names):
-        return tensorfile.take_tensors(tensors, names, "model container")
-
-    layers = []
+    """Base weights copied from container tensors by ``tensorfile.take_tensors``,
+    which checks that each is present, of its shape and finite."""
+    shapes = {"embed": (config.vocab_size, config.d_hidden), "final_gain": (config.d_hidden,),
+              "lm_head": (config.d_hidden, config.vocab_size)}
     for i in range(config.n_layers):
-        arrays = take([f"layers.{i}.{name}" for name in LAYER_TENSORS])
-        layers.append(LayerWeights(**dict(zip(LAYER_TENSORS, arrays))))
-    embed, final_gain, lm_head = take(("embed", "final_gain", "lm_head"))
-    w = ModelWeights(config=config, embed=embed, layers=layers,
-                     final_gain=final_gain, lm_head=lm_head, seed=seed)
-    w.validate()
-    return w
+        shapes.update((f"layers.{i}.{name}", shape)
+                      for name, shape in zip(LAYER_TENSORS, layer_shapes(config)))
+    embed, final_gain, lm_head, *arrays = tensorfile.take_tensors(tensors, shapes,
+                                                                  "model container")
+    n = len(LAYER_TENSORS)
+    layers = [LayerWeights(**dict(zip(LAYER_TENSORS, arrays[i:i + n])))
+              for i in range(0, len(arrays), n)]
+    return ModelWeights(config=config, embed=embed, layers=layers,
+                        final_gain=final_gain, lm_head=lm_head, seed=seed)
 
 
 def config_from_manifest(meta: dict) -> ModelConfig:

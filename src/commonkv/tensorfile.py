@@ -67,7 +67,7 @@ def deserialize(blob: bytes) -> tuple[dict[str, np.ndarray], dict]:
 
     Every header entry is checked.  The tensors are read-only views into
     ``blob`` that keep it alive: a loader takes the ones it keeps through
-    :func:`take_tensors`, which copies them, and no others.
+    :func:`take_tensors`, which checks and copies them, and no others.
     """
     if len(blob) < 8:
         raise InputError("container too short for header length field")
@@ -108,10 +108,19 @@ def take(entries: dict, names, what: str) -> list:
     return [entries[name] for name in names]
 
 
-def take_tensors(tensors: dict[str, np.ndarray], names, what: str) -> list[np.ndarray]:
-    """Writable copies of the ``names`` tensors of :func:`deserialize`, which
-    hold none of the container bytes; a missing name raises InputError."""
-    return [arr.copy() for arr in take(tensors, names, what)]
+def take_tensors(tensors: dict[str, np.ndarray], shapes: dict[str, tuple[int, ...]],
+                 what: str) -> list[np.ndarray]:
+    """Writable copies, in ``shapes`` order, of the :func:`deserialize` tensors
+    that ``shapes`` names; the one check of a loaded tensor.  A missing name
+    (all are looked up first) or a shape other than ``shapes[name]`` raises
+    InputError, a non-finite value NumericError."""
+    arrays = take(tensors, shapes, what)
+    for (name, shape), arr in zip(shapes.items(), arrays):
+        if arr.shape != shape:
+            raise InputError(f"{name}: expected shape {shape}, got {arr.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise NumericError(f"{name}: contains non-finite values")
+    return [arr.copy() for arr in arrays]
 
 
 def save(path: str | Path, tensors: dict[str, np.ndarray], meta: dict | None = None) -> None:

@@ -230,6 +230,33 @@ def test_run_capacity_exit_code(workdir):
     assert code == 4
 
 
+# each used to end in a numpy _ArrayMemoryError traceback, exit 1; 2**50
+# elements exceed a 64-bit address space, so numpy fails before allocating
+HUGE = str(2**50)
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-toy", "--out", "OUT", "--max-seq", HUGE],
+    ["gen-toy", "--out", "OUT", "--d-mlp", HUGE],
+    ["run", "--model", "MODEL", "--mode", "baseline", "--tokens", HUGE],
+    ["profile", "--model", "MODEL", "--out", "OUT", "--tokens", HUGE],
+    ["fisher", "--model", "MODEL", "--out", "OUT", "--seq-len", HUGE],
+    ["run", "--model", "HUGE_MAX_SEQ", "--mode", "baseline", "--tokens", "16"],
+], ids=["gen-toy-max-seq", "gen-toy-d-mlp", "run-tokens", "profile-tokens",
+        "fisher-seq-len", "manifest-max-seq"])
+def test_size_too_large_to_allocate_is_capacity_error(workdir, capsys, argv):
+    tensors, meta = tensorfile.load(workdir / "model.tnsr")
+    meta["config"]["max_seq"] = 2**50
+    tensorfile.save(workdir / "huge.tnsr", tensors, meta=meta)
+    paths = {"OUT": workdir / "out", "MODEL": workdir / "model.tnsr",
+             "HUGE_MAX_SEQ": workdir / "huge.tnsr"}
+    capsys.readouterr()
+    assert main([str(paths.get(arg, arg)) for arg in argv]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_profile_refuses_a_probe_past_max_seq_before_any_layer(workdir, capsys, monkeypatch):
     # used to exit 4 only when the RoPE table ran out, inside the first layer
     def no_layer_may_run(*args, **kwargs):

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from commonkv import tensorfile
+from commonkv.cli import main
 from commonkv.errors import ConfigurationError, NumericError
 from commonkv.factorization import (GroupLayout, build_factorization, clamp_rank,
                                     concat_group_weights, factorize_group,
                                     fuse_value_output, load_factorized,
                                     split_right_factor, transform_model)
-from commonkv.model import ModelConfig, gen_toy_model
+from commonkv.model import ModelConfig, gen_toy_model, load_model, save_model
 from micro_config import MICRO
 from oracles import singular_values_by_eig
 
@@ -284,6 +285,49 @@ def test_loading_copies_only_the_tensors_it_keeps():
     assert peak <= held + 2**16
     for arr in (weights.embed, fact.shared[0], fact.k_factors[7]):
         assert arr.flags.owndata and arr.flags.writeable
+
+
+def _with_fault(blob, name, fault):
+    """``blob`` with tensor ``name`` deleted, of shape (3, 3), or holding a NaN
+    (poked into the payload past ``serialize``, which refuses it)."""
+    if fault == "nan":
+        buf = bytearray(blob)
+        tensorfile.deserialize(buf)[0][name].flat[0] = np.nan
+        return bytes(buf)
+    tensors, meta = tensorfile.deserialize(blob)
+    if fault == "missing":
+        del tensors[name]
+    else:
+        tensors[name] = np.ones((3, 3), dtype=np.float32)
+    return tensorfile.serialize(tensors, meta)
+
+
+@pytest.mark.parametrize("fault", ["missing", "shape", "nan"])
+@pytest.mark.parametrize("loader", ["load_model", "load_factorized"])
+def test_every_tensor_a_loader_reads_is_checked(tmp_path, micro4, capsys, loader, fault):
+    model, faulty = tmp_path / "model.tnsr", tmp_path / "faulty.tnsr"
+    save_model(micro4, model)
+    names = list(micro4.named_tensors())
+    if loader == "load_model":
+        blob = model.read_bytes()
+        argv = ["transform", "--model", str(faulty), "--out", str(tmp_path / "x.tnsr")]
+    else:
+        blob, _ = transform_model(micro4, 2, 0.7)
+        names += ["groups.0.shared", "layers.0.k_factor", "layers.1.k_factor",
+                  "layers.0.v_factor", "layers.1.v_factor"]
+        argv = ["run", "--model", str(model), "--factorized", str(faulty),
+                "--mode", "commonkv", "--merge", "mean", "--tokens", "16"]
+    clean, _ = tensorfile.deserialize(blob)
+    for name in names:
+        what = "factorized" if name.startswith("groups.") or "_factor" in name else "model"
+        code, message = {
+            "missing": (3, f"{what} container lacks {name!r}"),
+            "shape": (3, f"{name}: expected shape {clean[name].shape}, got (3, 3)"),
+            "nan": (5, f"{name}: contains non-finite values"),
+        }[fault]
+        faulty.write_bytes(_with_fault(blob, name, fault))
+        assert main(argv) == code, name
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_build_factorization_rank_override(toy_weights):

@@ -81,6 +81,35 @@ def test_file_round_trip(tmp_path):
     np.testing.assert_array_equal(loaded["b.mat"], tensors["b.mat"])
 
 
+# -- take_tensors --------------------------------------------------------------------
+
+def test_take_tensors_copies_in_shapes_order_and_checks_only_what_it_names():
+    tensors = _sample()
+    tensors["layers.0.fused_out"] = np.ones((2, 3), dtype=np.float32)
+    buf = bytearray(tensorfile.serialize(tensors))
+    # a NaN poked into the payload past serialize, which refuses it
+    tensorfile.deserialize(buf)[0]["layers.0.fused_out"][1, 2] = np.nan
+    blob = bytes(buf)
+    loaded, _ = tensorfile.deserialize(blob)
+    shapes = {"c.cube": (2, 2, 2), "a.vec": (5,), "b.mat": (3, 4)}
+    arrays = tensorfile.take_tensors(loaded, shapes, "test container")
+    assert [a.shape for a in arrays] == list(shapes.values())
+    for name, arr in zip(shapes, arrays):
+        np.testing.assert_array_equal(arr, tensors[name])
+        assert arr.flags.writeable
+        assert not np.shares_memory(arr, np.frombuffer(blob, dtype=np.uint8))
+    # the unread tensor holds a NaN and loads all the same
+    assert np.isnan(loaded["layers.0.fused_out"]).any()
+
+
+def test_take_tensors_looks_every_name_up_before_it_checks_any():
+    loaded, _ = tensorfile.deserialize(tensorfile.serialize(_sample()))
+    with pytest.raises(InputError, match="^test container lacks 'z.gone'$"):
+        tensorfile.take_tensors(loaded, {"a.vec": (4,), "z.gone": (1,)}, "test container")
+    with pytest.raises(InputError, match=r"^a\.vec: expected shape \(4,\), got \(5,\)$"):
+        tensorfile.take_tensors(loaded, {"a.vec": (4,), "b.mat": (3, 4)}, "test container")
+
+
 # -- corrupt containers ------------------------------------------------------------
 
 def _header_blob(header: dict, payload: bytes = b"") -> bytes:
