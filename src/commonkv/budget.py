@@ -14,7 +14,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -22,7 +22,15 @@ from .errors import ConfigurationError, InputError, UnreachableRatioError
 from .model import ModelConfig, ModelWeights, loss_and_grads, row_blocks
 
 
-MERGE_STRATEGIES = ("mean", "fisher", "shallow", "deep")
+# Each merge strategy's member-layer weights in a group of m layers, given the
+# members' Fisher values (read by fisher only, which ``merge_group`` checks and
+# sends to mean when they sum to zero)
+MERGE_STRATEGIES = {
+    "mean": lambda m, fisher: [1.0 / m] * m,
+    "fisher": lambda m, fisher: [float(f) / float(sum(fisher)) for f in fisher],
+    "shallow": lambda m, fisher: [1.0] + [0.0] * (m - 1),
+    "deep": lambda m, fisher: [0.0] * (m - 1) + [1.0],
+}
 # Elements per row block of ``merge_group``'s float64 sums and of the float64
 # scratch of ``_token_cosines`` (32 KB).  Scores and merges run once per group,
 # so small blocks cost little time, and even a short prompt's prefix spans
@@ -95,17 +103,9 @@ class BudgetPlan:
         return len(self.merged_groups)
 
     def to_dict(self) -> dict:
-        return {
-            "scores": self.scores,
-            "target_ratio": self.target_ratio,
-            "merged_groups": self.merged_groups,
-            "strategy": self.strategy,
-            "width": self.width,
-            "cost_per_token": self.cost_per_token,
-            "predicted_prefill_ratio": self.predicted_prefill_ratio,
-            "merge_weights": {str(g): w for g, w in self.merge_weights.items()},
-            "warnings": self.warnings,
-        }
+        # string group keys, as JSON has, so sort_keys orders "10" before "2"
+        return asdict(self) | {"merge_weights": {str(g): w for g, w in
+                                                  self.merge_weights.items()}}
 
 
 def stored_elements(config: ModelConfig, width: int, prefill_len: int, decode_len: int = 0,
@@ -272,17 +272,11 @@ def merge_group(prefixes: list[np.ndarray], strategy: str,
     shapes = {p.shape for p in prefixes}
     if len(shapes) != 1:
         raise InputError("prefixes differ in shape")
+    if strategy not in MERGE_STRATEGIES:
+        raise InputError(f"unknown merge strategy {strategy!r}")
     m = len(prefixes)
     fell_back = False
-    if strategy == "mean":
-        w = [1.0 / m] * m
-    elif strategy == "shallow":
-        w = [0.0] * m
-        w[0] = 1.0
-    elif strategy == "deep":
-        w = [0.0] * m
-        w[-1] = 1.0
-    elif strategy == "fisher":
+    if strategy == "fisher":
         if fisher_values is None:
             raise InputError("fisher strategy needs Fisher weights")
         if len(fisher_values) != m:
@@ -292,14 +286,8 @@ def merge_group(prefixes: list[np.ndarray], strategy: str,
         total = sum(fisher_values)
         if not total <= sys.float_info.max:  # an inf or nan total zeroes or nans every weight
             raise InputError(f"Fisher weights of a group sum to {total}, not a finite number")
-        total = float(total)
-        if total == 0.0:
-            w = [1.0 / m] * m
-            fell_back = True
-        else:
-            w = [float(f) / total for f in fisher_values]
-    else:
-        raise InputError(f"unknown merge strategy {strategy!r}")
+        fell_back = float(total) == 0.0
+    w = MERGE_STRATEGIES["mean" if fell_back else strategy](m, fisher_values)
     merged = np.empty(prefixes[0].shape, dtype=np.float32)
     for block in row_blocks(*merged.shape, MERGE_BLOCK_ELEMENTS):
         acc = np.zeros(merged[block].shape, dtype=np.float64)

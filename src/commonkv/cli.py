@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +40,9 @@ from .model import ModelConfig, ModelWeights, gen_toy_model, load_model, save_mo
 # the least value of each integer flag, checked on the final values before any
 # model or corpus file is read (numpy generators take non-negative seeds only)
 FLOORS = {"seed": 0, "tokens": 0, "samples": 1, "seq_len": 2}
+
+# numpy's ValueErrors for a size past its largest array; any other is a bug
+NUMPY_SIZE_ERRORS = ("array is too big", "Maximum allowed dimension exceeded")
 
 EXIT_CODES = {
     ConfigurationError: 2,
@@ -203,6 +207,9 @@ def cmd_transform(args) -> int:
 
 def cmd_fisher(args) -> int:
     weights = load_model(args.model)
+    if args.seq_len > weights.config.max_seq:  # before any sequence is built
+        raise CapacityError(f"sequence of {args.seq_len} exceeds "
+                            f"max_seq={weights.config.max_seq}")
     if args.corpus:
         ids = load_byte_file(args.corpus)
         length = args.seq_len
@@ -223,10 +230,8 @@ def cmd_profile(args) -> int:
     fact = _load_factorization(args, weights)
     ids = _corpus_ids(args)
     report = evaluation.profile_similarity(weights, ids, fact)
-    payload = report.to_dict()
-    payload["seed"] = args.seed
-    _write_json(args.out, payload)
-    means = " ".join(f"{k}={v:.3f}" for k, v in sorted(report.means.items()))
+    _write_json(args.out, report | {"seed": args.seed})
+    means = " ".join(f"{k}={v:.3f}" for k, v in sorted(report["means"].items()))
     print(f"wrote similarity report to {args.out} ({means})")
     return 0
 
@@ -238,16 +243,8 @@ def cmd_run(args) -> int:
     ids = _corpus_ids(args)
     result = evaluation.perplexity(args.mode, weights, ids, fact=fact, target_ratio=args.ratio,
                                    prefill_fraction=args.prefill_fraction, **options)
-    payload = {
-        "mode": result.mode,
-        "seed": args.seed,
-        "n_tokens": result.n_tokens,
-        "nll": result.nll,
-        "target_ratio": result.target_ratio,
-        "achieved_ratio": result.achieved_ratio,
-        "cache_elements": result.cache_elements,
-        "plan": result.plan.to_dict() if result.plan else None,
-    }
+    payload = asdict(result) | {"seed": args.seed,
+                                "plan": result.plan.to_dict() if result.plan else None}
     if args.generate:
         # every mode continues the prompt that the decoding modes score, from its
         # last logits, through the mode's own session
@@ -401,7 +398,9 @@ def main(argv=None) -> int:
             if isinstance(exc, cls):
                 return code
         return 1
-    except MemoryError as exc:
+    except (MemoryError, ValueError) as exc:
+        if isinstance(exc, ValueError) and not str(exc).startswith(NUMPY_SIZE_ERRORS):
+            raise
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_CODES[CapacityError]
     except OSError as exc:

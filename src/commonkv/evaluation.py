@@ -49,18 +49,6 @@ CSV_COLUMNS = ("mode", "target_ratio", "achieved_ratio", "nll", "cache_elements"
 # Cross-layer similarity profiling
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SimilarityReport:
-    """Mean adjacent-layer token cosine per cached quantity."""
-
-    pairs: list[dict[str, float]]      # one entry per (l, l+1) pair
-    means: dict[str, float]
-    corpus_digest: str
-
-    def to_dict(self) -> dict:
-        return {"pairs": self.pairs, "means": self.means, "corpus_hash": self.corpus_digest}
-
-
 def _collect_layer_states(weights: ModelWeights, ids: np.ndarray,
                           fact: SharedFactorization | None):
     """Prefill once over a full-KV cache, returning per-layer hidden/key/value
@@ -83,8 +71,12 @@ def _mean_token_cosine(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def profile_similarity(weights: ModelWeights, probe_ids,
-                       fact: SharedFactorization | None = None) -> SimilarityReport:
-    """Adjacent-layer cosine profile of keys, values, hidden states, latents."""
+                       fact: SharedFactorization | None = None) -> dict:
+    """Adjacent-layer cosine profile of keys, values, hidden states, latents.
+
+    Returns ``{"pairs", "means", "corpus_hash"}``: the mean token cosines of
+    each (l, l+1) pair, their means over the pairs, and the probe's SHA-256.
+    """
     cfg = weights.config
     ids = _check_tokens(cfg, probe_ids)
     if ids.size == 0:
@@ -109,7 +101,7 @@ def profile_similarity(weights: ModelWeights, probe_ids,
     categories = [c for c in ("key", "value", "hidden", "latent") if c in pairs[0]]
     means = {c: float(np.mean([p[c] for p in pairs])) for c in categories}
     digest = hashlib.sha256(ids.astype("<i8").tobytes()).hexdigest()
-    return SimilarityReport(pairs=pairs, means=means, corpus_digest=digest)
+    return {"pairs": pairs, "means": means, "corpus_hash": digest}
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ from . import budget as budget_mod
 from .budget import baseline_elements  # the storage closed form, also read from here
 from .errors import InputError, NumericError
 from .factorization import GroupLayout, SharedFactorization
-from .model import (ModelConfig, ModelWeights, RopeTable, apply_rope, attention_block,
+from .model import (ModelConfig, ModelWeights, apply_rope, attention_block,
                     causal_attention, forward)
 
 
@@ -52,7 +52,7 @@ def compute_latent(x: np.ndarray, shared: np.ndarray) -> np.ndarray:
     return x @ shared
 
 
-def restore_keys(latents: np.ndarray, k_factor: np.ndarray, rope: RopeTable,
+def restore_keys(latents: np.ndarray, k_factor: np.ndarray, rope: np.ndarray,
                  n_kv_heads: int) -> np.ndarray:
     """Keys from latents at positions 0..T-1: (T, n_kv_heads, d_head), rotated.
 
@@ -64,7 +64,7 @@ def restore_keys(latents: np.ndarray, k_factor: np.ndarray, rope: RopeTable,
 
 
 def attend_latent(q_rope: np.ndarray, latents: np.ndarray, k_factor: np.ndarray,
-                  v_factor: np.ndarray, w_o: np.ndarray, rope: RopeTable,
+                  v_factor: np.ndarray, w_o: np.ndarray, rope: np.ndarray,
                   config: ModelConfig, v_heads: np.ndarray) -> np.ndarray:
     """Causal attention over latent rows for one layer; returns (Tq, d_hidden).
 

@@ -26,10 +26,11 @@ over a full-KV cache, so the conventions below hold for all of them:
   (``SCORES_BLOCK_ELEMENTS``), so a long prompt's softmax stays cache-resident;
   a one-row block (a decode step) computes its scores keys-left,
   ``keys_h @ q_hᵀ``, a plain GEMM over the keys' own row layout
-* the model owns its RoPE table: ``ModelWeights.rope`` is built once, eagerly,
-  when weights are generated or loaded, is read-only, and every session,
-  layer and gradient pass shares it.  It is tiled over the KV heads, so keys
-  rotate by one flat multiply; queries multiply one row broadcast over heads
+* the model owns its RoPE table: ``ModelWeights.rope`` is one read-only
+  array (``build_rope_table``), built eagerly when weights are generated or
+  loaded, that every session, layer and gradient pass shares.  It is tiled
+  over the KV heads, so keys rotate by one flat multiply; queries multiply one
+  row broadcast over heads, and the gradient pass reads ``rope[:, 0]``
 * positions follow from shapes: a call's new rows sit at consecutive
   positions, so RoPE takes the first row's position and rotates by a slice of
   its table, in place; attention's Tk keys sit at 0..Tk-1 and its Tq queries
@@ -64,7 +65,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from functools import cached_property
 
 import numpy as np
 
@@ -176,7 +176,7 @@ class ModelWeights:
     final_gain: np.ndarray  # (d_hidden,)
     lm_head: np.ndarray     # (d_hidden, vocab)
     seed: int | None = None
-    rope: RopeTable | None = field(default=None, repr=False, compare=False)
+    rope: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.rope is None:
@@ -317,35 +317,25 @@ def rms_norm(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
     return out.reshape(x.shape)
 
 
-@dataclass(frozen=True)
-class RopeTable:
+def build_rope_table(config: ModelConfig) -> np.ndarray:
     """Per-position rotations for each head-dimension pair, shared by all layers.
 
-    ``tiled`` repeats each position's rotations once per KV head, so rotating
-    (tokens, n_kv_heads, d_head) keys is one elementwise multiply with no
-    broadcast; ``cis`` is a view of its first head.  The table is read-only:
-    every session of a model shares it.
+    Returns a read-only (max_seq, n_kv_heads, d_head // 2) complex64 array of
+    ``cos + i·sin`` that repeats each position's rotations once per KV head,
+    so rotating (tokens, n_kv_heads, d_head) keys is one elementwise multiply
+    with no broadcast; ``table[:, 0]`` is one head's rotations.
     """
-
-    tiled: np.ndarray  # (max_seq, n_kv_heads, d_head // 2) complex64, cos + i·sin
-
-    @cached_property
-    def cis(self) -> np.ndarray:
-        return self.tiled[:, 0]
-
-
-def build_rope_table(config: ModelConfig) -> RopeTable:
     half = config.d_head // 2
     inv_freq = config.rope_theta ** (-np.arange(0, half, dtype=np.float64) * 2.0 / config.d_head)
     angles = np.arange(config.max_seq, dtype=np.float64)[:, None] * inv_freq[None, :]
-    tiled = np.empty((config.max_seq, config.n_kv_heads, half), dtype=np.complex64)
-    tiled.real = np.cos(angles).astype(np.float32)[:, None, :]
-    tiled.imag = np.sin(angles).astype(np.float32)[:, None, :]
-    tiled.flags.writeable = False
-    return RopeTable(tiled=tiled)
+    table = np.empty((config.max_seq, config.n_kv_heads, half), dtype=np.complex64)
+    table.real = np.cos(angles).astype(np.float32)[:, None, :]
+    table.imag = np.sin(angles).astype(np.float32)[:, None, :]
+    table.flags.writeable = False
+    return table
 
 
-def apply_rope(vectors: np.ndarray, start: int, table: RopeTable) -> np.ndarray:
+def apply_rope(vectors: np.ndarray, start: int, table: np.ndarray) -> np.ndarray:
     """Rotate (tokens, heads, d_head) pairwise in place: token i to position
     ``start + i``; returns ``vectors``.
 
@@ -357,17 +347,16 @@ def apply_rope(vectors: np.ndarray, start: int, table: RopeTable) -> np.ndarray:
     outside the table raise ``CapacityError``; both are checked before any
     write.
     """
-    tiled = table.tiled
     stop = start + vectors.shape[0]
-    if stop > len(tiled):
-        raise CapacityError(f"position {stop - 1} outside RoPE table of {len(tiled)}")
+    if stop > len(table):
+        raise CapacityError(f"position {stop - 1} outside RoPE table of {len(table)}")
     if start < 0:
         raise CapacityError("negative position id")
     if vectors.dtype != np.float32 or not vectors.flags.c_contiguous:
         raise InputError("apply_rope rotates only a C-contiguous float32 array")
     pairs = vectors.view(np.complex64)
     # keys: one flat multiply by tiled rows; other head counts: one row over the heads
-    cis = tiled[start:stop] if pairs.shape[1] == tiled.shape[1] else tiled[start:stop, :1]
+    cis = table[start:stop] if pairs.shape[1] == table.shape[1] else table[start:stop, :1]
     np.multiply(pairs, cis, out=pairs)
     return vectors
 
@@ -781,7 +770,7 @@ def loss_and_grads(weights: ModelWeights, token_ids) -> tuple[float, list[dict[s
 
     w64 = {name: arr.astype(np.float64, copy=False)
            for name, arr in weights.named_tensors().items()}
-    cis64 = weights.rope.cis.astype(np.complex128)
+    cis64 = weights.rope[:, 0].astype(np.complex128)
     scale = 1.0 / np.sqrt(cfg.d_head)
     T, n_kv, d_head = ids.size, cfg.n_kv_heads, cfg.d_head
     mask = np.triu(np.ones((T, T), dtype=bool), 1)  # later keys

@@ -414,3 +414,69 @@ def test_fisher_file_beyond_the_float_range_is_refused(per_layer):
     text = json.dumps({"kind": "fisher_weights", "per_layer": per_layer, "corpus_hash": "x"})
     with pytest.raises(ConfigurationError, match="finite"):
         FisherWeights.from_json(text)
+
+
+# -- each strategy's weights and every refusal, exactly ---------------------------
+
+@pytest.mark.parametrize("strategy, expected", [
+    ("mean", [1.0]), ("mean", [0.5, 0.5]), ("mean", [0.25] * 4),
+    ("shallow", [1.0]), ("shallow", [1.0, 0.0]), ("shallow", [1.0, 0.0, 0.0, 0.0]),
+    ("deep", [1.0]), ("deep", [0.0, 1.0]), ("deep", [0.0, 0.0, 0.0, 1.0]),
+])
+def test_each_fixed_strategy_weights_its_members_exactly(strategy, expected):
+    prefixes = [_prefix(s) for s in range(50, 50 + len(expected))]
+    _, used, fell_back = merge_group(prefixes, strategy)
+    assert used == expected and not fell_back
+
+
+def test_fisher_weights_are_exactly_proportional():
+    prefixes = [_prefix(s) for s in (60, 61, 62, 63)]
+    _, used, fell_back = merge_group(prefixes, "fisher", [1, 3, 0, 4])
+    assert used == [1 / 8, 3 / 8, 0.0, 4 / 8] and not fell_back
+
+
+@pytest.mark.parametrize("shapes, strategy, fisher, message", [
+    ([(5, 3)] * 2, "median", None, "unknown merge strategy 'median'"),
+    ([(5, 3)] * 2, "fisher", None, "fisher strategy needs Fisher weights"),
+    ([(5, 3)] * 2, "fisher", [1.0], "Fisher weight count does not match group size"),
+    ([(5, 3)] * 2, "fisher", [1.0, -0.5], "Fisher weights must be nonnegative"),
+    ([], "mean", None, "nothing to merge"),
+    ([(5, 3), (4, 3)], "mean", None, "prefixes differ in shape"),
+], ids=["unknown-strategy", "fisher-without-values", "fisher-count", "fisher-negative",
+        "no-prefixes", "ragged"])
+def test_merge_group_refusals_keep_their_type_and_message(shapes, strategy, fisher, message):
+    prefixes = [np.ones(shape, dtype=np.float32) for shape in shapes]
+    with pytest.raises(InputError) as err:
+        merge_group(prefixes, strategy, fisher)
+    assert str(err.value) == message
+
+
+def test_merge_strategies_keep_their_order():
+    # the order of --merge's help, --config's errors and check's lines
+    assert list(MERGE_STRATEGIES) == ["mean", "fisher", "shallow", "deep"]
+
+
+def test_allocate_budget_refuses_the_wrong_number_of_scores(toy_cfg):
+    layout = GroupLayout.for_model(toy_cfg.n_layers, 4)
+    with pytest.raises(InputError) as err:
+        allocate_budget([0.5, 0.5, 0.5], 0.3, layout, 45, toy_cfg)
+    assert str(err.value) == "expected 2 scores, got 3"
+
+
+@pytest.mark.parametrize("first, second, message", [
+    ((5, 3), (4, 3), "latent prefixes differ in shape"),
+    ((0, 3), (0, 3), "cannot score an empty prefix"),
+], ids=["mismatched", "empty"])
+def test_group_score_refusals_keep_their_message(first, second, message):
+    with pytest.raises(InputError) as err:
+        group_score(np.ones(first, dtype=np.float32), np.ones(second, dtype=np.float32))
+    assert str(err.value) == message
+
+
+def test_plan_report_keys_are_strings_in_text_order():
+    plan = budget.BudgetPlan(scores=[1.0] * 11, target_ratio=0.5, merged_groups=[2, 10],
+                             strategy="mean", width=4, cost_per_token=8,
+                             predicted_prefill_ratio=0.5,
+                             merge_weights={2: [0.5, 0.5], 10: [0.5, 0.5]})
+    written = json.loads(json.dumps(plan.to_dict(), sort_keys=True))
+    assert list(written["merge_weights"]) == ["10", "2"]

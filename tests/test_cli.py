@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from commonkv import evaluation, selfcheck, tensorfile
+from commonkv import cli, evaluation, selfcheck, tensorfile
 from commonkv.cli import build_parser, main
 from commonkv.corpus import markov_byte_corpus
 from commonkv.evaluation import CSV_COLUMNS, _split_point
@@ -101,6 +101,36 @@ def test_run_session_report(workdir):
     assert payload["plan"]["merged_groups"]
     assert payload["seed"] == 42
     assert len(bytes.fromhex(payload["generated_bytes"])) == 4
+
+
+RUN_KEYS = {"mode", "seed", "n_tokens", "nll", "target_ratio", "achieved_ratio",
+            "cache_elements", "plan"}
+PLAN_KEYS = {"scores", "target_ratio", "merged_groups", "strategy", "width", "cost_per_token",
+             "predicted_prefill_ratio", "merge_weights", "warnings"}
+
+
+@pytest.mark.parametrize("mode, generate", [("baseline", 0), ("commonkv", 0),
+                                            ("commonkv", 2)])
+def test_run_report_keys_are_pinned(workdir, mode, generate):
+    # the report is built from dataclasses, so a new field would enter it unseen
+    model, fact, out = workdir / "model.tnsr", workdir / "fact.tnsr", workdir / "run.json"
+    assert main(["transform", "--model", str(model), "--out", str(fact)]) == 0
+    assert main(["run", "--model", str(model), "--factorized", str(fact), "--mode", mode,
+                 "--merge", "mean", "--ratio", "0.3", "--tokens", "48",
+                 "--generate", str(generate), "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert set(payload) == RUN_KEYS | ({"generated_bytes"} if generate else set())
+    if mode == "baseline":
+        assert payload["plan"] is None
+    else:
+        assert set(payload["plan"]) == PLAN_KEYS
+
+
+def test_profile_report_keys_are_pinned(workdir):
+    out = workdir / "sim.json"
+    assert main(["profile", "--model", str(workdir / "model.tnsr"), "--out", str(out),
+                 "--tokens", "24"]) == 0
+    assert set(json.loads(out.read_text())) == {"pairs", "means", "corpus_hash", "seed"}
 
 
 def test_generate_continues_the_scored_prompt_from_its_last_logits(workdir):
@@ -240,10 +270,9 @@ HUGE = str(2**50)
     ["gen-toy", "--out", "OUT", "--d-mlp", HUGE],
     ["run", "--model", "MODEL", "--mode", "baseline", "--tokens", HUGE],
     ["profile", "--model", "MODEL", "--out", "OUT", "--tokens", HUGE],
-    ["fisher", "--model", "MODEL", "--out", "OUT", "--seq-len", HUGE],
     ["run", "--model", "HUGE_MAX_SEQ", "--mode", "baseline", "--tokens", "16"],
 ], ids=["gen-toy-max-seq", "gen-toy-d-mlp", "run-tokens", "profile-tokens",
-        "fisher-seq-len", "manifest-max-seq"])
+        "manifest-max-seq"])
 def test_size_too_large_to_allocate_is_capacity_error(workdir, capsys, argv):
     tensors, meta = tensorfile.load(workdir / "model.tnsr")
     meta["config"]["max_seq"] = 2**50
@@ -255,6 +284,59 @@ def test_size_too_large_to_allocate_is_capacity_error(workdir, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: out of memory: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+# each used to end in a numpy ValueError traceback, exit 1: a size past numpy's
+# largest array, refused before anything is allocated
+PAST_NUMPY = "99999999999999999999999"
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-toy", "--out", "OUT", "--max-seq", str(2**62)],
+    ["gen-toy", "--out", "OUT", "--d-mlp", PAST_NUMPY],
+    ["run", "--model", "MODEL", "--mode", "baseline", "--tokens", PAST_NUMPY],
+    ["fisher", "--model", "MODEL", "--out", "OUT", "--seq-len", PAST_NUMPY],
+    ["profile", "--model", "MODEL", "--out", "OUT", "--tokens", PAST_NUMPY],
+], ids=["gen-toy-max-seq", "gen-toy-d-mlp", "run-tokens", "fisher-seq-len",
+        "profile-tokens"])
+def test_size_past_numpys_largest_array_is_capacity_error(workdir, capsys, argv):
+    paths = {"OUT": workdir / "out", "MODEL": workdir / "model.tnsr"}
+    capsys.readouterr()
+    assert main([str(paths.get(arg, arg)) for arg in argv]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not (workdir / "out").exists()
+
+
+def test_an_unrelated_value_error_still_propagates(workdir, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("a program bug")
+
+    monkeypatch.setattr(evaluation, "profile_similarity", broken)
+    with pytest.raises(ValueError, match="a program bug"):
+        main(["profile", "--model", str(workdir / "model.tnsr"),
+              "--out", str(workdir / "sim.json")])
+
+
+@pytest.mark.parametrize("seq_len", ["300", HUGE], ids=["300", "huge"])
+@pytest.mark.parametrize("source", ["markov", "corpus"])
+def test_fisher_refuses_a_seq_len_past_max_seq_before_building_the_corpus(
+        workdir, capsys, monkeypatch, source, seq_len):
+    # used to exit 4 only from loss_and_grads, after every sequence was built,
+    # or, at 2**50, with "out of memory" from building the first one
+    def no_corpus_may_be_built(*args, **kwargs):
+        raise AssertionError("a corpus was built")
+
+    monkeypatch.setattr(cli, "markov_byte_corpus", no_corpus_may_be_built)
+    monkeypatch.setattr(cli, "load_byte_file", no_corpus_may_be_built)
+    out = workdir / "fisher.json"
+    extra = ["--corpus", str(workdir / "model.tnsr")] if source == "corpus" else []
+    capsys.readouterr()
+    assert main(["fisher", "--model", str(workdir / "model.tnsr"), "--out", str(out),
+                 "--seq-len", seq_len, "--samples", "20000", *extra]) == 4
+    assert capsys.readouterr().err == f"error: sequence of {seq_len} exceeds max_seq=256\n"
+    assert not out.exists()
 
 
 def test_profile_refuses_a_probe_past_max_seq_before_any_layer(workdir, capsys, monkeypatch):

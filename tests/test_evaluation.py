@@ -341,10 +341,10 @@ def test_mode_isolation_under_permutation(toy_weights, fact07):
 def test_profile_values_in_range(toy_weights, fact07, probe_ids):
     _, fact, _ = fact07
     report = profile_similarity(toy_weights, probe_ids[:64], fact)
-    for entry in report.pairs:
+    for entry in report["pairs"]:
         for category in ("key", "value", "hidden", "latent"):
             assert -1.0 <= entry[category] <= 1.0
-    assert set(report.means) == {"key", "value", "hidden", "latent"}
+    assert set(report["means"]) == {"key", "value", "hidden", "latent"}
 
 
 def test_profile_self_similarity_channel():
@@ -355,7 +355,7 @@ def test_profile_self_similarity_channel():
 
 def test_profile_without_factorization_skips_latent(toy_weights, probe_ids):
     report = profile_similarity(toy_weights, probe_ids[:48])
-    assert set(report.means) == {"key", "value", "hidden"}
+    assert set(report["means"]) == {"key", "value", "hidden"}
 
 
 def test_construction_trial_prefers_latents():

@@ -278,7 +278,7 @@ def test_loading_copies_only_the_tensors_it_keeps():
         held, peak = (n - before for n in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
-    kept = sum(a.nbytes for a in (*weights.named_tensors().values(), weights.rope.tiled,
+    kept = sum(a.nbytes for a in (*weights.named_tensors().values(), weights.rope,
                                   *fact.shared, *fact.k_factors, *fact.v_factors))
     assert kept > 15_000_000
     assert kept <= held <= kept + 2**16

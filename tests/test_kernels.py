@@ -525,8 +525,8 @@ def test_a_call_above_the_bound_keeps_the_max_subtract(monkeypatch, tq):
 
 def _pairwise_rope(vectors, positions, table):
     """The textbook pairwise rotation in float64 from the table's cos/sin."""
-    cos = table.cis.real[positions][:, None, :].astype(np.float64)
-    sin = table.cis.imag[positions][:, None, :].astype(np.float64)
+    cos = table[:, 0].real[positions][:, None, :].astype(np.float64)
+    sin = table[:, 0].imag[positions][:, None, :].astype(np.float64)
     even, odd = vectors[..., 0::2].astype(np.float64), vectors[..., 1::2].astype(np.float64)
     out = np.empty(vectors.shape)
     out[..., 0::2] = even * cos - odd * sin
@@ -565,20 +565,20 @@ def test_rope_table_is_one_complex_table_with_exact_cos_sin(toy_cfg):
     inv_freq = toy_cfg.rope_theta ** (-np.arange(0, half, dtype=np.float64) * 2.0
                                       / toy_cfg.d_head)
     angles = np.arange(toy_cfg.max_seq, dtype=np.float64)[:, None] * inv_freq[None, :]
-    assert table.cis.real.tobytes() == np.cos(angles).astype(np.float32).tobytes()
-    assert table.cis.imag.tobytes() == np.sin(angles).astype(np.float32).tobytes()
+    assert table[:, 0].real.tobytes() == np.cos(angles).astype(np.float32).tobytes()
+    assert table[:, 0].imag.tobytes() == np.sin(angles).astype(np.float32).tobytes()
     # its cos (real) and sin (imaginary) parts are views into the one complex64 table
-    assert table.cis.dtype == np.complex64
-    assert table.cis.nbytes == 2 * 4 * toy_cfg.max_seq * half
-    assert (np.shares_memory(table.cis.real, table.cis)
-            and np.shares_memory(table.cis.imag, table.cis))
+    assert table[:, 0].dtype == np.complex64
+    assert table[:, 0].nbytes == 2 * 4 * toy_cfg.max_seq * half
+    assert (np.shares_memory(table[:, 0].real, table[:, 0])
+            and np.shares_memory(table[:, 0].imag, table[:, 0]))
 
 
 # -- RoPE over consecutive positions ----------------------------------------------
 
 def _gathered_rope(vectors, first, table):
     """The reference: one rotation row gathered per token from the table by position."""
-    rotations = table.cis[np.arange(first, first + len(vectors))][:, None, :]
+    rotations = table[:, 0][np.arange(first, first + len(vectors))][:, None, :]
     return (vectors.view(np.complex64) * rotations).view(np.float32)
 
 
@@ -615,11 +615,11 @@ def test_tiled_key_rotation_is_bit_identical_to_the_gathered_rotation(tokens):
     cfg = ModelConfig(n_layers=1, d_hidden=64, n_q_heads=4, n_kv_heads=2, d_head=16,
                       d_mlp=16, max_seq=320)
     table = build_rope_table(cfg)
-    assert table.tiled.shape == (cfg.max_seq, cfg.n_kv_heads, cfg.d_head // 2)
-    assert np.array_equal(table.tiled, np.broadcast_to(table.cis[:, None], table.tiled.shape))
+    assert table.shape == (cfg.max_seq, cfg.n_kv_heads, cfg.d_head // 2)
+    assert np.array_equal(table, np.broadcast_to(table[:, 0][:, None], table.shape))
     first = cfg.max_seq - tokens - 3
     positions = np.arange(first, first + tokens)
-    rotations = table.cis[positions][:, None, :]  # one gathered row per token, over the heads
+    rotations = table[:, 0][positions][:, None, :]  # one gathered row per token, over the heads
     rng = np.random.default_rng(tokens)
     for heads in (cfg.n_kv_heads, cfg.n_q_heads):  # keys take the tiled table, queries not
         vectors = rng.standard_normal((tokens, heads, cfg.d_head)).astype(np.float32)

@@ -11,7 +11,7 @@ from commonkv.budget import FisherWeights, allocate_budget
 from commonkv.corpus import markov_byte_corpus
 from commonkv.errors import InputError, NumericError
 from commonkv.evaluation import RawKVSession
-from commonkv.factorization import load_factorized, transform_model
+from commonkv.factorization import GroupLayout, load_factorized, transform_model
 from commonkv.latent_cache import (SUFFIX_CHUNK_ROWS, LatentCacheStore, LatentSession,
                                    attend_latent, baseline_elements, compute_latent,
                                    restore_keys)
@@ -413,7 +413,7 @@ def test_rope_values_shared_across_layers(fact07):
     # every layer reads the same table values for a given decode position
     tables = [session.weights.rope for _ in range(weights.config.n_layers)]
     pos = 17
-    rows = {(t.cis.real[pos].tobytes(), t.cis.imag[pos].tobytes()) for t in tables}
+    rows = {(t[:, 0].real[pos].tobytes(), t[:, 0].imag[pos].tobytes()) for t in tables}
     assert len(rows) == 1
 
 
@@ -427,7 +427,7 @@ SESSIONS = {
 @pytest.mark.parametrize("kind", sorted(SESSIONS))
 def test_sessions_share_the_models_read_only_rope_table(fact07, kind):
     weights, fact, _ = fact07
-    table_bytes = weights.rope.tiled.nbytes
+    table_bytes = weights.rope.nbytes
     assert table_bytes == weights.config.max_seq * weights.config.d_kv * 4
     tracemalloc.start()
     try:
@@ -441,7 +441,7 @@ def test_sessions_share_the_models_read_only_rope_table(fact07, kind):
     # a session builds no table of its own: well under one table's bytes
     assert peak < table_bytes // 2
     rope = session.weights.rope
-    for view in (rope.tiled, rope.cis, rope.cis.real):
+    for view in (rope, rope[:, 0], rope[:, 0].real):
         with pytest.raises(ValueError):
             view[3] *= 2
 
@@ -867,3 +867,45 @@ def test_call_sequences_keep_the_phase_rule_and_rejected_calls_change_nothing(
             decode_rows += call == "decode"
         assert session.audit() == twin.audit()
         assert session.store.decode_len == decode_rows
+
+
+# -- the store's and the session's refusals -----------------------------------------
+
+def _store_with_prefix(toy_cfg, rows=5, width=6):
+    store = LatentCacheStore(toy_cfg, GroupLayout.for_model(toy_cfg.n_layers, 4), width)
+    for layer in range(toy_cfg.n_layers):
+        store.append_prefill(layer, np.ones((rows, width), dtype=np.float32))
+    return store
+
+
+def test_a_merged_groups_prefix_cannot_be_extended(toy_cfg):
+    store = _store_with_prefix(toy_cfg)
+    store.merge_group(0, np.ones((5, 6), dtype=np.float32))
+    with pytest.raises(InputError) as err:
+        store.append_prefill(1, np.ones((1, 6), dtype=np.float32))
+    assert str(err.value) == "cannot extend the prefix of a merged group"
+    store.append_prefill(4, np.ones((1, 6), dtype=np.float32))  # group 1 is not merged
+
+
+def test_a_group_merges_once(toy_cfg):
+    store = _store_with_prefix(toy_cfg)
+    store.merge_group(1, np.ones((5, 6), dtype=np.float32))
+    with pytest.raises(InputError) as err:
+        store.merge_group(1, np.ones((5, 6), dtype=np.float32))
+    assert str(err.value) == "group 1 already merged"
+
+
+@pytest.mark.parametrize("shape", [(4, 6), (5, 7)], ids=["rows", "width"])
+def test_a_merged_prefix_of_the_wrong_shape_is_refused(toy_cfg, shape):
+    store = _store_with_prefix(toy_cfg)
+    with pytest.raises(InputError) as err:
+        store.merge_group(0, np.ones(shape, dtype=np.float32))
+    assert str(err.value) == "merged prefix has wrong shape"
+    assert not store.groups[0].merged
+
+
+def test_a_session_refuses_a_factorization_of_another_config(fact07, micro_weights):
+    _, fact, _ = fact07
+    with pytest.raises(InputError) as err:
+        LatentSession(micro_weights, fact)
+    assert str(err.value) == "factorization does not match model config"
