@@ -112,10 +112,17 @@ def _parse_list(text: str, cast, flag: str) -> list:
     return items
 
 
-def _corpus_ids(args, seed_offset: int = 0) -> np.ndarray:
+def _corpus_ids(args, config: ModelConfig, unfed: int = 0) -> np.ndarray:
+    """``--corpus``'s first ``--tokens`` bytes, or a ``--tokens``-long Markov
+    sequence.  The sequence is refused before it is built when the model
+    would hold more than ``max_seq`` of its tokens (all but the last
+    ``unfed``), as the session would refuse it."""
     if args.corpus:
         return load_byte_file(args.corpus, max_tokens=args.tokens)
-    return markov_byte_corpus(args.seed + seed_offset, 1, args.tokens)[0]
+    if args.tokens - unfed > config.max_seq:
+        raise CapacityError(f"sequence of {args.tokens - unfed} exceeds "
+                            f"max_seq={config.max_seq}")
+    return markov_byte_corpus(args.seed, 1, args.tokens)[0]
 
 
 def _load_fisher(path, config: ModelConfig) -> FisherWeights | None:
@@ -228,7 +235,7 @@ def cmd_fisher(args) -> int:
 def cmd_profile(args) -> int:
     weights = load_model(args.model)
     fact = _load_factorization(args, weights)
-    ids = _corpus_ids(args)
+    ids = _corpus_ids(args, weights.config)
     report = evaluation.profile_similarity(weights, ids, fact)
     _write_json(args.out, report | {"seed": args.seed})
     means = " ".join(f"{k}={v:.3f}" for k, v in sorted(report["means"].items()))
@@ -240,7 +247,8 @@ def cmd_run(args) -> int:
     if args.generate < 0:
         raise ConfigurationError(f"--generate {args.generate} is negative")
     weights, fact, options = _session_inputs(args, [args.mode])
-    ids = _corpus_ids(args)
+    # a decoding mode never feeds the text's last token (see evaluation.perplexity)
+    ids = _corpus_ids(args, weights.config, unfed=0 if args.mode == "baseline" else 1)
     result = evaluation.perplexity(args.mode, weights, ids, fact=fact, target_ratio=args.ratio,
                                    prefill_fraction=args.prefill_fraction, **options)
     payload = asdict(result) | {"seed": args.seed,

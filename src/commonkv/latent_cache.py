@@ -26,10 +26,12 @@ full-KV engine computes over the reconstructed projections ``A @ B_k`` and
 After prefill, groups selected by the budget plan collapse their per-layer
 prefixes into one shared prefix; decode-time latents always stay per layer.
 A layer's decode suffix is held as sealed fixed-size chunks plus a short
-open tail, so a decode append copies at most one chunk of rows, and the
-rows a layer attends to are joined by one concatenation per step.  The store
-keeps no positions: its prefill and decode lengths are the rows its layer 0
-holds.
+open tail, so a decode append copies at most one chunk of rows.  The rows a
+layer attends to are joined into one array per step: a merged group's first
+member layer copies the shared prefix and its suffix, each later member layer
+writes only its own suffix rows over the same array, so the prefix is copied
+once per group and step, not once per layer.  The store keeps no positions:
+its prefill and decode lengths are the rows its layer 0 holds.
 """
 
 from __future__ import annotations
@@ -162,6 +164,8 @@ class LatentCacheStore:
         self._chunks: list[tuple[np.ndarray, ...]] = [()] * config.n_layers
         self._tails = [np.empty((0, width), dtype=np.float32)
                        for _ in range(config.n_layers)]
+        # a merged group's (shared prefix, joined rows) that its next member reuses
+        self._shared_join: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def prefill_len(self) -> int:
@@ -171,7 +175,7 @@ class LatentCacheStore:
     @property
     def decode_len(self) -> int:
         """Layer 0's suffix rows: its sealed chunks plus its open tail."""
-        return len(self._chunks[0]) * SUFFIX_CHUNK_ROWS + len(self._tails[0])
+        return self._suffix_len(0)
 
     # The rows' positions as new int64 aranges: only the benchmark's copy count
     # reads them, no kernel does.
@@ -203,6 +207,9 @@ class LatentCacheStore:
     def _suffix_parts(self, layer: int) -> list[np.ndarray]:
         return [*self._chunks[layer], self._tails[layer]]
 
+    def _suffix_len(self, layer: int) -> int:
+        return len(self._chunks[layer]) * SUFFIX_CHUNK_ROWS + len(self._tails[layer])
+
     def append_decode(self, layer: int, latents: np.ndarray) -> None:
         rows = np.concatenate([self._tails[layer], latents], axis=0)
         if len(rows) < SUFFIX_CHUNK_ROWS:
@@ -226,12 +233,33 @@ class LatentCacheStore:
 
         Prefix, sealed chunks and tail are joined by one concatenation; with
         no suffix rows yet (every prefill call) it is the stored prefix
-        itself, which the caller only reads.
+        itself, which the caller only reads.  A merged group's join is kept:
+        while the next call's prefix is the same array and its T the same,
+        that call writes only its own suffix rows over rows ``P:`` of it and
+        returns it, so the array a call returns is valid until the next call.
+        The kept join is released before another one is built, and by
+        ``release_join``.
         """
         prefix = self.prefix_for_layer(layer)
-        if not self._chunks[layer] and not len(self._tails[layer]):
+        suffix_len = self._suffix_len(layer)
+        if not suffix_len:
             return prefix
-        return np.concatenate([prefix, *self._suffix_parts(layer)], axis=0)
+        kept = self._shared_join
+        if kept is not None and kept[0] is prefix and len(kept[1]) == len(prefix) + suffix_len:
+            joined, row = kept[1], len(prefix)
+            for part in self._suffix_parts(layer):   # part by part: no list is built
+                joined[row:row + len(part)] = part
+                row += len(part)
+            return joined
+        self._shared_join = kept = None   # released before the next join is built
+        joined = np.concatenate([prefix, *self._suffix_parts(layer)], axis=0)
+        if self.groups[self.layout.group_of(layer)].merged:
+            self._shared_join = (prefix, joined)
+        return joined
+
+    def release_join(self) -> None:
+        """Drop the kept merged-group join, so that the store holds only its rows."""
+        self._shared_join = None
 
     def merge_group(self, gi: int, merged: np.ndarray) -> None:
         gc = self.groups[gi]
@@ -349,9 +377,13 @@ class LatentSession:
 
     def decode(self, token_id: int) -> np.ndarray:
         """One generated token; its row joins the layer-private suffix.  ``forward``
-        checks the token before it keeps a row, so a rejected call keeps none."""
+        checks the token before it keeps a row, so a rejected call keeps none,
+        and no call, finished or not, leaves the step's merged-group join held."""
         self._decode_call = True
-        return forward(self, [token_id])[0]
+        try:
+            return forward(self, [token_id])[0]
+        finally:
+            self.store.release_join()
 
     # -- the KV store ``model.forward`` runs over ------------------------------
 

@@ -268,11 +268,8 @@ HUGE = str(2**50)
 @pytest.mark.parametrize("argv", [
     ["gen-toy", "--out", "OUT", "--max-seq", HUGE],
     ["gen-toy", "--out", "OUT", "--d-mlp", HUGE],
-    ["run", "--model", "MODEL", "--mode", "baseline", "--tokens", HUGE],
-    ["profile", "--model", "MODEL", "--out", "OUT", "--tokens", HUGE],
     ["run", "--model", "HUGE_MAX_SEQ", "--mode", "baseline", "--tokens", "16"],
-], ids=["gen-toy-max-seq", "gen-toy-d-mlp", "run-tokens", "profile-tokens",
-        "manifest-max-seq"])
+], ids=["gen-toy-max-seq", "gen-toy-d-mlp", "manifest-max-seq"])
 def test_size_too_large_to_allocate_is_capacity_error(workdir, capsys, argv):
     tensors, meta = tensorfile.load(workdir / "model.tnsr")
     meta["config"]["max_seq"] = 2**50
@@ -337,6 +334,47 @@ def test_fisher_refuses_a_seq_len_past_max_seq_before_building_the_corpus(
                  "--seq-len", seq_len, "--samples", "20000", *extra]) == 4
     assert capsys.readouterr().err == f"error: sequence of {seq_len} exceeds max_seq=256\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("tokens", ["300", HUGE], ids=["300", "huge"])
+@pytest.mark.parametrize("command", ["run", "profile"])
+def test_run_and_profile_refuse_tokens_past_max_seq_before_building_the_corpus(
+        workdir, capsys, monkeypatch, command, tokens):
+    # used to build the whole Markov corpus first (about 1.6 us a token), or,
+    # at 2**50, to end in "out of memory" while building it
+    def no_corpus_may_be_built(*args, **kwargs):
+        raise AssertionError("a corpus was built")
+
+    monkeypatch.setattr(cli, "markov_byte_corpus", no_corpus_may_be_built)
+    out = workdir / "out.json"
+    argv = ["run", "--mode", "baseline"] if command == "run" else ["profile"]
+    capsys.readouterr()
+    assert main([*argv, "--model", str(workdir / "model.tnsr"), "--out", str(out),
+                 "--tokens", tokens]) == 4
+    assert capsys.readouterr().err == f"error: sequence of {tokens} exceeds max_seq=256\n"
+    assert not out.exists()
+
+
+def test_a_decoding_run_may_take_one_token_past_max_seq(workdir, capsys, monkeypatch):
+    # a decoding mode never feeds the text's last token, so 257 tokens fit in
+    # max_seq=256, as they did before the early check; 258 are refused unbuilt
+    model = str(workdir / "model.tnsr")
+    assert main(["run", "--model", model, "--mode", "rawkv_meanmerge", "--tokens", "257"]) == 0
+    monkeypatch.setattr(cli, "markov_byte_corpus", None)
+    capsys.readouterr()
+    assert main(["run", "--model", model, "--mode", "rawkv_meanmerge", "--tokens", "258"]) == 4
+    assert capsys.readouterr().err == "error: sequence of 257 exceeds max_seq=256\n"
+
+
+@pytest.mark.parametrize("command", ["run", "profile"])
+def test_a_corpus_file_shorter_than_max_seq_runs_whatever_the_tokens(workdir, command):
+    corpus = workdir / "short.txt"
+    corpus.write_bytes(bytes(range(40, 140)))
+    argv = ["run", "--mode", "baseline"] if command == "run" else ["profile"]
+    out = workdir / "out.json"
+    assert main([*argv, "--model", str(workdir / "model.tnsr"), "--out", str(out),
+                 "--corpus", str(corpus), "--tokens", HUGE]) == 0
+    assert out.exists()
 
 
 def test_profile_refuses_a_probe_past_max_seq_before_any_layer(workdir, capsys, monkeypatch):

@@ -1,5 +1,7 @@
 import gc
+import sys
 import tracemalloc
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -692,6 +694,110 @@ def test_bare_store_lengths_count_the_rows_it_holds(fact07):
         assert_lengths(10, step)
     assert len(store._chunks[0]) == 1 and len(store._tails[0]) == 2
     store.audit()
+
+
+# -- one join per merged group and decode step ---------------------------------------
+
+def _one_group_merged(fact07, kind, prompt_ids):
+    """A prefilled session of ``kind`` that merged one of its two groups."""
+    weights, fact, _ = fact07
+    session = SESSIONS[kind](weights, fact)
+    session.prefill(prompt_ids)
+    session.plan_and_merge(0.3, strategy="mean")
+    assert session.plan.merged_count == 1 and len(session.store.groups) == 2
+    return session
+
+
+@pytest.mark.parametrize("kind", ["latent", "rawkv"])
+def test_a_merged_group_shares_one_join_per_decode_step(fact07, kind):
+    # every layer attends over exactly [its prefix | its suffix]; the members
+    # of the merged group get one array per step, an unmerged layer its own
+    prompt = 16
+    ids = markov_byte_corpus(12, 1, prompt + 2 * C + 2)[0]
+    session = _one_group_merged(fact07, kind, ids[:prompt])
+    store = session.store
+    (merged,) = session.plan.merged_groups
+    n_layers = store.config.n_layers
+    visible = store.visible_latents
+    seen = []   # (layer, rows returned, a copy made at call time, reference)
+
+    def recorded(layer):
+        rows = visible(layer)
+        seen.append((layer, rows, rows.copy(),
+                     np.concatenate([store.prefix_for_layer(layer), store.suffixes[layer]])))
+        return rows
+
+    store.visible_latents = recorded
+    for t in ids[prompt:]:
+        seen.clear()
+        session.decode(int(t))
+        assert [layer for layer, *_ in seen] == list(range(n_layers))
+        assert all(copy.tobytes() == reference.tobytes() for _, _, copy, reference in seen)
+        joins = [{id(rows) for layer, rows, *_ in seen if store.layout.group_of(layer) == gi}
+                 for gi in range(2)]
+        assert [len(j) for j in joins] == [1 if gi == merged else 4 for gi in range(2)]
+        assert not joins[0] & joins[1]
+    assert store.decode_len == 2 * C + 2 and len(store._chunks[0]) == 2
+
+
+def _held_bytes(session) -> int:
+    """The audited bytes plus the array and tuple objects that hold the suffix rows."""
+    store = session.store
+    parts = [part for layer in range(store.config.n_layers)
+             for part in store._suffix_parts(layer)]
+    objects = sum(sys.getsizeof(part) - part.nbytes for part in parts)
+    return 4 * session.audit().total_elements + objects + sum(map(sys.getsizeof, store._chunks))
+
+
+@pytest.mark.parametrize("kind", ["latent", "rawkv"])
+def test_no_decode_call_leaves_its_join_held(fact07, kind):
+    # after each call, finished or rejected (token 256), the session holds no
+    # more than what it held before plus the rows its audit counts, in their
+    # arrays: a 64-row seal makes 8 arrays and a longer tuple per step.
+    # The session is built while tracing, so every array it frees was traced.
+    prompt = 16
+    ids = markov_byte_corpus(12, 1, prompt + 2 * C + 2)[0]
+    warm = _one_group_merged(fact07, kind, ids[:prompt])
+    for token in (256, *ids[prompt:prompt + 3]):   # numpy's one-off set-up, untraced
+        with pytest.raises(InputError) if token == 256 else nullcontext():
+            warm.decode(int(token))
+    grown = []
+    tracemalloc.start()
+    try:
+        session = _one_group_merged(fact07, kind, ids[:prompt])
+        for step, t in enumerate(ids[prompt:]):
+            for token in (256, int(t)) if step % 40 == 0 else (int(t),):
+                held = _held_bytes(session)
+                before = tracemalloc.get_traced_memory()[0]
+                with pytest.raises(InputError) if token == 256 else nullcontext():
+                    session.decode(token)
+                live = tracemalloc.get_traced_memory()[0] - before
+                grown.append((step, live, _held_bytes(session) - held))
+    finally:
+        tracemalloc.stop()
+    assert len(grown) == 2 * C + 2 + 4 and session.store.decode_len == 2 * C + 2
+    assert [g for g in grown if g[1] > g[2] + 1024] == []
+
+
+@pytest.mark.parametrize("kind", ["latent", "rawkv"])
+def test_a_decode_that_fails_inside_the_merged_group_releases_its_join(fact07, kind):
+    ids = markov_byte_corpus(12, 1, 20)[0]
+    session = _one_group_merged(fact07, kind, ids[:16])
+    session.decode(int(ids[16]))
+    layers = list(session.store.layout.layers_of(session.plan.merged_groups[0]))
+    attend = session.attend
+
+    def failing(layer, q):
+        out = attend(layer, q)
+        if layer == layers[-1]:
+            assert session.store._shared_join is not None
+            raise NumericError("stop inside the group")
+        return out
+
+    session.attend = failing
+    with pytest.raises(NumericError, match="stop inside"):
+        session.decode(int(ids[17]))
+    assert session.store._shared_join is None
 
 
 # -- rejected token lists and the stored positions ----------------------------------

@@ -52,7 +52,48 @@ def test_every_phase_reports_its_peak_and_live_bytes(name):
 def test_main_prints_one_json_line(capsys, monkeypatch):
     out = main_line(capsys, monkeypatch)
     assert set(out) == {"workload", "seed", "logit_drift", *PHASES}   # and no timing field:
-    assert {k for m in PHASES for e in out[m].values() for k in e} == {"sha256", "achieved_ratio"}
+    assert {k for m in PHASES for e in out[m].values() for k in e} == {
+        "sha256", "achieved_ratio", "multiply_adds"}
+
+
+def test_decode_multiply_adds_are_their_closed_forms():
+    # summed over the decode steps: a layer attends over keys = sum of P + s
+    # rows; decode mixes latents (the mix order) at this shape
+    workload, G = micro(workloads.WORKLOADS["toy-chat"]), workloads.GROUP_SIZE
+    cfg, P, D = workload.config, workload.prompt_len, workload.decode_len
+    L, dh, n_q, d_head = cfg.n_layers, cfg.d_hidden, cfg.n_q_heads, cfg.d_head
+    rank, keys = clamp_rank(workloads.RANK_FRACTION, cfg, G), sum(range(P + 1, P + D + 1))
+    out = session_facts.measure(workload, 3)[0]
+    mlp = L * D * 2 * dh * cfg.d_mlp
+    assert out["commonkv"]["decode"]["multiply_adds"] == {
+        "restore_keys": L * keys * rank * cfg.d_kv,
+        "attend_latent": L * (n_q * keys * (d_head + rank) + D * (n_q * rank * d_head + dh * dh)),
+        "attention_block": 0, "compute_latent": L * D * dh * rank, "mlp_block": mlp}
+    assert out["baseline"]["decode"]["multiply_adds"] == {
+        "restore_keys": 0, "attend_latent": 0, "attention_block": L * (2 * keys * dh + D * dh * dh),
+        "compute_latent": 0, "mlp_block": mlp}
+    assert all("multiply_adds" not in out[m][phase] for m in PHASES for phase in out[m]
+               if phase != "decode")
+
+
+def test_a_prefill_that_restores_values_counts_them_once(micro_weights):
+    # a multi-row call restores values: attend_latent counts H @ B_v only and
+    # attention_block, through its binding in latent_cache, the dense rest
+    from commonkv import latent_cache
+    from commonkv.factorization import load_factorized, transform_model
+    weights, fact = load_factorized(transform_model(micro_weights, 2, 1.0)[0])
+    cfg, P = weights.config, 12
+    originals = (latent_cache.attend_latent, latent_cache.attention_block)
+    with session_facts.counting_multiply_adds(dict.fromkeys(session_facts.MULTIPLY_ADDS, 0)) \
+            as counts:
+        assert latent_cache.attend_latent is not originals[0]
+        latent_cache.LatentSession(weights, fact).prefill(np.arange(P))
+    assert (latent_cache.attend_latent, latent_cache.attention_block) == originals
+    L, dh, rank = cfg.n_layers, cfg.d_hidden, fact.rank
+    assert counts == {"restore_keys": L * P * rank * cfg.d_kv,
+                      "attend_latent": L * P * rank * cfg.d_kv,
+                      "attention_block": L * (2 * P * P * dh + P * dh * dh),
+                      "compute_latent": L * P * dh * rank, "mlp_block": L * P * 2 * dh * cfg.d_mlp}
 
 
 def test_main_prints_one_json_line_with_the_same_digests_on_two_runs(capsys, monkeypatch):

@@ -27,6 +27,16 @@ the phase's bytes: the elements are ``cache_element_count()``, which for
 commonkv is the session's own ``audit()`` (closed form and checksums).
 Decode reads it once, after its last step.
 
+The decode entry's ``multiply_adds`` gives, for each of ``restore_keys``,
+``attend_latent``, ``attention_block``, ``compute_latent`` and ``mlp_block``,
+the multiply-adds of its matrix products summed over every decode step,
+counted from operand shapes in the untraced session (see ``MULTIPLY_ADDS``).
+A call's count leaves out the counted functions it calls: ``attend_latent``
+counts its scores, latent mix, ``B_v`` and ``W_o``, or, when it restores
+values instead, ``H @ B_v`` only (``restore_keys`` and ``attention_block``
+count the rest).  The counts follow from shapes alone, so they read the same
+for any version of the program that does the same work.
+
 Every logit is copied into a ``(P, vocab)`` or ``(D, vocab)`` float32 buffer
 made before ``tracemalloc`` starts, so the logits count in no phase's bytes
 apart from the one that returns them.  ``sha256`` in the prefill and decode
@@ -54,11 +64,13 @@ from __future__ import annotations
 import argparse
 import gc
 import hashlib
+import importlib
 import json
 import math
 import os
 import sys
 import tracemalloc
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 if __name__ == "__main__":   # one BLAS thread, as perfbench runs, set before numpy loads
@@ -75,14 +87,71 @@ for path in (ROOT / "src", ROOT):
 from commonkv import budget  # noqa: E402
 from commonkv.latent_cache import LatentSession  # noqa: E402
 from commonkv.model import BaselineSession  # noqa: E402
-from perfbench import harness, workloads  # noqa: E402
+from perfbench import harness, spans, workloads  # noqa: E402
 
 
-def session_phases(mode: str, setup, workload, stream, logits: dict[str, np.ndarray]) -> dict:
+def _attend_latent(q, latents, k_factor, v_factor, w_o, rope, config, *_, restored_values):
+    tq, (tk, rank) = q.shape[0], latents.shape
+    if restored_values:   # H @ B_v; attention_block counts the scores and the rest
+        return tk * v_factor.size
+    n_q, d_head = config.n_q_heads, config.d_head
+    return n_q * tq * (tk * d_head + tk * rank + rank * d_head) + tq * w_o.size
+
+
+# counted function -> (its module, the multiply-adds of one call from its
+# arguments); attention is counted dense, as a decode row computes it
+MULTIPLY_ADDS = {
+    "restore_keys": ("commonkv.latent_cache",
+                     lambda latents, k_factor, *_: latents.shape[0] * k_factor.size),
+    "attend_latent": ("commonkv.latent_cache", _attend_latent),
+    "attention_block": ("commonkv.model", lambda q, keys, values, w_o, config:
+                        2 * q.shape[0] * keys.shape[0] * q[0].size + q.shape[0] * w_o.size),
+    "compute_latent": ("commonkv.latent_cache", lambda x, shared: x.shape[0] * shared.size),
+    "mlp_block": ("commonkv.model",
+                  lambda x, lw: x.shape[0] * (lw.w_in.size + lw.w_out.size)),
+}
+
+
+@contextmanager
+def counting_multiply_adds(counts: dict[str, int]):
+    """Add each ``MULTIPLY_ADDS`` call's count to ``counts`` while inside.
+
+    Every binding of a counted function in the ``commonkv`` package is
+    replaced by a counting wrapper, as perfbench's tracer does, and restored
+    on exit.  ``attend_latent`` is told whether it called ``attention_block``,
+    that is, whether it restored values."""
+    undo = []
+
+    def wrap(name, fn, count):
+        def counted(*args):
+            blocks = counts["attention_block"]
+            out = fn(*args)
+            extra = ({"restored_values": counts["attention_block"] > blocks}
+                     if name == "attend_latent" else {})
+            counts[name] += count(*args, **extra)
+            return out
+        return counted
+
+    try:
+        for name, (module, count) in MULTIPLY_ADDS.items():
+            original = getattr(importlib.import_module(module), name)
+            wrapped = wrap(name, original, count)
+            for mod, attr in list(spans._bindings(original)):
+                undo.append((mod, attr, original))
+                setattr(mod, attr, wrapped)
+        yield counts
+    finally:
+        for mod, attr, original in reversed(undo):
+            setattr(mod, attr, original)
+
+
+def session_phases(mode: str, setup, workload, stream, logits: dict[str, np.ndarray],
+                   multiply_adds: dict[str, int] | None = None) -> dict:
     """One session of ``mode`` over ``stream``: each phase's bytes and ratio.
 
     Its logits are copied into ``logits["prefill"]`` and ``logits["decode"]``.
-    The bytes count from the call on while ``tracemalloc`` traces, else read 0."""
+    The bytes count from the call on while ``tracemalloc`` traces, else read 0.
+    Given ``multiply_adds``, the decode steps' counts are added to it."""
     cfg, P, D = workload.config, workload.prompt_len, workload.decode_len
     phases = {}
 
@@ -111,10 +180,11 @@ def session_phases(mode: str, setup, workload, stream, logits: dict[str, np.ndar
             workload.target_ratio, workload.strategy, setup.fisher), None)
         phases["merge"]["achieved_ratio"] = ratio(P)
     # only the worst step is kept: every kept record would count as live bytes
-    for step, token in enumerate(stream[P:P + D]):
-        measured = phase(lambda: session.decode(int(token)), logits["decode"][step])
-        if step == 0 or measured["peak_bytes"] > phases["decode"]["peak_bytes"]:
-            phases["decode"] = {**measured, "step": step}
+    with (nullcontext() if multiply_adds is None else counting_multiply_adds(multiply_adds)):
+        for step, token in enumerate(stream[P:P + D]):
+            measured = phase(lambda: session.decode(int(token)), logits["decode"][step])
+            if step == 0 or measured["peak_bytes"] > phases["decode"]["peak_bytes"]:
+                phases["decode"] = {**measured, "step": step}
     phases["decode"]["achieved_ratio"] = ratio(P + D)
     return phases
 
@@ -141,9 +211,11 @@ def measure(workload, seed: int):
                      "decode": np.empty((workload.decode_len, vocab), np.float32)}
               for mode in harness.MODES}
     # one untraced session per mode first, so that what numpy and Python keep
-    # from a first call in the process counts in no traced phase
+    # from a first call in the process counts in no traced phase; it also
+    # counts the multiply-adds, so that no wrapper runs while tracing
+    multiply_adds = {mode: dict.fromkeys(MULTIPLY_ADDS, 0) for mode in harness.MODES}
     for mode in harness.MODES:
-        session_phases(mode, setup, workload, stream, logits[mode])
+        session_phases(mode, setup, workload, stream, logits[mode], multiply_adds[mode])
     for mode in harness.MODES:
         gc.collect()
         tracemalloc.start()
@@ -153,6 +225,7 @@ def measure(workload, seed: int):
             tracemalloc.stop()
         for phase, rows in logits[mode].items():
             out[mode][phase]["sha256"] = hashlib.sha256(rows).hexdigest()
+        out[mode]["decode"]["multiply_adds"] = multiply_adds[mode]
     out["logit_drift"] = logit_drift(logits)
     return out, logits
 
