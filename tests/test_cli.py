@@ -360,7 +360,7 @@ def test_a_decoding_run_may_take_one_token_past_max_seq(workdir, capsys, monkeyp
     # max_seq=256, as they did before the early check; 258 are refused unbuilt
     model = str(workdir / "model.tnsr")
     assert main(["run", "--model", model, "--mode", "rawkv_meanmerge", "--tokens", "257"]) == 0
-    monkeypatch.setattr(cli, "markov_byte_corpus", None)
+    monkeypatch.setattr(cli, "markov_byte_corpus", lambda *a: pytest.fail("a corpus was built"))
     capsys.readouterr()
     assert main(["run", "--model", model, "--mode", "rawkv_meanmerge", "--tokens", "258"]) == 4
     assert capsys.readouterr().err == "error: sequence of 257 exceeds max_seq=256\n"
