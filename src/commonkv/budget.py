@@ -14,6 +14,7 @@ import hashlib
 import json
 import math
 import sys
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -31,11 +32,10 @@ MERGE_STRATEGIES = {
     "shallow": lambda m, fisher: [1.0] + [0.0] * (m - 1),
     "deep": lambda m, fisher: [0.0] * (m - 1) + [1.0],
 }
-# Elements per row block of ``merge_group``'s float64 sums and of the float64
-# scratch of ``_token_cosines`` (32 KB).  Scores and merges run once per group,
-# so small blocks cost little time, and even a short prompt's prefix spans
-# several of them: its float64 scratch stays below one float64 copy of the
-# prefix.
+# Elements per row block of ``merge_group``'s float64 sums (32 KB).  Merges
+# run once per group, so small blocks cost little time, and even a short
+# prompt's prefix spans several of them: its float64 scratch stays below one
+# float64 copy of the prefix.  ``_token_cosines`` takes no smaller block.
 MERGE_BLOCK_ELEMENTS = 2**12
 # Each score variant's member-layer index pairs in a group of m layers
 SCORE_VARIANTS = {
@@ -49,17 +49,21 @@ SCORE_VARIANTS = {
 # ---------------------------------------------------------------------------
 
 def _token_cosines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Each row's cosine in float64, one row block of at most
-    ``MERGE_BLOCK_ELEMENTS`` per prefix at a time (``model.row_blocks``).
+    """Each row's cosine in float64, one row block per prefix at a time
+    (``model.row_blocks``).
 
     A block's products ``x * y``, ``x * x`` and ``y * y`` are formed in one
     float64 scratch array, and one ``np.sum(..., axis=-1)`` takes the row
     sums that ``np.sum(x * y, axis=-1)`` and ``np.linalg.norm(x, axis=-1)``
     take.  Every sum is per row, so blocking changes no bit, and no float64
-    copy of a whole prefix exists.
+    copy of a whole prefix exists.  A block holds an eighth of the prefix's
+    elements, so its scratch (three float64 rows per row) stays below the
+    float32 prefix that the group's merge allocates, and a 960-row prefix
+    takes 8 blocks, not 44; it holds no fewer than ``MERGE_BLOCK_ELEMENTS``,
+    so a short prefix is not cut into slivers.
     """
     out = np.zeros(len(a), dtype=np.float64)
-    for block in row_blocks(*a.shape, MERGE_BLOCK_ELEMENTS):
+    for block in row_blocks(*a.shape, max(MERGE_BLOCK_ELEMENTS, a.size // 8)):
         work = np.empty((3, *a[block].shape), dtype=np.float64)
         np.copyto(work[0], a[block])
         np.copyto(work[1], b[block])
@@ -172,13 +176,12 @@ def allocate_budget(scores: list[float], target_ratio: float, layout, width: int
 # Fisher calibration
 # ---------------------------------------------------------------------------
 
-def corpus_hash(sequences: list[np.ndarray]) -> str:
-    h = hashlib.sha256()
-    for seq in sequences:
-        arr = np.asarray(seq, dtype=np.int64)
-        h.update(len(arr).to_bytes(8, "little"))
-        h.update(arr.astype("<i8").tobytes())
-    return h.hexdigest()
+def _hash_sequence(h, seq) -> None:
+    """Feed one sequence to a corpus's SHA-256 ``h``: its length as 8
+    little-endian bytes, then its token ids as little-endian int64."""
+    arr = np.asarray(seq, dtype=np.int64)
+    h.update(len(arr).to_bytes(8, "little"))
+    h.update(arr.astype("<i8").tobytes())
 
 
 @dataclass
@@ -226,7 +229,7 @@ class FisherWeights:
                    seed=d.get("seed"), n_sequences=d.get("n_sequences", 0))
 
 
-def estimate_fisher(weights: ModelWeights, corpus: list[np.ndarray],
+def estimate_fisher(weights: ModelWeights, corpus: Iterable[np.ndarray],
                     seed: int | None = None) -> FisherWeights:
     """Empirical Fisher over the calibration corpus.
 
@@ -235,20 +238,26 @@ def estimate_fisher(weights: ModelWeights, corpus: list[np.ndarray],
     the per-layer weight is the key and value contributions added together.
     The model is converted to float64 once for the whole corpus; the
     conversion is exact, so the result equals converting per sequence.
+    ``corpus`` is read once, one sequence at a time, so a generator such as
+    ``corpus.markov_byte_sequences`` holds only the sequence being read; the
+    corpus hash is taken on the way.  An empty corpus is an ``InputError``.
     """
-    if not corpus:
-        raise InputError("calibration corpus is empty")
     n_layers = weights.config.n_layers
     weights64 = weights.astype(np.float64)
     acc = np.zeros(n_layers, dtype=np.float64)
+    digest = hashlib.sha256()
+    count = 0
     for seq in corpus:
+        _hash_sequence(digest, seq)
         _, grads = loss_and_grads(weights64, seq)
         for l in range(n_layers):
             acc[l] += np.sum(grads[l]["w_k"] ** 2) + np.sum(grads[l]["w_v"] ** 2)
-    acc /= len(corpus)
+        count += 1
+    if not count:
+        raise InputError("calibration corpus is empty")
+    acc /= count
     return FisherWeights(per_layer=[float(v) for v in acc],
-                         corpus_digest=corpus_hash(corpus), seed=seed,
-                         n_sequences=len(corpus))
+                         corpus_digest=digest.hexdigest(), seed=seed, n_sequences=count)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import evaluation, selfcheck
 from .budget import MERGE_STRATEGIES, SCORE_VARIANTS, FisherWeights, estimate_fisher
-from .corpus import load_byte_file, markov_byte_corpus
+from .corpus import load_byte_file, markov_byte_corpus, markov_byte_sequences
 from .errors import (CapacityError, CommonKVError, ConfigurationError, InputError,
                      NumericError)
 from .factorization import SharedFactorization, load_factorized, transform_model
@@ -225,10 +225,10 @@ def cmd_fisher(args) -> int:
         if not corpus:
             raise InputError("corpus file too short for one calibration sequence")
     else:
-        corpus = markov_byte_corpus(args.seed, args.samples, args.seq_len)
+        corpus = markov_byte_sequences(args.seed, args.samples, args.seq_len)  # one at a time
     fisher = estimate_fisher(weights, corpus, seed=args.seed)
     Path(args.out).write_text(fisher.to_json() + "\n")
-    print(f"wrote Fisher weights for {len(corpus)} sequences to {args.out}")
+    print(f"wrote Fisher weights for {fisher.n_sequences} sequences to {args.out}")
     return 0
 
 

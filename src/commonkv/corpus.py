@@ -8,6 +8,7 @@ determines every sequence on every platform.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -17,15 +18,22 @@ from .errors import InputError
 N_SUCCESSORS = 8
 
 
-def markov_byte_corpus(seed: int, n_sequences: int, seq_len: int) -> list[np.ndarray]:
-    """Generate ``n_sequences`` byte sequences of ``seq_len`` tokens each."""
+def markov_byte_sequences(seed: int, n_sequences: int, seq_len: int) -> Iterator[np.ndarray]:
+    """The ``n_sequences`` byte sequences of ``seq_len`` tokens each, made one at
+    a time as the caller reads them, so only the one being read is held.
+
+    The counts are checked at the call, before any sequence is made.
+    """
     if n_sequences < 1 or seq_len < 2:
         raise InputError("need at least one sequence of at least 2 tokens")
-    rng = np.random.default_rng(seed)
+    return _markov_chain(np.random.default_rng(seed), n_sequences, seq_len)
+
+
+def _markov_chain(rng: np.random.Generator, n_sequences: int, seq_len: int
+                  ) -> Iterator[np.ndarray]:
     successors = rng.integers(0, 256, size=(256, N_SUCCESSORS))
     weights = rng.random((256, N_SUCCESSORS)) + 1e-3
     cdf = np.cumsum(weights / weights.sum(axis=1, keepdims=True), axis=1)
-    sequences = []
     for _ in range(n_sequences):
         seq = np.empty(seq_len, dtype=np.int64)
         state = int(rng.integers(0, 256))
@@ -35,8 +43,12 @@ def markov_byte_corpus(seed: int, n_sequences: int, seq_len: int) -> list[np.nda
             choice = int(np.count_nonzero(cdf[state] < draws[t - 1]))  # first cdf >= draw
             state = int(successors[state, min(choice, N_SUCCESSORS - 1)])
             seq[t] = state
-        sequences.append(seq)
-    return sequences
+        yield seq
+
+
+def markov_byte_corpus(seed: int, n_sequences: int, seq_len: int) -> list[np.ndarray]:
+    """Generate ``n_sequences`` byte sequences of ``seq_len`` tokens each."""
+    return list(markov_byte_sequences(seed, n_sequences, seq_len))
 
 
 def load_byte_file(path: str | Path, max_tokens: int | None = None) -> np.ndarray:

@@ -32,6 +32,26 @@ member layer copies the shared prefix and its suffix, each later member layer
 writes only its own suffix rows over the same array, so the prefix is copied
 once per group and step, not once per layer.  The store keeps no positions:
 its prefill and decode lengths are the rows its layer 0 holds.
+
+The latent GEMMs, key and value restore ``H @ B`` and a decode row's latent
+mix ``P @ H``, run in row blocks of at most ``model.SMALL_GEMM_MULTIPLY_ADDS``
+(100³) multiply-adds, the largest float32 GEMM that OpenBLAS 0.3.31 runs on
+its small-matrix kernel.  Past it the general kernel is much slower for these
+skinny products.  At the wide shape (r = 179, 8 query heads, d_kv = 64), on
+a Haswell-kernel x86 host with one BLAS thread, minimum over repeats:
+
+    product                       Tk     one GEMM   blocks under 100³
+    mix (8, Tk) @ (Tk, 179)       698    21.8 µs    (one block)
+                                  700    45.7 µs    24.1 µs
+                                  976    61.4 µs    33.1 µs
+    restore (Tk, 179) @ (179, 64) 768    139 µs     111 µs (86-row blocks)
+                                  976    171 µs     137 µs (82-row blocks)
+
+Restore blocks of 88 or 96 rows, just over the limit, were 9-15% slower than
+one GEMM: the limit matters, not blocking as such.  A product under the limit
+stays one GEMM.  A restore block writes its own output rows, so restored keys
+and values keep their bits; a decode row's mix sums its key blocks, which
+moves its rounding (within float32 epsilons of the product).
 """
 
 from __future__ import annotations
@@ -45,8 +65,8 @@ from . import budget as budget_mod
 from .budget import baseline_elements  # the storage closed form, also read from here
 from .errors import InputError, NumericError
 from .factorization import GroupLayout, SharedFactorization
-from .model import (ModelConfig, ModelWeights, apply_rope, attention_block,
-                    causal_attention, forward)
+from .model import (SMALL_GEMM_MULTIPLY_ADDS, ModelConfig, ModelWeights, apply_rope,
+                    attention_block, block_rows, causal_attention, forward)
 
 
 def compute_latent(x: np.ndarray, shared: np.ndarray) -> np.ndarray:
@@ -54,14 +74,39 @@ def compute_latent(x: np.ndarray, shared: np.ndarray) -> np.ndarray:
     return x @ shared
 
 
+def _restore(latents: np.ndarray, factor: np.ndarray) -> np.ndarray:
+    """``latents @ factor``, (T, r) @ (r, d), in row blocks of at most
+    ``SMALL_GEMM_MULTIPLY_ADDS`` multiply-adds (``model.block_rows``).
+
+    Each block's GEMM writes its own rows of the one (T, d) result: the whole
+    blocks as one stacked matmul, which numpy runs as one GEMM per block
+    without a Python loop, and a shorter last block as one more.  A product
+    that fits in one block stays a single GEMM.  Every output row is the same
+    dot products in either case; on OpenBLAS 0.3.31 blocking changes no bit.
+    """
+    (n_rows, rank), width = latents.shape, factor.size
+    if n_rows * width <= SMALL_GEMM_MULTIPLY_ADDS:
+        return latents @ factor
+    size = block_rows(n_rows, width, SMALL_GEMM_MULTIPLY_ADDS)
+    whole = n_rows - n_rows % size
+    out = np.empty((n_rows, factor.shape[1]), dtype=np.result_type(latents, factor))
+    np.matmul(latents[:whole].reshape(-1, size, rank), factor,
+              out=out[:whole].reshape(-1, size, factor.shape[1]))
+    if whole < n_rows:
+        np.matmul(latents[whole:], factor, out=out[whole:])
+    return out
+
+
 def restore_keys(latents: np.ndarray, k_factor: np.ndarray, rope: np.ndarray,
                  n_kv_heads: int) -> np.ndarray:
     """Keys from latents at positions 0..T-1: (T, n_kv_heads, d_head), rotated.
 
-    The rotation runs in place on the GEMM's output, so the keys are the only
-    array allocated.
+    The GEMM ``latents @ k_factor`` runs in row blocks of at most
+    ``SMALL_GEMM_MULTIPLY_ADDS`` multiply-adds (87 rows at the wide shape),
+    each written into one (T, d_kv) buffer; then one rotation runs in place
+    over all T rows, so the keys are the only array allocated.
     """
-    keys = (latents @ k_factor).reshape(latents.shape[0], n_kv_heads, -1)
+    keys = _restore(latents, k_factor).reshape(latents.shape[0], n_kv_heads, -1)
     return apply_rope(keys, 0, rope)
 
 
@@ -83,7 +128,13 @@ def attend_latent(q_rope: np.ndarray, latents: np.ndarray, k_factor: np.ndarray,
       ``v_factor`` (``SharedFactorization.v_heads`` holds one per layer).
 
     Prefill restores values and a decode step (Tq = 1) mixes latents; the
-    crossover sits near Tq ≈ r·d_kv / (n_q·(r − d_head)).
+    crossover sits near Tq ≈ r·d_kv / (n_q·(r − d_head)).  Keys and restored
+    values are GEMMs in row blocks of at most ``SMALL_GEMM_MULTIPLY_ADDS``
+    multiply-adds (see the module docstring).  So is a decode row's mix,
+    ``P[:, block] @ H[block]`` over key blocks of at most
+    ``SMALL_GEMM_MULTIPLY_ADDS // (n_q·r)`` keys, summed in place.  A
+    multi-row call's mix stays one GEMM: with ``n_q·Tq`` rows, its key blocks
+    would be too shallow to pay.
     The latents sit at positions 0..Tk-1 and the queries are the last Tq;
     as in ``model.causal_attention``, a multi-row call writes its head
     outputs over ``q_rope``.
@@ -94,11 +145,18 @@ def attend_latent(q_rope: np.ndarray, latents: np.ndarray, k_factor: np.ndarray,
     restore = tk_all * rank * config.d_kv + n_q * tq * tk_all * d_head
     mix = n_q * tq * tk_all * rank + n_q * tq * rank * d_head
     if restore <= mix:
-        values = (latents @ v_factor).reshape(tk_all, n_kv, d_head)
+        values = _restore(latents, v_factor).reshape(tk_all, n_kv, d_head)
         return attention_block(q_rope, keys, values, w_o, config)
 
     def head_values(weights, inv, tk):
-        mixed = weights.reshape(-1, tk) @ latents[:tk]  # (n_q * rows, r), head-major
+        weights = weights.reshape(-1, tk)   # (n_q * rows, tk), head-major
+        if tq > 1 or n_q * tk * rank <= SMALL_GEMM_MULTIPLY_ADDS:
+            mixed = weights @ latents[:tk]  # (n_q * rows, r)
+        else:   # a decode row: key blocks of at most SMALL_GEMM_MULTIPLY_ADDS, summed
+            size = block_rows(tk, n_q * rank, SMALL_GEMM_MULTIPLY_ADDS)
+            mixed = weights[:, :size] @ latents[:size]
+            for start in range(size, tk, size):
+                mixed += weights[:, start:start + size] @ latents[start:start + size]
         mixed *= inv.reshape(-1, 1)
         return np.matmul(mixed.reshape(n_kv, -1, rank), v_heads)  # (n_kv, hpk * rows, d_head)
 

@@ -79,6 +79,13 @@ SCORES_BLOCK_ELEMENTS = 2**18
 # norm block, or 0.5 MB of float32 MLP activations.  That is no more than one
 # scores block, while a block of a few hundred rows keeps each GEMM efficient.
 ROW_BLOCK_ELEMENTS = 2**17
+# Multiply-adds (M·N·K) per block of the latent GEMMs that ``latent_cache``
+# splits into row blocks.  OpenBLAS (measured on 0.3.31, Haswell kernels) runs
+# a float32 GEMM of at most 100³ multiply-adds on its small-matrix kernel and a
+# larger one on its general kernel, which is up to twice as slow on the skinny
+# decode products: an (8, 976) @ (976, 179) latent mix takes 61 µs as one GEMM
+# and 33 µs in two blocks under this limit (one BLAS thread).
+SMALL_GEMM_MULTIPLY_ADDS = 100**3
 # Largest score bound for which prefill's softmax skips its max-subtract.  With
 # every |score| <= 32 an exponential lies in [e^-32, e^32]: far above float32's
 # smallest normal (1.2e-38), while a row sum of max_seq of them and its products
@@ -275,17 +282,23 @@ def load_model(path) -> ModelWeights:
 # Shared numeric kernels
 # ---------------------------------------------------------------------------
 
-def row_blocks(n_rows: int, width: int, elements: int):
-    """Consecutive row slices covering ``n_rows`` rows of ``width`` elements.
+def block_rows(n_rows: int, width: int, elements: int) -> int:
+    """Rows per block when ``n_rows`` rows of ``width`` elements are cut into
+    blocks of at most ``elements`` elements (at least one row each).
 
-    Each block holds at most ``elements`` elements (at least one row), and
-    the rows are spread evenly over the fewest such blocks, so no block is
-    much smaller than half the limit: a GEMM over only a few rows may take
-    another BLAS kernel (one row is a matrix-vector product) and round
-    differently from the same rows inside a larger GEMM.
+    The rows are spread evenly over the fewest such blocks, so only the last
+    block is shorter, and no block is much smaller than half the limit: a
+    GEMM over only a few rows may take another BLAS kernel (one row is a
+    matrix-vector product) and round differently from the same rows inside
+    a larger GEMM.
     """
     n_blocks = -(-n_rows // max(1, elements // width))
-    size = -(-n_rows // n_blocks) if n_blocks else 1
+    return -(-n_rows // n_blocks) if n_blocks else 1
+
+
+def row_blocks(n_rows: int, width: int, elements: int):
+    """Consecutive row slices covering ``n_rows`` rows, ``block_rows`` each."""
+    size = block_rows(n_rows, width, elements)
     return (slice(start, start + size) for start in range(0, n_rows, size))
 
 

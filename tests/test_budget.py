@@ -1,3 +1,4 @@
+import hashlib
 import json
 import tracemalloc
 
@@ -8,9 +9,9 @@ from hypothesis import strategies as st
 
 from commonkv import budget, model
 from commonkv.budget import (MERGE_STRATEGIES, SCORE_VARIANTS, FisherWeights, allocate_budget,
-                             corpus_hash, estimate_fisher, group_score, merge_group,
+                             estimate_fisher, group_score, merge_group,
                              top_k_groups)
-from commonkv.corpus import markov_byte_corpus
+from commonkv.corpus import markov_byte_corpus, markov_byte_sequences
 from commonkv.errors import ConfigurationError, InputError
 from commonkv.factorization import GroupLayout
 from commonkv.model import ModelConfig
@@ -176,11 +177,20 @@ def test_duplicated_corpus_leaves_fisher_unchanged(micro_weights):
     np.testing.assert_allclose(twice.per_layer, once.per_layer, atol=1e-6)
 
 
+def _corpus_digest(corpus) -> str:
+    """SHA-256 over each sequence's length (8 bytes) and int64 ids, little-endian."""
+    h = hashlib.sha256()
+    for seq in corpus:
+        h.update(len(seq).to_bytes(8, "little"))
+        h.update(np.asarray(seq, dtype="<i8").tobytes())
+    return h.hexdigest()
+
+
 def test_fisher_nonnegative_and_recorded(micro_weights):
     corpus = markov_byte_corpus(21, 2, 16)
     fisher = estimate_fisher(micro_weights, corpus, seed=21)
     assert all(f >= 0.0 for f in fisher.per_layer)
-    assert fisher.corpus_digest == corpus_hash(corpus)
+    assert fisher.corpus_digest == _corpus_digest(corpus)
     assert fisher.seed == 21 and fisher.n_sequences == 2
 
 
@@ -226,6 +236,39 @@ def test_fisher_converting_once_equals_the_per_sequence_loop(micro_weights, monk
 def test_fisher_empty_corpus_rejected(micro_weights):
     with pytest.raises(InputError):
         estimate_fisher(micro_weights, [])
+    with pytest.raises(InputError, match="empty"):
+        estimate_fisher(micro_weights, iter([]))
+
+
+def test_fisher_reads_a_generator_one_sequence_at_a_time(micro_weights, monkeypatch):
+    # each sequence is made only after the previous one's gradients, and the
+    # result equals the list's, corpus digest and count included
+    events = []
+    traced = budget.loss_and_grads
+
+    def spy(weights, token_ids):
+        events.append("grads")
+        return traced(weights, token_ids)
+
+    def sequences():
+        for seq in markov_byte_sequences(25, 3, 12):
+            events.append("made")
+            yield seq
+
+    monkeypatch.setattr(budget, "loss_and_grads", spy)
+    streamed = estimate_fisher(micro_weights, sequences(), seed=25)
+    assert events == ["made", "grads"] * 3
+    listed = estimate_fisher(micro_weights, markov_byte_corpus(25, 3, 12), seed=25)
+    assert streamed.to_json() == listed.to_json()
+    assert streamed.n_sequences == 3
+
+
+def test_markov_sequences_check_their_counts_before_any_is_made():
+    assert [s.tobytes() for s in markov_byte_sequences(26, 3, 9)] == \
+        [s.tobytes() for s in markov_byte_corpus(26, 3, 9)]
+    for n, length in [(0, 9), (3, 1)]:
+        with pytest.raises(InputError):
+            markov_byte_sequences(26, n, length)  # raised at the call, not at the first read
 
 
 def test_fisher_json_round_trip(micro_weights, tmp_path):
@@ -362,7 +405,7 @@ def test_merge_over_row_blocks_is_bit_identical_to_the_whole_array_sum(rows, str
 
 
 @pytest.mark.parametrize("rows", [1, MERGE_BLOCK - 1, MERGE_BLOCK, MERGE_BLOCK + 1,
-                                  3 * MERGE_BLOCK + 5])
+                                  3 * MERGE_BLOCK + 5, WIDE_PREFIX[0]])
 def test_token_cosines_over_row_blocks_are_bit_identical_to_the_whole_array_formula(rows):
     rng = np.random.default_rng(100 + rows)
     a, b = (rng.standard_normal((rows, MERGE_WIDTH)).astype(np.float32) for _ in range(2))
@@ -386,13 +429,15 @@ def _traced_peak(call) -> int:
 def test_merge_phase_holds_one_float64_prefix_beyond_its_result():
     # beyond (rows,)-sized statistics and numpy's fixed-size ufunc buffers, a
     # score holds one block's three float64 products, and a merge its float32
-    # result plus one block's float64 sum and float64 term
+    # result plus one block's float64 sum and float64 term.  A score block is an
+    # eighth of the prefix, so its products stay below the merge's result.
     rows, width = WIDE_PREFIX
     full64 = 8 * rows * width
     slack = 8 * 8 * rows + 4 * 8 * np.getbufsize() + 4096
     rng = np.random.default_rng(52)
     prefixes = [rng.standard_normal(WIDE_PREFIX).astype(np.float32) for _ in range(4)]
-    score_blocks = 3 * 8 * budget.MERGE_BLOCK_ELEMENTS
+    score_blocks = 3 * 8 * (rows * width // 8)
+    assert score_blocks < full64 // 2
     assert _traced_peak(lambda: group_score(prefixes[0], prefixes[-1])) <= score_blocks + slack
     merge_blocks = 2 * 8 * budget.MERGE_BLOCK_ELEMENTS
     assert _traced_peak(lambda: merge_group(prefixes, "mean")) <= full64 // 2 + merge_blocks + slack

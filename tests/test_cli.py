@@ -326,6 +326,7 @@ def test_fisher_refuses_a_seq_len_past_max_seq_before_building_the_corpus(
         raise AssertionError("a corpus was built")
 
     monkeypatch.setattr(cli, "markov_byte_corpus", no_corpus_may_be_built)
+    monkeypatch.setattr(cli, "markov_byte_sequences", no_corpus_may_be_built)
     monkeypatch.setattr(cli, "load_byte_file", no_corpus_may_be_built)
     out = workdir / "fisher.json"
     extra = ["--corpus", str(workdir / "model.tnsr")] if source == "corpus" else []

@@ -21,7 +21,7 @@ from commonkv.errors import CapacityError, InputError
 from commonkv.model import (ModelConfig, apply_rope, attention_block, build_rope_table,
                             causal_attention, causal_attention_weights, mlp_block, rms_norm,
                             silu)
-from oracles import (_norm, reference_attention, reference_causal_softmax,
+from oracles import (_norm, _rotate, reference_attention, reference_causal_softmax,
                      reference_latent_attention)
 
 HISTORY = 40  # keys visible to the last query row
@@ -749,3 +749,96 @@ def test_wide_decode_row_mix_order_matches_reference(monkeypatch):
     out = attend_latent(x["q"], *factors, build_rope_table(WIDE), WIDE)
     expected = reference_latent_attention(x["q"], *factors, WIDE.rope_theta)
     np.testing.assert_allclose(out, expected, atol=1e-5)
+
+
+# -- latent GEMMs in blocks of at most SMALL_GEMM_MULTIPLY_ADDS ---------------------
+
+LIMIT = model.SMALL_GEMM_MULTIPLY_ADDS
+RESTORE_BLOCK = LIMIT // (WIDE_LATENT_RANK * WIDE.d_kv)   # 87 rows at the wide shape
+MIX_BLOCK = LIMIT // (WIDE.n_q_heads * WIDE_LATENT_RANK)  # 698 keys of one decode row
+
+
+def _record_row_blocks(monkeypatch) -> list[tuple[int, list[slice]]]:
+    """Each ``latent_cache.block_rows`` call as (multiply-adds per row, the
+    row blocks that its row count cuts, as ``model.row_blocks`` gives them)."""
+    calls = []
+
+    def recorded(n_rows, width, elements):
+        assert elements == LIMIT
+        calls.append((width, list(model.row_blocks(n_rows, width, elements))))
+        return model.block_rows(n_rows, width, elements)
+
+    monkeypatch.setattr(latent_cache, "block_rows", recorded)
+    return calls
+
+
+def _restored_keys_reference(latents, k_factor):
+    tk = len(latents)
+    keys = latents.astype(np.float64) @ k_factor.astype(np.float64)
+    return _rotate(keys.reshape(tk, WIDE.n_kv_heads, WIDE.d_head), np.arange(tk),
+                   WIDE.rope_theta, WIDE.d_head)
+
+
+@pytest.mark.parametrize("tk", [RESTORE_BLOCK, RESTORE_BLOCK + 1, 2 * RESTORE_BLOCK + 1, 976])
+def test_blocked_restore_keys_match_reference(monkeypatch, tk):
+    # 87 rows are one GEMM; 88 and more are row blocks written into one buffer
+    assert RESTORE_BLOCK == 87
+    calls = _record_row_blocks(monkeypatch)
+    x = _wide_inputs(1, tk, 5000 + tk)
+    keys = latent_cache.restore_keys(x["latents"], x["k_factor"], build_rope_table(WIDE),
+                                     WIDE.n_kv_heads)
+    assert keys.shape == (tk, WIDE.n_kv_heads, WIDE.d_head) and keys.dtype == np.float32
+    np.testing.assert_allclose(keys, _restored_keys_reference(x["latents"], x["k_factor"]),
+                               rtol=1e-5, atol=1e-5)
+    assert len(calls) == (tk > RESTORE_BLOCK)
+
+
+@pytest.mark.parametrize("tk", [MIX_BLOCK, MIX_BLOCK + 1, 700, 992])
+def test_wide_decode_row_over_key_blocks_matches_reference(monkeypatch, tk):
+    # 698 keys are one mix GEMM (999 536 multiply-adds); 699 and more are summed blocks
+    assert MIX_BLOCK == 698
+    monkeypatch.setattr(latent_cache, "attention_block", None)  # the mix order never calls it
+    calls = _record_row_blocks(monkeypatch)
+    x = _wide_inputs(1, tk, 6000 + tk)
+    factors = (x["latents"], x["k_factor"], x["v_factor"], x["w_o"])
+    out = attend_latent(x["q"], *factors, build_rope_table(WIDE), WIDE)
+    expected = reference_latent_attention(x["q"], *factors, WIDE.rope_theta)
+    np.testing.assert_allclose(out, expected, atol=1e-5)
+    mix_width = WIDE.n_q_heads * WIDE_LATENT_RANK
+    assert [width for width, _ in calls if width == mix_width] == [mix_width] * (tk > MIX_BLOCK)
+
+
+@pytest.mark.parametrize("tq, tk", [(1, 976), (1, 992), (960, 960)])
+def test_no_latent_gemm_block_exceeds_the_small_gemm_limit(monkeypatch, tq, tk):
+    # every restore block (rows x r x d_kv) and mix block (n_q x keys x r) stays
+    # at or under the limit, and the blocks cover every row once, in order
+    calls = _record_row_blocks(monkeypatch)
+    x = _wide_inputs(tq, tk, 7000 + tk)
+    attend_latent(x["q"].copy(), x["latents"], x["k_factor"], x["v_factor"], x["w_o"],
+                  build_rope_table(WIDE), WIDE)
+    restore_width = WIDE_LATENT_RANK * WIDE.d_kv
+    mix_width = WIDE.n_q_heads * WIDE_LATENT_RANK
+    kinds = [width for width, _ in calls]
+    # a decode row restores keys and mixes; a prompt restores keys and values
+    assert kinds == ([restore_width, mix_width] if tq == 1 else [restore_width] * 2)
+    for width, blocks in calls:
+        assert all((b.stop - b.start) * width <= LIMIT for b in blocks)
+        assert [i for b in blocks for i in range(tk)[b]] == list(range(tk))
+
+
+def test_one_block_calls_are_the_single_gemm_bit_for_bit(monkeypatch):
+    # a product under the limit takes no block loop: its bits are one GEMM's
+    rope = build_rope_table(WIDE)
+    x = _wide_inputs(1, MIX_BLOCK, 8000)
+    latents, k_factor = x["latents"], x["k_factor"]
+    calls = _record_row_blocks(monkeypatch)
+    keys = latent_cache.restore_keys(latents[:RESTORE_BLOCK], k_factor, rope, WIDE.n_kv_heads)
+    single = apply_rope((latents[:RESTORE_BLOCK] @ k_factor).reshape(RESTORE_BLOCK, 2, -1),
+                        0, rope)
+    assert keys.tobytes() == single.tobytes()
+    assert calls == []
+    args = (latents, k_factor, x["v_factor"], x["w_o"], rope, WIDE)
+    out = attend_latent(x["q"], *args)
+    monkeypatch.setattr(latent_cache, "SMALL_GEMM_MULTIPLY_ADDS", 10**12)  # one GEMM each
+    assert out.tobytes() == attend_latent(x["q"], *args).tobytes()
+    assert [width for width, _ in calls] == [WIDE_LATENT_RANK * WIDE.d_kv]  # the keys only
