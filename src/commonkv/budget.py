@@ -57,9 +57,10 @@ def _token_cosines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     sums that ``np.sum(x * y, axis=-1)`` and ``np.linalg.norm(x, axis=-1)``
     take.  Every sum is per row, so blocking changes no bit, and no float64
     copy of a whole prefix exists.  A block holds an eighth of the prefix's
-    elements, so its scratch (three float64 rows per row) stays below the
-    float32 prefix that the group's merge allocates, and a 960-row prefix
-    takes 8 blocks, not 44; it holds no fewer than ``MERGE_BLOCK_ELEMENTS``,
+    elements, so its scratch, three float64 products per element, comes to
+    3 bytes per prefix element: below the float32 prefix (4 bytes per
+    element) that the group's merge allocates.  A 960-row prefix thus takes
+    8 blocks, not 44.  A block holds no fewer than ``MERGE_BLOCK_ELEMENTS``,
     so a short prefix is not cut into slivers.
     """
     out = np.zeros(len(a), dtype=np.float64)

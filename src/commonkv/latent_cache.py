@@ -50,8 +50,8 @@ a Haswell-kernel x86 host with one BLAS thread, minimum over repeats:
 Restore blocks of 88 or 96 rows, just over the limit, were 9-15% slower than
 one GEMM: the limit matters, not blocking as such.  A product under the limit
 stays one GEMM.  A restore block writes its own output rows, so restored keys
-and values keep their bits; a decode row's mix sums its key blocks, which
-moves its rounding (within float32 epsilons of the product).
+and values keep their bits on OpenBLAS 0.3.31; a decode row's mix sums its key
+blocks, which moves its rounding (within float32 epsilons of the product).
 """
 
 from __future__ import annotations
@@ -102,7 +102,7 @@ def restore_keys(latents: np.ndarray, k_factor: np.ndarray, rope: np.ndarray,
     """Keys from latents at positions 0..T-1: (T, n_kv_heads, d_head), rotated.
 
     The GEMM ``latents @ k_factor`` runs in row blocks of at most
-    ``SMALL_GEMM_MULTIPLY_ADDS`` multiply-adds (87 rows at the wide shape),
+    ``SMALL_GEMM_MULTIPLY_ADDS`` multiply-adds (up to 87 rows at the wide shape),
     each written into one (T, d_kv) buffer; then one rotation runs in place
     over all T rows, so the keys are the only array allocated.
     """
