@@ -177,14 +177,6 @@ def allocate_budget(scores: list[float], target_ratio: float, layout, width: int
 # Fisher calibration
 # ---------------------------------------------------------------------------
 
-def _hash_sequence(h, seq) -> None:
-    """Feed one sequence to a corpus's SHA-256 ``h``: its length as 8
-    little-endian bytes, then its token ids as little-endian int64."""
-    arr = np.asarray(seq, dtype=np.int64)
-    h.update(len(arr).to_bytes(8, "little"))
-    h.update(arr.astype("<i8").tobytes())
-
-
 @dataclass
 class FisherWeights:
     """Per-layer importance: summed squared loss gradients of W_k and W_v."""
@@ -240,8 +232,10 @@ def estimate_fisher(weights: ModelWeights, corpus: Iterable[np.ndarray],
     The model is converted to float64 once for the whole corpus; the
     conversion is exact, so the result equals converting per sequence.
     ``corpus`` is read once, one sequence at a time, so a generator such as
-    ``corpus.markov_byte_sequences`` holds only the sequence being read; the
-    corpus hash is taken on the way.  An empty corpus is an ``InputError``.
+    ``corpus.markov_byte_sequences`` holds only the sequence being read.  The
+    corpus digest is taken on the way: SHA-256 over each sequence's length as
+    8 little-endian bytes, then its ids as little-endian int64.  An empty
+    corpus is an ``InputError``.
     """
     n_layers = weights.config.n_layers
     weights64 = weights.astype(np.float64)
@@ -249,7 +243,9 @@ def estimate_fisher(weights: ModelWeights, corpus: Iterable[np.ndarray],
     digest = hashlib.sha256()
     count = 0
     for seq in corpus:
-        _hash_sequence(digest, seq)
+        ids = np.asarray(seq, dtype=np.int64)
+        digest.update(len(ids).to_bytes(8, "little"))
+        digest.update(ids.astype("<i8").tobytes())
         _, grads = loss_and_grads(weights64, seq)
         for l in range(n_layers):
             acc[l] += np.sum(grads[l]["w_k"] ** 2) + np.sum(grads[l]["w_v"] ** 2)
